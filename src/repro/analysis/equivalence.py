@@ -1,124 +1,69 @@
-"""Differential verification of shuffle elision.
+"""Differential verification over the engine's config lattice.
 
-The optimizer's shuffle elision (:mod:`repro.engine.optimize`) rewrites
-physical execution; this module *proves* the rewrite on real programs
-instead of assuming it.  Every program in the registry -- covering the
-whole :mod:`repro.tasks` library -- is executed twice on seeded inputs,
-once with ``optimize_shuffles=False`` and once with ``True``, and the
-two runs must agree:
+Flattening, and every physical choice the engine makes under it, must
+preserve a nested program's meaning.  This module states that once.
+Each way a :class:`~repro.engine.config.ClusterConfig` can change how a
+program executes is one row of :data:`AXES`: the field, its base and
+variant value, the fields the variant ``requires``, and the invariants
+(:data:`repro.engine.validate.INVARIANTS`) the change *preserves*.  One
+runner (:func:`repro.engine.validate.run_configs`) executes a program
+on a fresh, always-validated, always-closed context per config.
 
-* identical collected results (canonicalized: collection order across
-  partitions is not semantically meaningful, and driver-side float
-  aggregation order can differ in the last ulps when an adopted layout
-  places records on different partitions);
-* consistent traces: same jobs, same per-job action/label, same stage
-  kind sequence (an elided shuffle still opens its -- zero-volume --
-  shuffle stage), and both traces pass
-  :func:`repro.engine.validate.validate_trace`;
-* the optimized run never shuffles *more*: per job, its shuffle volume
-  is bounded by the unoptimized run's.
+* :func:`verify` runs a program at one axis's base and variant value.
+* :func:`verify_lattice` runs it at all-off, each optimizer flag alone
+  (with its requirements) and all-on, under both stage schedulers.
+* Either way *every pair* of runs is checked under the intersection of
+  the ``preserves`` sets of the axes the pair differs on, so flags are
+  proven in combination, not just one at a time.
+* :func:`library_programs` is the registry: all of :mod:`repro.tasks`.
 
-The same differential method also proves the DAG stage schedule
-(:mod:`repro.engine.dag`): ``--compare schedulers`` runs every program
-once with ``scheduler="serial"`` and once with ``scheduler="dag"`` and
-demands identical canonicalized results, an identical trace signature
-(which pins per-stage record counts and shuffle volumes exactly -- the
-DAG schedule must move precisely the same records), and equal run
-report totals up to the measured-time fields (wall-clock, per-task
-seconds, and the straggler/retry counters derived from them, which
-legitimately vary run to run).
+Results are compared canonicalized (:func:`results_equivalent`);
+measured wall-clock is reported, never asserted on.  From the command
+line (CI runs the first form once per backend)::
 
-A third comparison proves the effect-gated auto-cache rewrite
-(:func:`repro.engine.optimize.plan_auto_caches`): ``--compare caching``
-runs every program with ``optimize_caching`` off and on and demands
-equivalent results, valid traces, and a cached run that is never
-slower in simulated seconds.  Stage shapes are deliberately not
-compared there -- replacing recompute stages with a ``cached`` read in
-later jobs is the rewrite working as intended.
-
-A fourth comparison proves the compiled fused pipelines
-(:mod:`repro.engine.codegen`): ``--compare compiled`` runs every
-program once with ``compile_pipelines`` off and on and demands
-equivalent results, valid traces, an identical trace signature (the
-generated loops must credit exactly the interpreter's per-operator
-record counts, so simulated seconds are equal by construction), and
-reports the measured wall-clock of both runs.
-
-A fifth comparison proves whole-plan schema inference
-(:mod:`repro.analysis.schema`): ``--compare schema`` runs every
-program with ``compile_pipelines=True`` and ``schema_inference`` off
-and on and demands equivalent results, valid traces, an identical
-trace signature, and equal simulated seconds -- the columnar-direct
-loops, probe-free encode commits, and refuted-chain interpreter
-fallbacks the inference unlocks must be pure execution-strategy
-changes, invisible to both values and the cost model.
-
-Run it from the command line (CI does, on both backends and all
-comparisons)::
-
-    PYTHONPATH=src python -m repro.analysis.equivalence --backend serial
-    PYTHONPATH=src python -m repro.analysis.equivalence --compare schedulers
-    PYTHONPATH=src python -m repro.analysis.equivalence --compare caching
-    PYTHONPATH=src python -m repro.analysis.equivalence --compare compiled
+    PYTHONPATH=src python -m repro.analysis.equivalence [--backend process]
     PYTHONPATH=src python -m repro.analysis.equivalence --compare schema
+
+The axes, as :func:`axes_table` (and ``--help``) renders them::
+
 """
 
 import argparse
 import math
 import sys
-import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from itertools import combinations
+from typing import NamedTuple
 
+from ..data import generators as gen
 from ..engine.config import laptop_config
-from ..engine.context import EngineContext
-from ..engine.validate import validate_trace
+from ..engine.validate import (
+    INVARIANTS,
+    check_runs,
+    config_difference,
+    run_configs,
+)
 from ..errors import PlanError
+from ..tasks import (
+    avg_distances, bounce_rate, graphs, kmeans, matrix, pagerank,
+)
 
 __all__ = [
+    "AXES",
+    "Axis",
     "EquivalenceError",
-    "Verification",
+    "axes_table",
     "library_programs",
-    "verify_library",
-    "verify_library_caching",
-    "verify_library_compiled",
-    "verify_library_schedules",
-    "verify_library_schema",
-    "verify_program",
-    "verify_program_caching",
-    "verify_program_compiled",
-    "verify_program_schedules",
-    "verify_program_schema",
     "main",
+    "results_equivalent",
+    "verify",
+    "verify_lattice",
+    "verify_library",
 ]
 
 
 class EquivalenceError(PlanError):
-    """Optimized and unoptimized execution of a program disagreed."""
-
-
-@dataclass
-class Verification:
-    """Outcome of one verified program.
-
-    Attributes:
-        name: Registry name of the program.
-        shuffle_records: Shuffle volume of the unoptimized run.
-        shuffle_records_optimized: Shuffle volume of the optimized run.
-        shuffle_records_saved: Volume the optimizer declared elided.
-        elisions: Number of shuffle-elision decisions taken.
-        seconds_interpreted: Measured wall-clock of the baseline run,
-            only set by the ``compiled`` comparison.
-        seconds_compiled: Measured wall-clock of the compiled run,
-            only set by the ``compiled`` comparison.
-    """
-
-    name: str
-    shuffle_records: int
-    shuffle_records_optimized: int
-    shuffle_records_saved: int
-    elisions: int
-    seconds_interpreted: float = 0.0
-    seconds_compiled: float = 0.0
+    """Two configs that must agree on a program did not."""
 
 
 # ----------------------------------------------------------------------
@@ -127,122 +72,94 @@ class Verification:
 
 
 def _bounce_rate_flat(ctx):
-    from ..data.generators import visits_log
-    from ..tasks.bounce_rate import bounce_rate_flat
-
-    visits = ctx.bag_of(visits_log(4, 240, seed=7))
-    return sorted(bounce_rate_flat(visits).collect())
+    visits = ctx.bag_of(gen.visits_log(4, 240, seed=7))
+    return sorted(bounce_rate.bounce_rate_flat(visits).collect())
 
 
 def _bounce_rate_nested(ctx):
-    from ..data.generators import visits_log
-    from ..tasks.bounce_rate import bounce_rate_nested
-
-    visits = ctx.bag_of(visits_log(3, 180, seed=7))
-    return sorted(bounce_rate_nested(visits).collect())
+    visits = ctx.bag_of(gen.visits_log(3, 180, seed=7))
+    return sorted(bounce_rate.bounce_rate_nested(visits).collect())
 
 
 def _bounce_rate_diql(ctx):
-    from ..data.generators import visits_log
-    from ..tasks.bounce_rate import bounce_rate_diql
-
-    visits = ctx.bag_of(visits_log(3, 150, seed=9))
-    return sorted(bounce_rate_diql(visits).collect())
+    visits = ctx.bag_of(gen.visits_log(3, 150, seed=9))
+    return sorted(bounce_rate.bounce_rate_diql(visits).collect())
 
 
 def _pagerank_parallel(ctx):
-    from ..data.generators import grouped_edges
-    from ..tasks.pagerank import pagerank_parallel
-
-    edges = [edge for _group, edge in grouped_edges(2, 80, seed=13)]
-    return pagerank_parallel(ctx, edges, iterations=3)
+    edges = [edge for _group, edge in gen.grouped_edges(2, 80, seed=13)]
+    return pagerank.pagerank_parallel(ctx, edges, iterations=3)
 
 
 def _pagerank_nested(ctx):
-    from ..data.generators import grouped_edges
-    from ..tasks.pagerank import pagerank_nested
-
-    grouped = ctx.bag_of(grouped_edges(3, 90, seed=13))
-    return sorted(pagerank_nested(grouped, iterations=3).collect())
+    grouped = ctx.bag_of(gen.grouped_edges(3, 90, seed=13))
+    return sorted(pagerank.pagerank_nested(grouped, iterations=3).collect())
 
 
 def _connected_components(ctx):
-    from ..data.generators import component_graph
-    from ..tasks.graphs import connected_components
-
-    edges = component_graph(3, 6, seed=3)
-    labels = connected_components(ctx, ctx.bag_of(edges))
-    return sorted(labels.collect())
+    edges = ctx.bag_of(gen.component_graph(3, 6, seed=3))
+    return sorted(graphs.connected_components(ctx, edges).collect())
 
 
 def _avg_distances_nested(ctx):
-    from ..data.generators import component_graph
-    from ..tasks.avg_distances import avg_distances_nested
-
-    edges = component_graph(2, 5, seed=3)
-    return sorted(avg_distances_nested(ctx, edges).collect())
+    edges = gen.component_graph(2, 5, seed=3)
+    return sorted(avg_distances.avg_distances_nested(ctx, edges).collect())
 
 
 def _avg_distances_inner(ctx):
-    from ..data.generators import component_graph
-    from ..tasks.avg_distances import avg_distances_inner
-
-    edges = component_graph(2, 4, seed=9)
-    return sorted(avg_distances_inner(ctx, edges))
+    edges = gen.component_graph(2, 4, seed=9)
+    return sorted(avg_distances.avg_distances_inner(ctx, edges))
 
 
 def _kmeans_nested(ctx):
-    from ..data.generators import grouped_points, initial_centroids
-    from ..tasks.kmeans import kmeans_nested_grouped
-
-    points = ctx.bag_of(grouped_points(3, 90, 3, seed=11))
-    configs = initial_centroids(3, 3, seed=11)
-    result = kmeans_nested_grouped(points, configs, max_iterations=3)
+    points = ctx.bag_of(gen.grouped_points(3, 90, 3, seed=11))
+    configs = gen.initial_centroids(3, 3, seed=11)
+    result = kmeans.kmeans_nested_grouped(points, configs, max_iterations=3)
     return sorted(result.collect())
 
 
 def _kmeans_parallel(ctx):
-    from ..data.generators import clustered_points, initial_centroids
-    from ..tasks.kmeans import kmeans_parallel
-
-    points = clustered_points(60, 3, seed=5)
-    centroids = initial_centroids(3, 1, seed=5)[0][1]
-    return kmeans_parallel(ctx, points, centroids, max_iterations=3)
+    points = gen.clustered_points(60, 3, seed=5)
+    centroids = gen.initial_centroids(3, 1, seed=5)[0][1]
+    return kmeans.kmeans_parallel(ctx, points, centroids, max_iterations=3)
 
 
 def _matrix_row_norms(ctx):
-    from ..tasks.matrix import matrix_bag, row_norms
-
     rows = [[(i + j) % 5 + 0.5 for j in range(6)] for i in range(8)]
-    return sorted(row_norms(matrix_bag(ctx, rows)).collect())
+    return sorted(matrix.row_norms(matrix.matrix_bag(ctx, rows)).collect())
 
 
 def _matrix_vector(ctx):
-    from ..tasks.matrix import matrix_bag, matrix_vector_product
-
     rows = [[(3 * i + j) % 7 for j in range(5)] for i in range(6)]
     vector = ctx.bag_of([(j, float(j + 1)) for j in range(5)])
-    product = matrix_vector_product(matrix_bag(ctx, rows), vector)
-    return sorted(product.collect())
+    bag = matrix.matrix_bag(ctx, rows)
+    return sorted(matrix.matrix_vector_product(bag, vector).collect())
 
 
-def library_programs():
-    """``(name, program)`` pairs covering every :mod:`repro.tasks`
-    module; each program takes a fresh context and returns a
-    deterministic-up-to-partitioning value."""
+#: One program per :mod:`repro.tasks` entry point; each takes a fresh
+#: context and returns a deterministic-up-to-partitioning value.
+_PROGRAMS = [
+    ("bounce-rate-flat", _bounce_rate_flat),
+    ("bounce-rate-nested", _bounce_rate_nested),
+    ("bounce-rate-diql", _bounce_rate_diql),
+    ("pagerank-parallel", _pagerank_parallel),
+    ("pagerank-nested", _pagerank_nested),
+    ("connected-components", _connected_components),
+    ("avg-distances-nested", _avg_distances_nested),
+    ("avg-distances-inner", _avg_distances_inner),
+    ("kmeans-nested-grouped", _kmeans_nested),
+    ("kmeans-parallel", _kmeans_parallel),
+    ("matrix-row-norms", _matrix_row_norms),
+    ("matrix-vector-product", _matrix_vector),
+]
+
+
+def library_programs(only=None):
+    """The registry's ``(name, program)`` pairs; ``only`` keeps the
+    names containing any of the given substrings."""
     return [
-        ("bounce-rate-flat", _bounce_rate_flat),
-        ("bounce-rate-nested", _bounce_rate_nested),
-        ("bounce-rate-diql", _bounce_rate_diql),
-        ("pagerank-parallel", _pagerank_parallel),
-        ("pagerank-nested", _pagerank_nested),
-        ("connected-components", _connected_components),
-        ("avg-distances-nested", _avg_distances_nested),
-        ("avg-distances-inner", _avg_distances_inner),
-        ("kmeans-nested-grouped", _kmeans_nested),
-        ("kmeans-parallel", _kmeans_parallel),
-        ("matrix-row-norms", _matrix_row_norms),
-        ("matrix-vector-product", _matrix_vector),
+        (name, program) for name, program in _PROGRAMS
+        if not only or any(fragment in name for fragment in only)
     ]
 
 
@@ -255,10 +172,8 @@ def _blurred(value):
     """Round floats so ulp-level drift cannot change sort order."""
     if isinstance(value, float):
         return round(value, 6)
-    if isinstance(value, tuple):
-        return tuple(_blurred(v) for v in value)
-    if isinstance(value, list):
-        return [_blurred(v) for v in value]
+    if isinstance(value, (tuple, list)):
+        return type(value)(_blurred(v) for v in value)
     return value
 
 
@@ -278,19 +193,18 @@ def _canonical(value):
 
 def _approx_equal(a, b, rel_tol=1e-9, abs_tol=1e-12):
     if isinstance(a, float) or isinstance(b, float):
-        if not isinstance(a, (int, float)) or not isinstance(
-            b, (int, float)
-        ):
-            return False
-        return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
+        return (
+            isinstance(a, (int, float)) and isinstance(b, (int, float))
+            and math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
+        )
     if isinstance(a, dict) and isinstance(b, dict):
-        if set(a) != set(b):
-            return False
-        return all(_approx_equal(a[k], b[k]) for k in a)
+        return set(a) == set(b) and all(
+            _approx_equal(a[k], b[k]) for k in a
+        )
     if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        if type(a) is not type(b) or len(a) != len(b):
-            return False
-        return all(_approx_equal(x, y) for x, y in zip(a, b))
+        return type(a) is type(b) and len(a) == len(b) and all(
+            _approx_equal(x, y) for x, y in zip(a, b)
+        )
     return a == b
 
 
@@ -305,529 +219,180 @@ def results_equivalent(a, b):
 
 
 # ----------------------------------------------------------------------
-# Verification
+# The axes table and the verifiers driven by it
 # ----------------------------------------------------------------------
 
 
-def _job_shuffle(job):
-    return sum(stage.shuffle_read_records for stage in job.stages)
+class Axis(NamedTuple):
+    """One way a config can change how a program executes: moving
+    ``field`` from ``base`` to ``variant`` must leave the ``preserves``
+    invariants (names from :data:`~repro.engine.validate.INVARIANTS`)
+    intact.  ``requires`` holds other fields the variant only means
+    something with; a single-axis comparison sets them on both sides."""
+
+    field: str
+    base: object
+    variant: object
+    preserves: tuple
+    requires: dict = {}
 
 
-def _compare_traces(name, unoptimized, optimized):
-    if len(unoptimized.jobs) != len(optimized.jobs):
-        raise EquivalenceError(
-            "%s: optimized run submitted %d jobs, unoptimized %d"
-            % (name, len(optimized.jobs), len(unoptimized.jobs))
+#: A pure execution-strategy change: invisible to values, to the trace
+#: the cost model reads, and so to simulated seconds.
+_IDENTICAL = ("results", "signature", "sim_equal")
+
+AXES = {
+    # An elided shuffle still opens its (zero-volume) stage, but an
+    # adopted layout moves records between tasks: kinds, not counts.
+    "elision": Axis(
+        "optimize_shuffles", False, True,
+        ("results", "stage_kinds", "shuffle_not_more"),
+    ),
+    # "totals" leaves out the measured retry/straggler counters.
+    "schedulers": Axis(
+        "scheduler", "serial", "dag", _IDENTICAL + ("totals",)
+    ),
+    # Replacing recompute stages with a ``cached`` read *is* the
+    # rewrite, so stage shapes are free; it must only never cost time.
+    "caching": Axis(
+        "optimize_caching", False, True, ("results", "sim_not_slower")
+    ),
+    "compiled": Axis("compile_pipelines", False, True, _IDENTICAL),
+    "schema": Axis(
+        "schema_inference", False, True, _IDENTICAL,
+        requires={"compile_pipelines": True},
+    ),
+    "speculation": Axis("speculative_execution", False, True, _IDENTICAL),
+    "backend": Axis("backend", "serial", "process", _IDENTICAL),
+}
+
+#: The optimizer flags :func:`verify_lattice` sweeps, an axis after the
+#: axes it requires.  ``schedulers`` is crossed with every point;
+#: ``backend`` is left to the caller's config (a process-pool sweep
+#: costs ~10x a serial one, so CI runs one sweep per backend).
+LATTICE_FLAGS = ("elision", "caching", "compiled", "schema", "speculation")
+
+
+def axes_table():
+    """The :data:`AXES` table as aligned text (docs and ``--help``)."""
+    rows = [("axis", "field", "base -> variant", "requires", "preserves")]
+    rows += [
+        (
+            name,
+            axis.field,
+            "%s -> %s" % (axis.base, axis.variant),
+            ", ".join("%s=%s" % kv for kv in axis.requires.items()) or "-",
+            ", ".join(axis.preserves),
         )
-    for base, opt in zip(unoptimized.jobs, optimized.jobs):
-        where = "%s job %d" % (name, base.job_id)
-        if (base.action, base.label) != (opt.action, opt.label):
-            raise EquivalenceError(
-                "%s: action/label diverged: %r vs %r"
-                % (where, (base.action, base.label),
-                   (opt.action, opt.label))
-            )
-        base_kinds = [stage.kind for stage in base.stages]
-        opt_kinds = [stage.kind for stage in opt.stages]
-        if base_kinds != opt_kinds:
-            raise EquivalenceError(
-                "%s: stage kinds diverged: %r vs %r"
-                % (where, base_kinds, opt_kinds)
-            )
-        if _job_shuffle(opt) > _job_shuffle(base):
-            raise EquivalenceError(
-                "%s: the optimized run shuffles more (%d) than the "
-                "unoptimized run (%d)"
-                % (where, _job_shuffle(opt), _job_shuffle(base))
-            )
-
-
-def verify_program(program, config=None, name="<program>"):
-    """Prove one program unchanged by shuffle elision.
-
-    Args:
-        program: Callable taking a fresh :class:`EngineContext` and
-            returning a comparable value.
-        config: Base config; ``optimize_shuffles`` is overridden per
-            run.  Defaults to ``laptop_config()``.
-        name: Label for error messages and the report line.
-
-    Returns:
-        A :class:`Verification` with the two runs' shuffle volumes.
-
-    Raises:
-        EquivalenceError: When results or traces diverge.
-    """
-    base_config = config if config is not None else laptop_config()
-    runs = {}
-    for optimize in (False, True):
-        ctx = EngineContext(
-            replace(base_config, optimize_shuffles=optimize)
-        )
-        result = program(ctx)
-        validate_trace(ctx.trace)
-        runs[optimize] = (result, ctx)
-    base_result, base_ctx = runs[False]
-    opt_result, opt_ctx = runs[True]
-    _compare_traces(name, base_ctx.trace, opt_ctx.trace)
-    if not results_equivalent(base_result, opt_result):
-        raise EquivalenceError(
-            "%s: optimized result differs from unoptimized result:\n"
-            "%r\nvs\n%r" % (name, opt_result, base_result)
-        )
-    return Verification(
-        name=name,
-        shuffle_records=sum(
-            _job_shuffle(job) for job in base_ctx.trace.jobs
-        ),
-        shuffle_records_optimized=sum(
-            _job_shuffle(job) for job in opt_ctx.trace.jobs
-        ),
-        shuffle_records_saved=sum(
-            stage.shuffle_records_saved
-            for job in opt_ctx.trace.jobs
-            for stage in job.stages
-        ),
-        elisions=len(opt_ctx.optimizer_decisions),
+        for name, axis in AXES.items()
+    ]
+    widths = [max(len(row[i]) for row in rows) for i in range(5)]
+    return "\n".join(
+        "    " + "  ".join(map(str.ljust, row, widths)).rstrip()
+        for row in rows
     )
 
 
-def verify_library(config=None, only=None):
-    """Verify every registry program; returns the Verification list."""
-    verifications = []
-    for name, program in library_programs():
-        if only and not any(fragment in name for fragment in only):
-            continue
-        verifications.append(
-            verify_program(program, config=config, name=name)
-        )
-    return verifications
+__doc__ += axes_table() + "\n"
 
 
-# ----------------------------------------------------------------------
-# Schedule verification (serial vs DAG stage scheduling)
-# ----------------------------------------------------------------------
-
-#: Run-report total fields derived from measured wall-clock; the only
-#: totals allowed to differ between the serial and DAG schedules.
-_MEASURED_TOTAL_KEYS = frozenset(
-    {"retries", "stragglers", "failed_attempt_seconds"}
-)
+def axis_configs(axis, config):
+    """The base and variant config of one :data:`AXES` row."""
+    spec = AXES[axis]
+    return [
+        replace(config, **spec.requires, **{spec.field: value})
+        for value in (spec.base, spec.variant)
+    ]
 
 
-def _comparable_totals(entry):
-    """An entry's run-report totals minus the measured-time fields."""
-    totals = {
-        key: value
-        for key, value in entry["totals"].items()
-        if key not in _MEASURED_TOTAL_KEYS
-    }
-    totals["simulated_seconds"] = entry["simulated_seconds"]
-    return totals
+def lattice_configs(config):
+    """All-off, each flag alone, all-on -- under both schedulers.
 
-
-def verify_program_schedules(program, config=None, name="<program>",
-                             schedulers=("serial", "dag")):
-    """Prove one program unchanged by DAG-parallel stage scheduling.
-
-    Runs ``program`` once per schedule on a fresh context and demands:
-    identical trace signatures (pinning stage kinds, per-task record
-    counts, and shuffle read/write/saved volumes exactly), equivalent
-    canonicalized results, and equal run-report totals up to the
-    measured-time fields.
-
-    Returns:
-        A :class:`Verification`; ``shuffle_records`` is the serial
-        run's volume and ``shuffle_records_optimized`` the DAG run's
-        (the signature check makes them equal).
-
-    Raises:
-        EquivalenceError: When any compared quantity diverges.
+    Listed bottom-up: when two of them differ on a single axis, the
+    earlier holds its base value (directional invariants rely on it).
     """
-    from ..engine.validate import trace_signature
-    from ..observe.report import entry_from_context
+    flags = [AXES[name] for name in LATTICE_FLAGS]
+    all_off = {axis.field: axis.base for axis in flags}
+    points = [all_off] + [
+        dict(all_off, **axis.requires, **{axis.field: axis.variant})
+        for axis in flags
+    ] + [{axis.field: axis.variant for axis in flags}]
+    return [
+        replace(by_scheduler, **point)
+        for by_scheduler in axis_configs("schedulers", config)
+        for point in points
+    ]
 
-    base_config = config if config is not None else laptop_config()
-    runs = []
-    for scheduler in schedulers:
-        ctx = EngineContext(replace(base_config, scheduler=scheduler))
-        try:
-            result = program(ctx)
-            validate_trace(ctx.trace)
-            runs.append(
-                (
-                    scheduler,
-                    result,
-                    trace_signature(ctx.trace),
-                    entry_from_context(ctx, scheduler, name),
-                    sum(_job_shuffle(job) for job in ctx.trace.jobs),
-                    len(ctx.optimizer_decisions),
-                )
-            )
-        finally:
-            ctx.close()
-    reference = runs[0]
-    for run in runs[1:]:
-        if run[2] != reference[2]:
-            raise EquivalenceError(
-                "%s: schedulers %r and %r produced different trace "
-                "signatures:\n%r\nvs\n%r"
-                % (name, reference[0], run[0], reference[2], run[2])
-            )
-        if not results_equivalent(run[1], reference[1]):
-            raise EquivalenceError(
-                "%s: scheduler %r result differs from %r:\n%r\nvs\n%r"
-                % (name, run[0], reference[0], run[1], reference[1])
-            )
-        if _comparable_totals(run[3]) != _comparable_totals(
-            reference[3]
-        ):
-            raise EquivalenceError(
-                "%s: schedulers %r and %r report different totals:\n"
-                "%r\nvs\n%r"
-                % (
-                    name, reference[0], run[0],
-                    _comparable_totals(reference[3]),
-                    _comparable_totals(run[3]),
-                )
-            )
-    return Verification(
-        name=name,
-        shuffle_records=reference[4],
-        shuffle_records_optimized=runs[-1][4],
-        shuffle_records_saved=0,
-        elisions=reference[5],
+
+def preserved(base, variant):
+    """Invariants two configs must agree on: those every axis they
+    differ on preserves (all of them when they differ on none)."""
+    names = set(INVARIANTS)
+    for axis in AXES.values():
+        if getattr(base, axis.field) != getattr(variant, axis.field):
+            names &= set(axis.preserves)
+    return [name for name in INVARIANTS if name in names]
+
+
+def _verify_configs(program, configs, name):
+    runs = run_configs(program, configs, name)
+    for base, variant in combinations(runs, 2):
+        check_runs(
+            base, variant, preserved(base.config, variant.config),
+            EquivalenceError, results_equivalent,
+        )
+    return runs
+
+
+def verify(program, axis, config=None, name="<program>"):
+    """Prove ``program`` (fresh ``EngineContext`` -> comparable value)
+    unchanged along one :data:`AXES` row; ``config`` (default
+    ``laptop_config()``) is what both runs share otherwise.  Returns the
+    ``[base, variant]`` :class:`~repro.engine.validate.Run` records or
+    raises :class:`EquivalenceError`."""
+    return _verify_configs(
+        program, axis_configs(axis, config or laptop_config()), name
     )
 
 
-def verify_library_schedules(config=None, only=None):
-    """Schedule-verify every registry program; returns Verifications."""
-    verifications = []
-    for name, program in library_programs():
-        if only and not any(fragment in name for fragment in only):
-            continue
-        verifications.append(
-            verify_program_schedules(program, config=config, name=name)
-        )
-    return verifications
+def verify_library(axis, config=None, only=None):
+    """:func:`verify` every registry program; the list of run pairs."""
+    return [
+        verify(program, axis, config=config, name=name)
+        for name, program in library_programs(only)
+    ]
 
 
-# ----------------------------------------------------------------------
-# Auto-cache verification (optimize_caching off vs on)
-# ----------------------------------------------------------------------
+def verify_lattice(program, config=None, name="<program>"):
+    """Prove ``program`` unchanged across the whole flag lattice.
 
-
-def verify_program_caching(program, config=None, name="<program>"):
-    """Prove one program unchanged (and never slower) by auto-caching.
-
-    Runs ``program`` once with ``optimize_caching=False`` and once with
-    ``True`` and demands equivalent canonicalized results, valid traces
-    on both runs, and a cached simulated wall-clock that never exceeds
-    the uncached one.  Unlike the elision comparison, stage *shapes*
-    are deliberately **not** compared: an auto-cached subtree
-    legitimately replaces its recompute stages with a single ``cached``
-    stage in later jobs -- the rewrite's entire point.
-
-    Returns:
-        A :class:`Verification`; ``elisions`` counts the ``auto-cache``
-        optimizer decisions the cached run took.
-
-    Raises:
-        EquivalenceError: When results diverge or caching made the
-            program slower in simulated seconds.
-    """
-    from ..observe.report import entry_from_context
-
-    base_config = config if config is not None else laptop_config()
-    runs = {}
-    for caching in (False, True):
-        ctx = EngineContext(
-            replace(base_config, optimize_caching=caching)
-        )
-        try:
-            result = program(ctx)
-            validate_trace(ctx.trace)
-            runs[caching] = (
-                result,
-                entry_from_context(ctx, "caching", name)[
-                    "simulated_seconds"
-                ],
-                sum(_job_shuffle(job) for job in ctx.trace.jobs),
-                len(
-                    [
-                        d for d in ctx.optimizer_decisions
-                        if d.kind == "auto-cache"
-                    ]
-                ),
-            )
-        finally:
-            ctx.close()
-    base_result, base_seconds, base_shuffle, _ = runs[False]
-    opt_result, opt_seconds, opt_shuffle, auto_caches = runs[True]
-    if not results_equivalent(base_result, opt_result):
-        raise EquivalenceError(
-            "%s: auto-cached result differs from uncached result:\n"
-            "%r\nvs\n%r" % (name, opt_result, base_result)
-        )
-    if opt_seconds > base_seconds + 1e-9:
-        raise EquivalenceError(
-            "%s: auto-caching made the program slower: %.6f simulated "
-            "seconds vs %.6f without" % (name, opt_seconds, base_seconds)
-        )
-    return Verification(
-        name=name,
-        shuffle_records=base_shuffle,
-        shuffle_records_optimized=opt_shuffle,
-        shuffle_records_saved=0,
-        elisions=auto_caches,
+    Every pair of :func:`lattice_configs` runs is checked: a pair one
+    flag apart gets that axis's full check, and even all-off vs all-on
+    must agree on results -- which catches a bug that needs two flags
+    at once.  Returns the runs or raises :class:`EquivalenceError`
+    naming the two configs that disagreed."""
+    return _verify_configs(
+        program, lattice_configs(config or laptop_config()), name
     )
-
-
-def verify_library_caching(config=None, only=None):
-    """Caching-verify every registry program; returns Verifications."""
-    verifications = []
-    for name, program in library_programs():
-        if only and not any(fragment in name for fragment in only):
-            continue
-        verifications.append(
-            verify_program_caching(program, config=config, name=name)
-        )
-    return verifications
-
-
-# ----------------------------------------------------------------------
-# Compiled-pipeline verification (compile_pipelines off vs on)
-# ----------------------------------------------------------------------
-
-
-def verify_program_compiled(program, config=None, name="<program>"):
-    """Prove one program unchanged by compiled fused pipelines.
-
-    Runs ``program`` once with ``compile_pipelines=False`` (interpreted
-    :class:`FusedPipelineTask`) and once with ``True`` (generated
-    specialized loops where provable, interpreter fallback elsewhere)
-    and demands: equivalent canonicalized results, valid traces on both
-    runs, and an **identical trace signature** -- which pins stage
-    kinds, per-task record counts, and shuffle volumes exactly, so the
-    two runs' simulated seconds are equal by construction (the
-    signature includes every ``task_records`` tuple the cost model
-    reads).  Simulated seconds are additionally compared directly as a
-    belt-and-braces check.  Measured wall-clock of both runs is
-    recorded on the returned :class:`Verification` for reporting; it is
-    *not* asserted on (machine noise is not a correctness property).
-
-    Returns:
-        A :class:`Verification`; ``elisions`` counts the fused chains
-        the compiled run actually compiled, and the two ``seconds_*``
-        fields carry the measured wall-clock.
-
-    Raises:
-        EquivalenceError: When results, signatures, or simulated
-            seconds diverge.
-    """
-    from ..engine.validate import trace_signature
-    from ..observe.report import entry_from_context
-
-    base_config = config if config is not None else laptop_config()
-    runs = {}
-    for compiled in (False, True):
-        ctx = EngineContext(
-            replace(base_config, compile_pipelines=compiled)
-        )
-        try:
-            started = time.perf_counter()
-            result = program(ctx)
-            elapsed = time.perf_counter() - started
-            validate_trace(ctx.trace)
-            runs[compiled] = (
-                result,
-                trace_signature(ctx.trace),
-                entry_from_context(ctx, "compiled", name)[
-                    "simulated_seconds"
-                ],
-                elapsed,
-                sum(_job_shuffle(job) for job in ctx.trace.jobs),
-                len(
-                    [
-                        d for d in ctx.optimizer_decisions
-                        if d.kind == "compiled-pipeline"
-                        and d.choice == "compile"
-                    ]
-                ),
-            )
-        finally:
-            ctx.close()
-    base = runs[False]
-    comp = runs[True]
-    if comp[1] != base[1]:
-        raise EquivalenceError(
-            "%s: compiled run produced a different trace signature:\n"
-            "%r\nvs\n%r" % (name, comp[1], base[1])
-        )
-    if not results_equivalent(base[0], comp[0]):
-        raise EquivalenceError(
-            "%s: compiled result differs from interpreted result:\n"
-            "%r\nvs\n%r" % (name, comp[0], base[0])
-        )
-    if comp[2] != base[2]:
-        raise EquivalenceError(
-            "%s: compiled run simulates %.9f seconds, interpreted "
-            "%.9f -- compiled loops must credit identical work"
-            % (name, comp[2], base[2])
-        )
-    return Verification(
-        name=name,
-        shuffle_records=base[4],
-        shuffle_records_optimized=comp[4],
-        shuffle_records_saved=0,
-        elisions=comp[5],
-        seconds_interpreted=base[3],
-        seconds_compiled=comp[3],
-    )
-
-
-def verify_library_compiled(config=None, only=None):
-    """Compile-verify every registry program; returns Verifications."""
-    verifications = []
-    for name, program in library_programs():
-        if only and not any(fragment in name for fragment in only):
-            continue
-        verifications.append(
-            verify_program_compiled(program, config=config, name=name)
-        )
-    return verifications
-
-
-# ----------------------------------------------------------------------
-# Schema-inference verification (schema_inference off vs on)
-# ----------------------------------------------------------------------
-
-
-def verify_program_schema(program, config=None, name="<program>"):
-    """Prove one program unchanged by whole-plan schema inference.
-
-    Runs ``program`` twice with ``compile_pipelines=True`` -- once with
-    ``schema_inference=False`` (probe-based columnar encoding, generic
-    compiled loops) and once with ``True`` (columnar-direct loops on
-    proven input schemas, probe-free ``encode_committed`` on proven
-    output schemas, interpreter fallback on refuted/unknown chains) --
-    and demands: equivalent canonicalized results, valid traces, an
-    **identical trace signature** (the direct loops must credit exactly
-    the generic loops' per-operator record counts, so simulated seconds
-    are equal by construction), and directly-equal simulated seconds as
-    a belt-and-braces check.  Measured wall-clock of both runs is
-    recorded for reporting, not asserted on.
-
-    Returns:
-        A :class:`Verification`; ``elisions`` counts the
-        ``columnar-commit`` decisions with ``choice="commit"`` the
-        inferring run made (proven chains that skipped the encode
-        probe), and the ``seconds_*`` fields carry measured wall-clock
-        (``seconds_interpreted`` is the probing run,
-        ``seconds_compiled`` the inferring run).
-
-    Raises:
-        EquivalenceError: When results, signatures, or simulated
-            seconds diverge.
-    """
-    from ..engine.validate import trace_signature
-    from ..observe.report import entry_from_context
-
-    base_config = config if config is not None else laptop_config()
-    runs = {}
-    for inferring in (False, True):
-        ctx = EngineContext(
-            replace(
-                base_config,
-                compile_pipelines=True,
-                schema_inference=inferring,
-            )
-        )
-        try:
-            started = time.perf_counter()
-            result = program(ctx)
-            elapsed = time.perf_counter() - started
-            validate_trace(ctx.trace)
-            runs[inferring] = (
-                result,
-                trace_signature(ctx.trace),
-                entry_from_context(ctx, "schema", name)[
-                    "simulated_seconds"
-                ],
-                elapsed,
-                sum(_job_shuffle(job) for job in ctx.trace.jobs),
-                len(
-                    [
-                        d for d in ctx.optimizer_decisions
-                        if d.kind == "columnar-commit"
-                        and d.choice == "commit"
-                    ]
-                ),
-            )
-        finally:
-            ctx.close()
-    base = runs[False]
-    inferred = runs[True]
-    if inferred[1] != base[1]:
-        raise EquivalenceError(
-            "%s: schema-inferring run produced a different trace "
-            "signature:\n%r\nvs\n%r" % (name, inferred[1], base[1])
-        )
-    if not results_equivalent(base[0], inferred[0]):
-        raise EquivalenceError(
-            "%s: schema-inferring result differs from probing "
-            "result:\n%r\nvs\n%r" % (name, inferred[0], base[0])
-        )
-    if inferred[2] != base[2]:
-        raise EquivalenceError(
-            "%s: schema-inferring run simulates %.9f seconds, probing "
-            "run %.9f -- inference must not change credited work"
-            % (name, inferred[2], base[2])
-        )
-    return Verification(
-        name=name,
-        shuffle_records=base[4],
-        shuffle_records_optimized=inferred[4],
-        shuffle_records_saved=0,
-        elisions=inferred[5],
-        seconds_interpreted=base[3],
-        seconds_compiled=inferred[3],
-    )
-
-
-def verify_library_schema(config=None, only=None):
-    """Schema-verify every registry program; returns Verifications."""
-    verifications = []
-    for name, program in library_programs():
-        if only and not any(fragment in name for fragment in only):
-            continue
-        verifications.append(
-            verify_program_schema(program, config=config, name=name)
-        )
-    return verifications
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.equivalence",
         description="Differential verifier: every repro.tasks program "
-        "must produce identical results with and without shuffle "
-        "elision.",
+        "must keep its meaning however the engine is configured.\n"
+        "Runs each at all-off, each of %s alone and all-on, under both "
+        "schedulers, and checks every pair of runs.\n\n%s"
+        % ("/".join(LATTICE_FLAGS), axes_table()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "--backend", choices=("serial", "process"), default="serial",
-        help="task runtime backend for both runs (default: serial)",
+        help="task runtime backend for every run (default: serial)",
     )
     parser.add_argument(
-        "--compare",
-        choices=("elision", "schedulers", "caching", "compiled", "schema"),
-        default="elision",
-        help="what to differentially verify: shuffle 'elision' "
-        "(optimize off vs on; default), stage 'schedulers' "
-        "(serial vs dag), effect-gated auto-'caching' "
-        "(optimize_caching off vs on), 'compiled' fused pipelines "
-        "(compile_pipelines off vs on), or whole-plan 'schema' "
-        "inference (schema_inference off vs on, both compiled)",
+        "--compare", choices=tuple(AXES), default=None,
+        help="verify this one axis instead of sweeping the lattice",
     )
     parser.add_argument(
         "--workers", type=int, default=2,
@@ -835,126 +400,47 @@ def main(argv=None):
     )
     parser.add_argument(
         "--only", action="append", default=None, metavar="SUBSTRING",
-        help="verify only programs whose name contains SUBSTRING "
-        "(repeatable)",
+        help="only programs whose name contains SUBSTRING (repeatable)",
     )
     args = parser.parse_args(argv)
-    config = replace(
-        laptop_config(), backend=args.backend, num_workers=args.workers
+    config = laptop_config(backend=args.backend, num_workers=args.workers)
+    configs = (
+        axis_configs(args.compare, config) if args.compare
+        else lattice_configs(config)
     )
-    verify = {
-        "elision": verify_program,
-        "schedulers": verify_program_schedules,
-        "caching": verify_program_caching,
-        "compiled": verify_program_compiled,
-        "schema": verify_program_schema,
-    }[args.compare]
-    failures = 0
-    verified = []
-    for name, program in library_programs():
-        if args.only and not any(f in name for f in args.only):
-            continue
+    verified = failures = 0
+    for name, program in library_programs(args.only):
         try:
-            verification = verify(program, config=config, name=name)
+            runs = _verify_configs(program, configs, name)
         except EquivalenceError as error:
             failures += 1
             print("FAIL %s" % error)
             continue
-        verified.append(verification)
-        if args.compare == "elision":
-            print(
-                "ok   %-24s shuffle %6d -> %6d  (saved %d, %d elisions)"
-                % (
-                    verification.name,
-                    verification.shuffle_records,
-                    verification.shuffle_records_optimized,
-                    verification.shuffle_records_saved,
-                    verification.elisions,
-                )
-            )
-        elif args.compare == "caching":
-            print(
-                "ok   %-24s cached run never slower  (%d auto-cache(s))"
-                % (verification.name, verification.elisions)
-            )
-        elif args.compare == "compiled":
-            print(
-                "ok   %-24s interpreted == compiled  "
-                "(%d chain(s) compiled, wall %.3fs -> %.3fs)"
-                % (
-                    verification.name,
-                    verification.elisions,
-                    verification.seconds_interpreted,
-                    verification.seconds_compiled,
-                )
-            )
-        elif args.compare == "schema":
-            print(
-                "ok   %-24s probing == inferring  "
-                "(%d commit(s), wall %.3fs -> %.3fs)"
-                % (
-                    verification.name,
-                    verification.elisions,
-                    verification.seconds_interpreted,
-                    verification.seconds_compiled,
-                )
-            )
-        else:
-            print(
-                "ok   %-24s serial == dag  (shuffle %d, %d elisions)"
-                % (
-                    verification.name,
-                    verification.shuffle_records,
-                    verification.elisions,
-                )
-            )
-    if args.compare == "elision":
-        total_saved = sum(v.shuffle_records_saved for v in verified)
+        verified += 1
+        base, last = runs[0], runs[-1]
         print(
-            "repro.analysis.equivalence: %d program(s) verified on the "
-            "%s backend, %d failure(s), %d shuffle records elided"
-            % (len(verified), args.backend, failures, total_saved)
-        )
-    elif args.compare == "caching":
-        total_caches = sum(v.elisions for v in verified)
-        print(
-            "repro.analysis.equivalence: %d program(s) caching-"
-            "verified on the %s backend, %d failure(s), %d auto-cache "
-            "decision(s)"
-            % (len(verified), args.backend, failures, total_caches)
-        )
-    elif args.compare == "compiled":
-        total_chains = sum(v.elisions for v in verified)
-        wall_base = sum(v.seconds_interpreted for v in verified)
-        wall_comp = sum(v.seconds_compiled for v in verified)
-        print(
-            "repro.analysis.equivalence: %d program(s) compile-"
-            "verified on the %s backend, %d failure(s), %d chain(s) "
-            "compiled, wall %.3fs interpreted vs %.3fs compiled"
-            % (
-                len(verified), args.backend, failures, total_chains,
-                wall_base, wall_comp,
+            "ok   %-24s shuffle %d -> %d, simulated %.3fs -> %.3fs, "
+            "wall %.3fs -> %.3fs, decisions: %s" % (
+                name,
+                base.totals["shuffle_records"],
+                last.totals["shuffle_records"],
+                base.simulated_seconds, last.simulated_seconds,
+                base.wall_seconds, last.wall_seconds,
+                ", ".join(
+                    "%d %s" % (count, decision) for decision, count
+                    in sorted(last.decisions.items())
+                ) or "none",
             )
         )
-    elif args.compare == "schema":
-        total_commits = sum(v.elisions for v in verified)
-        wall_base = sum(v.seconds_interpreted for v in verified)
-        wall_inf = sum(v.seconds_compiled for v in verified)
-        print(
-            "repro.analysis.equivalence: %d program(s) schema-"
-            "verified on the %s backend, %d failure(s), %d columnar "
-            "commit(s), wall %.3fs probing vs %.3fs inferring"
-            % (
-                len(verified), args.backend, failures, total_commits,
-                wall_base, wall_inf,
-            )
+    print(
+        "repro.analysis.equivalence: %d program(s) verified over %s on "
+        "the %s backend, %d failure(s); %d configs each, every pair "
+        "checked, lines report %s" % (
+            verified, args.compare or "the lattice", args.backend,
+            failures, len(configs),
+            config_difference(configs[0], configs[-1]),
         )
-    else:
-        print(
-            "repro.analysis.equivalence: %d program(s) schedule-"
-            "verified (serial vs dag) on the %s backend, %d failure(s)"
-            % (len(verified), args.backend, failures)
-        )
+    )
     return 1 if failures else 0
 
 

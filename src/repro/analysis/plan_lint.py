@@ -81,7 +81,7 @@ def analyze_plan(root, config=None):
         isinstance(node, _WIDE) for node in p.iter_nodes(root)
     )
     effects = None
-    if config is not None and getattr(config, "optimize_caching", False):
+    if config is not None and config.optimize_caching:
         from .effects import plan_effects
 
         effects = plan_effects(root)

@@ -955,7 +955,7 @@ def schema_diagnostics(root, config=None):
                     "(%r); the shuffle will fail on the first record"
                     % (ref(node), key),
                 ))
-    if config is not None and getattr(config, "compile_pipelines", False):
+    if config is not None and config.compile_pipelines:
         from ..engine import dag
 
         for unit in dag.plan_units(root):
@@ -974,7 +974,7 @@ def schema_diagnostics(root, config=None):
                         inferred.schema_of(unit.chain[-1]),
                     ),
                 ))
-    if config is not None and getattr(config, "schema_inference", False):
+    if config is not None and config.schema_inference:
         seen = set()
         for fn in inferred.skips:
             name = getattr(fn, "__name__", repr(fn))

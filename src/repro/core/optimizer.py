@@ -13,9 +13,10 @@ off that:
   broadcast (Sec. 8.3).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..engine import plan as engine_plan
+from ..engine.optimize import Decision
 
 
 @dataclass(frozen=True)
@@ -57,18 +58,6 @@ class LoweringConfig:
             raise ValueError(
                 "bad partition_policy: %r" % (self.partition_policy,)
             )
-
-
-@dataclass
-class Decision:
-    """One recorded optimizer decision (inspectable in tests/benches)."""
-
-    kind: str
-    choice: str
-    num_tags: int
-    #: Free-form human-readable context (e.g. which shuffle's layout an
-    #: elision reuses); empty for decisions that need none.
-    detail: str = ""
 
 
 class Optimizer:

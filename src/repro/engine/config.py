@@ -26,45 +26,20 @@ VALID_BACKENDS = ("serial", "process")
 VALID_SCHEDULERS = ("serial", "dag")
 
 
-def _default_backend():
-    return os.environ.get("REPRO_BACKEND", "serial")
+def _env(name, default):
+    """A field ``default_factory`` reading environment variable ``name``
+    as a ``type(default)``; for booleans anything but 0/false/no/off/""
+    is true."""
 
+    def read():
+        raw = os.environ.get(name)
+        if raw is None:
+            return default
+        if isinstance(default, bool):
+            return raw.strip().lower() not in ("0", "false", "no", "off", "")
+        return type(default)(raw)
 
-def _default_scheduler():
-    return os.environ.get("REPRO_SCHEDULER", "serial")
-
-
-def _default_num_workers():
-    return int(os.environ.get("REPRO_NUM_WORKERS", "0"))
-
-
-def _default_straggler_factor():
-    return float(os.environ.get("REPRO_STRAGGLER_FACTOR", "1.5"))
-
-
-def _default_optimize_shuffles():
-    raw = os.environ.get("REPRO_OPTIMIZE_SHUFFLES", "1")
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
-
-
-def _default_optimize_caching():
-    raw = os.environ.get("REPRO_OPTIMIZE_CACHING", "0")
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
-
-
-def _default_speculative_execution():
-    raw = os.environ.get("REPRO_SPECULATE", "0")
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
-
-
-def _default_compile_pipelines():
-    raw = os.environ.get("REPRO_COMPILE", "0")
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
-
-
-def _default_schema_inference():
-    raw = os.environ.get("REPRO_SCHEMA", "0")
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
+    return read
 
 
 @dataclass(frozen=True)
@@ -143,22 +118,21 @@ class ClusterConfig:
     #: runs tasks inline on the driver thread, ``"process"`` fans them
     #: out over worker processes.  Defaults to the ``REPRO_BACKEND``
     #: environment variable, else serial.
-    backend: str = field(default_factory=_default_backend)
+    backend: str = field(default_factory=_env("REPRO_BACKEND", "serial"))
     #: Worker processes for the process backend; 0 means one per CPU.
     #: Defaults to ``REPRO_NUM_WORKERS``, else 0.  Orthogonal to
     #: ``machines``, which sizes the *simulated* cluster.
-    num_workers: int = field(default_factory=_default_num_workers)
+    num_workers: int = field(
+        default_factory=_env("REPRO_NUM_WORKERS", 0)
+    )
     #: Per-task attempt budget (Spark's spark.task.maxFailures is 4):
     #: transient failures are retried until the task succeeds or the
     #: budget is spent.
     max_task_attempts: int = 4
     #: A task is counted as a straggler when its measured runtime
     #: exceeds this multiple of its task set's median (Spark's
-    #: speculation multiplier).  Defaults to the
-    #: ``REPRO_STRAGGLER_FACTOR`` environment variable, else 1.5 ...
-    straggler_factor: float = field(
-        default_factory=_default_straggler_factor
-    )
+    #: speculation multiplier) ...
+    straggler_factor: float = 1.5
     #: ... and this absolute floor, so scheduling jitter on
     #: microsecond-scale tasks never registers.
     straggler_min_task_seconds: float = 0.01
@@ -171,7 +145,9 @@ class ClusterConfig:
     #: and shuffle accounting are identical either way (see
     #: :func:`repro.engine.validate.assert_schedule_parity`).  Defaults
     #: to the ``REPRO_SCHEDULER`` environment variable, else serial.
-    scheduler: str = field(default_factory=_default_scheduler)
+    scheduler: str = field(
+        default_factory=_env("REPRO_SCHEDULER", "serial")
+    )
     #: Bound on evaluation units (and with them, in-flight task sets)
     #: the DAG scheduler runs concurrently; 0 picks a default from the
     #: host CPU count.  Ignored by the serial scheduler.
@@ -182,26 +158,20 @@ class ClusterConfig:
     #: :mod:`repro.analysis.properties`).  Defaults to the
     #: ``REPRO_OPTIMIZE_SHUFFLES`` environment variable, else on.
     optimize_shuffles: bool = field(
-        default_factory=_default_optimize_shuffles
+        default_factory=_env("REPRO_OPTIMIZE_SHUFFLES", True)
     )
     #: Auto-insert ``cache()`` on plan subtrees that are reused by more
     #: than one consumer when the effect analysis
     #: (:mod:`repro.analysis.effects`) *proves* every UDF below pure
     #: and deterministic -- an unproven subtree is left alone (see
     #: :func:`repro.engine.optimize.plan_auto_caches`).  Off by
-    #: default; defaults to the ``REPRO_OPTIMIZE_CACHING`` environment
-    #: variable.
-    optimize_caching: bool = field(
-        default_factory=_default_optimize_caching
-    )
+    #: default.
+    optimize_caching: bool = False
     #: Re-dispatch one speculative copy of each detected straggler,
     #: but only when its task's UDFs are *proven* pure, deterministic,
     #: and I/O-free (see :class:`repro.engine.runtime.TaskScheduler`).
-    #: Off by default; defaults to the ``REPRO_SPECULATE`` environment
-    #: variable.
-    speculative_execution: bool = field(
-        default_factory=_default_speculative_execution
-    )
+    #: Off by default.
+    speculative_execution: bool = False
     #: Execute fused elementwise chains as generated, specialized loop
     #: functions over columnar partitions (:mod:`repro.engine.codegen`
     #: and :mod:`repro.engine.columnar`) instead of the interpreted
@@ -215,7 +185,7 @@ class ClusterConfig:
     #: changes.  Off by default; defaults to the ``REPRO_COMPILE``
     #: environment variable.
     compile_pipelines: bool = field(
-        default_factory=_default_compile_pipelines
+        default_factory=_env("REPRO_COMPILE", False)
     )
     #: Run whole-plan record schema inference
     #: (:mod:`repro.analysis.schema`) before executing fused chains,
@@ -229,11 +199,8 @@ class ClusterConfig:
     #: ``compile_pipelines``.  Results, trace signatures, and simulated
     #: seconds are identical either way (see ``--compare schema`` in
     #: :mod:`repro.analysis.equivalence`).  Only meaningful together
-    #: with ``compile_pipelines``.  Off by default; defaults to the
-    #: ``REPRO_SCHEMA`` environment variable.
-    schema_inference: bool = field(
-        default_factory=_default_schema_inference
-    )
+    #: with ``compile_pipelines``.  Off by default.
+    schema_inference: bool = False
 
     def __post_init__(self):
         if self.machines < 1:

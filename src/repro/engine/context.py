@@ -61,7 +61,7 @@ class EngineContext:
     @property
     def optimizer_decisions(self):
         """Engine-level optimizer decisions recorded so far (e.g.
-        shuffle elisions), as :class:`repro.core.optimizer.Decision`
+        shuffle elisions), as :class:`repro.engine.optimize.Decision`
         records."""
         return self.executor.decisions
 

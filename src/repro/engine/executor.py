@@ -62,6 +62,7 @@ from . import dag
 from . import plan as p
 from .columnar import as_records, encode_committed, maybe_columnar
 from .optimize import (
+    Decision,
     plan_auto_caches,
     plan_shuffle_elisions,
     release_layouts,
@@ -112,7 +113,7 @@ class Executor:
         )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Optimizer decisions taken so far (shuffle elisions), as
-        #: :class:`repro.core.optimizer.Decision` records.
+        #: :class:`repro.engine.optimize.Decision` records.
         self.decisions = []
         # Concrete shuffle layouts by origin-node identity:
         # ``{id(node): (weakref(node), {key: bucket})}``.  The weak
@@ -493,8 +494,6 @@ class Executor:
 
     def _record_columnar_decision(self, steps, schema):
         """Log one ``columnar-commit`` decision for a fused chain."""
-        from ..core.optimizer import Decision
-
         operator = "+".join(step[2] for step in steps)
         if schema.output_verdict is True:
             choice, detail = "commit", (
@@ -522,8 +521,6 @@ class Executor:
 
     def _record_compile_decision(self, steps, task, reason):
         """Log one ``compiled-pipeline`` decision for a fused chain."""
-        from ..core.optimizer import Decision
-
         operator = "+".join(step[2] for step in steps)
         if task is not None:
             decision = Decision(
@@ -667,8 +664,6 @@ class Executor:
         chosen = plan_auto_caches(root, self.config)
         if not chosen:
             return
-        from ..core.optimizer import Decision
-
         with self._state_lock:
             for node in chosen.values():
                 if node.cached:
@@ -687,8 +682,6 @@ class Executor:
                 )
 
     def _record_elision(self, node, elision):
-        from ..core.optimizer import Decision
-
         decision = Decision(
             kind="shuffle-elision",
             choice=elision.choice,

@@ -17,12 +17,28 @@ cache substitutes one recorded evaluation for repeated evaluations --
 only provable effect-freedom makes those interchangeable.
 """
 
+from dataclasses import dataclass
+
 __all__ = [
+    "Decision",
     "plan_auto_caches",
     "plan_shuffle_elisions",
     "release_layouts",
     "sweep_layouts",
 ]
+
+
+@dataclass
+class Decision:
+    """One recorded optimizer decision (inspectable in tests/benches),
+    by the executor or by the lowering phase's Sec. 8 optimizer."""
+
+    kind: str
+    choice: str
+    num_tags: int
+    #: Free-form human-readable context (e.g. which shuffle's layout an
+    #: elision reuses); empty for decisions that need none.
+    detail: str = ""
 
 
 def plan_auto_caches(root, config=None):
@@ -48,9 +64,9 @@ def plan_auto_caches(root, config=None):
 
     Returns ``{id(node): node}`` for the qualifying nodes.  The
     executor flips ``node.cached`` and records an ``auto-cache``
-    :class:`~repro.core.optimizer.Decision` per entry.
+    :class:`Decision` per entry.
     """
-    if config is not None and not getattr(config, "optimize_caching", False):
+    if config is not None and not config.optimize_caching:
         return {}
     # Lazy import: repro.analysis imports repro.engine, so engine
     # modules must not import the analysis layer at module scope.
@@ -90,7 +106,7 @@ def plan_shuffle_elisions(root, config=None):
         ``{id(node): Elision}`` for every wide node whose input is
         provably co-partitioned with the layout the node would build.
     """
-    if config is not None and not getattr(config, "optimize_shuffles", True):
+    if config is not None and not config.optimize_shuffles:
         return {}
     # Lazy import: repro.analysis imports repro.engine, so engine
     # modules must not import the analysis layer at module scope.

@@ -229,7 +229,7 @@ class TaskScheduler:
         if (
             not tracer.enabled
             and not self.fault_injector.pending
-            and not getattr(self.config, "speculative_execution", False)
+            and not self.config.speculative_execution
             and isinstance(self.backend, SerialBackend)
         ):
             # (Speculative execution needs the invocation/outcome
@@ -400,9 +400,7 @@ class TaskScheduler:
                     partition=index,
                     seconds=final[index].seconds,
                 )
-        if stragglers and getattr(
-            self.config, "speculative_execution", False
-        ):
+        if stragglers and self.config.speculative_execution:
             self._speculate(
                 task, args_list, stage, ordinal, operator, stragglers,
                 final, lane,
@@ -608,9 +606,8 @@ class TaskScheduler:
 
         A task is a straggler when it exceeds both the configured
         multiple of the set's median runtime
-        (``config.straggler_factor``, settable via the
-        ``REPRO_STRAGGLER_FACTOR`` environment variable) and an
-        absolute floor (so microsecond-scale jitter never counts).
+        (``config.straggler_factor``) and an absolute floor (so
+        microsecond-scale jitter never counts).
         """
         if len(seconds) < 2:
             return []

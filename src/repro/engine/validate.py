@@ -27,18 +27,30 @@ Invariants checked per job:
 * **Runtime measurements are sane**: measured per-task seconds, retry
   counts, and straggler counts are non-negative.
 
-This module also hosts the parity invariants: the serial and
+This module also hosts the differential runner every cross-config check
+shares: :func:`run_configs` executes one program on a fresh context per
+config and returns a :class:`Run` record each, and :data:`INVARIANTS`
+names what :func:`check_runs` can require two runs to agree on.
+:mod:`repro.analysis.equivalence` drives it from its table of config
+axes; the parity helpers here are its smallest users -- the serial and
 process-pool task runtimes (:func:`assert_backend_parity`) and the
 serial and DAG stage schedules (:func:`assert_schedule_parity`) must
-each be observationally identical -- same results, same trace shape --
-for any program.  The job invariants themselves are schedule-agnostic:
+each be observationally identical for any program.  The job
+invariants themselves are schedule-agnostic:
 under the DAG schedule, stages are recorded into per-unit slices and
 merged in plan order, so consecutive stage ids and in-job upstream
 ordering hold exactly as they do serially (overlap never reorders the
 *recorded* trace).
 """
 
+import time
+from collections import Counter
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter, eq, ge
+
 from ..errors import PlanError
+from ..observe.report import entry_from_context
+from .config import laptop_config
 
 #: Stage kinds the executor may emit.  ``input``/``shuffle`` stages are
 #: scheduled task sets; ``union``/``coalesce``/``cached`` are narrow
@@ -150,12 +162,16 @@ def validate_trace(trace):
 
 
 # ----------------------------------------------------------------------
-# Backend parity
+# Differential runs: one runner, one table of invariants
 # ----------------------------------------------------------------------
 
 
 class BackendParityError(PlanError):
     """Two task-runtime backends disagreed on the same program."""
+
+
+class ScheduleParityError(PlanError):
+    """Two stage schedules disagreed on the same program."""
 
 
 def trace_signature(trace):
@@ -196,6 +212,153 @@ def trace_signature(trace):
     return tuple(signature)
 
 
+@dataclass(frozen=True)
+class Run:
+    """Everything observable about one execution of ``name`` under
+    ``config``: what the program returned, its :func:`trace_signature`,
+    the cost model's simulated seconds, the measured wall-clock of the
+    call (reported, never asserted on: machine noise is not a
+    correctness property), the run-report totals, and a ``Counter`` of
+    optimizer decisions keyed ``"kind/choice"``."""
+
+    name: str
+    config: object
+    result: object
+    signature: tuple
+    simulated_seconds: float
+    wall_seconds: float
+    totals: dict
+    decisions: Counter
+
+
+def run_configs(program, configs, name="<program>"):
+    """Run ``program`` on a fresh context per config; one :class:`Run` each.
+
+    The single place differential checks execute programs: every run's
+    trace is validated, and every context is closed -- tracer sinks
+    flushed, DAG-scheduler runtimes released -- even when the program
+    or the validation raises.
+    """
+    from .context import EngineContext
+
+    runs = []
+    for config in configs:
+        ctx = EngineContext(config)
+        try:
+            started = time.perf_counter()
+            result = program(ctx)
+            wall_seconds = time.perf_counter() - started
+            validate_trace(ctx.trace)
+            entry = entry_from_context(ctx, "differential", name)
+            runs.append(
+                Run(
+                    name=name,
+                    config=config,
+                    result=result,
+                    signature=trace_signature(ctx.trace),
+                    simulated_seconds=entry["simulated_seconds"],
+                    wall_seconds=wall_seconds,
+                    totals=entry["totals"],
+                    decisions=Counter(
+                        "%s/%s" % (decision.kind, decision.choice)
+                        for decision in ctx.optimizer_decisions
+                    ),
+                )
+            )
+        finally:
+            ctx.close()
+    return runs
+
+
+def _stage_kinds(run):
+    return [
+        (action, label, [stage[0] for stage in stages])
+        for action, label, stages, *_counters in run.signature
+    ]
+
+
+def _job_shuffles(run):
+    return [
+        sum(stage[4] for stage in stages)
+        for _action, _label, stages, *_counters in run.signature
+    ]
+
+
+def _deterministic_totals(run):
+    # Retry and straggler detection read measured wall-clock, so those
+    # totals legitimately vary run to run.
+    measured = ("retries", "stragglers", "failed_attempt_seconds")
+    return {
+        key: value for key, value in run.totals.items()
+        if key not in measured
+    }
+
+
+#: The named invariants a config change may be required to preserve:
+#: ``name -> (what, view, holds)``.  ``view(run)`` picks the quantity
+#: out of a :class:`Run`, ``holds(base, variant)`` says whether two such
+#: quantities agree (``None``: by the caller's notion of equal results),
+#: ``what`` names it in the error.  ``sim_not_slower`` and
+#: ``shuffle_not_more`` are directional: the variant is the optimized
+#: side.
+INVARIANTS = {
+    "results": ("results", attrgetter("result"), None),
+    "signature": ("trace signatures", attrgetter("signature"), eq),
+    "sim_equal": (
+        "simulated seconds", attrgetter("simulated_seconds"), eq,
+    ),
+    "sim_not_slower": (
+        "simulated seconds (the variant is slower)",
+        attrgetter("simulated_seconds"),
+        lambda base, variant: variant <= base + 1e-9,
+    ),
+    "stage_kinds": ("jobs or stage kinds", _stage_kinds, eq),
+    "shuffle_not_more": (
+        "per-job shuffle volumes (the variant shuffles more)",
+        _job_shuffles,
+        lambda base, variant: all(map(ge, base, variant)),
+    ),
+    "totals": ("deterministic totals", _deterministic_totals, eq),
+}
+
+
+def config_difference(base, variant):
+    """``"field=a -> b, ..."`` over the config fields that differ."""
+    return ", ".join(
+        "%s=%r -> %r" % (
+            f.name, getattr(base, f.name), getattr(variant, f.name),
+        )
+        for f in fields(base)
+        if getattr(base, f.name) != getattr(variant, f.name)
+    )
+
+
+def check_runs(base, variant, invariants, error, results_equal=eq):
+    """Raise ``error`` unless ``variant`` preserves each named invariant
+    of ``base``; ``results_equal`` decides when two results agree."""
+    for name in invariants:
+        what, view, holds = INVARIANTS[name]
+        ours, theirs = view(base), view(variant)
+        if not (holds or results_equal)(ours, theirs):
+            raise error(
+                "%s [%s]: different %s:\n%r\nvs\n%r" % (
+                    base.name,
+                    config_difference(base.config, variant.config),
+                    what, ours, theirs,
+                )
+            )
+
+
+def _assert_parity(program, config, field, values, num_workers, error):
+    config = replace(config or laptop_config(), num_workers=num_workers)
+    runs = run_configs(
+        program, [replace(config, **{field: value}) for value in values]
+    )
+    for run in runs[1:]:
+        check_runs(runs[0], run, ("results", "signature"), error)
+    return runs[0].result
+
+
 def assert_backend_parity(program, config=None, backends=("serial",
                                                           "process"),
                           num_workers=2):
@@ -221,44 +384,10 @@ def assert_backend_parity(program, config=None, backends=("serial",
     Raises:
         BackendParityError: On any mismatch in results or trace shape.
     """
-    from dataclasses import replace
-
-    from .config import laptop_config
-    from .context import EngineContext
-
-    if config is None:
-        config = laptop_config()
-    outputs = []
-    for backend in backends:
-        ctx = EngineContext(
-            replace(config, backend=backend, num_workers=num_workers)
-        )
-        result = program(ctx)
-        outputs.append((backend, result, trace_signature(ctx.trace)))
-    reference_backend, reference_result, reference_trace = outputs[0]
-    for backend, result, trace in outputs[1:]:
-        if result != reference_result:
-            raise BackendParityError(
-                "backends %r and %r returned different results:\n"
-                "%r\nvs\n%r"
-                % (reference_backend, backend, reference_result, result)
-            )
-        if trace != reference_trace:
-            raise BackendParityError(
-                "backends %r and %r produced different traces:\n"
-                "%r\nvs\n%r"
-                % (reference_backend, backend, reference_trace, trace)
-            )
-    return reference_result
-
-
-# ----------------------------------------------------------------------
-# Schedule parity
-# ----------------------------------------------------------------------
-
-
-class ScheduleParityError(PlanError):
-    """Two stage schedules disagreed on the same program."""
+    return _assert_parity(
+        program, config, "backend", backends, num_workers,
+        BackendParityError,
+    )
 
 
 def assert_schedule_parity(program, config=None,
@@ -287,39 +416,7 @@ def assert_schedule_parity(program, config=None,
     Raises:
         ScheduleParityError: On any mismatch in results or trace shape.
     """
-    from dataclasses import replace
-
-    from .config import laptop_config
-    from .context import EngineContext
-
-    if config is None:
-        config = laptop_config()
-    outputs = []
-    for scheduler in schedulers:
-        ctx = EngineContext(
-            replace(config, scheduler=scheduler, num_workers=num_workers)
-        )
-        try:
-            result = program(ctx)
-            outputs.append(
-                (scheduler, result, trace_signature(ctx.trace))
-            )
-        finally:
-            ctx.close()
-    reference_scheduler, reference_result, reference_trace = outputs[0]
-    for scheduler, result, trace in outputs[1:]:
-        if result != reference_result:
-            raise ScheduleParityError(
-                "schedulers %r and %r returned different results:\n"
-                "%r\nvs\n%r"
-                % (reference_scheduler, scheduler, reference_result,
-                   result)
-            )
-        if trace != reference_trace:
-            raise ScheduleParityError(
-                "schedulers %r and %r produced different traces:\n"
-                "%r\nvs\n%r"
-                % (reference_scheduler, scheduler, reference_trace,
-                   trace)
-            )
-    return reference_result
+    return _assert_parity(
+        program, config, "scheduler", schedulers, num_workers,
+        ScheduleParityError,
+    )

@@ -1,15 +1,137 @@
-"""The differential verifier for shuffle elision."""
+"""The differential verifier: one runner, one table of axes.
+
+Every behaviour is a parameter over :data:`AXES`: a real program passes
+each axis, a rigged result fails each axis, a rigged trace fails each
+axis that preserves trace shape, and the decision counts each optimizer
+flag reports are pinned on small programs.  The lattice tests prove the
+flags in combination.
+"""
+
+import pathlib
 
 import pytest
 
+from repro.analysis import equivalence
 from repro.analysis.equivalence import (
+    AXES,
     EquivalenceError,
+    axes_table,
+    lattice_configs,
     library_programs,
     main,
+    preserved,
     results_equivalent,
+    verify,
+    verify_lattice,
     verify_library,
-    verify_program,
 )
+from repro.engine import (
+    EngineContext,
+    assert_backend_parity,
+    laptop_config,
+)
+from repro.engine.validate import INVARIANTS, assert_schedule_parity
+
+#: Axes cheap enough to run per-parameter in tier-1 (``backend`` spawns
+#: a process pool; tests/engine/test_backend_parity.py covers it).
+IN_PROCESS_AXES = [name for name in AXES if name != "backend"]
+
+
+def _scale(x):
+    return x * 3 + 1
+
+
+def _keep(x):
+    return x % 7 != 0
+
+
+def _split(x):
+    return [x, x + 1]
+
+
+def _key(x):
+    return (x % 5, x)
+
+
+def _add(a, b):
+    return a + b
+
+
+def _tag(x):
+    return "v%d" % x
+
+
+def chain_program(ctx):
+    """All-int chains: compile, prove their schemas, and shuffle."""
+    return sorted(
+        ctx.bag_of(range(120), num_partitions=4)
+        .map(_scale)
+        .filter(_keep)
+        .flat_map(_split)
+        .map(_key)
+        .reduce_by_key(_add)
+        .collect()
+    )
+
+
+def branching_program(ctx):
+    left = (
+        ctx.bag_of(range(30))
+        .map(lambda x: (x % 3, x))
+        .reduce_by_key(lambda a, b: a + b)
+    )
+    right = (
+        ctx.bag_of(range(30))
+        .map(lambda x: (x % 3, 1))
+        .group_by_key()
+    )
+    return sorted(left.cogroup(right).collect())
+
+
+def reuse_program(ctx):
+    feats = ctx.bag_of(range(50)).map(lambda x: x * 2)
+    return (
+        feats.map(lambda x: x + 1).union(feats.map(lambda x: -x)).sum()
+    )
+
+
+def linear_program(ctx):
+    return ctx.bag_of(range(30)).map(lambda x: x + 1).sum()
+
+
+def refuted_program(ctx):
+    """A str chain: the schema refutes columnar encoding."""
+    return sorted(
+        ctx.bag_of(range(50), num_partitions=2).map(_tag).collect()
+    )
+
+
+def mixed_program(ctx):
+    """Mixed driver data: unknown schemas keep the probe behavior."""
+    return sorted(
+        ctx.bag_of([1, 2.5, 3, 4.5] * 10, num_partitions=2)
+        .map(_scale)
+        .collect(),
+        key=repr,
+    )
+
+
+_impure_calls = []
+
+
+def _impure(x):
+    _impure_calls.append(x)
+    return x + 1
+
+
+def impure_program(ctx):
+    """A chain the compiler refuses; the flag still changes nothing."""
+    return sorted(ctx.bag_of(range(20)).map(_impure).collect())
+
+
+# ---------------------------------------------------------------------------
+# The table itself
+# ---------------------------------------------------------------------------
 
 
 def test_registry_covers_every_task_module():
@@ -22,33 +144,18 @@ def test_registry_covers_every_task_module():
         assert any(fragment in name for name in names)
 
 
-def test_verify_program_reports_savings():
-    subset = verify_library(only=["bounce-rate-flat"])
-    assert len(subset) == 1
-    verification = subset[0]
-    assert verification.elisions >= 1
-    assert verification.shuffle_records_saved > 0
-    assert (
-        verification.shuffle_records_optimized
-        < verification.shuffle_records
-    )
+def test_axes_name_real_fields_and_invariants():
+    config = lattice_configs(laptop_config())[0]
+    for axis in AXES.values():
+        assert hasattr(config, axis.field)
+        assert set(axis.preserves) <= set(INVARIANTS)
+        assert all(hasattr(config, name) for name in axis.requires)
 
 
-def test_verify_program_without_elisions_still_passes():
-    subset = verify_library(only=["matrix-row-norms"])
-    assert subset[0].elisions == 0
-    assert (
-        subset[0].shuffle_records_optimized
-        == subset[0].shuffle_records
-    )
-
-
-def test_verify_program_rejects_divergent_results():
-    def rigged(ctx):
-        return ctx.config.optimize_shuffles
-
-    with pytest.raises(EquivalenceError, match="differs"):
-        verify_program(rigged, name="rigged")
+def test_docs_print_the_table_from_the_code():
+    docs = pathlib.Path(__file__).parents[2] / "docs" / "analysis.md"
+    assert axes_table() in docs.read_text()
+    assert axes_table() in equivalence.__doc__
 
 
 def test_results_equivalent_is_order_and_ulp_insensitive():
@@ -58,48 +165,252 @@ def test_results_equivalent_is_order_and_ulp_insensitive():
     assert not results_equivalent([("a", 1)], [("a", 1), ("a", 1)])
 
 
-def test_cli_subset_run(capsys):
-    assert main(["--only", "pagerank-parallel"]) == 0
-    out = capsys.readouterr().out
-    assert "ok   pagerank-parallel" in out
-    assert "1 program(s) verified" in out
-
-
 # ---------------------------------------------------------------------------
-# --compare caching: optimize_caching off vs on
+# Every axis: passes real programs, rejects rigged ones
 # ---------------------------------------------------------------------------
 
 
-def test_verify_program_caching_counts_decisions():
-    from repro.analysis.equivalence import verify_program_caching
-
-    def program(ctx):
-        feats = ctx.bag_of(range(50)).map(lambda x: x * 2)
-        return (
-            feats.map(lambda x: x + 1)
-            .union(feats.map(lambda x: -x))
-            .sum()
+@pytest.mark.parametrize("axis", IN_PROCESS_AXES)
+@pytest.mark.parametrize(
+    "program", [chain_program, branching_program, reuse_program]
+)
+def test_axis_passes_on_a_real_program(axis, program):
+    base, variant = verify(program, axis, name=program.__name__)
+    spec = AXES[axis]
+    assert getattr(base.config, spec.field) == spec.base
+    assert getattr(variant.config, spec.field) == spec.variant
+    for required, value in spec.requires.items():
+        assert getattr(base.config, required) == value
+        assert getattr(variant.config, required) == value
+    assert base.name == variant.name == program.__name__
+    assert base.wall_seconds > 0 and variant.wall_seconds > 0
+    if "signature" in spec.preserves:
+        # The signature pins identical shuffle volume.
+        assert base.totals["shuffle_records"] == (
+            variant.totals["shuffle_records"]
         )
 
-    verification = verify_program_caching(program, name="reuse")
-    assert verification.elisions == 1
+
+@pytest.mark.parametrize("axis", IN_PROCESS_AXES)
+def test_axis_passes_on_the_library(axis):
+    pairs = verify_library(axis, only=["bounce-rate-flat", "matrix"])
+    assert [base.name for base, _variant in pairs] == [
+        "bounce-rate-flat", "matrix-row-norms", "matrix-vector-product",
+    ]
 
 
-def test_verify_program_caching_rejects_divergence():
-    from repro.analysis.equivalence import verify_program_caching
+@pytest.mark.parametrize("axis", IN_PROCESS_AXES)
+def test_axis_rejects_a_rigged_result(axis):
+    field = AXES[axis].field
 
     def rigged(ctx):
-        return ctx.config.optimize_caching
+        return [getattr(ctx.config, field)]
 
-    with pytest.raises(EquivalenceError, match="differs"):
-        verify_program_caching(rigged, name="rigged")
+    with pytest.raises(EquivalenceError, match="different results"):
+        verify(rigged, axis, name="rigged-result")
 
 
-def test_verify_program_caching_clean_without_reuse():
-    from repro.analysis.equivalence import verify_program_caching
+@pytest.mark.parametrize(
+    "axis",
+    [
+        name for name in IN_PROCESS_AXES
+        if {"signature", "stage_kinds"} & set(AXES[name].preserves)
+    ],
+)
+def test_axis_rejects_a_rigged_trace(axis):
+    spec = AXES[axis]
 
-    def linear(ctx):
-        return ctx.bag_of(range(30)).map(lambda x: x + 1).sum()
+    def rigged(ctx):
+        bag = ctx.bag_of(range(12)).map(lambda x: (x % 2, x))
+        result = sorted(bag.reduce_by_key(lambda a, b: a + b).collect())
+        if getattr(ctx.config, spec.field) == spec.variant:
+            bag.count()  # an extra job only the variant runs
+        return result
 
-    verification = verify_program_caching(linear, name="linear")
-    assert verification.elisions == 0
+    with pytest.raises(EquivalenceError, match="signature|stage kinds"):
+        verify(rigged, axis, name="rigged-trace")
+
+
+def test_caching_rejects_a_slower_variant():
+    def slower(ctx):
+        bag = ctx.bag_of(range(12))
+        if ctx.config.optimize_caching:
+            bag.count()  # same answer, one more job's worth of time
+        return bag.sum()
+
+    with pytest.raises(EquivalenceError, match="slower"):
+        verify(slower, "caching", name="slower")
+
+
+def test_schedulers_tolerate_retry_wobble():
+    # Retries are measured runtime behavior: a schedule-dependent
+    # wobble in retry counts must not fail the verifier, so only the
+    # deterministic totals are compared.
+    def program(ctx):
+        if ctx.config.scheduler == "dag":
+            ctx.fault_injector.kill_task(task_index=0, stage=0)
+        return sorted(
+            ctx.bag_of(range(16))
+            .map(lambda x: (x % 2, x))
+            .reduce_by_key(lambda a, b: a + b)
+            .collect()
+        )
+
+    base, variant = verify(program, "schedulers", name="retry-wobble")
+    assert variant.totals["retries"] > base.totals["retries"]
+
+
+# ---------------------------------------------------------------------------
+# Decision counts per optimizer flag
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "axis, program, decision, expected",
+    [
+        ("caching", reuse_program, "auto-cache/cache", 1),
+        ("caching", linear_program, "auto-cache/cache", 0),
+        ("compiled", chain_program, "compiled-pipeline/compile", 1),
+        ("compiled", impure_program, "compiled-pipeline/compile", 0),
+        ("schema", chain_program, "columnar-commit/commit", 1),
+        ("schema", refuted_program, "columnar-commit/commit", 0),
+        ("schema", mixed_program, "columnar-commit/commit", 0),
+    ],
+)
+def test_decision_counts(axis, program, decision, expected):
+    base, variant = verify(program, axis, name=program.__name__)
+    assert variant.decisions[decision] == expected
+    assert base.decisions[decision] == 0
+
+
+def test_elision_decisions_and_savings():
+    (base, variant), = verify_library("elision", only=["bounce-rate-flat"])
+    assert sum(
+        count for decision, count in variant.decisions.items()
+        if decision.startswith("shuffle-elision/")
+    ) >= 1
+    assert variant.totals["shuffle_records_saved"] > 0
+    assert (
+        variant.totals["shuffle_records"] < base.totals["shuffle_records"]
+    )
+    (base, variant), = verify_library("elision", only=["matrix-row-norms"])
+    assert not variant.decisions
+    assert (
+        variant.totals["shuffle_records"] == base.totals["shuffle_records"]
+    )
+
+
+# ---------------------------------------------------------------------------
+# The lattice: flags in combination
+# ---------------------------------------------------------------------------
+
+
+def test_lattice_points():
+    configs = lattice_configs(laptop_config())
+    flags = [AXES[name] for name in equivalence.LATTICE_FLAGS]
+    assert len(configs) == 2 * (len(flags) + 2)
+    assert len(set(configs)) == len(configs)
+    all_off, all_on = configs[0], configs[-1]
+    assert (all_off.scheduler, all_on.scheduler) == ("serial", "dag")
+    for axis in flags:
+        assert getattr(all_off, axis.field) == axis.base
+        assert getattr(all_on, axis.field) == axis.variant
+    # A pair one axis apart gets that axis's check; all-off vs all-on
+    # differ on everything and still must agree on results.
+    assert preserved(all_off, all_off) == list(INVARIANTS)
+    assert preserved(all_off, all_on) == ["results"]
+    compiled_alone, schema_alone = configs[3], configs[4]
+    assert preserved(compiled_alone, schema_alone) == list(
+        AXES["schema"].preserves
+    )
+
+
+@pytest.mark.parametrize(
+    "name, program", library_programs(),
+    ids=[name for name, _program in library_programs()],
+)
+def test_lattice_over_the_library(name, program):
+    runs = verify_lattice(program, name=name)
+    assert len(runs) == 14
+
+
+def test_lattice_catches_what_no_single_axis_can():
+    # A bug that needs two flags at once: every pairwise comparison
+    # holds one of them at its default, so only the lattice sees it.
+    def joint(ctx):
+        return [
+            ctx.config.compile_pipelines
+            and ctx.config.scheduler == "dag"
+        ]
+
+    for axis in IN_PROCESS_AXES:
+        verify(joint, axis, name="joint")
+    with pytest.raises(EquivalenceError, match="different results"):
+        verify_lattice(joint, name="joint")
+
+
+# ---------------------------------------------------------------------------
+# The shared runner closes what it opens
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda program: verify(program, "elision"),
+        verify_lattice,
+        lambda program: assert_backend_parity(
+            program, backends=("serial",)
+        ),
+        assert_schedule_parity,
+    ],
+    ids=["verify", "verify_lattice", "backend_parity", "schedule_parity"],
+)
+def test_a_raising_program_still_closes_its_context(monkeypatch, entry):
+    opened, closed = [], []
+    close = EngineContext.close
+
+    def recording_close(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(EngineContext, "close", recording_close)
+
+    def raising(ctx):
+        opened.append(ctx)
+        ctx.bag_of(range(8)).count()
+        raise RuntimeError("mid-run")
+
+    with pytest.raises(RuntimeError, match="mid-run"):
+        entry(raising)
+    assert opened and closed == opened
+
+
+# ---------------------------------------------------------------------------
+# CLI
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("axis", [None] + IN_PROCESS_AXES)
+def test_cli(capsys, axis):
+    argv = ["--only", "matrix-row-norms"]
+    if axis:
+        argv += ["--compare", axis]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert out[0].startswith("ok   matrix-row-norms")
+    assert "1 program(s) verified over %s" % (axis or "the lattice") in out[1]
+    assert "0 failure(s)" in out[1]
+
+
+def test_cli_reports_failures(capsys, monkeypatch):
+    monkeypatch.setattr(
+        equivalence, "_PROGRAMS",
+        [("rigged", lambda ctx: [ctx.config.scheduler])],
+    )
+    assert main(["--compare", "schedulers"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("FAIL rigged")
+    assert "0 program(s) verified" in out[-1]
+    assert "1 failure(s)" in out[-1]
