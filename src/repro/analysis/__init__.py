@@ -31,9 +31,8 @@ Entry points::
 """
 
 import ast
-import inspect
-import textwrap
 
+from ..udf import facts_for
 from .closure_lint import analyze_closure
 from .effects import (
     EffectReason,
@@ -140,36 +139,35 @@ def analyze_udf(fn, closure=True):
     ``@nested_udf`` (the pre-rewrite original is analyzed).  Locations
     point at the defining file.
     """
-    original = getattr(fn, "original", fn)
+    facts = facts_for(fn)
+    name = facts.name if facts is not None else getattr(fn, "__name__", fn)
     diags = []
-    located = _function_ast(original)
-    if located is None:
+    if facts is None or not isinstance(
+        facts.node, (ast.FunctionDef, ast.AsyncFunctionDef)
+    ):
         diags.append(
             make_diagnostic(
                 "NPL001",
                 "source of %r is unavailable (lambda or interactively "
-                "defined); UDF construct checks skipped"
-                % getattr(original, "__name__", original),
+                "defined); UDF construct checks skipped" % name,
             )
         )
     else:
-        fndef, filename, line_offset, col_offset = located
-        diags.extend(
-            scan_function(fndef, filename, line_offset, col_offset)
-        )
+        diags.extend(scan_function(
+            facts.node, facts.filename, facts.line_offset,
+            facts.col_offset,
+        ))
         report = scan_effects(
-            fndef,
-            resolver=runtime_resolver(original),
-            line_offset=line_offset,
-            col_offset=col_offset,
+            facts.node,
+            resolver=runtime_resolver(fn),
+            line_offset=facts.line_offset,
+            col_offset=facts.col_offset,
         )
         diags.extend(effect_diagnostics(
-            report,
-            filename=filename,
-            udf_name=getattr(original, "__name__", "<udf>"),
+            report, filename=facts.filename, udf_name=name
         ))
     if closure:
-        diags.extend(analyze_closure(original))
+        diags.extend(analyze_closure(fn))
     return sorted(diags, key=sort_key)
 
 
@@ -224,40 +222,3 @@ def _is_udf_decorator(node):
     if isinstance(node, ast.Attribute):
         return node.attr in _DECORATOR_NAMES
     return False
-
-
-def _function_ast(fn):
-    """``(fndef, filename, line_offset, col_offset)`` or None.
-
-    The offsets map positions in the dedented snippet back onto the
-    defining file, so diagnostics carry real file locations.
-    """
-    try:
-        lines, start_line = inspect.getsourcelines(fn)
-    except (OSError, TypeError):
-        return None
-    raw = "".join(lines)
-    source = textwrap.dedent(raw)
-    col_offset = _dedent_width(raw, source)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:  # pragma: no cover - getsource returned garbage
-        return None
-    fndef = tree.body[0] if tree.body else None
-    if not isinstance(fndef, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return None
-    code = getattr(fn, "__code__", None)
-    # Snippet line L is file line L + start_line - 1; getsourcelines
-    # reports where the snippet (decorators included) begins.
-    line_offset = start_line - 1
-    filename = code.co_filename if code is not None else "<unknown>"
-    return fndef, filename, line_offset, col_offset
-
-
-def _dedent_width(raw, dedented):
-    for raw_line, ded_line in zip(
-        raw.splitlines(), dedented.splitlines()
-    ):
-        if ded_line.strip():
-            return len(raw_line) - len(ded_line)
-    return 0

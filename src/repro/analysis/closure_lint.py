@@ -23,9 +23,8 @@ diagnostics name the offending value rather than the opaque wrapper
 no ``__code__``, and the pass silently skipped it).
 """
 
-import functools
-
 from ..engine.runtime.serde import check_serializable
+from ..udf import closure_bindings, unwrap
 from .diagnostics import make_diagnostic
 
 
@@ -38,34 +37,38 @@ def analyze_closure(fn, filename=None, line=None):
         filename / line: Override the reported location (defaults to the
             function's defining file and first line).
     """
-    original = getattr(fn, "original", fn)
-    inner, wrapper_bindings = _unwrap_wrappers(original)
+    inner, bindings = unwrap(fn)
     code = getattr(inner, "__code__", None)
-    if code is None and not wrapper_bindings:
+    if code is None and not bindings:
         return []
+    bindings += [
+        ("captured variable %r" % name, value)
+        for name, value in closure_bindings(inner).items()
+    ]
     if filename is None:
         filename = code.co_filename if code is not None else "<unknown>"
     if line is None:
         line = code.co_firstlineno if code is not None else 1
     name = getattr(inner, "__name__", None) or "<callable>"
     diags = []
-    for desc, value in wrapper_bindings + _captured_bindings(inner):
+    for desc, value in bindings:
         engine_kind = _engine_object_kind(value)
         if engine_kind is not None:
             diags.append(
                 make_diagnostic(
                     "NPL202",
-                    "UDF %r captures %s (%s); engine runtime objects "
+                    "UDF %r captures %s (%s of %s); engine runtime objects "
                     "must not be shipped into tasks (launching jobs "
                     "from inside a job is the inner-parallel "
                     "antipattern)"
-                    % (name, engine_kind, desc),
+                    % (name, engine_kind, desc, type(value).__name__),
                     file=filename,
                     line=line,
                     col=1,
                 )
             )
-    for problem in check_serializable(original):
+    # What ships is the pre-rewrite function, wrappers included.
+    for problem in check_serializable(getattr(fn, "original", fn)):
         diags.append(
             make_diagnostic(
                 "NPL201",
@@ -78,58 +81,6 @@ def analyze_closure(fn, filename=None, line=None):
             )
         )
     return diags
-
-
-def _unwrap_wrappers(fn):
-    """Peel ``functools.partial`` and bound-method wrappers off ``fn``.
-
-    Returns ``(inner, bindings)`` where ``inner`` is the underlying
-    plain function and ``bindings`` is a list of ``(description,
-    value)`` pairs the wrappers contribute: partial positional/keyword
-    arguments and bound instances all ship with the task exactly like
-    closure cells, so they get the same NPL202 engine-object scrutiny.
-    """
-    bindings = []
-    depth = 0
-    while depth < 16:
-        depth += 1
-        if isinstance(fn, functools.partial):
-            for index, value in enumerate(fn.args):
-                bindings.append(("partial argument %d" % index, value))
-            for key in sorted(fn.keywords or {}):
-                bindings.append(
-                    ("partial keyword %r" % key, fn.keywords[key])
-                )
-            fn = fn.func
-            continue
-        bound_self = getattr(fn, "__self__", None)
-        bound_func = getattr(fn, "__func__", None)
-        if bound_self is not None and bound_func is not None:
-            bindings.append(
-                ("bound instance of %s" % type(bound_self).__name__,
-                 bound_self)
-            )
-            fn = bound_func
-            continue
-        break
-    return fn, bindings
-
-
-def _captured_bindings(fn):
-    """``(description, value)`` pairs for the function's closure cells."""
-    closure = getattr(fn, "__closure__", None)
-    code = getattr(fn, "__code__", None)
-    if not closure or code is None:
-        return []
-    bindings = []
-    for cell_name, cell in zip(code.co_freevars, closure):
-        try:
-            bindings.append(
-                ("captured variable %r" % cell_name, cell.cell_contents)
-            )
-        except ValueError:  # pragma: no cover - empty cell
-            continue
-    return bindings
 
 
 def _engine_object_kind(value):

@@ -59,7 +59,7 @@ import hashlib
 import types
 
 from ..engine import plan as p
-from .properties import function_ast
+from ..udf import facts_for, fingerprint_function, unwrap
 from .udf_lint import _MUTATING_METHODS
 
 __all__ = [
@@ -90,7 +90,8 @@ IO = "io"
 
 _DIMENSIONS = (PURITY, DETERMINISM, IO)
 
-#: Interprocedural call-graph depth bound.
+#: Call-graph depth bound of the static (module-AST) resolver; live
+#: functions are bounded by :meth:`repro.udf.UdfFacts.derive`.
 _MAX_DEPTH = 5
 
 #: Diagnostic code per refuted dimension (see ``diagnostics.CODES``).
@@ -792,7 +793,10 @@ class _Scanner:
                 node, "call to %s(); effects unknown" % name
             )
             return
-        if name in _PURE_BUILTINS:
+        if name in _PURE_BUILTINS and not (
+            self.resolver is not None
+            and self.resolver.shadows_builtin(name)
+        ):
             return
         self._resolve_and_merge(node, name)
 
@@ -1052,35 +1056,16 @@ def _dotted_parts(func):
 # Runtime resolution (live function objects)
 # ----------------------------------------------------------------------
 
-_EFFECTS_CACHE = {}
-
-
 class _RuntimeResolver:
-    """Resolves bare-name calls through a live function's closure
-    cells and ``__globals__``."""
+    """Resolves bare-name calls the way the live function would:
+    closure cells, ``__globals__``, builtins
+    (:meth:`repro.udf.UdfFacts.lookup`)."""
 
-    def __init__(self, fn):
-        self.fn = fn
-        self.cells = {}
-        code = getattr(fn, "__code__", None)
-        closure = getattr(fn, "__closure__", None)
-        if code is not None and closure:
-            for name, cell in zip(code.co_freevars, closure):
-                try:
-                    self.cells[name] = cell.cell_contents
-                except ValueError:  # pragma: no cover - empty cell
-                    continue
-
-    def _lookup(self, name):
-        if name in self.cells:
-            return self.cells[name]
-        value = getattr(self.fn, "__globals__", {}).get(name)
-        if value is None:
-            value = getattr(builtins, name, None)
-        return value
+    def __init__(self, facts):
+        self.lookup = facts.lookup
 
     def module_name(self, name):
-        value = self._lookup(name)
+        value = self.lookup(name)
         if isinstance(value, types.ModuleType):
             return value.__name__.rsplit(".", 1)[-1]
         if value is None:
@@ -1088,29 +1073,32 @@ class _RuntimeResolver:
         return None
 
     def resolves_to_class(self, name):
-        return isinstance(self._lookup(name), type)
+        return isinstance(self.lookup(name), type)
 
-    def resolve_call(self, name, visited, depth):
-        value = self._lookup(name)
+    def shadows_builtin(self, name):
+        return self.lookup(name) is not getattr(builtins, name, None)
+
+    def resolve_call(self, name, _visited, _depth):
+        value = self.lookup(name)
         if value is None:
             return None
-        return _analyze_value(value, visited, depth)
+        return _analyze_value(value)
 
 
-def _analyze_value(value, visited, depth):
+#: What a call back into a UDF whose analysis is in progress adds: no
+#: new effects beyond what that analysis already collects.
+_CYCLE = EffectReport()
+
+_DEEP = EffectReport.opaque("call-graph depth limit reached")
+
+
+def _analyze_value(value):
     """Effect report for a resolved callable, or None."""
-    value = getattr(value, "original", value)
+    value, _bindings = unwrap(value)
     if isinstance(value, types.FunctionType):
-        return _analyze_function(value, visited, depth)
-    partial_func = getattr(value, "func", None)
-    if partial_func is not None and hasattr(value, "args") and hasattr(
-        value, "keywords"
-    ):
-        # functools.partial: the wrapped function's effects apply.
-        return _analyze_value(partial_func, visited, depth)
-    bound = getattr(value, "__func__", None)
-    if bound is not None:
-        return _analyze_value(bound, visited, depth)
+        # functools.partial / bound method: the wrapped function's
+        # effects apply.
+        return _analyze_function(value)
     if isinstance(value, type):
         if issubclass(value, BaseException):
             return EffectReport()  # constructing exceptions is pure
@@ -1121,50 +1109,34 @@ def _analyze_value(value, visited, depth):
             if post is None:
                 return EffectReport()
             if isinstance(post, types.FunctionType):
-                return _analyze_function(
-                    post, visited, depth, self_fresh=True
-                )
+                return _analyze_function(post, self_fresh=True)
             return None
         init = value.__init__
         if init is object.__init__:
             return EffectReport()
         if isinstance(init, types.FunctionType):
-            return _analyze_function(
-                init, visited, depth, self_fresh=True
-            )
+            return _analyze_function(init, self_fresh=True)
         return None
     return None
 
 
-def _analyze_function(fn, visited, depth, self_fresh=False):
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        return EffectReport.opaque("no analyzable code object")
-    if code in visited:
-        # Recursive cycle: the call itself adds no new effects beyond
-        # what the in-progress analysis of this code already collects.
-        return EffectReport()
-    if depth <= 0:
-        return EffectReport.opaque("call-graph depth limit reached")
-    cache_key = (code, bool(self_fresh))
-    if cache_key in _EFFECTS_CACHE:
-        return _EFFECTS_CACHE[cache_key]
-    fndef = function_ast(fn)
-    if fndef is None:
-        report = EffectReport.opaque(
-            "source of %r is unavailable"
-            % getattr(fn, "__name__", fn)
-        )
-    else:
-        report = scan_effects(
-            fndef,
-            resolver=_RuntimeResolver(fn),
+def _analyze_function(fn, self_fresh=False):
+    self_fresh = bool(self_fresh)
+
+    def scan(facts):
+        if facts.node is None:
+            return EffectReport.opaque(
+                "source of %r is unavailable" % facts.name
+            )
+        return scan_effects(
+            facts.node,
+            resolver=_RuntimeResolver(facts),
             self_fresh=self_fresh,
-            _visited=visited | {code},
-            _depth=depth,
         )
-    _EFFECTS_CACHE[cache_key] = report
-    return report
+
+    return facts_for(fn).derive(
+        ("effects", self_fresh), scan, cycle=_CYCLE, deep=_DEEP
+    )
 
 
 def analyze_effects(fn):
@@ -1175,7 +1147,7 @@ def analyze_effects(fn):
     ``functools.partial`` objects, and bound methods.  Functions whose
     source is unavailable get an all-unknown report.
     """
-    report = _analyze_value(fn, frozenset(), _MAX_DEPTH)
+    report = _analyze_value(fn)
     if report is None:
         return EffectReport.opaque(
             "%r is not an analyzable callable" % (fn,)
@@ -1214,6 +1186,9 @@ class _StaticResolver:
             return None
         return name  # syntactic: `random.random()` reads as module use
 
+    def shadows_builtin(self, name):
+        return name in self.functions or name in self.classes
+
     def resolves_to_class(self, name):
         if name in self.classes:
             return True
@@ -1245,7 +1220,10 @@ def runtime_resolver(fn):
     """A resolver over a live function's closure cells and globals for
     :func:`scan_effects` -- lets callers scan a located AST (with
     file-absolute offsets) while still resolving helpers at runtime."""
-    return _RuntimeResolver(getattr(fn, "original", fn))
+    facts = facts_for(fn)
+    if facts is None:
+        raise TypeError("%r is not a Python function" % (fn,))
+    return _RuntimeResolver(facts)
 
 
 # ----------------------------------------------------------------------
@@ -1352,57 +1330,6 @@ def effects_notes(root):
             continue
         notes[id(node)] = task_effects(fns).summary()
     return notes
-
-
-def fingerprint_function(fn, _visited=None, _depth=_MAX_DEPTH):
-    """Canonical AST fingerprint of a function and its resolvable
-    helpers, or ``None`` when no source is available.
-
-    Two functions with the same fingerprint build the same plan from
-    the same inputs (up to closure *values*, which callers must fold
-    into their own keys).  The serve layer keys cross-job artifacts by
-    it so a re-registered program with a different body can never be
-    served another program's artifact.
-    """
-    fn = getattr(fn, "original", fn)
-    partial_func = getattr(fn, "func", None)
-    if partial_func is not None and hasattr(fn, "keywords"):
-        return fingerprint_function(partial_func, _visited, _depth)
-    bound = getattr(fn, "__func__", None)
-    if bound is not None:
-        return fingerprint_function(bound, _visited, _depth)
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        return None
-    visited = _visited if _visited is not None else frozenset()
-    if code in visited or _depth <= 0:
-        return "cycle"
-    fndef = function_ast(fn)
-    if fndef is None:
-        return None
-    resolver = _RuntimeResolver(fn)
-    parts = [ast.dump(fndef)]
-    called = sorted({
-        node.func.id
-        for node in ast.walk(fndef)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-    })
-    for name in called:
-        if name in _PURE_BUILTINS or name in (
-            "id", "hash", "print", "open", "input",
-        ):
-            continue
-        value = resolver._lookup(name)
-        if value is None or isinstance(value, types.ModuleType):
-            continue
-        helper = fingerprint_function(
-            value, visited | {code}, _depth - 1
-        )
-        if helper is not None:
-            parts.append("%s=%s" % (name, helper))
-    digest = hashlib.sha256("\n".join(parts).encode("utf-8"))
-    return digest.hexdigest()[:16]
 
 
 def plan_fingerprint(root):

@@ -354,7 +354,7 @@ def _reads_only_key(fn):
     builtins, and functions without retrievable source return ``None``
     (the check stays silent rather than guessing).
     """
-    lambda_node = _predicate_ast(fn)
+    lambda_node = function_ast(fn)
     if lambda_node is None:
         return None
     args = lambda_node.args
@@ -382,14 +382,3 @@ def _reads_only_key(fn):
     if not uses:
         return None
     return all(id(use) in key_uses for use in uses)
-
-
-def _predicate_ast(fn):
-    """The predicate's Lambda/FunctionDef AST node, or None.
-
-    Delegates to :func:`repro.analysis.properties.function_ast`, which
-    also handles lambda sources that are not valid standalone
-    statements (e.g. a lambda on a method's ``return`` line) and
-    disambiguates multiple candidates by name/arity.
-    """
-    return function_ast(fn)

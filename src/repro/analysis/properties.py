@@ -36,10 +36,9 @@ an import cycle.
 """
 
 import ast
-import inspect
-import textwrap
 
 from ..engine import plan as p
+from ..udf import facts_for, function_ast
 
 __all__ = [
     "HASH",
@@ -172,57 +171,6 @@ class PlanProperties:
 # UDF key-preservation proof
 # ----------------------------------------------------------------------
 
-_PRESERVES_CACHE = {}
-
-
-def function_ast(fn):
-    """The ``ast.Lambda`` or ``ast.FunctionDef`` node for ``fn``.
-
-    Returns ``None`` when the source is unavailable, unparseable, or
-    ambiguous (several candidate definitions on the source lines).
-    ``inspect.getsource`` of a lambda inside a method can return a
-    fragment like ``return self.map(lambda kv: ...)`` that is not a
-    valid module-level statement; such fragments are re-parsed wrapped
-    in a dummy function body.
-    """
-    try:
-        source = textwrap.dedent(inspect.getsource(fn))
-    except (OSError, TypeError):
-        return None
-    if source.startswith("."):
-        # A lambda on its own line of a fluent chain comes back as
-        # ``.map(lambda kv: ...)``; make it a parseable expression.
-        source = source[1:]
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        try:
-            tree = ast.parse(
-                "def _repro_wrap_():\n" + textwrap.indent(source, "    ")
-            )
-        except SyntaxError:
-            return None
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        return None
-    if fn.__name__ == "<lambda>":
-        candidates = [n for n in ast.walk(tree) if isinstance(n, ast.Lambda)]
-    else:
-        candidates = [
-            n for n in ast.walk(tree)
-            if isinstance(n, ast.FunctionDef) and n.name == fn.__name__
-        ]
-    if len(candidates) > 1:
-        argnames = tuple(code.co_varnames[: code.co_argcount])
-        candidates = [
-            n for n in candidates
-            if tuple(a.arg for a in n.args.args) == argnames
-        ]
-    if len(candidates) != 1:
-        return None
-    return candidates[0]
-
-
 def udf_preserves_key(fn, flat=False):
     """Prove whether ``fn`` preserves the key slot of keyed records.
 
@@ -236,22 +184,20 @@ def udf_preserves_key(fn, flat=False):
         and ``None`` when no proof either way is possible (treated as
         not preserving).
     """
-    code = getattr(fn, "__code__", None)
-    if code is None:
+    facts = facts_for(fn)
+    if facts is None:
         return None
-    cache_key = (code, bool(flat))
-    if cache_key in _PRESERVES_CACHE:
-        return _PRESERVES_CACHE[cache_key]
-    verdict = _prove_preserves_key(fn, flat)
-    _PRESERVES_CACHE[cache_key] = verdict
-    return verdict
+    flat = bool(flat)
+    return facts.derive(
+        ("preserves_key", flat),
+        lambda facts: _prove_preserves_key(facts, flat),
+    )
 
 
-def _prove_preserves_key(fn, flat):
-    code = fn.__code__
-    if code.co_argcount != 1:
+def _prove_preserves_key(facts, flat):
+    if facts.code.co_argcount != 1:
         return None
-    node = function_ast(fn)
+    node = facts.node
     if node is None:
         return None
     if isinstance(node, ast.Lambda):

@@ -6,9 +6,8 @@ inferred *record schema*: scalar kinds (``int`` / ``float`` / ``str`` /
 for grouped values, and ``?`` for anything unprovable.  Types flow
 
 * through **UDF ASTs** -- lambdas in fluent chains, ``@nested_udf``
-  bodies, and transitively-called helpers, located with
-  :func:`repro.analysis.properties.function_ast` and resolved with the
-  effect-analysis runtime resolver (PR 8); and
+  bodies, and transitively-called helpers, located and resolved
+  through their :class:`repro.udf.UdfFacts`; and
 * through **every plan operator** -- map/filter/flat_map propagate
   through the UDF, shuffles split and recombine key/value pairs,
   unions join branch schemas, zip appends an ``int`` id column.
@@ -40,12 +39,10 @@ Three consumers:
 """
 
 import ast
-import types
 
 from ..engine import plan as p
+from ..udf import facts_for
 from .diagnostics import make_diagnostic, sort_key
-from .effects import runtime_resolver
-from .properties import function_ast
 
 __all__ = [
     "ANY",
@@ -62,7 +59,6 @@ __all__ = [
     "TupleType",
     "UnhashableType",
     "chain_schema",
-    "clear_schema_cache",
     "columnar_verdict",
     "hashable_verdict",
     "infer_schemas",
@@ -77,9 +73,6 @@ __all__ = [
 # rather than charge per-job time proportional to huge driver datasets.
 _SCALAR_SCAN_CAP = 262144
 _TUPLE_SCAN_CAP = 4096
-
-#: Transitive helper-call depth limit (mirrors the effects analysis).
-_MAX_DEPTH = 5
 
 #: Iterations granted to the reduce_by_key accumulator fixpoint before
 #: it collapses to ANY.
@@ -304,14 +297,6 @@ def hashable_verdict(schema):
 # UDF abstract interpretation
 # ----------------------------------------------------------------------
 
-_UDF_SCHEMA_CACHE = {}
-
-
-def clear_schema_cache():
-    """Drop the per-code-object UDF schema memo (for tests)."""
-    _UDF_SCHEMA_CACHE.clear()
-
-
 def infer_udf_schema(fn, arg_schemas, flat=False, skips=None):
     """Abstract result type of ``fn`` applied to ``arg_schemas``.
 
@@ -322,58 +307,46 @@ def infer_udf_schema(fn, arg_schemas, flat=False, skips=None):
     """
     if skips is None:
         skips = []
-    return _infer_callable(
-        fn, tuple(arg_schemas), bool(flat), frozenset(), _MAX_DEPTH, skips
+    return _infer_facts(
+        facts_for(fn), fn, tuple(arg_schemas), bool(flat), skips
     )
 
 
-def _infer_callable(fn, arg_schemas, flat, stack, depth, skips):
-    fn = getattr(fn, "original", fn)
-    code = getattr(fn, "__code__", None)
-    if code is None:
+#: A helper call the shared guard cut short (recursion, depth).
+_CUT = (ANY, ())
+
+
+def _infer_facts(facts, fn, arg_schemas, flat, skips):
+    if facts is None or facts.node is None:
         skips.append(fn)
         return ANY
-    if code in stack or depth <= 0:
-        return ANY
-    key = (code, tuple(repr(s) for s in arg_schemas), flat)
-    cached = _UDF_SCHEMA_CACHE.get(key)
-    if cached is not None:
-        schema, skipped = cached
-        skips.extend(skipped)
-        return schema
-    node = function_ast(fn)
-    local_skips = []
-    if node is None:
-        local_skips.append(fn)
-        schema = ANY
-    else:
-        ctx = _Scope(
-            env={},
-            resolver=runtime_resolver(fn),
-            stack=stack | {code},
-            depth=depth,
-            skips=local_skips,
-        )
-        schema = _infer_from_ast(node, arg_schemas, flat, ctx)
-    _UDF_SCHEMA_CACHE[key] = (schema, tuple(local_skips))
-    skips.extend(local_skips)
+
+    def infer(facts):
+        skipped = []
+        ctx = _Scope({}, facts, skipped)
+        schema = _infer_from_ast(facts.node, arg_schemas, flat, ctx)
+        return schema, tuple(skipped)
+
+    schema, skipped = facts.derive(
+        ("schema", arg_schemas, flat), infer, cycle=_CUT, deep=_CUT
+    )
+    skips.extend(skipped)
     return schema
 
 
 class _Scope:
-    """Evaluation context: bindings, name resolver, recursion guards."""
+    """Evaluation context: bindings, the UDF's facts (its name
+    resolver), and the helpers inference had to skip."""
 
-    __slots__ = ("env", "resolver", "stack", "depth", "skips")
+    __slots__ = ("env", "facts", "skips")
 
-    def __init__(self, env, resolver, stack, depth, skips):
+    def __init__(self, env, facts, skips):
         self.env = env
-        self.resolver = resolver
-        self.stack = stack
-        self.depth = depth
+        self.facts = facts
         self.skips = skips
 
     def child(self, env):
-        return _Scope(env, self.resolver, self.stack, self.depth, self.skips)
+        return _Scope(env, self.facts, self.skips)
 
 
 def _infer_from_ast(node, arg_schemas, flat, ctx):
@@ -585,7 +558,7 @@ def _call(node, ctx):
     func = node.func
     if not isinstance(func, ast.Name) or func.id in ctx.env:
         return ANY
-    resolved = ctx.resolver._lookup(func.id)
+    resolved = ctx.facts.lookup(func.id)
     if resolved is None:
         return ANY
     arg_schemas = [_eval(a, ctx) for a in node.args]
@@ -620,17 +593,12 @@ def _call(node, ctx):
         return ANY
     if resolved is list and len(arg_schemas) == 1:
         return ListType(_flatten(arg_schemas[0]))
-    unwrapped = getattr(resolved, "original", resolved)
-    if isinstance(unwrapped, types.FunctionType):
-        return _infer_callable(
-            unwrapped,
-            tuple(arg_schemas),
-            False,
-            ctx.stack,
-            ctx.depth - 1,
-            ctx.skips,
-        )
-    return ANY
+    helper = facts_for(resolved)
+    if helper is None:
+        return ANY
+    return _infer_facts(
+        helper, resolved, tuple(arg_schemas), False, ctx.skips
+    )
 
 
 def _subscript(node, ctx):

@@ -40,9 +40,8 @@ once per distinct chain.
 import ast
 import hashlib
 import threading
-import types
-import weakref
 
+from ..udf import facts_for
 from .runtime.task import (
     STEP_FILTER,
     STEP_FLATMAP,
@@ -61,9 +60,6 @@ __all__ = [
     "plan_compiled_task",
 ]
 
-#: How deep the Weighted-escape scan follows resolvable helper calls.
-_WEIGHTED_SCAN_DEPTH = 4
-
 #: Per-process cache of compiled pipeline functions, keyed by chain
 #: fingerprint.  Shared by the driver and (after fork/pickle) each
 #: worker process builds its own on first use.
@@ -76,95 +72,42 @@ _STEP_NAMES = {
     STEP_FLATMAP: "flat_map",
 }
 
-#: Per-UDF compilability memo: function object -> (fingerprint | None,
-#: reason | None).  Iterative programs re-evaluate the same chains
-#: every superstep; the AST fingerprint and Weighted scan are pure
-#: functions of the live function object, so memoize per object (weak
-#: keys: dropping a UDF drops its entry).  ``analyze_effects`` keeps
-#: its own cache.
-_UDF_MEMO = weakref.WeakKeyDictionary()
-_UDF_MEMO_LOCK = threading.Lock()
-
 
 # ----------------------------------------------------------------------
 # Gating: which chains may compile
 # ----------------------------------------------------------------------
 
 
-def _unwrap_callable(fn):
-    fn = getattr(fn, "original", fn)
-    func = getattr(fn, "func", None)
-    if func is not None and hasattr(fn, "keywords"):
-        return _unwrap_callable(func)
-    bound = getattr(fn, "__func__", None)
-    if bound is not None:
-        return _unwrap_callable(bound)
-    return fn
-
-
-def _resolve_name(fn, name):
-    """A bare name as the UDF would resolve it: closure, then globals."""
-    code = getattr(fn, "__code__", None)
-    closure = getattr(fn, "__closure__", None)
-    if code is not None and closure:
-        for var, cell in zip(code.co_freevars, closure):
-            if var == name:
-                try:
-                    return cell.cell_contents
-                except ValueError:  # pragma: no cover - empty cell
-                    return None
-    return getattr(fn, "__globals__", {}).get(name)
-
-
-def _mentions_weighted(fn, _visited=None, _depth=_WEIGHTED_SCAN_DEPTH):
-    """Can ``fn`` (or a resolvable helper it calls) produce a
+def _mentions_weighted(facts):
+    """Can the UDF (or a resolvable helper it calls) produce a
     :class:`Weighted` result?
 
     Conservative: any syntactic reference to the name ``Weighted``
     (including via attribute access) counts, an unavailable AST counts,
-    and a resolvable called class that subclasses ``Weighted`` counts.
-    Bare-name calls that do not resolve are ignored -- callers only
-    consult this scan after purity is *proven*, which already required
-    every effectful call to resolve.
+    a helper chain too deep to follow counts, and a resolvable called
+    class that subclasses ``Weighted`` counts.  Bare-name calls that do
+    not resolve are ignored -- callers only consult this scan after
+    purity is *proven*, which already required every effectful call to
+    resolve.
     """
-    from ..analysis.effects import function_ast
+    return facts.derive(("weighted",), _scan_weighted, cycle=False, deep=True)
 
-    fn = _unwrap_callable(fn)
-    fndef = function_ast(fn)
-    if fndef is None:
+
+def _scan_weighted(facts):
+    if facts.node is None:
         return True
-    for node in ast.walk(fndef):
+    for node in ast.walk(facts.node):
         if isinstance(node, ast.Name) and node.id == "Weighted":
             return True
         if isinstance(node, ast.Attribute) and node.attr == "Weighted":
             return True
-    if _depth <= 0:
-        return True
-    visited = _visited if _visited is not None else set()
-    code = getattr(fn, "__code__", None)
-    if code is not None:
-        if id(code) in visited:
-            return False
-        visited.add(id(code))
-    called = sorted({
-        node.func.id
-        for node in ast.walk(fndef)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-    })
-    for name in called:
-        value = _resolve_name(fn, name)
-        value = getattr(value, "original", value)
-        if value is None:
-            continue
-        if isinstance(value, type):
-            if issubclass(value, Weighted):
-                return True
-            continue
-        if isinstance(value, types.FunctionType):
-            if _mentions_weighted(value, visited, _depth - 1):
-                return True
-    return False
+    for name in facts.called_names:
+        value = facts.lookup(name)
+        if isinstance(value, type) and issubclass(value, Weighted):
+            return True
+    return any(
+        _mentions_weighted(helper) for _name, helper in facts.helpers()
+    )
 
 
 def chain_compilability(steps):
@@ -185,37 +128,28 @@ def chain_compilability(steps):
 
 def _udf_compilability(fn):
     """``(fingerprint, None)`` or ``(None, reason-sans-operator)`` for
-    one UDF, memoized per function object."""
-    try:
-        cached = _UDF_MEMO.get(fn)
-    except TypeError:  # pragma: no cover - non-weakref-able callable
-        cached = None
-        memoizable = False
-    else:
-        memoizable = True
-    if cached is not None:
-        return cached
-    result = _udf_compilability_uncached(fn)
-    if memoizable:
-        with _UDF_MEMO_LOCK:
-            _UDF_MEMO[fn] = result
-    return result
+    one UDF.  Iterative programs re-evaluate the same chains every
+    superstep, so the verdict is kept with the UDF's other facts."""
+    def prove(facts):
+        # Lazy import: repro.analysis imports repro.engine, so engine
+        # modules must not import the analysis layer at module scope.
+        from ..analysis.effects import analyze_effects
 
+        report = analyze_effects(fn)
+        if report.pure is False:
+            return None, "is impure"
+        if report.pure is not True:
+            return None, "purity unproven"
+        if facts is None or _mentions_weighted(facts):
+            return None, "may return Weighted"
+        if facts.fingerprint is None:
+            return None, "has no recoverable source"
+        return facts.fingerprint, None
 
-def _udf_compilability_uncached(fn):
-    from ..analysis.effects import analyze_effects, fingerprint_function
-
-    report = analyze_effects(fn)
-    if report.pure is False:
-        return None, "is impure"
-    if report.pure is not True:
-        return None, "purity unproven"
-    if _mentions_weighted(fn):
-        return None, "may return Weighted"
-    fingerprint = fingerprint_function(fn)
-    if fingerprint is None:
-        return None, "has no recoverable source"
-    return fingerprint, None
+    facts = facts_for(fn)
+    if facts is None:
+        return prove(None)
+    return facts.derive(("compilability",), prove)
 
 
 def chain_fingerprint(kind_fingerprint_pairs):

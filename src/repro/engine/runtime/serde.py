@@ -23,7 +23,6 @@ serialize (locks, sockets, generators) surface as
 :func:`ensure_serializable`.
 """
 
-import functools
 import importlib
 import io
 import marshal
@@ -32,6 +31,7 @@ import sys
 import types
 
 from ...errors import SerializationError
+from ...udf import closure_bindings, unwrap
 
 try:  # pragma: no cover - exercised via the CI job that installs it
     import cloudpickle
@@ -117,69 +117,27 @@ def check_serializable(fn):
     return problems
 
 
-def _callable_problems(fn, depth=0):
-    """Per-capture problem descriptions for one callable.
-
-    Recursively unwraps ``functools.partial`` and bound methods before
-    probing, so wrapped UDFs report the same root cause a plain closure
-    would.  ``depth`` bounds pathological wrapper towers.
-    """
-    if depth > 16:  # pragma: no cover - absurd wrapper nesting
-        return []
-    if isinstance(fn, functools.partial):
-        problems = []
-        for index, value in enumerate(fn.args):
-            problem = _probe_value(value)
-            if problem is not None:
-                problems.append(
-                    "partial argument %d (%s) is not serializable: %s"
-                    % (index, type(value).__name__, problem)
-                )
-        for name in sorted(fn.keywords or {}):
-            value = fn.keywords[name]
-            problem = _probe_value(value)
-            if problem is not None:
-                problems.append(
-                    "partial keyword %r (%s) is not serializable: %s"
-                    % (name, type(value).__name__, problem)
-                )
-        problems.extend(_callable_problems(fn.func, depth + 1))
-        return problems
-    bound_self = getattr(fn, "__self__", None)
-    bound_func = getattr(fn, "__func__", None)
-    if bound_self is not None and bound_func is not None:
-        problems = []
-        problem = _probe_value(bound_self)
-        if problem is not None:
-            problems.append(
-                "bound instance (%s) is not serializable: %s"
-                % (type(bound_self).__name__, problem)
-            )
-        problems.extend(_callable_problems(bound_func, depth + 1))
-        return problems
+def _callable_problems(fn):
+    """Per-capture problem descriptions for one callable: what its
+    wrappers bind, its closure cells, and its defaults."""
+    inner, bindings = unwrap(fn)
+    bindings += [
+        ("captured variable %r" % name, value)
+        for name, value in closure_bindings(inner).items()
+    ]
+    bindings += [
+        ("default argument %d" % index, default)
+        for index, default in enumerate(
+            getattr(inner, "__defaults__", None) or ()
+        )
+    ]
     problems = []
-    code = getattr(fn, "__code__", None)
-    closure = getattr(fn, "__closure__", None)
-    if code is not None and closure:
-        for name, cell in zip(code.co_freevars, closure):
-            try:
-                value = cell.cell_contents
-            except ValueError:  # pragma: no cover - empty cell
-                continue
-            problem = _probe_value(value)
-            if problem is not None:
-                problems.append(
-                    "captured variable %r (%s) is not serializable: %s"
-                    % (name, type(value).__name__, problem)
-                )
-    for index, default in enumerate(
-        getattr(fn, "__defaults__", None) or ()
-    ):
-        problem = _probe_value(default)
+    for description, value in bindings:
+        problem = _probe_value(value)
         if problem is not None:
             problems.append(
-                "default argument %d (%s) is not serializable: %s"
-                % (index, type(default).__name__, problem)
+                "%s (%s) is not serializable: %s"
+                % (description, type(value).__name__, problem)
             )
     return problems
 

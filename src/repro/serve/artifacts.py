@@ -56,7 +56,7 @@ class CacheEntry:
             id(value.node) if kind == KIND_BAG else None
         )
         # Canonical program fingerprint (see
-        # :func:`repro.analysis.effects.fingerprint_function`): reuse
+        # :func:`repro.udf.fingerprint_function`): reuse
         # under the same key is only offered when the caller's
         # fingerprint matches, so an artifact name cannot serve stale
         # data after its builder's code changed.
@@ -108,7 +108,7 @@ class ArtifactCache:
 
         ``fingerprint`` (optional) is the canonical identity of the
         program that produces this artifact (see
-        :func:`repro.analysis.effects.fingerprint_function`).  A hit
+        :func:`repro.udf.fingerprint_function`).  A hit
         is only served when it matches the stored entry's fingerprint;
         a mismatch means the builder's code changed (or is not
         provably deterministic, in which case the service hands in a

@@ -42,6 +42,7 @@ import time
 from ..engine.broadcast import Broadcast
 from ..engine.context import EngineContext
 from ..observe.report import RunReport, entry_from_jobs
+from ..udf import fingerprint_function
 from .artifacts import KIND_BAG, KIND_BROADCAST, ArtifactCache
 from .queue import (
     REJECT_SHUTDOWN,
@@ -467,7 +468,7 @@ class JobService:
         Two jobs may share a cached artifact only when they would have
         built the same value, which requires (a) the same builder code
         -- captured by the canonical AST fingerprint
-        (:func:`repro.analysis.effects.fingerprint_function`), which
+        (:func:`repro.udf.fingerprint_function`), which
         also covers the module-level helpers the builder calls -- and
         (b) a builder that produces the same value every run.  When
         the effect analysis *refutes* determinism, (b) provably fails:
@@ -477,10 +478,8 @@ class JobService:
         (matching the pre-fingerprint behavior for artifacts the
         analysis cannot see into).
         """
-        from ..analysis.effects import (
-            analyze_effects,
-            fingerprint_function,
-        )
+        # Lazy import: the effect scanner lives above the engine.
+        from ..analysis.effects import analyze_effects
 
         if analyze_effects(build).deterministic is False:
             with self._lock:

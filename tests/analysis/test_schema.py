@@ -23,7 +23,6 @@ from repro.analysis.schema import (
     TupleType,
     UnhashableType,
     chain_schema,
-    clear_schema_cache,
     columnar_verdict,
     hashable_verdict,
     infer_schemas,
@@ -34,13 +33,14 @@ from repro.analysis.schema import (
 )
 from repro.engine import laptop_config
 from repro.engine import plan as p
+from repro.udf import clear_cache
 
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    clear_schema_cache()
+    clear_cache()
     yield
-    clear_schema_cache()
+    clear_cache()
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 deterministic builders whose code has not changed.
 
 The service keys every artifact with a canonical AST fingerprint of
-its builder (:func:`repro.analysis.effects.fingerprint_function`).  A
+its builder (:func:`repro.udf.fingerprint_function`).  A
 re-registered program with a different body can never be served the
 old program's artifact, and a builder whose determinism is *refuted*
 gets a fresh fingerprint per job -- its artifacts are never reused.
