@@ -81,6 +81,7 @@ from .runtime.task import (
     FusedPipelineTask,
     GroupBucketTask,
     MapPartitionsTask,
+    require_keyed,
 )
 from .validate import validate_job
 
@@ -231,7 +232,7 @@ class Executor:
             partitions = self._run(node, job)
             job.collected_records += len(partitions)
             self._finish(job)
-        return sum(len(part) for part in partitions)
+        return sum(map(len, partitions))
 
     def save(self, node, label=""):
         """Write a bag to distributed storage (the paper's output op).
@@ -241,7 +242,7 @@ class Executor:
         """
         with self._job_scope("save", label) as job:
             partitions = self._run(node, job)
-            written = sum(len(part) for part in partitions)
+            written = sum(map(len, partitions))
             if node.meta:
                 job.saved_meta_records += written
             else:
@@ -342,8 +343,7 @@ class Executor:
 
     def _cached_result(self, node, job):
         stage = job.new_stage("cached", meta=node.meta, origin=_origin(node))
-        for _ in node.materialized:
-            stage.task_records.append(0)
+        stage.task_records = [0] * len(node.materialized)
         return _Result(node.materialized, stage)
 
     def _eval_node(self, node, job, results, elisions, ordinals):
@@ -391,8 +391,7 @@ class Executor:
     def _eval_parallelize(self, node, job):
         partitions = node.build_partitions()
         stage = job.new_stage("input", meta=node.meta, origin=_origin(node))
-        for part in partitions:
-            stage.task_records.append(len(part))
+        stage.task_records = [len(part) for part in partitions]
         return _Result(partitions, stage)
 
     # -- fused narrow elementwise chains -------------------------------
@@ -458,29 +457,36 @@ class Executor:
             stage=stage,
             ordinal=ordinals.take(),
         )
-        out = []
-        for index, (records, counts, works) in enumerate(results):
-            out.append(self._store_fused(records, compiled, schema))
-            for i in range(len(steps)):
-                stage.add_task_records(index, counts[i])
-                if works[i]:
-                    # UDF-internal sequential work runs record-at-a-time
-                    # and is charged at the configured slowdown over the
-                    # bulk rate.
-                    stage.add_task_records(index, int(works[i] * factor))
-        return _Result(out, stage)
+        # Fold each task's credit first -- its per-step record counts
+        # plus any UDF-internal sequential work, which runs
+        # record-at-a-time and is charged at the configured slowdown
+        # over the bulk rate, truncated per step -- then credit the
+        # whole set at once.
+        records, counts, works = zip(*results) if results else ((), (), ())
+        credits = list(map(sum, counts))
+        if any(map(any, works)):
+            for index, task_works in enumerate(works):
+                credits[index] += sum(
+                    int(work * factor) for work in task_works
+                )
+        stage.credit_task_records(credits)
+        if not compiled:
+            return _Result(list(records), stage)
+        return _Result(
+            [self._store_fused(part, schema) for part in records], stage
+        )
 
     @staticmethod
-    def _store_fused(records, compiled, schema):
-        """Pick the storage format for one fused output partition.
+    def _store_fused(records, schema):
+        """Pick the storage format for one compiled chain's output
+        partition.
 
         Only the storage changes here, never the values: columnar
         partitions decode to the exact records that went in, so counts,
         trace signatures, and simulated seconds are identical across
-        all four paths (plain, probe, commit, skip).
+        all four paths (the interpreter's plain lists, probe, commit,
+        skip).
         """
-        if not compiled:
-            return records
         if schema is None or schema.output_verdict is None:
             return maybe_columnar(records)
         if schema.output_verdict is False:
@@ -555,24 +561,21 @@ class Executor:
             ordinal=ordinals.take(),
         )
         factor = self.config.sequential_work_factor
-        out = []
-        for index, (records, work) in enumerate(results):
-            out.append(records)
-            child.stage.add_task_records(
-                index, len(child.partitions[index])
-            )
-            if work:
-                child.stage.add_task_records(index, int(work * factor))
-        return _Result(out, child.stage)
+        child.stage.credit_task_records([
+            len(part) + int(work * factor)
+            for part, (_records, work) in zip(child.partitions, results)
+        ])
+        return _Result([records for records, _work in results], child.stage)
 
     def _eval_zip_with_unique_id(self, node, child):
         n = max(1, len(child.partitions))
-        out = []
-        for index, part in enumerate(child.partitions):
-            child.stage.add_task_records(index, len(part))
-            out.append(
-                [(item, index + i * n) for i, item in enumerate(part)]
-            )
+        child.stage.credit_task_records(
+            [len(part) for part in child.partitions]
+        )
+        out = [
+            [(item, index + i * n) for i, item in enumerate(part)]
+            for index, part in enumerate(child.partitions)
+        ]
         return _Result(out, child.stage)
 
     def _eval_union(self, node, job, children):
@@ -580,8 +583,7 @@ class Executor:
             [child.partitions for child in children]
         )
         stage = job.new_stage("union", meta=node.meta, origin=_origin(node))
-        for _ in partitions:
-            stage.task_records.append(0)
+        stage.task_records = [0] * len(partitions)
         return _Result(partitions, stage)
 
     def _eval_coalesce(self, node, job, child):
@@ -592,8 +594,7 @@ class Executor:
         stage = job.new_stage(
             "coalesce", meta=node.meta, origin=_origin(node)
         )
-        for part in out:
-            stage.task_records.append(0)
+        stage.task_records = [0] * len(out)
         return _Result(out, stage)
 
     # -- wide (shuffling) operators ------------------------------------
@@ -603,17 +604,23 @@ class Executor:
 
         Charges the map-side shuffle write to the producing stage and
         returns ``(buckets, moved)`` where ``moved`` is the number of
-        records written to (and later read from) the shuffle.
+        records written to (and later read from) the shuffle.  The
+        records were checked when ``assignment`` was built
+        (:meth:`_key_assignment`), once per shuffle.
         """
         buckets = [[] for _ in range(num_partitions)]
-        moved = 0
-        for index, part in enumerate(result.partitions):
-            result.stage.add_task_records(index, len(part))
-            moved += len(part)
+        for part in result.partitions:
             for record in part:
-                self._require_keyed(record)
                 buckets[assignment[record[0]]].append(record)
-        return buckets, moved
+        return buckets, self._credit_shuffle_write(result)
+
+    @staticmethod
+    def _credit_shuffle_write(result):
+        """Charge every partition of ``result`` to its producing stage;
+        returns the total (the records the shuffle moves)."""
+        written = [len(part) for part in result.partitions]
+        result.stage.credit_task_records(written)
+        return sum(written)
 
     def _shuffle(self, result, node, job):
         """Shuffle keyed partitions; returns (buckets, reduce_stage).
@@ -634,8 +641,7 @@ class Executor:
         stage = job.new_stage("shuffle", meta=node.meta, origin=origin)
         stage.shuffle_read_records = moved
         stage.shuffle_write_records = moved
-        for bucket in buckets:
-            stage.task_records.append(len(bucket))
+        stage.task_records = [len(bucket) for bucket in buckets]
         self._trace_shuffle(stage, origin)
         with self._state_lock:
             self._assignments[id(node)] = (weakref.ref(node), assignment)
@@ -693,10 +699,15 @@ class Executor:
             self.decisions.append(decision)
 
     def _key_assignment(self, partition_lists, num_partitions):
+        """Balanced key -> bucket assignment over the given partitions.
+
+        This pass is also where a shuffle checks its records, once:
+        bucketing and the reduce-side tasks (``keyed=True``) rely on it.
+        """
         counts = {}
         for part in partition_lists:
             for record in part:
-                self._require_keyed(record)
+                require_keyed(record)
                 key = record[0]
                 counts[key] = counts.get(key, 0) + 1
         return build_balanced_assignment(counts, num_partitions)
@@ -713,13 +724,13 @@ class Executor:
             task, [(part,) for part in parts], stage=stage,
             ordinal=ordinal,
         )
-        factor = self.config.sequential_work_factor
-        out = []
-        for index, (records, work) in enumerate(results):
-            out.append(records)
-            if work:
-                stage.add_task_records(index, int(work * factor))
-        return out
+        records, works = zip(*results) if results else ((), ())
+        if any(works):
+            factor = self.config.sequential_work_factor
+            stage.credit_task_records(
+                [int(work * factor) for work in works]
+            )
+        return list(records)
 
     def _eval_reduce_by_key(self, node, job, child, elisions, ordinals):
         task = CombineTask(node.fn, _origin(node))
@@ -734,20 +745,20 @@ class Executor:
             stage = job.new_stage(
                 "shuffle", meta=node.meta, origin=_origin(node)
             )
-            for _ in child.partitions:
-                stage.task_records.append(0)
+            stage.task_records = [0] * len(child.partitions)
             out = self._combine_pass(
                 task, child.partitions, stage, ordinals.take()
             )
-            for index, bucket in enumerate(out):
-                stage.add_task_records(index, len(bucket))
-            stage.shuffle_records_saved = sum(len(b) for b in out)
+            produced = [len(bucket) for bucket in out]
+            stage.credit_task_records(produced)
+            stage.shuffle_records_saved = sum(produced)
             self._account_spill(stage)
             self._record_elision(node, elision)
             return _Result(out, stage)
         # Map-side combine: reduce within each map partition first, so the
         # shuffle only moves one record per (partition, key) pair.  The
-        # same combine task runs on both sides of the shuffle.
+        # same combine runs on both sides of the shuffle; the reduce
+        # side's records were checked by the shuffle.
         combined = _Result(
             self._combine_pass(
                 task, child.partitions, child.stage, ordinals.take()
@@ -755,7 +766,10 @@ class Executor:
             child.stage,
         )
         buckets, stage = self._shuffle(combined, node, job)
-        out = self._combine_pass(task, buckets, stage, ordinals.take())
+        out = self._combine_pass(
+            CombineTask(node.fn, _origin(node), keyed=True), buckets,
+            stage, ordinals.take(),
+        )
         self._account_spill(stage)
         return _Result(out, stage)
 
@@ -767,11 +781,8 @@ class Executor:
             stage = job.new_stage(
                 "shuffle", meta=node.meta, origin=_origin(node)
             )
-            for part in child.partitions:
-                stage.task_records.append(len(part))
-            stage.shuffle_records_saved = sum(
-                len(part) for part in child.partitions
-            )
+            stage.task_records = [len(part) for part in child.partitions]
+            stage.shuffle_records_saved = sum(stage.task_records)
             task = GroupBucketTask(
                 self._stage_rate(stage),
                 self.config.memory_overhead_factor,
@@ -791,6 +802,7 @@ class Executor:
             self.config.memory_overhead_factor,
             self._task_limit(buckets),
             _origin(node),
+            keyed=True,
         )
         out = self.scheduler.run_stage(
             task, [(bucket,) for bucket in buckets], stage=stage,
@@ -812,14 +824,8 @@ class Executor:
         if elided is not None:
             return elided
         # Both sides co-partition: one key assignment over both inputs.
-        counts = {}
-        for result in (left, right):
-            for part in result.partitions:
-                for record in part:
-                    self._require_keyed(record)
-                    counts[record[0]] = counts.get(record[0], 0) + 1
-        assignment = build_balanced_assignment(
-            counts, node.num_partitions
+        assignment = self._key_assignment(
+            [*left.partitions, *right.partitions], node.num_partitions
         )
         left_buckets, left_moved = self._bucketize(
             left, node.num_partitions, assignment
@@ -836,11 +842,10 @@ class Executor:
                               origin=_origin(node))
         stage.shuffle_read_records = left_moved + right_moved
         stage.shuffle_write_records = left_moved + right_moved
-        for bucket_index in range(node.num_partitions):
-            stage.task_records.append(
-                len(left_buckets[bucket_index])
-                + len(right_buckets[bucket_index])
-            )
+        stage.task_records = [
+            len(left) + len(right)
+            for left, right in zip(left_buckets, right_buckets)
+        ]
         self._trace_shuffle(stage, _origin(node))
         return self._run_cogroup_buckets(
             node, stage, left_buckets, right_buckets, ordinals
@@ -900,11 +905,10 @@ class Executor:
         stage.shuffle_read_records = moved
         stage.shuffle_write_records = moved
         stage.shuffle_records_saved = saved
-        for bucket_index in range(n):
-            stage.task_records.append(
-                len(left_buckets[bucket_index])
-                + len(right_buckets[bucket_index])
-            )
+        stage.task_records = [
+            len(left) + len(right)
+            for left, right in zip(left_buckets, right_buckets)
+        ]
         if moved:
             self._trace_shuffle(stage, _origin(node))
         if layout is not None:
@@ -926,19 +930,16 @@ class Executor:
         producing stage like :meth:`_bucketize`.
         """
         buckets = [[] for _ in range(num_partitions)]
-        moved = 0
-        for index, part in enumerate(result.partitions):
-            result.stage.add_task_records(index, len(part))
-            moved += len(part)
+        for part in result.partitions:
             for record in part:
-                self._require_keyed(record)
+                require_keyed(record)
                 key = record[0]
                 bucket = layout.get(key)
                 if bucket is None:
                     bucket = stable_hash(key) % num_partitions
                     layout[key] = bucket
                 buckets[bucket].append(record)
-        return buckets, moved
+        return buckets, self._credit_shuffle_write(result)
 
     def _run_cogroup_buckets(self, node, stage, left_buckets,
                              right_buckets, ordinals):
@@ -971,10 +972,12 @@ class Executor:
     def _eval_broadcast_join(self, node, job, left, right, ordinals):
         table = {}
         count = 0
-        for index, part in enumerate(right.partitions):
-            right.stage.add_task_records(index, len(part))
+        right.stage.credit_task_records(
+            [len(part) for part in right.partitions]
+        )
+        for part in right.partitions:
             for record in part:
-                self._require_keyed(record)
+                require_keyed(record)
                 key, value = record
                 table.setdefault(key, []).append(value)
                 count += 1
@@ -996,8 +999,10 @@ class Executor:
             stage=stage,
             ordinal=ordinals.take(),
         )
-        for index, part in enumerate(left.partitions):
-            stage.add_task_records(index, len(part) + len(out[index]))
+        stage.credit_task_records([
+            len(part) + len(produced)
+            for part, produced in zip(left.partitions, out)
+        ])
         return _Result(out, stage)
 
     def _eval_cross_broadcast(self, node, job, left, right, ordinals):
@@ -1008,8 +1013,9 @@ class Executor:
             stream_node, stream = node.right, right
             small_node, small = node.left, left
         payload = [item for part in small.partitions for item in part]
-        for index, part in enumerate(small.partitions):
-            small.stage.add_task_records(index, len(part))
+        small.stage.credit_task_records(
+            [len(part) for part in small.partitions]
+        )
         self._check_broadcast(
             len(payload), "cross-product broadcast side",
             meta=small_node.meta,
@@ -1032,8 +1038,7 @@ class Executor:
             stage=stage,
             ordinal=ordinals.take(),
         )
-        for index, produced in enumerate(out):
-            stage.add_task_records(index, len(produced))
+        stage.credit_task_records([len(produced) for produced in out])
         return _Result(out, stage)
 
     # ------------------------------------------------------------------
@@ -1073,13 +1078,6 @@ class Executor:
             origin=origin,
         )
 
-    def _require_keyed(self, record):
-        if not isinstance(record, tuple) or len(record) != 2:
-            raise PlanError(
-                "keyed operator expects (key, value) records, got %r"
-                % (record,)
-            )
-
     def _account_spill(self, stage):
         cfg = self.config
         rate = self._stage_rate(stage)
@@ -1115,8 +1113,7 @@ class Executor:
         corrected = job.new_stage(
             "union", meta=node.meta, origin=_origin(node)
         )
-        for _ in stage.task_records:
-            corrected.task_records.append(0)
+        corrected.task_records = [0] * stage.num_tasks
         return corrected
 
     def _stage_rate(self, stage):

@@ -16,8 +16,17 @@ freshly created stage (one not yet visible to other threads) needs no
 lock and is left alone.
 """
 
+import operator
 import threading
 from dataclasses import dataclass, field
+
+
+def _credit(totals, amounts, zero):
+    """``totals[i] += amounts[i]``, growing ``totals`` with ``zero``."""
+    missing = len(amounts) - len(totals)
+    if missing > 0:
+        totals.extend([zero] * missing)
+    totals[:len(amounts)] = map(operator.add, totals, amounts)
 
 
 @dataclass
@@ -114,19 +123,17 @@ class StageMetrics:
         """
         return sum(self.task_seconds)
 
-    def add_task_records(self, partition_index, count):
-        """Credit ``count`` processed records to the given task."""
+    def credit_task_records(self, counts):
+        """Credit one task set's processed records: ``counts[i]`` to
+        task ``i``, the whole set under one lock acquisition."""
         with self._lock:
-            while len(self.task_records) <= partition_index:
-                self.task_records.append(0)
-            self.task_records[partition_index] += count
+            _credit(self.task_records, counts, 0)
 
-    def add_task_seconds(self, partition_index, seconds):
-        """Credit measured wall-clock seconds to the given task."""
+    def credit_task_seconds(self, seconds):
+        """Credit one task set's measured wall-clock: ``seconds[i]`` to
+        task ``i`` (``0.0`` for a task that was not dispatched)."""
         with self._lock:
-            while len(self.task_seconds) <= partition_index:
-                self.task_seconds.append(0.0)
-            self.task_seconds[partition_index] += seconds
+            _credit(self.task_seconds, seconds, 0.0)
 
     def add_failed_attempt_seconds(self, seconds):
         """Credit wall-clock burned in a failed task attempt."""

@@ -6,12 +6,12 @@ Two backends implement the same contract
 
 * :class:`SerialBackend` runs tasks inline on the calling thread --
   today's behavior, zero overhead, and the default.
-* :class:`ProcessPoolBackend` serializes each invocation (closure +
-  input partition) with :mod:`repro.engine.runtime.serde`, runs it on a
-  pool of worker processes, and deserializes the outcomes.  Worker
-  pools are shared per worker-count across all contexts in the process
-  (tasks are self-contained, so a warm pool can serve any context) and
-  torn down at interpreter exit.
+* :class:`ProcessPoolBackend` serializes the invocations (closure +
+  input partitions) with :mod:`repro.engine.runtime.serde`, a few
+  chunks per worker, runs them on a pool of worker processes, and
+  deserializes the outcomes.  Worker pools are shared per worker-count
+  across all contexts in the process (tasks are self-contained, so a
+  warm pool can serve any context) and torn down at interpreter exit.
 
 ``submit_invocations`` is the non-blocking half of the contract: it
 hands the set to the backend and returns a handle whose ``get()``
@@ -37,6 +37,14 @@ from ...observe import NULL_TRACER
 from ...observe.events import KIND_SERDE
 from . import serde
 from .task import TaskOutcome, execute_invocation
+
+#: Payloads a task set is shipped in, per pool worker.  One payload
+#: carries a run of consecutive invocations, so the task closure they
+#: share is pickled once per payload and one round-trip serves many
+#: tiny tasks; several payloads per worker keep the workers evenly
+#: loaded when task times are skewed.  A set of at most this many tasks
+#: per worker still ships one task per payload.
+CHUNKS_PER_WORKER = 4
 
 
 class _ReadyHandle:
@@ -71,7 +79,11 @@ class _AsyncHandle:
     def get(self):
         outcome_payloads = self._async_result.get()
         serde_start = time.perf_counter()
-        outcomes = [serde.loads(payload) for payload in outcome_payloads]
+        outcomes = [
+            outcome
+            for payload in outcome_payloads
+            for outcome in serde.loads(payload)
+        ]
         if self._tracer.enabled:
             self._tracer.instant(
                 "serde:load-outcomes", KIND_SERDE,
@@ -140,19 +152,18 @@ class ProcessPoolBackend:
         """
         tracer = self.tracer
         serde_start = time.perf_counter()
-        payloads = []
-        for invocation in invocations:
-            payloads.append(
-                serde.ensure_serializable(
-                    invocation,
-                    invocation.operator,
-                    what="task (closure + input partition)",
-                )
-            )
+        size = max(
+            1, -(-len(invocations) // (CHUNKS_PER_WORKER * self.num_workers))
+        )
+        payloads = [
+            _dump_chunk(invocations[start:start + size])
+            for start in range(0, len(invocations), size)
+        ]
         if tracer.enabled:
             tracer.instant(
                 "serde:dump-tasks", KIND_SERDE,
-                tasks=len(payloads),
+                tasks=len(invocations),
+                payloads=len(payloads),
                 seconds=time.perf_counter() - serde_start,
                 bytes=sum(len(p) for p in payloads),
             )
@@ -186,34 +197,69 @@ def make_backend(config):
 # ----------------------------------------------------------------------
 
 
+def _dump_chunk(chunk):
+    """Serialize a run of invocations as one payload.
+
+    One dump memoizes what the invocations share, so the task closure
+    is pickled once.  When the dump fails, each invocation is dumped on
+    its own, so that the error names the operator of the one that
+    cannot be shipped.
+    """
+    try:
+        return serde.dumps(chunk)
+    except Exception:
+        for invocation in chunk:
+            serde.ensure_serializable(
+                invocation,
+                invocation.operator,
+                what="task (closure + input partition)",
+            )
+        raise
+
+
 def _worker_run(payload):
     """Pool entry point: bytes in, bytes out.
 
-    The invocation arrives pre-serialized (so closures survive the
-    trip on spawn-based platforms too); the outcome is serialized here,
-    with a structured fallback when a task *returns* something
-    unserializable.
+    A chunk of invocations arrives pre-serialized (so closures survive
+    the trip on spawn-based platforms too) and each is run in turn,
+    failures included: outcomes stay per invocation.  The outcomes go
+    back as one payload, with a structured fallback for a task that
+    *returns* something unserializable.
     """
     load_start = time.perf_counter()
-    invocation = serde.loads(payload)
+    invocations = serde.loads(payload)
     load_seconds = time.perf_counter() - load_start
-    outcome = execute_invocation(invocation)
-    if outcome.events is not None:
-        # The closure was deserialized before the task body started:
-        # carry it back as a worker-side serde span anchored just
-        # before the attempt (negative offset on the task timeline).
-        outcome.events.insert(
+    outcomes = [execute_invocation(inv) for inv in invocations]
+    traced = next((o for o in outcomes if o.events is not None), None)
+    if traced is not None:
+        # The chunk was deserialized before its first task body
+        # started: carry that back as a worker-side serde span anchored
+        # just before the first traced attempt (negative offset on the
+        # task timeline).
+        traced.events.insert(
             0,
             (
                 "serde:load-task", KIND_SERDE,
                 -load_seconds, load_seconds,
-                {"task": invocation.task_index},
+                {"task": traced.task_index, "tasks": len(invocations)},
             ),
         )
     try:
-        return serde.dumps(outcome)
+        return serde.dumps(outcomes)
+    except Exception:
+        return serde.dumps([
+            _shippable(invocation, outcome)
+            for invocation, outcome in zip(invocations, outcomes)
+        ])
+
+
+def _shippable(invocation, outcome):
+    """``outcome``, or a failed one in its place if it cannot be sent."""
+    try:
+        serde.dumps(outcome)
+        return outcome
     except Exception as exc:
-        fallback = TaskOutcome(
+        return TaskOutcome(
             task_index=outcome.task_index,
             ok=False,
             error=SerializationError(
@@ -227,7 +273,6 @@ def _worker_run(payload):
             start_epoch=outcome.start_epoch,
             events=outcome.events,
         )
-        return serde.dumps(fallback)
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,19 @@ retry budget, re-raising permanent failures, and recording per-task
 measured wall-clock (plus retry and straggler counts) into the stage's
 metrics, next to the simulated counters.
 
+The task set, not the task, is the unit of driver-side cost: a
+flattened program at laptop scale runs tens of thousands of one-record
+tasks per job, most of them over an *empty* partition.  ``run_stage``
+therefore splits a set once -- partitions whose inputs are all empty
+take the value their task class declares for them and are never
+dispatched, on either backend -- and credits measured seconds to the
+stage as one dense list per set (per retry wave), one lock acquisition
+each.
+
 Measured-time accounting: only the *successful* attempt of a task is
 credited to ``stage.task_seconds`` -- a retried task is never counted
-twice.  Time burned in failed attempts accrues separately to
+twice -- and a task that was not dispatched reads ``0.0``.  Time burned
+in failed attempts accrues separately to
 ``stage.failed_attempt_seconds``.
 
 Retry policy: only *transient* failures are retried -- injected faults
@@ -57,6 +67,7 @@ co-scheduled sibling stage can never skew another stage's baseline.
 """
 
 import concurrent.futures
+import itertools
 import os
 import statistics
 import threading
@@ -107,7 +118,9 @@ class TaskScheduler:
         #: callers that omit it draw from this counter.  Either way the
         #: fault injector's stage addressing stays deterministic.
         self.dispatch_count = 0
-        #: Total task attempts ever run, split by outcome.
+        #: Total task attempts ever sent to the backend, split by
+        #: outcome.  Tasks over empty partitions that ``run_stage``
+        #: filled in without dispatching are not attempts.
         self.tasks_launched = 0
         self.tasks_failed = 0
         self.tasks_retried = 0
@@ -226,6 +239,7 @@ class TaskScheduler:
         if ordinal is None:
             ordinal = self.reserve_ordinals(1)
         tracer = self.tracer
+        live, values = self._split_empties(task, args_list)
         if (
             not tracer.enabled
             and not self.fault_injector.pending
@@ -239,11 +253,13 @@ class TaskScheduler:
             # invocation/outcome machinery -- real failures are
             # non-retryable under the retry policy anyway, and raising
             # in place preserves the original traceback exactly.
-            return self._run_serial_fast(task, args_list, stage)
+            return self._run_serial_fast(
+                task, args_list, stage, live, values
+            )
         operator = getattr(task, "operator", type(task).__name__)
         if not tracer.enabled:
             return self._run_outcomes(
-                task, args_list, stage, ordinal, operator
+                task, args_list, stage, ordinal, operator, live, values
             )
         stage_id = stage.stage_id if stage is not None else ordinal
         with tracer.span(
@@ -257,7 +273,7 @@ class TaskScheduler:
         ) as span_args:
             before = stage.measured_seconds if stage is not None else 0.0
             values = self._run_outcomes(
-                task, args_list, stage, ordinal, operator
+                task, args_list, stage, ordinal, operator, live, values
             )
             if stage is not None:
                 # Task spans are capped per stage, so the span carries
@@ -268,20 +284,46 @@ class TaskScheduler:
                 )
             return values
 
-    # ------------------------------------------------------------------
+    def _split_empties(self, task, args_list):
+        """Split a task set once: ``(live, values)``.
 
-    def _run_outcomes(self, task, args_list, stage, ordinal, operator):
+        ``live`` lists the task indices to dispatch; ``values`` is the
+        set's result list with every other entry already filled in.  A
+        task whose arguments (its input partitions) are all empty is
+        not dispatched when the task class declares what such a call
+        returns (``empty_result()``, see
+        :mod:`repro.engine.runtime.task`): it gets that value, ``0.0``
+        measured seconds, and is never launched on either backend.
+        Every such task gets a value of its own, as the call would
+        have returned: no two partitions of a stage are ever the same
+        list.
+
+        A pending fault injector dispatches everything: a fault
+        addressed at an empty partition's task must still fire.
+        """
+        empty_result = getattr(task, "empty_result", None)
+        if empty_result is None or self.fault_injector.pending:
+            return range(len(args_list)), [None] * len(args_list)
+        nonempty = list(map(any, args_list))
+        return (
+            list(itertools.compress(range(len(args_list)), nonempty)),
+            [None if flag else empty_result() for flag in nonempty],
+        )
+
+    def _run_outcomes(self, task, args_list, stage, ordinal, operator,
+                      live, values):
         """The outcome-mediated dispatch loop (retries, tracing)."""
         tracer = self.tracer
         collect = tracer.enabled
         span_cap = tracer.max_task_spans
-        max_attempts = self.config.max_task_attempts
 
         lane = self._dispatch_lane()
-        final = [None] * len(args_list)
+        num_tasks = len(args_list)
+        # The successful outcome of every dispatched task, by index.
+        final = [None] * num_tasks
         pending = [
             self._invocation(task, args_list[i], ordinal, operator, i, 1)
-            for i in range(len(args_list))
+            for i in live
         ]
         wave = 0
         while pending:
@@ -299,95 +341,44 @@ class TaskScheduler:
                 self.tasks_launched += len(pending)
             wave += 1
             pending = []
-            for outcome in outcomes:
-                # Per-task spans are capped per stage (failures and
-                # retries always emit); see Tracer.max_task_spans.
-                if collect and (
-                    outcome.task_index < span_cap
-                    or not outcome.ok
-                    or outcome.attempt > 1
-                ):
-                    self._emit_task_events(
-                        outcome, operator, ordinal, window_start,
-                        window_end,
-                    )
-                if outcome.ok:
-                    if stage is not None:
-                        stage.add_task_seconds(
-                            outcome.task_index, outcome.seconds
+            # This wave's successes, credited as one dense list (also
+            # when a permanent failure below ends the dispatch).
+            wave_seconds = [0.0] * num_tasks
+            try:
+                for outcome in outcomes:
+                    # Per-task spans are capped per stage (failures and
+                    # retries always emit); see Tracer.max_task_spans.
+                    if collect and (
+                        outcome.task_index < span_cap
+                        or not outcome.ok
+                        or outcome.attempt > 1
+                    ):
+                        self._emit_task_events(
+                            outcome, operator, ordinal, window_start,
+                            window_end,
                         )
-                    final[outcome.task_index] = outcome
-                    continue
-                # A failed attempt never counts toward the stage's
-                # task_seconds (retried work must not be double-billed);
-                # it is tracked separately.
+                    if outcome.ok:
+                        wave_seconds[outcome.task_index] = outcome.seconds
+                        final[outcome.task_index] = outcome
+                    else:
+                        pending.append(
+                            self._retry_invocation(
+                                task, args_list, stage, ordinal, operator,
+                                outcome, lane,
+                            )
+                        )
+            finally:
                 if stage is not None:
-                    stage.add_failed_attempt_seconds(outcome.seconds)
-                with self._counter_lock:
-                    self.tasks_failed += 1
-                if collect:
-                    tracer.instant(
-                        "fault:%s#%d" % (operator, outcome.task_index),
-                        KIND_FAULT,
-                        lane=lane,
-                        dispatch=ordinal,
-                        task=outcome.task_index,
-                        attempt=outcome.attempt,
-                        error=type(outcome.error).__name__,
-                    )
-                if not outcome.retryable:
-                    self._reraise(outcome)
-                if outcome.attempt >= max_attempts:
-                    raise TaskFailedError(
-                        ordinal,
-                        outcome.task_index,
-                        outcome.attempt,
-                        outcome.error,
-                    )
-                with self._counter_lock:
-                    self.tasks_retried += 1
-                if stage is not None:
-                    stage.add_task_retries(1)
-                # No silent retry of a provably nondeterministic task:
-                # the re-run may legitimately produce a different
-                # result, so make the hazard observable before it runs.
-                report = self._task_effects(task)
-                if report is not None and report.deterministic is False:
-                    self._note_unproven_reexecution(
-                        operator, ordinal, outcome.task_index, lane,
-                        "retry",
-                        "retrying task of operator %r: its UDFs are "
-                        "provably nondeterministic, so the repeated "
-                        "attempt may observe a different result"
-                        % operator,
-                    )
-                if collect:
-                    tracer.instant(
-                        "retry:%s#%d" % (operator, outcome.task_index),
-                        KIND_TASK_RETRY,
-                        lane=lane,
-                        dispatch=ordinal,
-                        task=outcome.task_index,
-                        next_attempt=outcome.attempt + 1,
-                        error=type(outcome.error).__name__,
-                    )
-                pending.append(
-                    self._invocation(
-                        task,
-                        args_list[outcome.task_index],
-                        ordinal,
-                        operator,
-                        outcome.task_index,
-                        outcome.attempt + 1,
-                    )
-                )
+                    stage.credit_task_seconds(wave_seconds)
+        seconds = [0.0] * num_tasks
+        for index in live:
+            values[index] = final[index].value
+            seconds[index] = final[index].seconds
         # Straggler baseline: only this dispatch's own per-task
         # attributed seconds.  Concurrent sibling stages never enter
         # the median, so an unbalanced co-scheduled stage cannot mask
         # (or fabricate) a straggler here.
-        stragglers = self._straggler_indices(
-            [outcome.seconds for outcome in final]
-        )
+        stragglers = self._straggler_indices(seconds, live)
         if stage is not None:
             stage.add_straggler_tasks(len(stragglers))
         if collect:
@@ -405,7 +396,76 @@ class TaskScheduler:
                 task, args_list, stage, ordinal, operator, stragglers,
                 final, lane,
             )
-        return [outcome.value for outcome in final]
+        return values
+
+    def _retry_invocation(self, task, args_list, stage, ordinal, operator,
+                          outcome, lane):
+        """Account one failed attempt; return its retry or raise.
+
+        A failed attempt never counts toward the stage's
+        ``task_seconds`` (retried work must not be double-billed); it
+        is tracked separately.
+        """
+        tracer = self.tracer
+        collect = tracer.enabled
+        if stage is not None:
+            stage.add_failed_attempt_seconds(outcome.seconds)
+        with self._counter_lock:
+            self.tasks_failed += 1
+        if collect:
+            tracer.instant(
+                "fault:%s#%d" % (operator, outcome.task_index),
+                KIND_FAULT,
+                lane=lane,
+                dispatch=ordinal,
+                task=outcome.task_index,
+                attempt=outcome.attempt,
+                error=type(outcome.error).__name__,
+            )
+        if not outcome.retryable:
+            self._reraise(outcome)
+        if outcome.attempt >= self.config.max_task_attempts:
+            raise TaskFailedError(
+                ordinal,
+                outcome.task_index,
+                outcome.attempt,
+                outcome.error,
+            )
+        with self._counter_lock:
+            self.tasks_retried += 1
+        if stage is not None:
+            stage.add_task_retries(1)
+        # No silent retry of a provably nondeterministic task: the
+        # re-run may legitimately produce a different result, so make
+        # the hazard observable before it runs.
+        report = self._task_effects(task)
+        if report is not None and report.deterministic is False:
+            self._note_unproven_reexecution(
+                operator, ordinal, outcome.task_index, lane,
+                "retry",
+                "retrying task of operator %r: its UDFs are "
+                "provably nondeterministic, so the repeated "
+                "attempt may observe a different result"
+                % operator,
+            )
+        if collect:
+            tracer.instant(
+                "retry:%s#%d" % (operator, outcome.task_index),
+                KIND_TASK_RETRY,
+                lane=lane,
+                dispatch=ordinal,
+                task=outcome.task_index,
+                next_attempt=outcome.attempt + 1,
+                error=type(outcome.error).__name__,
+            )
+        return self._invocation(
+            task,
+            args_list[outcome.task_index],
+            ordinal,
+            operator,
+            outcome.task_index,
+            outcome.attempt + 1,
+        )
 
     # ------------------------------------------------------------------
     # Effect gating: nondeterministic retries, speculative copies
@@ -560,22 +620,20 @@ class TaskScheduler:
 
     # ------------------------------------------------------------------
 
-    def _run_serial_fast(self, task, args_list, stage):
+    def _run_serial_fast(self, task, args_list, stage, live, values):
         """Inline execution with per-task timing but no retry plumbing."""
         perf_counter = time.perf_counter
-        values = []
-        seconds = []
-        for args in args_list:
+        seconds = [0.0] * len(args_list)
+        for index in live:
             start = perf_counter()
-            values.append(task(*args))
-            seconds.append(perf_counter() - start)
+            values[index] = task(*args_list[index])
+            seconds[index] = perf_counter() - start
         with self._counter_lock:
-            self.tasks_launched += len(args_list)
+            self.tasks_launched += len(live)
         if stage is not None:
-            for index, value in enumerate(seconds):
-                stage.add_task_seconds(index, value)
+            stage.credit_task_seconds(seconds)
             stage.add_straggler_tasks(
-                len(self._straggler_indices(seconds))
+                len(self._straggler_indices(seconds, live))
             )
         return values
 
@@ -601,25 +659,27 @@ class TaskScheduler:
             error.worker_traceback = outcome.error_traceback
         raise error
 
-    def _straggler_indices(self, seconds):
+    def _straggler_indices(self, seconds, ran):
         """Indices of tasks that took disproportionately long.
 
-        A task is a straggler when it exceeds both the configured
-        multiple of the set's median runtime
-        (``config.straggler_factor``) and an absolute floor (so
-        microsecond-scale jitter never counts).
+        ``seconds`` is the set's dense per-task list and ``ran`` the
+        indices that were dispatched.  A task is a straggler when it
+        exceeds both the configured multiple of the median runtime of
+        the tasks that *ran* (``config.straggler_factor``; the zeros of
+        undispatched tasks would drag the median to nothing) and an
+        absolute floor (so microsecond-scale jitter never counts).
         """
-        if len(seconds) < 2:
+        if len(ran) < 2:
             return []
-        median = statistics.median(seconds)
+        floor = self.config.straggler_min_task_seconds
+        ran_seconds = [seconds[index] for index in ran]
+        if max(ran_seconds) <= floor:
+            return []  # nothing clears the floor: skip the sort
         threshold = max(
-            self.config.straggler_min_task_seconds,
-            self.config.straggler_factor * median,
+            floor,
+            self.config.straggler_factor * statistics.median(ran_seconds),
         )
-        return [
-            index for index, value in enumerate(seconds)
-            if value > threshold
-        ]
+        return [index for index in ran if seconds[index] > threshold]
 
     def close(self):
         with self._pool_lock:

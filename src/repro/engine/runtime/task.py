@@ -11,6 +11,18 @@ counts the cost model needs), and the executor credits the trace.
 The task classes mirror the executor's per-partition loops exactly;
 :mod:`repro.engine.executor` decides *what* runs where, these classes
 decide *how* one partition is processed.
+
+Empty inputs: a flattened program at laptop scale leaves most of its
+paper-default 1200 partitions empty, so every task class whose result
+on all-empty inputs is fixed states it once, as ``empty_result()``, and
+the scheduler fills those partitions in without dispatching anything
+(see :meth:`~repro.engine.runtime.scheduler.TaskScheduler.run_stage`).
+``empty_result()`` must equal what ``__call__`` returns when every
+argument is empty, a fresh value on every call: the scheduler asks once
+per undispatched task, so no two partitions are ever the same list.
+:class:`MapPartitionsTask` declares none: its UDF receives the
+partition *index* and may emit from an empty partition, so it has to
+run everywhere.
 """
 
 import os
@@ -65,6 +77,10 @@ class FusedPipelineTask:
     @property
     def udfs(self):
         return tuple(step[1] for step in self.steps)
+
+    def empty_result(self):
+        zeros = [0] * len(self.steps)
+        return [], zeros, zeros
 
     def __call__(self, part):
         steps = self.steps
@@ -138,6 +154,8 @@ class CompiledPipelineTask:
     def __reduce__(self):
         return (CompiledPipelineTask, (self.steps, self.source, self.key))
 
+    empty_result = FusedPipelineTask.empty_result
+
     def __call__(self, part):
         fn = self._fn
         if fn is None:
@@ -187,28 +205,39 @@ class CombineTask:
     """Per-partition combine for ``reduce_by_key`` (map or reduce side).
 
     Folds ``(key, value)`` records into one record per key with the
-    user's reduce function; used unchanged on both sides of the
-    shuffle.  Returns ``(records, work)``: each reduction's result is
-    unwrapped like every other UDF result, so a ``Weighted``-returning
-    reducer credits its declared work instead of leaking wrapper
-    objects into the shuffle.
+    user's reduce function; used on both sides of the shuffle.  Returns
+    ``(records, work)``: each reduction's result is unwrapped like
+    every other UDF result, so a ``Weighted``-returning reducer credits
+    its declared work instead of leaking wrapper objects into the
+    shuffle.
+
+    ``keyed`` says the input already went through a shuffle, whose
+    assignment pass checked every record (the reduce side); without it
+    the task checks its records itself (the map side, an elided
+    shuffle).
     """
 
-    __slots__ = ("fn", "operator")
+    __slots__ = ("fn", "operator", "keyed")
 
-    def __init__(self, fn, operator):
+    def __init__(self, fn, operator, keyed=False):
         self.fn = fn
         self.operator = operator
+        self.keyed = keyed
 
     @property
     def udfs(self):
         return (self.fn,)
 
+    def empty_result(self):
+        return [], 0
+
     def __call__(self, records):
         work = [0]
         acc = {}
+        keyed = self.keyed
         for record in records:
-            require_keyed(record)
+            if not keyed:
+                require_keyed(record)
             key, value = record
             if key in acc:
                 acc[key] = unwrap(
@@ -225,26 +254,34 @@ class GroupBucketTask:
 
     Carries the scalar memory-model constants it needs (per-record
     rate, overhead factor, per-task limit) so the memory check runs
-    wherever the task runs.
+    wherever the task runs.  ``keyed`` as for :class:`CombineTask`.
     """
 
-    __slots__ = ("record_bytes", "overhead_factor", "limit", "operator")
+    __slots__ = ("record_bytes", "overhead_factor", "limit", "operator",
+                 "keyed")
 
-    def __init__(self, record_bytes, overhead_factor, limit, operator):
+    def __init__(self, record_bytes, overhead_factor, limit, operator,
+                 keyed=False):
         self.record_bytes = record_bytes
         self.overhead_factor = overhead_factor
         self.limit = limit
         self.operator = operator
+        self.keyed = keyed
 
     def _check_group(self, what, num_values):
         needed = int(num_values * self.record_bytes * self.overhead_factor)
         if needed > self.limit:
             raise SimulatedOutOfMemory(what, needed, self.limit)
 
+    def empty_result(self):
+        return []
+
     def __call__(self, bucket):
         groups = {}
+        keyed = self.keyed
         for record in bucket:
-            require_keyed(record)
+            if not keyed:
+                require_keyed(record)
             key, value = record
             groups.setdefault(key, []).append(value)
         for key, values in groups.items():
@@ -281,6 +318,9 @@ class BroadcastJoinProbeTask:
         self.table = table
         self.operator = operator
 
+    def empty_result(self):
+        return []
+
     def __call__(self, part):
         produced = []
         for record in part:
@@ -300,6 +340,9 @@ class CrossBroadcastTask:
         self.payload = payload
         self.broadcast_side = broadcast_side
         self.operator = operator
+
+    def empty_result(self):
+        return []
 
     def __call__(self, part):
         produced = []

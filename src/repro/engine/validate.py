@@ -78,9 +78,9 @@ def validate_stage(job, stage, upstream_records):
     the job's earlier stages."""
     if stage.kind not in VALID_STAGE_KINDS:
         _fail(job, stage, "unknown stage kind %r" % stage.kind)
-    for count in stage.task_records:
-        if count < 0:
-            _fail(job, stage, "negative task record count %d" % count)
+    lowest = min(stage.task_records, default=0)
+    if lowest < 0:
+        _fail(job, stage, "negative task record count %d" % lowest)
     if stage.shuffle_read_records < 0:
         _fail(job, stage, "negative shuffle read volume")
     if stage.shuffle_write_records < 0:
@@ -89,9 +89,8 @@ def validate_stage(job, stage, upstream_records):
         _fail(job, stage, "negative spill volume")
     if stage.shuffle_records_saved < 0:
         _fail(job, stage, "negative elided-shuffle volume")
-    for seconds in stage.task_seconds:
-        if seconds < 0:
-            _fail(job, stage, "negative measured task seconds")
+    if min(stage.task_seconds, default=0.0) < 0:
+        _fail(job, stage, "negative measured task seconds")
     if stage.task_retries < 0:
         _fail(job, stage, "negative task retry count")
     if stage.straggler_tasks < 0:

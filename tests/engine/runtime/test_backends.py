@@ -5,11 +5,13 @@ import types
 
 import pytest
 
-from repro.engine import laptop_config
+from repro.engine import EngineContext, laptop_config
 from repro.engine.runtime import (
     ProcessPoolBackend,
     SerialBackend,
+    backends,
     make_backend,
+    serde,
 )
 from repro.engine.runtime.task import Invocation, MapPartitionsTask
 from repro.errors import SerializationError
@@ -115,6 +117,22 @@ class TestProcessPoolBackend:
         assert isinstance(outcome.error, SerializationError)
         assert "Gen[test]" in str(outcome.error)
 
+    def test_unserializable_result_fails_alone_inside_a_chunk(self):
+        # 18 tasks over 2 workers ship three to a payload; the one bad
+        # result must not take its chunk-mates down with it.
+        class GeneratorForThrees(GeneratorResultTask):
+            def __call__(self, part):
+                return super().__call__(part) if part == [3] else part
+
+        backend = ProcessPoolBackend(num_workers=2)
+        outcomes = backend.run_invocations(
+            invocations_for(GeneratorForThrees(), [[i] for i in range(18)])
+        )
+        assert [o.task_index for o in outcomes] == list(range(18))
+        assert [o.ok for o in outcomes] == [i != 3 for i in range(18)]
+        assert isinstance(outcomes[3].error, SerializationError)
+        assert outcomes[4].value == [4]
+
     def test_rejects_negative_worker_count(self):
         with pytest.raises(ValueError):
             ProcessPoolBackend(num_workers=-1)
@@ -122,6 +140,75 @@ class TestProcessPoolBackend:
     def test_zero_means_all_cores(self):
         backend = ProcessPoolBackend(num_workers=0)
         assert backend.num_workers == (os.cpu_count() or 1)
+
+
+class RecordingPool:
+    """Stands in for the shared pool; notes what crosses it."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.submissions = []
+
+    def map_async(self, fn, payloads, chunksize):
+        self.submissions.append(
+            [len(serde.loads(payload)) for payload in payloads]
+        )
+        return self.pool.map_async(fn, payloads, chunksize=chunksize)
+
+
+class TestChunkedShipping:
+    WORKERS = 2
+    TASKS = 2000
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        recording = RecordingPool(backends._shared_pool(self.WORKERS))
+        monkeypatch.setattr(
+            backends, "_shared_pool", lambda num_workers: recording
+        )
+        return recording
+
+    def ctx(self):
+        return EngineContext(
+            laptop_config(backend="process", num_workers=self.WORKERS)
+        )
+
+    def job(self, ctx):
+        bag = ctx.range_bag(self.TASKS, num_partitions=self.TASKS)
+        return bag.map(lambda x: x + 1).collect()
+
+    def test_a_large_set_crosses_the_pool_in_a_few_payloads(self, pool):
+        ctx = self.ctx()
+        assert sorted(self.job(ctx)) == list(range(1, self.TASKS + 1))
+        (sizes,) = pool.submissions
+        assert sum(sizes) == self.TASKS
+        assert len(sizes) <= 8 * self.WORKERS
+        assert len(sizes) == backends.CHUNKS_PER_WORKER * self.WORKERS
+        assert ctx.runtime.tasks_launched == self.TASKS
+        (stage,) = ctx.trace.jobs[-1].stages
+        assert len(stage.task_seconds) == self.TASKS
+        assert all(seconds > 0 for seconds in stage.task_seconds)
+
+    def test_a_failure_inside_a_chunk_is_retried_alone(self, pool):
+        ctx = self.ctx()
+        ctx.fault_injector.kill_task(task_index=1234, stage=0)
+        assert sorted(self.job(ctx)) == list(range(1, self.TASKS + 1))
+        first, retry = pool.submissions
+        assert sum(first) == self.TASKS
+        assert retry == [1]
+        assert ctx.runtime.tasks_launched == self.TASKS + 1
+        assert ctx.runtime.tasks_retried == 1
+        (stage,) = ctx.trace.jobs[-1].stages
+        assert stage.task_retries == 1
+        assert stage.failed_attempt_seconds > 0
+
+    def test_small_sets_still_ship_one_task_per_payload(self, pool):
+        backend = ProcessPoolBackend(num_workers=self.WORKERS)
+        task = MapPartitionsTask(_double_partition, "Map[x2]")
+        backend.run_invocations(
+            invocations_for(task, PARTS, with_index=True)
+        )
+        assert pool.submissions == [[1, 1, 1, 1]]
 
 
 class TestMakeBackend:

@@ -1,0 +1,269 @@
+"""Sparse dispatch: empty partitions are filled in, not launched.
+
+A flattened program at laptop scale leaves most of its partitions
+empty.  Task classes declare what an all-empty input yields
+(``empty_result()``), and ``TaskScheduler.run_stage`` fills those
+partitions in -- with ``0.0`` measured seconds -- while dispatching only
+the rest under their original task indices.  Every per-partition list
+in the trace stays dense, so record counts, trace signatures and
+simulated seconds cannot tell the difference.
+"""
+
+import operator
+
+import pytest
+
+from repro.engine import (
+    EngineContext,
+    TaskScheduler,
+    Weighted,
+    laptop_config,
+    trace_signature,
+)
+from repro.engine.codegen import plan_compiled_task
+from repro.engine.metrics import ExecutionTrace
+from repro.engine.runtime.task import (
+    STEP_FILTER,
+    STEP_MAP,
+    BroadcastJoinProbeTask,
+    CoGroupBucketTask,
+    CombineTask,
+    CompiledPipelineTask,
+    CrossBroadcastTask,
+    FusedPipelineTask,
+    GroupBucketTask,
+    MapPartitionsTask,
+)
+
+PARTITIONS = 64
+
+
+def serial_ctx(**overrides):
+    overrides.setdefault("backend", "serial")
+    return EngineContext(laptop_config(**overrides))
+
+
+class CountingTask:
+    """Adds one to every record; remembers the partitions it was given."""
+
+    operator = "Counting[test]"
+
+    def __init__(self):
+        self.calls = []
+
+    def empty_result(self):
+        return []
+
+    def __call__(self, part):
+        self.calls.append(part)
+        return [x + 1 for x in part]
+
+
+def double(x):
+    return x * 2
+
+
+def positive(x):
+    return x > 0
+
+
+def compiled_task():
+    task, reason = plan_compiled_task(
+        [(STEP_MAP, double, "m"), (STEP_FILTER, positive, "f")]
+    )
+    assert isinstance(task, CompiledPipelineTask), reason
+    return task
+
+
+def sparse_parts():
+    parts = [[] for _ in range(PARTITIONS)]
+    parts[0], parts[7], parts[40] = [1], [2, 3], [4]
+    return parts
+
+
+class TestEmptyPartitionsAreNotLaunched:
+    def test_task_runs_only_on_non_empty_partitions(self):
+        scheduler = TaskScheduler(laptop_config(backend="serial"))
+        stage = ExecutionTrace().new_job("collect").new_stage("input")
+        task = CountingTask()
+        values = scheduler.run_stage(
+            task, [(part,) for part in sparse_parts()], stage=stage
+        )
+        assert task.calls == [[1], [2, 3], [4]]
+        assert scheduler.tasks_launched == 3
+        expected = [[] for _ in range(PARTITIONS)]
+        expected[0], expected[7], expected[40] = [2], [3, 4], [5]
+        assert values == expected
+        # Each undispatched task has a value of its own: no two
+        # partitions of the set are the same list.
+        assert len({id(value) for value in values}) == PARTITIONS
+        assert len(stage.task_seconds) == PARTITIONS
+        assert [i for i, s in enumerate(stage.task_seconds) if s] == [
+            0, 7, 40,
+        ]
+
+    def test_trace_lists_stay_dense(self):
+        ctx = serial_ctx()
+        calls = []
+
+        def seen(x):
+            calls.append(x)
+            return x
+
+        bag = ctx.range_bag(3, num_partitions=PARTITIONS).map(seen)
+        assert sorted(bag.collect()) == [0, 1, 2]
+        assert sorted(calls) == [0, 1, 2]
+        assert ctx.runtime.tasks_launched == 3
+        (stage,) = ctx.trace.jobs[-1].stages
+        assert stage.num_tasks == PARTITIONS
+        assert stage.task_records == [2, 2, 2] + [0] * (PARTITIONS - 3)
+        assert len(stage.task_seconds) == PARTITIONS
+        assert all(s == 0.0 for s in stage.task_seconds[3:])
+        assert ctx.trace.num_tasks == PARTITIONS
+
+    def test_map_partitions_still_sees_every_partition(self):
+        # Its UDF gets the partition index and may emit from an empty
+        # partition, so MapPartitionsTask declares no empty result.
+        assert not hasattr(MapPartitionsTask, "empty_result")
+        ctx = serial_ctx()
+        indices = (
+            ctx.range_bag(3, num_partitions=PARTITIONS)
+            .map_partitions(lambda items, index: [index])
+            .collect()
+        )
+        assert sorted(indices) == list(range(PARTITIONS))
+        assert ctx.runtime.tasks_launched == PARTITIONS
+
+    def test_map_partitions_udf_gets_an_empty_list_of_its_own(self):
+        # Every undispatched task of a fused set gets a list of its
+        # own; a UDF that appends to its input must not see (or leave)
+        # another partition's records in it.
+        def tag(items, index):
+            items.append(-index)
+            return items
+
+        ctx = serial_ctx()
+        bag = ctx.range_bag(3, num_partitions=8).map(abs)
+        tagged = bag.map_partitions(tag).collect()
+        assert sorted(tagged) == sorted(
+            [0, 1, 2] + [-index for index in range(8)]
+        )
+
+    @pytest.mark.parametrize(
+        "task, empties",
+        [
+            (FusedPipelineTask([(STEP_MAP, abs, "m"),
+                                (STEP_FILTER, bool, "f")]), ([],)),
+            (compiled_task(), ([],)),
+            (CombineTask(operator.add, "r"), ([],)),
+            (GroupBucketTask(1.0, 1.0, 10, "g"), ([],)),
+            (CoGroupBucketTask(1.0, 1.0, 10, "c"), ([], [])),
+            (BroadcastJoinProbeTask({1: [2]}, "j"), ([],)),
+            (CrossBroadcastTask([1, 2], "right", "x"), ([],)),
+        ],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_empty_result_is_what_the_task_returns(self, task, empties):
+        assert task.empty_result() == task(*empties)
+
+
+class TestFaultsAddressEmptyPartitions:
+    def test_fault_at_an_empty_partition_still_fires(self):
+        def job(ctx):
+            bag = ctx.range_bag(3, num_partitions=PARTITIONS)
+            return sorted(bag.map(lambda x: x * 2).collect())
+
+        clean = serial_ctx()
+        expected = job(clean)
+
+        faulty = serial_ctx()
+        faulty.fault_injector.kill_task(task_index=40, stage=0)
+        assert job(faulty) == expected
+        assert faulty.fault_injector.injected == 1
+        # A pending injector dispatches the whole set, as the parent
+        # did: 64 first attempts and the retry.
+        assert faulty.runtime.tasks_launched == PARTITIONS + 1
+        assert faulty.runtime.tasks_failed == 1
+        assert faulty.runtime.tasks_retried == 1
+        (stage,) = faulty.trace.jobs[-1].stages
+        assert stage.task_retries == 1
+        assert stage.failed_attempt_seconds > 0
+        assert len(stage.task_seconds) == PARTITIONS
+        # The retried (empty) task ran, so it has measured seconds.
+        assert stage.task_seconds[40] > 0
+        assert trace_signature(faulty.trace) == trace_signature(
+            clean.trace
+        )
+
+    def test_sparse_again_once_the_fault_is_spent(self):
+        ctx = serial_ctx()
+        ctx.fault_injector.kill_task(task_index=40, stage=0)
+        bag = ctx.range_bag(3, num_partitions=PARTITIONS).map(abs)
+        bag.collect()
+        launched = ctx.runtime.tasks_launched
+        bag.collect()
+        assert ctx.runtime.tasks_launched == launched + 3
+
+
+def keyed_program(ctx):
+    """Wide and narrow operators over mostly empty partitions."""
+    pairs = ctx.range_bag(5, num_partitions=32).map(
+        lambda x: (x % 3, x)
+    )
+    summed = pairs.reduce_by_key(operator.add, num_partitions=16)
+    grouped = pairs.group_by_key(num_partitions=16).map_values(sorted)
+    return (
+        sorted(summed.join(grouped, num_partitions=16).collect()),
+        sorted(pairs.join(summed, strategy="broadcast").collect()),
+        sorted(pairs.keys().cross(summed.keys()).collect()),
+    )
+
+
+class TestNothingDependsOnHowTheSetRan:
+    def run(self, trace=None, **overrides):
+        ctx = EngineContext(laptop_config(**overrides), trace=trace)
+        try:
+            result = keyed_program(ctx)
+            return (
+                result, trace_signature(ctx.trace),
+                ctx.simulated_seconds(), ctx.runtime.tasks_launched,
+            )
+        finally:
+            ctx.close()
+
+    def test_backends_schedulers_and_tracing_agree(self):
+        reference = self.run(backend="serial", scheduler="serial")
+        for overrides in (
+            dict(backend="serial", scheduler="dag"),
+            dict(backend="process", num_workers=2, scheduler="serial"),
+            dict(backend="process", num_workers=2, scheduler="dag"),
+        ):
+            assert self.run(**overrides) == reference, overrides
+        assert self.run(trace=True, backend="serial") == reference
+        assert (
+            self.run(trace=True, backend="process", num_workers=2)
+            == reference
+        )
+
+    def test_most_of_the_program_was_not_launched(self):
+        ctx = serial_ctx(scheduler="serial")
+        keyed_program(ctx)
+        assert ctx.runtime.tasks_launched < ctx.trace.num_tasks / 2
+
+
+class TestWeightedWorkMidChain:
+    def test_work_is_truncated_per_step_not_over_the_sum(self):
+        # Two steps each report one unit of work per record at a
+        # slowdown of 1.5: int(1.5) + int(1.5) = 2 a record, where
+        # truncating the sum would credit int(3.0) = 3.
+        ctx = serial_ctx(sequential_work_factor=1.5)
+        bag = (
+            ctx.bag_of([10, 20], num_partitions=4)
+            .map(lambda x: Weighted(x + 1, 1))
+            .filter(lambda x: Weighted(True, 1))
+            .map(lambda x: x)
+        )
+        assert sorted(bag.collect()) == [11, 21]
+        (stage,) = ctx.trace.jobs[-1].stages
+        # input record + three step counts + two truncated works
+        assert stage.task_records == [6, 6, 0, 0]

@@ -10,6 +10,8 @@ check both directions.
 
 import time
 
+import pytest
+
 from repro.engine import TaskScheduler, laptop_config
 from repro.engine.metrics import ExecutionTrace
 
@@ -96,3 +98,54 @@ class TestConcurrentStragglerBaselines:
         assert len(slow.task_seconds) == 3
         assert slow.measured_seconds >= 0.06
         assert fast.measured_seconds < slow.measured_seconds
+
+
+class TestSparseSetBaseline:
+    """The median is taken over the tasks that ran.  Padded with the
+    zeros of 1150 undispatched empties it would be 0, and every real
+    task would be measured against the absolute floor alone."""
+
+    def scheduler(self):
+        return TaskScheduler(
+            laptop_config(
+                backend="serial",
+                straggler_min_task_seconds=0.005,
+                straggler_factor=1.5,
+            )
+        )
+
+    def test_uniform_slow_tasks_among_empties_are_not_stragglers(self):
+        ran = list(range(0, 1200, 24))
+        seconds = [0.0] * 1200
+        for index in ran:
+            seconds[index] = 0.04
+        assert self.scheduler()._straggler_indices(seconds, ran) == []
+
+    def test_outlier_among_empties_is_flagged_under_its_own_index(self):
+        ran = list(range(0, 1200, 24))
+        seconds = [0.0] * 1200
+        for index in ran:
+            seconds[index] = 0.04
+        seconds[480] = 0.2
+        assert self.scheduler()._straggler_indices(seconds, ran) == [480]
+
+    def test_sparse_dispatch_end_to_end(self):
+        # Three tasks sleep alike, 61 partitions are empty: nothing is
+        # a straggler, though each exceeds the floor many times over.
+        class SleepOverRecords(SleepTask):
+            def empty_result(self):
+                return 0.0
+
+            def __call__(self, part):
+                return super().__call__(sum(part))
+
+        scheduler = self.scheduler()
+        stage = ExecutionTrace().new_job("collect").new_stage("input")
+        parts = [[] for _ in range(64)]
+        parts[3], parts[30], parts[60] = [0.03], [0.03], [0.03]
+        values = scheduler.run_stage(
+            SleepOverRecords(), [(part,) for part in parts], stage=stage
+        )
+        assert sum(values) == pytest.approx(0.09)
+        assert scheduler.tasks_launched == 3
+        assert stage.straggler_tasks == 0

@@ -113,6 +113,6 @@ class TestTraceSignature:
         ctx = EngineContext(laptop_config(backend="serial"))
         wordcount(ctx)
         before = trace_signature(ctx.trace)
-        ctx.trace.jobs[-1].stages[-1].add_task_seconds(0, 12.5)
+        ctx.trace.jobs[-1].stages[-1].credit_task_seconds([12.5])
         ctx.trace.jobs[-1].stages[-1].task_retries += 1
         assert trace_signature(ctx.trace) == before

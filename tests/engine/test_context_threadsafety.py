@@ -8,10 +8,13 @@ without losing or double-counting anything.
 
 import copy
 import pickle
+import sys
 import threading
 
+import pytest
+
 from repro.engine import EngineContext, laptop_config
-from repro.engine.metrics import ExecutionTrace
+from repro.engine.metrics import ExecutionTrace, JobMetrics
 
 
 def dag_ctx(**overrides):
@@ -101,33 +104,95 @@ class TestConcurrentJobs:
 
 class TestLockedStructures:
     def test_stage_metrics_mutators_do_not_drop_updates(self):
+        # Eight threads credit task sets over overlapping index ranges
+        # of one shared input stage, as two DAG branches reading the
+        # same input do.  The ranges have different lengths, so the
+        # credits also race on growing the dense lists.
         trace = ExecutionTrace()
         stage = trace.new_job("collect").new_stage("input")
         workers = 8
         per_worker = 200
+        widths = [4 + 3 * worker for worker in range(workers)]
 
         def hammer(worker):
+            width = widths[worker]
             for i in range(per_worker):
-                stage.add_task_records(worker, 1)
-                stage.add_task_seconds(worker, 0.001)
+                stage.credit_task_records([1] * width)
+                stage.credit_task_seconds([0.001] * width)
                 stage.add_task_retries(1)
                 stage.add_straggler_tasks(1)
                 stage.add_failed_attempt_seconds(0.001)
 
-        threads = [
-            threading.Thread(target=hammer, args=(w,))
-            for w in range(workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(w,))
+                for w in range(workers)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         total = workers * per_worker
-        assert stage.total_records == total
+        # Task i was credited by every worker whose range covers it.
+        expected = [
+            per_worker * sum(1 for width in widths if width > index)
+            for index in range(max(widths))
+        ]
+        assert stage.task_records == expected
+        assert stage.task_seconds == pytest.approx(
+            [0.001 * count for count in expected]
+        )
         assert stage.task_retries == total
         assert stage.straggler_tasks == total
-        assert abs(stage.measured_seconds - total * 0.001) < 1e-6
         assert abs(stage.failed_attempt_seconds - total * 0.001) < 1e-6
+
+    def test_stage_locks_are_taken_per_task_set_not_per_task(
+        self, monkeypatch
+    ):
+        # A 1200-partition fused chain + reduce_by_key dispatches three
+        # task sets of 1200 tasks.  The driver credits each set as a
+        # whole, so the stage locks are taken a handful of times per
+        # set; per task it would be several thousand.
+        acquisitions = []
+
+        class CountingLock:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def __enter__(self):
+                acquisitions.append(1)
+                return self._lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                return self._lock.__exit__(*exc_info)
+
+        new_stage = JobMetrics.new_stage
+
+        def new_counted_stage(job, *args, **kwargs):
+            stage = new_stage(job, *args, **kwargs)
+            stage._lock = CountingLock()
+            return stage
+
+        monkeypatch.setattr(JobMetrics, "new_stage", new_counted_stage)
+        ctx = EngineContext(laptop_config(scheduler="serial"))
+        result = (
+            ctx.range_bag(3000, num_partitions=1200)
+            .map(lambda x: (x % 7, x))
+            .filter(lambda kv: kv[1] % 2 == 0)
+            .map(lambda kv: (kv[0], 1))
+            .reduce_by_key(lambda a, b: a + b, num_partitions=1200)
+            .collect()
+        )
+        ctx.close()
+        assert sum(count for _key, count in result) == 1500
+        task_sets = ctx.runtime.dispatch_count
+        assert task_sets == 3 and ctx.trace.num_tasks == 2400
+        assert len(acquisitions) <= 4 * task_sets
 
     def test_new_job_ids_unique_under_contention(self):
         trace = ExecutionTrace()
