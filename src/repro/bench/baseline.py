@@ -77,10 +77,8 @@ _SERVE_PAGERANK_ITERS = 2
 _SERVE_WARM_BYTES = 256 * 1024 * 1024
 
 #: The pipeline cell: records per group for the interpreted-vs-compiled
-#: pair.  Large enough that the per-record interpreter overhead (step
-#: dispatch, ``call_udf`` frames, ``unwrap`` checks) dominates the
-#: measured wall-clock, so the compiled row's speedup is stable across
-#: hosts.
+#: pair.  Large enough that task bodies, not per-task overhead, set
+#: the measured wall-clock.
 _PIPELINE_RECORDS_PER_GROUP = 8192
 
 #: The reuse cell: how many identical jobs consume the same shared,

@@ -1,15 +1,16 @@
 """Textual code generation for fused elementwise chains.
 
 The interpreted :class:`~repro.engine.runtime.task.FusedPipelineTask`
-evaluates a fused map/filter/flat_map chain with a per-record stack
-machine: every record pays a step-tuple unpack, a ``call_udf``
-try/except, an :func:`~repro.engine.work.unwrap` isinstance check, and
-a counter update *per operator*.  Following Flare's approach of
+evaluates a fused map/filter/flat_map chain an operator at a time over
+vectors of records: per operator it builds a list of the vector's
+results, scans it for :class:`~repro.engine.work.Weighted` wrappers,
+and a filter compresses the vector.  Following Flare's approach of
 compiling Spark's interpreted operator pipelines to straight-line
 code, this module generates Python source for one specialized function
-per chain -- a single nested loop with direct UDF calls and no
-per-operator dispatch -- compiles it once, and caches it by the
-chain's AST fingerprint.
+per chain -- a single nested loop with direct UDF calls, a record held
+in a local from the first operator to the last, no intermediate
+vectors and (proven unnecessary) no ``Weighted`` scan -- compiles it
+once, and caches it by the chain's AST fingerprint.
 
 The generated function must be *observationally identical* to the
 interpreter, including the cost model's inputs: it returns the same

@@ -7,10 +7,11 @@ arbitrarily deep lineages -- e.g. the loop-unrolled control flow that
 without touching the interpreter's recursion limit.
 
 Narrow elementwise chains (``map``/``filter``/``flat_map``) are *fused*
-into one per-partition pipeline: records stream through the whole chain
-one at a time instead of materializing an intermediate list per
-operator (the Flare-style pipelined evaluation the chain's stage
-accounting already assumed).  Narrow operators fuse into the stage of
+into one per-partition pipeline: a partition goes through the whole
+chain a vector of records at a time, each operator applied to the
+vector in bulk, so no operator's output is ever materialized for the
+whole partition (the pipelined evaluation the chain's stage accounting
+already assumed).  Narrow operators fuse into the stage of
 their input (their per-task record counts are credited to that stage);
 wide operators perform a hash shuffle and open a new stage.  The
 recorded :class:`~repro.engine.metrics.JobMetrics` mirror what the
@@ -43,7 +44,10 @@ state (shared input stages, the layout registry, the decision log) is
 either commutative or lock-guarded.
 """
 
+import collections
 import contextlib
+import itertools
+import operator
 import threading
 import weakref
 
@@ -84,6 +88,9 @@ from .runtime.task import (
     require_keyed,
 )
 from .validate import validate_job
+
+
+_KEY = operator.itemgetter(0)
 
 
 def _origin(node):
@@ -397,11 +404,11 @@ class Executor:
     # -- fused narrow elementwise chains -------------------------------
 
     def _eval_fused(self, chain, child, ordinals):
-        """Stream each partition through the whole elementwise chain.
+        """Push each partition through the whole elementwise chain.
 
         One output list per partition is materialized at the fusion
-        boundary; no per-operator intermediates exist.  The per-record
-        pipeline loop lives in
+        boundary; between operators only a vector of records exists.
+        The vector-at-a-time loop lives in
         :class:`~repro.engine.runtime.task.FusedPipelineTask` and runs
         wherever the backend puts it; each operator is then credited
         its input record count (plus reported UDF work) on the input's
@@ -704,12 +711,16 @@ class Executor:
         This pass is also where a shuffle checks its records, once:
         bucketing and the reduce-side tasks (``keyed=True``) rely on it.
         """
-        counts = {}
-        for part in partition_lists:
-            for record in part:
+        parts = [as_records(part) for part in partition_lists]
+        flat = itertools.chain.from_iterable
+        # Plain pairs pass two C-level scans; anything else is checked
+        # record by record, so the first offender is the one reported.
+        if set(map(type, flat(parts))) - {tuple} or set(
+            map(len, flat(parts))
+        ) - {2}:
+            for record in flat(parts):
                 require_keyed(record)
-                key = record[0]
-                counts[key] = counts.get(key, 0) + 1
+        counts = collections.Counter(map(_KEY, flat(parts)))
         return build_balanced_assignment(counts, num_partitions)
 
     def _combine_pass(self, task, parts, stage, ordinal):

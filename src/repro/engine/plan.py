@@ -90,10 +90,7 @@ class Parallelize(PlanNode):
     def build_partitions(self):
         """Split the driver-side data into ``num_partitions`` slices."""
         n = self.num_partitions
-        partitions = [[] for _ in range(n)]
-        for index, item in enumerate(self.data):
-            partitions[index % n].append(item)
-        return partitions
+        return [self.data[i::n] for i in range(n)]
 
 
 class UnaryNode(PlanNode):

@@ -8,9 +8,15 @@ plan nodes, contexts, or metrics objects.  All metrics accounting stays
 on the driver: a task returns its outputs (plus the per-operator record
 counts the cost model needs), and the executor credits the trace.
 
-The task classes mirror the executor's per-partition loops exactly;
 :mod:`repro.engine.executor` decides *what* runs where, these classes
-decide *how* one partition is processed.
+decide *how* one partition is processed.  The bodies work a vector at a
+time wherever the operator allows it: a fused chain maps each UDF over
+up to :data:`VECTOR` records in C before the next operator sees them
+(see :class:`FusedPipelineTask` for the one thing a UDF can notice),
+and the keyed bodies run no Python frame of the engine's per record --
+checks are inline, UDF errors are caught where the UDF is called.
+:func:`call_udf` is for the bodies that call their UDF once per
+partition.
 
 Empty inputs: a flattened program at laptop scale leaves most of its
 paper-default 1200 partitions empty, so every task class whose result
@@ -29,6 +35,7 @@ import os
 import threading
 import time
 import traceback
+from itertools import chain, compress, islice, product
 
 from ...errors import (
     InjectedFault,
@@ -36,14 +43,22 @@ from ...errors import (
     SimulatedOutOfMemory,
     UdfError,
 )
-from ..work import unwrap
-
-_SENTINEL = object()
+from ..work import Weighted, unwrap, unwrap_all
 
 #: Pipeline step tags for fused elementwise chains.
 STEP_MAP = 0
 STEP_FILTER = 1
 STEP_FLATMAP = 2
+
+#: Records a fused chain pushes through one operator at a time.  Sized
+#: so that a step's input and output vectors of boxed records (about
+#: 110 bytes each) stay in a 48 KB L1d and a vector's intermediates die
+#: before the collector's 700-allocation threshold ever sees them.
+#: Swept on ``benchmarks/wall``'s ``chain_default`` (4096-record
+#: partitions): 64 to 1024 run within 2 % of each other and a whole
+#: partition per vector a fifth slower, but from 512 up the op's time
+#: follows the host's cache state and runs spread twice as widely.
+VECTOR = 128
 
 
 def call_udf(operator, fn, *args):
@@ -57,12 +72,25 @@ def call_udf(operator, fn, *args):
 
 
 class FusedPipelineTask:
-    """Stream one partition through a fused map/filter/flat_map chain.
+    """Push one partition through a fused map/filter/flat_map chain.
 
     ``steps`` is the chain bottom-up: ``(kind, fn, operator)`` triples.
     Returns ``(records, counts, works)`` where ``counts[i]`` is the
     number of records operator ``i`` processed and ``works[i]`` the
     extra :class:`~repro.engine.work.Weighted` work it reported.
+
+    The unit is a vector of up to :data:`VECTOR` records, not a record:
+    each step maps its UDF over the whole vector in C (one ``try`` per
+    vector and step, no Python frame of the engine's per record) before
+    the next step sees any of it.  Records, their order and the
+    per-step counts and works are those of record-at-a-time
+    evaluation.  What a UDF can observe is the call order: within a
+    vector every record passes step *i*, in order, before any passes
+    step *i + 1*, so when two records of one vector fail at different
+    steps the earlier step's error is the one raised.  A flat_map's
+    expansions are consumed in vectors of their own before its next
+    input vector is pulled, which keeps the output in depth-first order
+    and holds one vector per in-flight level.
     """
 
     __slots__ = ("steps",)
@@ -86,36 +114,45 @@ class FusedPipelineTask:
         steps = self.steps
         num = len(steps)
         counts = [0] * num
-        works = [[0] for _ in range(num)]
+        works = [0] * num
         out = []
         # An explicit iterator stack (one level per in-flight flat_map
-        # expansion) keeps evaluation depth independent of chain length.
+        # expansion) keeps evaluation depth independent of chain length
+        # and memory bounded by one vector per level.
         stack = [(0, iter(part))]
         while stack:
-            depth, iterator = stack[-1]
-            item = next(iterator, _SENTINEL)
-            if item is _SENTINEL:
+            i, iterator = stack[-1]
+            items = list(islice(iterator, VECTOR))
+            if len(items) < VECTOR:
+                # A short vector is the level's last.
                 stack.pop()
-                continue
-            i = depth
+                if not items:
+                    continue
             while i < num:
                 kind, fn, operator = steps[i]
-                counts[i] += 1
+                counts[i] += len(items)
+                try:
+                    produced = list(map(fn, items))
+                except (SimulatedOutOfMemory, UdfError):
+                    raise
+                except Exception as exc:
+                    raise UdfError(operator, exc) from exc
+                if Weighted in map(type, produced):
+                    produced, work = unwrap_all(produced)
+                    works[i] += work
+                i += 1
                 if kind == STEP_MAP:
-                    item = unwrap(call_udf(operator, fn, item), works[i])
+                    items = produced
                 elif kind == STEP_FILTER:
-                    if not unwrap(call_udf(operator, fn, item), works[i]):
+                    items = list(compress(items, produced))
+                    if not items:
                         break
                 else:
-                    produced = unwrap(
-                        call_udf(operator, fn, item), works[i]
-                    )
-                    stack.append((i + 1, iter(produced)))
+                    stack.append((i, chain.from_iterable(produced)))
                     break
-                i += 1
             else:
-                out.append(item)
-        return out, counts, [work[0] for work in works]
+                out.extend(items)
+        return out, counts, works
 
 
 class CompiledPipelineTask:
@@ -135,21 +172,19 @@ class CompiledPipelineTask:
     interpreted one.
     """
 
-    __slots__ = ("steps", "source", "key", "_fn")
+    __slots__ = ("steps", "source", "key", "udfs", "_fn")
 
     def __init__(self, steps, source, key):
         self.steps = list(steps)
         self.source = source
         self.key = key
+        # Derived per process, never pickled (see ``__reduce__``).
+        self.udfs = tuple(step[1] for step in self.steps)
         self._fn = None
 
     @property
     def operator(self):
         return "+".join(step[2] for step in self.steps)
-
-    @property
-    def udfs(self):
-        return tuple(step[1] for step in self.steps)
 
     def __reduce__(self):
         return (CompiledPipelineTask, (self.steps, self.source, self.key))
@@ -163,7 +198,7 @@ class CompiledPipelineTask:
 
             fn = self._fn = compiled_pipeline_fn(self.key, self.source)
         try:
-            out, counts = fn(part, tuple(step[1] for step in self.steps))
+            out, counts = fn(part, self.udfs)
         except (SimulatedOutOfMemory, UdfError):
             raise
         except Exception as exc:
@@ -232,21 +267,30 @@ class CombineTask:
         return [], 0
 
     def __call__(self, records):
-        work = [0]
+        fn = self.fn
+        unchecked = not self.keyed
+        work = 0
         acc = {}
-        keyed = self.keyed
         for record in records:
-            if not keyed:
-                require_keyed(record)
+            if unchecked and (
+                record.__class__ is not tuple or len(record) != 2
+            ):
+                require_keyed(record)  # tuple subclasses still pass
             key, value = record
             if key in acc:
-                acc[key] = unwrap(
-                    call_udf(self.operator, self.fn, acc[key], value),
-                    work,
-                )
+                try:
+                    result = fn(acc[key], value)
+                except (SimulatedOutOfMemory, UdfError):
+                    raise
+                except Exception as exc:
+                    raise UdfError(self.operator, exc) from exc
+                if result.__class__ is Weighted:
+                    work += result.work
+                    result = result.value
+                acc[key] = result
             else:
                 acc[key] = value
-        return list(acc.items()), work[0]
+        return list(acc.items()), work
 
 
 class GroupBucketTask:
@@ -268,10 +312,10 @@ class GroupBucketTask:
         self.operator = operator
         self.keyed = keyed
 
-    def _check_group(self, what, num_values):
+    def _check_group(self, what, key, num_values):
         needed = int(num_values * self.record_bytes * self.overhead_factor)
         if needed > self.limit:
-            raise SimulatedOutOfMemory(what, needed, self.limit)
+            raise SimulatedOutOfMemory(what % (key,), needed, self.limit)
 
     def empty_result(self):
         return []
@@ -285,9 +329,7 @@ class GroupBucketTask:
             key, value = record
             groups.setdefault(key, []).append(value)
         for key, values in groups.items():
-            self._check_group(
-                "materializing group %r" % (key,), len(values)
-            )
+            self._check_group("materializing group %r", key, len(values))
         return list(groups.items())
 
 
@@ -304,7 +346,7 @@ class CoGroupBucketTask(GroupBucketTask):
             groups.setdefault(key, ([], []))[1].append(value)
         for key, (lvals, rvals) in groups.items():
             self._check_group(
-                "cogrouping key %r" % (key,), len(lvals) + len(rvals)
+                "cogrouping key %r", key, len(lvals) + len(rvals)
             )
         return list(groups.items())
 
@@ -345,17 +387,10 @@ class CrossBroadcastTask:
         return []
 
     def __call__(self, part):
-        produced = []
-        payload = self.payload
+        pairs = product(part, self.payload)
         if self.broadcast_side == "right":
-            for item in part:
-                for other in payload:
-                    produced.append((item, other))
-        else:
-            for item in part:
-                for other in payload:
-                    produced.append((other, item))
-        return produced
+            return list(pairs)
+        return [(other, item) for item, other in pairs]
 
 
 def require_keyed(record):

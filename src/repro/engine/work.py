@@ -19,6 +19,11 @@ class Weighted:
 
     __slots__ = ("value", "work")
 
+    def __init_subclass__(cls, **kwargs):
+        # Task bodies find wrapped results by exact class, a vector at
+        # a time in C; a subclass would flow on as a record.
+        raise TypeError("Weighted cannot be subclassed")
+
     def __init__(self, value, work):
         if work < 0:
             raise ValueError("work must be non-negative")
@@ -41,3 +46,19 @@ def unwrap(result, task_work):
         task_work[0] += result.work
         return result.value
     return result
+
+
+def unwrap_all(results):
+    """Unwrap a vector of UDF results, some of them :class:`Weighted`.
+
+    Returns ``(values, work)``: the results in order with every
+    wrapper replaced by its value, and the summed work they declared.
+    """
+    values = []
+    work = 0
+    for result in results:
+        if result.__class__ is Weighted:
+            work += result.work
+            result = result.value
+        values.append(result)
+    return values, work

@@ -10,11 +10,9 @@ gates it.
 The ``pipeline-*`` trio differs only in ``compile_pipelines`` and
 ``schema_inference``: the compiled rows must simulate *exactly* the
 interpreted row's seconds (the generated loops credit identical
-per-operator counts) while their measured wall-clock -- recorded in
-the committed snapshot -- must be at least 2x lower on the serial
-rows, and the columnar-direct row (schema inference skips the encode
-probe and reads column buffers directly) must be strictly faster than
-the probing compiled row in the committed snapshot.
+per-operator counts); wall-clock is asserted only on the committed
+snapshot (compiled at least 2x lower on the serial rows), never on a
+live single sample.
 """
 
 import json
@@ -32,14 +30,12 @@ from repro.bench.baseline import (
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Wall-clock advantage the committed compiled rows must show over the
-#: interpreted rows on the serial backend (the live-run assertion uses
-#: a softer floor -- CI machines are noisy, the snapshot was not).
+#: interpreted rows on the serial backend.
 _COMMITTED_SPEEDUP_FLOOR = 2.0
-_LIVE_SPEEDUP_FLOOR = 1.3
 
-#: Columnar-direct vs compiled wall-clock is not ordered here: the gap
-#: is inside run-to-run noise for a single sample, so that comparison
-#: belongs to ``benchmarks/wall`` (``chain_default`` vs ``chain_fast``).
+#: No live run is timed here: one sample cannot order interpreted,
+#: compiled and columnar-direct wall-clock, so that comparison belongs
+#: to ``benchmarks/wall`` (``chain_default`` vs ``chain_fast``).
 
 
 class TestServeCells:
@@ -103,18 +99,6 @@ class TestPipelineCells:
             == interpreted.entry["totals"]["records"]
         )
 
-    def test_compiled_is_faster_in_wall_clock(self):
-        # Warm both paths once so neither row pays one-time costs
-        # (effect analysis cache, codegen compile) inside the timing.
-        _pipeline_cell("pipeline-interpreted", 4)
-        _pipeline_cell("pipeline-compiled", 4)
-        interpreted = _pipeline_cell("pipeline-interpreted", 16)
-        compiled = _pipeline_cell("pipeline-compiled", 16)
-        speedup = interpreted.measured_seconds / compiled.measured_seconds
-        assert speedup >= _LIVE_SPEEDUP_FLOOR, (
-            "compiled pipeline only %.2fx faster" % speedup
-        )
-
     def test_columnar_direct_simulates_identical_seconds(self):
         compiled = _pipeline_cell("pipeline-compiled", 4)
         direct = _pipeline_cell("pipeline-columnar-direct", 4)
@@ -126,19 +110,6 @@ class TestPipelineCells:
         assert (
             direct.entry["totals"]["records"]
             == compiled.entry["totals"]["records"]
-        )
-
-    def test_columnar_direct_wall_clock_competitive(self):
-        # Warm the row (codegen + schema-inference caches), then
-        # demand the direct row beats interpreted like any compiled
-        # row.
-        _pipeline_cell("pipeline-columnar-direct", 4)
-        interpreted = _pipeline_cell("pipeline-interpreted", 16)
-        direct = _pipeline_cell("pipeline-columnar-direct", 16)
-        speedup = interpreted.measured_seconds / direct.measured_seconds
-        assert speedup >= _LIVE_SPEEDUP_FLOOR, (
-            "columnar-direct pipeline only %.2fx faster than "
-            "interpreted" % speedup
         )
 
     def test_committed_snapshot_has_compiled_speedup(self):

@@ -1,0 +1,435 @@
+"""The vector-at-a-time task bodies against record-at-a-time semantics.
+
+``FusedPipelineTask`` pushes vectors of ``VECTOR`` records through one
+operator at a time.  The loop it replaced -- one record through the
+whole chain at a time -- is kept here, and only here, as the oracle:
+records, their order, per-step counts and works must be equal on every
+generated chain.  What *is* allowed to differ, the order UDFs are
+called in and which of two failing steps reports, is pinned below, and
+a call-count guard fails if a per-record Python wrapper of the engine's
+comes back.
+"""
+
+import collections
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import EngineContext, laptop_config
+from repro.engine.columnar import ColumnarPartition
+from repro.engine.plan import Parallelize
+from repro.engine.runtime.task import (
+    STEP_FILTER,
+    STEP_FLATMAP,
+    STEP_MAP,
+    VECTOR,
+    CombineTask,
+    CrossBroadcastTask,
+    FusedPipelineTask,
+    require_keyed,
+)
+from repro.engine.work import Weighted, unwrap_all
+from repro.errors import PlanError, SimulatedOutOfMemory, UdfError
+
+_END = object()
+
+
+def record_at_a_time(steps, part):
+    """The loop ``FusedPipelineTask.__call__`` ran before vectors."""
+    num = len(steps)
+    counts = [0] * num
+    works = [0] * num
+    out = []
+    stack = [(0, iter(part))]
+    while stack:
+        depth, iterator = stack[-1]
+        item = next(iterator, _END)
+        if item is _END:
+            stack.pop()
+            continue
+        i = depth
+        while i < num:
+            kind, fn, operator = steps[i]
+            counts[i] += 1
+            try:
+                result = fn(item)
+            except (SimulatedOutOfMemory, UdfError):
+                raise
+            except Exception as exc:
+                raise UdfError(operator, exc) from exc
+            if isinstance(result, Weighted):
+                works[i] += result.work
+                result = result.value
+            if kind == STEP_MAP:
+                item = result
+            elif kind == STEP_FILTER:
+                if not result:
+                    break
+            else:
+                stack.append((i + 1, iter(result)))
+                break
+            i += 1
+        else:
+            out.append(item)
+    return out, counts, works
+
+
+# ----------------------------------------------------------------------
+# Generated chains over int records (every composition is well-typed)
+# ----------------------------------------------------------------------
+
+
+def _expand_generator(x, k):
+    return (x + j for j in range(x % k))
+
+
+#: name -> (kind, factory(parameter) -> udf).  Weighted results at every
+#: kind, wrapped always or only for some records of a vector; filters
+#: that answer truthy ints, not bools; flat_maps that return lists,
+#: tuples, generators, nothing, and more than a vector.
+UDFS = {
+    "add": (STEP_MAP, lambda a: lambda x: x + a),
+    "add-weighted": (STEP_MAP, lambda a: lambda x: Weighted(x + a, x % 3)),
+    "add-some-weighted": (
+        STEP_MAP,
+        lambda a: lambda x: Weighted(x + 1, 2) if x % a == 0 else x + 1,
+    ),
+    "keep-mod": (STEP_FILTER, lambda a: lambda x: x % a),
+    "keep-weighted": (
+        STEP_FILTER, lambda a: lambda x: Weighted(x % a != 1, 1)
+    ),
+    "keep-none": (STEP_FILTER, lambda a: lambda x: False),
+    "fan-list": (STEP_FLATMAP, lambda a: lambda x: [x] * (x % a)),
+    "fan-tuple": (STEP_FLATMAP, lambda a: lambda x: (x, x + a)),
+    "fan-generator": (
+        STEP_FLATMAP, lambda a: lambda x: _expand_generator(x, a)
+    ),
+    "fan-empty": (STEP_FLATMAP, lambda a: lambda x: []),
+    "fan-weighted": (
+        STEP_FLATMAP, lambda a: lambda x: Weighted([x + 1] * (x % a), 5)
+    ),
+    "fan-past-a-vector": (
+        STEP_FLATMAP,
+        lambda a: lambda x: range(VECTOR + a) if x % 509 == 0 else (x,),
+    ),
+}
+
+step_specs = st.tuples(
+    st.sampled_from(sorted(UDFS)), st.integers(min_value=1, max_value=4)
+)
+chains = st.lists(step_specs, min_size=1, max_size=5)
+
+LENGTHS = [0, 1, VECTOR - 1, VECTOR, VECTOR + 1, 2 * VECTOR + 3]
+
+
+def build_steps(specs):
+    steps = []
+    for index, (name, parameter) in enumerate(specs):
+        kind, factory = UDFS[name]
+        steps.append((kind, factory(parameter), "%s#%d" % (name, index)))
+    return steps
+
+
+def assert_matches_oracle(steps, part):
+    before = list(part)
+    task = FusedPipelineTask(steps)
+    out, counts, works = task(part)
+    assert (out, counts, works) == record_at_a_time(steps, before)
+    assert out is not part
+    assert list(part) == before
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+@settings(max_examples=20, deadline=None)
+@given(specs=chains)
+def test_generated_chains_match_the_oracle(length, specs):
+    assert_matches_oracle(build_steps(specs), list(range(length)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(specs=chains)
+def test_columnar_input_matches_the_oracle(specs):
+    part = ColumnarPartition.from_records(list(range(VECTOR + 9)))
+    assert part is not None
+    assert_matches_oracle(build_steps(specs), part)
+
+
+def test_nested_expansions_stay_depth_first():
+    # Two flat_maps, both fanning past a vector: the inner level is
+    # drained (in vectors) before the outer level gives its next one.
+    steps = build_steps([
+        ("fan-past-a-vector", 3), ("fan-tuple", 1),
+        ("fan-past-a-vector", 2), ("keep-mod", 3),
+    ])
+    assert_matches_oracle(steps, list(range(0, 2 * 509 + 1)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(specs=chains)
+def test_empty_result_is_the_call_on_nothing(specs):
+    task = FusedPipelineTask(build_steps(specs))
+    assert task.empty_result() == task([])
+
+
+def test_unwrap_all_sums_work_and_keeps_order():
+    values, work = unwrap_all([1, Weighted(2, 3), Weighted(None, 4), 5])
+    assert values == [1, 2, None, 5]
+    assert work == 7
+
+
+def test_weighted_is_found_by_exact_class_so_it_is_final():
+    with pytest.raises(TypeError):
+        type("Heavier", (Weighted,), {})
+
+
+# ----------------------------------------------------------------------
+# Errors
+# ----------------------------------------------------------------------
+
+
+def _fail_at(bad):
+    def udf(x):
+        if x == bad:
+            raise ValueError("record %d" % x)
+        return x
+
+    return udf
+
+
+def _keep_or_fail(bad):
+    check = _fail_at(bad)
+    return lambda x: check(x) >= 0
+
+
+def _expand_or_fail(bad):
+    check = _fail_at(bad)
+    return lambda x: (check(x),)
+
+
+@pytest.mark.parametrize("bad", [0, VECTOR + 5],
+                         ids=["first-vector", "later-vector"])
+@pytest.mark.parametrize("failing", [0, 1, 2],
+                         ids=["map", "filter", "flat_map"])
+def test_udf_error_names_the_step_that_raised(failing, bad):
+    steps = [
+        (kind, make(bad if index == failing else -1), "step-%d" % index)
+        for index, (kind, make) in enumerate([
+            (STEP_MAP, _fail_at),
+            (STEP_FILTER, _keep_or_fail),
+            (STEP_FLATMAP, _expand_or_fail),
+        ])
+    ]
+    with pytest.raises(UdfError) as err:
+        FusedPipelineTask(steps)(list(range(2 * VECTOR)))
+    assert err.value.operator == "step-%d" % failing
+    assert isinstance(err.value.__cause__, ValueError)
+    assert str(err.value.original) == "record %d" % bad
+
+
+@pytest.mark.parametrize("error", [
+    SimulatedOutOfMemory("a test", 2, 1),
+    UdfError("inner-operator", KeyError("k")),
+], ids=["oom", "udf-error"])
+def test_engine_errors_from_a_udf_pass_through(error):
+    def udf(x):
+        raise error
+
+    with pytest.raises(type(error)) as err:
+        FusedPipelineTask([(STEP_MAP, udf, "outer")])([1])
+    assert err.value is error
+    with pytest.raises(type(error)) as err:
+        CombineTask(lambda a, b: udf(a), "outer")([(1, 1), (1, 2)])
+    assert err.value is error
+
+
+# ----------------------------------------------------------------------
+# The one observable change: call order, and which error wins
+# ----------------------------------------------------------------------
+
+
+def test_call_order_is_step_major_within_a_vector():
+    calls = []
+
+    def recording(name, result):
+        def udf(x):
+            calls.append((name, x))
+            return result(x)
+
+        return udf
+
+    steps = [
+        (STEP_MAP, recording("f", lambda x: x), "f"),
+        (STEP_FILTER, recording("g", lambda x: x != 1), "g"),
+        (STEP_FLATMAP, recording("h", lambda x: (x, x)), "h"),
+        (STEP_MAP, recording("k", lambda x: x), "k"),
+    ]
+    part = list(range(VECTOR + 2))
+    out, _counts, _works = FusedPipelineTask(steps)(part)
+    first, second = part[:VECTOR], part[VECTOR:]
+    kept = [x for x in first if x != 1]
+    assert calls == (
+        # Vector 1: every record passes a step, in record order, before
+        # any passes the next; the flat_map's expansions run to the end
+        # of the chain before vector 2 is pulled.
+        [("f", x) for x in first]
+        + [("g", x) for x in first]
+        + [("h", x) for x in kept]
+        + [("k", x) for x in kept for _ in (0, 1)]
+        + [("f", x) for x in second]
+        + [("g", x) for x in second]
+        + [("h", x) for x in second]
+        + [("k", x) for x in second for _ in (0, 1)]
+    )
+    # ...and none of it shows in the output.
+    assert out == record_at_a_time(steps, part)[0]
+
+
+def test_the_earlier_steps_error_wins_within_a_vector():
+    # Record 0 fails at step 1, record 1 at step 0.  Record at a time,
+    # record 0 got to step 1 first; vector at a time, step 0 sees both
+    # records before step 1 sees any.
+    steps = [
+        (STEP_MAP, _fail_at(1), "step-0"),
+        (STEP_MAP, _fail_at(0), "step-1"),
+    ]
+    with pytest.raises(UdfError) as err:
+        record_at_a_time(steps, [0, 1])
+    assert err.value.operator == "step-1"
+    with pytest.raises(UdfError) as err:
+        FusedPipelineTask(steps)([0, 1])
+    assert err.value.operator == "step-0"
+    # Across vectors the earlier *record* still wins.
+    part = list(range(2 * VECTOR))
+    steps = [
+        (STEP_MAP, _fail_at(VECTOR + 1), "step-0"),
+        (STEP_MAP, _fail_at(3), "step-1"),
+    ]
+    with pytest.raises(UdfError) as err:
+        FusedPipelineTask(steps)(part)
+    assert err.value.operator == "step-1"
+
+
+# ----------------------------------------------------------------------
+# A counting guard, not a timing guard
+# ----------------------------------------------------------------------
+
+
+def _engine_calls(fn):
+    """Python-level calls into ``repro/`` code while ``fn()`` runs."""
+    counted = collections.Counter()
+
+    def profiler(frame, event, _arg):
+        if event == "call" and "/repro/" in frame.f_code.co_filename:
+            counted[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return counted
+
+
+def test_engine_calls_are_per_vector_not_per_record():
+    steps = build_steps([
+        ("add", 1), ("keep-mod", 4), ("add", 2), ("fan-tuple", 1),
+    ])
+    task = FusedPipelineTask(steps)
+    part = list(range(4096))
+    # The UDFs live in this file, so what is counted is the engine's
+    # own frames: 4096 records x 4 steps under a per-record wrapper.
+    calls = _engine_calls(lambda: task(part))
+    assert 0 < sum(calls.values()) < 100, calls
+
+    keyed = [(x % 64, 1.0) for x in range(4096)]
+    combine = CombineTask(lambda a, b: a + b, "sum")
+    calls = _engine_calls(lambda: combine(keyed))
+    assert 0 < sum(calls.values()) < 100, calls
+
+
+# ----------------------------------------------------------------------
+# Keyed bodies and the driver-side shuffle fabric
+# ----------------------------------------------------------------------
+
+Pair = collections.namedtuple("Pair", "key value")
+
+
+def _plan_error_text(record):
+    with pytest.raises(PlanError) as err:
+        require_keyed(record)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("bad", [7, [1, 2], (1, 2, 3), "ab"],
+                         ids=["unkeyed", "list", "3-tuple", "str"])
+def test_combine_rejects_what_require_keyed_rejects(bad):
+    task = CombineTask(lambda a, b: a + b, "sum", keyed=False)
+    with pytest.raises(PlanError) as err:
+        task([(1, 1), bad, (1, 2)])
+    assert str(err.value) == _plan_error_text(bad)
+
+
+def test_combine_accepts_tuple_subclasses_and_credits_work():
+    task = CombineTask(lambda a, b: Weighted(a + b, 3), "sum")
+    records, work = task([Pair(1, 10), (1, 5), Pair(2, 1), (1, 1)])
+    assert records == [(1, 16), (2, 1)]
+    assert work == 6
+
+
+def test_combine_blames_only_the_reducer_on_the_reducer():
+    def reducer(a, b):
+        raise KeyError("boom")
+
+    with pytest.raises(UdfError) as err:
+        CombineTask(reducer, "sum#3")([(1, 1), (1, 2)])
+    assert err.value.operator == "sum#3"
+    # An unhashable key is not the UDF's doing.
+    with pytest.raises(TypeError):
+        CombineTask(reducer, "sum#3")([([], 1)])
+
+
+@pytest.mark.parametrize("bad", [7, [1, 2], (1, 2, 3)],
+                         ids=["unkeyed", "list", "3-tuple"])
+def test_a_shuffle_reports_its_first_offending_record(bad):
+    data = [(i, i) for i in range(20)] + [bad, "zz"]
+    with EngineContext(laptop_config()) as ctx:
+        with pytest.raises(PlanError) as err:
+            ctx.bag_of(data, num_partitions=1).group_by_key().collect()
+    assert str(err.value) == _plan_error_text(bad)
+
+
+def test_a_shuffle_accepts_tuple_subclasses():
+    data = [Pair(i % 3, i) for i in range(9)] + [(0, 9)]
+    with EngineContext(laptop_config()) as ctx:
+        groups = dict(ctx.bag_of(data).group_by_key().collect())
+    assert {k: sorted(v) for k, v in groups.items()} == {
+        0: [0, 3, 6, 9], 1: [1, 4, 7], 2: [2, 5, 8],
+    }
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 40])
+@pytest.mark.parametrize("size", [0, 1, 7, 33])
+def test_parallelize_slices_round_robin(size, n):
+    data = list(range(size))
+    want = [[] for _ in range(n)]
+    for index, item in enumerate(data):
+        want[index % n].append(item)
+    got = Parallelize(data, n).build_partitions()
+    assert got == want
+    assert all(part is not data for part in got)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cross_broadcast_pairs_in_stream_major_order(side):
+    part, payload = [1, 2, 3], ["a", "b"]
+    want = [
+        (item, other) if side == "right" else (other, item)
+        for item in part
+        for other in payload
+    ]
+    task = CrossBroadcastTask(payload, side, "cross")
+    assert task(part) == want
+    assert task([]) == task.empty_result() == []

@@ -28,7 +28,7 @@ class TestGroupMaterializationOom:
         bag = ctx.bag_of([("hot", i) for i in range(100)])
         with pytest.raises(SimulatedOutOfMemory) as err:
             bag.group_by_key().collect()
-        assert "materializing group" in str(err.value)
+        assert "materializing group 'hot'" in str(err.value)
 
     def test_small_groups_fit(self):
         ctx = tiny_memory_context()
@@ -88,7 +88,7 @@ class TestCogroupOom:
         right = ctx.bag_of([("hot", i) for i in range(80)])
         with pytest.raises(SimulatedOutOfMemory) as err:
             left.cogroup(right).collect()
-        assert "cogrouping key" in str(err.value)
+        assert "cogrouping key 'hot'" in str(err.value)
 
 
 class TestSpillAccounting:
