@@ -19,8 +19,8 @@ at all) to decoration / plan-build time, as flake8-style diagnostics:
   auto-cache rewrites suppressed by unproven purity (NPL504).
 * **NPL6xx** (:mod:`schema`) -- record schema & shape findings from
   whole-plan type inference: join/cogroup key-type mismatch (NPL601),
-  union shape mismatch (NPL602), statically non-hashable shuffle keys
-  (NPL603), and refuted-columnar fused chains (NPL604).
+  union shape mismatch (NPL602) and statically non-hashable shuffle
+  keys (NPL603).
 
 Entry points::
 
@@ -71,10 +71,7 @@ from .properties import (
     udf_preserves_key,
 )
 from .schema import (
-    ChainSchema,
     PlanSchemas,
-    chain_schema,
-    columnar_verdict,
     hashable_verdict,
     infer_schemas,
     infer_udf_schema,
@@ -98,9 +95,6 @@ __all__ = [
     "analyze_plan",
     "analyze_source",
     "analyze_udf",
-    "chain_schema",
-    "ChainSchema",
-    "columnar_verdict",
     "count_by_severity",
     "effect_diagnostics",
     "effects_notes",

@@ -78,7 +78,6 @@ CODES = {
     "NPL601": (WARNING, "join/cogroup key types provably mismatch"),
     "NPL602": (WARNING, "union branches have mismatched record shapes"),
     "NPL603": (ERROR, "shuffle key is statically non-hashable"),
-    "NPL604": (INFO, "fused chain schema refutes columnar encoding"),
 }
 
 

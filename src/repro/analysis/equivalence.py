@@ -4,14 +4,14 @@ Flattening, and every physical choice the engine makes under it, must
 preserve a nested program's meaning.  This module states that once.
 Each way a :class:`~repro.engine.config.ClusterConfig` can change how a
 program executes is one row of :data:`AXES`: the field, its base and
-variant value, the fields the variant ``requires``, and the invariants
+variant value, and the invariants
 (:data:`repro.engine.validate.INVARIANTS`) the change *preserves*.  One
 runner (:func:`repro.engine.validate.run_configs`) executes a program
 on a fresh, always-validated, always-closed context per config.
 
 * :func:`verify` runs a program at one axis's base and variant value.
 * :func:`verify_lattice` runs it at all-off, each optimizer flag alone
-  (with its requirements) and all-on, under both stage schedulers.
+  and all-on, under both stage schedulers.
 * Either way *every pair* of runs is checked under the intersection of
   the ``preserves`` sets of the axes the pair differs on, so flags are
   proven in combination, not just one at a time.
@@ -22,7 +22,7 @@ measured wall-clock is reported, never asserted on.  From the command
 line (CI runs the first form once per backend)::
 
     PYTHONPATH=src python -m repro.analysis.equivalence [--backend process]
-    PYTHONPATH=src python -m repro.analysis.equivalence --compare schema
+    PYTHONPATH=src python -m repro.analysis.equivalence --compare caching
 
 The axes, as :func:`axes_table` (and ``--help``) renders them::
 
@@ -227,14 +227,12 @@ class Axis(NamedTuple):
     """One way a config can change how a program executes: moving
     ``field`` from ``base`` to ``variant`` must leave the ``preserves``
     invariants (names from :data:`~repro.engine.validate.INVARIANTS`)
-    intact.  ``requires`` holds other fields the variant only means
-    something with; a single-axis comparison sets them on both sides."""
+    intact."""
 
     field: str
     base: object
     variant: object
     preserves: tuple
-    requires: dict = {}
 
 
 #: A pure execution-strategy change: invisible to values, to the trace
@@ -257,36 +255,30 @@ AXES = {
     "caching": Axis(
         "optimize_caching", False, True, ("results", "sim_not_slower")
     ),
-    "compiled": Axis("compile_pipelines", False, True, _IDENTICAL),
-    "schema": Axis(
-        "schema_inference", False, True, _IDENTICAL,
-        requires={"compile_pipelines": True},
-    ),
     "speculation": Axis("speculative_execution", False, True, _IDENTICAL),
     "backend": Axis("backend", "serial", "process", _IDENTICAL),
 }
 
-#: The optimizer flags :func:`verify_lattice` sweeps, an axis after the
-#: axes it requires.  ``schedulers`` is crossed with every point;
-#: ``backend`` is left to the caller's config (a process-pool sweep
-#: costs ~10x a serial one, so CI runs one sweep per backend).
-LATTICE_FLAGS = ("elision", "caching", "compiled", "schema", "speculation")
+#: The optimizer flags :func:`verify_lattice` sweeps.  ``schedulers``
+#: is crossed with every point; ``backend`` is left to the caller's
+#: config (a process-pool sweep costs ~10x a serial one, so CI runs one
+#: sweep per backend).
+LATTICE_FLAGS = ("elision", "caching", "speculation")
 
 
 def axes_table():
     """The :data:`AXES` table as aligned text (docs and ``--help``)."""
-    rows = [("axis", "field", "base -> variant", "requires", "preserves")]
+    rows = [("axis", "field", "base -> variant", "preserves")]
     rows += [
         (
             name,
             axis.field,
             "%s -> %s" % (axis.base, axis.variant),
-            ", ".join("%s=%s" % kv for kv in axis.requires.items()) or "-",
             ", ".join(axis.preserves),
         )
         for name, axis in AXES.items()
     ]
-    widths = [max(len(row[i]) for row in rows) for i in range(5)]
+    widths = [max(len(row[i]) for row in rows) for i in range(4)]
     return "\n".join(
         "    " + "  ".join(map(str.ljust, row, widths)).rstrip()
         for row in rows
@@ -300,7 +292,7 @@ def axis_configs(axis, config):
     """The base and variant config of one :data:`AXES` row."""
     spec = AXES[axis]
     return [
-        replace(config, **spec.requires, **{spec.field: value})
+        replace(config, **{spec.field: value})
         for value in (spec.base, spec.variant)
     ]
 
@@ -314,7 +306,7 @@ def lattice_configs(config):
     flags = [AXES[name] for name in LATTICE_FLAGS]
     all_off = {axis.field: axis.base for axis in flags}
     points = [all_off] + [
-        dict(all_off, **axis.requires, **{axis.field: axis.variant})
+        dict(all_off, **{axis.field: axis.variant})
         for axis in flags
     ] + [{axis.field: axis.variant for axis in flags}]
     return [

@@ -40,9 +40,8 @@ the waste *before* the job runs):
   is suppressed -- the optimizer has already solved it.
 * **NPL6xx** -- record schema & shape findings from
   :mod:`repro.analysis.schema` (key-type mismatches, union shape
-  mismatches, unhashable shuffle keys, refuted-columnar chains);
-  NPL604 only fires with ``config.compile_pipelines`` on, and NPL001
-  skip notices only with ``config.schema_inference`` on.
+  mismatches, unhashable shuffle keys), plus an NPL001 notice for
+  each UDF whose source inference could not read.
 
 NPL4xx findings come from :mod:`repro.analysis.properties`.
 Diagnostics carry the node's stable id (see
@@ -101,7 +100,7 @@ def analyze_plan(root, config=None):
             _check_unstable_keys(node, ref, diags)
     from .schema import schema_diagnostics
 
-    diags.extend(schema_diagnostics(root, config))
+    diags.extend(schema_diagnostics(root))
     return diags
 
 

@@ -14,28 +14,19 @@ for grouped values, and ``?`` for anything unprovable.  Types flow
 
 Verdicts are tri-state like the NPL4xx/5xx passes: a schema with no
 ``?`` anywhere is *proven*, a shape that can never satisfy a predicate
-(e.g. a ``str`` record can never be columnar-encoded) is *refuted*,
+(e.g. a ``dict`` can never be hashed as a shuffle key) is *refuted*,
 and everything else is *unknown*.  Soundness rule: the interpretation
 only ever claims a concrete type when every execution must produce it;
 when in doubt it answers ``ANY``.  In particular ``bool`` never decays
-to ``int`` (``True`` must not be encoded as ``1``) and ``int`` joined
-with ``float`` is ``ANY``, not ``float`` (mixed columns are not
-statically provable as lossless).
+to ``int`` and ``int`` joined with ``float`` is ``ANY``, not
+``float``: a schema names the exact Python type every record has.
 
-Three consumers:
-
-* **NPL6xx diagnostics** (:func:`schema_diagnostics`) -- NPL601
-  join/cogroup key-type mismatch, NPL602 union shape mismatch, NPL603
-  statically non-hashable shuffle keys, NPL604 refuted-columnar
-  chains -- via the CLI, ``--format github`` CI lint, and
-  ``Bag.explain(schema=True)`` (:func:`schema_notes`).
-* **Columnar pre-commitment** (:func:`chain_schema`) -- the executor
-  skips the per-partition encode probe when a chain's output schema is
-  proven columnar, and skips encoding entirely when it is refuted.
-* **Schema-specialized codegen** -- a proven chain *input* schema lets
-  the generated loop read ``ColumnarPartition`` buffers directly; the
-  schema spec is folded into the chain fingerprint
-  (:mod:`repro.engine.codegen`).
+One consumer: **NPL6xx diagnostics** (:func:`schema_diagnostics`) --
+NPL601 join/cogroup key-type mismatch, NPL602 union shape mismatch,
+NPL603 statically non-hashable shuffle keys -- via the CLI,
+``--format github`` CI lint, and ``Bag.explain(schema=True)``
+(:func:`schema_notes`).  The executor does not read schemas: records
+stay plain lists whatever their inferred shape.
 """
 
 import ast
@@ -47,7 +38,6 @@ from .diagnostics import make_diagnostic, sort_key
 __all__ = [
     "ANY",
     "BOOL",
-    "ChainSchema",
     "FLOAT",
     "INT",
     "ListType",
@@ -58,8 +48,6 @@ __all__ = [
     "SchemaType",
     "TupleType",
     "UnhashableType",
-    "chain_schema",
-    "columnar_verdict",
     "hashable_verdict",
     "infer_schemas",
     "infer_udf_schema",
@@ -201,7 +189,7 @@ def join_types(a, b):
     """Least upper bound of two schemas.
 
     Deliberately strict: ``int`` joined with ``float`` is ``ANY``
-    (a mixed column is not provably lossless), and different
+    (no one exact type covers both), and different
     constructors never merge.
     """
     if a is ANY or b is ANY:
@@ -231,48 +219,6 @@ def _join_all(schemas):
 # ----------------------------------------------------------------------
 # Verdicts
 # ----------------------------------------------------------------------
-
-_COLUMNAR_KINDS = {"int": "i", "float": "f"}
-
-# Mirrors repro.engine.columnar._MAX_ARITY.
-_MAX_ARITY = 16
-
-
-def columnar_verdict(schema):
-    """``(verdict, spec)`` -- can records of ``schema`` be columnar?
-
-    ``verdict`` is tri-state (True proven / False refuted / None
-    unknown); on proof, ``spec`` is ``(kinds, scalar)`` matching
-    :class:`repro.engine.columnar.ColumnarPartition` -- e.g.
-    ``("if", False)`` for ``(int, float)`` records or ``("i", True)``
-    for bare ints.
-    """
-    if schema is ANY:
-        return None, None
-    if isinstance(schema, ScalarType):
-        code = _COLUMNAR_KINDS.get(schema.kind)
-        if code is not None:
-            return True, (code, True)
-        return False, None
-    if isinstance(schema, TupleType):
-        if not schema.elements or len(schema.elements) > _MAX_ARITY:
-            return False, None
-        kinds = []
-        unknown = False
-        for element in schema.elements:
-            if element is ANY:
-                unknown = True
-                continue
-            if isinstance(element, ScalarType):
-                code = _COLUMNAR_KINDS.get(element.kind)
-                if code is not None:
-                    kinds.append(code)
-                    continue
-            return False, None
-        if unknown:
-            return None, None
-        return True, ("".join(kinds), False)
-    return False, None
 
 
 def hashable_verdict(schema):
@@ -794,68 +740,6 @@ def _tuple_data_schema(data):
 
 
 # ----------------------------------------------------------------------
-# Chain commitment (executor / codegen entry point)
-# ----------------------------------------------------------------------
-
-
-class ChainSchema:
-    """Columnar commitment for one fused elementwise chain.
-
-    ``input_verdict`` / ``input_spec`` describe the chain's *input*
-    records (drives direct-read codegen); ``output_verdict`` /
-    ``output_spec`` describe its *output* records (drives the
-    commit / skip / probe storage decision).  Specs are
-    ``(kinds, scalar)`` pairs as in :func:`columnar_verdict`.
-    """
-
-    __slots__ = (
-        "input_verdict",
-        "input_spec",
-        "output_verdict",
-        "output_spec",
-        "input_schema",
-        "output_schema",
-    )
-
-    def __init__(self, input_verdict, input_spec, output_verdict,
-                 output_spec, input_schema, output_schema):
-        self.input_verdict = input_verdict
-        self.input_spec = input_spec
-        self.output_verdict = output_verdict
-        self.output_spec = output_spec
-        self.input_schema = input_schema
-        self.output_schema = output_schema
-
-    def spec_token(self):
-        """Stable text folded into the codegen chain fingerprint."""
-        return "%s->%s" % (
-            _spec_text(self.input_verdict, self.input_spec),
-            _spec_text(self.output_verdict, self.output_spec),
-        )
-
-
-def _spec_text(verdict, spec):
-    if verdict is True:
-        kinds, scalar = spec
-        return "%s%s" % ("s" if scalar else "t", kinds)
-    return "no" if verdict is False else "?"
-
-
-def chain_schema(chain):
-    """The :class:`ChainSchema` for a fused chain of plan nodes.
-
-    ``chain`` is the executor's fused node list (map/filter/flat_map,
-    first-to-last); the chain input is ``chain[0].child``.
-    """
-    inferred = infer_schemas(chain[-1])
-    input_schema = inferred.schema_of(chain[0].child)
-    output_schema = inferred.schema_of(chain[-1])
-    iv, ispec = columnar_verdict(input_schema)
-    ov, ospec = columnar_verdict(output_schema)
-    return ChainSchema(iv, ispec, ov, ospec, input_schema, output_schema)
-
-
-# ----------------------------------------------------------------------
 # Explain notes and NPL6xx diagnostics
 # ----------------------------------------------------------------------
 
@@ -869,15 +753,8 @@ def schema_notes(root):
     }
 
 
-def schema_diagnostics(root, config=None):
-    """NPL6xx findings (plus NPL001 skip notices) for one plan.
-
-    NPL604 (refuted-columnar chain) only fires when the config enables
-    ``compile_pipelines`` -- without the flag no probe would run, so
-    there is nothing to skip.  NPL001 skip notices only fire when the
-    config enables ``schema_inference``, mirroring how NPL504 is gated
-    on ``optimize_caching``.
-    """
+def schema_diagnostics(root):
+    """NPL6xx findings (plus NPL001 skip notices) for one plan."""
     inferred = infer_schemas(root)
     ids = p.assign_node_ids(root)
     parts = p.partition_counts(root)
@@ -923,39 +800,19 @@ def schema_diagnostics(root, config=None):
                     "(%r); the shuffle will fail on the first record"
                     % (ref(node), key),
                 ))
-    if config is not None and config.compile_pipelines:
-        from ..engine import dag
-
-        for unit in dag.plan_units(root):
-            if not unit.chain:
-                continue
-            verdict, _spec = columnar_verdict(
-                inferred.schema_of(unit.chain[-1])
-            )
-            if verdict is False:
-                diags.append(make_diagnostic(
-                    "NPL604",
-                    "fused chain ending at %s has a refuted columnar "
-                    "schema (%r); the per-partition encode probe is "
-                    "skipped" % (
-                        ref(unit.chain[-1]),
-                        inferred.schema_of(unit.chain[-1]),
-                    ),
-                ))
-    if config is not None and config.schema_inference:
-        seen = set()
-        for fn in inferred.skips:
-            name = getattr(fn, "__name__", repr(fn))
-            if name in seen:
-                continue
-            seen.add(name)
-            diags.append(make_diagnostic(
-                "NPL001",
-                "source of %r is unavailable or ambiguous (builtin, "
-                "interactively defined, or several definitions on one "
-                "line); schema inference treats its result as unknown"
-                % name,
-            ))
+    seen = set()
+    for fn in inferred.skips:
+        name = getattr(fn, "__name__", repr(fn))
+        if name in seen:
+            continue
+        seen.add(name)
+        diags.append(make_diagnostic(
+            "NPL001",
+            "source of %r is unavailable or ambiguous (builtin, "
+            "interactively defined, or several definitions on one "
+            "line); schema inference treats its result as unknown"
+            % name,
+        ))
     return sorted(diags, key=sort_key)
 
 

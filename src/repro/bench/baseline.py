@@ -8,14 +8,9 @@ scheduler, a service-mode pair (``serve-pagerank-cold`` /
 long-lived :mod:`repro.serve` daemon, and a reuse-heavy pair
 (``reuse-baseline`` / ``reuse-autocache``) where the only difference
 is ``optimize_caching``, so the row delta is the simulated seconds the
-verified auto-``cache()`` rewrite saves, and a compiled-pipeline trio
-(``pipeline-interpreted`` / ``pipeline-compiled`` /
-``pipeline-columnar-direct``) where the rows differ only in
-``compile_pipelines`` and ``schema_inference`` -- identical simulated
-seconds by construction, with the compiled rows' measured wall-clock
-the observable win (the columnar-direct row additionally skips the
-per-partition encode probe and reads column buffers directly off the
-proven schema) -- measured into one
+verified auto-``cache()`` rewrite saves, and a ``pipeline`` cell (a
+map/filter-heavy fused chain large enough that the executor compiles
+it) -- measured into one
 :class:`~repro.observe.RunReport`.  Every
 cell runs under both stage schedules (``serial`` and ``dag``; the DAG
 rows carry a ``+dag`` system suffix), so the gate holds the DAG
@@ -76,9 +71,10 @@ _SERVE_REPEATS = 3
 _SERVE_PAGERANK_ITERS = 2
 _SERVE_WARM_BYTES = 256 * 1024 * 1024
 
-#: The pipeline cell: records per group for the interpreted-vs-compiled
-#: pair.  Large enough that task bodies, not per-task overhead, set
-#: the measured wall-clock.
+#: The pipeline cell: records per group.  Large enough that the chain
+#: compiles (7 steps x 32,768 records at 4 groups, against
+#: ``codegen.COMPILE_MIN_RECORD_STEPS``) and that task bodies, not
+#: per-task overhead, set the measured wall-clock.
 _PIPELINE_RECORDS_PER_GROUP = 8192
 
 #: The reuse cell: how many identical jobs consume the same shared,
@@ -302,36 +298,18 @@ def _pipe_bucket(x):
 
 
 def _pipeline_cell(system, groups, scheduler="serial"):
-    """A map/filter-heavy fused chain: interpreted vs compiled vs
-    columnar-direct.
+    """A map/filter-heavy fused chain over few large partitions.
 
-    The three rows differ only in ``compile_pipelines`` and
-    ``schema_inference``: the interpreted row runs the chain through
-    :class:`FusedPipelineTask`'s per-record step machine, the compiled
-    row through the generated specialized loop
-    (:mod:`repro.engine.codegen`) plus the per-partition columnar
-    encode *probe*, and the columnar-direct row adds whole-plan schema
-    inference (:mod:`repro.analysis.schema`) -- the proven ``int``
-    schema lets the generated loop read column buffers directly and
-    replaces the probe with a probe-free ``encode_committed``.
-    Simulated seconds are *identical by construction* across all three
-    -- every variant credits exactly the interpreter's per-operator
-    record counts -- so the gated metric cannot regress; the
-    interesting delta is the recorded measured wall-clock, where the
-    compiled row must be at least ~2x faster than interpreted and the
-    columnar-direct row at least as fast as compiled (asserted by the
-    baseline tests).  The UDFs are module-level and provably pure on
-    purpose: a lambda here would fall back to the interpreter and
-    collapse the wall-clock delta.
+    Its task set is far above ``codegen.COMPILE_MIN_RECORD_STEPS``, so
+    the chain runs as the generated loop
+    (:mod:`repro.engine.codegen`).  Which chain body runs never shows
+    in the gated metric -- both credit exactly the same per-operator
+    record counts (asserted by the baseline tests) -- so this row pins
+    the simulated cost of a long narrow chain.  The UDFs are
+    module-level and provably pure on purpose: a lambda capturing
+    unknown state would keep the chain on the interpreter.
     """
     config, system = _scheduled(_cluster(2.0, 512), system, scheduler)
-    config = replace(
-        config,
-        compile_pipelines=system.startswith(
-            ("pipeline-compiled", "pipeline-columnar-direct")
-        ),
-        schema_inference=system.startswith("pipeline-columnar-direct"),
-    )
     n = groups * _PIPELINE_RECORDS_PER_GROUP
 
     def program(ctx):
@@ -365,9 +343,7 @@ CELLS = {
     "serve-pagerank-warm": _serve_pagerank_cell,
     "reuse-baseline": _auto_cache_cell,
     "reuse-autocache": _auto_cache_cell,
-    "pipeline-interpreted": _pipeline_cell,
-    "pipeline-compiled": _pipeline_cell,
-    "pipeline-columnar-direct": _pipeline_cell,
+    "pipeline": _pipeline_cell,
 }
 
 

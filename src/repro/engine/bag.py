@@ -397,11 +397,13 @@ class Bag:
 
         ``compile=True`` annotates the top of every fused elementwise
         chain with ``compiled=yes(<fingerprint>)`` or
-        ``compiled=no(<reason>)`` -- whether the chain would run as a
-        generated specialized loop under
-        ``ClusterConfig(compile_pipelines=True)``, and if not, why it
-        falls back to the interpreter (see
-        :mod:`repro.engine.codegen`).
+        ``compiled=no(<reason>)`` -- whether the chain *may* run as a
+        generated specialized loop, and if not, why it stays on the
+        interpreter.  ``yes`` is the compile gate's verdict, not a
+        promise: the executor only compiles a chain whose task set is
+        large enough (steps x input records reaches
+        :data:`repro.engine.codegen.COMPILE_MIN_RECORD_STEPS`), and a
+        smaller one is interpreted whatever the gate says.
 
         ``schema=True`` annotates every node with its inferred record
         schema (:mod:`repro.analysis.schema`): ``schema=(int, float)``

@@ -31,6 +31,13 @@ recorded in an ``Optimizer.Decision``):
   there is none to account;
 * a UDF has no recoverable source (no AST fingerprint, no cache key).
 
+Which chains are handed to this module at all is the executor's
+decision, taken from what it already holds: a chain is planned once
+``steps x input records`` of its task set reaches
+:data:`COMPILE_MIN_RECORD_STEPS`, because planning has a fixed price
+per chain that only enough record-steps pay back.  Smaller chains never
+get here.
+
 Compiled functions are cached per process keyed by the chain
 fingerprint; the picklable task object
 (:class:`~repro.engine.runtime.task.CompiledPipelineTask`) carries
@@ -43,6 +50,8 @@ import hashlib
 import threading
 
 from ..udf import facts_for
+from . import dag
+from . import plan as p
 from .runtime.task import (
     STEP_FILTER,
     STEP_FLATMAP,
@@ -52,18 +61,32 @@ from .runtime.task import (
 from .work import Weighted
 
 __all__ = [
+    "COMPILE_MIN_RECORD_STEPS",
     "chain_compilability",
     "chain_fingerprint",
+    "chain_steps",
     "compile_notes",
     "generate_source",
     "compiled_pipeline_fn",
-    "plan_chain_schema",
     "plan_compiled_task",
 ]
 
-#: Per-process cache of compiled pipeline functions, keyed by chain
-#: fingerprint.  Shared by the driver and (after fork/pickle) each
-#: worker process builds its own on first use.
+#: Record-steps (chain length x records entering the chain, over the
+#: whole task set) from which the executor plans a chain for
+#: compilation; below it the chain is interpreted with no analysis at
+#: all.  The generated loop saves about 0.049 us per record-step on
+#: ``benchmarks/wall``'s chain; planning costs about 35 us per chain on
+#: a warm cache and about 250 us when a step's closure is fresh (lifted
+#: UDFs are rebuilt per op), so the break-even is near 5k record-steps.
+#: Swept at 4096 / 16384 / 65536: the flattened ``nested_serial`` op
+#: plans 8 / 0 / 0 of its 40 chains, the 262,144-record-step chain
+#: compiles at all three, and no wall-clock difference between them
+#: resolves (table in ``docs/architecture.md``, "Flag decisions").
+COMPILE_MIN_RECORD_STEPS = 16384
+
+#: Per-process cache of compiled pipelines, ``{chain fingerprint:
+#: (function, source)}``.  The driver fills it while planning; a worker
+#: process fills its own from the source a task carries.
 _COMPILED = {}
 _COMPILED_LOCK = threading.Lock()
 
@@ -166,7 +189,7 @@ def chain_fingerprint(kind_fingerprint_pairs):
 # ----------------------------------------------------------------------
 
 
-def generate_source(kinds, name="_pipeline", input_spec=None):
+def generate_source(kinds, name="_pipeline"):
     """Python source of the specialized loop for a chain's step kinds.
 
     The function takes ``(_part, _udfs)`` and returns
@@ -176,16 +199,6 @@ def generate_source(kinds, name="_pipeline", input_spec=None):
     suffices.  The source depends only on the step-kind sequence; UDFs
     are passed in at call time, which keeps the compiled code object
     free of closure state.
-
-    With ``input_spec`` (a proven ``(kinds, scalar)`` columnar schema
-    from :mod:`repro.analysis.schema`), the loop reads
-    :class:`~repro.engine.columnar.ColumnarPartition` buffers
-    *directly* -- one ``tolist()`` per column, lazily zipped for tuple
-    records -- instead of decoding the whole partition to a record
-    list at the loop boundary.  The specialization is guarded at
-    runtime (shape-checked against the actual partition), so a plain
-    list or a differently-shaped partition falls through to ordinary
-    iteration and the loop stays value-identical.
     """
     num = len(kinds)
     if num == 0:
@@ -197,25 +210,6 @@ def generate_source(kinds, name="_pipeline", input_spec=None):
         "    _append = _out.append",
         "    _n = len(_part)",
     ]
-    source_var = "_part"
-    if input_spec is not None:
-        in_kinds, in_scalar = input_spec
-        source_var = "_src"
-        if in_scalar:
-            direct = "_cols[0].tolist()"
-        else:
-            direct = "zip(%s)" % ", ".join(
-                "_cols[%d].tolist()" % j for j in range(len(in_kinds))
-            )
-        lines += [
-            '    _cols = getattr(_part, "columns", None)',
-            "    if (_cols is not None and _part.kinds == %r"
-            % in_kinds,
-            "            and _part.scalar is %r):" % bool(in_scalar),
-            "        _src = %s" % direct,
-            "    else:",
-            "        _src = _part",
-        ]
     # A counter only exists where cardinality changes *and* a later
     # operator consumes the changed count.
     counted = [
@@ -225,7 +219,7 @@ def generate_source(kinds, name="_pipeline", input_spec=None):
     ]
     for i in counted:
         lines.append("    _c%d = 0" % i)
-    lines.append("    for _v0 in %s:" % source_var)
+    lines.append("    for _v0 in _part:")
     indent = 2
     var = 0
     count_exprs = []
@@ -260,18 +254,16 @@ def generate_source(kinds, name="_pipeline", input_spec=None):
 
 def compiled_pipeline_fn(key, source, name="_pipeline"):
     """The compiled callable for ``source``, cached per process."""
-    fn = _COMPILED.get(key)
-    if fn is not None:
-        return fn
-    with _COMPILED_LOCK:
-        fn = _COMPILED.get(key)
-        if fn is None:
-            namespace = {}
-            code = compile(source, "<repro.codegen %s>" % key, "exec")
-            exec(code, namespace)
-            fn = namespace[name]
-            _COMPILED[key] = fn
-    return fn
+    entry = _COMPILED.get(key)
+    if entry is None:
+        with _COMPILED_LOCK:
+            entry = _COMPILED.get(key)
+            if entry is None:
+                namespace = {}
+                code = compile(source, "<repro.codegen %s>" % key, "exec")
+                exec(code, namespace)
+                entry = _COMPILED[key] = (namespace[name], source)
+    return entry[0]
 
 
 def compiled_cache_size():
@@ -286,57 +278,47 @@ def clear_compiled_cache():
 
 
 # ----------------------------------------------------------------------
-# Planning entry point (the executor calls this per fused chain)
+# Planning entry points (the executor builds steps per fused chain and
+# plans a task per chain that reaches COMPILE_MIN_RECORD_STEPS)
 # ----------------------------------------------------------------------
 
 
-def plan_compiled_task(steps, tracer=None, schema=None):
+_STEP_KINDS = {
+    p.Map: STEP_MAP,
+    p.Filter: STEP_FILTER,
+    p.FlatMap: STEP_FLATMAP,
+}
+
+
+def chain_steps(chain):
+    """A fused chain of plan nodes as the ``(kind, fn, operator)``
+    triples both chain bodies carry."""
+    return [(_STEP_KINDS[type(op)], op.fn, p.origin(op)) for op in chain]
+
+
+def plan_compiled_task(steps, tracer=None):
     """A :class:`CompiledPipelineTask` for ``steps``, or
     ``(None, reason)`` when the chain must stay interpreted.
 
     Compilation happens at most once per chain fingerprint per
     process; a cache hit builds the (cheap, picklable) task object
-    without touching ``compile``.  On a miss, a ``codegen`` span is
-    emitted through ``tracer`` covering source generation and
-    compilation.
-
-    ``schema`` (a :class:`repro.analysis.schema.ChainSchema`, supplied
-    when ``schema_inference`` is on) switches planning to the
-    schema-specialized mode: a *proven* chain input schema generates
-    the columnar-direct loop, with the schema spec folded into the
-    chain fingerprint so direct and plain variants never share a cache
-    slot; any unknown or refuted input verdict falls back to the
-    interpreter, with the verdict as the reason.
+    from the cached source without generating or compiling anything.
+    On a miss, a ``codegen`` span is emitted through ``tracer``
+    covering source generation and compilation.
 
     Returns ``(task, None)`` or ``(None, reason)``.
     """
     key, reason = chain_compilability(steps)
     if key is None:
         return None, reason
-    input_spec = None
-    if schema is not None:
-        if schema.input_verdict is not True:
-            verdict = (
-                "refuted" if schema.input_verdict is False else "unknown"
-            )
-            return None, "input schema %s (%r)" % (
-                verdict, schema.input_schema,
-            )
-        input_spec = schema.input_spec
-        # Fold the schema spec into the key: the direct source text
-        # differs from the plain variant, so they must never share a
-        # compiled-cache slot.
-        key = chain_fingerprint([("schema", "%s|%s" % (
-            key, schema.spec_token(),
-        ))])
+    entry = _COMPILED.get(key)
+    if entry is not None:
+        return CompiledPipelineTask(steps, entry[1], key), None
     kinds = [kind for kind, _fn, _operator in steps]
-    if key in _COMPILED:
-        source = generate_source(kinds, input_spec=input_spec)
-        return CompiledPipelineTask(steps, source, key), None
-    operator = "+".join(operator for _kind, _fn, operator in steps)
     if tracer is not None and tracer.enabled:
         from ..observe.events import KIND_CODEGEN
 
+        operator = "+".join(operator for _kind, _fn, operator in steps)
         with tracer.span(
             "codegen:%s" % operator,
             KIND_CODEGEN,
@@ -344,25 +326,13 @@ def plan_compiled_task(steps, tracer=None, schema=None):
             steps=len(steps),
             key=key,
         ) as args:
-            source = generate_source(kinds, input_spec=input_spec)
+            source = generate_source(kinds)
             compiled_pipeline_fn(key, source)
             args["source_lines"] = source.count("\n")
     else:
-        source = generate_source(kinds, input_spec=input_spec)
+        source = generate_source(kinds)
         compiled_pipeline_fn(key, source)
     return CompiledPipelineTask(steps, source, key), None
-
-
-def plan_chain_schema(chain):
-    """The :class:`~repro.analysis.schema.ChainSchema` for a fused
-    chain of plan nodes.
-
-    Lazy import: ``repro.analysis`` imports ``repro.engine``, so
-    engine modules must not import the analysis layer at module scope.
-    """
-    from ..analysis.schema import chain_schema
-
-    return chain_schema(chain)
 
 
 # ----------------------------------------------------------------------
@@ -374,29 +344,15 @@ def compile_notes(root):
     """Per-node notes for ``Bag.explain(compile=True)``.
 
     Each fused chain's top node is annotated ``compiled=yes(<key>)``
-    or ``compiled=no(<reason>)``, mirroring what the executor would
-    decide with ``compile_pipelines`` on.
+    or ``compiled=no(<reason>)``: the compile gate's verdict, which
+    the executor acts on once the chain's task set reaches
+    :data:`COMPILE_MIN_RECORD_STEPS`.
     """
-    from . import dag
-    from . import plan as p
-
     notes = {}
     for unit in dag.plan_units(root):
         if unit.chain is None:
             continue
-        steps = []
-        for op in unit.chain:
-            if isinstance(op, p.Map):
-                kind = STEP_MAP
-            elif isinstance(op, p.Filter):
-                kind = STEP_FILTER
-            else:
-                kind = STEP_FLATMAP
-            name = op.name
-            if op.label:
-                name += "[%s]" % op.label
-            steps.append((kind, op.fn, name))
-        key, reason = chain_compilability(steps)
+        key, reason = chain_compilability(chain_steps(unit.chain))
         if key is not None:
             notes[id(unit.node)] = "compiled=yes(%s)" % key
         else:

@@ -3,11 +3,12 @@
 A :class:`ColumnarPartition` stores a partition of scalar-numeric
 records (or fixed-arity tuples of them) as parallel typed buffers --
 one 64-bit column per field -- instead of a list of boxed Python
-objects.  This is the storage half of the Flare-style compiled
-pipeline work (:mod:`repro.engine.codegen` is the compute half): the
-flattening transformation turns nested programs into long narrow
-chains over flat tagged data, which is exactly the shape that packs
-into columns.
+objects.  The flattening transformation turns nested programs into
+long narrow chains over flat tagged data, which is exactly the shape
+that packs into columns.  The engine itself keeps every partition a
+plain list (re-encoding at fusion boundaries cost more than it saved on
+every measured workload, see ``docs/architecture.md`` section "Flag
+decisions"); the class is the codec, timed by ``benchmarks/wall``.
 
 Design constraints, in order:
 
@@ -17,20 +18,14 @@ Design constraints, in order:
   that cannot be represented losslessly (bools, big ints beyond 64
   bits, strings, mixed-type columns) are simply not encoded:
   :meth:`ColumnarPartition.from_records` returns ``None`` and the
-  caller keeps the plain list.  Downstream operators therefore never
-  need to know whether a partition is columnar.
-* **Pickle safety.**  Partitions cross the process-pool boundary;
-  ``__reduce__`` serializes columns as raw little-endian bytes plus a
-  type string, independent of whether numpy is importable on the other
-  side.
+  caller keeps the plain list.
+* **Pickle safety.**  ``__reduce__`` serializes columns as raw
+  little-endian bytes plus a type string, independent of whether numpy
+  is importable on the other side.
 * **Optional numpy.**  When numpy is importable, columns are built and
   held as ``numpy`` arrays (fast bulk construction and ``tolist``
   decode); otherwise :mod:`array` buffers are used.  The two paths are
   value- and pickle-compatible.
-
-Sizing: :mod:`repro.engine.sizing` charges a columnar partition its
-buffer bytes (:attr:`ColumnarPartition.nbytes`) plus a small fixed
-overhead, instead of recursing into per-record boxed estimates.
 """
 
 import array
@@ -47,9 +42,6 @@ HAVE_NUMPY = _np is not None
 __all__ = [
     "HAVE_NUMPY",
     "ColumnarPartition",
-    "as_records",
-    "encode_committed",
-    "maybe_columnar",
 ]
 
 #: Column kind -> (array typecode, numpy dtype name).  Both are 64-bit
@@ -62,9 +54,6 @@ _KINDS = {
 
 #: Widest tuple record we bother to columnarize.
 _MAX_ARITY = 16
-
-#: Fixed per-column estimate overhead (object header + buffer header).
-_COLUMN_OVERHEAD = 64
 
 
 def _column_kind(values):
@@ -87,39 +76,6 @@ def _column_kind(values):
         elif kind != k:
             return None
     return kind
-
-
-def _promote_mixed_column(values):
-    """A mixed int/float column as all-floats, or ``None`` when lossy.
-
-    Every int must survive the round-trip exactly -- ``2**53 + 1``
-    (not representable in a double) and ``10**400`` (overflows) are
-    rejected, so promotion never silently truncates.  Pure int or pure
-    float columns also answer ``None``: they already encode as-is, and
-    promoting an unmixed int column would change its decoded values.
-    """
-    promoted = []
-    append = promoted.append
-    saw_int = saw_float = False
-    for value in values:
-        t = type(value)
-        if t is float:
-            saw_float = True
-            append(value)
-        elif t is int:
-            saw_int = True
-            try:
-                as_float = float(value)
-            except OverflowError:
-                return None
-            if int(as_float) != value:
-                return None
-            append(as_float)
-        else:
-            return None
-    if not (saw_int and saw_float):
-        return None
-    return promoted
 
 
 def _encode_column(kind, values):
@@ -178,17 +134,9 @@ class ColumnarPartition:
     # -- construction --------------------------------------------------
 
     @classmethod
-    def from_records(cls, records, promote_mixed=False):
+    def from_records(cls, records):
         """Encode a list of records, or return ``None`` when the shape
         is not columnar (empty, non-numeric, ragged, or out of range).
-
-        ``promote_mixed=True`` additionally accepts columns mixing
-        ``int`` and ``float`` by promoting the ints to floats -- but
-        only when every promotion is numerically exact (see
-        :func:`_promote_mixed_column`); a lossy column still rejects
-        the whole partition.  Off by default because promotion changes
-        decoded types (``1`` comes back as ``1.0``), which the engine's
-        value-fidelity contract forbids.
         """
         if not isinstance(records, list) or not records:
             return None
@@ -206,13 +154,8 @@ class ColumnarPartition:
             raw_columns = [records]
             scalar = True
         kinds = []
-        for index, values in enumerate(raw_columns):
+        for values in raw_columns:
             kind = _column_kind(values)
-            if kind is None and promote_mixed:
-                promoted = _promote_mixed_column(values)
-                if promoted is not None:
-                    raw_columns[index] = promoted
-                    kind = "f"
             if kind is None:
                 return None
             kinds.append(kind)
@@ -247,35 +190,12 @@ class ColumnarPartition:
             return _plain(self.columns[0][index])
         return tuple(_plain(column[index]) for column in self.columns)
 
-    def __add__(self, other):
-        """Concatenation decodes: consumers that merge partitions
-        (elided co-group buckets, unions) get a plain list back."""
-        if isinstance(other, ColumnarPartition):
-            return self.to_records() + other.to_records()
-        if isinstance(other, list):
-            return self.to_records() + other
-        return NotImplemented
-
-    def __radd__(self, other):
-        if isinstance(other, list):
-            return other + self.to_records()
-        return NotImplemented
-
     # -- accounting ----------------------------------------------------
 
     @property
     def nbytes(self):
         """Raw buffer bytes across all columns."""
         return self._length * 8 * len(self.columns)
-
-    @property
-    def estimated_bytes(self):
-        """What the size estimator should charge for this partition."""
-        return (
-            sys.getsizeof(self)
-            + self.nbytes
-            + _COLUMN_OVERHEAD * len(self.columns)
-        )
 
     # -- transport -----------------------------------------------------
 
@@ -336,72 +256,3 @@ def _rebuild(kinds, scalar, blobs, length):
 # Sanity: both storage backends serialize a record to exactly 8 bytes
 # per column; ``struct`` spells out the invariant the codecs rely on.
 assert struct.calcsize("<q") == struct.calcsize("<d") == 8
-
-
-def maybe_columnar(records):
-    """``records`` as a :class:`ColumnarPartition` when encodable,
-    else the list unchanged (the stage-boundary adapter)."""
-    part = ColumnarPartition.from_records(records)
-    return records if part is None else part
-
-
-def encode_committed(kinds, scalar, records):
-    """Probe-free encode for a *statically proven* columnar schema.
-
-    Where :meth:`ColumnarPartition.from_records` scans every value of
-    every column to discover the shape, this trusts the
-    ``(kinds, scalar)`` spec proven by :mod:`repro.analysis.schema`
-    and goes straight to the typed-buffer constructors.  The guards
-    that remain are all C-speed or per-column:
-
-    * arity is verified exactly without touching individual values --
-      ``zip(*records)`` yields ``min(arity)`` columns and
-      ``sum(map(len, records))`` gives ``mean(arity) * n``, and
-      ``min == mean == proven`` forces every record to the proven
-      arity, so a ragged partition can never be silently truncated;
-    * the buffer constructors themselves reject wrong-typed or
-      out-of-range values (``OverflowError``/``ValueError``/
-      ``TypeError``).
-
-    Any failure returns ``None`` with ``records`` untouched -- the
-    caller keeps the intact plain list, exactly as if no encode had
-    been attempted.  Proven schemas cannot rule out >64-bit ints (a
-    value property, not a type property), so this fallback is load-
-    bearing, not defensive decoration.
-    """
-    if not isinstance(records, list) or not records:
-        return None
-    if scalar:
-        raw_columns = [records]
-    else:
-        if type(records[0]) is not tuple:
-            return None
-        arity = len(kinds)
-        try:
-            if sum(map(len, records)) != arity * len(records):
-                return None
-        except TypeError:
-            return None
-        raw_columns = list(zip(*records))
-        if len(raw_columns) != arity:
-            return None
-    try:
-        columns = [
-            _encode_column(kind, values)
-            for kind, values in zip(kinds, raw_columns)
-        ]
-    except (OverflowError, ValueError, TypeError):
-        return None
-    return ColumnarPartition(kinds, scalar, columns, len(records))
-
-
-def as_records(part):
-    """A partition as a plain list (the inverse adapter).
-
-    Lists pass through untouched, so call sites that must hand user
-    code a real list (``map_partitions``) can normalize
-    unconditionally.
-    """
-    if isinstance(part, ColumnarPartition):
-        return part.to_records()
-    return part

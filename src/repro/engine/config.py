@@ -172,35 +172,6 @@ class ClusterConfig:
     #: and I/O-free (see :class:`repro.engine.runtime.TaskScheduler`).
     #: Off by default.
     speculative_execution: bool = False
-    #: Execute fused elementwise chains as generated, specialized loop
-    #: functions over columnar partitions (:mod:`repro.engine.codegen`
-    #: and :mod:`repro.engine.columnar`) instead of the interpreted
-    #: per-record pipeline -- but only for chains whose UDFs the effect
-    #: analysis *proves* pure and free of
-    #: :class:`~repro.engine.work.Weighted` results; anything unproven
-    #: falls back to the interpreter with the reason recorded as an
-    #: optimizer decision.  Results, trace signatures, and simulated
-    #: seconds are identical either way (see ``--compare compiled`` in
-    #: :mod:`repro.analysis.equivalence`); only measured wall-clock
-    #: changes.  Off by default; defaults to the ``REPRO_COMPILE``
-    #: environment variable.
-    compile_pipelines: bool = field(
-        default_factory=_env("REPRO_COMPILE", False)
-    )
-    #: Run whole-plan record schema inference
-    #: (:mod:`repro.analysis.schema`) before executing fused chains,
-    #: and act on *proven* verdicts: a proven int/float fixed-arity
-    #: output schema commits to columnar storage without the
-    #: per-partition encode probe, a refuted schema skips encoding
-    #: entirely, and a proven columnar *input* schema lets the
-    #: generated loop read :class:`~repro.engine.columnar
-    #: .ColumnarPartition` buffers directly.  Unknown verdicts fall
-    #: back to the probe-and-interpret behavior of plain
-    #: ``compile_pipelines``.  Results, trace signatures, and simulated
-    #: seconds are identical either way (see ``--compare schema`` in
-    #: :mod:`repro.analysis.equivalence`).  Only meaningful together
-    #: with ``compile_pipelines``.  Off by default.
-    schema_inference: bool = False
 
     def __post_init__(self):
         if self.machines < 1:

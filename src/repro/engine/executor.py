@@ -64,7 +64,6 @@ from ..observe.events import (
 from . import codegen
 from . import dag
 from . import plan as p
-from .columnar import as_records, encode_committed, maybe_columnar
 from .optimize import (
     Decision,
     plan_auto_caches,
@@ -75,9 +74,6 @@ from .optimize import (
 from .partitioner import build_balanced_assignment, stable_hash
 from .runtime.scheduler import TaskScheduler
 from .runtime.task import (
-    STEP_FILTER,
-    STEP_FLATMAP,
-    STEP_MAP,
     BroadcastJoinProbeTask,
     CoGroupBucketTask,
     CombineTask,
@@ -93,11 +89,7 @@ from .validate import validate_job
 _KEY = operator.itemgetter(0)
 
 
-def _origin(node):
-    name = node.name
-    if node.label:
-        name += "[%s]" % node.label
-    return name
+_origin = p.origin
 
 
 class _Result:
@@ -414,48 +406,31 @@ class Executor:
         its input record count (plus reported UDF work) on the input's
         stage, exactly as unfused evaluation would.
 
-        With ``config.compile_pipelines`` on, chains whose UDFs pass
-        the codegen gate run as one generated, specialized loop
-        (:class:`~repro.engine.runtime.task.CompiledPipelineTask`)
-        instead, and output partitions are re-encoded columnar at the
-        fusion boundary when their records pack
-        (:mod:`repro.engine.columnar`).  Either way the credited
-        counts -- and with them the simulated seconds -- are identical;
-        the per-chain compile-or-fallback choice is recorded as a
-        ``compiled-pipeline`` optimizer decision.
-
-        ``config.schema_inference`` additionally pre-commits the
-        storage format from the chain's inferred output schema
-        (:mod:`repro.analysis.schema`), recorded as a
-        ``columnar-commit`` decision: a *proven* int/float fixed-arity
-        schema encodes without the per-partition probe, a *refuted*
-        schema skips encoding entirely, and only an unknown verdict
-        probes as before.  A proven *input* schema generates the
-        columnar-direct loop; an unproven one falls back to the
-        interpreter with the verdict recorded as the reason.
+        A chain whose task set is large enough -- steps x input
+        records reaches :data:`codegen.COMPILE_MIN_RECORD_STEPS` -- is
+        handed to the codegen planner, and runs as one generated,
+        specialized loop
+        (:class:`~repro.engine.runtime.task.CompiledPipelineTask`) when
+        its UDFs pass the compile gate; the compile-or-fallback choice
+        is recorded as a ``compiled-pipeline`` optimizer decision.  A
+        smaller chain is interpreted with no analysis, planning or
+        decision at all: planning has a fixed price per chain that only
+        enough record-steps pay back.  Either way the credited counts
+        -- and with them the simulated seconds -- are identical, and
+        the output partitions are plain lists.
         """
-        steps = []
-        for op in chain:
-            if isinstance(op, p.Map):
-                steps.append((STEP_MAP, op.fn, _origin(op)))
-            elif isinstance(op, p.Filter):
-                steps.append((STEP_FILTER, op.fn, _origin(op)))
-            else:
-                steps.append((STEP_FLATMAP, op.fn, _origin(op)))
+        steps = codegen.chain_steps(chain)
         factor = self.config.sequential_work_factor
         stage = child.stage
-        compiled = self.config.compile_pipelines
         task = None
-        schema = None
-        if compiled:
-            if self.config.schema_inference:
-                schema = codegen.plan_chain_schema(chain)
+        if (
+            len(steps) * sum(map(len, child.partitions))
+            >= codegen.COMPILE_MIN_RECORD_STEPS
+        ):
             task, reason = codegen.plan_compiled_task(
-                steps, tracer=self.tracer, schema=schema
+                steps, tracer=self.tracer
             )
             self._record_compile_decision(steps, task, reason)
-            if schema is not None:
-                self._record_columnar_decision(steps, schema)
         if task is None:
             task = FusedPipelineTask(steps)
         results = self.scheduler.run_stage(
@@ -477,60 +452,7 @@ class Executor:
                     int(work * factor) for work in task_works
                 )
         stage.credit_task_records(credits)
-        if not compiled:
-            return _Result(list(records), stage)
-        return _Result(
-            [self._store_fused(part, schema) for part in records], stage
-        )
-
-    @staticmethod
-    def _store_fused(records, schema):
-        """Pick the storage format for one compiled chain's output
-        partition.
-
-        Only the storage changes here, never the values: columnar
-        partitions decode to the exact records that went in, so counts,
-        trace signatures, and simulated seconds are identical across
-        all four paths (the interpreter's plain lists, probe, commit,
-        skip).
-        """
-        if schema is None or schema.output_verdict is None:
-            return maybe_columnar(records)
-        if schema.output_verdict is False:
-            # Refuted: skip the encode attempt entirely.
-            return records
-        kinds, scalar = schema.output_spec
-        part = encode_committed(kinds, scalar, records)
-        # A proven schema can still fail to encode on value range
-        # (>64-bit ints); the untouched record list is the fallback.
-        return records if part is None else part
-
-    def _record_columnar_decision(self, steps, schema):
-        """Log one ``columnar-commit`` decision for a fused chain."""
-        operator = "+".join(step[2] for step in steps)
-        if schema.output_verdict is True:
-            choice, detail = "commit", (
-                "%s output schema %r proven columnar; encode probe "
-                "skipped" % (operator, schema.output_schema)
-            )
-        elif schema.output_verdict is False:
-            choice, detail = "skip", (
-                "%s output schema %r refutes columnar encoding; "
-                "keeping plain records" % (operator, schema.output_schema)
-            )
-        else:
-            choice, detail = "probe", (
-                "%s output schema %r unknown; probing per partition"
-                % (operator, schema.output_schema)
-            )
-        decision = Decision(
-            kind="columnar-commit",
-            choice=choice,
-            num_tags=len(steps),
-            detail=detail,
-        )
-        with self._state_lock:
-            self.decisions.append(decision)
+        return _Result(list(records), stage)
 
     def _record_compile_decision(self, steps, task, reason):
         """Log one ``compiled-pipeline`` decision for a fused chain."""
@@ -558,12 +480,7 @@ class Executor:
         task = MapPartitionsTask(node.fn, _origin(node))
         results = self.scheduler.run_stage(
             task,
-            [
-                # The UDF's contract is a real list, whatever the
-                # upstream boundary produced.
-                (as_records(part), index)
-                for index, part in enumerate(child.partitions)
-            ],
+            [(part, index) for index, part in enumerate(child.partitions)],
             stage=child.stage,
             ordinal=ordinals.take(),
         )
@@ -705,13 +622,12 @@ class Executor:
         with self._state_lock:
             self.decisions.append(decision)
 
-    def _key_assignment(self, partition_lists, num_partitions):
+    def _key_assignment(self, parts, num_partitions):
         """Balanced key -> bucket assignment over the given partitions.
 
         This pass is also where a shuffle checks its records, once:
         bucketing and the reduce-side tasks (``keyed=True``) rely on it.
         """
-        parts = [as_records(part) for part in partition_lists]
         flat = itertools.chain.from_iterable
         # Plain pairs pass two C-level scans; anything else is checked
         # record by record, so the first offender is the one reported.

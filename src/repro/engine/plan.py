@@ -377,6 +377,15 @@ def explain_compact(root, notes=None):
     return "\n".join(lines)
 
 
+def origin(node):
+    """``Name`` or ``Name[label]``: what stages, task operators and
+    optimizer decisions call the node that produced them."""
+    name = node.name
+    if node.label:
+        name += "[%s]" % node.label
+    return name
+
+
 def describe_node(node, ids=None, parts=None):
     """Compact reference to one node: ``#3 GroupByKey [label] parts=8``.
 

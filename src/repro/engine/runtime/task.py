@@ -165,11 +165,12 @@ class CompiledPipelineTask:
     interpreter would also report).
 
     Carries only picklable state: the steps (for operator names, UDFs,
-    and the interpreted-fallback contract), the generated source text,
-    and the chain-fingerprint cache key.  The code object itself is
-    compiled lazily -- at most once per key per process -- so the task
-    ships across the process-pool boundary as cheaply as the
-    interpreted one.
+    and the interpreter a failing partition is re-run through, so both
+    bodies raise the same :class:`~repro.errors.UdfError`), the
+    generated source text, and the chain-fingerprint cache key.  The
+    code object itself is compiled lazily -- at most once per key per
+    process -- so the task ships across the process-pool boundary as
+    cheaply as the interpreted one.
     """
 
     __slots__ = ("steps", "source", "key", "udfs", "_fn")
@@ -201,10 +202,14 @@ class CompiledPipelineTask:
             out, counts = fn(part, self.udfs)
         except (SimulatedOutOfMemory, UdfError):
             raise
-        except Exception as exc:
-            # The specialized loop has no per-call wrapper; attribute
-            # the failure to the whole chain.
-            raise UdfError(self.operator, exc) from exc
+        except Exception:
+            # The specialized loop cannot say which step failed, and it
+            # takes a record through the whole chain where the
+            # interpreter takes a vector through a step.  The gate
+            # proved the UDFs pure, so running the partition again is
+            # unobservable: the interpreter raises, with its step and
+            # its first-failing-step rule.
+            return FusedPipelineTask(self.steps)(part)
         return out, counts, [0] * len(self.steps)
 
 

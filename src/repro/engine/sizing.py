@@ -8,8 +8,6 @@ exact; it needs to rank two datasets by size reliably.
 
 import sys
 
-from .columnar import ColumnarPartition
-
 # Sampling bound: beyond this many elements we extrapolate from a sample,
 # exactly like Spark's SizeEstimator does for large arrays.
 _SAMPLE_LIMIT = 100
@@ -47,10 +45,6 @@ def _estimate(obj, seen):
     if obj is None:
         return base
     seen.add(obj_id)
-    if isinstance(obj, ColumnarPartition):
-        # Typed buffers: the footprint is the buffer bytes plus fixed
-        # per-column overhead, not a per-record boxed estimate.
-        return obj.estimated_bytes
     if isinstance(obj, dict):
         return base + _estimate_items(
             [item for pair in obj.items() for item in pair], seen

@@ -1,29 +1,22 @@
 """Whole-plan schema & shape inference (:mod:`repro.analysis.schema`).
 
 Covers the lattice, UDF abstract interpretation, plan-level inference,
-the columnar / hashability verdicts, chain commitment, and at least one
-positive and one negative case for every NPL6xx diagnostic plus the
-NPL001 skip notice.
+the hashability verdict, and at least one positive and one negative
+case for every NPL6xx diagnostic plus the NPL001 skip notice.
 """
-
-from dataclasses import replace
 
 import pytest
 
 from repro.analysis.schema import (
     ANY,
     BOOL,
-    ChainSchema,
     FLOAT,
     INT,
     ListType,
-    NONE,
     STR,
     ScalarType,
     TupleType,
     UnhashableType,
-    chain_schema,
-    columnar_verdict,
     hashable_verdict,
     infer_schemas,
     infer_udf_schema,
@@ -31,7 +24,6 @@ from repro.analysis.schema import (
     schema_diagnostics,
     schema_notes,
 )
-from repro.engine import laptop_config
 from repro.engine import plan as p
 from repro.udf import clear_cache
 
@@ -143,37 +135,6 @@ class TestLattice:
 
 
 class TestVerdicts:
-    def test_scalar_numeric_proven(self):
-        assert columnar_verdict(INT) == (True, ("i", True))
-        assert columnar_verdict(FLOAT) == (True, ("f", True))
-
-    def test_scalar_non_numeric_refuted(self):
-        for schema in (STR, BOOL, NONE):
-            verdict, spec = columnar_verdict(schema)
-            assert verdict is False
-            assert spec is None
-
-    def test_tuple_proven(self):
-        assert columnar_verdict(TupleType((INT, FLOAT))) == (
-            True, ("if", False)
-        )
-
-    def test_tuple_with_any_is_unknown(self):
-        verdict, spec = columnar_verdict(TupleType((INT, ANY)))
-        assert verdict is None
-
-    def test_refuting_element_beats_unknown(self):
-        # A str slot refutes even when another slot is unknown.
-        verdict, _ = columnar_verdict(TupleType((ANY, STR)))
-        assert verdict is False
-
-    def test_wide_tuple_refuted(self):
-        verdict, _ = columnar_verdict(TupleType((INT,) * 17))
-        assert verdict is False
-
-    def test_any_is_unknown(self):
-        assert columnar_verdict(ANY) == (None, None)
-
     def test_hashable_verdicts(self):
         assert hashable_verdict(INT) is True
         assert hashable_verdict(TupleType((INT, STR))) is True
@@ -343,50 +304,6 @@ def _identity_part(part):
 
 
 # ----------------------------------------------------------------------
-# chain commitment
-# ----------------------------------------------------------------------
-
-
-class TestChainSchema:
-    def _chain(self, bag):
-        """The fused elementwise chain ending at ``bag.node``."""
-        chain = []
-        node = bag.node
-        while isinstance(node, (p.Map, p.Filter, p.FlatMap)):
-            chain.append(node)
-            node = node.child
-        chain.reverse()
-        return chain
-
-    def test_proven_chain(self, ctx):
-        bag = ctx.bag_of([1, 2, 3]).map(_to_pair)
-        schema = chain_schema(self._chain(bag))
-        assert schema.input_verdict is True
-        assert schema.input_spec == ("i", True)
-        assert schema.output_verdict is True
-        assert schema.output_spec == ("if", False)
-        assert schema.spec_token() == "si->tif"
-
-    def test_refuted_chain(self, ctx):
-        bag = ctx.bag_of([1, 2, 3]).map(_to_str)
-        schema = chain_schema(self._chain(bag))
-        assert schema.output_verdict is False
-        assert schema.spec_token() == "si->no"
-
-    def test_unknown_chain(self, ctx):
-        bag = ctx.bag_of([1, 2.5]).map(_double)
-        schema = chain_schema(self._chain(bag))
-        assert schema.input_verdict is None
-        assert schema.output_verdict is None
-        assert schema.spec_token() == "?->?"
-
-    def test_spec_token_is_fingerprint_safe(self):
-        schema = ChainSchema(True, ("ii", False), False, None,
-                             TupleType((INT, INT)), STR)
-        assert schema.spec_token() == "tii->no"
-
-
-# ----------------------------------------------------------------------
 # NPL6xx diagnostics
 # ----------------------------------------------------------------------
 
@@ -437,35 +354,12 @@ class TestSchemaDiagnostics:
         diags = schema_diagnostics(bag.node)
         assert "NPL603" not in _codes(diags)
 
-    def test_npl604_refuted_chain_with_compile_on(self, ctx):
-        config = replace(laptop_config(), compile_pipelines=True)
-        bag = ctx.bag_of([1, 2]).map(_to_str)
-        diags = schema_diagnostics(bag.node, config)
-        assert "NPL604" in _codes(diags)
-
-    def test_npl604_gated_on_compile_flag(self, ctx):
-        # Without compile_pipelines no probe would run, so there is
-        # nothing to report.
-        bag = ctx.bag_of([1, 2]).map(_to_str)
-        diags = schema_diagnostics(bag.node, laptop_config())
-        assert "NPL604" not in _codes(diags)
-
-    def test_npl001_skip_notice_with_inference_on(self, ctx):
-        config = replace(
-            laptop_config(),
-            compile_pipelines=True,
-            schema_inference=True,
-        )
+    def test_npl001_skip_notice(self, ctx):
         bag = ctx.bag_of([1, 2]).map(str)
-        diags = schema_diagnostics(bag.node, config)
+        diags = schema_diagnostics(bag.node)
         npl001 = [d for d in diags if d.code == "NPL001"]
         assert len(npl001) == 1
         assert "str" in npl001[0].message
-
-    def test_npl001_gated_on_schema_inference(self, ctx):
-        bag = ctx.bag_of([1, 2]).map(str)
-        diags = schema_diagnostics(bag.node, laptop_config())
-        assert "NPL001" not in _codes(diags)
 
     def test_clean_plan_has_no_findings(self, ctx):
         bag = (

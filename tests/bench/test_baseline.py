@@ -7,15 +7,15 @@ cost the cache removes -- and the committed ``BENCH_engine.json``
 snapshot must show the same advantage, since ``--check-regressions``
 gates it.
 
-The ``pipeline-*`` trio differs only in ``compile_pipelines`` and
-``schema_inference``: the compiled rows must simulate *exactly* the
-interpreted row's seconds (the generated loops credit identical
-per-operator counts); wall-clock is asserted only on the committed
-snapshot (compiled at least 2x lower on the serial rows), never on a
-live single sample.
+The ``pipeline`` cell runs a chain large enough to compile: the
+generated loop must simulate *exactly* the interpreter's seconds (both
+credit identical per-operator counts).  Wall-clock is never asserted
+here: one sample cannot order the two bodies, so that comparison
+belongs to ``benchmarks/wall``.
 """
 
 import json
+import sys
 from pathlib import Path
 
 from repro.bench.baseline import (
@@ -26,16 +26,9 @@ from repro.bench.baseline import (
     BASELINE_FILENAME,
     CELLS,
 )
+from repro.engine import codegen
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-
-#: Wall-clock advantage the committed compiled rows must show over the
-#: interpreted rows on the serial backend.
-_COMMITTED_SPEEDUP_FLOOR = 2.0
-
-#: No live run is timed here: one sample cannot order interpreted,
-#: compiled and columnar-direct wall-clock, so that comparison belongs
-#: to ``benchmarks/wall`` (``chain_default`` vs ``chain_fast``).
 
 
 class TestServeCells:
@@ -81,13 +74,17 @@ class TestServeCells:
 
 class TestPipelineCells:
     def test_matrix_includes_pipeline_pair(self):
-        assert "pipeline-interpreted" in CELLS
-        assert "pipeline-compiled" in CELLS
-        assert "pipeline-columnar-direct" in CELLS
+        assert "pipeline" in CELLS
 
-    def test_compiled_simulates_identical_seconds(self):
-        interpreted = _pipeline_cell("pipeline-interpreted", 4)
-        compiled = _pipeline_cell("pipeline-compiled", 4)
+    def test_compiled_simulates_identical_seconds(self, monkeypatch):
+        codegen.clear_compiled_cache()
+        with monkeypatch.context() as patch:
+            patch.setattr(codegen, "COMPILE_MIN_RECORD_STEPS", sys.maxsize)
+            interpreted = _pipeline_cell("pipeline", 4)
+        assert codegen.compiled_cache_size() == 0
+        # The cell as committed is large enough to compile.
+        compiled = _pipeline_cell("pipeline", 4)
+        assert codegen.compiled_cache_size() == 1
         assert interpreted.status == "ok"
         assert compiled.status == "ok"
         # Not approximately: the generated loop credits exactly the
@@ -98,59 +95,3 @@ class TestPipelineCells:
             compiled.entry["totals"]["records"]
             == interpreted.entry["totals"]["records"]
         )
-
-    def test_columnar_direct_simulates_identical_seconds(self):
-        compiled = _pipeline_cell("pipeline-compiled", 4)
-        direct = _pipeline_cell("pipeline-columnar-direct", 4)
-        assert compiled.status == "ok"
-        assert direct.status == "ok"
-        # Reading column buffers directly must credit exactly the same
-        # per-operator counts as decoding them through the probe path.
-        assert direct.seconds == compiled.seconds
-        assert (
-            direct.entry["totals"]["records"]
-            == compiled.entry["totals"]["records"]
-        )
-
-    def test_committed_snapshot_has_compiled_speedup(self):
-        data = json.loads((REPO_ROOT / BASELINE_FILENAME).read_text())
-        rows = {
-            (entry["system"], entry["x"]): entry
-            for entry in data["entries"]
-        }
-        for groups in _GROUP_COUNTS:
-            interpreted = rows["pipeline-interpreted", groups]
-            compiled = rows["pipeline-compiled", groups]
-            assert (
-                compiled["simulated_seconds"]
-                == interpreted["simulated_seconds"]
-            )
-            ratio = (
-                interpreted["measured_wall_seconds"]
-                / compiled["measured_wall_seconds"]
-            )
-            assert ratio >= _COMMITTED_SPEEDUP_FLOOR, (
-                "committed compiled row at %d groups only %.2fx faster"
-                % (groups, ratio)
-            )
-
-    def test_committed_snapshot_columnar_direct_credits_same_work(self):
-        data = json.loads((REPO_ROOT / BASELINE_FILENAME).read_text())
-        rows = {
-            (entry["system"], entry["x"]): entry
-            for entry in data["entries"]
-        }
-        for groups in _GROUP_COUNTS:
-            for scheduler in _SCHEDULERS:
-                suffix = "" if scheduler == "serial" else "+dag"
-                interpreted = rows["pipeline-interpreted" + suffix, groups]
-                compiled = rows["pipeline-compiled" + suffix, groups]
-                direct = rows[
-                    "pipeline-columnar-direct" + suffix, groups
-                ]
-                # Identical credited work across all three rows.
-                assert (
-                    direct["simulated_seconds"]
-                    == compiled["simulated_seconds"]
-                    == interpreted["simulated_seconds"]
-                )

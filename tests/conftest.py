@@ -2,7 +2,26 @@
 
 import pytest
 
-from repro.engine import ClusterConfig, EngineContext, laptop_config
+from repro.engine import ClusterConfig, EngineContext, codegen, laptop_config
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--compile-all", action="store_true",
+        help="plan every fused chain for compilation, whatever its "
+        "size (codegen.COMPILE_MIN_RECORD_STEPS = 0), so the suite "
+        "runs CompiledPipelineTask wherever the compile gate allows",
+    )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def compile_all(request):
+    """``--compile-all``: the suite's chains are far below the
+    executor's size threshold, so without it they are all interpreted."""
+    with pytest.MonkeyPatch.context() as patch:
+        if request.config.getoption("--compile-all"):
+            patch.setattr(codegen, "COMPILE_MIN_RECORD_STEPS", 0)
+        yield
 
 
 @pytest.fixture

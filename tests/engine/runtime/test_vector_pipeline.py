@@ -8,6 +8,10 @@ generated chain.  What *is* allowed to differ, the order UDFs are
 called in and which of two failing steps reports, is pinned below, and
 a call-count guard fails if a per-record Python wrapper of the engine's
 comes back.
+
+``CompiledPipelineTask``, the generated loop large provable chains run
+as, is held to the same oracle on every generated chain free of
+``Weighted`` results, and to the interpreter's errors.
 """
 
 import collections
@@ -18,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineContext, laptop_config
-from repro.engine.columnar import ColumnarPartition
+from repro.engine.codegen import generate_source
 from repro.engine.plan import Parallelize
 from repro.engine.runtime.task import (
     STEP_FILTER,
@@ -26,6 +30,7 @@ from repro.engine.runtime.task import (
     STEP_MAP,
     VECTOR,
     CombineTask,
+    CompiledPipelineTask,
     CrossBroadcastTask,
     FusedPipelineTask,
     require_keyed,
@@ -132,6 +137,15 @@ def build_steps(specs):
     return steps
 
 
+def compiled_task(steps):
+    """The generated loop for ``steps``, built past the compile gate
+    (tests/engine/test_codegen.py holds the gate to its contract)."""
+    kinds = [kind for kind, _fn, _operator in steps]
+    return CompiledPipelineTask(
+        steps, generate_source(kinds), "test-%s" % "".join(map(str, kinds))
+    )
+
+
 def assert_matches_oracle(steps, part):
     before = list(part)
     task = FusedPipelineTask(steps)
@@ -139,6 +153,10 @@ def assert_matches_oracle(steps, part):
     assert (out, counts, works) == record_at_a_time(steps, before)
     assert out is not part
     assert list(part) == before
+    if not any("weighted" in operator for _kind, _fn, operator in steps):
+        # What the compile gate lets through: no Weighted results.
+        assert compiled_task(steps)(part) == (out, counts, works)
+        assert list(part) == before
 
 
 @pytest.mark.parametrize("length", LENGTHS)
@@ -146,14 +164,6 @@ def assert_matches_oracle(steps, part):
 @given(specs=chains)
 def test_generated_chains_match_the_oracle(length, specs):
     assert_matches_oracle(build_steps(specs), list(range(length)))
-
-
-@settings(max_examples=20, deadline=None)
-@given(specs=chains)
-def test_columnar_input_matches_the_oracle(specs):
-    part = ColumnarPartition.from_records(list(range(VECTOR + 9)))
-    assert part is not None
-    assert_matches_oracle(build_steps(specs), part)
 
 
 def test_nested_expansions_stay_depth_first():
@@ -208,11 +218,13 @@ def _expand_or_fail(bad):
     return lambda x: (check(x),)
 
 
+@pytest.mark.parametrize("body", [FusedPipelineTask, compiled_task],
+                         ids=["interpreted", "compiled"])
 @pytest.mark.parametrize("bad", [0, VECTOR + 5],
                          ids=["first-vector", "later-vector"])
 @pytest.mark.parametrize("failing", [0, 1, 2],
                          ids=["map", "filter", "flat_map"])
-def test_udf_error_names_the_step_that_raised(failing, bad):
+def test_udf_error_names_the_step_that_raised(failing, bad, body):
     steps = [
         (kind, make(bad if index == failing else -1), "step-%d" % index)
         for index, (kind, make) in enumerate([
@@ -222,7 +234,7 @@ def test_udf_error_names_the_step_that_raised(failing, bad):
         ])
     ]
     with pytest.raises(UdfError) as err:
-        FusedPipelineTask(steps)(list(range(2 * VECTOR)))
+        body(steps)(list(range(2 * VECTOR)))
     assert err.value.operator == "step-%d" % failing
     assert isinstance(err.value.__cause__, ValueError)
     assert str(err.value.original) == "record %d" % bad
@@ -236,9 +248,10 @@ def test_engine_errors_from_a_udf_pass_through(error):
     def udf(x):
         raise error
 
-    with pytest.raises(type(error)) as err:
-        FusedPipelineTask([(STEP_MAP, udf, "outer")])([1])
-    assert err.value is error
+    for body in (FusedPipelineTask, compiled_task):
+        with pytest.raises(type(error)) as err:
+            body([(STEP_MAP, udf, "outer")])([1])
+        assert err.value is error
     with pytest.raises(type(error)) as err:
         CombineTask(lambda a, b: udf(a), "outer")([(1, 1), (1, 2)])
     assert err.value is error
@@ -289,7 +302,8 @@ def test_call_order_is_step_major_within_a_vector():
 def test_the_earlier_steps_error_wins_within_a_vector():
     # Record 0 fails at step 1, record 1 at step 0.  Record at a time,
     # record 0 got to step 1 first; vector at a time, step 0 sees both
-    # records before step 1 sees any.
+    # records before step 1 sees any.  The generated loop is record at
+    # a time too, and answers as the interpreter does all the same.
     steps = [
         (STEP_MAP, _fail_at(1), "step-0"),
         (STEP_MAP, _fail_at(0), "step-1"),
@@ -297,18 +311,20 @@ def test_the_earlier_steps_error_wins_within_a_vector():
     with pytest.raises(UdfError) as err:
         record_at_a_time(steps, [0, 1])
     assert err.value.operator == "step-1"
-    with pytest.raises(UdfError) as err:
-        FusedPipelineTask(steps)([0, 1])
-    assert err.value.operator == "step-0"
+    for body in (FusedPipelineTask, compiled_task):
+        with pytest.raises(UdfError) as err:
+            body(steps)([0, 1])
+        assert err.value.operator == "step-0"
     # Across vectors the earlier *record* still wins.
     part = list(range(2 * VECTOR))
     steps = [
         (STEP_MAP, _fail_at(VECTOR + 1), "step-0"),
         (STEP_MAP, _fail_at(3), "step-1"),
     ]
-    with pytest.raises(UdfError) as err:
-        FusedPipelineTask(steps)(part)
-    assert err.value.operator == "step-1"
+    for body in (FusedPipelineTask, compiled_task):
+        with pytest.raises(UdfError) as err:
+            body(steps)(part)
+        assert err.value.operator == "step-1"
 
 
 # ----------------------------------------------------------------------

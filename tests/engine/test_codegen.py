@@ -1,10 +1,14 @@
-"""Compiled fused pipelines: parity, gating, caching, observability."""
+"""Compiled fused pipelines: parity, gating, caching, observability,
+and the size rule that decides which chains are planned at all."""
 
 import pickle
+import sys
 
 import pytest
 
-from repro.engine import EngineContext, laptop_config
+import repro.analysis.effects
+from repro import udf
+from repro.engine import EngineContext, codegen, laptop_config
 from repro.engine.codegen import (
     chain_compilability,
     clear_compiled_cache,
@@ -170,31 +174,14 @@ class TestCompiledTask:
         task_b(list(range(4)))
         assert compiled_cache_size() == size
 
-    def test_udf_errors_attributed_to_chain(self):
-        def boom(x):
-            raise RuntimeError("kaput")
-
-        steps = _steps((STEP_MAP, _double))
-        task, _ = plan_compiled_task(steps)
-        # Swap in a failing UDF post-plan: execution (not planning)
-        # must wrap the error with the chain's operator label.
-        broken = CompiledPipelineTask(
-            [(STEP_MAP, boom, "Map#0")], task.source, task.key
-        )
-        from repro.errors import UdfError
-
-        with pytest.raises(UdfError, match="Map#0"):
-            broken([1])
-
 
 class TestEngineIntegration:
-    def _run(self, compile_pipelines, trace=False, **overrides):
-        return EngineContext(
-            laptop_config(
-                compile_pipelines=compile_pipelines, **overrides
-            ),
-            trace=trace,
-        )
+    @pytest.fixture(autouse=True)
+    def every_chain_is_large_enough(self, monkeypatch):
+        monkeypatch.setattr(codegen, "COMPILE_MIN_RECORD_STEPS", 0)
+
+    def _run(self, trace=False, **overrides):
+        return EngineContext(laptop_config(**overrides), trace=trace)
 
     def _program(self, ctx):
         return (
@@ -205,18 +192,21 @@ class TestEngineIntegration:
             .collect()
         )
 
-    def test_identical_results_and_signature(self):
-        with self._run(False) as base, self._run(True) as comp:
-            assert sorted(self._program(comp)) == sorted(
-                self._program(base)
+    def test_identical_results_and_signature(self, monkeypatch):
+        with self._run() as base, self._run() as comp:
+            compiled = self._program(comp)
+            monkeypatch.setattr(
+                codegen, "COMPILE_MIN_RECORD_STEPS", sys.maxsize
             )
+            assert sorted(compiled) == sorted(self._program(base))
+            assert not base.optimizer_decisions
             assert trace_signature(comp.trace) == trace_signature(
                 base.trace
             )
             assert comp.simulated_seconds() == base.simulated_seconds()
 
     def test_decision_recorded_per_chain(self):
-        with self._run(True) as ctx:
+        with self._run() as ctx:
             self._program(ctx)
             decisions = [
                 d for d in ctx.optimizer_decisions
@@ -227,7 +217,7 @@ class TestEngineIntegration:
             assert "compiled as" in decisions[0].detail
 
     def test_fallback_reason_recorded(self):
-        with self._run(True) as ctx:
+        with self._run() as ctx:
             ctx.bag_of(range(10)).map(_impure).count()
             (decision,) = [
                 d for d in ctx.optimizer_decisions
@@ -236,17 +226,9 @@ class TestEngineIntegration:
             assert decision.choice == "interpret"
             assert "impure" in decision.detail
 
-    def test_no_decisions_when_disabled(self):
-        with self._run(False) as ctx:
-            self._program(ctx)
-            assert not [
-                d for d in ctx.optimizer_decisions
-                if d.kind == "compiled-pipeline"
-            ]
-
     def test_codegen_span_emitted_once(self):
         clear_compiled_cache()
-        with self._run(True, trace=True) as ctx:
+        with self._run(trace=True) as ctx:
             self._program(ctx)
             self._program(ctx)  # second run: cache hit, no new span
             spans = [
@@ -259,9 +241,7 @@ class TestEngineIntegration:
             assert spans[0].args["source_lines"] > 0
 
     def test_process_backend_runs_compiled_chains(self):
-        with self._run(
-            True, backend="process", num_workers=2
-        ) as ctx:
+        with self._run(backend="process", num_workers=2) as ctx:
             out = self._program(ctx)
             assert sorted(out) == sorted(
                 y for x in range(200) if (x * 2) % 3 != 0
@@ -273,14 +253,8 @@ class TestEngineIntegration:
                 if d.kind == "compiled-pipeline"
             )
 
-    def test_env_var_enables_compilation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE", "1")
-        assert laptop_config().compile_pipelines is True
-        monkeypatch.setenv("REPRO_COMPILE", "0")
-        assert laptop_config().compile_pipelines is False
-
     def test_explain_annotates_compiled_chains(self):
-        with self._run(True) as ctx:
+        with self._run() as ctx:
             bag = (
                 ctx.bag_of(range(10))
                 .map(_double)
@@ -296,3 +270,65 @@ class TestEngineIntegration:
 
 def _odd2(x):
     return x % 3 != 0
+
+
+class TestSizeRule:
+    """The executor plans a chain iff steps x input records reaches
+    ``COMPILE_MIN_RECORD_STEPS``; below it nothing of codegen runs."""
+
+    STEPS = 3
+    RECORDS = 100
+
+    def _run(self, records):
+        """``(compile decisions, everything that must not depend on the
+        body)`` of one run of a three-step chain."""
+        with EngineContext(laptop_config()) as ctx:
+            result = (
+                ctx.bag_of(range(records), num_partitions=4)
+                .map(_double)
+                .filter(_odd2)
+                .map(_negate)
+                .collect()
+            )
+            decisions = [
+                d.choice for d in ctx.optimizer_decisions
+                if d.kind == "compiled-pipeline"
+            ]
+            return decisions, (
+                sorted(result), trace_signature(ctx.trace),
+                ctx.simulated_seconds(),
+            )
+
+    def test_a_task_set_compiles_from_the_threshold_up(self, monkeypatch):
+        analyzed = []
+        analyze = repro.analysis.effects.analyze_effects
+
+        def counting(fn, *args, **kwargs):
+            analyzed.append(fn)
+            return analyze(fn, *args, **kwargs)
+
+        monkeypatch.setattr(
+            repro.analysis.effects, "analyze_effects", counting
+        )
+        monkeypatch.setattr(
+            codegen, "COMPILE_MIN_RECORD_STEPS", self.STEPS * self.RECORDS
+        )
+        udf.clear_cache()
+        clear_compiled_cache()
+        decisions, _observable = self._run(self.RECORDS - 1)
+        assert decisions == []
+        assert analyzed == [] and compiled_cache_size() == 0
+        decisions, _observable = self._run(self.RECORDS)
+        assert decisions == ["compile"]
+        assert analyzed and compiled_cache_size() == 1
+
+    def test_the_threshold_changes_nothing_but_the_body(self, monkeypatch):
+        runs = []
+        for threshold in (self.STEPS * self.RECORDS, sys.maxsize):
+            monkeypatch.setattr(
+                codegen, "COMPILE_MIN_RECORD_STEPS", threshold
+            )
+            runs.append(self._run(self.RECORDS))
+        (compiled, observable), (interpreted, same) = runs
+        assert compiled == ["compile"] and interpreted == []
+        assert observable == same

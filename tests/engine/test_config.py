@@ -1,5 +1,7 @@
 """ClusterConfig invariants and presets."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine import GB, ClusterConfig
@@ -53,6 +55,20 @@ class TestClusterConfig:
         config = ClusterConfig()
         with pytest.raises(Exception):
             config.machines = 3
+
+    def test_the_on_off_flags_are_exactly_these(self):
+        # Each flag doubles the configurations the lattice has to cover
+        # (repro.analysis.equivalence), so the next one is a deliberate
+        # edit here.  How a fused chain runs is not one: the executor
+        # decides it from the task set's size.
+        flags = [
+            field.name for field in dataclasses.fields(ClusterConfig)
+            if field.type is bool
+        ]
+        assert flags == [
+            "validate_traces", "optimize_shuffles", "optimize_caching",
+            "speculative_execution",
+        ]
 
 
 class TestTaskMemory:

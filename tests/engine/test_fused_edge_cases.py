@@ -1,15 +1,20 @@
 """Fused pipeline edge cases, interpreted and compiled.
 
-Every test runs its program under ``compile_pipelines`` off and on (the
-compiled path silently falls back for unprovable UDFs, so both runs are
-always well-defined) and under both stage schedulers where ordering is
-at stake.
+Every test runs its program with no chain large enough to compile and
+with every chain large enough (the compiled path silently falls back
+for unprovable UDFs, so both runs are always well-defined) and under
+both stage schedulers where ordering is at stake.
 """
+
+import sys
 
 import pytest
 
-from repro.engine import EngineContext, laptop_config
+from repro.engine import EngineContext, codegen, laptop_config
 from repro.engine.validate import trace_signature
+
+#: ``COMPILE_MIN_RECORD_STEPS`` that selects each chain body.
+THRESHOLDS = {"interpreted": sys.maxsize, "compiled": 0}
 
 
 def _inc(x):
@@ -28,11 +33,12 @@ def _wide(x):
     return list(range(x, x + 200))
 
 
-@pytest.fixture(params=[False, True], ids=["interpreted", "compiled"])
-def fused_ctx(request):
-    return EngineContext(
-        laptop_config(compile_pipelines=request.param)
+@pytest.fixture(params=list(THRESHOLDS))
+def fused_ctx(request, monkeypatch):
+    monkeypatch.setattr(
+        codegen, "COMPILE_MIN_RECORD_STEPS", THRESHOLDS[request.param]
     )
+    return EngineContext(laptop_config())
 
 
 class TestEmptyPartitions:
@@ -124,16 +130,14 @@ class TestChainOrderStability:
             .collect()
         )
 
-    @pytest.mark.parametrize("compiled", [False, True],
-                             ids=["interpreted", "compiled"])
-    def test_dag_schedule_matches_serial(self, compiled):
+    @pytest.mark.parametrize("body", list(THRESHOLDS))
+    def test_dag_schedule_matches_serial(self, body, monkeypatch):
+        monkeypatch.setattr(
+            codegen, "COMPILE_MIN_RECORD_STEPS", THRESHOLDS[body]
+        )
         runs = {}
         for scheduler in ("serial", "dag"):
-            with EngineContext(
-                laptop_config(
-                    compile_pipelines=compiled, scheduler=scheduler
-                )
-            ) as ctx:
+            with EngineContext(laptop_config(scheduler=scheduler)) as ctx:
                 result = self._program(ctx)
                 runs[scheduler] = (
                     sorted(result), trace_signature(ctx.trace)

@@ -35,9 +35,8 @@ def _total_shuffle(ctx):
 
 def _shuffle_decisions(ctx):
     """Shuffle-pass decisions only: the compiled-pipeline pass also logs
-    a decision per fused chain when REPRO_COMPILE=1 is in the
-    environment (the CI ``compiled`` leg), and these assertions are
-    about shuffle elision, not codegen."""
+    a decision per fused chain under ``--compile-all`` (a CI leg), and
+    these assertions are about shuffle elision, not codegen."""
     return [
         d for d in ctx.optimizer_decisions
         if d.kind != "compiled-pipeline"

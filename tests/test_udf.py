@@ -28,7 +28,7 @@ from repro.analysis import (
 )
 from repro.analysis.equivalence import library_programs
 from repro.analysis.schema import INT, STR
-from repro.engine import EngineContext, laptop_config
+from repro.engine import EngineContext, codegen, laptop_config
 from repro.engine.codegen import clear_compiled_cache
 from repro.engine.validate import run_configs
 from repro.lang import nested_udf
@@ -226,9 +226,12 @@ def test_auto_cache_never_trusts_an_earlier_plans_verdict(flip):
 
 
 @BOTH_ORDERS
-def test_compile_decisions_do_not_depend_on_earlier_programs(flip):
+def test_compile_decisions_do_not_depend_on_earlier_programs(
+    flip, monkeypatch
+):
     programs = dict(library_programs())
-    config = replace(laptop_config(), compile_pipelines=True)
+    monkeypatch.setattr(codegen, "COMPILE_MIN_RECORD_STEPS", 0)
+    config = laptop_config()
 
     def compiled(*names):
         clear_cache()
@@ -460,10 +463,8 @@ def test_a_second_run_parses_nothing(monkeypatch):
 
     monkeypatch.setattr(udf.inspect, "getsourcelines", counting)
     program = dict(library_programs())["avg-distances-nested"]
-    config = replace(
-        laptop_config(), compile_pipelines=True, schema_inference=True,
-        optimize_caching=True,
-    )
+    monkeypatch.setattr(codegen, "COMPILE_MIN_RECORD_STEPS", 0)
+    config = replace(laptop_config(), optimize_caching=True)
     run_configs(program, [config])
     first = list(read)
     assert first and len(first) == len(set(map(id, first)))
