@@ -15,7 +15,7 @@ at all) to decoration / plan-build time, as flake8-style diagnostics:
   prediction), redundant repartitions.
 * **NPL5xx** (:mod:`effects`) -- proven effects in UDFs: mutation of
   state that outlives the call (NPL501), nondeterminism that retries
-  or speculation would observe (NPL502), external I/O (NPL503), and
+  or recomputation would observe (NPL502), external I/O (NPL503), and
   auto-cache rewrites suppressed by unproven purity (NPL504).
 * **NPL6xx** (:mod:`schema`) -- record schema & shape findings from
   whole-plan type inference: join/cogroup key-type mismatch (NPL601),

@@ -70,7 +70,7 @@ CODES = {
     "NPL501": (WARNING, "UDF provably mutates state that outlives the "
                         "call (impure)"),
     "NPL502": (WARNING, "UDF provably nondeterministic; retries and "
-                        "speculation may observe different results"),
+                        "recomputation may observe different results"),
     "NPL503": (WARNING, "UDF performs external I/O"),
     "NPL504": (INFO, "auto-cache opportunity suppressed: subtree "
                      "purity not proven"),

@@ -1,11 +1,11 @@
 """Effect & determinism analysis over UDFs: the NPL5xx prover.
 
-The engine's retries (PR 2), straggler re-execution, DAG-parallel
-re-dispatch (PR 6), shuffle elision (PR 5), and the cross-job artifact
-cache (PR 7) are only sound when UDFs are pure and deterministic --
-until now that was assumed silently.  This module *proves* it where it
-can: a conservative, interprocedural AST analysis assigns every UDF a
-tri-state verdict per effect dimension:
+The engine's retries (PR 2), DAG-parallel re-dispatch (PR 6), shuffle
+elision (PR 5), and the cross-job artifact cache (PR 7) are only sound
+when UDFs are pure and deterministic -- until now that was assumed
+silently.  This module *proves* it where it can: a conservative,
+interprocedural AST analysis assigns every UDF a tri-state verdict per
+effect dimension:
 
 * **purity** -- the UDF mutates no state that outlives the call:
   no ``global``/``nonlocal``, no mutation of captured objects, module
@@ -40,8 +40,8 @@ Consumers:
 * :func:`repro.analysis.analyze_udf` / the CLI surface refuted
   dimensions as NPL501 (impure), NPL502 (nondeterministic), NPL503
   (I/O) diagnostics;
-* the task runtime gates silent retry / speculative re-execution on
-  :func:`task_effects` verdicts (:mod:`repro.engine.runtime.scheduler`);
+* the task runtime gates silent retry on :func:`task_effects`
+  verdicts (:mod:`repro.engine.runtime.scheduler`);
 * the optimizer's auto-cache rewrite requires a *proven* pure and
   deterministic subtree (:func:`repro.engine.optimize.plan_auto_caches`
   via :func:`plan_effects`);
@@ -1245,9 +1245,8 @@ def effect_diagnostics(report, filename="", udf_name="<udf>"):
     prefixes = {
         PURITY: "UDF %r is impure" % udf_name,
         DETERMINISM: (
-            "UDF %r is nondeterministic; task retries, straggler "
-            "re-execution, and speculation may observe different "
-            "results" % udf_name
+            "UDF %r is nondeterministic; task retries and "
+            "recomputation may observe different results" % udf_name
         ),
         IO: "UDF %r performs external I/O" % udf_name,
     }

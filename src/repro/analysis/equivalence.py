@@ -17,9 +17,8 @@ on a fresh, always-validated, always-closed context per config.
   proven in combination, not just one at a time.
 * :func:`library_programs` is the registry: all of :mod:`repro.tasks`.
 
-Results are compared canonicalized (:func:`results_equivalent`);
-measured wall-clock is reported, never asserted on.  From the command
-line (CI runs the first form once per backend)::
+Results are compared canonicalized (:func:`results_equivalent`).  From
+the command line (CI runs the first form once per backend)::
 
     PYTHONPATH=src python -m repro.analysis.equivalence [--backend process]
     PYTHONPATH=src python -m repro.analysis.equivalence --compare caching
@@ -255,7 +254,6 @@ AXES = {
     "caching": Axis(
         "optimize_caching", False, True, ("results", "sim_not_slower")
     ),
-    "speculation": Axis("speculative_execution", False, True, _IDENTICAL),
     "backend": Axis("backend", "serial", "process", _IDENTICAL),
 }
 
@@ -263,7 +261,7 @@ AXES = {
 #: is crossed with every point; ``backend`` is left to the caller's
 #: config (a process-pool sweep costs ~10x a serial one, so CI runs one
 #: sweep per backend).
-LATTICE_FLAGS = ("elision", "caching", "speculation")
+LATTICE_FLAGS = ("elision", "caching")
 
 
 def axes_table():
@@ -412,12 +410,11 @@ def main(argv=None):
         base, last = runs[0], runs[-1]
         print(
             "ok   %-24s shuffle %d -> %d, simulated %.3fs -> %.3fs, "
-            "wall %.3fs -> %.3fs, decisions: %s" % (
+            "decisions: %s" % (
                 name,
                 base.totals["shuffle_records"],
                 last.totals["shuffle_records"],
                 base.simulated_seconds, last.simulated_seconds,
-                base.wall_seconds, last.wall_seconds,
                 ", ".join(
                     "%d %s" % (count, decision) for decision, count
                     in sorted(last.decisions.items())

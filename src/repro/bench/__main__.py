@@ -5,30 +5,29 @@ Regenerate the paper's figures without pytest::
     python -m repro.bench --list
     python -m repro.bench fig1 fig5 --scale quick
     python -m repro.bench all --scale full
-    python -m repro.bench fig5 --backend process --workers 4 --measured
+    python -m repro.bench fig5 --backend process --workers 4
 
-Observability (:mod:`repro.observe`)::
+Every number printed is simulated seconds (wall-clock is measured by
+``benchmarks/wall``).  Observability (:mod:`repro.observe`)::
 
     # per-experiment trace (JSONL + Chrome JSON) and RunReport
     python -m repro.bench fig1 --trace
-    # regression gate against the committed BENCH_engine.json
+    # exact gate against the committed BENCH_engine.json
     python -m repro.bench --check-regressions
-    # refresh the committed baseline after an intentional cost change
+    # rewrite the committed snapshot after an intentional cost change
     python -m repro.bench --emit-baseline
 """
 
 import argparse
 import os
 import sys
-import time
 
-from ..observe import RunReport, write_chrome
+from ..observe import write_chrome
 from ..observe.sinks import read_events
-from . import figures
-from .baseline import BASELINE_FILENAME, run_baseline
+from . import baseline, figures
 
-#: Exit status when --check-regressions finds one (2, so argparse's own
-#: usage errors keep their conventional meaning).
+#: Exit status when --check-regressions finds a difference (2, so
+#: argparse's own usage errors keep their conventional meaning).
 EXIT_REGRESSION = 2
 
 #: Short names -> (callable, extra args) for every experiment.
@@ -82,11 +81,6 @@ def main(argv=None):
         help="worker count for the process backend (0 = all cores)",
     )
     parser.add_argument(
-        "--measured",
-        action="store_true",
-        help="add real wall-clock columns next to simulated seconds",
-    )
-    parser.add_argument(
         "--trace",
         action="store_true",
         help="trace each experiment; write JSONL + Chrome traces and a "
@@ -99,22 +93,15 @@ def main(argv=None):
     )
     parser.add_argument(
         "--baseline",
-        default=BASELINE_FILENAME,
-        help="baseline report for --check-regressions / --emit-baseline "
-        "(default: %s)" % BASELINE_FILENAME,
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="relative growth that counts as a regression "
-        "(default: 0.25 = 25%%)",
+        default=baseline.BASELINE_FILENAME,
+        help="snapshot file for --check-regressions / --emit-baseline "
+        "(default: %s)" % baseline.BASELINE_FILENAME,
     )
     parser.add_argument(
         "--check-regressions",
         action="store_true",
-        help="run the engine baseline matrix and diff it against "
-        "--baseline; exit %d on regression" % EXIT_REGRESSION,
+        help="run the engine baseline matrix and compare it exactly "
+        "with --baseline; exit %d on any difference" % EXIT_REGRESSION,
     )
     parser.add_argument(
         "--emit-baseline",
@@ -152,13 +139,11 @@ def main(argv=None):
         os.makedirs(args.report_dir, exist_ok=True)
     for name in names:
         fn, extra = EXPERIMENTS[name]
-        started = time.time()
         if args.trace:
             sweep = _run_traced(name, fn, extra, args)
         else:
             sweep = fn(args.scale, *extra)
-        sweep.print_table(measured=args.measured)
-        print("[%s: %.1fs wall]" % (name, time.time() - started))
+        sweep.print_table()
     return 0
 
 
@@ -196,37 +181,47 @@ def _run_traced(name, fn, extra, args):
 
 
 def _run_baseline_gate(args):
-    """Run the baseline matrix; emit or diff the committed snapshot."""
+    """Run the baseline matrix; write the snapshot or compare with it.
+
+    Both modes exit :data:`EXIT_REGRESSION` when a cell's ``+dag`` run
+    differs from its serial run: the file stores one row per cell, so
+    there is no snapshot to write until the two schedules agree.
+    """
 
     def progress(result):
         print(
-            "  %-22s x=%-4s %s  (%.2fs wall)"
-            % (result.system, result.x, result.cell(),
-               result.measured_seconds)
+            "  %-22s x=%-4s %s" % (result.system, result.x, result.cell())
         )
 
-    print("engine baseline matrix:")
-    report = run_baseline(progress=progress)
-    if args.emit_baseline:
-        report.save(args.baseline)
-        print("baseline written: %s" % args.baseline)
-        return 0
-    if not os.path.exists(args.baseline):
+    if not args.emit_baseline and not os.path.exists(args.baseline):
         print(
             "no baseline at %s (generate one with --emit-baseline)"
             % args.baseline,
             file=sys.stderr,
         )
         return 1
-    kwargs = {"metric": "simulated"}
-    if args.threshold is not None:
-        kwargs["threshold"] = args.threshold
-    diff = RunReport.compare(
-        RunReport.load(args.baseline), report, **kwargs
+    print("engine baseline matrix:")
+    runs = baseline.run_baseline(progress=progress)
+    stored = (
+        baseline.snapshot(runs) if args.emit_baseline
+        else baseline.load(args.baseline)
     )
+    differences = baseline.differences(stored, runs)
     print()
-    print(diff.render())
-    return EXIT_REGRESSION if diff.has_regressions else 0
+    for line in differences:
+        print("  " + line)
+    if differences:
+        print(
+            "verdict: %d difference(s) from %s"
+            % (len(differences), args.baseline)
+        )
+        return EXIT_REGRESSION
+    if args.emit_baseline:
+        baseline.save(stored, args.baseline)
+        print("baseline written: %s" % args.baseline)
+    else:
+        print("verdict: ok (%d cells, exact)" % len(stored["cells"]))
+    return 0
 
 
 if __name__ == "__main__":

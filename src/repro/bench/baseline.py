@@ -5,43 +5,49 @@ and Bounce Rate, each in the Matryoshka and inner-parallel formulations
 at two group counts, plus a branch-overlap cell exercising the DAG
 scheduler, a service-mode pair (``serve-pagerank-cold`` /
 ``serve-pagerank-warm``) running repeated PageRank jobs through a
-long-lived :mod:`repro.serve` daemon, and a reuse-heavy pair
+long-lived :mod:`repro.serve` daemon, a reuse-heavy pair
 (``reuse-baseline`` / ``reuse-autocache``) where the only difference
 is ``optimize_caching``, so the row delta is the simulated seconds the
 verified auto-``cache()`` rewrite saves, and a ``pipeline`` cell (a
 map/filter-heavy fused chain large enough that the executor compiles
-it) -- measured into one
-:class:`~repro.observe.RunReport`.  Every
-cell runs under both stage schedules (``serial`` and ``dag``; the DAG
-rows carry a ``+dag`` system suffix), so the gate holds the DAG
-scheduler to the exact same simulated cost as serial execution.  The
-committed snapshot lives at ``BENCH_engine.json`` in the repo root.
+it).
 
-The regression gate compares **simulated** seconds: the cost model is a
-deterministic function of the execution trace, so the committed numbers
-are stable across machines and the diff flags genuine cost-model or
-planner changes rather than host noise.  Measured wall-clock is stored
-in every entry too, for eyeballing, but is not gated by default.  The
-``branch-overlap`` cell is where measured wall-clock is interesting: its
-plan fans out into independent branches whose tasks carry a fixed
-latency, so on the process backend the DAG rows finish in a fraction of
-the serial rows' wall time while reporting identical simulated seconds.
+The committed snapshot, ``BENCH_engine.json`` in the repo root, holds
+the **simulated clock only**, one row per ``system@groups`` cell
+(:func:`cell_row`): its ``status``, its ``simulated_seconds``, the
+deterministic run totals and one ``stage_columns`` row per stage, jobs
+in order.  All of it is a deterministic function of the execution
+trace, so nothing in the file depends on the host, the backend or the
+run, and the gate is **exact** (:func:`differences`): integers and
+strings must be equal, seconds equal to a relative ``1e-9`` (CPython
+3.12 sums floats with compensation, 3.11 does not; nothing else may
+move them).  A cell that got slower, *faster*, changed status,
+vanished or appeared fails the gate alike -- a faster cell means the
+file is stale.  Every cell runs under both stage schedules and the
+``dag`` run is held to the same stored row, so the DAG scheduler costs
+exactly what serial execution does.  Wall-clock is no part of this
+file; ``benchmarks/wall`` measures it.
 
-Regenerate the snapshot after an intentional cost change::
-
-    python -m repro.bench --emit-baseline
-
-and check the working tree against it::
+Check the working tree against the snapshot::
 
     python -m repro.bench --check-regressions
+
+A failure names the cell, the schedule, the job and stage and both
+values.  When the change in cost is intended, rewrite the snapshot and
+say why in the PR::
+
+    python -m repro.bench --emit-baseline
 """
 
+import json
+import math
 import time
 from dataclasses import replace
+from itertools import zip_longest
 
 from ..baselines.inner_parallel import group_locally
 from ..data import grouped_edges, grouped_points, initial_centroids, visits_log
-from ..observe import RunReport
+from ..engine.validate import deterministic_totals
 from ..serve import JobService
 from ..serve.client import program as service_program
 from ..tasks import bounce_rate, kmeans, pagerank
@@ -56,6 +62,12 @@ _KMEANS_ITERS = 4
 _PAGERANK_ITERS = 4
 _GROUP_COUNTS = (4, 16)
 _SCHEDULERS = ("serial", "dag")
+
+#: What the snapshot keeps of a report entry's stage, in row order.
+STAGE_COLUMNS = (
+    "kind", "origin", "tasks", "records", "shuffle_records",
+    "simulated_seconds",
+)
 
 #: Per-task latency of one branch in the branch-overlap cell, modelling
 #: the fixed remote-fetch cost of that branch's input split.  Real
@@ -73,8 +85,7 @@ _SERVE_WARM_BYTES = 256 * 1024 * 1024
 
 #: The pipeline cell: records per group.  Large enough that the chain
 #: compiles (7 steps x 32,768 records at 4 groups, against
-#: ``codegen.COMPILE_MIN_RECORD_STEPS``) and that task bodies, not
-#: per-task overhead, set the measured wall-clock.
+#: ``codegen.COMPILE_MIN_RECORD_STEPS``).
 _PIPELINE_RECORDS_PER_GROUP = 8192
 
 #: The reuse cell: how many identical jobs consume the same shared,
@@ -347,22 +358,141 @@ CELLS = {
 }
 
 
-def run_baseline(label="engine-baseline", progress=None):
-    """Run the whole matrix; return a :class:`RunReport`."""
-    report = RunReport(
-        label,
-        meta={
-            "matrix": sorted(CELLS),
-            "group_counts": list(_GROUP_COUNTS),
-            "schedulers": list(_SCHEDULERS),
-            "metric": "simulated",
-        },
-    )
+def cell_row(entry):
+    """The snapshot row of one report entry: what of it is simulated."""
+    return {
+        "status": entry["status"],
+        "simulated_seconds": entry["simulated_seconds"],
+        "totals": deterministic_totals(entry["totals"]),
+        "jobs": [
+            [
+                [stage[column] for column in STAGE_COLUMNS]
+                for stage in job["stages"]
+            ]
+            for job in entry["jobs"]
+        ],
+    }
+
+
+def run_baseline(progress=None):
+    """Run the whole matrix; one ``(cell, scheduler, row)`` per run."""
+    runs = []
     for system, cell in CELLS.items():
         for groups in _GROUP_COUNTS:
             for scheduler in _SCHEDULERS:
                 result = cell(system, groups, scheduler)
-                report.add(result.entry)
+                runs.append((
+                    "%s@%s" % (system, groups), scheduler,
+                    cell_row(result.entry),
+                ))
                 if progress is not None:
                     progress(result)
-    return report
+    return runs
+
+
+def snapshot(runs):
+    """What :func:`save` commits of ``runs``: the serial rows."""
+    return {
+        "stage_columns": list(STAGE_COLUMNS),
+        "cells": {
+            cell: row for cell, scheduler, row in runs
+            if scheduler == "serial"
+        },
+    }
+
+
+def _is_scalar(value):
+    return not isinstance(value, (dict, list))
+
+
+def _dumps(value, depth=0):
+    """JSON with a container of scalars (a stage row, the totals) on one
+    line and anything else one member per line: a changed stage is a
+    one-line diff."""
+    members = value.values() if isinstance(value, dict) else value
+    if _is_scalar(value) or all(map(_is_scalar, members)):
+        return json.dumps(value)
+    pad = " " * (depth + 1)
+    if isinstance(value, dict):
+        brackets = "{}"
+        lines = [
+            "%s%s: %s" % (pad, json.dumps(key), _dumps(member, depth + 1))
+            for key, member in value.items()
+        ]
+    else:
+        brackets = "[]"
+        lines = [pad + _dumps(member, depth + 1) for member in value]
+    return "%s\n%s\n%s%s" % (
+        brackets[0], ",\n".join(lines), " " * depth, brackets[1]
+    )
+
+
+def save(stored, path):
+    with open(path, "w") as handle:
+        handle.write(_dumps(stored) + "\n")
+
+
+def load(path):
+    with open(path) as handle:
+        stored = json.load(handle)
+    if stored.get("stage_columns") != list(STAGE_COLUMNS):
+        raise ValueError(
+            "%s is not an engine-baseline snapshot with stage columns "
+            "%s; rewrite it with --emit-baseline"
+            % (path, ", ".join(STAGE_COLUMNS))
+        )
+    return stored
+
+
+def _same(stored, ran):
+    if isinstance(stored, float) and isinstance(ran, float):
+        return math.isclose(stored, ran, rel_tol=1e-9)
+    return stored == ran
+
+
+def _flat(row):
+    """``{what: value}`` over everything a snapshot row holds."""
+    flat = {
+        "status": row["status"],
+        "simulated_seconds": row["simulated_seconds"],
+    }
+    for key, value in row["totals"].items():
+        flat["totals.%s" % key] = value
+    for j, job in enumerate(row["jobs"]):
+        for s, stage in enumerate(job):
+            for column, value in zip_longest(STAGE_COLUMNS, stage):
+                flat["job%d/stage%d %s" % (j, s, column)] = value
+    return flat
+
+
+def _row_differences(name, stored, ran):
+    stored, ran = _flat(stored), _flat(ran)
+    return [
+        "%s %s: stored %r, this run %r"
+        % (name, what, stored.get(what), ran.get(what))
+        for what in dict.fromkeys([*stored, *ran])
+        if not _same(stored.get(what), ran.get(what))
+    ]
+
+
+def differences(stored, runs):
+    """Every way ``runs`` (:func:`run_baseline`'s triples) differs from
+    the ``stored`` snapshot, one line each; empty when they agree
+    exactly.  Serial and ``dag`` runs of a cell are both held to the
+    cell's one stored row."""
+    cells = stored["cells"]
+    ran = {cell for cell, _scheduler, _row in runs}
+    found = [
+        "%s: in the file, not in this run" % cell
+        for cell in cells if cell not in ran
+    ]
+    found += [
+        "%s: in this run, not in the file" % cell
+        for cell in sorted(ran.difference(cells))
+    ]
+    for cell, scheduler, row in runs:
+        if cell in cells:
+            found += _row_differences(
+                "%s [%s]" % (cell, scheduler), cells[cell], row
+            )
+    return found

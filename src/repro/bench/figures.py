@@ -3,8 +3,7 @@
 Every public ``fig*`` function regenerates one of the paper's evaluation
 figures as a :class:`~repro.bench.harness.Sweep` of simulated runtimes.
 ``scale`` trades sweep width / data size for wall-clock time: ``"quick"``
-keeps pytest-benchmark runs short; ``"full"`` reproduces the paper's
-sweep ranges.
+keeps runs short; ``"full"`` reproduces the paper's sweep ranges.
 
 Dataset scale mapping: the generators produce N records standing for the
 paper's G gigabytes, so ``bytes_per_record = G * 2^30 / N``.  The

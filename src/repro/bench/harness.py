@@ -1,20 +1,19 @@
 """Experiment harness: run a task under each system, report simulated time.
 
-Each measured run gets a fresh :class:`EngineContext` over the experiment's
+Each run gets a fresh :class:`EngineContext` over the experiment's
 cluster configuration.  The program executes for real; the reported
 seconds come from the cost model over the recorded trace.  Simulated OOM
 is caught and reported the way the paper's plots mark failed runs.
 
-Next to the simulated figure, every run also records *measured* seconds:
-the driver wall-clock of the run, and the summed per-task wall-clock
-reported by the task runtime.  Tables and CSVs show the simulated column
-by default; pass ``measured=True`` to :meth:`Sweep.to_table` /
-:meth:`Sweep.to_csv` to see real runtime side by side -- useful when
-comparing the serial and process-pool backends.
+This package carries the **simulated** clock and nothing else: a table,
+a CSV and the committed baseline are deterministic functions of the
+program and the cluster config.  Wall-clock questions -- how long the
+Python engine really takes, serial against process pool -- need repeated
+samples with spread and belong to ``benchmarks/wall``
+(``ctx.measure()`` is the programmatic API).
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from ..engine import EngineContext
@@ -26,7 +25,7 @@ OOM = "OOM"
 
 @dataclass
 class RunResult:
-    """Outcome of one measured run."""
+    """Outcome of one run."""
 
     system: str
     x: object
@@ -34,10 +33,6 @@ class RunResult:
     status: str = "ok"
     jobs: int = 0
     detail: str = ""
-    #: Driver wall-clock of the whole run (plan building included).
-    measured_seconds: float = math.nan
-    #: Summed per-task wall-clock reported by the task runtime.
-    task_seconds: float = math.nan
     #: Full :mod:`repro.observe` report entry (per-job / per-stage
     #: breakdown) for this run; ``None`` for hand-built results.
     entry: dict = None
@@ -46,13 +41,11 @@ class RunResult:
     def failed(self):
         return self.status != "ok"
 
-    def cell(self, measured=False):
+    def cell(self):
         if self.status == "oom":
             return OOM
         if self.status == "skipped":
             return "-"
-        if measured:
-            return _format_seconds(self.measured_seconds)
         return _format_seconds(self.seconds)
 
 
@@ -64,37 +57,27 @@ def run_measured(config, system, x, fn):
     never be computed from a malformed trace.
     """
     ctx = EngineContext(config)
-    start = time.perf_counter()
     try:
         try:
             fn(ctx)
         except SimulatedOutOfMemory as oom:
-            elapsed = time.perf_counter() - start
             return RunResult(
                 system=system,
                 x=x,
                 status="oom",
                 jobs=ctx.trace.num_jobs,
                 detail=str(oom),
-                measured_seconds=elapsed,
-                task_seconds=ctx.measured_task_seconds(),
                 entry=entry_from_context(
-                    ctx, system, x, status="oom",
-                    measured_wall_seconds=elapsed, detail=str(oom),
+                    ctx, system, x, status="oom", detail=str(oom),
                 ),
             )
-        elapsed = time.perf_counter() - start
         ctx.validate_trace()
         return RunResult(
             system=system,
             x=x,
             seconds=ctx.simulated_seconds(),
             jobs=ctx.trace.num_jobs,
-            measured_seconds=elapsed,
-            task_seconds=ctx.measured_task_seconds(),
-            entry=entry_from_context(
-                ctx, system, x, measured_wall_seconds=elapsed,
-            ),
+            entry=entry_from_context(ctx, system, x),
         )
     finally:
         # Flush the run's trace sink (contexts resolve REPRO_TRACE on
@@ -154,27 +137,15 @@ class Sweep:
                 seen.append(result.x)
         return seen
 
-    def to_table(self, measured=False):
-        """Aligned text table: one row per x value, one column per system.
-
-        With ``measured=True`` each system gets a second column showing
-        real driver wall-clock next to the simulated seconds.
-        """
-        header = [self.x_label]
-        for system in self.systems:
-            header.append(system)
-            if measured:
-                header.append(system + " (wall)")
+    def to_table(self):
+        """Aligned text table: one row per x value, one column per system."""
+        header = [self.x_label] + list(self.systems)
         rows = [header]
         for x in self.x_values():
             row = [str(x)]
             for system in self.systems:
                 result = self.result_for(system, x)
                 row.append(result.cell() if result else "-")
-                if measured:
-                    row.append(
-                        result.cell(measured=True) if result else "-"
-                    )
             rows.append(row)
         widths = [
             max(len(row[i]) for row in rows) for i in range(len(header))
@@ -192,36 +163,29 @@ class Sweep:
                 )
         return "\n".join(lines)
 
-    def print_table(self, measured=False):
+    def print_table(self):
         print()
-        print(self.to_table(measured=measured))
+        print(self.to_table())
 
     def to_report(self, label, meta=None):
         """The sweep as a :class:`repro.observe.RunReport`.
 
         One report entry per collected result (hand-built results
-        without an entry are skipped); diffable against a saved
-        baseline with :meth:`repro.observe.RunReport.compare`.
+        without an entry are skipped); diffable against another saved
+        report with :meth:`repro.observe.RunReport.compare`.
         """
         report = RunReport(label, meta=meta)
         for result in self.results:
             report.add(result.entry)
         return report
 
-    def to_csv(self, measured=False):
+    def to_csv(self):
         """The sweep as CSV text (x column + one column per system).
 
         Failed cells render as ``OOM``; missing cells are empty.  Handy
-        for plotting the figures with external tooling.  With
-        ``measured=True`` each system additionally gets a
-        ``<system>_wall_seconds`` column of real driver wall-clock.
+        for plotting the figures with external tooling.
         """
-        header = [self.x_label]
-        for system in self.systems:
-            header.append(system)
-            if measured:
-                header.append(system + "_wall_seconds")
-        lines = [",".join(header)]
+        lines = [",".join([self.x_label] + list(self.systems))]
         for x in self.x_values():
             row = [str(x)]
             for system in self.systems:
@@ -232,13 +196,6 @@ class Sweep:
                     row.append(OOM)
                 else:
                     row.append("%.3f" % result.seconds)
-                if measured:
-                    if result is None or math.isnan(
-                        result.measured_seconds
-                    ):
-                        row.append("")
-                    else:
-                        row.append("%.3f" % result.measured_seconds)
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 

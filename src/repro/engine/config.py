@@ -167,11 +167,6 @@ class ClusterConfig:
     #: :func:`repro.engine.optimize.plan_auto_caches`).  Off by
     #: default.
     optimize_caching: bool = False
-    #: Re-dispatch one speculative copy of each detected straggler,
-    #: but only when its task's UDFs are *proven* pure, deterministic,
-    #: and I/O-free (see :class:`repro.engine.runtime.TaskScheduler`).
-    #: Off by default.
-    speculative_execution: bool = False
 
     def __post_init__(self):
         if self.machines < 1:

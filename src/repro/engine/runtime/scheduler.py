@@ -36,14 +36,10 @@ deterministic.  When the effect analysis *refutes* determinism for a
 task about to be retried, the scheduler refuses to do so silently: it
 warns once per operator and surfaces a ``nondeterministic_retry``
 trace instant before proceeding (retries stay on -- a loud retry beats
-a lost job, but the discrepancy is now observable).  Speculative
-re-execution of stragglers (``config.speculative_execution``) is
-gated the other way around: a speculative copy runs *only* when all
-three effect dimensions (purity, determinism, I/O-freedom) are
-**proven** -- an unknown verdict suppresses speculation and surfaces
-the same instant with ``reason="speculation"``.  Speculative seconds
-accrue to ``stage.failed_attempt_seconds``: redundant work, never
-billed as task time.
+a lost job, but the discrepancy is now observable).  Stragglers are
+detected and counted, never re-dispatched: by the time a task set's
+median is known every task of it has succeeded, so a copy could only
+add time.
 
 Tracing (:mod:`repro.observe`): when the context traces, every
 dispatch emits a ``stage`` span wrapping one ``task_set`` span per
@@ -80,7 +76,6 @@ from ...observe.events import (
     DRIVER_LANE,
     KIND_FAULT,
     KIND_NONDETERMINISTIC_RETRY,
-    KIND_SPECULATION,
     KIND_STAGE,
     KIND_STRAGGLER,
     KIND_TASK,
@@ -124,12 +119,10 @@ class TaskScheduler:
         self.tasks_launched = 0
         self.tasks_failed = 0
         self.tasks_retried = 0
-        #: Speculative straggler copies dispatched (proven-safe only).
-        self.tasks_speculated = 0
         # Guards the counters above: concurrent dispatch threads all
         # credit them.
         self._counter_lock = threading.Lock()
-        # Operators already warned about unproven re-execution; the
+        # Operators already warned about a nondeterministic retry; the
         # warning fires once per operator, the trace instant every time.
         self._effect_warned = set()
         # Per-dispatch-thread trace lane (driver thread: DRIVER_LANE).
@@ -243,11 +236,8 @@ class TaskScheduler:
         if (
             not tracer.enabled
             and not self.fault_injector.pending
-            and not self.config.speculative_execution
             and isinstance(self.backend, SerialBackend)
         ):
-            # (Speculative execution needs the invocation/outcome
-            # machinery below, so enabling it forfeits this fast path.)
             # Hot path: a paper-scale stage dispatches >1000 tasks and
             # the serial backend runs them right here, so skip the
             # invocation/outcome machinery -- real failures are
@@ -391,11 +381,6 @@ class TaskScheduler:
                     partition=index,
                     seconds=final[index].seconds,
                 )
-        if stragglers and self.config.speculative_execution:
-            self._speculate(
-                task, args_list, stage, ordinal, operator, stragglers,
-                final, lane,
-            )
         return values
 
     def _retry_invocation(self, task, args_list, stage, ordinal, operator,
@@ -440,13 +425,8 @@ class TaskScheduler:
         # the hazard observable before it runs.
         report = self._task_effects(task)
         if report is not None and report.deterministic is False:
-            self._note_unproven_reexecution(
-                operator, ordinal, outcome.task_index, lane,
-                "retry",
-                "retrying task of operator %r: its UDFs are "
-                "provably nondeterministic, so the repeated "
-                "attempt may observe a different result"
-                % operator,
+            self._note_nondeterministic_retry(
+                operator, ordinal, outcome.task_index, lane
             )
         if collect:
             tracer.instant(
@@ -468,7 +448,7 @@ class TaskScheduler:
         )
 
     # ------------------------------------------------------------------
-    # Effect gating: nondeterministic retries, speculative copies
+    # Effect gating: nondeterministic retries
     # ------------------------------------------------------------------
 
     def _task_effects(self, task):
@@ -486,86 +466,29 @@ class TaskScheduler:
         from ...analysis.effects import task_effects
         return task_effects(udfs)
 
-    def _note_unproven_reexecution(self, operator, ordinal, index, lane,
-                                   reason, message):
-        """Warn once per (operator, reason); trace every occurrence."""
-        key = (operator, reason)
+    def _note_nondeterministic_retry(self, operator, ordinal, index, lane):
+        """Warn once per operator; trace every occurrence."""
         with self._counter_lock:
-            warn = key not in self._effect_warned
+            warn = operator not in self._effect_warned
             if warn:
-                self._effect_warned.add(key)
+                self._effect_warned.add(operator)
         if warn:
-            warnings.warn(message, RuntimeWarning, stacklevel=3)
+            warnings.warn(
+                "retrying task of operator %r: its UDFs are provably "
+                "nondeterministic, so the repeated attempt may observe "
+                "a different result" % operator,
+                RuntimeWarning,
+                stacklevel=3,
+            )
         if self.tracer.enabled:
             self.tracer.instant(
-                "nondeterministic-%s:%s#%d" % (reason, operator, index),
+                "nondeterministic-retry:%s#%d" % (operator, index),
                 KIND_NONDETERMINISTIC_RETRY,
                 lane=lane,
                 dispatch=ordinal,
                 task=index,
-                reason=reason,
+                reason="retry",
             )
-
-    def _speculate(self, task, args_list, stage, ordinal, operator,
-                   stragglers, final, lane):
-        """Re-dispatch straggler partitions once, if provably safe.
-
-        A speculative copy re-runs a task whose original attempt
-        already succeeded, so it is admissible only when every effect
-        dimension is *proven*: pure (no state outlives the call),
-        deterministic (the copy computes the same value), and I/O-free
-        (no externally visible double effect).  Unknown is not good
-        enough -- an unproven task surfaces a
-        ``nondeterministic_retry`` instant instead of a copy.
-
-        The winning value is the same value by the determinism proof,
-        so the original results stand; the copy's wall-clock accrues
-        to ``stage.failed_attempt_seconds`` (redundant work, never
-        task time), and ``tasks_speculated`` counts the copies.
-        """
-        report = self._task_effects(task)
-        if report is None or not report.proven:
-            what = (
-                "carries no analyzable UDFs"
-                if report is None
-                else "is not proven pure, deterministic, and I/O-free"
-            )
-            self._note_unproven_reexecution(
-                operator, ordinal, stragglers[0], lane, "speculation",
-                "not speculating stragglers of operator %r: it %s, so "
-                "a redundant copy is not provably safe"
-                % (operator, what),
-            )
-            return
-        invocations = [
-            self._invocation(
-                task, args_list[index], ordinal, operator, index,
-                final[index].attempt + 1,
-            )
-            for index in stragglers
-        ]
-        outcomes = self.backend.run_invocations(invocations)
-        with self._counter_lock:
-            self.tasks_launched += len(invocations)
-            self.tasks_speculated += len(invocations)
-        tracer = self.tracer
-        for outcome in outcomes:
-            if stage is not None:
-                stage.add_failed_attempt_seconds(outcome.seconds)
-            if tracer.enabled:
-                tracer.instant(
-                    "speculate:%s#%d" % (operator, outcome.task_index),
-                    KIND_SPECULATION,
-                    lane=lane,
-                    dispatch=ordinal,
-                    task=outcome.task_index,
-                    seconds=outcome.seconds,
-                    won=bool(
-                        outcome.ok
-                        and outcome.seconds
-                        < final[outcome.task_index].seconds
-                    ),
-                )
 
     #: Clock skew tolerated between a worker's ``start_epoch`` read and
     #: the driver's dispatch-window reads before re-anchoring falls

@@ -43,7 +43,6 @@ ordering hold exactly as they do serially (overlap never reorders the
 *recorded* trace).
 """
 
-import time
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter, eq, ge
@@ -215,17 +214,14 @@ def trace_signature(trace):
 class Run:
     """Everything observable about one execution of ``name`` under
     ``config``: what the program returned, its :func:`trace_signature`,
-    the cost model's simulated seconds, the measured wall-clock of the
-    call (reported, never asserted on: machine noise is not a
-    correctness property), the run-report totals, and a ``Counter`` of
-    optimizer decisions keyed ``"kind/choice"``."""
+    the cost model's simulated seconds, the run-report totals, and a
+    ``Counter`` of optimizer decisions keyed ``"kind/choice"``."""
 
     name: str
     config: object
     result: object
     signature: tuple
     simulated_seconds: float
-    wall_seconds: float
     totals: dict
     decisions: Counter
 
@@ -244,9 +240,7 @@ def run_configs(program, configs, name="<program>"):
     for config in configs:
         ctx = EngineContext(config)
         try:
-            started = time.perf_counter()
             result = program(ctx)
-            wall_seconds = time.perf_counter() - started
             validate_trace(ctx.trace)
             entry = entry_from_context(ctx, "differential", name)
             runs.append(
@@ -256,7 +250,6 @@ def run_configs(program, configs, name="<program>"):
                     result=result,
                     signature=trace_signature(ctx.trace),
                     simulated_seconds=entry["simulated_seconds"],
-                    wall_seconds=wall_seconds,
                     totals=entry["totals"],
                     decisions=Counter(
                         "%s/%s" % (decision.kind, decision.choice)
@@ -283,12 +276,13 @@ def _job_shuffles(run):
     ]
 
 
-def _deterministic_totals(run):
-    # Retry and straggler detection read measured wall-clock, so those
-    # totals legitimately vary run to run.
+def deterministic_totals(totals):
+    """A report entry's ``totals`` without the keys read off measured
+    wall-clock (retry and straggler detection), which legitimately vary
+    run to run."""
     measured = ("retries", "stragglers", "failed_attempt_seconds")
     return {
-        key: value for key, value in run.totals.items()
+        key: value for key, value in totals.items()
         if key not in measured
     }
 
@@ -317,7 +311,11 @@ INVARIANTS = {
         _job_shuffles,
         lambda base, variant: all(map(ge, base, variant)),
     ),
-    "totals": ("deterministic totals", _deterministic_totals, eq),
+    "totals": (
+        "deterministic totals",
+        lambda run: deterministic_totals(run.totals),
+        eq,
+    ),
 }
 
 

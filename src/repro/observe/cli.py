@@ -6,8 +6,9 @@ Subcommands::
     summarize PATH [--top N]              # trace .jsonl or report .json
     diff BASELINE.json CANDIDATE.json     # per-stage deltas + verdict
 
-``diff`` exits with status 2 when the candidate regresses past the
-threshold, so it can gate CI directly.
+``diff`` compares simulated seconds and exits with status 2 when the
+candidate regresses past the threshold, lost an entry, or no longer
+ends one ``ok`` -- so it can gate CI directly.
 """
 
 import argparse
@@ -79,7 +80,6 @@ def cmd_diff(args):
         candidate,
         threshold=args.threshold,
         min_seconds=args.min_seconds,
-        metric=args.metric,
     )
     print(diff.render(show_ok_stages=args.show_ok))
     return EXIT_REGRESSION if diff.has_regressions else 0
@@ -126,10 +126,6 @@ def build_parser():
     diff.add_argument(
         "--min-seconds", type=float, default=DEFAULT_MIN_SECONDS,
         help="absolute growth floor in seconds (default: %(default)s)",
-    )
-    diff.add_argument(
-        "--metric", choices=["simulated", "measured", "wall"],
-        default="simulated",
     )
     diff.add_argument(
         "--show-ok", action="store_true",

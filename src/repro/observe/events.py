@@ -32,11 +32,10 @@ KIND_SERDE = "serde"            # closure/outcome (de)serialization span
 KIND_TASK_RETRY = "task_retry"  # scheduler re-launched a failed attempt
 KIND_FAULT = "fault"            # a task attempt failed (instant)
 KIND_STRAGGLER = "straggler"    # a task ran far beyond its set's median
-#: A re-execution (retry or speculation) touched a task whose UDFs the
-#: effect analysis could not prove deterministic -- the repeated run may
-#: legitimately observe a different result.
+#: A retry touched a task whose UDFs the effect analysis refuted as
+#: deterministic -- the repeated run may legitimately observe a
+#: different result.
 KIND_NONDETERMINISTIC_RETRY = "nondeterministic_retry"
-KIND_SPECULATION = "speculation"  # a proven-safe straggler re-dispatch
 #: One fused chain compiled to a specialized loop function (span
 #: covering source generation + ``compile``; emitted once per distinct
 #: chain fingerprint per process, never per task or per record).
@@ -55,7 +54,6 @@ ALL_KINDS = (
     KIND_FAULT,
     KIND_STRAGGLER,
     KIND_NONDETERMINISTIC_RETRY,
-    KIND_SPECULATION,
     KIND_CODEGEN,
 )
 

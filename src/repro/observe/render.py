@@ -139,15 +139,14 @@ def summarize_report(report, top=10):
                 entry.get("status", "?"),
                 _fmt_s(entry.get("simulated_seconds")),
                 _fmt_s(entry.get("measured_task_seconds")),
-                _fmt_s(entry.get("measured_wall_seconds")),
                 str(totals.get("stages", "-")),
                 str(totals.get("shuffle_records", "-")),
                 str(totals.get("retries", "-")),
             )
         )
     header = (
-        "entry", "status", "simulated", "task-time", "wall", "stages",
-        "shuffle", "retries",
+        "entry", "status", "simulated", "task-time", "stages", "shuffle",
+        "retries",
     )
     widths = [
         max(len(header[i]), max((len(r[i]) for r in rows), default=0))

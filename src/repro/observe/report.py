@@ -11,11 +11,16 @@ views the rest of the repo keeps separately:
   broadcast volume, retries, straggler flags.
 
 Reports persist as JSON (``save``/``load``, ``schema_version`` checked
-on load) and diff structurally: :func:`RunReport.compare` matches
-entries by ``(system, x)`` and stages positionally within each job,
-producing per-stage deltas and a regression verdict per entry --
-the contract ``python -m repro.bench --check-regressions`` and
-``python -m repro.observe diff`` are built on.
+on load) and diff structurally on **simulated** seconds:
+:func:`RunReport.compare` matches entries by ``(system, x)`` and stages
+positionally within each job, producing per-stage deltas and a
+regression verdict per entry -- the contract ``python -m repro.observe
+diff`` is built on.  An entry the candidate lost, or one that no longer
+ends ``ok``, is a regression like a slower one.  Measured seconds are
+carried for reading, never compared: one sample cannot order two runs
+(``benchmarks/wall`` is the instrument for that).  The committed
+engine baseline is a different, exact comparison
+(:mod:`repro.bench.baseline`).
 """
 
 import json
@@ -254,8 +259,8 @@ class RunReport:
 
     @staticmethod
     def compare(baseline, candidate, threshold=DEFAULT_THRESHOLD,
-                min_seconds=DEFAULT_MIN_SECONDS, metric="simulated"):
-        """Diff two reports; see :class:`ReportDiff`.
+                min_seconds=DEFAULT_MIN_SECONDS):
+        """Diff two reports' simulated seconds; see :class:`ReportDiff`.
 
         Args:
             baseline: The reference :class:`RunReport`.
@@ -264,29 +269,9 @@ class RunReport:
                 stage is a regression (0.25 = 25% slower).
             min_seconds: Absolute growth floor below which nothing is
                 flagged (protects sub-millisecond stages from noise).
-            metric: ``"simulated"`` (deterministic; the default),
-                ``"measured"`` (summed task wall-clock), or ``"wall"``
-                (driver wall-clock; entry-level only).
         """
         return ReportDiff(baseline, candidate, threshold=threshold,
-                          min_seconds=min_seconds, metric=metric)
-
-
-def _metric_of(record, metric, stage=False):
-    if metric == "simulated":
-        value = record.get("simulated_seconds")
-    elif metric == "measured":
-        value = record.get(
-            "measured_seconds" if stage else "measured_task_seconds"
-        )
-    elif metric == "wall":
-        value = None if stage else record.get("measured_wall_seconds")
-    else:
-        raise ValueError(
-            "metric must be 'simulated', 'measured' or 'wall', got %r"
-            % (metric,)
-        )
-    return value
+                          min_seconds=min_seconds)
 
 
 class Delta:
@@ -341,21 +326,25 @@ class ReportDiff:
             reports (keyed ``system@x``).
         stage_deltas: Per-stage :class:`Delta` rows for matched entries
             (keyed ``system@x job<j>/stage<s>:<kind><-origin``).
-        missing: Entry keys only in the baseline.
+        missing: Entry keys only in the baseline (a regression: the
+            candidate lost a run).
         added: Entry keys only in the candidate.
+        broken: ``system@x: ok -> <status>`` for every matched entry
+            that ended ``ok`` in the baseline and does not in the
+            candidate (a regression, whatever its seconds read).
     """
 
     def __init__(self, baseline, candidate, threshold=DEFAULT_THRESHOLD,
-                 min_seconds=DEFAULT_MIN_SECONDS, metric="simulated"):
+                 min_seconds=DEFAULT_MIN_SECONDS):
         self.baseline = baseline
         self.candidate = candidate
         self.threshold = threshold
         self.min_seconds = min_seconds
-        self.metric = metric
         self.entry_deltas = []
         self.stage_deltas = []
         self.missing = []
         self.added = []
+        self.broken = []
         self._build()
 
     def _build(self):
@@ -376,17 +365,19 @@ class ReportDiff:
             if entry_b is None:
                 continue
             label = "%s@%s" % key
+            status_a = entry_a.get("status", "ok")
+            status_b = entry_b.get("status", "ok")
+            if status_a == "ok" and status_b != "ok":
+                self.broken.append("%s: ok -> %s" % (label, status_b))
             self.entry_deltas.append(
                 Delta(
                     label,
-                    _metric_of(entry_a, self.metric),
-                    _metric_of(entry_b, self.metric),
+                    entry_a.get("simulated_seconds"),
+                    entry_b.get("simulated_seconds"),
                     self.threshold,
                     self.min_seconds,
                 )
             )
-            if self.metric == "wall":
-                continue
             self._build_stages(label, entry_a, entry_b)
 
     def _build_stages(self, label, entry_a, entry_b):
@@ -406,8 +397,8 @@ class ReportDiff:
                 self.stage_deltas.append(
                     Delta(
                         key,
-                        _metric_of(stage_a, self.metric, stage=True),
-                        _metric_of(stage_b, self.metric, stage=True),
+                        stage_a.get("simulated_seconds"),
+                        stage_b.get("simulated_seconds"),
                         self.threshold,
                         self.min_seconds,
                     )
@@ -425,23 +416,28 @@ class ReportDiff:
 
     @property
     def has_regressions(self):
-        return bool(self.regressions or self.stage_regressions)
+        return bool(
+            self.regressions or self.stage_regressions
+            or self.missing or self.broken
+        )
 
     # -- rendering -----------------------------------------------------
 
     def render(self, show_ok_stages=False):
         """Human-readable diff: entry table plus flagged stage rows."""
         lines = [
-            "report diff: %s -> %s  (metric=%s, threshold=+%d%%)"
+            "report diff: %s -> %s  (simulated seconds, threshold=+%d%%)"
             % (
-                self.baseline.label, self.candidate.label, self.metric,
+                self.baseline.label, self.candidate.label,
                 round(self.threshold * 100),
             )
         ]
         for name in self.missing:
-            lines.append("  missing in candidate: %s" % name)
+            lines.append("  missing in candidate: %s  [REGRESSION]" % name)
         for name in self.added:
             lines.append("  new in candidate: %s" % name)
+        for change in self.broken:
+            lines.append("  status %s  [REGRESSION]" % change)
         for delta in self.entry_deltas:
             lines.append("  %s" % _format_delta(delta))
         flagged = [
@@ -457,8 +453,11 @@ class ReportDiff:
         lines.append(
             "verdict: %s"
             % (
-                "REGRESSION (%d entry, %d stage)"
-                % (len(self.regressions), len(self.stage_regressions))
+                "REGRESSION (%d entry, %d stage, %d missing, %d not ok)"
+                % (
+                    len(self.regressions), len(self.stage_regressions),
+                    len(self.missing), len(self.broken),
+                )
                 if self.has_regressions
                 else "ok"
             )

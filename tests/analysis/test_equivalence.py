@@ -155,7 +155,6 @@ def test_axis_passes_on_a_real_program(axis, program):
     assert getattr(base.config, spec.field) == spec.base
     assert getattr(variant.config, spec.field) == spec.variant
     assert base.name == variant.name == program.__name__
-    assert base.wall_seconds > 0 and variant.wall_seconds > 0
     if "signature" in spec.preserves:
         # The signature pins identical shuffle volume.
         assert base.totals["shuffle_records"] == (
@@ -299,7 +298,7 @@ def test_lattice_points():
 )
 def test_lattice_over_the_library(name, program):
     runs = verify_lattice(program, name=name)
-    assert len(runs) == 10
+    assert len(runs) == 8
 
 
 #: Registry programs none of whose chains passes the compile gate.

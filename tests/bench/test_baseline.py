@@ -1,4 +1,9 @@
-"""The engine baseline matrix: the service-mode and pipeline cells.
+"""The engine baseline matrix: the exact gate, the committed snapshot,
+and the service-mode and pipeline cells.
+
+The gate (``repro.bench.baseline.differences``) is tested on data: the
+committed snapshot against tampered copies of itself, never by
+re-running the matrix.
 
 The ``serve-pagerank-*`` pair runs repeated PageRank jobs through one
 long-lived :class:`repro.serve.JobService`; the only difference between
@@ -14,21 +19,135 @@ here: one sample cannot order the two bodies, so that comparison
 belongs to ``benchmarks/wall``.
 """
 
-import json
+import copy
+import math
+import re
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.bench import baseline
 from repro.bench.baseline import (
     _GROUP_COUNTS,
     _SCHEDULERS,
+    _auto_cache_cell,
     _pipeline_cell,
     _serve_pagerank_cell,
     BASELINE_FILENAME,
     CELLS,
+    cell_row,
+    differences,
 )
 from repro.engine import codegen
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
+COMMITTED = Path(__file__).resolve().parents[2] / BASELINE_FILENAME
+CELL = "kmeans-matryoshka@4"
+
+
+def _scale(factor):
+    def tamper(cells):
+        cells[CELL]["simulated_seconds"] *= factor
+    return tamper
+
+
+def _bump_total(cells):
+    cells[CELL]["totals"]["shuffle_records"] += 1
+
+
+def _change_stage(cells):
+    cells[CELL]["jobs"][3][4][2] += 1
+
+
+def _ulp(cells):
+    row = cells[CELL]
+    row["simulated_seconds"] = math.nextafter(
+        row["simulated_seconds"], math.inf
+    )
+    row["jobs"][3][4][5] = math.nextafter(row["jobs"][3][4][5], 0.0)
+
+
+#: id -> (what is done to a copy of the stored cells, the cell every
+#: reported line must name, what the first line says; None: no lines).
+TAMPERINGS = {
+    "slower": (_scale(1.01), CELL, "[serial] simulated_seconds: stored"),
+    "faster": (_scale(0.99), CELL, "[serial] simulated_seconds: stored"),
+    "total": (
+        _bump_total, CELL,
+        "totals.shuffle_records: stored 2632, this run 2631",
+    ),
+    "stage": (
+        _change_stage, CELL,
+        "job3/stage4 tasks: stored 1201, this run 1200",
+    ),
+    "removed": (
+        lambda cells: cells.pop(CELL), CELL,
+        "in this run, not in the file",
+    ),
+    "added": (
+        lambda cells: cells.update({"ghost@4": cells[CELL]}), "ghost@4",
+        "in the file, not in this run",
+    ),
+    "status": (
+        lambda cells: cells[CELL].update(status="oom"), CELL,
+        "status: stored 'oom', this run 'ok'",
+    ),
+    "untouched": (lambda cells: None, CELL, None),
+    "one-ulp": (_ulp, CELL, None),
+}
+
+
+class TestExactGate:
+    """``differences(stored, runs)`` on the committed snapshot."""
+
+    @pytest.mark.parametrize("case", TAMPERINGS)
+    def test_only_an_equal_file_passes(self, case):
+        tamper, cell, first_line = TAMPERINGS[case]
+        stored = baseline.load(COMMITTED)
+        runs = [
+            (name, scheduler, row)
+            for name, row in copy.deepcopy(stored["cells"]).items()
+            for scheduler in _SCHEDULERS
+        ]
+        tamper(stored["cells"])
+        found = differences(stored, runs)
+        if first_line is None:
+            assert found == []
+        else:
+            assert found and first_line in found[0]
+            assert all(line.startswith(cell) for line in found)
+
+    def test_dag_run_projects_to_the_serial_row(self):
+        serial = _auto_cache_cell("reuse-autocache", 4)
+        dag = _auto_cache_cell("reuse-autocache", 4, "dag")
+        assert dag.entry["system"] == "reuse-autocache+dag"
+        assert cell_row(dag.entry) == cell_row(serial.entry)
+
+    def test_an_older_format_is_refused(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"schema_version": 1, "entries": []}')
+        with pytest.raises(ValueError, match="--emit-baseline"):
+            baseline.load(path)
+
+
+class TestCommittedSnapshot:
+    def test_is_small_and_holds_only_the_simulated_clock(self):
+        text = COMMITTED.read_text()
+        assert len(text) < 100_000
+        assert not re.search(
+            r"measured|wall|straggler|retries|failed_attempt", text
+        )
+
+    def test_cells_are_exactly_the_matrix(self):
+        assert list(baseline.load(COMMITTED)["cells"]) == [
+            "%s@%s" % (system, groups)
+            for system in CELLS for groups in _GROUP_COUNTS
+        ]
+
+    def test_is_what_save_writes(self, tmp_path):
+        path = tmp_path / "again.json"
+        baseline.save(baseline.load(COMMITTED), path)
+        assert path.read_text() == COMMITTED.read_text()
 
 
 class TestServeCells:
@@ -59,17 +178,11 @@ class TestServeCells:
         assert a.seconds == b.seconds
 
     def test_committed_snapshot_has_warm_advantage(self):
-        data = json.loads((REPO_ROOT / BASELINE_FILENAME).read_text())
-        rows = {
-            (entry["system"], entry["x"]): entry["simulated_seconds"]
-            for entry in data["entries"]
-        }
+        cells = baseline.load(COMMITTED)["cells"]
         for groups in _GROUP_COUNTS:
-            for scheduler in _SCHEDULERS:
-                suffix = "" if scheduler == "serial" else "+dag"
-                cold = rows["serve-pagerank-cold" + suffix, groups]
-                warm = rows["serve-pagerank-warm" + suffix, groups]
-                assert warm < cold
+            cold = cells["serve-pagerank-cold@%d" % groups]
+            warm = cells["serve-pagerank-warm@%d" % groups]
+            assert warm["simulated_seconds"] < cold["simulated_seconds"]
 
 
 class TestPipelineCells:

@@ -3,23 +3,16 @@
 Retries of provably nondeterministic tasks are never silent: the
 scheduler warns once per operator and emits a
 ``nondeterministic_retry`` trace instant (the retry still runs --
-loud, not blocked).  Speculative straggler copies are gated the other
-way: they run *only* when the task's UDFs are proven pure,
-deterministic, and I/O-free.
+loud, not blocked).
 """
 
 import random
-import time
 import warnings
 
 import pytest
 
-from repro.engine import EngineContext, TaskScheduler, laptop_config
-from repro.engine.metrics import ExecutionTrace
-from repro.observe.events import (
-    KIND_NONDETERMINISTIC_RETRY,
-    KIND_SPECULATION,
-)
+from repro.engine import EngineContext, laptop_config
+from repro.observe.events import KIND_NONDETERMINISTIC_RETRY
 
 
 def _noisy(x):
@@ -87,120 +80,3 @@ class TestRetryGate:
         ctx.fault_injector.kill_task(task_index=0, stage=0)
         with pytest.warns(RuntimeWarning):
             assert ctx.bag_of(range(8)).map(_noisy).count() == 8
-
-
-class _UdfSleepTask:
-    """A sleep task that carries a UDF, like fused pipeline tasks do."""
-
-    def __init__(self, fn, operator="Sleep[udf]"):
-        self.udfs = (fn,)
-        self.operator = operator
-
-    def __call__(self, seconds):
-        time.sleep(seconds)
-        return seconds
-
-
-def speculative_scheduler():
-    return TaskScheduler(
-        laptop_config(
-            backend="serial",
-            speculative_execution=True,
-            straggler_min_task_seconds=0.005,
-            straggler_factor=1.5,
-        )
-    )
-
-
-def run_straggly_stage(scheduler, task):
-    trace = ExecutionTrace()
-    stage = trace.new_job("collect").new_stage("input")
-    future = scheduler.submit_stage(
-        task, [(0.0,)] * 5 + [(0.04,)], stage=stage
-    )
-    result = future.result(timeout=30)
-    return stage, result
-
-
-class TestSpeculationGate:
-    def test_proven_task_is_speculated(self):
-        scheduler = speculative_scheduler()
-        try:
-            stage, result = run_straggly_stage(
-                scheduler, _UdfSleepTask(_steady)
-            )
-        finally:
-            scheduler.close()
-        assert stage.straggler_tasks == 1
-        assert scheduler.tasks_speculated == 1
-        # the copy is redundant work, never task time
-        assert stage.failed_attempt_seconds > 0.0
-        assert result == [0.0] * 5 + [0.04]
-
-    def test_unproven_task_is_not_speculated(self):
-        scheduler = speculative_scheduler()
-        try:
-            with pytest.warns(RuntimeWarning, match="not speculating"):
-                stage, _ = run_straggly_stage(
-                    scheduler, _UdfSleepTask(_noisy)
-                )
-        finally:
-            scheduler.close()
-        assert stage.straggler_tasks == 1
-        assert scheduler.tasks_speculated == 0
-
-    def test_udf_less_task_is_not_speculated(self):
-        class PlainSleep:
-            operator = "Sleep[plain]"
-
-            def __call__(self, seconds):
-                time.sleep(seconds)
-                return seconds
-
-        scheduler = speculative_scheduler()
-        try:
-            with pytest.warns(RuntimeWarning, match="not speculating"):
-                stage, _ = run_straggly_stage(scheduler, PlainSleep())
-        finally:
-            scheduler.close()
-        assert scheduler.tasks_speculated == 0
-
-    def test_speculation_off_by_default(self):
-        scheduler = TaskScheduler(
-            laptop_config(
-                backend="serial",
-                straggler_min_task_seconds=0.005,
-                straggler_factor=1.5,
-            )
-        )
-        try:
-            stage, _ = run_straggly_stage(
-                scheduler, _UdfSleepTask(_steady)
-            )
-        finally:
-            scheduler.close()
-        assert stage.straggler_tasks == 1
-        assert scheduler.tasks_speculated == 0
-
-    def test_speculation_traced(self):
-        from repro.observe import MemorySink, Tracer
-
-        tracer = Tracer(MemorySink())
-        scheduler = TaskScheduler(
-            laptop_config(
-                backend="serial",
-                speculative_execution=True,
-                straggler_min_task_seconds=0.005,
-                straggler_factor=1.5,
-            ),
-            tracer=tracer,
-        )
-        try:
-            run_straggly_stage(scheduler, _UdfSleepTask(_steady))
-        finally:
-            scheduler.close()
-        instants = [
-            e for e in tracer.events() if e.kind == KIND_SPECULATION
-        ]
-        assert len(instants) == 1
-        assert instants[0].args["task"] == 5

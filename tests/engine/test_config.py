@@ -67,7 +67,6 @@ class TestClusterConfig:
         ]
         assert flags == [
             "validate_traces", "optimize_shuffles", "optimize_caching",
-            "speculative_execution",
         ]
 
 

@@ -165,16 +165,29 @@ class TestCompare:
         assert diff.added == ["s@2"]
         assert not diff.entry_deltas
 
-    def test_metric_selection(self):
-        a = RunReport("a", entries=[synthetic_entry("s", 1, 10.0)])
+    def test_missing_entry_is_a_regression(self):
+        a = RunReport("a", entries=[
+            synthetic_entry("s", 1, 10.0), synthetic_entry("s", 2, 10.0),
+        ])
         b = RunReport("b", entries=[synthetic_entry("s", 1, 10.0)])
-        # Same simulated, but hand-tweak the candidate's wall clock.
-        b.entries[0]["measured_wall_seconds"] = 100.0
-        assert not RunReport.compare(a, b, metric="simulated")\
-            .has_regressions
-        assert RunReport.compare(a, b, metric="wall").has_regressions
-        with pytest.raises(ValueError):
-            RunReport.compare(a, b, metric="bogus").has_regressions
+        diff = RunReport.compare(a, b)
+        assert diff.missing == ["s@2"]
+        assert diff.has_regressions
+        assert "missing in candidate: s@2" in diff.render()
+        # The other way round the candidate only gained a run.
+        assert not RunReport.compare(b, a).has_regressions
+
+    def test_lost_ok_status_is_a_regression(self):
+        oom = synthetic_entry("s", 1, 10.0)
+        oom["status"] = "oom"
+        a = RunReport("a", entries=[synthetic_entry("s", 1, 10.0)])
+        b = RunReport("b", entries=[oom])
+        diff = RunReport.compare(a, b)
+        assert diff.broken == ["s@1: ok -> oom"]
+        assert diff.has_regressions
+        assert "status s@1: ok -> oom" in diff.render()
+        # A run that was failing and now ends ok is no regression.
+        assert not RunReport.compare(b, a).has_regressions
 
     def test_oom_entries_compare_without_crashing(self):
         oom = synthetic_entry("s", 1, 10.0)
@@ -183,6 +196,6 @@ class TestCompare:
         a = RunReport("a", entries=[synthetic_entry("s", 1, 10.0)])
         b = RunReport("b", entries=[oom])
         diff = RunReport.compare(a, b)
-        assert not diff.has_regressions
         (delta,) = diff.entry_deltas
         assert delta.after is None
+        assert "REGRESSION" in diff.render()
