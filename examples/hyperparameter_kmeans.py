@@ -8,9 +8,9 @@ computation (Listing 4's P1-P3).
 
 The second half of the example scores the trained arms on a held-out
 validation set, one job per arm.  The jobs are independent, so they are
-submitted side by side (``ctx.gather``) under the DAG stage scheduler
-and compared against the serial one-at-a-time schedule: same costs,
-same simulated seconds, measurably lower wall-clock.
+submitted side by side (``ctx.gather``, one thread per job over the
+shared worker pool) and compared against submitting them one at a
+time: same costs, same simulated seconds, measurably lower wall-clock.
 
 Run:  python examples/hyperparameter_kmeans.py
 """
@@ -26,8 +26,8 @@ NUM_CONFIGS = 8
 K = 3
 
 #: Modelled latency of fetching one validation shard from remote
-#: storage inside a scoring task.  Real wall-clock the schedules can
-#: overlap; invisible to the simulated cost model.
+#: storage inside a scoring task.  Real wall-clock that jobs submitted
+#: side by side overlap; invisible to the simulated cost model.
 ARM_FETCH_S = 0.03
 VALIDATION_PARTITIONS = 2
 
@@ -65,26 +65,24 @@ def score_arms(ctx, points, arms, side_by_side):
 
 
 def compare_arm_scheduling(points, arms):
-    """Per-arm scoring jobs, serial schedule vs DAG + ``ctx.gather``.
+    """Per-arm scoring jobs, one at a time vs ``ctx.gather``.
 
     Both contexts use the process backend -- the arms' tasks really run
-    in worker processes; the knobs are pinned so the comparison is about
-    scheduling, not about how many cores this host happens to have.
+    in worker processes; the worker count is pinned so the comparison
+    is about how the jobs are submitted, not about how many cores this
+    host happens to have.
     """
     config = replace(
-        repro.paper_cluster_config(),
-        backend="process",
-        num_workers=4,
-        max_concurrent_stages=8,
+        repro.paper_cluster_config(), backend="process", num_workers=4
     )
     results = {}
-    for label, scheduler, side_by_side in (
-        ("one at a time (serial)", "serial", False),
-        ("side by side (dag)", "dag", True),
+    for label, side_by_side in (
+        ("one at a time", False),
+        ("side by side (ctx.gather)", True),
     ):
-        ctx = repro.EngineContext(config.with_scheduler(scheduler))
+        ctx = repro.EngineContext(config)
         try:
-            # Unmeasured warm-up so neither schedule pays pool start-up.
+            # Unmeasured warm-up so neither arm pays pool start-up.
             ctx.bag_of(list(range(4)), num_partitions=4).count()
             results[label] = score_arms(ctx, points, arms, side_by_side)
         finally:
@@ -122,8 +120,8 @@ def main():
     print("Trace:", ctx.trace.summary())
     print("Simulated cluster runtime: %.1f s" % ctx.simulated_seconds())
 
-    # Validation scoring: one independent job per arm.  Under the DAG
-    # scheduler the arms run side by side over the same worker pool.
+    # Validation scoring: one independent job per arm.  Gathered, the
+    # arms run side by side over the same worker pool.
     arms = [arm for _tag, arm in sorted(trained.collect())]
     comparison = compare_arm_scheduling(points, arms)
     print()
@@ -138,8 +136,8 @@ def main():
             round(c, 6) for c in reference
         ]:
             raise AssertionError("schedules disagreed on arm costs")
-        print("  %-24s %5.2f s wall" % (label, wall))
-    speedup = walls["one at a time (serial)"] / walls["side by side (dag)"]
+        print("  %-26s %5.2f s wall" % (label, wall))
+    speedup = walls["one at a time"] / walls["side by side (ctx.gather)"]
     print("  side-by-side speedup: %.1fx (same costs, same trace shape)"
           % speedup)
 

@@ -1,9 +1,9 @@
 """Effect & determinism analysis over UDFs: the NPL5xx prover.
 
-The engine's retries (PR 2), DAG-parallel re-dispatch (PR 6), shuffle
-elision (PR 5), and the cross-job artifact cache (PR 7) are only sound
-when UDFs are pure and deterministic -- until now that was assumed
-silently.  This module *proves* it where it can: a conservative,
+The engine's retries (PR 2), shuffle elision (PR 5), and the cross-job
+artifact cache (PR 7) are only sound when UDFs are pure and
+deterministic -- until now that was assumed silently.  This module
+*proves* it where it can: a conservative,
 interprocedural AST analysis assigns every UDF a tri-state verdict per
 effect dimension:
 

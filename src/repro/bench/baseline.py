@@ -2,8 +2,7 @@
 
 A small, fast, fixed grid of (task, scale) cells -- K-means, PageRank,
 and Bounce Rate, each in the Matryoshka and inner-parallel formulations
-at two group counts, plus a branch-overlap cell exercising the DAG
-scheduler, a service-mode pair (``serve-pagerank-cold`` /
+at two group counts, plus a service-mode pair (``serve-pagerank-cold`` /
 ``serve-pagerank-warm``) running repeated PageRank jobs through a
 long-lived :mod:`repro.serve` daemon, a reuse-heavy pair
 (``reuse-baseline`` / ``reuse-autocache``) where the only difference
@@ -23,25 +22,22 @@ strings must be equal, seconds equal to a relative ``1e-9`` (CPython
 3.12 sums floats with compensation, 3.11 does not; nothing else may
 move them).  A cell that got slower, *faster*, changed status,
 vanished or appeared fails the gate alike -- a faster cell means the
-file is stale.  Every cell runs under both stage schedules and the
-``dag`` run is held to the same stored row, so the DAG scheduler costs
-exactly what serial execution does.  Wall-clock is no part of this
-file; ``benchmarks/wall`` measures it.
+file is stale.  Wall-clock is no part of this file; ``benchmarks/wall``
+measures it.
 
 Check the working tree against the snapshot::
 
     python -m repro.bench --check-regressions
 
-A failure names the cell, the schedule, the job and stage and both
-values.  When the change in cost is intended, rewrite the snapshot and
-say why in the PR::
+A failure names the cell, the job and stage and both values.  When
+the change in cost is intended, rewrite the snapshot and say why in the
+PR::
 
     python -m repro.bench --emit-baseline
 """
 
 import json
 import math
-import time
 from dataclasses import replace
 from itertools import zip_longest
 
@@ -61,18 +57,12 @@ _K = 4
 _KMEANS_ITERS = 4
 _PAGERANK_ITERS = 4
 _GROUP_COUNTS = (4, 16)
-_SCHEDULERS = ("serial", "dag")
 
 #: What the snapshot keeps of a report entry's stage, in row order.
 STAGE_COLUMNS = (
     "kind", "origin", "tasks", "records", "shuffle_records",
     "simulated_seconds",
 )
-
-#: Per-task latency of one branch in the branch-overlap cell, modelling
-#: the fixed remote-fetch cost of that branch's input split.  Real
-#: wall-clock (the task sleeps), invisible to the simulated counters.
-_BRANCH_TASK_SLEEP_S = 0.05
 
 #: The service-mode cell: how many times the same PageRank program is
 #: resubmitted against one daemon, and the warm artifact budget.  The
@@ -97,21 +87,12 @@ _PIPELINE_RECORDS_PER_GROUP = 8192
 _REUSE_JOBS = 3
 
 
-def _scheduled(config, system, scheduler):
-    """Apply the scheduler dimension to a cell's config and row name."""
-    if scheduler == "serial":
-        return config, system
-    return config.with_scheduler(scheduler), "%s+%s" % (system, scheduler)
-
-
-def _kmeans_cell(system, groups, scheduler="serial"):
-    config, system = _scheduled(
-        _cluster(2.0, 512, overhead=2.0), system, scheduler
-    )
+def _kmeans_cell(system, groups):
+    config = _cluster(2.0, 512, overhead=2.0)
     records = grouped_points(groups, 512, _K, seed=11)
     configs = initial_centroids(_K, groups, seed=11)
     kwargs = {"max_iterations": _KMEANS_ITERS, "tolerance": None}
-    if system.startswith("kmeans-matryoshka"):
+    if system == "kmeans-matryoshka":
         return run_measured(
             config, system, groups,
             lambda ctx: kmeans.kmeans_nested_grouped(
@@ -125,10 +106,10 @@ def _kmeans_cell(system, groups, scheduler="serial"):
     )
 
 
-def _pagerank_cell(system, groups, scheduler="serial"):
-    config, system = _scheduled(_cluster(20.0, 1024), system, scheduler)
+def _pagerank_cell(system, groups):
+    config = _cluster(20.0, 1024)
     records = grouped_edges(groups, 1024, seed=13)
-    if system.startswith("pagerank-matryoshka"):
+    if system == "pagerank-matryoshka":
         return run_measured(
             config, system, groups,
             lambda ctx: pagerank.pagerank_nested(
@@ -144,12 +125,10 @@ def _pagerank_cell(system, groups, scheduler="serial"):
     )
 
 
-def _bounce_rate_cell(system, groups, scheduler="serial"):
-    config, system = _scheduled(
-        _cluster(48.0, 2048, overhead=8.0), system, scheduler
-    )
+def _bounce_rate_cell(system, groups):
+    config = _cluster(48.0, 2048, overhead=8.0)
     records = visits_log(groups, 2048, seed=23)
-    if system.startswith("bounce-matryoshka"):
+    if system == "bounce-matryoshka":
         return run_measured(
             config, system, groups,
             lambda ctx: bounce_rate.bounce_rate_nested(
@@ -163,41 +142,7 @@ def _bounce_rate_cell(system, groups, scheduler="serial"):
     )
 
 
-def _branch_pause(item):
-    time.sleep(_BRANCH_TASK_SLEEP_S)
-    return item
-
-
-def _branch_overlap_cell(system, branches, scheduler="serial"):
-    """``branches`` independent single-partition pipelines merged by one
-    union: the group count doubles as the fan-out width.
-
-    Each branch's only task sleeps for a fixed latency, so the serial
-    schedule pays ``branches`` latencies back to back while the DAG
-    schedule overlaps them across the worker pool.  The process backend
-    and the concurrency knobs are pinned explicitly because the default
-    dispatch width is derived from the host CPU count -- the point of
-    this cell is scheduling overlap, not host parallelism.
-    """
-    config = replace(
-        _cluster(2.0, 64),
-        backend="process",
-        num_workers=4,
-        max_concurrent_stages=8,
-    )
-    config, system = _scheduled(config, system, scheduler)
-
-    def program(ctx):
-        parts = [
-            ctx.bag_of([index], num_partitions=1).map(_branch_pause)
-            for index in range(branches)
-        ]
-        return parts[0].union(*parts[1:]).count()
-
-    return run_measured(config, system, branches, program)
-
-
-def _serve_pagerank_cell(system, groups, scheduler="serial"):
+def _serve_pagerank_cell(system, groups):
     """Repeated PageRank jobs through a long-lived :class:`JobService`.
 
     The service adopts the harness-provided context (``retain_trace=True``
@@ -208,8 +153,8 @@ def _serve_pagerank_cell(system, groups, scheduler="serial"):
     cold-vs-warm delta in simulated seconds is exactly what the cache
     buys.
     """
-    config, system = _scheduled(_cluster(20.0, 1024), system, scheduler)
-    limit = 0 if system.startswith("serve-pagerank-cold") else _SERVE_WARM_BYTES
+    config = _cluster(20.0, 1024)
+    limit = 0 if system == "serve-pagerank-cold" else _SERVE_WARM_BYTES
     prog = service_program(
         "pagerank",
         num_groups=groups,
@@ -248,7 +193,7 @@ def _reuse_shift(x):
     return x - 500
 
 
-def _auto_cache_cell(system, groups, scheduler="serial"):
+def _auto_cache_cell(system, groups):
     """A reuse-heavy workload: ``_REUSE_JOBS`` jobs over one shared
     uncached subtree with two consumers each.
 
@@ -260,10 +205,8 @@ def _auto_cache_cell(system, groups, scheduler="serial"):
     an unprovable subtree would (correctly) suppress the rewrite and
     collapse the delta to zero.
     """
-    config, system = _scheduled(_cluster(2.0, 512), system, scheduler)
     config = replace(
-        config,
-        optimize_caching=system.startswith("reuse-autocache"),
+        _cluster(2.0, 512), optimize_caching=system == "reuse-autocache"
     )
 
     def program(ctx):
@@ -308,7 +251,7 @@ def _pipe_bucket(x):
     return x % 1000
 
 
-def _pipeline_cell(system, groups, scheduler="serial"):
+def _pipeline_cell(system, groups):
     """A map/filter-heavy fused chain over few large partitions.
 
     Its task set is far above ``codegen.COMPILE_MIN_RECORD_STEPS``, so
@@ -320,7 +263,7 @@ def _pipeline_cell(system, groups, scheduler="serial"):
     module-level and provably pure on purpose: a lambda capturing
     unknown state would keep the chain on the interpreter.
     """
-    config, system = _scheduled(_cluster(2.0, 512), system, scheduler)
+    config = _cluster(2.0, 512)
     n = groups * _PIPELINE_RECORDS_PER_GROUP
 
     def program(ctx):
@@ -340,8 +283,7 @@ def _pipeline_cell(system, groups, scheduler="serial"):
 
 
 #: The full matrix: system name -> cell runner; every system runs at
-#: every group count in ``_GROUP_COUNTS`` under every scheduler in
-#: ``_SCHEDULERS``.
+#: every group count in ``_GROUP_COUNTS``.
 CELLS = {
     "kmeans-matryoshka": _kmeans_cell,
     "kmeans-inner": _kmeans_cell,
@@ -349,7 +291,6 @@ CELLS = {
     "pagerank-inner": _pagerank_cell,
     "bounce-matryoshka": _bounce_rate_cell,
     "bounce-inner": _bounce_rate_cell,
-    "branch-overlap": _branch_overlap_cell,
     "serve-pagerank-cold": _serve_pagerank_cell,
     "serve-pagerank-warm": _serve_pagerank_cell,
     "reuse-baseline": _auto_cache_cell,
@@ -375,30 +316,20 @@ def cell_row(entry):
 
 
 def run_baseline(progress=None):
-    """Run the whole matrix; one ``(cell, scheduler, row)`` per run."""
+    """Run the whole matrix; one ``(cell, row)`` per run."""
     runs = []
     for system, cell in CELLS.items():
         for groups in _GROUP_COUNTS:
-            for scheduler in _SCHEDULERS:
-                result = cell(system, groups, scheduler)
-                runs.append((
-                    "%s@%s" % (system, groups), scheduler,
-                    cell_row(result.entry),
-                ))
-                if progress is not None:
-                    progress(result)
+            result = cell(system, groups)
+            runs.append(("%s@%s" % (system, groups), cell_row(result.entry)))
+            if progress is not None:
+                progress(result)
     return runs
 
 
 def snapshot(runs):
-    """What :func:`save` commits of ``runs``: the serial rows."""
-    return {
-        "stage_columns": list(STAGE_COLUMNS),
-        "cells": {
-            cell: row for cell, scheduler, row in runs
-            if scheduler == "serial"
-        },
-    }
+    """What :func:`save` commits of ``runs``."""
+    return {"stage_columns": list(STAGE_COLUMNS), "cells": dict(runs)}
 
 
 def _is_scalar(value):
@@ -476,23 +407,20 @@ def _row_differences(name, stored, ran):
 
 
 def differences(stored, runs):
-    """Every way ``runs`` (:func:`run_baseline`'s triples) differs from
+    """Every way ``runs`` (:func:`run_baseline`'s pairs) differs from
     the ``stored`` snapshot, one line each; empty when they agree
-    exactly.  Serial and ``dag`` runs of a cell are both held to the
-    cell's one stored row."""
+    exactly."""
     cells = stored["cells"]
-    ran = {cell for cell, _scheduler, _row in runs}
+    ran = dict(runs)
     found = [
         "%s: in the file, not in this run" % cell
         for cell in cells if cell not in ran
     ]
     found += [
         "%s: in this run, not in the file" % cell
-        for cell in sorted(ran.difference(cells))
+        for cell in sorted(set(ran).difference(cells))
     ]
-    for cell, scheduler, row in runs:
+    for cell, row in runs:
         if cell in cells:
-            found += _row_differences(
-                "%s [%s]" % (cell, scheduler), cells[cell], row
-            )
+            found += _row_differences(cell, cells[cell], row)
     return found

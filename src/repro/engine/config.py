@@ -20,11 +20,6 @@ MB = 1024 ** 2
 #: Backends the task runtime knows (see :mod:`repro.engine.runtime`).
 VALID_BACKENDS = ("serial", "process")
 
-#: Stage schedulers the executor knows (see :mod:`repro.engine.dag`):
-#: ``"serial"`` runs one stage at a time in plan order, ``"dag"``
-#: dispatches every ready stage of the stage graph concurrently.
-VALID_SCHEDULERS = ("serial", "dag")
-
 
 def _env(name, default):
     """A field ``default_factory`` reading environment variable ``name``
@@ -136,22 +131,6 @@ class ClusterConfig:
     #: ... and this absolute floor, so scheduling jitter on
     #: microsecond-scale tasks never registers.
     straggler_min_task_seconds: float = 0.01
-    #: Stage scheduler (:mod:`repro.engine.dag`): ``"serial"`` evaluates
-    #: the plan one evaluation unit at a time in plan order (today's
-    #: barrier schedule), ``"dag"`` derives the dependency graph of
-    #: evaluation units and dispatches every *ready* unit onto the
-    #: shared worker pool as soon as its inputs are complete, so
-    #: independent plan branches overlap.  Results, trace signatures,
-    #: and shuffle accounting are identical either way (see
-    #: :func:`repro.engine.validate.assert_schedule_parity`).  Defaults
-    #: to the ``REPRO_SCHEDULER`` environment variable, else serial.
-    scheduler: str = field(
-        default_factory=_env("REPRO_SCHEDULER", "serial")
-    )
-    #: Bound on evaluation units (and with them, in-flight task sets)
-    #: the DAG scheduler runs concurrently; 0 picks a default from the
-    #: host CPU count.  Ignored by the serial scheduler.
-    max_concurrent_stages: int = 0
     #: Statically elide shuffles whose input is provably co-partitioned
     #: with the layout the shuffle would build (see
     #: :mod:`repro.engine.optimize` and
@@ -182,13 +161,6 @@ class ClusterConfig:
             )
         if self.num_workers < 0:
             raise ValueError("num_workers must be >= 0")
-        if self.scheduler not in VALID_SCHEDULERS:
-            raise ValueError(
-                "scheduler must be one of %r, got %r"
-                % (VALID_SCHEDULERS, self.scheduler)
-            )
-        if self.max_concurrent_stages < 0:
-            raise ValueError("max_concurrent_stages must be >= 0")
         if self.max_task_attempts < 1:
             raise ValueError("max_task_attempts must be >= 1")
         if self.straggler_factor < 1.0:
@@ -234,21 +206,6 @@ class ClusterConfig:
     def with_bytes_per_record(self, bytes_per_record):
         """Return a copy with a different record-size scale factor."""
         return replace(self, bytes_per_record=bytes_per_record)
-
-    def with_backend(self, backend, num_workers=None):
-        """Return a copy running on a different task-runtime backend."""
-        if num_workers is None:
-            return replace(self, backend=backend)
-        return replace(self, backend=backend, num_workers=num_workers)
-
-    def with_scheduler(self, scheduler, max_concurrent_stages=None):
-        """Return a copy running under a different stage scheduler."""
-        if max_concurrent_stages is None:
-            return replace(self, scheduler=scheduler)
-        return replace(
-            self, scheduler=scheduler,
-            max_concurrent_stages=max_concurrent_stages,
-        )
 
 
 def laptop_config(**overrides):

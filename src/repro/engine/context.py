@@ -219,8 +219,8 @@ class EngineContext:
         (:meth:`~repro.engine.metrics.ExecutionTrace.restore_submission_order`)
         and job ids renumbered -- the recorded trace is the one serial
         submission would have produced, job for job.  When tracing,
-        each slot's driver/job spans go to their own ``driver-<slot>``
-        lane.
+        everything a slot's jobs emit on the driver side goes to the
+        slot's own ``driver-<slot>`` lane.
 
         If several thunks raise, the exception of the earliest slot
         propagates.  Thunks evaluating the *same* not-yet-materialized

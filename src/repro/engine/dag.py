@@ -1,84 +1,46 @@
-"""Stage-graph scheduling: evaluation units and the two run loops.
+"""Evaluation units: the plan, linearized, with its dispatch ordinals.
 
 The executor evaluates a plan as a sequence of **evaluation units** --
 one fused elementwise chain or one non-fusable node each.  This module
-derives the units (:func:`plan_units`), their dependency graph, and
-their dispatch-ordinal reservations *before anything runs*, then
-executes them under one of two schedules:
+derives the units (:func:`plan_units`) and their dispatch-ordinal
+reservations *before anything runs*; the executor then runs them one at
+a time, in plan order, on the calling thread
+(:meth:`repro.engine.executor.Executor._eval`).  Plan order is the only
+stage schedule: a flattened program's stages each span the whole
+cluster already, so there is little inside a job to overlap (the
+measurement behind that decision is in ``docs/architecture.md``,
+"Flag decisions").  Jobs overlap through ``ctx.gather`` and the serve
+daemon's slots, one thread per job.
 
-* :func:`run_serial` -- one unit at a time, in plan order, on the
-  calling thread.  This is exactly the schedule the old linear
-  ``_eval`` walk produced, stage for stage.
-* :func:`run_dag` -- a ready-set loop: every unit whose inputs are
-  complete is dispatched onto the task scheduler's bounded thread pool
-  immediately, so independent plan branches (and their shuffle writes
-  and downstream reads) overlap on the shared worker pool.
-
-**Ready-set rule**: a unit is *ready* when every distinct plan node it
-consumes has a completed result.  Ready units are submitted the moment
-the completion that unblocked them is processed; at most
-``TaskScheduler.dispatch_slots`` run concurrently (the in-flight
-bound), and further ready units queue in submission order.
-
-**Determinism contract**: both schedules produce bit-identical
-results, trace signatures, and shuffle accounting.  Three mechanisms
-enforce it:
-
-* *Planner-fixed dispatch ordinals.*  Every unit reserves its maximum
-  dispatch count at planning time (in plan order), and stage
-  evaluation consumes explicit ordinals from that reservation -- so
-  fault-injection addressing (``kill_task(stage=...)``) and task-set
-  identity are properties of the plan, not of runtime dispatch order.
-* *Per-unit job slices.*  Units record freshly opened stages into a
-  private :class:`JobSlice`; slices are merged into the job in *plan
-  order* as units complete, and stage ids are renumbered consecutively
-  at merge time.  The assembled trace is therefore independent of
-  completion order.  (Mutations of *shared* stages -- a child stage
-  credited by several consumers -- commute because every credited
-  quantity is a sum; see :mod:`repro.engine.metrics`.)
-* *Pure unit bodies.*  A unit's outputs depend only on its inputs'
-  partitions, so overlapping execution cannot change any value.
-
-Error handling: when a unit fails under the DAG schedule, no further
-units are submitted, in-flight units are drained, every slice produced
-so far is still merged (partial stages stay inspectable in the trace),
-and the failure of the earliest unit in plan order is re-raised --
-matching the serial schedule whenever the units that failed there had
-been submitted here.
+*Planner-fixed dispatch ordinals.*  Every unit reserves its maximum
+dispatch count at planning time (in plan order), and stage evaluation
+consumes explicit ordinals from that reservation
+(:class:`OrdinalCursor`) -- so fault-injection addressing
+(``kill_task(stage=...)``) and task-set identity are properties of the
+plan: an elided shuffle leaves a gap instead of shifting every later
+stage's address, and concurrently gathered jobs each draw one
+contiguous range.
 """
-
-import queue
 
 from . import plan as p
 
 __all__ = [
     "EvalUnit",
-    "JobSlice",
     "OrdinalCursor",
     "plan_units",
-    "run_serial",
-    "run_dag",
     "snapshot_plan_state",
 ]
 
-#: Provisional stage-id stride per unit under the DAG schedule: wide
-#: enough that no unit's slice can collide with another's before merge
-#: renumbers them (a single unit opens at most three stages).
-_STAGE_ID_STRIDE = 8
-
 
 class EvalUnit:
-    """One schedulable step of plan evaluation.
+    """One step of plan evaluation.
 
     Attributes:
-        index: Position in plan (= serial execution) order.
         node: The plan node the unit produces a result for (for fused
             chains, the top of the chain).
         chain: The fused elementwise chain bottom-up, or ``None``.
         cached: True when the node was already materialized at planning
             time (the unit just re-registers the cached partitions).
-        deps: ``id()`` keys of the distinct plan nodes whose results
-            this unit consumes.
         ordinal_offset: First dispatch ordinal reserved for this unit,
             relative to the job's reservation base.
         ordinal_budget: Dispatch ordinals reserved (the unit's maximum
@@ -86,22 +48,15 @@ class EvalUnit:
             leaving a deterministic gap).
     """
 
-    __slots__ = ("index", "node", "chain", "cached", "deps",
-                 "ordinal_offset", "ordinal_budget")
+    __slots__ = ("node", "chain", "cached", "ordinal_offset",
+                 "ordinal_budget")
 
-    def __init__(self, index, node, chain, cached, deps):
-        self.index = index
+    def __init__(self, node, chain, cached):
         self.node = node
         self.chain = chain
         self.cached = cached
-        self.deps = deps
         self.ordinal_offset = 0
         self.ordinal_budget = 0
-
-    @property
-    def key(self):
-        """Identity of the result this unit produces."""
-        return id(self.node)
 
     @property
     def label(self):
@@ -233,12 +188,10 @@ def _dispatch_budget(unit):
 def plan_units(root):
     """Linearize ``root``'s lineage into units, in plan order.
 
-    This walk is the exact simulation of the serial evaluation stack
-    (children before parents, broadcast build sides before stream
-    sides, fused chains collapsed into their top node), so
-    ``units[i]`` is precisely the ``i``-th step the serial schedule
-    runs.  Dispatch ordinals are reserved cumulatively over that
-    order.
+    Children before parents, broadcast build sides before stream
+    sides, fused chains collapsed into their top node: ``units[i]`` is
+    the ``i``-th step the executor runs.  Dispatch ordinals are
+    reserved cumulatively over that order.
     """
     state = snapshot_plan_state(root)
     refcounts = compute_refcounts(root, state)
@@ -252,9 +205,7 @@ def plan_units(root):
             stack.pop()
             continue
         if state[key][1] is not None:
-            units.append(
-                EvalUnit(len(units), node, None, True, ())
-            )
+            units.append(EvalUnit(node, None, True))
             done.add(key)
             stack.pop()
             continue
@@ -268,13 +219,7 @@ def plan_units(root):
             stack.extend(reversed(pending))
             continue
         stack.pop()
-        dep_keys = []
-        for dep in deps:
-            if id(dep) not in dep_keys:
-                dep_keys.append(id(dep))
-        units.append(
-            EvalUnit(len(units), node, chain, False, tuple(dep_keys))
-        )
+        units.append(EvalUnit(node, chain, False))
         done.add(key)
     offset = 0
     for unit in units:
@@ -301,141 +246,3 @@ class OrdinalCursor:
         value = self._next
         self._next += 1
         return value
-
-
-class JobSlice:
-    """One unit's private view of the job it contributes stages to.
-
-    Exposes the subset of :class:`~repro.engine.metrics.JobMetrics`
-    that unit evaluation touches -- ``new_stage`` and the broadcast
-    counters -- but records everything locally.  ``merge_into``
-    transfers the slice onto the real job; calling it for completed
-    units in plan order makes the assembled stage list (and the
-    consecutive stage-id renumbering) independent of unit completion
-    order.
-    """
-
-    __slots__ = ("start_id", "stages", "broadcast_records",
-                 "broadcast_meta_records")
-
-    def __init__(self, start_id):
-        self.start_id = start_id
-        self.stages = []
-        self.broadcast_records = 0
-        self.broadcast_meta_records = 0
-
-    def new_stage(self, kind, meta=False, origin=""):
-        from .metrics import StageMetrics
-
-        stage = StageMetrics(
-            stage_id=self.start_id + len(self.stages), kind=kind,
-            meta=meta, origin=origin,
-        )
-        self.stages.append(stage)
-        return stage
-
-    def merge_into(self, job):
-        """Append this slice's stages (renumbered) and counter deltas."""
-        for stage in self.stages:
-            stage.stage_id = len(job.stages)
-            job.stages.append(stage)
-        job.broadcast_records += self.broadcast_records
-        job.broadcast_meta_records += self.broadcast_meta_records
-
-
-# ----------------------------------------------------------------------
-# The two schedules
-# ----------------------------------------------------------------------
-
-
-def run_serial(executor, units, job, elisions, ordinal_base):
-    """Run units one at a time in plan order, on the calling thread.
-
-    Byte-compatible with the pre-DAG linear walk: each unit's slice
-    starts at the job's current stage count, so provisional stage ids
-    (and with them the traced span names) equal the final ids.  A
-    failing unit still merges its partial slice before the error
-    propagates, leaving the trace inspectable.
-    """
-    results = {}
-    result = None
-    for unit in units:
-        job_slice = JobSlice(len(job.stages))
-        ordinals = OrdinalCursor(ordinal_base + unit.ordinal_offset)
-        try:
-            result = executor.run_unit(
-                unit, job_slice, results, elisions, ordinals
-            )
-        finally:
-            job_slice.merge_into(job)
-        results[unit.key] = result
-    return result
-
-
-def run_dag(executor, units, job, elisions, ordinal_base):
-    """Run units with ready-set dispatch over the scheduler's pool.
-
-    The calling thread is the coordinator: it submits ready units,
-    consumes completions from a queue (fed by future callbacks),
-    publishes each result before submitting the dependents it
-    unblocked (the happens-before edge that lets unit bodies read
-    ``results`` without locking), and finally assembles the slices in
-    plan order.
-    """
-    scheduler = executor.scheduler
-    results = {}
-    slices = {}
-    errors = {}
-    key_owner = {unit.key: unit for unit in units}
-    dependents = {}
-    blockers = {}
-    for unit in units:
-        blockers[unit.index] = len(unit.deps)
-        for dep_key in unit.deps:
-            dependents.setdefault(dep_key, []).append(unit)
-
-    completions = queue.Queue()
-    in_flight = 0
-
-    def submit(unit):
-        job_slice = JobSlice(unit.index * _STAGE_ID_STRIDE)
-        slices[unit.index] = job_slice
-        ordinals = OrdinalCursor(ordinal_base + unit.ordinal_offset)
-        future = scheduler.submit(
-            executor.run_unit, unit, job_slice, results, elisions,
-            ordinals,
-        )
-        future.add_done_callback(
-            lambda f, u=unit: completions.put((u, f))
-        )
-
-    for unit in units:
-        if blockers[unit.index] == 0:
-            submit(unit)
-            in_flight += 1
-
-    while in_flight:
-        unit, future = completions.get()
-        in_flight -= 1
-        error = future.exception()
-        if error is not None:
-            errors[unit.index] = error
-            continue
-        results[unit.key] = future.result()
-        if errors:
-            # Drain only: something already failed, so completions are
-            # recorded (their slices merge below) but unblock nothing.
-            continue
-        for dependent in dependents.get(unit.key, ()):
-            blockers[dependent.index] -= 1
-            if blockers[dependent.index] == 0:
-                submit(dependent)
-                in_flight += 1
-
-    for unit in units:
-        job_slice = slices.get(unit.index)
-        if job_slice is not None:
-            job_slice.merge_into(job)
-    if errors:
-        raise errors[min(errors)]
-    return results[key_owner[units[-1].key].key] if units else None

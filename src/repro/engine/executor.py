@@ -32,16 +32,14 @@ trace next to the simulated counters.  Driver-side data movement
 (parallelize slicing, shuffle bucketing, unions, coalesce) stays
 inline: it is the simulated cluster's fabric, not task work.
 
-*When* each step runs is the stage-graph scheduler's business
-(:mod:`repro.engine.dag`): the executor linearizes the plan into
-evaluation units up front and then either runs them one at a time in
-plan order (``config.scheduler == "serial"``) or dispatches every
-ready unit onto the scheduler's bounded thread pool as its inputs
-complete (``"dag"``), overlapping independent plan branches.  Unit
-evaluation itself -- the ``_eval_*`` methods below -- is identical
-under both schedules; anything they mutate outside their own unit's
-state (shared input stages, the layout registry, the decision log) is
-either commutative or lock-guarded.
+*When* each step runs is fixed by the plan
+(:mod:`repro.engine.dag`): the executor linearizes it into evaluation
+units up front -- reserving every unit's dispatch ordinals -- and runs
+them one at a time, in plan order, on the calling thread.  Jobs, not
+stages, are what overlaps (``ctx.gather``, the serve daemon's slots):
+anything the ``_eval_*`` methods below mutate outside their own job
+(the layout registry, the decision log, a shared cached subtree) is
+lock-guarded or commutative.
 """
 
 import collections
@@ -128,8 +126,8 @@ class Executor:
         # stale layout.
         self._assignments = {}
         # Guards executor-level shared state (the decision log and the
-        # layout registry) against concurrent unit evaluation under the
-        # DAG schedule and concurrent jobs under ``ctx.gather``.
+        # layout registry) against concurrent jobs (``ctx.gather``, the
+        # serve daemon's slots).
         self._state_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -190,7 +188,9 @@ class Executor:
         span nests just inside it, so traces show the four-level
         hierarchy driver > job > stage > task.  Jobs submitted from a
         ``ctx.gather`` thunk get their own driver-side lane (see
-        :func:`~repro.observe.events.gather_lane`) so concurrent jobs'
+        :func:`~repro.observe.events.gather_lane`), and everything the
+        job emits -- its stages, task sets, driver-run tasks, shuffle
+        and broadcast instants -- follows it there, so concurrent jobs'
         span nesting stays well-formed per lane.
         """
         tracer = self.tracer
@@ -200,21 +200,25 @@ class Executor:
         slot = self.trace.current_slot()
         lane = DRIVER_LANE if slot < 0 else gather_lane(slot)
         suffix = "[%s]" % label if label else ""
-        with tracer.span(
-            "driver:%s%s" % (action, suffix), KIND_DRIVER, lane=lane,
-            action=action,
-        ):
-            job = self.trace.new_job(action, label)
+        self.scheduler.set_dispatch_lane(lane)
+        try:
             with tracer.span(
-                "job#%d:%s%s" % (job.job_id, action, suffix),
-                KIND_JOB,
-                lane=lane,
-                job=job.job_id,
+                "driver:%s%s" % (action, suffix), KIND_DRIVER, lane=lane,
                 action=action,
-            ) as args:
-                yield job
-                args["stages"] = len(job.stages)
-                args["records"] = job.total_records
+            ):
+                job = self.trace.new_job(action, label)
+                with tracer.span(
+                    "job#%d:%s%s" % (job.job_id, action, suffix),
+                    KIND_JOB,
+                    lane=lane,
+                    job=job.job_id,
+                    action=action,
+                ) as args:
+                    yield job
+                    args["stages"] = len(job.stages)
+                    args["records"] = job.total_records
+        finally:
+            self.scheduler.set_dispatch_lane(None)
 
     def collect(self, node, label=""):
         """Run a job and return all elements as a list."""
@@ -294,16 +298,17 @@ class Executor:
         return self._eval(node, job).partitions
 
     def _eval(self, root, job):
-        """Evaluate ``root`` via its unit graph (:mod:`repro.engine.dag`).
+        """Evaluate ``root`` unit by unit (:mod:`repro.engine.dag`).
 
         The plan is linearized into evaluation units first (stack-safe:
         call depth stays constant in the lineage depth, so 20k-operator
         chains evaluate without recursion-limit games), each unit's
         dispatch ordinals are reserved while planning, and the units
-        then run under the configured schedule.  Both schedules produce
-        identical results, metrics, and shuffle accounting; the DAG
-        schedule additionally overlaps independent plan branches on the
-        task scheduler's dispatch pool.
+        then run one at a time in plan order.  ``results`` maps a plan
+        node's id to its completed :class:`_Result`; plan order puts
+        every unit after the units it consumes.  A unit that raises
+        leaves the stages opened so far in ``job``, so a failed job's
+        trace stays inspectable.
         """
         elisions = plan_shuffle_elisions(root, self.config)
         self._apply_auto_caches(root)
@@ -311,31 +316,25 @@ class Executor:
         ordinal_base = self.scheduler.reserve_ordinals(
             dag.total_ordinal_budget(units)
         )
-        if self.config.scheduler == "dag" and len(units) > 1:
-            return dag.run_dag(self, units, job, elisions, ordinal_base)
-        return dag.run_serial(self, units, job, elisions, ordinal_base)
+        results = {}
+        result = None
+        for unit in units:
+            ordinals = dag.OrdinalCursor(ordinal_base + unit.ordinal_offset)
+            result = self._run_unit(unit, job, results, elisions, ordinals)
+            results[id(unit.node)] = result
+        return result
 
-    def run_unit(self, unit, job_slice, results, elisions, ordinals):
-        """Evaluate one unit; the schedule-independent unit body.
-
-        Called by both run loops in :mod:`repro.engine.dag` -- on the
-        driver thread (serial) or a dispatch-pool thread (DAG).  New
-        stages go to ``job_slice``; ``results`` maps dependency node
-        ids to their completed :class:`_Result` (the run loop
-        guarantees every entry in ``unit.deps`` is present before the
-        unit starts and publishes this unit's own result afterwards).
-        """
+    def _run_unit(self, unit, job, results, elisions, ordinals):
+        """Evaluate one unit; new stages open on ``job``."""
         node = unit.node
         if unit.cached:
-            return self._cached_result(node, job_slice)
+            return self._cached_result(node, job)
         if unit.chain is not None:
             result = self._eval_fused(
                 unit.chain, results[id(unit.chain[0].child)], ordinals
             )
         else:
-            result = self._eval_node(
-                node, job_slice, results, elisions, ordinals
-            )
+            result = self._eval_node(node, job, results, elisions, ordinals)
         if node.cached:
             node.materialized = result.partitions
         return result
@@ -979,6 +978,7 @@ class Executor:
         self.tracer.instant(
             "shuffle:%s" % origin,
             KIND_SHUFFLE,
+            lane=self.scheduler.dispatch_lane(),
             records=stage.shuffle_read_records,
             bytes=int(
                 stage.shuffle_read_records * self._stage_rate(stage)
@@ -999,6 +999,7 @@ class Executor:
         self.tracer.instant(
             "broadcast:%s" % origin,
             KIND_BROADCAST,
+            lane=self.scheduler.dispatch_lane(),
             what=what,
             records=num_records,
             bytes=int(num_records * rate),

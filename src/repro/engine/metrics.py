@@ -6,14 +6,14 @@ spill volumes, and broadcast sizes.  The cost model (``costmodel.py``) turns
 this trace into simulated wall-clock seconds for a given
 :class:`~repro.engine.config.ClusterConfig`.
 
-Concurrency: the DAG scheduler (:mod:`repro.engine.dag`) evaluates
-independent plan branches on separate threads, and two branches may
-credit work to the *same* stage (a shared input stage feeding both).
-Every incremental mutator here is therefore guarded by a per-object
-lock; since all credited quantities are sums, the final totals are
-deterministic regardless of interleaving.  Plain field assignment on a
-freshly created stage (one not yet visible to other threads) needs no
-lock and is left alone.
+Concurrency: ``ctx.gather`` and the serve daemon's slots run jobs over
+one context on separate threads: they share the trace, and nothing
+stops two threads from handing ``TaskScheduler.run_stage`` the same
+stage.  Every incremental mutator here is therefore guarded by a
+per-object lock; since all credited quantities are sums, the final
+totals are deterministic regardless of interleaving.  Plain field
+assignment on a freshly created stage (one not yet visible to other
+threads) needs no lock and is left alone.
 """
 
 import operator

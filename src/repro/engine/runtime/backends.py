@@ -1,8 +1,7 @@
 """Execution backends: where a dispatched task set actually runs.
 
 Two backends implement the same contract
-(``submit_invocations(invocations) -> handle``,
-``run_invocations(invocations) -> outcomes``, ``close()``):
+(``run_invocations(invocations) -> outcomes``, ``close()``):
 
 * :class:`SerialBackend` runs tasks inline on the calling thread --
   today's behavior, zero overhead, and the default.
@@ -13,15 +12,9 @@ Two backends implement the same contract
   across all contexts in the process (tasks are self-contained, so a
   warm pool can serve any context) and torn down at interpreter exit.
 
-``submit_invocations`` is the non-blocking half of the contract: it
-hands the set to the backend and returns a handle whose ``get()``
-yields the outcomes.  The process backend submits via ``map_async``,
-so a dispatching thread can overlap driver-side work (shuffle
-bucketing, sibling-stage submission) with remote execution; both
-backends are safe to drive from multiple threads concurrently, which
-is how the DAG scheduler (:mod:`repro.engine.dag`) keeps every worker
-busy across independent plan branches.  ``run_invocations`` is simply
-``submit_invocations(...).get()``.
+Both backends are safe to drive from several threads at once
+(``multiprocessing.Pool`` queues concurrent submissions), which is how
+the jobs of a ``ctx.gather`` interleave their stages over one pool.
 
 Both backends report failures as :class:`TaskOutcome` data rather than
 raising, so the scheduler's retry policy is backend-independent.
@@ -47,56 +40,6 @@ from .task import TaskOutcome, execute_invocation
 CHUNKS_PER_WORKER = 4
 
 
-class _ReadyHandle:
-    """A submission handle whose outcomes are already available."""
-
-    __slots__ = ("_outcomes",)
-
-    def __init__(self, outcomes):
-        self._outcomes = outcomes
-
-    def get(self):
-        return self._outcomes
-
-    def ready(self):
-        return True
-
-
-class _AsyncHandle:
-    """A submission handle over an in-flight ``map_async`` result.
-
-    ``get()`` blocks for the raw payloads and deserializes them on the
-    *calling* thread (outcome deserialization is driver work and should
-    be billed to whichever dispatch thread consumes the set).
-    """
-
-    __slots__ = ("_async_result", "_tracer")
-
-    def __init__(self, async_result, tracer):
-        self._async_result = async_result
-        self._tracer = tracer
-
-    def get(self):
-        outcome_payloads = self._async_result.get()
-        serde_start = time.perf_counter()
-        outcomes = [
-            outcome
-            for payload in outcome_payloads
-            for outcome in serde.loads(payload)
-        ]
-        if self._tracer.enabled:
-            self._tracer.instant(
-                "serde:load-outcomes", KIND_SERDE,
-                tasks=len(outcomes),
-                seconds=time.perf_counter() - serde_start,
-                bytes=sum(len(p) for p in outcome_payloads),
-            )
-        return outcomes
-
-    def ready(self):
-        return self._async_result.ready()
-
-
 class SerialBackend:
     """Run every task inline on the calling thread."""
 
@@ -105,16 +48,6 @@ class SerialBackend:
     #: emits nothing itself (the scheduler anchors task spans from the
     #: outcomes), so this exists for interface symmetry.
     tracer = NULL_TRACER
-
-    def submit_invocations(self, invocations):
-        """Run inline and return an already-completed handle.
-
-        There is no remote resource to overlap with, so eager inline
-        execution *is* the serial backend's submission; concurrency
-        across serial task sets comes from the scheduler's dispatch
-        threads, not from this method.
-        """
-        return _ReadyHandle(self.run_invocations(invocations))
 
     def run_invocations(self, invocations):
         return [execute_invocation(invocation) for invocation in invocations]
@@ -140,16 +73,10 @@ class ProcessPoolBackend:
             raise ValueError("num_workers must be >= 0")
         self.num_workers = num_workers or (os.cpu_count() or 1)
 
-    def submit_invocations(self, invocations):
-        """Serialize the set and hand it to the shared pool, non-blocking.
-
-        Serialization happens here, on the submitting thread (it is
-        driver-side work that must precede the network hop); the
-        returned handle's ``get()`` blocks for the workers and
-        deserializes the outcomes.  ``multiprocessing.Pool`` queues
-        submissions from concurrent threads safely, so independent
-        stages interleave their tasks over the same workers.
-        """
+    def run_invocations(self, invocations):
+        """Serialize the set, run it on the shared pool, and
+        deserialize the outcomes; both serde passes are driver-side
+        work and emit a ``serde`` instant each when tracing."""
         tracer = self.tracer
         serde_start = time.perf_counter()
         size = max(
@@ -168,11 +95,21 @@ class ProcessPoolBackend:
                 bytes=sum(len(p) for p in payloads),
             )
         pool = _shared_pool(self.num_workers)
-        async_result = pool.map_async(_worker_run, payloads, chunksize=1)
-        return _AsyncHandle(async_result, tracer)
-
-    def run_invocations(self, invocations):
-        return self.submit_invocations(invocations).get()
+        outcome_payloads = pool.map(_worker_run, payloads, chunksize=1)
+        serde_start = time.perf_counter()
+        outcomes = [
+            outcome
+            for payload in outcome_payloads
+            for outcome in serde.loads(payload)
+        ]
+        if tracer.enabled:
+            tracer.instant(
+                "serde:load-outcomes", KIND_SERDE,
+                tasks=len(outcomes),
+                seconds=time.perf_counter() - serde_start,
+                bytes=sum(len(p) for p in outcome_payloads),
+            )
+        return outcomes
 
     def close(self):
         # Pools are shared across contexts; they are reclaimed at

@@ -9,15 +9,16 @@ preempted or crashed worker would take, minus the nondeterminism.
 Stages are addressed by **dispatch ordinal**: the executor numbers the
 task sets a job *can* dispatch 0, 1, 2, ... in plan order at planning
 time (see :mod:`repro.engine.dag`), before anything runs.  Because the
-numbering is fixed by the plan rather than by runtime completion
-order, a plan keyed on ``(stage, task)`` hits the same task whether
-stages run one at a time or concurrently under the DAG scheduler.
+numbering is fixed by the plan rather than by what ran before, a plan
+keyed on ``(stage, task)`` hits the same task whether or not an earlier
+shuffle was elided at run time, and each job of a ``ctx.gather`` draws
+one contiguous range.
 Plans can alternatively match on the operator name of the dispatched
 task (``"ReduceByKey"``, ``"Map[phase1]"``, substring match), which is
 stabler across plan refactors.
 
-Thread safety: the DAG scheduler consults the injector from concurrent
-dispatch threads, so consuming a planned failure is atomic -- each
+Thread safety: concurrently gathered jobs consult the injector from
+one thread each, so consuming a planned failure is atomic -- each
 planned failure is injected exactly once no matter how dispatches
 interleave.
 """

@@ -48,21 +48,18 @@ driver timeline, and ``fault`` / ``task_retry`` / ``straggler``
 instants.  All hooks are guarded by ``tracer.enabled``; with tracing
 off the only cost is one attribute read per dispatch.
 
-Concurrency: the DAG scheduler (:mod:`repro.engine.dag`) drives
-``run_stage`` from several dispatch threads at once, so the attempt
-counters are lock-guarded and each dispatch thread gets its own trace
-lane (set with :meth:`TaskScheduler.set_dispatch_lane`), keeping
-concurrent stage spans from garbling each other's nesting.
-:meth:`TaskScheduler.submit` / :meth:`TaskScheduler.submit_stage` are
-the non-blocking entry points: work goes onto a bounded dispatch pool
-(``config.max_concurrent_stages`` threads) and completion is observed
-through the returned future's callbacks.  Straggler detection needs no
-cross-stage coordination by construction: each dispatch compares a
-task only against the other tasks of its *own* set, so a slow
-co-scheduled sibling stage can never skew another stage's baseline.
+Concurrency: jobs gathered over one context (``ctx.gather``, the serve
+daemon's slots) drive ``run_stage`` from one thread each, so the
+attempt counters are lock-guarded and each job's thread names the
+trace lane its stages belong on
+(:meth:`TaskScheduler.set_dispatch_lane`, set by the executor when it
+opens the job), keeping concurrent jobs' spans nested per lane.
+Straggler detection needs no cross-stage coordination by construction:
+each dispatch compares a task only against the other tasks of its *own*
+set, so a slow stage of a concurrently running job can never skew
+another stage's baseline.
 """
 
-import concurrent.futures
 import itertools
 import os
 import statistics
@@ -81,16 +78,11 @@ from ...observe.events import (
     KIND_TASK,
     KIND_TASK_RETRY,
     KIND_TASK_SET,
-    scheduler_lane,
     worker_lane,
 )
 from .backends import SerialBackend, make_backend
 from .faults import FaultInjector
 from .task import Invocation
-
-
-def _default_dispatch_slots():
-    return max(2, min(8, os.cpu_count() or 2))
 
 
 class TaskScheduler:
@@ -119,80 +111,23 @@ class TaskScheduler:
         self.tasks_launched = 0
         self.tasks_failed = 0
         self.tasks_retried = 0
-        # Guards the counters above: concurrent dispatch threads all
+        # Guards the counters above: concurrently gathered jobs all
         # credit them.
         self._counter_lock = threading.Lock()
         # Operators already warned about a nondeterministic retry; the
         # warning fires once per operator, the trace instant every time.
         self._effect_warned = set()
-        # Per-dispatch-thread trace lane (driver thread: DRIVER_LANE).
+        # Per-thread trace lane: the lane of the job the thread is
+        # running (unset: DRIVER_LANE).
         self._lanes = threading.local()
-        # Bounded pool backing submit()/submit_stage(); created lazily
-        # so serial-scheduler contexts never spawn threads.
-        self._dispatch_pool = None
-        self._pool_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # Non-blocking submission
-    # ------------------------------------------------------------------
-
-    @property
-    def dispatch_slots(self):
-        """Concurrent dispatches the bounded pool allows."""
-        return self.config.max_concurrent_stages or _default_dispatch_slots()
-
-    def _ensure_dispatch_pool(self):
-        with self._pool_lock:
-            if self._dispatch_pool is None:
-                self._dispatch_pool = (
-                    concurrent.futures.ThreadPoolExecutor(
-                        max_workers=self.dispatch_slots,
-                        thread_name_prefix="repro-dispatch",
-                    )
-                )
-            return self._dispatch_pool
-
-    def submit(self, fn, *args):
-        """Run ``fn(*args)`` on the bounded dispatch pool, non-blocking.
-
-        Returns a :class:`concurrent.futures.Future`; attach completion
-        callbacks with ``add_done_callback``.  Each pool thread tags
-        the trace events it emits with its own ``sched-N`` lane.  At
-        most :attr:`dispatch_slots` submissions run at once -- the
-        bound on in-flight work; excess submissions queue.
-
-        Deadlock rule: submitted callables must never block on another
-        future from this pool (the DAG scheduler only submits *ready*
-        units, whose inputs are already complete).
-        """
-        return self._ensure_dispatch_pool().submit(
-            self._dispatch_entry, fn, args
-        )
-
-    def submit_stage(self, task, args_list, stage=None, ordinal=None):
-        """Non-blocking :meth:`run_stage`: returns a future of the values.
-
-        The dispatch ordinal is reserved *now*, at submission time, so
-        fault-injection addressing follows submission order even though
-        completion order is up to the pool.
-        """
-        if ordinal is None:
-            ordinal = self.reserve_ordinals(1)
-        return self.submit(self.run_stage, task, args_list, stage, ordinal)
-
-    def _dispatch_entry(self, fn, args):
-        thread_name = threading.current_thread().name
-        self._lanes.value = scheduler_lane(thread_name.rsplit("_", 1)[-1])
-        try:
-            return fn(*args)
-        finally:
-            self._lanes.value = None
 
     def set_dispatch_lane(self, lane):
-        """Set (or with ``None`` clear) this thread's trace lane."""
+        """Set (or with ``None`` clear) this thread's trace lane: where
+        the events of the stages it dispatches go."""
         self._lanes.value = lane
 
-    def _dispatch_lane(self):
+    def dispatch_lane(self):
+        """This thread's trace lane (:data:`DRIVER_LANE` when unset)."""
         lane = getattr(self._lanes, "value", None)
         return DRIVER_LANE if lane is None else lane
 
@@ -255,7 +190,7 @@ class TaskScheduler:
         with tracer.span(
             "stage#%s:%s" % (stage_id, operator),
             KIND_STAGE,
-            lane=self._dispatch_lane(),
+            lane=self.dispatch_lane(),
             dispatch=ordinal,
             operator=operator,
             tasks=len(args_list),
@@ -307,7 +242,7 @@ class TaskScheduler:
         collect = tracer.enabled
         span_cap = tracer.max_task_spans
 
-        lane = self._dispatch_lane()
+        lane = self.dispatch_lane()
         num_tasks = len(args_list)
         # The successful outcome of every dispatched task, by index.
         final = [None] * num_tasks
@@ -523,7 +458,7 @@ class TaskScheduler:
                 max(window_start, window_end - outcome.seconds),
             )
         lane = (
-            self._dispatch_lane()
+            self.dispatch_lane()
             if outcome.worker_pid in (0, os.getpid())
             else worker_lane(outcome.worker_pid)
         )
@@ -605,9 +540,4 @@ class TaskScheduler:
         return [index for index in ran if seconds[index] > threshold]
 
     def close(self):
-        with self._pool_lock:
-            pool = self._dispatch_pool
-            self._dispatch_pool = None
-        if pool is not None:
-            pool.shutdown(wait=True)
         self.backend.close()

@@ -503,7 +503,7 @@ class TaskOutcome:
 #: attempt runs on this *thread*.  Each entry is
 #: ``(name, kind, offset_s, dur_s, args)`` with the offset relative to
 #: the running attempt's start (set by :func:`execute_invocation`).
-#: Thread-local, not module-global: with the DAG scheduler the serial
+#: Thread-local, not module-global: under ``ctx.gather`` the serial
 #: backend runs concurrent attempts on separate driver threads, and a
 #: shared buffer would interleave (or drop) their events.
 _worker_state = threading.local()

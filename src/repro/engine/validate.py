@@ -32,15 +32,9 @@ shares: :func:`run_configs` executes one program on a fresh context per
 config and returns a :class:`Run` record each, and :data:`INVARIANTS`
 names what :func:`check_runs` can require two runs to agree on.
 :mod:`repro.analysis.equivalence` drives it from its table of config
-axes; the parity helpers here are its smallest users -- the serial and
-process-pool task runtimes (:func:`assert_backend_parity`) and the
-serial and DAG stage schedules (:func:`assert_schedule_parity`) must
-each be observationally identical for any program.  The job
-invariants themselves are schedule-agnostic:
-under the DAG schedule, stages are recorded into per-unit slices and
-merged in plan order, so consecutive stage ids and in-job upstream
-ordering hold exactly as they do serially (overlap never reorders the
-*recorded* trace).
+axes; :func:`assert_backend_parity` here is its smallest user -- the
+serial and process-pool task runtimes must be observationally
+identical for any program.
 """
 
 from collections import Counter
@@ -168,10 +162,6 @@ class BackendParityError(PlanError):
     """Two task-runtime backends disagreed on the same program."""
 
 
-class ScheduleParityError(PlanError):
-    """Two stage schedules disagreed on the same program."""
-
-
 def trace_signature(trace):
     """The backend-independent shape of a trace.
 
@@ -231,8 +221,8 @@ def run_configs(program, configs, name="<program>"):
 
     The single place differential checks execute programs: every run's
     trace is validated, and every context is closed -- tracer sinks
-    flushed, DAG-scheduler runtimes released -- even when the program
-    or the validation raises.
+    flushed, runtimes released -- even when the program or the
+    validation raises.
     """
     from .context import EngineContext
 
@@ -346,16 +336,6 @@ def check_runs(base, variant, invariants, error, results_equal=eq):
             )
 
 
-def _assert_parity(program, config, field, values, num_workers, error):
-    config = replace(config or laptop_config(), num_workers=num_workers)
-    runs = run_configs(
-        program, [replace(config, **{field: value}) for value in values]
-    )
-    for run in runs[1:]:
-        check_runs(runs[0], run, ("results", "signature"), error)
-    return runs[0].result
-
-
 def assert_backend_parity(program, config=None, backends=("serial",
                                                           "process"),
                           num_workers=2):
@@ -381,39 +361,12 @@ def assert_backend_parity(program, config=None, backends=("serial",
     Raises:
         BackendParityError: On any mismatch in results or trace shape.
     """
-    return _assert_parity(
-        program, config, "backend", backends, num_workers,
-        BackendParityError,
+    config = replace(config or laptop_config(), num_workers=num_workers)
+    runs = run_configs(
+        program, [replace(config, backend=backend) for backend in backends]
     )
-
-
-def assert_schedule_parity(program, config=None,
-                           schedulers=("serial", "dag"),
-                           num_workers=2):
-    """Run ``program(ctx)`` under each stage schedule and demand identity.
-
-    The invariant: *when* stages run -- one at a time in plan order, or
-    overlapped as their inputs complete -- must not change collected
-    results, record accounting, or shuffle volumes.  Any divergence
-    between the serial and DAG schedules is a scheduling bug.
-
-    Args:
-        program: Callable taking a fresh ``EngineContext`` and
-            returning the value to compare.
-        config: Base :class:`~repro.engine.config.ClusterConfig`
-            (default: ``laptop_config()``); its ``scheduler`` field is
-            overridden per run.
-        schedulers: Schedule names to compare.
-        num_workers: Worker count when ``config`` uses the process
-            backend.
-
-    Returns:
-        The result from the first schedule, for further assertions.
-
-    Raises:
-        ScheduleParityError: On any mismatch in results or trace shape.
-    """
-    return _assert_parity(
-        program, config, "scheduler", schedulers, num_workers,
-        ScheduleParityError,
-    )
+    for run in runs[1:]:
+        check_runs(
+            runs[0], run, ("results", "signature"), BackendParityError
+        )
+    return runs[0].result

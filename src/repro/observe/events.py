@@ -71,24 +71,15 @@ def worker_lane(pid):
 
 
 def gather_lane(slot):
-    """Lane for driver/job spans submitted from ``ctx.gather`` slot.
+    """Lane for the driver-side events of jobs submitted from
+    ``ctx.gather`` slot ``slot``.
 
     Concurrently submitted jobs each get their own driver-side lane so
-    their driver > job span nesting stays well-formed per lane instead
-    of interleaving on :data:`DRIVER_LANE`.
+    their driver > job > stage > task-set span nesting stays
+    well-formed per lane instead of interleaving on
+    :data:`DRIVER_LANE`.
     """
     return "driver-%s" % slot
-
-
-def scheduler_lane(slot):
-    """Lane name for events emitted from DAG dispatch thread ``slot``.
-
-    The DAG scheduler (:mod:`repro.engine.dag`) dispatches concurrent
-    stages from a pool of driver-side threads; giving each thread its
-    own lane keeps concurrently open stage spans from garbling each
-    other's nesting on the driver lane.
-    """
-    return "sched-%s" % slot
 
 
 class TraceEvent:

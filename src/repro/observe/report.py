@@ -196,19 +196,6 @@ class RunReport:
 
     # -- construction --------------------------------------------------
 
-    @classmethod
-    def from_context(cls, ctx, label, system="engine", x=None,
-                     measured_wall_seconds=None, meta=None):
-        """One-entry report for everything ``ctx`` has run so far."""
-        report = cls(label, meta=meta)
-        report.add(
-            entry_from_context(
-                ctx, system, x,
-                measured_wall_seconds=measured_wall_seconds,
-            )
-        )
-        return report
-
     def add(self, entry):
         if entry is not None:
             self.entries.append(entry)

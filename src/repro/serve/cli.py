@@ -56,9 +56,6 @@ def build_parser():
     demo.add_argument("--backend", default="serial",
                       choices=["serial", "process"],
                       help="task runtime backend")
-    demo.add_argument("--scheduler", default="serial",
-                      choices=["serial", "dag"],
-                      help="stage scheduler")
     demo.add_argument("--num-slots", type=int, default=2,
                       help="service worker slots (default 2)")
     demo.add_argument("--cache-mb", type=float, default=256.0,
@@ -85,9 +82,7 @@ def _run_demo(args):
         print("need at least one tenant and one client",
               file=sys.stderr)
         return EXIT_USAGE
-    config = laptop_config(
-        backend=args.backend, scheduler=args.scheduler
-    )
+    config = laptop_config(backend=args.backend)
     service = JobService(
         config=config,
         num_slots=args.num_slots,

@@ -294,10 +294,6 @@ class JobService:
             self._stats[tenant].record_submit()
         return handle
 
-    def await_result(self, handle, timeout=None):
-        """Shorthand for ``handle.result(timeout)``."""
-        return handle.result(timeout)
-
     def drain(self, timeout=None):
         """Refuse new jobs; wait for queued + running jobs to finish.
 

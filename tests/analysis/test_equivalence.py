@@ -35,12 +35,7 @@ from repro.engine import (
     codegen,
     laptop_config,
 )
-from repro.engine.validate import (
-    INVARIANTS,
-    assert_schedule_parity,
-    check_runs,
-    run_configs,
-)
+from repro.engine.validate import INVARIANTS, check_runs, run_configs
 
 #: Axes cheap enough to run per-parameter in tier-1 (``backend`` spawns
 #: a process pool; tests/engine/test_backend_parity.py covers it).
@@ -213,12 +208,12 @@ def test_caching_rejects_a_slower_variant():
         verify(slower, "caching", name="slower")
 
 
-def test_schedulers_tolerate_retry_wobble():
-    # Retries are measured runtime behavior: a schedule-dependent
+def test_backend_totals_tolerate_retry_wobble():
+    # Retries are measured runtime behavior: a backend-dependent
     # wobble in retry counts must not fail the verifier, so only the
     # deterministic totals are compared.
     def program(ctx):
-        if ctx.config.scheduler == "dag":
+        if ctx.config.backend == "process":
             ctx.fault_injector.kill_task(task_index=0, stage=0)
         return sorted(
             ctx.bag_of(range(16))
@@ -227,7 +222,11 @@ def test_schedulers_tolerate_retry_wobble():
             .collect()
         )
 
-    base, variant = verify(program, "schedulers", name="retry-wobble")
+    assert "totals" in AXES["backend"].preserves
+    base, variant = verify(
+        program, "backend", config=laptop_config(num_workers=2),
+        name="retry-wobble",
+    )
     assert variant.totals["retries"] > base.totals["retries"]
 
 
@@ -274,10 +273,9 @@ def test_elision_decisions_and_savings():
 def test_lattice_points():
     configs = lattice_configs(laptop_config())
     flags = [AXES[name] for name in equivalence.LATTICE_FLAGS]
-    assert len(configs) == 2 * (len(flags) + 2)
+    assert len(configs) == len(flags) + 2 == 4
     assert len(set(configs)) == len(configs)
     all_off, all_on = configs[0], configs[-1]
-    assert (all_off.scheduler, all_on.scheduler) == ("serial", "dag")
     for axis in flags:
         assert getattr(all_off, axis.field) == axis.base
         assert getattr(all_on, axis.field) == axis.variant
@@ -287,8 +285,8 @@ def test_lattice_points():
     assert preserved(all_off, all_on) == ["results"]
     elision_alone, caching_alone = configs[1], configs[2]
     assert preserved(elision_alone, caching_alone) == ["results"]
-    assert preserved(all_off, configs[len(configs) // 2]) == list(
-        AXES["schedulers"].preserves
+    assert preserved(all_off, caching_alone) == list(
+        AXES["caching"].preserves
     )
 
 
@@ -298,7 +296,7 @@ def test_lattice_points():
 )
 def test_lattice_over_the_library(name, program):
     runs = verify_lattice(program, name=name)
-    assert len(runs) == 8
+    assert len(runs) == 4
 
 
 #: Registry programs none of whose chains passes the compile gate.
@@ -340,7 +338,7 @@ def test_lattice_catches_what_no_single_axis_can():
     def joint(ctx):
         return [
             ctx.config.optimize_caching
-            and ctx.config.scheduler == "dag"
+            and not ctx.config.optimize_shuffles
         ]
 
     for axis in IN_PROCESS_AXES:
@@ -362,9 +360,8 @@ def test_lattice_catches_what_no_single_axis_can():
         lambda program: assert_backend_parity(
             program, backends=("serial",)
         ),
-        assert_schedule_parity,
     ],
-    ids=["verify", "verify_lattice", "backend_parity", "schedule_parity"],
+    ids=["verify", "verify_lattice", "backend_parity"],
 )
 def test_a_raising_program_still_closes_its_context(monkeypatch, entry):
     opened, closed = [], []
@@ -407,9 +404,9 @@ def test_cli(capsys, axis):
 def test_cli_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr(
         equivalence, "_PROGRAMS",
-        [("rigged", lambda ctx: [ctx.config.scheduler])],
+        [("rigged", lambda ctx: [ctx.config.optimize_caching])],
     )
-    assert main(["--compare", "schedulers"]) == 1
+    assert main(["--compare", "caching"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("FAIL rigged")
     assert "0 program(s) verified" in out[-1]

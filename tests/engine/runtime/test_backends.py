@@ -149,11 +149,11 @@ class RecordingPool:
         self.pool = pool
         self.submissions = []
 
-    def map_async(self, fn, payloads, chunksize):
+    def map(self, fn, payloads, chunksize):
         self.submissions.append(
             [len(serde.loads(payload)) for payload in payloads]
         )
-        return self.pool.map_async(fn, payloads, chunksize=chunksize)
+        return self.pool.map(fn, payloads, chunksize=chunksize)
 
 
 class TestChunkedShipping:

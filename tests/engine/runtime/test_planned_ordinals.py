@@ -1,0 +1,115 @@
+"""Kill plans address stages by ordinals the *plan* fixes.
+
+Every evaluation unit reserves its maximum dispatch count before
+anything runs (see ``repro.engine.dag``), so which dispatch a
+``kill_task(stage=...)`` plan hits does not depend on what happened at
+run time before it: a shuffle elided on the way uses fewer ordinals
+than it reserved and leaves a gap, and the jobs of a ``ctx.gather``
+each draw one contiguous range however their stages interleave.
+"""
+
+import threading
+
+from repro.engine import EngineContext, laptop_config
+from repro.observe.events import KIND_FAULT, KIND_STAGE
+
+
+def branching_program(ctx):
+    """A cogroup of two shuffled arms.  The left arm reduces twice by
+    the same key: with ``optimize_shuffles`` the second reduce adopts
+    the first one's layout and dispatches one task set instead of the
+    two it reserved."""
+    left = (
+        ctx.bag_of(range(24))
+        .map(lambda x: (x % 3, x))
+        .reduce_by_key(lambda a, b: a + b).with_label("first")
+        .reduce_by_key(lambda a, b: a + b).with_label("second")
+    )
+    right = (
+        ctx.bag_of(range(18))
+        .map(lambda x: (x % 3, x + 100))
+        .group_by_key()
+    )
+    return sorted(left.cogroup(right).collect())
+
+
+def run_with_kill(optimize_shuffles, ordinal):
+    """Run the program killing ``(ordinal, task 0)`` once.
+
+    Returns ``(result, hit)``: ``hit`` is ``None`` when no dispatch drew
+    the ordinal, else ``(operator, (job, origin))`` -- the operator
+    whose task set was killed and the stage its retry was credited to.
+    """
+    config = laptop_config(optimize_shuffles=optimize_shuffles)
+    with EngineContext(config, trace=True) as ctx:
+        ctx.fault_injector.kill_task(task_index=0, stage=ordinal)
+        result = branching_program(ctx)
+        faults = [
+            event for event in ctx.tracer.events()
+            if event.kind == KIND_FAULT
+        ]
+        credited = [
+            (job_index, stage.origin)
+            for job_index, job in enumerate(ctx.trace.jobs)
+            for stage in job.stages
+            if stage.task_retries
+        ]
+        if not faults:
+            assert ctx.fault_injector.pending == 1 and not credited
+            return result, None
+        (fault,), (stage,) = faults, credited
+        assert fault.args["dispatch"] == ordinal
+        operator = fault.name.split(":", 1)[1].rsplit("#", 1)[0]
+        return result, (operator, stage)
+
+
+def test_ordinals_are_fixed_by_the_plan():
+    with EngineContext(laptop_config()) as ctx:
+        expected = branching_program(ctx)
+        budget = ctx.runtime.dispatch_count
+    plain, elided = (
+        [run_with_kill(optimize_shuffles, ordinal) for ordinal in range(budget)]
+        for optimize_shuffles in (False, True)
+    )
+    assert all(result == expected for result, _hit in plain + elided)
+    plain = [hit for _result, hit in plain]
+    elided = [hit for _result, hit in elided]
+    # Unoptimized, every reserved ordinal is drawn: the second reduce
+    # combines map-side on its input's stage, then on the one it opens.
+    assert None not in plain
+    reduce_side = ("ReduceByKey[second]", (0, "ReduceByKey[second]"))
+    gap = plain.index(reduce_side)
+    assert plain[gap - 1] == ("ReduceByKey[second]", (0, "ReduceByKey[first]"))
+    # Elided, its one task set runs on the stage it opens and its
+    # second ordinal is never drawn ...
+    assert elided[gap - 1:gap + 1] == [reduce_side, None]
+    # ... and every other ordinal still hits the same operator on the
+    # same stage of the same job: a gap, never a shift.
+    assert elided[:gap - 1] == plain[:gap - 1]
+    assert elided[gap + 1:] == plain[gap + 1:] != []
+
+
+def test_gathered_jobs_draw_contiguous_ordinal_ranges():
+    with EngineContext(laptop_config(), trace=True) as ctx:
+        barrier = threading.Barrier(2, timeout=10)
+
+        def job():
+            barrier.wait()
+            return branching_program(ctx)
+
+        first, second = ctx.gather(job, job)
+        assert first == second
+        drawn = {}
+        for event in ctx.tracer.events():
+            if event.kind == KIND_STAGE:
+                drawn.setdefault(event.lane, []).append(
+                    event.args["dispatch"]
+                )
+        budget = ctx.runtime.dispatch_count // 2
+    # Each job's dispatches are increasing and stay inside one
+    # reservation of the job's whole budget; the two do not interleave.
+    ranges = sorted(drawn.values())
+    assert len(ranges) == 2
+    for base, ordinals in zip((0, budget), ranges):
+        assert ordinals == sorted(ordinals)
+        assert base <= ordinals[0] and ordinals[-1] < base + budget

@@ -66,6 +66,9 @@ class TestFaultInjection:
         assert info.value.attempts == 3
         assert isinstance(info.value.last_error, InjectedFault)
         assert ctx.fault_injector.injected == 3
+        # A failed job never poisons the next one.
+        ctx.fault_injector.reset()
+        assert ctx.bag_of(range(8)).map(lambda x: x).count() == 8
 
     def test_kill_plan_requires_a_matcher(self):
         ctx = fresh_ctx()

@@ -231,14 +231,9 @@ class TestNothingDependsOnHowTheSetRan:
         finally:
             ctx.close()
 
-    def test_backends_schedulers_and_tracing_agree(self):
-        reference = self.run(backend="serial", scheduler="serial")
-        for overrides in (
-            dict(backend="serial", scheduler="dag"),
-            dict(backend="process", num_workers=2, scheduler="serial"),
-            dict(backend="process", num_workers=2, scheduler="dag"),
-        ):
-            assert self.run(**overrides) == reference, overrides
+    def test_backends_and_tracing_agree(self):
+        reference = self.run(backend="serial")
+        assert self.run(backend="process", num_workers=2) == reference
         assert self.run(trace=True, backend="serial") == reference
         assert (
             self.run(trace=True, backend="process", num_workers=2)
@@ -246,7 +241,7 @@ class TestNothingDependsOnHowTheSetRan:
         )
 
     def test_most_of_the_program_was_not_launched(self):
-        ctx = serial_ctx(scheduler="serial")
+        ctx = serial_ctx()
         keyed_program(ctx)
         assert ctx.runtime.tasks_launched < ctx.trace.num_tasks / 2
 

@@ -4,10 +4,12 @@ The straggler baseline is the task set's *own* per-task attributed
 seconds -- never a pool-wide aggregate -- so a slow co-scheduled
 sibling stage can neither fabricate stragglers in a uniform stage nor
 mask a genuine straggler in a mixed one.  These tests dispatch two
-deliberately unbalanced stages at the same time over one scheduler and
-check both directions.
+deliberately unbalanced stages at the same time over one scheduler --
+from one thread each, as the jobs of a ``ctx.gather`` do -- and check
+both directions.
 """
 
+import threading
 import time
 
 import pytest
@@ -28,7 +30,6 @@ def concurrent_scheduler():
     return TaskScheduler(
         laptop_config(
             backend="serial",
-            max_concurrent_stages=2,
             straggler_min_task_seconds=0.005,
             straggler_factor=1.5,
         )
@@ -41,12 +42,17 @@ def dispatch_both(scheduler, fast_args, slow_args):
     job = trace.new_job("collect")
     fast_stage = job.new_stage("input")
     slow_stage = job.new_stage("input")
-    futures = [
-        scheduler.submit_stage(SleepTask(), fast_args, stage=fast_stage),
-        scheduler.submit_stage(SleepTask(), slow_args, stage=slow_stage),
+    threads = [
+        threading.Thread(
+            target=scheduler.run_stage, args=(SleepTask(), args, stage)
+        )
+        for args, stage in ((fast_args, fast_stage), (slow_args, slow_stage))
     ]
-    for future in futures:
-        future.result(timeout=30)
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
     return fast_stage, slow_stage
 
 
@@ -84,7 +90,7 @@ class TestConcurrentStragglerBaselines:
 
     def test_retry_accounting_isolated_per_stage(self):
         # Measured seconds land on the stage that ran the task, even
-        # when the two dispatches interleave on the pool.
+        # when the two dispatches interleave.
         scheduler = concurrent_scheduler()
         try:
             fast, slow = dispatch_both(

@@ -1,7 +1,7 @@
 """Thread safety of the context's shared state under concurrent jobs.
 
-The DAG scheduler and ``ctx.gather`` submit work from many threads into
-one ``EngineContext``; the trace, stage metrics, optimizer-decision
+``ctx.gather`` submits work from many threads into one
+``EngineContext``; the trace, stage metrics, optimizer-decision
 list, and shuffle-assignment registry must absorb concurrent mutation
 without losing or double-counting anything.
 """
@@ -17,14 +17,9 @@ from repro.engine import EngineContext, laptop_config
 from repro.engine.metrics import ExecutionTrace, JobMetrics
 
 
-def dag_ctx(**overrides):
-    overrides.setdefault("scheduler", "dag")
-    return EngineContext(laptop_config(**overrides))
-
-
 class TestConcurrentJobs:
     def test_gather_records_every_job_exactly_once(self):
-        ctx = dag_ctx()
+        ctx = EngineContext(laptop_config())
         sizes = [10, 20, 30, 40, 50, 60, 70, 80]
         results = ctx.gather(
             *[
@@ -42,7 +37,7 @@ class TestConcurrentJobs:
     def test_concurrent_shuffles_record_all_decisions(self):
         # Each thunk's second reduce adopts the layout of its first --
         # one elision decision per thunk, appended concurrently.
-        ctx = dag_ctx()
+        ctx = EngineContext(laptop_config())
 
         def elision_job(offset):
             def run():
@@ -84,7 +79,7 @@ class TestConcurrentJobs:
             return [thunk() for thunk in thunks]
 
         serial_ctx = EngineContext(laptop_config())
-        concurrent_ctx = dag_ctx()
+        concurrent_ctx = EngineContext(laptop_config())
         try:
             expected = program(serial_ctx, concurrent=False)
             actual = program(concurrent_ctx, concurrent=True)
@@ -105,9 +100,8 @@ class TestConcurrentJobs:
 class TestLockedStructures:
     def test_stage_metrics_mutators_do_not_drop_updates(self):
         # Eight threads credit task sets over overlapping index ranges
-        # of one shared input stage, as two DAG branches reading the
-        # same input do.  The ranges have different lengths, so the
-        # credits also race on growing the dense lists.
+        # of one shared stage.  The ranges have different lengths, so
+        # the credits also race on growing the dense lists.
         trace = ExecutionTrace()
         stage = trace.new_job("collect").new_stage("input")
         workers = 8
@@ -179,7 +173,7 @@ class TestLockedStructures:
             return stage
 
         monkeypatch.setattr(JobMetrics, "new_stage", new_counted_stage)
-        ctx = EngineContext(laptop_config(scheduler="serial"))
+        ctx = EngineContext(laptop_config())
         result = (
             ctx.range_bag(3000, num_partitions=1200)
             .map(lambda x: (x % 7, x))
@@ -215,7 +209,7 @@ class TestLockedStructures:
     def test_trace_copies_and_pickles_after_concurrent_runs(self):
         # The locks guarding trace state are dropped on pickling and
         # recreated on load, so snapshots keep working.
-        ctx = dag_ctx()
+        ctx = EngineContext(laptop_config())
         ctx.gather(
             lambda: ctx.bag_of(range(30))
             .map(lambda x: (x % 3, x))

@@ -2,8 +2,7 @@
 
 Every test runs its program with no chain large enough to compile and
 with every chain large enough (the compiled path silently falls back
-for unprovable UDFs, so both runs are always well-defined) and under
-both stage schedulers where ordering is at stake.
+for unprovable UDFs, so both runs are always well-defined).
 """
 
 import sys
@@ -11,7 +10,6 @@ import sys
 import pytest
 
 from repro.engine import EngineContext, codegen, laptop_config
-from repro.engine.validate import trace_signature
 
 #: ``COMPILE_MIN_RECORD_STEPS`` that selects each chain body.
 THRESHOLDS = {"interpreted": sys.maxsize, "compiled": 0}
@@ -117,33 +115,7 @@ class TestFlatMapFanOut:
 
 
 class TestChainOrderStability:
-    """Fused chains must evaluate steps in plan order regardless of
-    scheduler, with identical trace signatures."""
-
-    def _program(self, ctx):
-        return (
-            ctx.bag_of(range(64), num_partitions=4)
-            .map(_inc)
-            .filter(_odd)
-            .flat_map(_fan)
-            .map(_inc)
-            .collect()
-        )
-
-    @pytest.mark.parametrize("body", list(THRESHOLDS))
-    def test_dag_schedule_matches_serial(self, body, monkeypatch):
-        monkeypatch.setattr(
-            codegen, "COMPILE_MIN_RECORD_STEPS", THRESHOLDS[body]
-        )
-        runs = {}
-        for scheduler in ("serial", "dag"):
-            with EngineContext(laptop_config(scheduler=scheduler)) as ctx:
-                result = self._program(ctx)
-                runs[scheduler] = (
-                    sorted(result), trace_signature(ctx.trace)
-                )
-        assert runs["serial"][0] == runs["dag"][0]
-        assert runs["serial"][1] == runs["dag"][1]
+    """Fused chains must evaluate steps in plan order."""
 
     def test_order_sensitive_steps(self, fused_ctx):
         # filter-then-map differs from map-then-filter; pin that the

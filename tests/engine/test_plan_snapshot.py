@@ -27,7 +27,6 @@ def _even(x):
 
 def fresh_ctx(**overrides):
     overrides.setdefault("backend", "serial")
-    overrides.setdefault("max_concurrent_stages", 2)
     return EngineContext(laptop_config(**overrides))
 
 

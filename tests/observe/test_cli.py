@@ -105,9 +105,8 @@ class TestBenchGate:
     ):
         """End-to-end, one run of the matrix: against a copy of the
         committed snapshot that claims one cell used to be 1% faster,
-        the gate exits non-zero and names that cell under both
-        schedules -- and nothing else, so the committed file is what
-        this tree simulates.  (What the comparison accepts and rejects
+        the gate exits non-zero and names that cell -- and nothing
+        else, so the committed file is what this tree simulates.  (What the comparison accepts and rejects
         is tested on data in ``tests/bench/test_baseline.py``.)"""
         from repro.bench import baseline
         from repro.bench.__main__ import main as bench_main
@@ -121,11 +120,10 @@ class TestBenchGate:
             ["--check-regressions", "--baseline", tampered]
         ) == EXIT_REGRESSION
         found = capsys.readouterr().out.split("\n\n", 1)[1].splitlines()
-        assert len(found) == 3 and found[2].startswith("verdict: 2 ")
-        for line, scheduler in zip(found, ("serial", "dag")):
-            assert line.strip().startswith(
-                "reuse-autocache@16 [%s] simulated_seconds: " % scheduler
-            )
+        assert len(found) == 2 and found[1].startswith("verdict: 1 ")
+        assert found[0].strip().startswith(
+            "reuse-autocache@16 simulated_seconds: "
+        )
 
     def test_emit_baseline_round_trips(self, tmp_path, capsys, monkeypatch):
         from repro.bench import baseline

@@ -7,6 +7,7 @@ processes.
 """
 
 import os
+import threading
 
 import pytest
 
@@ -124,6 +125,49 @@ class TestSpanTree:
         assert total == pytest.approx(
             ctx.trace.measured_task_seconds, abs=1e-9
         )
+
+
+class TestGatheredJobs:
+    def test_a_jobs_spans_follow_it_to_its_lane(self):
+        # Two jobs that overlap in time over one context.  Everything a
+        # job emits on the driver side sits on its own ``driver-<slot>``
+        # lane, inside its job span, and the spans of a lane nest.
+        ctx = traced_ctx()
+        barrier = threading.Barrier(2, timeout=10)
+
+        def job():
+            barrier.wait()
+            return shuffle_job(ctx)
+
+        ctx.gather(job, job)
+        events = ctx.tracer.events()
+        jobs = {e.lane: e for e in events if e.kind == KIND_JOB}
+        assert sorted(jobs) == ["driver-0", "driver-1"]
+        per_lane = {lane: [] for lane in jobs}
+        for event in events:
+            if event.kind in (KIND_STAGE, KIND_TASK_SET, KIND_SHUFFLE):
+                job_span = jobs[event.lane]  # KeyError: the shared lane
+                assert job_span.ts <= event.ts <= job_span.end
+                per_lane[event.lane].append(event.kind)
+        assert per_lane["driver-0"] == per_lane["driver-1"]
+        assert {KIND_STAGE, KIND_TASK_SET, KIND_SHUFFLE} == set(
+            per_lane["driver-0"]
+        )
+        # (Task spans are left out: their ends are read off another
+        # clock, see ``test_task_spans_inside_task_sets``.)
+        nesting = (KIND_DRIVER, KIND_JOB, KIND_STAGE, KIND_TASK_SET)
+        for lane in jobs:
+            spans = sorted(
+                (e for e in events if e.lane == lane and e.kind in nesting),
+                key=lambda e: (e.ts, -e.dur),
+            )
+            open_ends = []
+            for span in spans:
+                while open_ends and open_ends[-1] <= span.ts:
+                    open_ends.pop()
+                # Whatever is still open must contain this span.
+                assert not open_ends or span.end <= open_ends[-1]
+                open_ends.append(span.end)
 
 
 class TestBackendParity:

@@ -1,6 +1,7 @@
 """Layers point downward: ``repro.udf`` is a stdlib-only leaf, the
 engine never loads ``repro.analysis`` on import, and the upward imports
 that remain are function-local and listed in ``docs/architecture.md``.
+DESIGN.md's module inventory names the modules that exist.
 """
 
 import ast
@@ -93,3 +94,17 @@ def test_one_module_reads_source_and_one_walks_closure_cells():
             if needle in path.read_text()
         ]
         assert users == ["udf.py"], needle
+
+
+def test_design_inventory_matches_the_tree():
+    text = (ROOT / "DESIGN.md").read_text()
+    section = text[text.index("## Module inventory"):]
+    block = section.split("```")[1]
+    named = set(re.findall(r"^ +([\w/]+\.py) ", block, re.MULTILINE))
+    modules = {
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if path.name not in ("__init__.py", "__main__.py")
+    }
+    assert named - modules == set()  # every path named exists
+    assert modules - named == set()  # every module is named
