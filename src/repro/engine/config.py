@@ -124,9 +124,10 @@ class ClusterConfig:
     #: transient failures are retried until the task succeeds or the
     #: budget is spent.
     max_task_attempts: int = 4
-    #: A task is counted as a straggler when its measured runtime
-    #: exceeds this multiple of its task set's median (Spark's
-    #: speculation multiplier) ...
+    #: A task is counted as a straggler -- into
+    #: ``StageMetrics.straggler_tasks``, nothing is re-run -- when its
+    #: measured runtime exceeds this multiple of the median of its task
+    #: set's dispatched tasks ...
     straggler_factor: float = 1.5
     #: ... and this absolute floor, so scheduling jitter on
     #: microsecond-scale tasks never registers.

@@ -178,10 +178,12 @@ class EngineContext:
                 the price of unbounded growth.
 
         Draining also empties the executor's optimizer-decision log
-        into the accounting.  With concurrent windows the decision log
-        cannot be attributed per window (decisions are recorded on
-        dispatch-pool threads), so a window's ``decisions`` are
-        best-effort: everything logged since the last drain.
+        into the accounting.  With concurrent windows -- the jobs of a
+        ``ctx.gather``, the serve daemon's slots -- the decision log
+        cannot be attributed per window (the executor keeps one log per
+        context, whichever thread's job decided), so a window's
+        ``decisions`` are best-effort: everything logged since the
+        last drain.
         """
         self.trace.set_job_ticket(-1)
         jobs = self.trace.take_ticket_jobs(window.ticket, drain=drain)

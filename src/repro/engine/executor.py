@@ -479,7 +479,11 @@ class Executor:
         task = MapPartitionsTask(node.fn, _origin(node))
         results = self.scheduler.run_stage(
             task,
-            [(part, index) for index, part in enumerate(child.partitions)],
+            # Partitions are read-only and a task set's empties are one
+            # shared list; the UDF may mutate its input, so an empty
+            # partition reaches it as a list of its own.
+            [(part or [], index)
+             for index, part in enumerate(child.partitions)],
             stage=child.stage,
             ordinal=ordinals.take(),
         )

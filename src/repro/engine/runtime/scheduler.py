@@ -12,8 +12,9 @@ The task set, not the task, is the unit of driver-side cost: a
 flattened program at laptop scale runs tens of thousands of one-record
 tasks per job, most of them over an *empty* partition.  ``run_stage``
 therefore splits a set once -- partitions whose inputs are all empty
-take the value their task class declares for them and are never
-dispatched, on either backend -- and credits measured seconds to the
+share the one value their task class declares for them (asked once per
+set; partitions are read-only, so one object serves them all) and are
+never dispatched, on either backend -- and credits measured seconds to the
 stage as one dense list per set (per retry wave), one lock acquisition
 each.
 
@@ -157,7 +158,9 @@ class TaskScheduler:
                 omitted.
 
         Returns:
-            The task return values, in task order.
+            The task return values, in task order.  Tasks that were not
+            dispatched (see :meth:`_split_empties`) all hold the set's
+            one ``empty_result()`` object: read it, never mutate it.
 
         Raises:
             The reconstructed task error after a non-retryable failure,
@@ -219,9 +222,12 @@ class TaskScheduler:
         returns (``empty_result()``, see
         :mod:`repro.engine.runtime.task`): it gets that value, ``0.0``
         measured seconds, and is never launched on either backend.
-        Every such task gets a value of its own, as the call would
-        have returned: no two partitions of a stage are ever the same
-        list.
+        ``empty_result()`` is asked once per task set and its value
+        fills every undispatched slot: partitions are read-only values,
+        so the set's empties -- and whatever partitions are built from
+        them -- may be one object.  The one consumer that may mutate
+        its input, a ``map_partitions`` UDF, is handed a list of its
+        own by the executor.
 
         A pending fault injector dispatches everything: a fault
         addressed at an empty partition's task must still fire.
@@ -232,7 +238,7 @@ class TaskScheduler:
         nonempty = list(map(any, args_list))
         return (
             list(itertools.compress(range(len(args_list)), nonempty)),
-            [None if flag else empty_result() for flag in nonempty],
+            [empty_result()] * len(args_list),
         )
 
     def _run_outcomes(self, task, args_list, stage, ordinal, operator,

@@ -24,11 +24,16 @@ on all-empty inputs is fixed states it once, as ``empty_result()``, and
 the scheduler fills those partitions in without dispatching anything
 (see :meth:`~repro.engine.runtime.scheduler.TaskScheduler.run_stage`).
 ``empty_result()`` must equal what ``__call__`` returns when every
-argument is empty, a fresh value on every call: the scheduler asks once
-per undispatched task, so no two partitions are ever the same list.
+argument is empty.  It is asked once per task set; the value is shared
+by all of the set's undispatched tasks and by whatever partitions are
+built from it, and is never mutated -- a partition, once produced, is a
+read-only value: the executor and every task body here only ever build
+*new* lists from the partitions they are given.
 :class:`MapPartitionsTask` declares none: its UDF receives the
 partition *index* and may emit from an empty partition, so it has to
-run everywhere.
+run everywhere.  That UDF is also the one consumer that may mutate its
+input, which is why the executor hands it a list of its own for an
+empty partition instead of the shared one.
 """
 
 import os

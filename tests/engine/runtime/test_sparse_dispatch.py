@@ -3,8 +3,9 @@
 A flattened program at laptop scale leaves most of its partitions
 empty.  Task classes declare what an all-empty input yields
 (``empty_result()``), and ``TaskScheduler.run_stage`` fills those
-partitions in -- with ``0.0`` measured seconds -- while dispatching only
-the rest under their original task indices.  Every per-partition list
+partitions in -- all with the one value the set is asked for, and
+``0.0`` measured seconds -- while dispatching only the rest under
+their original task indices.  Every per-partition list
 in the trace stays dense, so record counts, trace signatures and
 simulated seconds cannot tell the difference.
 """
@@ -44,14 +45,17 @@ def serial_ctx(**overrides):
 
 
 class CountingTask:
-    """Adds one to every record; remembers the partitions it was given."""
+    """Adds one to every record; remembers the partitions it was given
+    and how often it was asked for its empty result."""
 
     operator = "Counting[test]"
 
     def __init__(self):
         self.calls = []
+        self.empty_results = 0
 
     def empty_result(self):
+        self.empty_results += 1
         return []
 
     def __call__(self, part):
@@ -81,6 +85,67 @@ def sparse_parts():
     return parts
 
 
+BACKENDS = [
+    pytest.param({"backend": "serial"}, id="serial"),
+    pytest.param({"backend": "process", "num_workers": 2}, id="process"),
+]
+
+#: Key of the records a ``map_partitions`` UDF below emits by itself.
+TAG = -1
+
+
+def append_tag(items, index):
+    items.append((TAG, index))
+    return items
+
+
+def sort_then_tag(items, index):
+    items.sort()
+    return items + [(TAG, index)]
+
+
+def append_tag_if_empty(items, index):
+    # Appending to a *non-empty* engine list was and stays the caller's
+    # error: over a cached parent it would edit the cache.
+    if not items:
+        items.append((TAG, index))
+    return items
+
+
+def to_pair(x):
+    return (x, x)
+
+
+def fused(ctx):
+    """``(bag, its records)``: 3 records over 64 partitions, the 61
+    empties filled in by a fused set."""
+    pairs = ctx.range_bag(3, num_partitions=PARTITIONS).map(to_pair)
+    return pairs, [(0, 0), (1, 1), (2, 2)]
+
+
+def reduced(ctx):
+    """The empties are a reduce-side ``CombineTask`` set's."""
+    pairs, records = fused(ctx)
+    return (
+        pairs.reduce_by_key(operator.add, num_partitions=PARTITIONS),
+        records,
+    )
+
+
+def grouped(ctx):
+    pairs, _records = fused(ctx)
+    return (
+        pairs.group_by_key(num_partitions=PARTITIONS),
+        [(0, [0]), (1, [1]), (2, [2])],
+    )
+
+
+def cached(ctx):
+    """Read by two jobs: what the first leaves in it, the second sees."""
+    pairs, records = fused(ctx)
+    return pairs.cache(), records
+
+
 class TestEmptyPartitionsAreNotLaunched:
     def test_task_runs_only_on_non_empty_partitions(self):
         scheduler = TaskScheduler(laptop_config(backend="serial"))
@@ -94,9 +159,16 @@ class TestEmptyPartitionsAreNotLaunched:
         expected = [[] for _ in range(PARTITIONS)]
         expected[0], expected[7], expected[40] = [2], [3, 4], [5]
         assert values == expected
-        # Each undispatched task has a value of its own: no two
-        # partitions of the set are the same list.
-        assert len({id(value) for value in values}) == PARTITIONS
+        # The set's empties are one object -- ``empty_result()`` is
+        # asked once per set, partitions being read-only -- and each
+        # dispatched task's value is its own.
+        live = (0, 7, 40)
+        assert task.empty_results == 1
+        assert len({
+            id(value) for index, value in enumerate(values)
+            if index not in live
+        }) == 1
+        assert len({id(value) for value in values}) == 1 + len(live)
         assert len(stage.task_seconds) == PARTITIONS
         assert [i for i, s in enumerate(stage.task_seconds) if s] == [
             0, 7, 40,
@@ -134,20 +206,42 @@ class TestEmptyPartitionsAreNotLaunched:
         assert sorted(indices) == list(range(PARTITIONS))
         assert ctx.runtime.tasks_launched == PARTITIONS
 
-    def test_map_partitions_udf_gets_an_empty_list_of_its_own(self):
-        # Every undispatched task of a fused set gets a list of its
-        # own; a UDF that appends to its input must not see (or leave)
-        # another partition's records in it.
-        def tag(items, index):
-            items.append(-index)
-            return items
-
-        ctx = serial_ctx()
-        bag = ctx.range_bag(3, num_partitions=8).map(abs)
-        tagged = bag.map_partitions(tag).collect()
-        assert sorted(tagged) == sorted(
-            [0, 1, 2] + [-index for index in range(8)]
-        )
+    @pytest.mark.parametrize("overrides", BACKENDS)
+    @pytest.mark.parametrize(
+        "upstream, udf",
+        [
+            (fused, append_tag), (fused, sort_then_tag),
+            (reduced, append_tag), (reduced, sort_then_tag),
+            (grouped, append_tag), (grouped, sort_then_tag),
+            (cached, append_tag_if_empty), (cached, sort_then_tag),
+        ],
+        ids=lambda value: value.__name__,
+    )
+    def test_map_partitions_udf_gets_an_empty_list_of_its_own(
+        self, upstream, udf, overrides
+    ):
+        # A task set's empties are one list (see the test above), and
+        # that is why the executor hands the UDF another: the UDF is
+        # the one consumer that may write to its input.  Handed the
+        # shared list, ``append_tag`` would see it grow from task to
+        # task (within a pickled chunk on the process backend) and emit
+        # the first tag 61 times; ``sort_then_tag`` pins that what
+        # arrives is a real list with every mutator.
+        with EngineContext(laptop_config(**overrides)) as ctx:
+            bag, records = upstream(ctx)
+            out = bag.map_partitions(udf).collect()
+            tags = sorted(index for key, index in out if key == TAG)
+            assert sorted(r for r in out if r[0] != TAG) == records
+            tagged = PARTITIONS - (
+                len(records) if udf is append_tag_if_empty else 0
+            )
+            # Every (empty) partition emits its own index exactly once.
+            assert len(tags) == len(set(tags)) == tagged
+            if upstream is cached:
+                # A second job reads the cached parent: still its 3
+                # records, not 3 + 61 copies of a tag left in the
+                # shared empty.
+                assert sorted(bag.collect()) == records
 
     @pytest.mark.parametrize(
         "task, empties",
@@ -165,6 +259,48 @@ class TestEmptyPartitionsAreNotLaunched:
     )
     def test_empty_result_is_what_the_task_returns(self, task, empties):
         assert task.empty_result() == task(*empties)
+
+
+class TestEmptyResultIsAskedOncePerTaskSet:
+    @pytest.mark.parametrize(
+        "trace, overrides",
+        [
+            (None, {"backend": "serial"}),
+            ("memory", {"backend": "serial"}),
+            (None, {"backend": "process", "num_workers": 2}),
+        ],
+        ids=["serial-fast", "serial-traced", "process"],
+    )
+    def test_one_call_per_set(self, trace, overrides):
+        expected = [[] for _ in range(PARTITIONS)]
+        expected[0], expected[7], expected[40] = [2], [3, 4], [5]
+        task = CountingTask()
+        with EngineContext(laptop_config(**overrides), trace=trace) as ctx:
+            for sets in (1, 2, 3):
+                values = ctx.runtime.run_stage(
+                    task, [(part,) for part in sparse_parts()]
+                )
+                assert task.empty_results == sets
+                assert values == expected
+                assert len({id(value) for value in values}) == 1 + 3
+            assert ctx.runtime.tasks_launched == 3 * 3
+
+    def test_not_asked_while_a_fault_plan_is_pending(self):
+        ctx = serial_ctx()
+        ctx.fault_injector.kill_task(task_index=40, stage=0)
+        task = CountingTask()
+        args_list = [(part,) for part in sparse_parts()]
+        values = ctx.runtime.run_stage(task, args_list)
+        # Everything was dispatched, the fault at an empty partition
+        # fired, and every value is what its own call returned.
+        assert task.empty_results == 0
+        assert ctx.fault_injector.injected == 1
+        assert ctx.runtime.tasks_launched == PARTITIONS + 1
+        assert len({id(value) for value in values}) == PARTITIONS
+        # The plan is spent: the next set is sparse again.
+        ctx.runtime.run_stage(task, args_list)
+        assert task.empty_results == 1
+        assert ctx.runtime.tasks_launched == PARTITIONS + 1 + 3
 
 
 class TestFaultsAddressEmptyPartitions:
