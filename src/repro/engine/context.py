@@ -12,6 +12,7 @@ import time
 
 from ..observe import resolve_tracer
 from ..observe.events import KIND_BROADCAST
+from ..observe.report import entry_totals, job_entry
 from .bag import Bag
 from .broadcast import Broadcast, check_broadcast_fits
 from .config import ClusterConfig, laptop_config
@@ -325,38 +326,38 @@ class JobAccounting:
     """Summary of the engine jobs run inside one accounting window.
 
     Everything is computed eagerly from the window's
-    :class:`~repro.engine.metrics.JobMetrics` at ``end_job`` time, so
-    the accounting stays valid after the jobs are drained from the
-    trace.  The job objects themselves are retained (``jobs``) for
-    per-stage reporting (:func:`repro.observe.entry_from_jobs`).
+    :class:`~repro.engine.metrics.JobMetrics` at ``end_job`` time, in
+    the one pass that costs each stage, so the accounting stays valid
+    after the jobs are drained from the trace.  ``entries`` holds that
+    pass's result, one :func:`repro.observe.report.job_entry` per
+    engine job (scalars per stage); the sums are read off it.  ``jobs``
+    keeps the metrics themselves, per-task lists included, for as long
+    as the caller keeps the accounting -- a long-lived holder (the
+    serve daemon's report window) retains ``entries`` instead.
     """
 
     __slots__ = (
-        "jobs", "decisions", "simulated_seconds",
+        "jobs", "entries", "decisions", "simulated_seconds",
         "measured_task_seconds", "num_stages", "total_records",
         "shuffle_records", "shuffle_records_saved", "task_retries",
     )
 
     def __init__(self, jobs, cost_model, decisions=()):
         self.jobs = list(jobs)
+        self.entries = [job_entry(job, cost_model) for job in self.jobs]
         self.decisions = list(decisions)
         self.simulated_seconds = sum(
-            cost_model.job_cost(job).total_s for job in self.jobs
+            entry["simulated_seconds"] for entry in self.entries
         )
         self.measured_task_seconds = sum(
-            job.measured_task_seconds for job in self.jobs
+            entry["measured_task_seconds"] for entry in self.entries
         )
-        self.num_stages = sum(len(job.stages) for job in self.jobs)
-        self.total_records = sum(job.total_records for job in self.jobs)
-        self.shuffle_records = sum(
-            job.total_shuffle_records for job in self.jobs
-        )
-        self.shuffle_records_saved = sum(
-            stage.shuffle_records_saved
-            for job in self.jobs
-            for stage in job.stages
-        )
-        self.task_retries = sum(job.task_retries for job in self.jobs)
+        totals = entry_totals(self.entries)
+        self.num_stages = totals["stages"]
+        self.total_records = totals["records"]
+        self.shuffle_records = totals["shuffle_records"]
+        self.shuffle_records_saved = totals["shuffle_records_saved"]
+        self.task_retries = totals["retries"]
 
     @property
     def num_jobs(self):

@@ -18,7 +18,8 @@ on:
   trade-offs in Sec. 8.2/8.3.
 """
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 
 
 @dataclass
@@ -67,7 +68,6 @@ class CostModel:
     """
 
     config: object
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def stage_cost(self, stage):
         """Cost breakdown for one :class:`StageMetrics` in isolation.
@@ -112,12 +112,19 @@ class CostModel:
         )
         return cost
 
-    def job_cost(self, job):
-        """Cost breakdown for a single :class:`JobMetrics`."""
+    def job_cost(self, job, stage_costs=None):
+        """Cost breakdown for a single :class:`JobMetrics`.
+
+        ``stage_costs`` are the job's :meth:`stage_cost` results, in
+        stage order, from a caller that already has them; they are
+        added exactly as the ones computed here would be.
+        """
         cfg = self.config
         cost = CostBreakdown(job_launch_s=cfg.job_launch_overhead_s)
-        for stage in job.stages:
-            cost.add(self.stage_cost(stage))
+        if stage_costs is None:
+            stage_costs = map(self.stage_cost, job.stages)
+        for stage_cost in stage_costs:
+            cost.add(stage_cost)
         broadcast_bytes = (
             job.broadcast_records * cfg.bytes_per_record
             + job.broadcast_meta_records * cfg.result_record_bytes
@@ -162,7 +169,9 @@ def _makespan(task_records, slots):
     Uses the longest-processing-time greedy rule, which is how a dataflow
     engine's slot scheduler behaves to first order.  This is the term that
     penalizes both too-few tasks (outer-parallel: fewer tasks than cores
-    leave cores idle) and skew (one giant task dominates).
+    leave cores idle) and skew (one giant task dominates).  The least
+    loaded slot comes off a min-heap: which of several equally loaded
+    slots takes a task permutes ``loads`` and nothing else.
     """
     active = [records for records in task_records if records > 0]
     if not active:
@@ -171,6 +180,5 @@ def _makespan(task_records, slots):
         return max(active)
     loads = [0] * slots
     for records in sorted(active, reverse=True):
-        index = loads.index(min(loads))
-        loads[index] += records
+        heapq.heapreplace(loads, loads[0] + records)
     return max(loads)

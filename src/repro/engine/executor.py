@@ -1018,9 +1018,13 @@ class Executor:
         nonempty = sum(1 for records in stage.task_records if records)
         per_machine = -(-max(1, nonempty) // cfg.machines)
         task_limit = cfg.task_memory_limit_bytes(per_machine)
-        for records in stage.task_records:
-            if cfg.materialized_bytes(records, rate) > task_limit:
-                stage.spilled_records += records
+        # The footprint grows with the records, so when the largest
+        # task fits, all do.
+        largest = max(stage.task_records, default=0)
+        if cfg.materialized_bytes(largest, rate) > task_limit:
+            for records in stage.task_records:
+                if cfg.materialized_bytes(records, rate) > task_limit:
+                    stage.spilled_records += records
         # Cluster-level spill: processing the entire input at once can
         # exceed aggregate memory, in which case the excess goes through
         # disk (this is the memory pressure the paper observes for

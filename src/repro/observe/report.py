@@ -55,8 +55,7 @@ def _stage_bytes_saved(stage, config):
     return int(stage.shuffle_records_saved * rate)
 
 
-def _stage_entry(stage, cost_model):
-    cost = cost_model.stage_cost(stage)
+def _stage_entry(stage, cost, config):
     return {
         "stage_id": stage.stage_id,
         "kind": stage.kind,
@@ -65,11 +64,9 @@ def _stage_entry(stage, cost_model):
         "tasks": stage.num_tasks,
         "records": stage.total_records,
         "shuffle_records": stage.shuffle_read_records,
-        "shuffle_bytes": _stage_bytes(stage, cost_model.config),
+        "shuffle_bytes": _stage_bytes(stage, config),
         "shuffle_records_saved": stage.shuffle_records_saved,
-        "shuffle_bytes_saved": _stage_bytes_saved(
-            stage, cost_model.config
-        ),
+        "shuffle_bytes_saved": _stage_bytes_saved(stage, config),
         "spilled_records": stage.spilled_records,
         "measured_seconds": stage.measured_seconds,
         "failed_attempt_seconds": stage.failed_attempt_seconds,
@@ -79,99 +76,97 @@ def _stage_entry(stage, cost_model):
     }
 
 
-def entry_from_jobs(job_metrics, cost_model, system, x, status="ok",
-                    measured_wall_seconds=None, detail=""):
-    """Summarize a list of :class:`JobMetrics` as one report entry.
+def job_entry(job, cost_model):
+    """One :class:`JobMetrics` as self-contained JSON data: scalars per
+    job and per stage, nothing per task.  Costs each stage once."""
+    costs = [cost_model.stage_cost(stage) for stage in job.stages]
+    return {
+        "job_id": job.job_id,
+        "action": job.action,
+        "label": job.label,
+        "simulated_seconds": cost_model.job_cost(job, costs).total_s,
+        "measured_task_seconds": job.measured_task_seconds,
+        "broadcast_records": job.broadcast_records,
+        "collected_records": job.collected_records,
+        "stages": [
+            _stage_entry(stage, cost, cost_model.config)
+            for stage, cost in zip(job.stages, costs)
+        ],
+    }
 
-    The general form of :func:`entry_from_context`: it takes the job
-    list directly instead of a context's live trace, so callers that
-    *drain* jobs as they complete -- the :mod:`repro.serve` daemon
-    building per-tenant reports from each job's
-    :class:`~repro.engine.context.JobAccounting` -- can still produce
-    full per-stage report entries.  The entry is self-contained JSON
-    data: per-job and per-stage breakdowns plus run-level totals.
-    ``status`` mirrors the bench harness (``"ok"`` / ``"oom"`` /
-    ``"skipped"``).
+
+def entry_totals(jobs):
+    """The ``totals`` block of a report entry over :func:`job_entry`
+    dicts."""
+    stages = [stage for job in jobs for stage in job["stages"]]
+
+    def total(key):
+        return sum(stage[key] for stage in stages)
+
+    return {
+        "jobs": len(jobs),
+        "stages": len(stages),
+        "tasks": total("tasks"),
+        # Summed job by job, as JobMetrics.total_records is.
+        "records": sum(
+            sum(stage["records"] for stage in job["stages"])
+            for job in jobs
+        ),
+        "shuffle_records": total("shuffle_records"),
+        "shuffle_bytes": total("shuffle_bytes"),
+        "shuffle_records_saved": total("shuffle_records_saved"),
+        "shuffle_bytes_saved": total("shuffle_bytes_saved"),
+        "spilled_records": total("spilled_records"),
+        "retries": total("retries"),
+        "stragglers": total("stragglers"),
+        "failed_attempt_seconds": total("failed_attempt_seconds"),
+    }
+
+
+def entry_from_job_entries(jobs, backend, system, x, status="ok",
+                           measured_wall_seconds=None, detail=""):
+    """Fold :func:`job_entry` dicts into one report entry.
+
+    What :func:`entry_from_jobs` does once the jobs are summarized --
+    for callers that kept the summaries and let the metrics go (the
+    :mod:`repro.serve` daemon's per-tenant window).  ``jobs``, a list,
+    becomes part of the entry, not a copy of it.
     """
-    job_metrics = list(job_metrics)
-    jobs = []
-    for job in job_metrics:
-        jobs.append(
-            {
-                "job_id": job.job_id,
-                "action": job.action,
-                "label": job.label,
-                "simulated_seconds": cost_model.job_cost(job).total_s,
-                "measured_task_seconds": job.measured_task_seconds,
-                "broadcast_records": job.broadcast_records,
-                "collected_records": job.collected_records,
-                "stages": [
-                    _stage_entry(stage, cost_model)
-                    for stage in job.stages
-                ],
-            }
-        )
-    entry = {
+    return {
         "system": system,
         "x": x,
         "status": status,
         "detail": detail,
-        "backend": cost_model.config.backend,
+        "backend": backend,
         "simulated_seconds": (
             sum(job["simulated_seconds"] for job in jobs)
             if status == "ok" else None
         ),
         "measured_task_seconds": sum(
-            job.measured_task_seconds for job in job_metrics
+            job["measured_task_seconds"] for job in jobs
         ),
         "measured_wall_seconds": measured_wall_seconds,
-        "totals": {
-            "jobs": len(job_metrics),
-            "stages": sum(len(job.stages) for job in job_metrics),
-            "tasks": sum(
-                stage.num_tasks
-                for job in job_metrics
-                for stage in job.stages
-            ),
-            "records": sum(job.total_records for job in job_metrics),
-            "shuffle_records": sum(
-                job.total_shuffle_records for job in job_metrics
-            ),
-            "shuffle_bytes": sum(
-                stage["shuffle_bytes"]
-                for job in jobs
-                for stage in job["stages"]
-            ),
-            "shuffle_records_saved": sum(
-                stage["shuffle_records_saved"]
-                for job in jobs
-                for stage in job["stages"]
-            ),
-            "shuffle_bytes_saved": sum(
-                stage["shuffle_bytes_saved"]
-                for job in jobs
-                for stage in job["stages"]
-            ),
-            "spilled_records": sum(
-                stage["spilled_records"]
-                for job in jobs
-                for stage in job["stages"]
-            ),
-            "retries": sum(job.task_retries for job in job_metrics),
-            "stragglers": sum(
-                stage["stragglers"]
-                for job in jobs
-                for stage in job["stages"]
-            ),
-            "failed_attempt_seconds": sum(
-                stage["failed_attempt_seconds"]
-                for job in jobs
-                for stage in job["stages"]
-            ),
-        },
+        "totals": entry_totals(jobs),
         "jobs": jobs,
     }
-    return entry
+
+
+def entry_from_jobs(job_metrics, cost_model, system, x, status="ok",
+                    measured_wall_seconds=None, detail=""):
+    """Summarize a list of :class:`JobMetrics` as one report entry.
+
+    The general form of :func:`entry_from_context`: it takes the job
+    list directly instead of a context's live trace.  The entry is
+    self-contained JSON data: per-job and per-stage breakdowns
+    (:func:`job_entry`) plus run-level totals
+    (:func:`entry_from_job_entries`).  ``status`` mirrors the bench
+    harness (``"ok"`` / ``"oom"`` / ``"skipped"``).
+    """
+    return entry_from_job_entries(
+        [job_entry(job, cost_model) for job in job_metrics],
+        cost_model.config.backend, system, x, status=status,
+        measured_wall_seconds=measured_wall_seconds, detail=detail,
+    )
 
 
 def entry_from_context(ctx, system, x, status="ok",

@@ -27,8 +27,9 @@ tenants.  The pieces:
   a bag artifact calls :meth:`~repro.engine.bag.Bag.uncache`, which
   also invalidates the subtree's adoptable shuffle layouts.
 * **Reporting**: per-tenant counters (:class:`~repro.serve.tenants.
-  TenantStats`), a bounded window of recent per-job metrics for
-  :func:`~repro.observe.report.entry_from_jobs`, and -- when
+  TenantStats`), a bounded window of recent engine jobs' report
+  entries (:func:`~repro.observe.report.job_entry`: scalars per stage,
+  no per-task trace), and -- when
   ``report_dir`` is set -- one JSONL job log plus one ``RunReport``
   JSON per tenant.
 """
@@ -41,7 +42,7 @@ import time
 
 from ..engine.broadcast import Broadcast
 from ..engine.context import EngineContext
-from ..observe.report import RunReport, entry_from_jobs
+from ..observe.report import RunReport, entry_from_job_entries
 from ..udf import fingerprint_function
 from .artifacts import KIND_BAG, KIND_BROADCAST, ArtifactCache
 from .queue import (
@@ -56,7 +57,7 @@ __all__ = ["JobHandle", "JobContext", "JobService"]
 
 #: How many recent dequeues :meth:`JobService.schedule` retains.
 SCHEDULE_WINDOW = 1024
-#: How many recent engine-job metrics each tenant retains for reports.
+#: How many recent engine jobs' report entries each tenant retains.
 REPORT_WINDOW = 256
 
 
@@ -409,7 +410,7 @@ class JobService:
             stats.record_finished(
                 queue_wait, wall, accounting, failed=error is not None
             )
-            self._recent_jobs[job.tenant].extend(accounting.jobs)
+            self._recent_jobs[job.tenant].extend(accounting.entries)
             sink = self._job_sink(job.tenant)
         if sink is not None:
             record = {
@@ -545,9 +546,13 @@ class JobService:
     def tenant_report(self, tenant, label=None):
         """A :class:`~repro.observe.report.RunReport` for one tenant.
 
-        Built from the tenant's retained window of recent engine-job
-        metrics (last ``REPORT_WINDOW`` engine jobs), so it stays
-        bounded on a long-lived service.
+        Folds the report entries kept of the tenant's last
+        ``REPORT_WINDOW`` engine jobs, each built (its stages costed)
+        once, when its job ended: a long-lived service retains a few
+        scalars per stage, and a report runs no cost model.  Per-task
+        traces live only in ``JobHandle.accounting.jobs``, for as long
+        as a client keeps the handle.  The report shares the service's
+        job entries: read, don't write.
         """
         with self._lock:
             jobs = list(self._recent_jobs[tenant])
@@ -557,8 +562,8 @@ class JobService:
             meta={"tenant": tenant, "stats": stats},
         )
         report.add(
-            entry_from_jobs(
-                jobs, self.ctx.cost_model, system="serve",
+            entry_from_job_entries(
+                jobs, self.ctx.config.backend, system="serve",
                 x=label if label is not None else tenant,
             )
         )

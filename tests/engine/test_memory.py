@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import ClusterConfig, EngineContext
+from repro.engine.metrics import StageMetrics
 from repro.errors import SimulatedOutOfMemory
 
 
@@ -117,3 +118,76 @@ class TestSpillAccounting:
             for stage in job.stages
         )
         assert spilled == 0
+
+
+def _spilled_by_loop(cfg, stage):
+    """``Executor._account_spill`` asking about every task: the oracle."""
+    rate = cfg.result_record_bytes if stage.meta else cfg.bytes_per_record
+    nonempty = sum(1 for records in stage.task_records if records)
+    per_machine = -(-max(1, nonempty) // cfg.machines)
+    task_limit = cfg.task_memory_limit_bytes(per_machine)
+    spilled = sum(
+        records for records in stage.task_records
+        if cfg.materialized_bytes(records, rate) > task_limit
+    )
+    cluster_limit = cfg.executor_memory_limit_bytes * cfg.machines
+    excess = (
+        cfg.materialized_bytes(stage.total_records, rate) - cluster_limit
+    )
+    if excess > 0:
+        spilled += int(excess / (rate * cfg.memory_overhead_factor))
+    return spilled
+
+
+class TestSpillShortCut:
+    # tiny_memory_context: 4000 B a machine, 2 machines, 100 B a
+    # record -- a task of a full machine holds 20 records, the cluster
+    # 80.
+    @pytest.mark.parametrize(
+        "task_records, meta",
+        [
+            ([], False),                       # empty stage
+            ([0, 0, 0], False),
+            ([3, 0, 5, 1], False),             # nothing spills
+            ([20, 20, 20, 20], False),         # each exactly at its limit
+            ([3, 0, 21, 1], False),            # one task over
+            ([30, 25, 40, 50], False),         # all over, cluster too
+            ([10] * 12, False),                # cluster-level excess only
+            ([3, 0, 5000, 1], True),           # meta rate, one over
+            ([2.5, 0, 20.5, 1], False),        # weighted work
+        ],
+    )
+    def test_spill_equals_the_per_task_loop(self, task_records, meta):
+        ctx = tiny_memory_context()
+        stage = StageMetrics(
+            stage_id=0, kind="shuffle", meta=meta,
+            task_records=list(task_records),
+        )
+        ctx.executor._account_spill(stage)
+        assert stage.spilled_records == _spilled_by_loop(ctx.config, stage)
+
+    def test_the_oracle_tells_the_cases_apart(self):
+        cfg = tiny_memory_context().config
+        spilled = [
+            _spilled_by_loop(
+                cfg, StageMetrics(0, "shuffle", task_records=records)
+            )
+            for records in ([3, 0, 5, 1], [3, 0, 21, 1], [10] * 12)
+        ]
+        assert spilled == [0, 21, 40]
+
+    def test_a_stage_that_fits_is_asked_about_twice(self, monkeypatch):
+        ctx = EngineContext(ClusterConfig())
+        calls = []
+        real = ClusterConfig.materialized_bytes
+
+        def counting(self, num_records, record_bytes=None):
+            calls.append(num_records)
+            return real(self, num_records, record_bytes)
+
+        monkeypatch.setattr(ClusterConfig, "materialized_bytes", counting)
+        stage = StageMetrics(0, "shuffle", task_records=[1, 0, 2] * 400)
+        ctx.executor._account_spill(stage)
+        assert stage.spilled_records == 0
+        # The largest task and the stage's total -- not 1200 tasks.
+        assert len(calls) <= 3

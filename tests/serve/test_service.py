@@ -1,11 +1,15 @@
 """JobService: fairness, concurrency, caching, eviction, lifecycle."""
 
+import gc
 import json
 import threading
 
 import pytest
 
-from repro.engine import laptop_config
+from repro.engine import CostModel, laptop_config
+from repro.engine.metrics import JobMetrics, StageMetrics
+from repro.observe.report import RunReport, entry_from_jobs
+from repro.serve import service as service_module
 from repro.serve import (
     AdmissionRejected,
     JobService,
@@ -23,6 +27,29 @@ def _count_program(tag, n=50):
         return data.map(lambda x: x + 1).count(label=tag)
 
     return run
+
+
+def _serve_counts(svc, n, tenant="alice"):
+    """Serve ``n`` count jobs ``j0 .. j<n-1>`` one by one; their handles."""
+    handles = []
+    for i in range(n):
+        handle = svc.submit(
+            tenant, _count_program("j%d" % i), label="j%d" % i
+        )
+        assert handle.result(timeout=30) == 50
+        handles.append(handle)
+    return handles
+
+
+def _reachable(root):
+    """Every object ``root`` keeps alive (``gc.get_referents``, transitively)."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
 
 
 @pytest.fixture
@@ -408,12 +435,7 @@ class TestLifecycleAndReporting:
         svc.add_tenant("alice")
         svc.start()
         try:
-            for i in range(30):
-                handle = svc.submit(
-                    "alice", _count_program("j%d" % i),
-                    label="j%d" % i,
-                )
-                assert handle.result(timeout=30) == 50
+            handles = _serve_counts(svc, 30)
             # The shared context's trace was drained per job and the
             # layout registry tracks only the one cached artifact's
             # subtree.
@@ -421,5 +443,69 @@ class TestLifecycleAndReporting:
             assert len(svc.ctx.executor.decisions) == 0
             assert svc.ctx.executor.layout_registry_size() <= 2
             assert svc.tenant_stats("alice").completed == 30
+            # What the report window keeps of a job is sized by its
+            # stages: no metrics object, no per-task list (16 tasks a
+            # stage here).
+            jobs = [
+                job for handle in handles
+                for job in handle.accounting.jobs
+            ]
+            most_stages = max(len(job.stages) for job in jobs)
+            assert most_stages < 16
+            window = svc._recent_jobs["alice"]
+            assert len(window) == len(jobs) == 30
+            for obj in _reachable(window):
+                assert not isinstance(obj, (JobMetrics, StageMetrics))
+                if isinstance(obj, list):
+                    assert len(obj) <= most_stages
+            # ... and the report a tenant reads is the one the traces
+            # give, key for key.
+            entry = svc.tenant_report("alice").to_dict()["entries"][0]
+            assert entry == entry_from_jobs(
+                jobs, svc.ctx.cost_model, system="serve", x="alice"
+            )
+        finally:
+            svc.shutdown(timeout=30)
+
+    def test_report_window_keeps_the_last_engine_jobs(self, monkeypatch):
+        monkeypatch.setattr(service_module, "REPORT_WINDOW", 4)
+        svc = JobService(num_slots=1, seed=1)
+        svc.add_tenant("alice")
+        svc.start()
+        try:
+            _serve_counts(svc, 30)
+            entry = svc.tenant_report("alice").entries[0]
+            assert entry["totals"]["jobs"] == 4
+            assert [job["label"] for job in entry["jobs"]] == [
+                "j26", "j27", "j28", "j29",
+            ]
+        finally:
+            svc.shutdown(timeout=30)
+
+    def test_each_stage_is_costed_once_and_never_for_a_report(
+        self, tmp_path, monkeypatch
+    ):
+        costed = []
+        real = CostModel.stage_cost
+
+        def counting(self, stage):
+            costed.append(stage)
+            return real(self, stage)
+
+        monkeypatch.setattr(CostModel, "stage_cost", counting)
+        svc = JobService(
+            num_slots=1, seed=1, report_dir=str(tmp_path / "reports")
+        )
+        svc.add_tenant("alice")
+        svc.start()
+        try:
+            (handle,) = _serve_counts(svc, 1)
+            assert costed and len(costed) == handle.accounting.num_stages
+            assert len(set(map(id, costed))) == len(costed)
+            del costed[:]
+            svc.tenant_report("alice")
+            (path,) = svc.write_reports()
+            assert costed == []
+            assert RunReport.load(path).entries[0]["totals"]["jobs"] == 1
         finally:
             svc.shutdown(timeout=30)
