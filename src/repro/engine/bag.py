@@ -396,10 +396,12 @@ class Bag:
         with ``?`` marking unknown and the bare negative a refutation.
 
         ``compile=True`` annotates the top of every fused elementwise
-        chain with ``compiled=yes(<fingerprint>)`` or
-        ``compiled=no(<reason>)`` -- whether the chain *may* run as a
-        generated specialized loop, and if not, why it stays on the
-        interpreter.  ``yes`` is the compile gate's verdict, not a
+        chain with ``compiled=yes(<key>; lowered k/n[, fields m][;
+        <operator>: <reason>]...)`` or ``compiled=no(<reason>)`` --
+        whether the chain *may* run as a generated specialized loop,
+        how many of its UDFs the loop would substitute for their call
+        (and why each other one keeps it), and if not, why it stays on
+        the interpreter.  ``yes`` is the compile gate's verdict, not a
         promise: the executor only compiles a chain whose task set is
         large enough (steps x input records reaches
         :data:`repro.engine.codegen.COMPILE_MIN_RECORD_STEPS`), and a

@@ -5,12 +5,25 @@ evaluates a fused map/filter/flat_map chain an operator at a time over
 vectors of records: per operator it builds a list of the vector's
 results, scans it for :class:`~repro.engine.work.Weighted` wrappers,
 and a filter compresses the vector.  Following Flare's approach of
-compiling Spark's interpreted operator pipelines to straight-line
-code, this module generates Python source for one specialized function
-per chain -- a single nested loop with direct UDF calls, a record held
-in a local from the first operator to the last, no intermediate
+compiling Spark's interpreted operator pipelines *through* the operator
+boundary to straight-line code, this module generates Python source for
+one specialized function per chain -- a single nested loop, a record
+held in locals from the first operator to the last, no intermediate
 vectors and (proven unnecessary) no ``Weighted`` scan -- compiles it
-once, and caches it by the chain's AST fingerprint.
+once, and caches it under a key that determines the text.
+
+Inside the loop a UDF is either *lowered* or *called*
+(:func:`udf_lowering`).  A plain one-parameter function whose body is
+one expression is substituted for its call: its parameter becomes the
+loop's current local, and every other name it reads becomes a hygienic
+local whose value the task fetches from that function's own cells,
+globals or builtins when it binds, in each process -- never part of the
+text.  A lowered map that builds a tuple for a lowered step that only
+reads ``param[<constant>]`` keeps the elements in locals, and the tuple
+exists only where something needs it whole.  Every other step (several
+statements, defaults, ``partial``, bound method, a comprehension, ...)
+keeps ``_vN = _fN(_v)``.  A profile of a compiled chain therefore shows
+no frame for a lowered UDF: its time is the loop's own.
 
 The generated function must be *observationally identical* to the
 interpreter, including the cost model's inputs: it returns the same
@@ -38,18 +51,22 @@ decision, taken from what it already holds: a chain is planned once
 per chain that only enough record-steps pay back.  Smaller chains never
 get here.
 
-Compiled functions are cached per process keyed by the chain
-fingerprint; the picklable task object
+Compiled functions are cached per process by the chain's key (per step:
+kind, AST fingerprint, lowered or called); the picklable task object
 (:class:`~repro.engine.runtime.task.CompiledPipelineTask`) carries
 only the source text and the key, so worker processes compile at most
 once per distinct chain.
 """
 
 import ast
+import collections
+import copy
+import functools
 import hashlib
 import threading
+import types
 
-from ..udf import facts_for
+from ..udf import closure_bindings, facts_for, resolve
 from . import dag
 from . import plan as p
 from .runtime.task import (
@@ -67,26 +84,40 @@ __all__ = [
     "chain_steps",
     "compile_notes",
     "generate_source",
-    "compiled_pipeline_fn",
+    "compiled_pipeline",
+    "lowering_note",
     "plan_compiled_task",
+    "udf_lowering",
 ]
 
 #: Record-steps (chain length x records entering the chain, over the
 #: whole task set) from which the executor plans a chain for
 #: compilation; below it the chain is interpreted with no analysis at
-#: all.  The generated loop saves about 0.049 us per record-step on
-#: ``benchmarks/wall``'s chain; planning costs about 35 us per chain on
-#: a warm cache and about 250 us when a step's closure is fresh (lifted
-#: UDFs are rebuilt per op), so the break-even is near 5k record-steps.
-#: Swept at 4096 / 16384 / 65536: the flattened ``nested_serial`` op
-#: plans 8 / 0 / 0 of its 40 chains, the 262,144-record-step chain
-#: compiles at all three, and no wall-clock difference between them
-#: resolves (table in ``docs/architecture.md``, "Flag decisions").
-COMPILE_MIN_RECORD_STEPS = 16384
+#: all.  Measured with lowering on (``benchmarks/wall``'s chain, 262,144
+#: record-steps): the generated loop saves about 0.10 us per record-step
+#: where every step lowers (0.06 where the calls stay), and about 1.7 us
+#: per task whatever it holds (2.3 -> 0.6 us on a one-record partition
+#: of a 2-step chain) -- the interpreter's vector machinery has a fixed
+#: cost per call that the flattened programs' 1200-partition task sets
+#: pay 1200 times.  Planning costs about 38 us per chain on a
+#: warm cache, about 200 us per step whose closure captures a fresh
+#: callable (lifted UDFs are rebuilt per op), and about 1.3 ms once per
+#: distinct chain and process to generate and compile; so a 3-step chain
+#: of fresh closures breaks even at 6k-10k record-steps on the record
+#: term alone, and far earlier when spread over many partitions.  Swept
+#: at 4096 / 16384 / 65536, 10 alternating pairs: the flattened
+#: ``nested_serial`` op plans 8 / 0 / 0 of its chains (8 of exactly
+#: 2 steps x 2048 records over 1200 partitions; 6 compile) and reads
+#: ``op_wall_s_p50`` 0.0900 / 0.0975 / (same instructions as 16384) --
+#: 4096 is 7.6 % faster, 10/10, so the constant moved down from 16384;
+#: the 262,144-record-step chain compiles at all three and
+#: ``serve_closed_loop`` plans nothing at any (tables in
+#: ``docs/architecture.md``, "Flag decisions").
+COMPILE_MIN_RECORD_STEPS = 4096
 
-#: Per-process cache of compiled pipelines, ``{chain fingerprint:
-#: (function, source)}``.  The driver fills it while planning; a worker
-#: process fills its own from the source a task carries.
+#: Per-process cache of compiled pipelines, ``{chain key:
+#: Compiled}``.  The driver fills it while planning; a worker process
+#: fills its own from the source a task carries.
 _COMPILED = {}
 _COMPILED_LOCK = threading.Lock()
 
@@ -135,22 +166,37 @@ def _scan_weighted(facts):
 
 
 def chain_compilability(steps):
-    """``(fingerprint, None)`` when every step may compile, else
+    """``(key, None)`` when every step may compile, else
     ``(None, reason)`` naming the first step that cannot.
 
     ``steps`` are ``(kind, fn, operator)`` triples as built by the
     executor (see :class:`~repro.engine.runtime.task.FusedPipelineTask`).
+    The key hashes, per step, its kind, its UDF's AST fingerprint and
+    whether the UDF is lowered into the loop or called: together they
+    determine the generated source.
     """
-    fingerprints = []
+    key, _lowerings, reason = _plan_chain(steps)
+    return key, reason
+
+
+def _plan_chain(steps):
+    """``(key, lowerings, None)`` or ``(None, None, reason)``;
+    ``lowerings[i]`` is step ``i``'s :class:`Lowering`, or ``None``
+    where the generated loop keeps the call."""
+    parts = []
+    lowerings = []
     for kind, fn, operator in steps:
-        fingerprint, reason = _udf_compilability(fn)
+        facts = facts_for(fn)
+        fingerprint, reason = _udf_compilability(fn, facts)
         if fingerprint is None:
-            return None, "%s %s" % (operator, reason)
-        fingerprints.append((_STEP_NAMES[kind], fingerprint))
-    return chain_fingerprint(fingerprints), None
+            return None, None, "%s %s" % (operator, reason)
+        lowering, _kept = udf_lowering(fn, facts)
+        parts.append((_STEP_NAMES[kind], fingerprint, lowering is not None))
+        lowerings.append(lowering)
+    return chain_fingerprint(parts), lowerings, None
 
 
-def _udf_compilability(fn):
+def _udf_compilability(fn, facts):
     """``(fingerprint, None)`` or ``(None, reason-sans-operator)`` for
     one UDF.  Iterative programs re-evaluate the same chains every
     superstep, so the verdict is kept with the UDF's other facts."""
@@ -170,18 +216,146 @@ def _udf_compilability(fn):
             return None, "has no recoverable source"
         return facts.fingerprint, None
 
-    facts = facts_for(fn)
     if facts is None:
         return prove(None)
     return facts.derive(("compilability",), prove)
 
 
-def chain_fingerprint(kind_fingerprint_pairs):
-    """Stable hex key for a chain of (step kind, UDF fingerprint)."""
+def chain_fingerprint(parts):
+    """Stable hex key for a chain of ``(step kind, UDF fingerprint,
+    lowered?)`` triples."""
     digest = hashlib.sha256()
-    for kind, fingerprint in kind_fingerprint_pairs:
-        digest.update(("%s:%s\n" % (kind, fingerprint)).encode("utf-8"))
+    for kind, fingerprint, lowered in parts:
+        digest.update(
+            ("%s:%s:%s\n" % (
+                kind, fingerprint, "lowered" if lowered else "call"
+            )).encode("utf-8")
+        )
     return digest.hexdigest()[:16]
+
+
+# ----------------------------------------------------------------------
+# Lowering: which UDF bodies are substituted into the loop
+# ----------------------------------------------------------------------
+
+
+#: A UDF the generator may substitute for its call: the body is the one
+#: expression ``expr`` over the parameter ``param`` and the free
+#: ``names``, each of which resolves.  ``expr`` is the UDF's shared AST:
+#: read-only, the generator rewrites a copy.
+Lowering = collections.namedtuple("Lowering", "param expr names")
+
+
+#: Expression nodes that open a scope of their own (their names would
+#: become cells of the generated function) or that bind or suspend.
+_NOT_LOWERED = {
+    ast.Lambda: "nested lambda",
+    ast.ListComp: "comprehension",
+    ast.SetComp: "comprehension",
+    ast.DictComp: "comprehension",
+    ast.GeneratorExp: "generator expression",
+    ast.NamedExpr: "assignment expression",
+    ast.Yield: "yield",
+    ast.YieldFrom: "yield",
+    ast.Await: "await",
+}
+
+
+def udf_lowering(fn, facts=None):
+    """``(Lowering, None)`` when ``fn``'s body can stand in the
+    generated loop in place of a call to it, else ``(None, reason)``.
+
+    Lowered: a plain function (no ``partial``, bound method or
+    ``@nested_udf`` rewrite -- their call is not their body) of exactly
+    one parameter, no defaults, whose body is one expression (a lambda,
+    or a ``def`` of one ``return``, docstring aside) that opens no
+    nested scope and binds nothing, and whose every free name resolves
+    (:func:`repro.udf.resolve`) today.  The verdict is kept with the
+    UDF's facts, whose key covers which cells are filled; values are
+    read from the function itself when a task binds, never from here.
+    """
+    if not isinstance(fn, types.FunctionType):
+        if isinstance(fn, functools.partial):
+            return None, "partial"
+        if isinstance(fn, types.MethodType):
+            return None, "bound method"
+        return None, "not a plain function"
+    if hasattr(fn, "original"):
+        return None, "rewritten by @nested_udf"
+    if facts is None:
+        facts = facts_for(fn)
+    return facts.derive(("lowering",), lambda facts: _lower(fn, facts.node))
+
+
+def _lower(fn, node):
+    if isinstance(node, ast.Lambda):
+        expr = node.body
+    elif isinstance(node, ast.FunctionDef):
+        body = node.body[1:] if ast.get_docstring(node) else node.body
+        if len(body) != 1:
+            return None, "%d statements" % len(body)
+        if not isinstance(body[0], ast.Return) or body[0].value is None:
+            return None, "no return expression"
+        expr = body[0].value
+    else:
+        return None, "no single-expression source"
+    args = node.args
+    if args.defaults or any(args.kw_defaults):
+        return None, "default argument"
+    if (
+        len(args.posonlyargs) + len(args.args) != 1
+        or args.vararg or args.kwonlyargs or args.kwarg
+    ):
+        return None, "not one plain parameter"
+    param = (args.posonlyargs + args.args)[0].arg
+    names = []
+    for sub in ast.walk(expr):
+        reason = _NOT_LOWERED.get(type(sub))
+        if reason is not None:
+            return None, reason
+        if isinstance(sub, ast.Name):
+            name = sub.id
+            if name != param and name not in names:
+                names.append(name)
+        elif isinstance(sub, ast.Attribute):
+            name = sub.attr
+        else:
+            continue
+        if name.startswith("__") and not name.endswith("__"):
+            # Compiled inside a class body the name was mangled.
+            return None, "private name %s" % name
+    # The node was found by position; lower only what the code agrees
+    # with, and only names the call would find too.
+    code = fn.__code__
+    if code.co_varnames[:1] != (param,):
+        return None, "source does not match code"
+    cells = closure_bindings(fn)
+    for name in names:
+        if name not in code.co_names and name not in cells:
+            return None, "source does not match code"
+        try:
+            resolve(fn, name)
+        except NameError:
+            return None, "unresolved name %s" % name
+    return Lowering(param, expr, tuple(names)), None
+
+
+def lowering_note(task):
+    """What the generator did with a planned chain's UDFs, for the
+    ``compiled-pipeline`` decision and ``explain(compile=True)``:
+    ``lowered k/n``, ``fields m`` when ``m`` maps keep their tuple's
+    elements in locals, then ``<operator>: <reason>`` per kept call."""
+    kept = []
+    for _kind, fn, operator in task.steps:
+        lowering, reason = udf_lowering(fn)
+        if lowering is None:
+            kept.append("%s: %s" % (operator, reason))
+    num = len(task.steps)
+    note = "lowered %d/%d" % (num - len(kept), num)
+    fields = compiled_pipeline(task.key, task.source).fields
+    if fields:
+        note += ", fields %d" % len(fields)
+    return "; ".join([note] + kept)
 
 
 # ----------------------------------------------------------------------
@@ -189,27 +363,103 @@ def chain_fingerprint(kind_fingerprint_pairs):
 # ----------------------------------------------------------------------
 
 
-def generate_source(kinds, name="_pipeline"):
-    """Python source of the specialized loop for a chain's step kinds.
+class _Value:
+    """The record the loop holds between two steps: ``name`` is the
+    local for the whole value, ``fields`` -- for a tuple display kept
+    apart -- one local per element, and ``whole`` says whether a line
+    assigning ``name`` has been emitted yet."""
 
-    The function takes ``(_part, _udfs)`` and returns
-    ``(_out, counts)`` with exactly the per-operator counts the
-    interpreter reports: every operator is counted once per record
-    *entering* it, so one counter per filter/flat_map boundary
-    suffices.  The source depends only on the step-kind sequence; UDFs
-    are passed in at call time, which keeps the compiled code object
-    free of closure state.
+    __slots__ = ("name", "fields", "whole")
+
+    def __init__(self, name, fields=None):
+        self.name = name
+        self.fields = fields
+        self.whole = fields is None
+
+
+def _field_read(node, param, arity):
+    """The element index when ``node`` is ``param[<int constant>]``
+    within a tuple of ``arity`` elements, else ``None``."""
+    if (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == param
+        and isinstance(node.slice, ast.Constant)
+        and type(node.slice.value) is int
+        and 0 <= node.slice.value < arity
+    ):
+        return node.slice.value
+    return None
+
+
+class _Substitute(ast.NodeTransformer):
+    """Rewrite (a copy of) a lowered body into the loop's locals: the
+    parameter becomes the current value -- a field's local where the
+    body reads ``param[k]`` of a tuple kept apart -- and every other
+    name the hygienic local ``prefix + name``.  No name of the UDF's
+    survives, so nothing it is called can capture a generated local.
+    ``whole`` records whether the value was read other than by field.
+    """
+
+    def __init__(self, param, value, prefix):
+        self.param = param
+        self.value = value
+        self.prefix = prefix
+        self.whole = False
+
+    def visit_Subscript(self, node):
+        fields = self.value.fields or ()
+        field = _field_read(node, self.param, len(fields))
+        if field is None:
+            return self.generic_visit(node)
+        return ast.Name(fields[field], ast.Load())
+
+    def visit_Name(self, node):
+        if node.id == self.param:
+            self.whole = True
+            return ast.Name(self.value.name, ast.Load())
+        return ast.Name(self.prefix + node.id, ast.Load())
+
+
+def _reads_only_fields(lowering, arity):
+    """Does the lowered body read its parameter, and only as
+    ``param[k]`` with a constant ``0 <= k < arity``?"""
+    reads = fields = 0
+    for node in ast.walk(lowering.expr):
+        if isinstance(node, ast.Name) and node.id == lowering.param:
+            reads += 1
+        elif _field_read(node, lowering.param, arity) is not None:
+            fields += 1
+    return reads == fields > 0
+
+
+def generate_source(kinds, lowerings=(), name="_pipeline"):
+    """Python source of the specialized loop for a chain.
+
+    ``lowerings[i]`` is step ``i``'s :class:`Lowering` or ``None``
+    (also when ``lowerings`` is shorter than ``kinds``).  The function
+    takes ``(_part, _udfs, _env)`` and returns ``(_out, counts)`` with
+    exactly the per-operator counts the interpreter reports: every
+    operator is counted once per record *entering* it, so one counter
+    per filter/flat_map boundary suffices.
+
+    A step without a lowering calls its UDF, ``_udfs[i]``.  A lowered
+    step's expression stands in the loop with every name rewritten
+    (:class:`_Substitute`); what its free names evaluate to arrives in
+    ``_env``, which the task fills per process in the order the
+    module-level ``_ENV`` lists them, ``(step index, name)`` each -- no
+    value is ever part of the text.  A lowered map whose body is a
+    tuple display, followed by a lowered step that reads it only as
+    ``param[<constant>]``, assigns one local per element (all of them,
+    in display order) and the tuple is built only where something needs
+    the whole value -- a kept call, any other use of the parameter, the
+    output -- so a record a filter drops never allocates one.  ``_FIELDS``
+    lists those maps' step indices.
     """
     num = len(kinds)
     if num == 0:
         raise ValueError("cannot generate a pipeline with no steps")
-    lines = [
-        "def %s(_part, _udfs):" % name,
-        "    %s = _udfs" % "".join("_f%d, " % i for i in range(num)),
-        "    _out = []",
-        "    _append = _out.append",
-        "    _n = len(_part)",
-    ]
+    lowerings = list(lowerings) + [None] * (num - len(lowerings))
     # A counter only exists where cardinality changes *and* a later
     # operator consumes the changed count.
     counted = [
@@ -217,43 +467,112 @@ def generate_source(kinds, name="_pipeline"):
         for i, kind in enumerate(kinds[:-1])
         if kind in (STEP_FILTER, STEP_FLATMAP)
     ]
-    for i in counted:
-        lines.append("    _c%d = 0" % i)
-    lines.append("    for _v0 in _part:")
+    env = []
+    scalarised = []
+    lines = ["    for _v0 in _part:"]
     indent = 2
-    var = 0
+    value = _Value("_v0")
     count_exprs = []
     current = "_n"
+
+    def whole():
+        """The local holding the whole current value, built first if
+        it only exists as fields so far."""
+        if not value.whole:
+            lines.append("%s%s = (%s,)" % (
+                "    " * indent, value.name, ", ".join(value.fields)
+            ))
+            value.whole = True
+        return value.name
+
     for i, kind in enumerate(kinds):
-        pad = "    " * indent
-        count_exprs.append(current)
-        if kind == STEP_MAP:
-            lines.append("%s_v%d = _f%d(_v%d)" % (pad, var + 1, i, var))
-            var += 1
-        elif kind == STEP_FILTER:
-            lines.append("%sif not _f%d(_v%d):" % (pad, i, var))
-            lines.append("%s    continue" % pad)
-            if i in counted:
-                lines.append("%s_c%d += 1" % (pad, i))
-                current = "_c%d" % i
-        elif kind == STEP_FLATMAP:
-            lines.append(
-                "%sfor _v%d in _f%d(_v%d):" % (pad, var + 1, i, var)
-            )
-            indent += 1
-            var += 1
-            if i in counted:
-                lines.append("%s_c%d += 1" % ("    " * indent, i))
-                current = "_c%d" % i
-        else:
+        if kind not in _STEP_NAMES:
             raise ValueError("unknown step kind %r" % (kind,))
-    lines.append("%s_append(_v%d)" % ("    " * indent, var))
+        count_exprs.append(current)
+        lowering = lowerings[i]
+        result = "_v%d" % (i + 1)
+        if lowering is None:
+            expr = None
+            text = "_f%d(%s)" % (i, whole())
+        else:
+            rewrite = _Substitute(lowering.param, value, "_g%d_" % i)
+            expr = rewrite.visit(copy.deepcopy(lowering.expr))
+            if rewrite.whole:
+                whole()
+            env.extend((i, free) for free in lowering.names)
+            text = ast.unparse(expr)
+            if kind != STEP_MAP:
+                text = "(%s)" % text  # ``not a if c else b`` binds wrong
+        pad = "    " * indent
+        if kind == STEP_MAP:
+            following = lowerings[i + 1] if i + 1 < num else None
+            if (
+                isinstance(expr, ast.Tuple)
+                and not any(isinstance(e, ast.Starred) for e in expr.elts)
+                and following is not None
+                and _reads_only_fields(following, len(expr.elts))
+            ):
+                scalarised.append(i)
+                fields = []
+                for k, element in enumerate(expr.elts):
+                    if isinstance(element, ast.Name):
+                        # Already a local of this loop, each assigned
+                        # in one place: the field is that local.
+                        fields.append(element.id)
+                        continue
+                    fields.append("%s_%d" % (result, k))
+                    lines.append("%s%s = %s" % (
+                        pad, fields[-1], ast.unparse(element)
+                    ))
+                value = _Value(result, fields)
+            else:
+                lines.append("%s%s = %s" % (pad, result, text))
+                value = _Value(result)
+        elif kind == STEP_FILTER:
+            lines.append("%sif not %s:" % (pad, text))
+            lines.append("%s    continue" % pad)
+        else:
+            lines.append("%sfor %s in %s:" % (pad, result, text))
+            indent += 1
+            value = _Value(result)
+        if i in counted:
+            lines.append("%s_c%d += 1" % ("    " * indent, i))
+            current = "_c%d" % i
+    if value.whole:
+        output = value.name
+    else:
+        output = "(%s,)" % ", ".join(value.fields)
+    lines.append("%s_append(%s)" % ("    " * indent, output))
     lines.append("    return _out, [%s]" % ", ".join(count_exprs))
-    return "\n".join(lines) + "\n"
+    head = [
+        "_ENV = %r" % (tuple(env),),
+        "_FIELDS = %r" % (tuple(scalarised),),
+        "def %s(_part, _udfs, _env):" % name,
+    ]
+    head.extend(
+        "    _f%d = _udfs[%d]" % (i, i)
+        for i in range(num) if lowerings[i] is None
+    )
+    if env:
+        head.append("    %s = _env" % "".join(
+            "_g%d_%s, " % pair for pair in env
+        ))
+    head.extend([
+        "    _out = []",
+        "    _append = _out.append",
+        "    _n = len(_part)",
+    ])
+    head.extend("    _c%d = 0" % i for i in counted)
+    return "\n".join(head + lines) + "\n"
 
 
-def compiled_pipeline_fn(key, source, name="_pipeline"):
-    """The compiled callable for ``source``, cached per process."""
+#: A compiled chain: the loop function, the text it was compiled from,
+#: and the text's two constants (see :func:`generate_source`).
+Compiled = collections.namedtuple("Compiled", "fn source env fields")
+
+
+def compiled_pipeline(key, source, name="_pipeline"):
+    """The :class:`Compiled` entry for ``source``, cached per process."""
     entry = _COMPILED.get(key)
     if entry is None:
         with _COMPILED_LOCK:
@@ -262,8 +581,11 @@ def compiled_pipeline_fn(key, source, name="_pipeline"):
                 namespace = {}
                 code = compile(source, "<repro.codegen %s>" % key, "exec")
                 exec(code, namespace)
-                entry = _COMPILED[key] = (namespace[name], source)
-    return entry[0]
+                entry = _COMPILED[key] = Compiled(
+                    namespace[name], source,
+                    namespace["_ENV"], namespace["_FIELDS"],
+                )
+    return entry
 
 
 def compiled_cache_size():
@@ -300,20 +622,20 @@ def plan_compiled_task(steps, tracer=None):
     """A :class:`CompiledPipelineTask` for ``steps``, or
     ``(None, reason)`` when the chain must stay interpreted.
 
-    Compilation happens at most once per chain fingerprint per
-    process; a cache hit builds the (cheap, picklable) task object
-    from the cached source without generating or compiling anything.
-    On a miss, a ``codegen`` span is emitted through ``tracer``
-    covering source generation and compilation.
+    Compilation happens at most once per chain key per process; a
+    cache hit builds the (cheap, picklable) task object from the
+    cached source without generating or compiling anything.  On a
+    miss, a ``codegen`` span is emitted through ``tracer`` covering
+    source generation and compilation.
 
     Returns ``(task, None)`` or ``(None, reason)``.
     """
-    key, reason = chain_compilability(steps)
+    key, lowerings, reason = _plan_chain(steps)
     if key is None:
         return None, reason
     entry = _COMPILED.get(key)
     if entry is not None:
-        return CompiledPipelineTask(steps, entry[1], key), None
+        return CompiledPipelineTask(steps, entry.source, key), None
     kinds = [kind for kind, _fn, _operator in steps]
     if tracer is not None and tracer.enabled:
         from ..observe.events import KIND_CODEGEN
@@ -326,12 +648,12 @@ def plan_compiled_task(steps, tracer=None):
             steps=len(steps),
             key=key,
         ) as args:
-            source = generate_source(kinds)
-            compiled_pipeline_fn(key, source)
+            source = generate_source(kinds, lowerings)
+            compiled_pipeline(key, source)
             args["source_lines"] = source.count("\n")
     else:
-        source = generate_source(kinds)
-        compiled_pipeline_fn(key, source)
+        source = generate_source(kinds, lowerings)
+        compiled_pipeline(key, source)
     return CompiledPipelineTask(steps, source, key), None
 
 
@@ -343,18 +665,21 @@ def plan_compiled_task(steps, tracer=None):
 def compile_notes(root):
     """Per-node notes for ``Bag.explain(compile=True)``.
 
-    Each fused chain's top node is annotated ``compiled=yes(<key>)``
-    or ``compiled=no(<reason>)``: the compile gate's verdict, which
-    the executor acts on once the chain's task set reaches
-    :data:`COMPILE_MIN_RECORD_STEPS`.
+    Each fused chain's top node is annotated ``compiled=yes(<key>;
+    <lowering note>)`` or ``compiled=no(<reason>)``: the compile gate's
+    verdict, which the executor acts on once the chain's task set
+    reaches :data:`COMPILE_MIN_RECORD_STEPS`, and what the generated
+    loop does with each UDF (:func:`lowering_note`).
     """
     notes = {}
     for unit in dag.plan_units(root):
         if unit.chain is None:
             continue
-        key, reason = chain_compilability(chain_steps(unit.chain))
-        if key is not None:
-            notes[id(unit.node)] = "compiled=yes(%s)" % key
+        task, reason = plan_compiled_task(chain_steps(unit.chain))
+        if task is not None:
+            notes[id(unit.node)] = "compiled=yes(%s; %s)" % (
+                task.key, lowering_note(task)
+            )
         else:
             notes[id(unit.node)] = "compiled=no(%s)" % reason
     return notes

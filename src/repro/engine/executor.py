@@ -461,7 +461,9 @@ class Executor:
                 kind="compiled-pipeline",
                 choice="compile",
                 num_tags=len(steps),
-                detail="%s compiled as %s" % (operator, task.key),
+                detail="%s compiled as %s; %s" % (
+                    operator, task.key, codegen.lowering_note(task)
+                ),
             )
         else:
             decision = Decision(

@@ -48,6 +48,7 @@ from ...errors import (
     SimulatedOutOfMemory,
     UdfError,
 )
+from ...udf import resolve
 from ..work import Weighted, unwrap, unwrap_all
 
 #: Pipeline step tags for fused elementwise chains.
@@ -172,13 +173,19 @@ class CompiledPipelineTask:
     Carries only picklable state: the steps (for operator names, UDFs,
     and the interpreter a failing partition is re-run through, so both
     bodies raise the same :class:`~repro.errors.UdfError`), the
-    generated source text, and the chain-fingerprint cache key.  The
-    code object itself is compiled lazily -- at most once per key per
-    process -- so the task ships across the process-pool boundary as
-    cheaply as the interpreted one.
+    generated source text, and the chain's cache key.  The code object
+    itself is compiled lazily -- at most once per key per process -- so
+    the task ships across the process-pool boundary as cheaply as the
+    interpreted one.  What the loop's lowered UDF bodies read by name is
+    bound then too, in whichever process runs the task, from each
+    step's own function (:func:`repro.udf.resolve`): values are never
+    part of the text, so one compiled function serves every chain of
+    its key, and a name that no longer resolves fails like any other
+    UDF error -- through the interpreter.  A generated text that does
+    not compile is a bug of the generator's and is raised as one.
     """
 
-    __slots__ = ("steps", "source", "key", "udfs", "_fn")
+    __slots__ = ("steps", "source", "key", "udfs", "_fn", "_env")
 
     def __init__(self, steps, source, key):
         self.steps = list(steps)
@@ -187,6 +194,7 @@ class CompiledPipelineTask:
         # Derived per process, never pickled (see ``__reduce__``).
         self.udfs = tuple(step[1] for step in self.steps)
         self._fn = None
+        self._env = None
 
     @property
     def operator(self):
@@ -197,14 +205,27 @@ class CompiledPipelineTask:
 
     empty_result = FusedPipelineTask.empty_result
 
+    def _bind(self):
+        from ...engine.codegen import compiled_pipeline
+
+        compiled = compiled_pipeline(self.key, self.source)
+        self._env = tuple(
+            resolve(self.udfs[index], name) for index, name in compiled.env
+        )
+        self._fn = compiled.fn
+        return compiled.fn
+
     def __call__(self, part):
         fn = self._fn
         if fn is None:
-            from ...engine.codegen import compiled_pipeline_fn
-
-            fn = self._fn = compiled_pipeline_fn(self.key, self.source)
+            try:
+                fn = self._bind()
+            except NameError:
+                # A lowered body's name no longer resolves: the call
+                # would raise it per record, so let the interpreter.
+                return FusedPipelineTask(self.steps)(part)
         try:
-            out, counts = fn(part, self.udfs)
+            out, counts = fn(part, self.udfs, self._env)
         except (SimulatedOutOfMemory, UdfError):
             raise
         except Exception:

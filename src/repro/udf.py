@@ -27,7 +27,7 @@ import types
 __all__ = [
     "CAPACITY", "DATA", "MAX_DEPTH", "UdfFacts", "cache_info",
     "clear_cache", "closure_bindings", "facts_for",
-    "fingerprint_function", "function_ast", "unwrap",
+    "fingerprint_function", "function_ast", "resolve", "unwrap",
 ]
 
 #: Entries (source + binding facts) held before the least recently used
@@ -81,6 +81,24 @@ def closure_bindings(fn):
         except ValueError:  # pragma: no cover - empty cell
             continue
     return bindings
+
+
+def resolve(fn, name):
+    """What a bare ``name`` in ``fn``'s body evaluates to *now*: the
+    function's own cell when it is one of its free variables, otherwise
+    its globals, then builtins.  Raises ``NameError`` where the body
+    would.  Unlike :meth:`UdfFacts.lookup` this reads the live function,
+    so captured plain data and ``None`` come back as themselves.
+    """
+    if name in fn.__code__.co_freevars:
+        cells = closure_bindings(fn)
+        if name in cells:
+            return cells[name]
+    elif name in fn.__globals__:
+        return fn.__globals__[name]
+    elif hasattr(builtins, name):
+        return getattr(builtins, name)
+    raise NameError("name %r is not defined" % name)
 
 
 def _by_identity(value):

@@ -11,18 +11,26 @@ comes back.
 
 ``CompiledPipelineTask``, the generated loop large provable chains run
 as, is held to the same oracle on every generated chain free of
-``Weighted`` results, and to the interpreter's errors.
+``Weighted`` results, and to the interpreter's errors.  A second
+strategy draws chains of single-expression lambdas over int and tuple
+records -- the bodies the generator substitutes into its loop instead
+of calling -- through the compile gate itself.
 """
 
 import collections
+import hashlib
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineContext, laptop_config
-from repro.engine.codegen import generate_source
+from repro.engine.codegen import (
+    generate_source,
+    plan_compiled_task,
+    udf_lowering,
+)
 from repro.engine.plan import Parallelize
 from repro.engine.runtime.task import (
     STEP_FILTER,
@@ -138,12 +146,15 @@ def build_steps(specs):
 
 
 def compiled_task(steps):
-    """The generated loop for ``steps``, built past the compile gate
+    """The generated loop for ``steps`` -- every body the generator can
+    lower, lowered -- built past the compile gate
     (tests/engine/test_codegen.py holds the gate to its contract)."""
-    kinds = [kind for kind, _fn, _operator in steps]
-    return CompiledPipelineTask(
-        steps, generate_source(kinds), "test-%s" % "".join(map(str, kinds))
+    source = generate_source(
+        [kind for kind, _fn, _operator in steps],
+        [udf_lowering(fn)[0] for _kind, fn, _operator in steps],
     )
+    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
+    return CompiledPipelineTask(steps, source, "test-" + digest)
 
 
 def assert_matches_oracle(steps, part):
@@ -164,6 +175,157 @@ def assert_matches_oracle(steps, part):
 @given(specs=chains)
 def test_generated_chains_match_the_oracle(length, specs):
     assert_matches_oracle(build_steps(specs), list(range(length)))
+
+
+# ----------------------------------------------------------------------
+# Generated chains of lowered bodies, over ints and over tuples
+# ----------------------------------------------------------------------
+
+
+def _halve(x):
+    return x // 2
+
+
+#: name -> (kind, record type in, record type out, factory(a) -> udf).
+LOWERED = {}
+
+
+def lowered(kind, takes, gives):
+    """Register a factory of single-expression lambdas: the generator
+    lowers every one of them.  ``a`` is captured, an int or a float.
+    (One ``return lambda`` per line: a lambda inside a dict display has
+    no recoverable source, and would be called, not lowered.)"""
+    def register(factory):
+        LOWERED[factory.__name__] = (kind, takes, gives, factory)
+        return factory
+
+    return register
+
+
+@lowered(STEP_MAP, "int", "int")
+def scale(a):
+    return lambda x: x * a + 1
+
+
+@lowered(STEP_MAP, "int", "int")
+def ratio(a):
+    return lambda x: x // (x % a)  # ZeroDivisionError on some records
+
+
+@lowered(STEP_MAP, "int", "int")
+def helper(a):
+    return lambda x: _halve(x) - a
+
+
+@lowered(STEP_FILTER, "int", "int")
+def between(a):
+    return lambda x: 0 < x % 7 <= a
+
+
+@lowered(STEP_FILTER, "int", "int")
+def either(a):
+    return lambda x: x % 2 == 0 or (x > a and not x % 5 == 0)
+
+
+@lowered(STEP_FLATMAP, "int", "int")
+def fan(a):
+    return lambda x: (x, x + a)
+
+
+@lowered(STEP_MAP, "int", "pair")
+def pair(a):
+    return lambda x: (x, x * 0.5 + a)
+
+
+@lowered(STEP_MAP, "pair", "pair")
+def pair_scale(a):
+    return lambda r: (r[0], r[1] * a)
+
+
+@lowered(STEP_MAP, "pair", "pair")
+def pair_grow(a):
+    return lambda r: (r[0] + a, r[1], r[0])
+
+
+@lowered(STEP_FILTER, "pair", "pair")
+def pair_keep(a):
+    return lambda r: r[0] % 4 != a
+
+
+@lowered(STEP_FILTER, "pair", "pair")
+def pair_whole(a):
+    return lambda r: len(r) + r[-1] > a
+
+
+@lowered(STEP_MAP, "pair", "pair")
+def pair_past(a):
+    return lambda r: (r[0], r[2] + a)  # IndexError on a two-tuple
+
+
+@lowered(STEP_FLATMAP, "pair", "int")
+def pair_fan(a):
+    return lambda r: (r[0], int(r[1]))
+
+
+@lowered(STEP_MAP, "pair", "int")
+def pair_first(a):
+    return lambda r: r[0] - a
+
+
+lowered_specs = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(LOWERED)),
+        st.one_of(st.integers(1, 4), st.sampled_from([0.5, 1.5, 3.0])),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+def build_lowered_steps(specs):
+    """The drawn specs that type-check in sequence, as steps: a spec
+    whose input type is not the chain's current type is skipped."""
+    steps = []
+    current = "int"
+    for name, parameter in specs:
+        kind, takes, gives, factory = LOWERED[name]
+        if takes != current:
+            continue
+        if current == "int" and gives == "int" and kind != STEP_FILTER:
+            parameter = int(parameter) or 1  # ints stay ints
+        steps.append(
+            (kind, factory(parameter), "%s#%d" % (name, len(steps)))
+        )
+        current = gives
+    return steps
+
+
+def _outcome(body, part):
+    """``("ok", result)`` or ``("error", operator, error type)``."""
+    try:
+        return ("ok", body(part))
+    except UdfError as err:
+        return ("error", err.operator, type(err.original))
+
+
+@pytest.mark.parametrize("length", [0, 1, VECTOR + 1])
+@settings(max_examples=40, deadline=None)
+@given(specs=lowered_specs)
+def test_lowered_chains_match_the_interpreter_and_plain_python(length, specs):
+    steps = build_lowered_steps(specs)
+    assume(steps)
+    part = list(range(length))
+    task, reason = plan_compiled_task(steps)
+    assert reason is None, reason
+    assert "_udfs[" not in task.source  # every body lowered, no call
+    compiled = _outcome(task, part)
+    assert compiled == _outcome(FusedPipelineTask(steps), part)
+    plain = _outcome(lambda p: record_at_a_time(steps, p), part)
+    assert plain[0] == compiled[0]
+    if compiled[0] == "ok":
+        # Records, per-operator counts and the all-zero works.  Which
+        # of two failing steps reports is the interpreter's rule.
+        assert plain == compiled
+    assert part == list(range(length))
 
 
 def test_nested_expansions_stay_depth_first():

@@ -1,6 +1,10 @@
-"""Compiled fused pipelines: parity, gating, caching, observability,
-and the size rule that decides which chains are planned at all."""
+"""Compiled fused pipelines: parity, gating, lowering (which UDF bodies
+stand in the loop, and that no name of theirs meets one of the loop's),
+caching, observability, and the size rule that decides which chains are
+planned at all."""
 
+import functools
+import os
 import pickle
 import sys
 
@@ -13,8 +17,11 @@ from repro.engine.codegen import (
     chain_compilability,
     clear_compiled_cache,
     compiled_cache_size,
+    compiled_pipeline,
     generate_source,
+    lowering_note,
     plan_compiled_task,
+    udf_lowering,
 )
 from repro.engine.runtime.task import (
     STEP_FILTER,
@@ -25,6 +32,9 @@ from repro.engine.runtime.task import (
 )
 from repro.engine.validate import trace_signature
 from repro.engine.work import Weighted
+from repro.errors import UdfError
+from repro.lang import nested_udf
+from tests.engine.runtime.test_vector_pipeline import compiled_task
 
 
 # Module-level UDFs: provably pure, with recoverable source.
@@ -155,6 +165,261 @@ class TestGeneratedSource:
         assert source.count("for ") == 3
 
 
+# UDFs for TestLowering.  Every name a generated loop uses for itself
+# appears below as a parameter or a captured name.
+
+
+def _shadowing_steps(_out, _n, _c3, _append):
+    def add(_v0):
+        return _v0 + _out
+
+    def keep(_v1):
+        return _v1 % _n != _c3
+
+    def pair(_v0):
+        return (_v0, _append)
+
+    def fold(_part):
+        return _part[0] * _part[1] + _out
+
+    return _steps(
+        (STEP_MAP, add), (STEP_FILTER, keep), (STEP_FILTER, keep),
+        (STEP_FILTER, keep), (STEP_FILTER, keep), (STEP_MAP, pair),
+        (STEP_MAP, fold),
+    )
+
+
+def _adder(k):
+    return lambda x: x + k
+
+
+def bin(x):  # a module global shadowing a builtin
+    return x + 1000
+
+
+def _shadowed_builtin(x):
+    return bin(x)
+
+
+_OFFSET = 1
+
+
+def _offset(x):
+    return x + _OFFSET
+
+
+def _with_default(x, k=3):
+    return x + k
+
+
+def _two_statements(x):
+    y = x + 1
+    return y * 2
+
+
+def _documented(x):
+    """A docstring is not a second statement."""
+    return x * 2
+
+
+class _Scaler:
+    def __init__(self, k):
+        self.k = k
+
+    def scale(self, x):
+        return x * self.k
+
+
+@nested_udf
+def _rewritten(x):
+    return x + 1
+
+
+def _to_pair(x):
+    return (x, x * 0.5)
+
+
+def _last(r):
+    return (r[-1], r[0])
+
+
+def _past(r):
+    return (r[0], r[2])
+
+
+def _starred(r):
+    return (*r, r[0])
+
+
+def _first_and_all(r):
+    return (r[0], r)
+
+
+def _keep_even_key(r):
+    return r[0] % 2 == 0
+
+
+def _sum_fields(r):
+    return r[0] + r[1]
+
+
+def _undefined_name(x):
+    return x + _never_defined  # noqa: F821
+
+
+class TestLowering:
+    """Which steps lose their call, and that a lowered step means what
+    its call meant.  ``compiled_task`` lowers past the gate, so a step
+    the gate would refuse can still show its lowering verdict."""
+
+    def test_single_expressions_are_substituted_not_called(self):
+        steps = _steps((STEP_MAP, _double), (STEP_FILTER, _odd2),
+                       (STEP_FLATMAP, _pair), (STEP_MAP, _documented))
+        task, reason = plan_compiled_task(steps)
+        assert reason is None
+        assert "_udfs[" not in task.source
+        assert task(list(range(30))) == FusedPipelineTask(steps)(
+            list(range(30))
+        )
+
+    def test_names_equal_to_generated_locals_do_not_collide(self):
+        steps = _shadowing_steps(5, 3, 1, 0.5)
+        task, reason = plan_compiled_task(steps)
+        assert reason is None
+        assert "_udfs[" not in task.source
+        for name in ("_out", "_n", "_c3", "_append"):
+            assert "__%s" % name.lstrip("_") in task.source  # renamed
+        part = list(range(50))
+        assert task(part) == FusedPipelineTask(steps)(part)
+        assert task(part)[0] == [
+            (x + 5) * 0.5 + 5 for x in part if (x + 5) % 3 != 1
+        ]
+
+    def test_closures_of_one_code_object_keep_their_own_constants(self):
+        clear_compiled_cache()
+        small = _steps((STEP_MAP, _adder(1)), (STEP_MAP, _adder(10)))
+        large = _steps((STEP_MAP, _adder(100)), (STEP_MAP, _adder(1000)))
+        task_small, _ = plan_compiled_task(small)
+        task_large, _ = plan_compiled_task(large)
+        # One key, one compiled function, two sets of bindings.
+        assert task_small.key == task_large.key
+        assert compiled_cache_size() == 1
+        assert "_udfs[" not in task_small.source
+        assert task_small([0, 1])[0] == [11, 12]
+        assert task_large([0, 1])[0] == [1100, 1101]
+        assert task_small([0, 1])[0] == [11, 12]
+
+    def test_a_global_shadowing_a_builtin_is_the_one_read(self):
+        steps = _steps((STEP_MAP, _shadowed_builtin))
+        task, reason = plan_compiled_task(steps)
+        assert reason is None and "_udfs[" not in task.source
+        assert task([1, 2])[0] == [1001, 1002]
+
+    def test_a_global_rebound_between_two_ops_is_seen(self, monkeypatch):
+        steps = _steps((STEP_MAP, _offset))
+        task, reason = plan_compiled_task(steps)
+        assert reason is None and "_udfs[" not in task.source
+        assert task([1])[0] == [2]
+        monkeypatch.setattr(sys.modules[__name__], "_OFFSET", 40)
+        task, _ = plan_compiled_task(steps)
+        assert task([1])[0] == [41]
+
+    def test_a_name_that_stopped_resolving_fails_as_the_call_would(
+        self, monkeypatch
+    ):
+        steps = _steps((STEP_MAP, _offset))
+        task, _ = plan_compiled_task(steps)
+        monkeypatch.delattr(sys.modules[__name__], "_OFFSET")
+        with pytest.raises(UdfError) as err:
+            task([1])
+        assert isinstance(err.value.original, NameError)
+        assert err.value.operator == "offset#0"
+
+    @pytest.mark.parametrize("fn, reason", [
+        (_with_default, "default argument"),
+        (_two_statements, "2 statements"),
+        (functools.partial(_double), "partial"),
+        (_Scaler(3).scale, "bound method"),
+        (_rewritten, "rewritten by @nested_udf"),
+        (_undefined_name, "unresolved name _never_defined"),
+        (lambda x: [y for y in x], "comprehension"),
+        (lambda x: (z := x) + z, "assignment expression"),
+        (lambda x, *rest: x, "not one plain parameter"),
+        (len, "not a plain function"),
+    ], ids=lambda value: getattr(value, "__name__", None) or str(value))
+    def test_everything_else_keeps_its_call(self, fn, reason):
+        assert udf_lowering(fn) == (None, reason)
+        source = generate_source([STEP_MAP], [udf_lowering(fn)[0]])
+        assert "_v1 = _f0(_v0)" in source
+
+    def test_kept_calls_sit_between_lowered_steps(self):
+        steps = [
+            (STEP_MAP, _to_pair, "to_pair"),
+            (STEP_FILTER, _keep_even_key, "keep"),
+            (STEP_MAP, functools.partial(_last), "last"),
+            (STEP_MAP, _Scaler(2).scale, "scale"),
+            (STEP_MAP, _documented, "documented"),
+        ]
+        task, reason = plan_compiled_task(steps)
+        assert reason is None
+        part = list(range(20))
+        assert task(part) == FusedPipelineTask(steps)(part)
+        assert "_f2(" in task.source and "_f3(" in task.source
+        assert "_f0" not in task.source and "_f1" not in task.source
+        compiled = compiled_pipeline(task.key, task.source)
+        assert compiled.fields == (0,)
+        assert compiled.env == ()
+        assert lowering_note(task) == (
+            "lowered 3/5, fields 1; last: partial; scale: bound method"
+        )
+
+    @pytest.mark.parametrize("tail", [
+        [_last], [_past], [_starred], [_first_and_all],
+        [_keep_even_key], [_keep_even_key, functools.partial(_last)],
+        [_sum_fields], [_last, _sum_fields],
+    ], ids=lambda fns: "+".join(
+        getattr(fn, "__name__", "partial") for fn in fns
+    ))
+    def test_tuples_are_whole_wherever_the_call_saw_them_whole(self, tail):
+        # A tuple display feeds: a negative and an out-of-range constant
+        # subscript, a starred display, a whole-value use, the chain's
+        # end (through a filter) and a kept call.
+        steps = [(STEP_MAP, _to_pair, "to_pair")] + [
+            (STEP_FILTER if fn is _keep_even_key else STEP_MAP, fn,
+             "step-%d" % index)
+            for index, fn in enumerate(tail)
+        ]
+        part = list(range(12))
+        try:
+            want = FusedPipelineTask(steps)(part)
+        except UdfError as err:
+            with pytest.raises(UdfError) as got:
+                compiled_task(steps)(part)
+            assert got.value.operator == err.operator
+            assert type(got.value.original) is type(err.original)
+        else:
+            assert compiled_task(steps)(part) == want
+
+    def test_a_dropped_record_never_builds_its_tuple(self):
+        steps = _steps((STEP_MAP, _to_pair), (STEP_FILTER, _keep_even_key))
+        source = compiled_task(steps).source
+        # Fields first, the filter on a field, the tuple only for the
+        # output.
+        assert source.index("continue") < source.index("_append((")
+        assert source.count("(_v0, ") == 1
+
+    def test_the_key_says_which_steps_are_lowered(self):
+        # One AST fingerprint, two sources: the key must tell them apart.
+        plain = _steps((STEP_MAP, _double))
+        wrapped = [(STEP_MAP, functools.partial(_double), "double#0")]
+        task_plain, _ = plan_compiled_task(plain)
+        task_wrapped, _ = plan_compiled_task(wrapped)
+        assert task_plain.key != task_wrapped.key
+        assert "_f0(" in task_wrapped.source
+        assert "_f0(" not in task_plain.source
+        assert task_plain([1, 2]) == task_wrapped([1, 2])
+
+
 class TestCompiledTask:
     def test_pickles_without_compiled_state(self):
         steps = _steps((STEP_MAP, _double), (STEP_FILTER, _odd))
@@ -163,6 +428,24 @@ class TestCompiledTask:
         assert isinstance(clone, CompiledPipelineTask)
         assert clone.key == task.key
         assert clone(list(range(10))) == task(list(range(10)))
+
+    def test_lowered_bindings_resolve_in_a_process_worker(self):
+        steps = _steps((STEP_MAP, _adder(7)), (STEP_MAP, _offset))
+        task, reason = plan_compiled_task(steps)
+        assert reason is None and "_udfs[" not in task.source
+        from repro.engine.runtime.backends import ProcessPoolBackend
+        from repro.engine.runtime.task import Invocation
+
+        backend = ProcessPoolBackend(num_workers=2)
+        try:
+            outcomes = backend.run_invocations([
+                Invocation(task, ([index, 10],), index)
+                for index in range(2)
+            ])
+        finally:
+            backend.close()
+        assert [o.value[0] for o in outcomes] == [[8, 18], [9, 18]]
+        assert os.getpid() not in [o.worker_pid for o in outcomes]
 
     def test_cache_reused_across_instances(self):
         clear_compiled_cache()
@@ -215,6 +498,7 @@ class TestEngineIntegration:
             assert len(decisions) == 1
             assert decisions[0].choice == "compile"
             assert "compiled as" in decisions[0].detail
+            assert decisions[0].detail.endswith("; lowered 3/3")
 
     def test_fallback_reason_recorded(self):
         with self._run() as ctx:
@@ -262,6 +546,7 @@ class TestEngineIntegration:
             )
             text = bag.explain(compile=True)
             assert "compiled=yes(" in text
+            assert "; lowered 2/2)" in text
             impure = ctx.bag_of(range(10)).map(_impure)
             text = impure.explain(compile=True)
             assert "compiled=no(" in text
