@@ -401,7 +401,9 @@ class Bag:
         whether the chain *may* run as a generated specialized loop,
         how many of its UDFs the loop would substitute for their call
         (and why each other one keeps it), and if not, why it stays on
-        the interpreter.  ``yes`` is the compile gate's verdict, not a
+        the interpreter.  Under a ``reduce_by_key`` the chain's task is
+        the map-side combine too, and the note ends in ``fold lowered``
+        or ``fold called: <reason>``.  ``yes`` is the compile gate's verdict, not a
         promise: the executor only compiles a chain whose task set is
         large enough (steps x input records reaches
         :data:`repro.engine.codegen.COMPILE_MIN_RECORD_STEPS`), and a

@@ -74,6 +74,7 @@ from .runtime.task import (
     STEP_FLATMAP,
     STEP_MAP,
     CompiledPipelineTask,
+    require_keyed,
 )
 from .work import Weighted
 
@@ -175,25 +176,52 @@ def chain_compilability(steps):
     whether the UDF is lowered into the loop or called: together they
     determine the generated source.
     """
-    key, _lowerings, reason = _plan_chain(steps)
+    key, _lowerings, _tail, reason = _plan_chain(steps)
     return key, reason
 
 
-def _plan_chain(steps):
-    """``(key, lowerings, None)`` or ``(None, None, reason)``;
-    ``lowerings[i]`` is step ``i``'s :class:`Lowering`, or ``None``
-    where the generated loop keeps the call."""
+def _plan_chain(steps, fold=None):
+    """``(key, lowerings, tail, None)`` or ``(None, None, None,
+    reason)``; ``lowerings[i]`` is step ``i``'s :class:`Lowering`, or
+    ``None`` where the generated loop keeps the call.
+
+    ``tail`` is how the loop ends (:func:`generate_source`'s ``fold``)
+    for a chain whose task folds its output with the reducer
+    ``fold[0]``: the reducer's :class:`Lowering`, ``True`` where the
+    loop calls it, and ``None`` -- the loop outputs records and the
+    task folds them afterwards -- when there is no fold or the reducer
+    fails the gate every step has to pass.  A reducer never keeps a
+    chain from compiling; one the loop folds with is part of the key.
+    """
     parts = []
     lowerings = []
     for kind, fn, operator in steps:
         facts = facts_for(fn)
         fingerprint, reason = _udf_compilability(fn, facts)
         if fingerprint is None:
-            return None, None, "%s %s" % (operator, reason)
+            return None, None, None, "%s %s" % (operator, reason)
         lowering, _kept = udf_lowering(fn, facts)
         parts.append((_STEP_NAMES[kind], fingerprint, lowering is not None))
         lowerings.append(lowering)
-    return chain_fingerprint(parts), lowerings, None
+    tail = None
+    if fold is not None:
+        fingerprint, tail, _reason = _plan_fold(fold[0])
+        if tail is not None:
+            parts.append(("fold", fingerprint, tail is not True))
+    return chain_fingerprint(parts), lowerings, tail, None
+
+
+def _plan_fold(fn):
+    """``(fingerprint, tail, reason)`` for the reducer ``fn``: ``tail``
+    as in :func:`_plan_chain`, and why it is not a :class:`Lowering` --
+    the gate's reason (``tail`` is ``None``) or the reason the loop
+    keeps the call (``tail`` is ``True``)."""
+    facts = facts_for(fn)
+    fingerprint, reason = _udf_compilability(fn, facts)
+    if fingerprint is None:
+        return None, None, reason
+    lowering, reason = udf_lowering(fn, facts, arity=2)
+    return fingerprint, lowering or True, reason
 
 
 def _udf_compilability(fn, facts):
@@ -240,10 +268,11 @@ def chain_fingerprint(parts):
 
 
 #: A UDF the generator may substitute for its call: the body is the one
-#: expression ``expr`` over the parameter ``param`` and the free
-#: ``names``, each of which resolves.  ``expr`` is the UDF's shared AST:
-#: read-only, the generator rewrites a copy.
-Lowering = collections.namedtuple("Lowering", "param expr names")
+#: expression ``expr`` over the parameters ``params`` (one for a step,
+#: two for a reducer) and the free ``names``, each of which resolves.
+#: ``expr`` is the UDF's shared AST: read-only, the generator rewrites
+#: a copy.
+Lowering = collections.namedtuple("Lowering", "params expr names")
 
 
 #: Expression nodes that open a scope of their own (their names would
@@ -261,13 +290,14 @@ _NOT_LOWERED = {
 }
 
 
-def udf_lowering(fn, facts=None):
+def udf_lowering(fn, facts=None, arity=1):
     """``(Lowering, None)`` when ``fn``'s body can stand in the
     generated loop in place of a call to it, else ``(None, reason)``.
 
     Lowered: a plain function (no ``partial``, bound method or
     ``@nested_udf`` rewrite -- their call is not their body) of exactly
-    one parameter, no defaults, whose body is one expression (a lambda,
+    ``arity`` parameters (one for a step, two for a ``reduce_by_key``'s
+    reducer), no defaults, whose body is one expression (a lambda,
     or a ``def`` of one ``return``, docstring aside) that opens no
     nested scope and binds nothing, and whose every free name resolves
     (:func:`repro.udf.resolve`) today.  The verdict is kept with the
@@ -284,10 +314,12 @@ def udf_lowering(fn, facts=None):
         return None, "rewritten by @nested_udf"
     if facts is None:
         facts = facts_for(fn)
-    return facts.derive(("lowering",), lambda facts: _lower(fn, facts.node))
+    return facts.derive(
+        ("lowering", arity), lambda facts: _lower(fn, facts.node, arity)
+    )
 
 
-def _lower(fn, node):
+def _lower(fn, node, arity):
     if isinstance(node, ast.Lambda):
         expr = node.body
     elif isinstance(node, ast.FunctionDef):
@@ -303,11 +335,14 @@ def _lower(fn, node):
     if args.defaults or any(args.kw_defaults):
         return None, "default argument"
     if (
-        len(args.posonlyargs) + len(args.args) != 1
+        len(args.posonlyargs) + len(args.args) != arity
         or args.vararg or args.kwonlyargs or args.kwarg
     ):
-        return None, "not one plain parameter"
-    param = (args.posonlyargs + args.args)[0].arg
+        return None, "not %s" % (
+            "one plain parameter" if arity == 1
+            else "%d plain parameters" % arity
+        )
+    params = tuple(arg.arg for arg in args.posonlyargs + args.args)
     names = []
     for sub in ast.walk(expr):
         reason = _NOT_LOWERED.get(type(sub))
@@ -315,7 +350,7 @@ def _lower(fn, node):
             return None, reason
         if isinstance(sub, ast.Name):
             name = sub.id
-            if name != param and name not in names:
+            if name not in params and name not in names:
                 names.append(name)
         elif isinstance(sub, ast.Attribute):
             name = sub.attr
@@ -327,7 +362,7 @@ def _lower(fn, node):
     # The node was found by position; lower only what the code agrees
     # with, and only names the call would find too.
     code = fn.__code__
-    if code.co_varnames[:1] != (param,):
+    if code.co_varnames[:arity] != params:
         return None, "source does not match code"
     cells = closure_bindings(fn)
     for name in names:
@@ -337,14 +372,16 @@ def _lower(fn, node):
             resolve(fn, name)
         except NameError:
             return None, "unresolved name %s" % name
-    return Lowering(param, expr, tuple(names)), None
+    return Lowering(params, expr, tuple(names)), None
 
 
 def lowering_note(task):
     """What the generator did with a planned chain's UDFs, for the
     ``compiled-pipeline`` decision and ``explain(compile=True)``:
     ``lowered k/n``, ``fields m`` when ``m`` maps keep their tuple's
-    elements in locals, then ``<operator>: <reason>`` per kept call."""
+    elements in locals, then ``<operator>: <reason>`` per kept call,
+    then -- for a chain that folds -- ``fold lowered`` or ``fold
+    called: <reason>``."""
     kept = []
     for _kind, fn, operator in task.steps:
         lowering, reason = udf_lowering(fn)
@@ -355,6 +392,11 @@ def lowering_note(task):
     fields = compiled_pipeline(task.key, task.source).fields
     if fields:
         note += ", fields %d" % len(fields)
+    if task.fold is not None:
+        reason = _plan_fold(task.fold[0])[2]
+        kept.append(
+            "fold lowered" if reason is None else "fold called: %s" % reason
+        )
     return "; ".join([note] + kept)
 
 
@@ -393,47 +435,54 @@ def _field_read(node, param, arity):
 
 
 class _Substitute(ast.NodeTransformer):
-    """Rewrite (a copy of) a lowered body into the loop's locals: the
-    parameter becomes the current value -- a field's local where the
-    body reads ``param[k]`` of a tuple kept apart -- and every other
-    name the hygienic local ``prefix + name``.  No name of the UDF's
-    survives, so nothing it is called can capture a generated local.
-    ``whole`` records whether the value was read other than by field.
+    """Rewrite (a copy of) a lowered body into the loop's locals: each
+    parameter becomes what ``params`` maps it to -- a :class:`_Value`
+    (its local, or a field's local where the body reads ``param[k]`` of
+    a tuple kept apart) or an expression node to stand in its place --
+    and every other name the hygienic local ``prefix + name``.  No name
+    of the UDF's survives, so nothing it is called can capture a
+    generated local.  ``whole`` records whether a :class:`_Value` was
+    read other than by field.
     """
 
-    def __init__(self, param, value, prefix):
-        self.param = param
-        self.value = value
+    def __init__(self, params, prefix):
+        self.params = params
         self.prefix = prefix
         self.whole = False
 
     def visit_Subscript(self, node):
-        fields = self.value.fields or ()
-        field = _field_read(node, self.param, len(fields))
-        if field is None:
-            return self.generic_visit(node)
-        return ast.Name(fields[field], ast.Load())
+        value = node.value
+        if isinstance(value, ast.Name):
+            fields = getattr(self.params.get(value.id), "fields", None)
+            field = _field_read(node, value.id, len(fields or ()))
+            if field is not None:
+                return ast.Name(fields[field], ast.Load())
+        return self.generic_visit(node)
 
     def visit_Name(self, node):
-        if node.id == self.param:
-            self.whole = True
-            return ast.Name(self.value.name, ast.Load())
-        return ast.Name(self.prefix + node.id, ast.Load())
+        value = self.params.get(node.id)
+        if value is None:
+            return ast.Name(self.prefix + node.id, ast.Load())
+        if isinstance(value, ast.AST):
+            return value
+        self.whole = True
+        return ast.Name(value.name, ast.Load())
 
 
 def _reads_only_fields(lowering, arity):
     """Does the lowered body read its parameter, and only as
     ``param[k]`` with a constant ``0 <= k < arity``?"""
+    (param,) = lowering.params
     reads = fields = 0
     for node in ast.walk(lowering.expr):
-        if isinstance(node, ast.Name) and node.id == lowering.param:
+        if isinstance(node, ast.Name) and node.id == param:
             reads += 1
-        elif _field_read(node, lowering.param, arity) is not None:
+        elif _field_read(node, param, arity) is not None:
             fields += 1
     return reads == fields > 0
 
 
-def generate_source(kinds, lowerings=(), name="_pipeline"):
+def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
     """Python source of the specialized loop for a chain.
 
     ``lowerings[i]`` is step ``i``'s :class:`Lowering` or ``None``
@@ -455,6 +504,21 @@ def generate_source(kinds, lowerings=(), name="_pipeline"):
     the whole value -- a kept call, any other use of the parameter, the
     output -- so a record a filter drops never allocates one.  ``_FIELDS``
     lists those maps' step indices.
+
+    ``fold`` makes the loop the map-side combine of the
+    ``reduce_by_key`` above the chain as well: instead of appending
+    each output record it folds it into the dict ``_acc`` -- ``if _k in
+    _acc: _acc[_k] = <reduction> else: _acc[_k] = _x`` -- and returns
+    ``list(_acc.items())`` for ``_out``.  ``fold`` is the reducer's
+    two-parameter :class:`Lowering`, whose expression then stands where
+    ``<reduction>`` does (the accumulator's parameter read as
+    ``_acc[_k]``), or ``True`` to call the reducer, ``_udfs[len(kinds)]``.
+    The fold reads a last map's tuple display of two elements as two
+    fields, so no pair is built; any other record is checked to be a
+    pair (``_require_keyed``, which the compiled module is given) and
+    taken apart.  ``_FOLD`` says ``"lowered"``, ``"called"`` or
+    ``None``.  What makes the dict raise -- an unhashable key -- is the
+    interpreter's to report, like every other failure of the loop.
     """
     num = len(kinds)
     if num == 0:
@@ -485,6 +549,15 @@ def generate_source(kinds, lowerings=(), name="_pipeline"):
             value.whole = True
         return value.name
 
+    def read_by_field(i, arity):
+        """Does what takes step ``i - 1``'s tuple of ``arity`` elements
+        -- step ``i``, or the fold -- only read it element by element?"""
+        if i == num:
+            return fold is not None and arity == 2
+        return lowerings[i] is not None and _reads_only_fields(
+            lowerings[i], arity
+        )
+
     for i, kind in enumerate(kinds):
         if kind not in _STEP_NAMES:
             raise ValueError("unknown step kind %r" % (kind,))
@@ -495,7 +568,7 @@ def generate_source(kinds, lowerings=(), name="_pipeline"):
             expr = None
             text = "_f%d(%s)" % (i, whole())
         else:
-            rewrite = _Substitute(lowering.param, value, "_g%d_" % i)
+            rewrite = _Substitute({lowering.params[0]: value}, "_g%d_" % i)
             expr = rewrite.visit(copy.deepcopy(lowering.expr))
             if rewrite.whole:
                 whole()
@@ -505,12 +578,10 @@ def generate_source(kinds, lowerings=(), name="_pipeline"):
                 text = "(%s)" % text  # ``not a if c else b`` binds wrong
         pad = "    " * indent
         if kind == STEP_MAP:
-            following = lowerings[i + 1] if i + 1 < num else None
             if (
                 isinstance(expr, ast.Tuple)
                 and not any(isinstance(e, ast.Starred) for e in expr.elts)
-                and following is not None
-                and _reads_only_fields(following, len(expr.elts))
+                and read_by_field(i + 1, len(expr.elts))
             ):
                 scalarised.append(i)
                 fields = []
@@ -538,37 +609,90 @@ def generate_source(kinds, lowerings=(), name="_pipeline"):
         if i in counted:
             lines.append("%s_c%d += 1" % ("    " * indent, i))
             current = "_c%d" % i
-    if value.whole:
-        output = value.name
+    pad = "    " * indent
+    if fold is None:
+        if value.whole:
+            output = value.name
+        else:
+            output = "(%s,)" % ", ".join(value.fields)
+        lines.append("%s_append(%s)" % (pad, output))
+        lines.append("    return _out, [%s]" % ", ".join(count_exprs))
     else:
-        output = "(%s,)" % ", ".join(value.fields)
-    lines.append("%s_append(%s)" % ("    " * indent, output))
-    lines.append("    return _out, [%s]" % ", ".join(count_exprs))
+        if value.fields is not None and len(value.fields) == 2:
+            key, item = value.fields
+        else:
+            key, item = "_k", "_x"
+            pair = whole()
+            lines.extend([
+                "%sif %s.__class__ is not tuple or len(%s) != 2:"
+                % (pad, pair, pair),
+                "%s    _require_keyed(%s)" % (pad, pair),
+                "%s_k, _x = %s" % (pad, pair),
+            ])
+        slot = "_acc[%s]" % key
+        lines.append("%sif %s in _acc:" % (pad, key))
+        if fold is True:
+            reduction = "_r(%s, %s)" % (slot, item)
+        else:
+            # The accumulator is read where the body reads it -- nothing
+            # in a lowered body can write ``_acc`` -- and only once.
+            into, other = fold.params
+            reads = sum(
+                isinstance(sub, ast.Name) and sub.id == into
+                for sub in ast.walk(fold.expr)
+            )
+            if reads > 1:
+                lines.append("%s    _a = %s" % (pad, slot))
+            rewrite = _Substitute(
+                {
+                    into: ast.parse(
+                        "_a" if reads > 1 else slot, mode="eval"
+                    ).body,
+                    other: ast.Name(item, ast.Load()),
+                },
+                "_g%d_" % num,
+            )
+            reduction = ast.unparse(
+                rewrite.visit(copy.deepcopy(fold.expr))
+            )
+            env.extend((num, free) for free in fold.names)
+        lines.extend([
+            "%s    %s = %s" % (pad, slot, reduction),
+            "%selse:" % pad,
+            "%s    %s = %s" % (pad, slot, item),
+            "    return list(_acc.items()), [%s]" % ", ".join(count_exprs),
+        ])
     head = [
         "_ENV = %r" % (tuple(env),),
         "_FIELDS = %r" % (tuple(scalarised),),
+        "_FOLD = %r" % (
+            None if fold is None
+            else "called" if fold is True else "lowered",
+        ),
         "def %s(_part, _udfs, _env):" % name,
     ]
     head.extend(
         "    _f%d = _udfs[%d]" % (i, i)
         for i in range(num) if lowerings[i] is None
     )
+    if fold is True:
+        head.append("    _r = _udfs[%d]" % num)
     if env:
         head.append("    %s = _env" % "".join(
             "_g%d_%s, " % pair for pair in env
         ))
-    head.extend([
-        "    _out = []",
-        "    _append = _out.append",
-        "    _n = len(_part)",
-    ])
+    if fold is None:
+        head.extend(["    _out = []", "    _append = _out.append"])
+    else:
+        head.append("    _acc = {}")
+    head.append("    _n = len(_part)")
     head.extend("    _c%d = 0" % i for i in counted)
     return "\n".join(head + lines) + "\n"
 
 
 #: A compiled chain: the loop function, the text it was compiled from,
-#: and the text's two constants (see :func:`generate_source`).
-Compiled = collections.namedtuple("Compiled", "fn source env fields")
+#: and the text's three constants (see :func:`generate_source`).
+Compiled = collections.namedtuple("Compiled", "fn source env fields fold")
 
 
 def compiled_pipeline(key, source, name="_pipeline"):
@@ -578,12 +702,12 @@ def compiled_pipeline(key, source, name="_pipeline"):
         with _COMPILED_LOCK:
             entry = _COMPILED.get(key)
             if entry is None:
-                namespace = {}
+                namespace = {"_require_keyed": require_keyed}
                 code = compile(source, "<repro.codegen %s>" % key, "exec")
                 exec(code, namespace)
                 entry = _COMPILED[key] = Compiled(
-                    namespace[name], source,
-                    namespace["_ENV"], namespace["_FIELDS"],
+                    namespace[name], source, namespace["_ENV"],
+                    namespace["_FIELDS"], namespace["_FOLD"],
                 )
     return entry
 
@@ -618,9 +742,11 @@ def chain_steps(chain):
     return [(_STEP_KINDS[type(op)], op.fn, p.origin(op)) for op in chain]
 
 
-def plan_compiled_task(steps, tracer=None):
-    """A :class:`CompiledPipelineTask` for ``steps``, or
-    ``(None, reason)`` when the chain must stay interpreted.
+def plan_compiled_task(steps, tracer=None, fold=None):
+    """A :class:`CompiledPipelineTask` for ``steps`` -- with the tail
+    ``fold=(reducer, operator)`` when the chain's task is the map-side
+    combine of a ``reduce_by_key`` too -- or ``(None, reason)`` when
+    the chain must stay interpreted.
 
     Compilation happens at most once per chain key per process; a
     cache hit builds the (cheap, picklable) task object from the
@@ -630,12 +756,12 @@ def plan_compiled_task(steps, tracer=None):
 
     Returns ``(task, None)`` or ``(None, reason)``.
     """
-    key, lowerings, reason = _plan_chain(steps)
+    key, lowerings, tail, reason = _plan_chain(steps, fold)
     if key is None:
         return None, reason
     entry = _COMPILED.get(key)
     if entry is not None:
-        return CompiledPipelineTask(steps, entry.source, key), None
+        return CompiledPipelineTask(steps, entry.source, key, fold), None
     kinds = [kind for kind, _fn, _operator in steps]
     if tracer is not None and tracer.enabled:
         from ..observe.events import KIND_CODEGEN
@@ -648,13 +774,13 @@ def plan_compiled_task(steps, tracer=None):
             steps=len(steps),
             key=key,
         ) as args:
-            source = generate_source(kinds, lowerings)
+            source = generate_source(kinds, lowerings, fold=tail)
             compiled_pipeline(key, source)
             args["source_lines"] = source.count("\n")
     else:
-        source = generate_source(kinds, lowerings)
+        source = generate_source(kinds, lowerings, fold=tail)
         compiled_pipeline(key, source)
-    return CompiledPipelineTask(steps, source, key), None
+    return CompiledPipelineTask(steps, source, key, fold), None
 
 
 # ----------------------------------------------------------------------
@@ -675,11 +801,12 @@ def compile_notes(root):
     for unit in dag.plan_units(root):
         if unit.chain is None:
             continue
-        task, reason = plan_compiled_task(chain_steps(unit.chain))
+        task, reason = plan_compiled_task(
+            chain_steps(unit.chain), fold=unit.fold
+        )
         if task is not None:
-            notes[id(unit.node)] = "compiled=yes(%s; %s)" % (
-                task.key, lowering_note(task)
-            )
+            note = "compiled=yes(%s; %s)" % (task.key, lowering_note(task))
         else:
-            notes[id(unit.node)] = "compiled=no(%s)" % reason
+            note = "compiled=no(%s)" % reason
+        notes[id(unit.chain[-1])] = note
     return notes

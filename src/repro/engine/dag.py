@@ -1,7 +1,9 @@
 """Evaluation units: the plan, linearized, with its dispatch ordinals.
 
 The executor evaluates a plan as a sequence of **evaluation units** --
-one fused elementwise chain or one non-fusable node each.  This module
+one fused elementwise chain or one non-fusable node each, and a
+``reduce_by_key`` on top of a chain it may fuse *with* that chain as one
+unit (the map-side combine rides in the chain's task).  This module
 derives the units (:func:`plan_units`) and their dispatch-ordinal
 reservations *before anything runs*; the executor then runs them one at
 a time, in plan order, on the calling thread
@@ -38,7 +40,10 @@ class EvalUnit:
     Attributes:
         node: The plan node the unit produces a result for (for fused
             chains, the top of the chain).
-        chain: The fused elementwise chain bottom-up, or ``None``.
+        chain: The fused elementwise chain bottom-up, or ``None``.  When
+            ``node`` is a ``ReduceByKey`` this is the chain *below* it:
+            the unit runs chain and map-side combine as one task set,
+            then the shuffle and the reduce side.
         cached: True when the node was already materialized at planning
             time (the unit just re-registers the cached partitions).
         ordinal_offset: First dispatch ordinal reserved for this unit,
@@ -57,6 +62,15 @@ class EvalUnit:
         self.cached = cached
         self.ordinal_offset = 0
         self.ordinal_budget = 0
+
+    @property
+    def fold(self):
+        """``(reducer, operator)`` when the unit's chain carries the
+        map-side combine of its ``ReduceByKey`` as a tail, else
+        ``None``."""
+        if self.chain is None or self.node.fusable:
+            return None
+        return self.node.fn, p.origin(self.node)
 
     @property
     def label(self):
@@ -136,7 +150,7 @@ def dep_order(node):
     return tuple(node.children)
 
 
-def fused_chain(node, refcounts, state):
+def fused_chain(node, refcounts, state, unfused=()):
     """The maximal fusable elementwise chain ending at ``node``.
 
     Returns the chain bottom-up (``chain[0]`` closest to the data)
@@ -145,10 +159,19 @@ def fused_chain(node, refcounts, state):
     by another parent (those must produce a memoized result of
     their own).  ``cached`` / ``materialized`` come from the walk's
     :func:`snapshot_plan_state`, never from the live node.
+
+    A ``ReduceByKey`` ends a chain under the same rule: when its child
+    may be fused into, the chain returned is the one ending at the
+    child, and the unit folds its output map-side in the same task.
+    Not when its id is in ``unfused`` (its shuffle is planned away:
+    there is one combine pass, on the stage the operator opens).
     """
-    if not node.fusable:
+    if node.fusable:
+        chain = [node]
+    elif isinstance(node, p.ReduceByKey) and id(node) not in unfused:
+        chain = []
+    else:
         return None
-    chain = [node]
     child = node.child
     while True:
         cached, materialized = state[id(child)]
@@ -162,7 +185,7 @@ def fused_chain(node, refcounts, state):
         chain.append(child)
         child = child.child
     chain.reverse()
-    return chain
+    return chain or None
 
 
 def _dispatch_budget(unit):
@@ -171,25 +194,29 @@ def _dispatch_budget(unit):
     Must cover every evaluation path: ``ReduceByKey`` dispatches twice
     (map-side combine + reduce) unless its shuffle is elided, so it
     reserves two either way -- runtime elision then leaves an unused
-    ordinal rather than shifting every later stage's address.
+    ordinal rather than shifting every later stage's address.  Fused
+    with the chain below it, the unit reserves the chain's ordinal and
+    then those same two, in that order: the chain-and-fold task set
+    draws the chain's, the map-side combine's is the gap, and every
+    later address is what it would be unfused.
     """
     if unit.cached or unit.chain is None and isinstance(
         unit.node,
         (p.Parallelize, p.ZipWithUniqueId, p.Union, p.Coalesce),
     ):
         return 0
-    if unit.chain is not None:
-        return 1
     if isinstance(unit.node, p.ReduceByKey):
-        return 2
+        return 2 if unit.chain is None else 3
     return 1
 
 
-def plan_units(root):
+def plan_units(root, unfused=()):
     """Linearize ``root``'s lineage into units, in plan order.
 
     Children before parents, broadcast build sides before stream
-    sides, fused chains collapsed into their top node: ``units[i]`` is
+    sides, fused chains collapsed into their top node -- or into the
+    ``ReduceByKey`` above it, unless its id is in ``unfused`` (the
+    executor passes its planned shuffle elisions): ``units[i]`` is
     the ``i``-th step the executor runs.  Dispatch ordinals are
     reserved cumulatively over that order.
     """
@@ -209,7 +236,7 @@ def plan_units(root):
             done.add(key)
             stack.pop()
             continue
-        chain = fused_chain(node, refcounts, state)
+        chain = fused_chain(node, refcounts, state, unfused)
         if chain is not None:
             deps = (chain[0].child,)
         else:

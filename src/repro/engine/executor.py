@@ -79,6 +79,7 @@ from .runtime.task import (
     FusedPipelineTask,
     GroupBucketTask,
     MapPartitionsTask,
+    require_hashable,
     require_keyed,
 )
 from .validate import validate_job
@@ -312,7 +313,7 @@ class Executor:
         """
         elisions = plan_shuffle_elisions(root, self.config)
         self._apply_auto_caches(root)
-        units = dag.plan_units(root)
+        units = dag.plan_units(root, unfused=elisions)
         ordinal_base = self.scheduler.reserve_ordinals(
             dag.total_ordinal_budget(units)
         )
@@ -330,9 +331,13 @@ class Executor:
         if unit.cached:
             return self._cached_result(node, job)
         if unit.chain is not None:
-            result = self._eval_fused(
-                unit.chain, results[id(unit.chain[0].child)], ordinals
-            )
+            child = results[id(unit.chain[0].child)]
+            if unit.fold is None:
+                result = self._eval_fused(unit.chain, child, ordinals)
+            else:
+                result = self._eval_reduce_by_key(
+                    node, job, child, elisions, ordinals, unit.chain
+                )
         else:
             result = self._eval_node(node, job, results, elisions, ordinals)
         if node.cached:
@@ -394,7 +399,7 @@ class Executor:
 
     # -- fused narrow elementwise chains -------------------------------
 
-    def _eval_fused(self, chain, child, ordinals):
+    def _eval_fused(self, chain, child, ordinals, fold=None):
         """Push each partition through the whole elementwise chain.
 
         One output list per partition is materialized at the fusion
@@ -417,21 +422,26 @@ class Executor:
         enough record-steps pay back.  Either way the credited counts
         -- and with them the simulated seconds -- are identical, and
         the output partitions are plain lists.
+
+        With ``fold=(reducer, operator)`` the same tasks are also the
+        map-side combine of the ``reduce_by_key`` above the chain: the
+        partitions returned are the combined ones, and the reductions'
+        declared work is credited next to the steps'.  Only the
+        elementwise steps count toward the threshold.
         """
         steps = codegen.chain_steps(chain)
         factor = self.config.sequential_work_factor
         stage = child.stage
-        task = None
+        task = FusedPipelineTask(steps, fold)
         if (
             len(steps) * sum(map(len, child.partitions))
             >= codegen.COMPILE_MIN_RECORD_STEPS
         ):
-            task, reason = codegen.plan_compiled_task(
-                steps, tracer=self.tracer
+            compiled, reason = codegen.plan_compiled_task(
+                steps, tracer=self.tracer, fold=fold
             )
-            self._record_compile_decision(steps, task, reason)
-        if task is None:
-            task = FusedPipelineTask(steps)
+            task = compiled or task
+            self._record_compile_decision(task, reason)
         results = self.scheduler.run_stage(
             task,
             [(part,) for part in child.partitions],
@@ -441,22 +451,30 @@ class Executor:
         # Fold each task's credit first -- its per-step record counts
         # plus any UDF-internal sequential work, which runs
         # record-at-a-time and is charged at the configured slowdown
-        # over the bulk rate, truncated per step -- then credit the
-        # whole set at once.
-        records, counts, works = zip(*results) if results else ((), (), ())
+        # over the bulk rate, truncated per step (and per partition's
+        # reductions) -- then credit the whole set at once.
+        records, counts, works, *fold_works = (
+            zip(*results) if results else ((), (), ())
+        )
         credits = list(map(sum, counts))
         if any(map(any, works)):
             for index, task_works in enumerate(works):
                 credits[index] += sum(
                     int(work * factor) for work in task_works
                 )
+        if fold_works and any(fold_works[0]):
+            for index, work in enumerate(fold_works[0]):
+                credits[index] += int(work * factor)
         stage.credit_task_records(credits)
         return _Result(list(records), stage)
 
-    def _record_compile_decision(self, steps, task, reason):
-        """Log one ``compiled-pipeline`` decision for a fused chain."""
-        operator = "+".join(step[2] for step in steps)
-        if task is not None:
+    def _record_compile_decision(self, task, reason):
+        """Log one ``compiled-pipeline`` decision for a planned chain:
+        ``task`` is the body it runs as, compiled iff ``reason`` is
+        ``None``."""
+        steps = task.steps
+        operator = task.operator
+        if reason is None:
             decision = Decision(
                 kind="compiled-pipeline",
                 choice="compile",
@@ -551,18 +569,19 @@ class Executor:
         result.stage.credit_task_records(written)
         return sum(written)
 
-    def _shuffle(self, result, node, job):
+    def _shuffle(self, result, node, job, combined=False):
         """Shuffle keyed partitions; returns (buckets, reduce_stage).
 
         Keys are spread over reduce buckets with a balanced assignment
         (see :func:`build_balanced_assignment`).  The concrete
         assignment is registered under the shuffle node's identity so
         later wide operators can *adopt* the layout instead of
-        re-shuffling (see :mod:`repro.engine.optimize`).
+        re-shuffling (see :mod:`repro.engine.optimize`).  ``combined``
+        as for :meth:`_key_assignment`.
         """
         origin = _origin(node)
         assignment = self._key_assignment(
-            result.partitions, node.num_partitions
+            result.partitions, node.num_partitions, combined
         )
         buckets, moved = self._bucketize(
             result, node.num_partitions, assignment
@@ -627,21 +646,30 @@ class Executor:
         with self._state_lock:
             self.decisions.append(decision)
 
-    def _key_assignment(self, parts, num_partitions):
+    def _key_assignment(self, parts, num_partitions, combined=False):
         """Balanced key -> bucket assignment over the given partitions.
 
         This pass is also where a shuffle checks its records, once:
         bucketing and the reduce-side tasks (``keyed=True``) rely on it.
+        Not when the partitions are ``combined`` -- each a map-side
+        combine's ``list(acc.items())``, pairs of hashable keys by
+        construction.
         """
         flat = itertools.chain.from_iterable
         # Plain pairs pass two C-level scans; anything else is checked
         # record by record, so the first offender is the one reported.
-        if set(map(type, flat(parts))) - {tuple} or set(
-            map(len, flat(parts))
-        ) - {2}:
+        if not combined and (
+            set(map(type, flat(parts))) - {tuple}
+            or set(map(len, flat(parts))) - {2}
+        ):
             for record in flat(parts):
                 require_keyed(record)
-        counts = collections.Counter(map(_KEY, flat(parts)))
+        try:
+            counts = collections.Counter(map(_KEY, flat(parts)))
+        except TypeError:
+            for record in flat(parts):
+                require_hashable(record[0])
+            raise
         return build_balanced_assignment(counts, num_partitions)
 
     def _combine_pass(self, task, parts, stage, ordinal):
@@ -664,7 +692,11 @@ class Executor:
             )
         return list(records)
 
-    def _eval_reduce_by_key(self, node, job, child, elisions, ordinals):
+    def _eval_reduce_by_key(self, node, job, child, elisions, ordinals,
+                            chain=None):
+        """``chain`` is the fused chain between ``child`` and ``node``
+        when the plan made them one unit (:func:`dag.plan_units`, which
+        never does for a planned elision)."""
         task = CombineTask(node.fn, _origin(node))
         elision = self._planned_elision(node, child.partitions, elisions)
         if elision is not None:
@@ -689,15 +721,23 @@ class Executor:
             return _Result(out, stage)
         # Map-side combine: reduce within each map partition first, so the
         # shuffle only moves one record per (partition, key) pair.  The
-        # same combine runs on both sides of the shuffle; the reduce
-        # side's records were checked by the shuffle.
-        combined = _Result(
-            self._combine_pass(
-                task, child.partitions, child.stage, ordinals.take()
-            ),
-            child.stage,
-        )
-        buckets, stage = self._shuffle(combined, node, job)
+        # same fold runs on both sides of the shuffle -- map-side in the
+        # chain's own tasks when the plan fused the two, which leaves
+        # the combine's ordinal a gap -- and what it builds needs no
+        # checking again, by the shuffle or the reduce side.
+        if chain is not None:
+            combined = self._eval_fused(
+                chain, child, ordinals, fold=(task.fn, task.operator)
+            )
+            ordinals.take()
+        else:
+            combined = _Result(
+                self._combine_pass(
+                    task, child.partitions, child.stage, ordinals.take()
+                ),
+                child.stage,
+            )
+        buckets, stage = self._shuffle(combined, node, job, combined=True)
         out = self._combine_pass(
             CombineTask(node.fn, _origin(node), keyed=True), buckets,
             stage, ordinals.take(),

@@ -77,6 +77,47 @@ def call_udf(operator, fn, *args):
         raise UdfError(operator, exc) from exc
 
 
+def fold_pairs(acc, records, fn, operator, unchecked=True):
+    """Fold ``(key, value)`` records into ``acc``, one entry per key,
+    with the reducer ``fn`` of the ``reduce_by_key`` named ``operator``;
+    returns the :class:`~repro.engine.work.Weighted` work the
+    reductions declared.
+
+    The one keyed fold: both sides of a ``reduce_by_key``'s shuffle run
+    it, and so does a chain's task whose tail is the map-side combine.
+    ``unchecked`` records are checked to be pairs here (tuple
+    subclasses pass); a reducer's error is a :class:`UdfError` naming
+    ``operator``, an unhashable key a :class:`PlanError`.
+    """
+    work = 0
+    key = None
+    try:
+        for record in records:
+            if unchecked and (
+                record.__class__ is not tuple or len(record) != 2
+            ):
+                require_keyed(record)  # tuple subclasses still pass
+            key, value = record
+            if key in acc:
+                try:
+                    result = fn(acc[key], value)
+                except (SimulatedOutOfMemory, UdfError):
+                    raise
+                except Exception as exc:
+                    raise UdfError(operator, exc) from exc
+                if result.__class__ is Weighted:
+                    work += result.work
+                    result = result.value
+                acc[key] = result
+            else:
+                acc[key] = value
+    except TypeError:
+        # The reducer's own are UdfErrors by now: this one is the dict's.
+        require_hashable(key)
+        raise
+    return work
+
+
 class FusedPipelineTask:
     """Push one partition through a fused map/filter/flat_map chain.
 
@@ -84,6 +125,15 @@ class FusedPipelineTask:
     Returns ``(records, counts, works)`` where ``counts[i]`` is the
     number of records operator ``i`` processed and ``works[i]`` the
     extra :class:`~repro.engine.work.Weighted` work it reported.
+
+    With a ``fold=(fn, operator)`` tail -- the chain feeds a
+    ``reduce_by_key`` -- the task is the map-side combine too: each
+    output vector is folded into one dict (:func:`fold_pairs`) instead
+    of being appended, and the task returns ``(list(acc.items()),
+    counts, works, fold_work)``: the records, in the order, that a
+    :class:`CombineTask` over the chain's output would return.  The
+    fold is the chain's last step under the rule below: within a vector
+    an earlier step's error wins over the fold's.
 
     The unit is a vector of up to :data:`VECTOR` records, not a record:
     each step maps its UDF over the whole vector in C (one ``try`` per
@@ -99,29 +149,38 @@ class FusedPipelineTask:
     and holds one vector per in-flight level.
     """
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "fold")
 
-    def __init__(self, steps):
+    def __init__(self, steps, fold=None):
         self.steps = list(steps)
+        self.fold = fold
 
     @property
     def operator(self):
-        return "+".join(step[2] for step in self.steps)
+        names = [step[2] for step in self.steps]
+        if self.fold is not None:
+            names.append(self.fold[1])
+        return "+".join(names)
 
     @property
     def udfs(self):
-        return tuple(step[1] for step in self.steps)
+        return _chain_udfs(self.steps, self.fold)
 
     def empty_result(self):
         zeros = [0] * len(self.steps)
-        return [], zeros, zeros
+        if self.fold is None:
+            return [], zeros, zeros
+        return [], zeros, zeros, 0
 
     def __call__(self, part):
         steps = self.steps
+        fold = self.fold
         num = len(steps)
         counts = [0] * num
         works = [0] * num
         out = []
+        acc = {}
+        fold_work = 0
         # An explicit iterator stack (one level per in-flight flat_map
         # expansion) keeps evaluation depth independent of chain length
         # and memory bounded by one vector per level.
@@ -157,8 +216,18 @@ class FusedPipelineTask:
                     stack.append((i, chain.from_iterable(produced)))
                     break
             else:
-                out.extend(items)
-        return out, counts, works
+                if fold is None:
+                    out.extend(items)
+                else:
+                    fold_work += fold_pairs(acc, items, *fold)
+        if fold is None:
+            return out, counts, works
+        return list(acc.items()), counts, works, fold_work
+
+
+def _chain_udfs(steps, fold):
+    udfs = tuple(step[1] for step in steps)
+    return udfs if fold is None else udfs + (fold[0],)
 
 
 class CompiledPipelineTask:
@@ -183,25 +252,37 @@ class CompiledPipelineTask:
     its key, and a name that no longer resolves fails like any other
     UDF error -- through the interpreter.  A generated text that does
     not compile is a bug of the generator's and is raised as one.
+
+    With a ``fold=(fn, operator)`` tail the task returns what
+    :class:`FusedPipelineTask` returns with one.  Where the reducer
+    passed the compile gate the loop itself ends in the dict fold (the
+    text says so, ``_FOLD``) and hands back the combined records;
+    otherwise the loop's output is folded here by :func:`fold_pairs`,
+    in the same task, after the loop -- so a re-run never repeats a
+    reduction.
     """
 
-    __slots__ = ("steps", "source", "key", "udfs", "_fn", "_env")
+    __slots__ = ("steps", "source", "key", "fold", "udfs", "_fn", "_env",
+                 "_folds")
 
-    def __init__(self, steps, source, key):
+    def __init__(self, steps, source, key, fold=None):
         self.steps = list(steps)
         self.source = source
         self.key = key
+        self.fold = fold
         # Derived per process, never pickled (see ``__reduce__``).
-        self.udfs = tuple(step[1] for step in self.steps)
+        self.udfs = _chain_udfs(self.steps, fold)
         self._fn = None
         self._env = None
+        self._folds = False
 
-    @property
-    def operator(self):
-        return "+".join(step[2] for step in self.steps)
+    operator = FusedPipelineTask.operator
 
     def __reduce__(self):
-        return (CompiledPipelineTask, (self.steps, self.source, self.key))
+        return (
+            CompiledPipelineTask,
+            (self.steps, self.source, self.key, self.fold),
+        )
 
     empty_result = FusedPipelineTask.empty_result
 
@@ -212,8 +293,12 @@ class CompiledPipelineTask:
         self._env = tuple(
             resolve(self.udfs[index], name) for index, name in compiled.env
         )
+        self._folds = compiled.fold is not None
         self._fn = compiled.fn
         return compiled.fn
+
+    def _interpret(self, part):
+        return FusedPipelineTask(self.steps, self.fold)(part)
 
     def __call__(self, part):
         fn = self._fn
@@ -223,7 +308,7 @@ class CompiledPipelineTask:
             except NameError:
                 # A lowered body's name no longer resolves: the call
                 # would raise it per record, so let the interpreter.
-                return FusedPipelineTask(self.steps)(part)
+                return self._interpret(part)
         try:
             out, counts = fn(part, self.udfs, self._env)
         except (SimulatedOutOfMemory, UdfError):
@@ -232,11 +317,19 @@ class CompiledPipelineTask:
             # The specialized loop cannot say which step failed, and it
             # takes a record through the whole chain where the
             # interpreter takes a vector through a step.  The gate
-            # proved the UDFs pure, so running the partition again is
+            # proved the UDFs pure (a reducer folded inside the loop
+            # included), so running the partition again is
             # unobservable: the interpreter raises, with its step and
             # its first-failing-step rule.
-            return FusedPipelineTask(self.steps)(part)
-        return out, counts, [0] * len(self.steps)
+            return self._interpret(part)
+        works = [0] * len(self.steps)
+        if self.fold is None:
+            return out, counts, works
+        if self._folds:
+            return out, counts, works, 0
+        acc = {}
+        work = fold_pairs(acc, out, *self.fold)
+        return list(acc.items()), counts, works, work
 
 
 class MapPartitionsTask:
@@ -298,29 +391,10 @@ class CombineTask:
         return [], 0
 
     def __call__(self, records):
-        fn = self.fn
-        unchecked = not self.keyed
-        work = 0
         acc = {}
-        for record in records:
-            if unchecked and (
-                record.__class__ is not tuple or len(record) != 2
-            ):
-                require_keyed(record)  # tuple subclasses still pass
-            key, value = record
-            if key in acc:
-                try:
-                    result = fn(acc[key], value)
-                except (SimulatedOutOfMemory, UdfError):
-                    raise
-                except Exception as exc:
-                    raise UdfError(self.operator, exc) from exc
-                if result.__class__ is Weighted:
-                    work += result.work
-                    result = result.value
-                acc[key] = result
-            else:
-                acc[key] = value
+        work = fold_pairs(
+            acc, records, self.fn, self.operator, not self.keyed
+        )
         return list(acc.items()), work
 
 
@@ -430,6 +504,15 @@ def require_keyed(record):
             "keyed operator expects (key, value) records, got %r"
             % (record,)
         )
+
+
+def require_hashable(key):
+    try:
+        hash(key)
+    except TypeError:
+        raise PlanError(
+            "keyed operator expects hashable keys, got %r" % (key,)
+        ) from None
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,10 @@ Every evaluation unit reserves its maximum dispatch count before
 anything runs (see ``repro.engine.dag``), so which dispatch a
 ``kill_task(stage=...)`` plan hits does not depend on what happened at
 run time before it: a shuffle elided on the way uses fewer ordinals
-than it reserved and leaves a gap, and the jobs of a ``ctx.gather``
-each draw one contiguous range however their stages interleave.
+than it reserved and leaves a gap, a ``reduce_by_key`` whose map-side
+combine rides in the task of the chain below it leaves the combine's,
+and the jobs of a ``ctx.gather`` each draw one contiguous range however
+their stages interleave.
 """
 
 import threading
@@ -14,14 +16,18 @@ from repro.engine import EngineContext, laptop_config
 from repro.observe.events import KIND_FAULT, KIND_STAGE
 
 
-def branching_program(ctx):
+def branching_program(ctx, fused=True):
     """A cogroup of two shuffled arms.  The left arm reduces twice by
     the same key: with ``optimize_shuffles`` the second reduce adopts
     the first one's layout and dispatches one task set instead of the
-    two it reserved."""
+    two it reserved.  The first reduce sits on a map and plans as one
+    unit with it, unless the map is cached (``fused=False``): then the
+    same three ordinals are a chain's and a two-sided reduce's."""
+    keyed = ctx.bag_of(range(24)).map(lambda x: (x % 3, x))
+    if not fused:
+        keyed = keyed.cache()
     left = (
-        ctx.bag_of(range(24))
-        .map(lambda x: (x % 3, x))
+        keyed
         .reduce_by_key(lambda a, b: a + b).with_label("first")
         .reduce_by_key(lambda a, b: a + b).with_label("second")
     )
@@ -33,7 +39,7 @@ def branching_program(ctx):
     return sorted(left.cogroup(right).collect())
 
 
-def run_with_kill(optimize_shuffles, ordinal):
+def run_with_kill(optimize_shuffles, ordinal, fused=True):
     """Run the program killing ``(ordinal, task 0)`` once.
 
     Returns ``(result, hit)``: ``hit`` is ``None`` when no dispatch drew
@@ -43,7 +49,7 @@ def run_with_kill(optimize_shuffles, ordinal):
     config = laptop_config(optimize_shuffles=optimize_shuffles)
     with EngineContext(config, trace=True) as ctx:
         ctx.fault_injector.kill_task(task_index=0, stage=ordinal)
-        result = branching_program(ctx)
+        result = branching_program(ctx, fused)
         faults = [
             event for event in ctx.tracer.events()
             if event.kind == KIND_FAULT
@@ -74,9 +80,18 @@ def test_ordinals_are_fixed_by_the_plan():
     assert all(result == expected for result, _hit in plain + elided)
     plain = [hit for _result, hit in plain]
     elided = [hit for _result, hit in elided]
-    # Unoptimized, every reserved ordinal is drawn: the second reduce
-    # combines map-side on its input's stage, then on the one it opens.
-    assert None not in plain
+    # The first reduce's map-side combine runs in the map's tasks, on
+    # the input's stage, under the chain's ordinal; the ordinal reserved
+    # for a combine task set of its own is never drawn.
+    assert plain[:3] == [
+        ("Map+ReduceByKey[first]", (0, "Parallelize")),
+        None,
+        ("ReduceByKey[first]", (0, "ReduceByKey[first]")),
+    ]
+    # Unoptimized, every other reserved ordinal is drawn: the second
+    # reduce, on no chain, combines map-side on its input's stage, then
+    # on the one it opens.
+    assert None not in plain[3:]
     reduce_side = ("ReduceByKey[second]", (0, "ReduceByKey[second]"))
     gap = plain.index(reduce_side)
     assert plain[gap - 1] == ("ReduceByKey[second]", (0, "ReduceByKey[first]"))
@@ -87,6 +102,57 @@ def test_ordinals_are_fixed_by_the_plan():
     # same stage of the same job: a gap, never a shift.
     assert elided[:gap - 1] == plain[:gap - 1]
     assert elided[gap + 1:] == plain[gap + 1:] != []
+
+
+def test_a_fused_reduce_leaves_a_gap_not_a_shift():
+    with EngineContext(laptop_config()) as ctx:
+        expected = branching_program(ctx)
+        budget = ctx.runtime.dispatch_count
+    fused, unfused = (
+        [run_with_kill(False, ordinal, fused=choice)
+         for ordinal in range(budget)]
+        for choice in (True, False)
+    )
+    assert all(result == expected for result, _hit in fused + unfused)
+    fused = [hit for _result, hit in fused]
+    unfused = [hit for _result, hit in unfused]
+    # Unfused, the three ordinals are the chain's, the map-side
+    # combine's and the reduce side's; fused, the first carries chain
+    # and combine, the second is the gap ...
+    assert unfused[:3] == [
+        ("Map", (0, "Parallelize")),
+        ("ReduceByKey[first]", (0, "Parallelize")),
+        ("ReduceByKey[first]", (0, "ReduceByKey[first]")),
+    ]
+    assert fused[:2] == [("Map+ReduceByKey[first]", (0, "Parallelize")), None]
+    # ... and every later ordinal hits the same operator on the same
+    # stage of the same job.
+    assert fused[2:] == unfused[2:] and len(fused) > 3
+
+
+def test_a_killed_chain_and_fold_task_is_credited_once():
+    def run(kill):
+        with EngineContext(laptop_config(), trace=True) as ctx:
+            if kill:
+                ctx.fault_injector.kill_task(task_index=0, stage=0)
+            result = branching_program(ctx)
+            assert ctx.fault_injector.pending == 0
+            (job,) = ctx.trace.jobs
+            return (
+                result,
+                [list(stage.task_records) for stage in job.stages],
+                [stage.task_retries for stage in job.stages],
+                ctx.simulated_seconds(),
+            )
+
+    result, records, retries, seconds = run(kill=True)
+    clean_result, clean_records, clean_retries, clean_seconds = run(kill=False)
+    assert (result, records, seconds) == (
+        clean_result, clean_records, clean_seconds
+    )
+    # The retry is the input stage's: that is where chain and map-side
+    # combine are credited, each once.
+    assert retries[0] == 1 and not any(retries[1:] + clean_retries)
 
 
 def test_gathered_jobs_draw_contiguous_ordinal_ranges():

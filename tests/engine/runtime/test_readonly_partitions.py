@@ -131,6 +131,38 @@ def test_the_frozen_value_is_what_the_partitions_hold():
     assert len({id(part) for part in empties}) == 1
 
 
+def test_a_chain_that_folds_shares_one_frozen_empty_too(monkeypatch):
+    # The chain's task is the reduce's map-side combine as well: one
+    # task set where there were two, its 61 empties one frozen value
+    # (combined partition, counts and works) that the shuffle only
+    # reads.
+    sets = []
+    run_stage = TaskScheduler.run_stage
+
+    def recording_run_stage(self, task, args_list, **kwargs):
+        sets.append(run_stage(self, task, args_list, **kwargs))
+        return sets[-1]
+
+    monkeypatch.setattr(TaskScheduler, "run_stage", recording_run_stage)
+    with frozen_empties() as calls:
+        with EngineContext(laptop_config(backend="serial")) as ctx:
+            bag = (
+                ctx.range_bag(3, num_partitions=64)
+                .map(lambda x: (x % 2, x))
+                .reduce_by_key(lambda a, b: a + b)
+            )
+            assert sorted(bag.collect()) == [(0, 2), (1, 1)]
+    assert [name.replace("Compiled", "Fused") for name in calls] == [
+        "FusedPipelineTask", "CombineTask",
+    ]
+    folded, _reduced = sets
+    empties = [value for value in folded if not value[0]]
+    assert len(empties) == 61 and len({id(value) for value in empties}) == 1
+    records, counts, works, fold_work = empties[0]
+    assert {type(records), type(counts), type(works)} == {FrozenList}
+    assert (records, counts, works, fold_work) == ([], [0], [0], 0)
+
+
 @pytest.mark.parametrize("overrides", BACKENDS)
 @pytest.mark.parametrize(
     "name, program", library_programs(),

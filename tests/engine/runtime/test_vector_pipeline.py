@@ -15,6 +15,13 @@ as, is held to the same oracle on every generated chain free of
 strategy draws chains of single-expression lambdas over int and tuple
 records -- the bodies the generator substitutes into its loop instead
 of calling -- through the compile gate itself.
+
+A chain under a ``reduce_by_key`` carries the map-side combine as its
+tail (``fold=(reducer, operator)``).  Every body it can then have --
+the interpreter folding each output vector, the generated loop folding
+with the reducer lowered, with the reducer called, and the generated
+loop's output folded after it -- is held to the two task sets it
+replaced: ``CombineTask`` over ``FusedPipelineTask``'s output.
 """
 
 import collections
@@ -145,16 +152,20 @@ def build_steps(specs):
     return steps
 
 
-def compiled_task(steps):
+def compiled_task(steps, fold=None, tail=None):
     """The generated loop for ``steps`` -- every body the generator can
     lower, lowered -- built past the compile gate
-    (tests/engine/test_codegen.py holds the gate to its contract)."""
+    (tests/engine/test_codegen.py holds the gate to its contract).
+    With a ``fold``, ``tail`` says how the loop ends
+    (``generate_source``'s ``fold``); ``None`` leaves the folding to
+    the task."""
     source = generate_source(
         [kind for kind, _fn, _operator in steps],
         [udf_lowering(fn)[0] for _kind, fn, _operator in steps],
+        fold=tail,
     )
     digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
-    return CompiledPipelineTask(steps, source, "test-" + digest)
+    return CompiledPipelineTask(steps, source, "test-" + digest, fold)
 
 
 def assert_matches_oracle(steps, part):
@@ -247,6 +258,11 @@ def pair_grow(a):
     return lambda r: (r[0] + a, r[1], r[0])
 
 
+@lowered(STEP_MAP, "pair", "pair")
+def pair_bucket(a):
+    return lambda r: (r[0] % 3, r[1])
+
+
 @lowered(STEP_FILTER, "pair", "pair")
 def pair_keep(a):
     return lambda r: r[0] % 4 != a
@@ -300,11 +316,14 @@ def build_lowered_steps(specs):
 
 
 def _outcome(body, part):
-    """``("ok", result)`` or ``("error", operator, error type)``."""
+    """``("ok", result)``, ``("error", operator, error type)`` or
+    ``("plan-error", message)``."""
     try:
         return ("ok", body(part))
     except UdfError as err:
         return ("error", err.operator, type(err.original))
+    except PlanError as err:
+        return ("plan-error", str(err))
 
 
 @pytest.mark.parametrize("length", [0, 1, VECTOR + 1])
@@ -328,6 +347,218 @@ def test_lowered_chains_match_the_interpreter_and_plain_python(length, specs):
     assert part == list(range(length))
 
 
+# ----------------------------------------------------------------------
+# Chains with a fold tail: the map-side combine in the chain's task
+# ----------------------------------------------------------------------
+
+
+def _sum(a, b):
+    return a + b
+
+
+def _largest(a, b):
+    return a if a > b else b  # the accumulator read twice
+
+
+def _total(a, b):
+    c = a + b
+    return c
+
+
+def _picky(a, b):
+    return a // (b % 3)  # ZeroDivisionError on some reductions
+
+
+def _picky_total(a, b):
+    c = a // (b % 3)
+    return c
+
+
+def _weighted_sum(a, b):
+    return Weighted(a + b, 3)
+
+
+def _some_weighted(a, b):
+    return Weighted(a + b, 1) if b % 2 else a + b
+
+
+#: name -> (reducer, may the generated loop fold with it).  What the
+#: compile gate would refuse -- a Weighted result -- is only ever folded
+#: by the task, after the loop.
+REDUCERS = {
+    "sum": (_sum, True),
+    "largest": (_largest, True),
+    "total": (_total, True),
+    "picky": (_picky, True),
+    "picky-total": (_picky_total, True),
+    "weighted-sum": (_weighted_sum, False),
+    "some-weighted": (_some_weighted, False),
+}
+
+
+def keyed(a):
+    return lambda x: (x % a, x)
+
+
+def keyed_fan(a):
+    return lambda x: ((x % a, x), (x % 2, 1))
+
+
+def keyed_named(a):
+    return lambda x: Pair(x % a, x)
+
+
+def keyed_list(a):
+    return lambda x: [x % a, x]
+
+
+#: What turns the chain's ints into the fold's input: a lowered tuple
+#: display (the loop keeps key and value in locals), a flat_map, a tuple
+#: subclass, nothing at all (ints are not pairs) and a list of two.
+TAILS = {
+    "map": (STEP_MAP, keyed),
+    "flat_map": (STEP_FLATMAP, keyed_fan),
+    "named": (STEP_MAP, keyed_named),
+    "unpaired": None,
+    "list": (STEP_MAP, keyed_list),
+}
+
+
+def unfused(steps, fold):
+    """The two task sets a chain with a fold tail replaces."""
+    def body(part):
+        out, counts, works = FusedPipelineTask(steps)(part)
+        records, work = CombineTask(*fold)(out)
+        return records, counts, works, work
+
+    return body
+
+
+def fold_bodies(steps, fold, in_loop):
+    """Every body a chain with a fold tail can have, by name."""
+    bodies = {"interpreted": FusedPipelineTask(steps, fold)}
+    if any("weighted" in operator for _kind, _fn, operator in steps):
+        return bodies
+    bodies["folded after the loop"] = compiled_task(steps, fold)
+    if in_loop:
+        bodies["called in the loop"] = compiled_task(steps, fold, True)
+        lowering, _reason = udf_lowering(fold[0], arity=2)
+        if lowering is not None:
+            bodies["lowered"] = compiled_task(steps, fold, lowering)
+    return bodies
+
+
+@pytest.mark.parametrize("length", [0, 1, VECTOR + 1, 2 * VECTOR + 3])
+@settings(max_examples=25, deadline=None)
+@given(
+    # Half the chains free of Weighted steps: only those may compile.
+    specs=st.one_of(
+        st.lists(step_specs, max_size=4),
+        st.lists(
+            step_specs.filter(lambda spec: "weighted" not in spec[0]),
+            max_size=4,
+        ),
+    ),
+    tail=st.sampled_from(sorted(TAILS)),
+    modulus=st.integers(min_value=1, max_value=5),
+    reducer=st.sampled_from(sorted(REDUCERS)),
+)
+def test_a_fold_tail_matches_the_two_task_sets_it_replaces(
+    length, specs, tail, modulus, reducer
+):
+    steps = build_steps(specs)
+    if TAILS[tail] is not None:
+        kind, factory = TAILS[tail]
+        steps.append((kind, factory(modulus), "%s#%d" % (tail, len(steps))))
+    assume(steps)
+    fn, in_loop = REDUCERS[reducer]
+    fold = (fn, "%s#%d" % (reducer, len(steps)))
+    part = list(range(length))
+    # Records *in order*, per-step counts and works, the reductions'
+    # work; or the reducer's UdfError (its operator, the first failing
+    # reduction's error), or the PlanError of the first non-pair.
+    reference = _outcome(unfused(steps, fold), part)
+    for name, body in fold_bodies(steps, fold, in_loop).items():
+        assert _outcome(body, part) == reference, name
+        assert body.operator.endswith("+" + fold[1])
+        assert body.udfs[-1] is fn
+    assert part == list(range(length))
+
+
+def test_the_fold_reads_a_lowered_pair_as_two_locals():
+    steps = [(STEP_MAP, keyed(3), "keyed")]
+    lowered = compiled_task(
+        steps, (_sum, "sum"), udf_lowering(_sum, arity=2)[0]
+    )
+    assert "_FOLD = 'lowered'" in lowered.source
+    # No pair built, no list appended to, no check of what is a display
+    # of two, and the reducer's body in place of its call.
+    for absent in ("_append", "_out", "_require_keyed", "_udfs[", "(_v"):
+        assert absent not in lowered.source, absent
+    assert "_acc[_v1_0] = _acc[_v1_0] + _v0" in lowered.source
+    called = compiled_task(steps, (_total, "total"), True)
+    assert "_FOLD = 'called'" in called.source
+    assert "_acc[_v1_0] = _r(_acc[_v1_0], _v0)" in called.source
+    # A flat_map's records are whatever its UDF yields: checked, then
+    # taken apart.
+    fanned = compiled_task(
+        [(STEP_FLATMAP, keyed_fan(3), "fan")], (_sum, "sum"),
+        udf_lowering(_sum, arity=2)[0],
+    )
+    assert "_require_keyed(_v1)" in fanned.source
+    assert "_k, _x = _v1" in fanned.source
+    # An accumulator the body reads twice is looked up once.
+    largest = compiled_task(
+        steps, (_largest, "largest"), udf_lowering(_largest, arity=2)[0]
+    )
+    assert "_a = _acc[_v1_0]" in largest.source
+    assert "_acc[_v1_0] = _a if _a > _v0 else _v0" in largest.source
+
+
+@pytest.mark.parametrize("length", [0, 1, VECTOR + 1])
+@settings(max_examples=40, deadline=None)
+@given(specs=lowered_specs)
+def test_lowered_chains_fold_as_the_interpreter_folds(length, specs):
+    steps = build_lowered_steps(specs + [("pair", 1), ("pair_bucket", 3)])
+    fold = (_sum, "sum#%d" % len(steps))
+    part = list(range(length))
+    task, reason = plan_compiled_task(steps, fold=fold)
+    assert reason is None, reason
+    assert "_FOLD = 'lowered'" in task.source
+    assert "_udfs[" not in task.source and "_append" not in task.source
+    compiled = _outcome(task, part)
+    # Which of a failing step and a failing fold reports is the
+    # interpreter's rule, the fold being its last step ...
+    assert compiled == _outcome(FusedPipelineTask(steps, fold), part)
+    # ... and where the chain itself raises nothing, the rule is moot.
+    chain = _outcome(FusedPipelineTask(steps), part)
+    if chain[0] == "ok":
+        assert compiled == _outcome(unfused(steps, fold), part)
+    assert part == list(range(length))
+
+
+def test_a_failing_steps_partition_is_folded_by_the_interpreter():
+    # The generated loop cannot say what failed: the interpreter, fold
+    # and all, runs the partition again and names the step -- or the
+    # reducer, or the record that is no pair, or the unhashable key.
+    lowering = udf_lowering(_picky, arity=2)[0]
+    part = list(range(2 * VECTOR))
+    steps = [(STEP_MAP, _fail_at(VECTOR + 5), "step"),
+             (STEP_MAP, keyed(4), "keyed")]
+    for steps, fold, tail, want in [
+        (steps, (_sum, "sum"), udf_lowering(_sum, arity=2)[0],
+         ("error", "step", ValueError)),
+        (steps[1:], (_picky, "picky"), lowering,
+         ("error", "picky", ZeroDivisionError)),
+        (steps[1:], (_picky_total, "picky"), True,
+         ("error", "picky", ZeroDivisionError)),
+        ([(STEP_MAP, lambda x: ([x], x), "lists")], (_sum, "sum"), True,
+         ("plan-error", "keyed operator expects hashable keys, got [0]")),
+    ]:
+        assert _outcome(compiled_task(steps, fold, tail), part) == want
+        assert _outcome(FusedPipelineTask(steps, fold), part) == want
+
+
 def test_nested_expansions_stay_depth_first():
     # Two flat_maps, both fanning past a vector: the inner level is
     # drained (in vectors) before the outer level gives its next one.
@@ -338,11 +569,14 @@ def test_nested_expansions_stay_depth_first():
     assert_matches_oracle(steps, list(range(0, 2 * 509 + 1)))
 
 
+@pytest.mark.parametrize("fold", [None, (_sum, "sum")],
+                         ids=["records", "folded"])
 @settings(max_examples=20, deadline=None)
 @given(specs=chains)
-def test_empty_result_is_the_call_on_nothing(specs):
-    task = FusedPipelineTask(build_steps(specs))
+def test_empty_result_is_the_call_on_nothing(specs, fold):
+    task = FusedPipelineTask(build_steps(specs), fold)
     assert task.empty_result() == task([])
+    assert len(task.empty_result()) == (3 if fold is None else 4)
 
 
 def test_unwrap_all_sums_work_and_keeps_order():
@@ -565,8 +799,30 @@ def test_combine_blames_only_the_reducer_on_the_reducer():
         CombineTask(reducer, "sum#3")([(1, 1), (1, 2)])
     assert err.value.operator == "sum#3"
     # An unhashable key is not the UDF's doing.
-    with pytest.raises(TypeError):
+    with pytest.raises(PlanError, match="hashable keys, got \\[\\]"):
         CombineTask(reducer, "sum#3")([([], 1)])
+
+
+UNHASHABLE = {
+    "reduce_by_key": lambda bag: bag.reduce_by_key(_sum),
+    "reduce_by_key, unfused": lambda bag: bag.cache().reduce_by_key(_sum),
+    "group_by_key": lambda bag: bag.group_by_key(),
+    "cogroup": lambda bag: bag.cogroup(bag.context.bag_of([(1, 2)])),
+}
+
+
+@pytest.mark.parametrize("backend", [
+    {"backend": "serial"}, {"backend": "process", "num_workers": 2},
+], ids=["serial", "process"])
+@pytest.mark.parametrize("operator", sorted(UNHASHABLE))
+def test_an_unhashable_key_is_a_plan_error(operator, backend):
+    with EngineContext(laptop_config(**backend)) as ctx:
+        bag = ctx.bag_of(range(6), num_partitions=2).map(lambda x: ([x], 1))
+        with pytest.raises(PlanError) as err:
+            UNHASHABLE[operator](bag).collect()
+    assert str(err.value) == (
+        "keyed operator expects hashable keys, got [0]"
+    )
 
 
 @pytest.mark.parametrize("bad", [7, [1, 2], (1, 2, 3)],

@@ -557,6 +557,131 @@ def _odd2(x):
     return x % 3 != 0
 
 
+def _keyed(x):
+    return (x % 5, x)
+
+
+def _add(a, b):
+    return a + b
+
+
+def _largest(a, b):
+    return a if a > b else b
+
+
+def _add_in_steps(a, b):
+    total = a + b
+    return total
+
+
+def _add_weighted(a, b):
+    return Weighted(a + b, 2)
+
+
+def _add_counting(a, b):
+    _COUNTER["n"] += 1
+    return a + b
+
+
+class TestFoldTail:
+    """A chain under a ``reduce_by_key`` is planned with the reducer as
+    its tail: the gate every step passes decides whether the generated
+    loop folds, the lowering verdict whether it calls."""
+
+    @pytest.fixture(autouse=True)
+    def every_chain_is_large_enough(self, monkeypatch):
+        monkeypatch.setattr(codegen, "COMPILE_MIN_RECORD_STEPS", 0)
+
+    STEPS = _steps((STEP_MAP, _double), (STEP_MAP, _keyed))
+
+    @pytest.mark.parametrize("reducer, fold, note", [
+        (_add, "lowered", "fold lowered"),
+        (_add_in_steps, "called", "fold called: 2 statements"),
+        (functools.partial(_add), "called", "fold called: partial"),
+        (_add_weighted, None, "fold called: may return Weighted"),
+        (_add_counting, None, "fold called: is impure"),
+        (max, None, "fold called: purity unproven"),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_the_gate_decides_where_the_reducer_runs(
+        self, reducer, fold, note
+    ):
+        task, reason = plan_compiled_task(self.STEPS, fold=(reducer, "sum"))
+        assert reason is None
+        assert compiled_pipeline(task.key, task.source).fold == fold
+        assert ("_acc" in task.source) == (fold is not None)
+        assert lowering_note(task).endswith("; " + note)
+        # A reducer never keeps a chain from compiling, and one the loop
+        # does not fold with leaves the chain's own text and key.
+        chain, _reason = plan_compiled_task(self.STEPS)
+        assert (task.key == chain.key) == (fold is None)
+        part = list(range(40))
+        want = FusedPipelineTask(self.STEPS, (reducer, "sum"))(part)
+        assert task(part) == want
+        assert pickle.loads(pickle.dumps(task))(part) == want
+        assert task.operator == "double#0+keyed#1+sum"
+
+    def test_lowered_and_called_folds_have_keys_of_their_own(self):
+        keys = [plan_compiled_task(self.STEPS)[0].key] + [
+            plan_compiled_task(self.STEPS, fold=(reducer, "sum"))[0].key
+            for reducer in (_add, _add_in_steps, _largest)
+        ]
+        assert len(set(keys)) == 4
+
+    def test_one_decision_one_task_set_same_trace(self, monkeypatch):
+        def program(ctx):
+            return sorted(
+                ctx.bag_of(range(200), num_partitions=4)
+                .map(_double).map(_keyed).reduce_by_key(_add).collect()
+            )
+
+        with EngineContext(laptop_config()) as comp, EngineContext(
+            laptop_config()
+        ) as base:
+            compiled = program(comp)
+            monkeypatch.setattr(
+                codegen, "COMPILE_MIN_RECORD_STEPS", sys.maxsize
+            )
+            assert compiled == program(base)
+            (decision,) = comp.optimizer_decisions
+            assert decision.detail.startswith(
+                "Map+Map+ReduceByKey compiled as "
+            )
+            assert decision.detail.endswith(
+                "; lowered 2/2, fields 1; fold lowered"
+            )
+            assert decision.num_tags == 2
+            assert not base.optimizer_decisions
+            assert trace_signature(comp.trace) == trace_signature(base.trace)
+            assert comp.simulated_seconds() == base.simulated_seconds()
+            # Chain and map-side combine were one task set of 4, the
+            # reduce side one more.
+            assert comp.runtime.tasks_launched == 4 + sum(
+                1 for count in comp.trace.jobs[0].stages[1].task_records
+                if count
+            )
+
+    def test_explain_says_how_the_chain_folds(self):
+        with EngineContext(laptop_config()) as ctx:
+            keyed = ctx.bag_of(range(10)).map(_double).map(_keyed)
+            text = keyed.reduce_by_key(_add_in_steps).explain(compile=True)
+            (line,) = [ln for ln in text.splitlines() if "compiled=" in ln]
+            assert "Map" in line and "ReduceByKey" not in line
+            assert line.endswith(
+                "; lowered 2/2, fields 1; fold called: 2 statements)]"
+            )
+            assert "fold" not in keyed.explain(compile=True)
+
+    def test_the_size_rule_counts_the_steps_not_the_fold(self, monkeypatch):
+        monkeypatch.setattr(codegen, "COMPILE_MIN_RECORD_STEPS", 2 * 64)
+        for size, planned in ((63, 0), (64, 1)):
+            with EngineContext(laptop_config()) as ctx:
+                (
+                    ctx.bag_of(range(size)).map(_double).map(_keyed)
+                    .reduce_by_key(_add).collect()
+                )
+                assert len(ctx.optimizer_decisions) == planned
+
+
 class TestSizeRule:
     """The executor plans a chain iff steps x input records reaches
     ``COMPILE_MIN_RECORD_STEPS``; below it nothing of codegen runs."""

@@ -2,11 +2,13 @@
 
 import subprocess
 import sys
+import zlib
 
 import pytest
 
 from repro.engine.partitioner import (
     HashPartitioner,
+    _canonical_bytes,
     build_balanced_assignment,
     stable_hash,
 )
@@ -32,6 +34,22 @@ class TestStableHash:
         }
         assert len(runs) == 1
         assert runs == {str(stable_hash(("day1", 42)))}
+
+    @pytest.mark.parametrize("key", [
+        True, False, 0, 1, -7, 2 ** 70, type("Id", (int,), {})(5),
+        "", "day1", "\u00e9t\u00e9", type("Name", (str,), {})("x"),
+        1.0, -0.0, float("inf"), None, b"raw",
+        (1, "a"), ((1, (2.5, None)), True), frozenset([3]),
+        (frozenset(["k"]), (type("Id", (int,), {})(5),)),
+    ], ids=repr)
+    def test_exact_type_dispatch_renders_the_ladders_bytes(self, key):
+        # ``int`` and ``str`` by exact class skip the ``isinstance``
+        # ladder; a bool, a subclass or anything nested takes it.  One
+        # rendering either way, so one assignment.
+        assert stable_hash(key) == zlib.crc32(_canonical_bytes(key))
+        if isinstance(key, int) and not isinstance(key, bool):
+            assert stable_hash(key) == zlib.crc32(b"i:%d" % key)
+        assert stable_hash(True) != stable_hash(1)
 
     def test_distinct_types_do_not_collide_trivially(self):
         assert stable_hash("1") != stable_hash(1)

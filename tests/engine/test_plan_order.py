@@ -11,6 +11,7 @@ import pytest
 
 from repro.engine import EngineContext, laptop_config
 from repro.engine.dag import OrdinalCursor, plan_units, total_ordinal_budget
+from repro.engine.optimize import plan_shuffle_elisions
 from repro.errors import UdfError
 
 
@@ -91,6 +92,101 @@ class TestPlannedOrdinals:
     def test_ordinal_cursor_is_sequential(self):
         cursor = OrdinalCursor(5)
         assert [cursor.take() for _ in range(3)] == [5, 6, 7]
+
+
+def _shape(units):
+    """Per unit: node name, fused chain's node names, ordinal budget."""
+    return [
+        (
+            unit.node.name,
+            unit.chain and [node.name for node in unit.chain],
+            unit.ordinal_budget,
+        )
+        for unit in units
+    ]
+
+
+class TestFoldFusion:
+    """A ``reduce_by_key`` plans as one unit with the chain below it --
+    the map-side combine rides in the chain's task -- exactly where
+    fusion could have continued into its child."""
+
+    @staticmethod
+    def keyed(ctx):
+        return ctx.bag_of(range(12)).map(lambda x: (x % 3, x))
+
+    def test_a_chain_under_a_reduce_is_one_unit_of_three_ordinals(self):
+        ctx = EngineContext(laptop_config())
+        reduced = (
+            self.keyed(ctx).filter(lambda kv: kv[1] != 5)
+            .reduce_by_key(lambda a, b: a + b)
+        )
+        assert _shape(plan_units(reduced.node)) == [
+            ("Parallelize", None, 0),
+            ("ReduceByKey", ["Map", "Filter"], 3),
+        ]
+        # With nothing to fuse it is the two task sets it always was.
+        plain = ctx.bag_of([(1, 2)]).reduce_by_key(lambda a, b: a + b)
+        assert _shape(plan_units(plain.node)) == [
+            ("Parallelize", None, 0), ("ReduceByKey", None, 2),
+        ]
+
+    def test_fusion_stops_where_a_result_must_exist(self):
+        ctx = EngineContext(laptop_config())
+
+        def add(a, b):
+            return a + b
+
+        unfused = [
+            ("Parallelize", None, 0), ("Map", ["Map"], 1),
+            ("ReduceByKey", None, 2),
+        ]
+        cached = self.keyed(ctx).cache()
+        assert _shape(plan_units(cached.reduce_by_key(add).node)) == unfused
+        shared = self.keyed(ctx)
+        both = shared.reduce_by_key(add).union(shared)
+        assert _shape(plan_units(both.node)) == unfused + [("Union", None, 0)]
+        # Once materialized the chain top is a cached unit of its own.
+        assert cached.count() == 12
+        assert _shape(plan_units(cached.reduce_by_key(add).node)) == [
+            ("Map", None, 0), ("ReduceByKey", None, 2),
+        ]
+        # A cached node further down ends the chain there, not the fusion.
+        above = self.keyed(ctx).cache().filter(lambda kv: True)
+        assert _shape(plan_units(above.reduce_by_key(add).node)) == [
+            ("Parallelize", None, 0), ("Map", ["Map"], 1),
+            ("ReduceByKey", ["Filter"], 3),
+        ]
+
+    def test_a_planned_elision_keeps_the_reduce_unfused(self):
+        config = laptop_config(optimize_shuffles=True)
+        ctx = EngineContext(config)
+
+        def add(a, b):
+            return a + b
+
+        twice = (
+            self.keyed(ctx).reduce_by_key(add)
+            .filter(lambda kv: kv[1] > 3).reduce_by_key(add)
+        )
+        elisions = plan_shuffle_elisions(twice.node, config)
+        assert list(elisions) == [id(twice.node)]
+        # One combine pass on the stage the operator opens: there is no
+        # map-side half to ride in the filter's task.
+        assert _shape(plan_units(twice.node, unfused=elisions)) == [
+            ("Parallelize", None, 0), ("ReduceByKey", ["Map"], 3),
+            ("Filter", ["Filter"], 1), ("ReduceByKey", None, 2),
+        ]
+        assert _shape(plan_units(twice.node))[2:] == [
+            ("ReduceByKey", ["Filter"], 3),
+        ]
+        assert sorted(twice.collect()) == [(0, 18), (1, 22), (2, 26)]
+        kinds = [d.kind for d in ctx.optimizer_decisions]
+        assert kinds.count("shuffle-elision") == 1
+        # Same budget either way: later addresses do not depend on it.
+        assert total_ordinal_budget(plan_units(twice.node)) == (
+            total_ordinal_budget(plan_units(twice.node, unfused=elisions))
+        )
 
 
 class TestGather:
