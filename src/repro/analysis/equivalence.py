@@ -1,4 +1,4 @@
-"""Differential verification over the engine's config lattice.
+"""Differential verification along the engine's config axes.
 
 Flattening, and every physical choice the engine makes under it, must
 preserve a nested program's meaning.  This module states that once.
@@ -9,19 +9,20 @@ variant value, and the invariants
 runner (:func:`repro.engine.validate.run_configs`) executes a program
 on a fresh, always-validated, always-closed context per config.
 
-* :func:`verify` runs a program at one axis's base and variant value.
-* :func:`verify_lattice` runs it at all-off, each optimizer flag alone
-  and all-on.
-* Either way *every pair* of runs is checked under the intersection of
-  the ``preserves`` sets of the axes the pair differs on, so flags are
-  proven in combination, not just one at a time.
+* :func:`verify` runs a program at one axis's base and variant value
+  and checks the pair under that axis's ``preserves``.
 * :func:`library_programs` is the registry: all of :mod:`repro.tasks`.
+
+Choices the executor makes by itself -- which body a fused chain runs,
+which shuffles it elides -- are no axis, because they are no setting;
+the tests check each against a reference run with the choice taken
+nowhere, by moving a seam instead of a field.
 
 Results are compared canonicalized (:func:`results_equivalent`).  From
 the command line (CI runs the first form once per backend)::
 
     PYTHONPATH=src python -m repro.analysis.equivalence [--backend process]
-    PYTHONPATH=src python -m repro.analysis.equivalence --compare caching
+    PYTHONPATH=src python -m repro.analysis.equivalence --compare backend
 
 The axes, as :func:`axes_table` (and ``--help``) renders them::
 
@@ -31,13 +32,11 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from itertools import combinations
 from typing import NamedTuple
 
 from ..data import generators as gen
 from ..engine.config import laptop_config
 from ..engine.validate import (
-    INVARIANTS,
     check_runs,
     config_difference,
     run_configs,
@@ -56,7 +55,6 @@ __all__ = [
     "main",
     "results_equivalent",
     "verify",
-    "verify_lattice",
     "verify_library",
 ]
 
@@ -235,12 +233,6 @@ class Axis(NamedTuple):
 
 
 AXES = {
-    # An elided shuffle still opens its (zero-volume) stage, but an
-    # adopted layout moves records between tasks: kinds, not counts.
-    "elision": Axis(
-        "optimize_shuffles", False, True,
-        ("results", "stage_kinds", "shuffle_not_more"),
-    ),
     # Replacing recompute stages with a ``cached`` read *is* the
     # rewrite, so stage shapes are free; it must only never cost time.
     "caching": Axis(
@@ -254,11 +246,6 @@ AXES = {
         ("results", "signature", "sim_equal", "totals"),
     ),
 }
-
-#: The optimizer flags :func:`verify_lattice` sweeps.  ``backend`` is
-#: left to the caller's config (a process-pool sweep costs ~10x a
-#: serial one, so CI runs one sweep per backend).
-LATTICE_FLAGS = ("elision", "caching")
 
 
 def axes_table():
@@ -292,50 +279,20 @@ def axis_configs(axis, config):
     ]
 
 
-def lattice_configs(config):
-    """All-off, each flag alone, all-on.
-
-    Listed bottom-up: when two of them differ on a single axis, the
-    earlier holds its base value (directional invariants rely on it).
-    """
-    flags = [AXES[name] for name in LATTICE_FLAGS]
-    all_off = {axis.field: axis.base for axis in flags}
-    points = [all_off] + [
-        dict(all_off, **{axis.field: axis.variant})
-        for axis in flags
-    ] + [{axis.field: axis.variant for axis in flags}]
-    return [replace(config, **point) for point in points]
-
-
-def preserved(base, variant):
-    """Invariants two configs must agree on: those every axis they
-    differ on preserves (all of them when they differ on none)."""
-    names = set(INVARIANTS)
-    for axis in AXES.values():
-        if getattr(base, axis.field) != getattr(variant, axis.field):
-            names &= set(axis.preserves)
-    return [name for name in INVARIANTS if name in names]
-
-
-def _verify_configs(program, configs, name):
-    runs = run_configs(program, configs, name)
-    for base, variant in combinations(runs, 2):
-        check_runs(
-            base, variant, preserved(base.config, variant.config),
-            EquivalenceError, results_equivalent,
-        )
-    return runs
-
-
 def verify(program, axis, config=None, name="<program>"):
     """Prove ``program`` (fresh ``EngineContext`` -> comparable value)
     unchanged along one :data:`AXES` row; ``config`` (default
     ``laptop_config()``) is what both runs share otherwise.  Returns the
     ``[base, variant]`` :class:`~repro.engine.validate.Run` records or
     raises :class:`EquivalenceError`."""
-    return _verify_configs(
+    base, variant = run_configs(
         program, axis_configs(axis, config or laptop_config()), name
     )
+    check_runs(
+        base, variant, AXES[axis].preserves, EquivalenceError,
+        results_equivalent,
+    )
+    return [base, variant]
 
 
 def verify_library(axis, config=None, only=None):
@@ -346,27 +303,14 @@ def verify_library(axis, config=None, only=None):
     ]
 
 
-def verify_lattice(program, config=None, name="<program>"):
-    """Prove ``program`` unchanged across the whole flag lattice.
-
-    Every pair of :func:`lattice_configs` runs is checked: a pair one
-    flag apart gets that axis's full check, and even all-off vs all-on
-    must agree on results -- which catches a bug that needs two flags
-    at once.  Returns the runs or raises :class:`EquivalenceError`
-    naming the two configs that disagreed."""
-    return _verify_configs(
-        program, lattice_configs(config or laptop_config()), name
-    )
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.equivalence",
         description="Differential verifier: every repro.tasks program "
         "must keep its meaning however the engine is configured.\n"
-        "Runs each at all-off, each of %s alone and all-on, and checks "
-        "every pair of runs.\n\n%s"
-        % ("/".join(LATTICE_FLAGS), axes_table()),
+        "Runs each at one axis's base and variant value and checks the "
+        "pair under the axis's preserved invariants.\n\n%s"
+        % axes_table(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
@@ -374,8 +318,8 @@ def main(argv=None):
         help="task runtime backend for every run (default: serial)",
     )
     parser.add_argument(
-        "--compare", choices=tuple(AXES), default=None,
-        help="verify this one axis instead of sweeping the lattice",
+        "--compare", choices=tuple(AXES), default="caching",
+        help="the axis to verify (default: caching)",
     )
     parser.add_argument(
         "--workers", type=int, default=2,
@@ -387,40 +331,35 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     config = laptop_config(backend=args.backend, num_workers=args.workers)
-    configs = (
-        axis_configs(args.compare, config) if args.compare
-        else lattice_configs(config)
-    )
     verified = failures = 0
     for name, program in library_programs(args.only):
         try:
-            runs = _verify_configs(program, configs, name)
+            base, variant = verify(program, args.compare, config, name)
         except EquivalenceError as error:
             failures += 1
             print("FAIL %s" % error)
             continue
         verified += 1
-        base, last = runs[0], runs[-1]
         print(
             "ok   %-24s shuffle %d -> %d, simulated %.3fs -> %.3fs, "
             "decisions: %s" % (
                 name,
                 base.totals["shuffle_records"],
-                last.totals["shuffle_records"],
-                base.simulated_seconds, last.simulated_seconds,
+                variant.totals["shuffle_records"],
+                base.simulated_seconds, variant.simulated_seconds,
                 ", ".join(
                     "%d %s" % (count, decision) for decision, count
-                    in sorted(last.decisions.items())
+                    in sorted(variant.decisions.items())
                 ) or "none",
             )
         )
+    base, variant = axis_configs(args.compare, config)
     print(
         "repro.analysis.equivalence: %d program(s) verified over %s on "
-        "the %s backend, %d failure(s); %d configs each, every pair "
-        "checked, lines report %s" % (
-            verified, args.compare or "the lattice", args.backend,
-            failures, len(configs),
-            config_difference(configs[0], configs[-1]),
+        "the %s backend, %d failure(s); 2 configs each, lines report %s"
+        % (
+            verified, args.compare, args.backend, failures,
+            config_difference(base, variant),
         )
     )
     return 1 if failures else 0

@@ -10,10 +10,10 @@ the waste *before* the job runs):
   shuffle volume.  The predicate proof is best-effort source analysis
   (a lambda reading only ``kv[0]``); anything unprovable is silent.
 * **NPL303** -- a broadcast join / cross whose build side's statically
-  known size exceeds the executor memory bound: the exact condition
-  the engine's :func:`~repro.engine.broadcast.check_broadcast_fits`
-  raises :class:`~repro.errors.SimulatedOutOfMemory` for at runtime,
-  predicted at plan-build time.
+  known size exceeds the executor memory bound: the engine's own
+  :func:`~repro.engine.broadcast.broadcast_footprint`, the rule it
+  raises :class:`~repro.errors.SimulatedOutOfMemory` by at runtime,
+  evaluated at plan-build time.
 * **NPL304** -- a coalesce immediately re-coalesced: the inner coalesce
   does no enduring work.  (Shuffle-over-same-partitioning, NPL304's
   former second case, is now NPL401: property inference proves it and
@@ -52,6 +52,7 @@ by eye against ``Bag.explain()`` / ``explain_compact``.
 import ast
 
 from ..engine import plan as p
+from ..engine.broadcast import broadcast_footprint
 from ..engine.partitioner import unstable_key_reason
 from .diagnostics import make_diagnostic
 from .properties import HASH, NONE, function_ast, infer_properties
@@ -74,7 +75,7 @@ def analyze_plan(root, config=None):
     """
     ids = p.assign_node_ids(root)
     parts = p.partition_counts(root)
-    consumers = _consumer_counts(root)
+    consumers = p.consumer_counts(root)
     props = infer_properties(root)
     has_wide = any(
         isinstance(node, _WIDE) for node in p.iter_nodes(root)
@@ -112,15 +113,6 @@ def analyze_bag(bag):
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
-
-
-def _consumer_counts(root):
-    """How many parent edges reference each node (``CoGroup(x, x)`` = 2)."""
-    counts = {}
-    for node in p.iter_nodes_ordered(root):
-        for child in node.children:
-            counts[id(child)] = counts.get(id(child), 0) + 1
-    return counts
 
 
 def _check_uncached_reuse(node, consumers, effects, ref, diags):
@@ -193,14 +185,7 @@ def _check_broadcast_size(node, config, ref, diags):
     count = p.static_record_count(build)
     if count is None:
         return
-    record_bytes = (
-        config.result_record_bytes if build.meta
-        else config.bytes_per_record
-    )
-    needed = config.materialized_bytes(count, record_bytes)
-    limit = min(
-        config.executor_memory_limit_bytes, config.driver_memory_bytes
-    )
+    needed, limit = broadcast_footprint(count, config, meta=build.meta)
     if needed <= limit:
         return
     diags.append(

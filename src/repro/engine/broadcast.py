@@ -26,15 +26,28 @@ class Broadcast:
         return "Broadcast(records=%d)" % self.num_records
 
 
-def check_broadcast_fits(num_records, config, what="broadcasting dataset"):
-    """Raise :class:`SimulatedOutOfMemory` if the payload exceeds memory.
+def broadcast_footprint(num_records, config, meta=False):
+    """``(needed, limit)`` in bytes for broadcasting ``num_records``
+    records (meta-scale ones when ``meta``).
 
-    The payload must fit both in the driver and within a single executor's
-    working-set budget.
+    A broadcast lives deserialized on every executor (shared across
+    that machine's tasks) and must also pass through the driver, so the
+    limit is the smaller of the two.  The payload fits when ``needed <=
+    limit``; the plan lint's NPL303 reads the same pair.
     """
-    needed = config.materialized_bytes(num_records)
-    limit = min(
-        config.executor_memory_limit_bytes, config.driver_memory_bytes
+    record_bytes = (
+        config.result_record_bytes if meta else config.bytes_per_record
     )
+    return (
+        config.materialized_bytes(num_records, record_bytes),
+        min(config.executor_memory_limit_bytes, config.driver_memory_bytes),
+    )
+
+
+def check_broadcast_fits(num_records, config, what="broadcasting dataset",
+                         meta=False):
+    """Raise :class:`SimulatedOutOfMemory` unless the payload fits
+    (:func:`broadcast_footprint`)."""
+    needed, limit = broadcast_footprint(num_records, config, meta)
     if needed > limit:
         raise SimulatedOutOfMemory(what, needed, limit)

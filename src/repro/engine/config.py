@@ -23,15 +23,12 @@ VALID_BACKENDS = ("serial", "process")
 
 def _env(name, default):
     """A field ``default_factory`` reading environment variable ``name``
-    as a ``type(default)``; for booleans anything but 0/false/no/off/""
-    is true."""
+    as a ``type(default)``."""
 
     def read():
         raw = os.environ.get(name)
         if raw is None:
             return default
-        if isinstance(default, bool):
-            return raw.strip().lower() not in ("0", "false", "no", "off", "")
         return type(default)(raw)
 
     return read
@@ -104,11 +101,6 @@ class ClusterConfig:
     #: strategy="auto", a join side whose estimated size is below this
     #: is broadcast.
     auto_broadcast_threshold_bytes: int = 512 * MB
-    #: Check the trace invariants of :mod:`repro.engine.validate` after
-    #: every completed job.  Cheap (linear in the stage count) and on by
-    #: default; disable only when deliberately constructing invalid
-    #: traces.
-    validate_traces: bool = True
     #: Task runtime backend (:mod:`repro.engine.runtime`): ``"serial"``
     #: runs tasks inline on the driver thread, ``"process"`` fans them
     #: out over worker processes.  Defaults to the ``REPRO_BACKEND``
@@ -132,14 +124,6 @@ class ClusterConfig:
     #: ... and this absolute floor, so scheduling jitter on
     #: microsecond-scale tasks never registers.
     straggler_min_task_seconds: float = 0.01
-    #: Statically elide shuffles whose input is provably co-partitioned
-    #: with the layout the shuffle would build (see
-    #: :mod:`repro.engine.optimize` and
-    #: :mod:`repro.analysis.properties`).  Defaults to the
-    #: ``REPRO_OPTIMIZE_SHUFFLES`` environment variable, else on.
-    optimize_shuffles: bool = field(
-        default_factory=_env("REPRO_OPTIMIZE_SHUFFLES", True)
-    )
     #: Auto-insert ``cache()`` on plan subtrees that are reused by more
     #: than one consumer when the effect analysis
     #: (:mod:`repro.analysis.effects`) *proves* every UDF below pure

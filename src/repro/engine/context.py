@@ -201,9 +201,9 @@ class EngineContext:
     def validate_trace(self):
         """Assert the trace invariants (:mod:`repro.engine.validate`).
 
-        The executor already validates each job as it completes (unless
-        ``config.validate_traces`` is off); this re-checks the whole
-        trace, e.g. before handing it to the cost model.
+        The executor already validates each job as it completes; this
+        re-checks the whole trace, e.g. before handing it to the cost
+        model.
         """
         return validate_trace(self.trace)
 

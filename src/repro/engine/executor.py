@@ -62,6 +62,7 @@ from ..observe.events import (
 from . import codegen
 from . import dag
 from . import plan as p
+from .broadcast import check_broadcast_fits
 from .optimize import (
     Decision,
     plan_auto_caches,
@@ -228,14 +229,14 @@ class Executor:
             result = [item for part in partitions for item in part]
             self._check_driver_memory(len(result))
             job.collected_records += len(result)
-            self._finish(job)
+            validate_job(job)
         return result
 
     def count(self, node, label=""):
         with self._job_scope("count", label) as job:
             partitions = self._run(node, job)
             job.collected_records += len(partitions)
-            self._finish(job)
+            validate_job(job)
         return sum(map(len, partitions))
 
     def save(self, node, label=""):
@@ -251,7 +252,7 @@ class Executor:
                 job.saved_meta_records += written
             else:
                 job.saved_records += written
-            self._finish(job)
+            validate_job(job)
         return written
 
     def reduce(self, node, fn, label=""):
@@ -273,7 +274,7 @@ class Executor:
             acc = partials[0]
             for item in partials[1:]:
                 acc = fn(acc, item)
-            self._finish(job)
+            validate_job(job)
         return acc
 
     def fold(self, node, zero, fn, label=""):
@@ -284,12 +285,8 @@ class Executor:
                 for item in part:
                     acc = fn(acc, item)
             job.collected_records += len(partitions)
-            self._finish(job)
-        return acc
-
-    def _finish(self, job):
-        if self.config.validate_traces:
             validate_job(job)
+        return acc
 
     # ------------------------------------------------------------------
     # Iterative evaluation
@@ -311,7 +308,7 @@ class Executor:
         leaves the stages opened so far in ``job``, so a failed job's
         trace stays inspectable.
         """
-        elisions = plan_shuffle_elisions(root, self.config)
+        elisions = plan_shuffle_elisions(root)
         self._apply_auto_caches(root)
         units = dag.plan_units(root, unfused=elisions)
         ordinal_base = self.scheduler.reserve_ordinals(
@@ -953,8 +950,9 @@ class Executor:
                 key, value = record
                 table.setdefault(key, []).append(value)
                 count += 1
-        self._check_broadcast(
-            count, "broadcast join build side", meta=node.right.meta
+        check_broadcast_fits(
+            count, self.config, "broadcast join build side",
+            meta=node.right.meta,
         )
         if node.right.meta:
             job.broadcast_meta_records += count
@@ -988,8 +986,8 @@ class Executor:
         small.stage.credit_task_records(
             [len(part) for part in small.partitions]
         )
-        self._check_broadcast(
-            len(payload), "cross-product broadcast side",
+        check_broadcast_fits(
+            len(payload), self.config, "cross-product broadcast side",
             meta=small_node.meta,
         )
         if small_node.meta:
@@ -1098,22 +1096,6 @@ class Executor:
         if stage.meta:
             return self.config.result_record_bytes
         return self.config.bytes_per_record
-
-    def _check_broadcast(self, num_records, what, meta=False):
-        # A broadcast lives deserialized on every executor (shared across
-        # that machine's tasks) and must also pass through the driver.
-        rate = (
-            self.config.result_record_bytes
-            if meta
-            else self.config.bytes_per_record
-        )
-        needed = self.config.materialized_bytes(num_records, rate)
-        limit = min(
-            self.config.executor_memory_limit_bytes,
-            self.config.driver_memory_bytes,
-        )
-        if needed > limit:
-            raise SimulatedOutOfMemory(what, needed, limit)
 
     def _check_driver_memory(self, num_records):
         needed = int(num_records * self.config.result_record_bytes)

@@ -4,8 +4,8 @@ The executor consults this once per job.  The heavy lifting -- proving
 which wide nodes re-shuffle data that is already laid out correctly,
 and which UDFs are pure and deterministic -- lives in
 :mod:`repro.analysis.properties` and :mod:`repro.analysis.effects`;
-this module is the thin engine-side entry point that honors
-``ClusterConfig.optimize_shuffles`` / ``optimize_caching``.
+this module is the thin engine-side entry point.  Elision always
+runs; auto-caching honors ``ClusterConfig.optimize_caching``.
 
 Soundness note: a static :class:`~repro.analysis.properties.Elision` is
 a *permission*, not a command.  The executor still checks the runtime
@@ -73,10 +73,7 @@ def plan_auto_caches(root, config=None):
     from ..analysis.effects import plan_effects
     from . import plan as p
 
-    consumers = {}
-    for node in p.iter_nodes_ordered(root):
-        for child in node.children:
-            consumers[id(child)] = consumers.get(id(child), 0) + 1
+    consumers = p.consumer_counts(root)
     reports = None
     chosen = {}
     for node in p.iter_nodes_ordered(root):
@@ -94,20 +91,16 @@ def plan_auto_caches(root, config=None):
     return chosen
 
 
-def plan_shuffle_elisions(root, config=None):
-    """Shuffles the executor may elide for this plan.
+def plan_shuffle_elisions(root):
+    """Shuffles the executor may elide for this plan: ``{id(node):
+    Elision}`` for every wide node whose input is provably
+    co-partitioned with the layout the node would build.
 
-    Args:
-        root: The plan's root node.
-        config: The cluster config; when it disables
-            ``optimize_shuffles`` no elisions are planned.
-
-    Returns:
-        ``{id(node): Elision}`` for every wide node whose input is
-        provably co-partitioned with the layout the node would build.
+    Every job plans them, as Spark skips the shuffle of an input already
+    partitioned by the target partitioner.  Differential checks take the
+    reference run -- no elision -- by replacing this function as the
+    executor imported it.
     """
-    if config is not None and not config.optimize_shuffles:
-        return {}
     # Lazy import: repro.analysis imports repro.engine, so engine
     # modules must not import the analysis layer at module scope.
     from ..analysis.properties import infer_properties

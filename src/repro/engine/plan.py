@@ -287,6 +287,17 @@ def iter_nodes_ordered(root):
         stack.extend(reversed(node.children))
 
 
+def consumer_counts(root):
+    """How many parent edges reference each node: ``{id(node): int}``
+    (``CoGroup(x, x)`` counts twice; the root and unreferenced nodes
+    are absent)."""
+    counts = {}
+    for node in iter_nodes(root):
+        for child in node.children:
+            counts[id(child)] = counts.get(id(child), 0) + 1
+    return counts
+
+
 def assign_node_ids(root):
     """Stable small integer ids: ``{id(node): ordinal}`` (1-based).
 

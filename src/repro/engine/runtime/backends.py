@@ -12,20 +12,26 @@ Two backends implement the same contract
   across all contexts in the process (tasks are self-contained, so a
   warm pool can serve any context) and torn down at interpreter exit.
 
-Both backends are safe to drive from several threads at once
-(``multiprocessing.Pool`` queues concurrent submissions), which is how
-the jobs of a ``ctx.gather`` interleave their stages over one pool.
+Both backends are safe to drive from several threads at once (the
+pool's executor queues concurrent submissions), which is how the jobs
+of a ``ctx.gather`` interleave their stages over one pool.
 
 Both backends report failures as :class:`TaskOutcome` data rather than
-raising, so the scheduler's retry policy is backend-independent.
+raising, so the scheduler's retry policy is backend-independent.  That
+includes a worker process that dies (a UDF calling ``os._exit``, a
+segfault, the kernel's OOM killer): it breaks the shared pool, every
+invocation in flight on it comes back failed with the retryable
+:class:`~repro.errors.WorkerLostError`, and the next dispatch starts a
+fresh pool -- so the scheduler's attempt budget decides, never a hang.
 """
 
 import atexit
 import multiprocessing
 import os
+import threading
 import time
 
-from ...errors import SerializationError
+from ...errors import SerializationError, WorkerLostError
 from ...observe import NULL_TRACER
 from ...observe.events import KIND_SERDE
 from . import serde
@@ -82,10 +88,11 @@ class ProcessPoolBackend:
         size = max(
             1, -(-len(invocations) // (CHUNKS_PER_WORKER * self.num_workers))
         )
-        payloads = [
-            _dump_chunk(invocations[start:start + size])
+        chunks = [
+            invocations[start:start + size]
             for start in range(0, len(invocations), size)
         ]
+        payloads = [_dump_chunk(chunk) for chunk in chunks]
         if tracer.enabled:
             tracer.instant(
                 "serde:dump-tasks", KIND_SERDE,
@@ -94,20 +101,20 @@ class ProcessPoolBackend:
                 seconds=time.perf_counter() - serde_start,
                 bytes=sum(len(p) for p in payloads),
             )
-        pool = _shared_pool(self.num_workers)
-        outcome_payloads = pool.map(_worker_run, payloads, chunksize=1)
+        outcome_payloads = _run_payloads(self.num_workers, payloads)
         serde_start = time.perf_counter()
-        outcomes = [
-            outcome
-            for payload in outcome_payloads
-            for outcome in serde.loads(payload)
-        ]
+        outcomes = []
+        for chunk, payload in zip(chunks, outcome_payloads):
+            if payload is None:
+                outcomes.extend(map(_lost, chunk))
+            else:
+                outcomes.extend(serde.loads(payload))
         if tracer.enabled:
             tracer.instant(
                 "serde:load-outcomes", KIND_SERDE,
                 tasks=len(outcomes),
                 seconds=time.perf_counter() - serde_start,
-                bytes=sum(len(p) for p in outcome_payloads),
+                bytes=sum(len(p) for p in outcome_payloads if p),
             )
         return outcomes
 
@@ -190,6 +197,21 @@ def _worker_run(payload):
         ])
 
 
+def _lost(invocation):
+    """The failed outcome of an invocation a dead worker took with it."""
+    return TaskOutcome(
+        task_index=invocation.task_index,
+        ok=False,
+        error=WorkerLostError(
+            "a worker process died while task %d (attempt %d) of "
+            "operator %r was in flight on its pool"
+            % (invocation.task_index, invocation.attempt,
+               invocation.operator)
+        ),
+        attempt=invocation.attempt,
+    )
+
+
 def _shippable(invocation, outcome):
     """``outcome``, or a failed one in its place if it cannot be sent."""
     try:
@@ -217,27 +239,74 @@ def _shippable(invocation, outcome):
 # ----------------------------------------------------------------------
 
 _POOLS = {}
+# Guards _POOLS: concurrently gathered jobs create and replace pools.
+_POOLS_LOCK = threading.Lock()
 
 
 def _shared_pool(num_workers):
-    pool = _POOLS.get(num_workers)
-    if pool is None:
-        # Prefer fork: workers inherit imported modules, so the first
-        # dispatch does not pay an interpreter start per worker.
-        methods = multiprocessing.get_all_start_methods()
-        method = "fork" if "fork" in methods else methods[0]
-        context = multiprocessing.get_context(method)
-        pool = context.Pool(processes=num_workers)
-        _POOLS[num_workers] = pool
-    return pool
+    with _POOLS_LOCK:
+        pool = _POOLS.get(num_workers)
+        if pool is None:
+            # Imported here: only the process backend pays for it.
+            from concurrent.futures import ProcessPoolExecutor
+
+            # Prefer fork: workers inherit imported modules, so the
+            # first dispatch does not pay an interpreter start per
+            # worker.
+            methods = multiprocessing.get_all_start_methods()
+            method = "fork" if "fork" in methods else methods[0]
+            pool = ProcessPoolExecutor(
+                num_workers, mp_context=multiprocessing.get_context(method)
+            )
+            _POOLS[num_workers] = pool
+        return pool
+
+
+def _run_payloads(num_workers, payloads):
+    """Run every payload on the shared pool: its outcome payload, or
+    ``None`` where the pool broke before returning it.
+
+    A worker that dies breaks the whole pool and fails every payload
+    still in flight on it, whichever worker held it; the broken pool is
+    dropped here so the next dispatch starts a fresh one.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = _shared_pool(num_workers)
+    results = []
+    try:
+        futures = [pool.submit(_worker_run, payload) for payload in payloads]
+    except BrokenProcessPool:  # broken by a concurrent job's dispatch
+        futures = []
+    for future in futures:
+        try:
+            results.append(future.result())
+        except BrokenProcessPool:
+            results.append(None)
+    results += [None] * (len(payloads) - len(futures))
+    if None in results:
+        _drop_pool(num_workers, pool)
+    return results
+
+
+def _drop_pool(num_workers, pool):
+    """Forget a broken pool and release it, unless a concurrent job
+    already has: ``shutdown`` closes the pool's pipes, and closing them
+    twice can close a descriptor a fresh pool has since been given."""
+    with _POOLS_LOCK:
+        if _POOLS.get(num_workers) is not pool:
+            return
+        del _POOLS[num_workers]
+    pool.shutdown(wait=True)
 
 
 def shutdown_pools():
-    """Terminate every shared worker pool (idempotent)."""
-    while _POOLS:
-        _, pool = _POOLS.popitem()
-        pool.terminate()
-        pool.join()
+    """Shut down every shared worker pool (idempotent)."""
+    with _POOLS_LOCK:
+        pools = list(_POOLS.values())
+        _POOLS.clear()
+    for pool in pools:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 atexit.register(shutdown_pools)

@@ -26,7 +26,9 @@ in failed attempts accrues separately to
 
 Retry policy: only *transient* failures are retried -- injected faults
 (:class:`~repro.engine.runtime.faults.FaultInjector`) and any error
-whose ``retryable`` attribute is true.  Deterministic failures
+whose ``retryable`` attribute is true, such as the
+:class:`~repro.errors.WorkerLostError` of an invocation a dead worker
+process took with it.  Deterministic failures
 (:class:`~repro.errors.UdfError`, simulated OOM, plan errors) fail the
 job on first occurrence: rerunning a UDF bug ``max_task_attempts``
 times would only repeat its side effects.

@@ -3,9 +3,9 @@
 The cost model trusts the execution trace blindly, so the executor must
 produce traces shaped like what a Spark scheduler would report.  This
 module states that contract as checkable invariants and verifies them --
-the executor runs :func:`validate_job` after every completed job (see
-``ClusterConfig.validate_traces``), and the bench harness re-validates
-whole traces before converting them to simulated seconds.
+the executor runs :func:`validate_job` after every completed job, and
+the bench harness re-validates whole traces before converting them to
+simulated seconds.
 
 Invariants checked per job:
 

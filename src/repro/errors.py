@@ -74,6 +74,19 @@ class InjectedFault(ExecutionError):
     """
 
 
+class WorkerLostError(ExecutionError):
+    """A worker process died while the task was in flight on its pool.
+
+    Retryable: a dead worker breaks the whole pool, so the task that
+    killed it and every innocent one in flight beside it are lost alike.
+    The scheduler retries them on a fresh pool under the per-task
+    attempt budget; a task that kills every worker it meets ends in
+    :class:`TaskFailedError`.
+    """
+
+    retryable = True
+
+
 class TaskFailedError(ExecutionError):
     """A task kept failing after exhausting its retry budget."""
 

@@ -1,13 +1,13 @@
 """The differential verifier: one runner, one table of axes.
 
 Every behaviour is a parameter over :data:`AXES`: a real program passes
-each axis, a rigged result fails each axis, a rigged trace fails each
-axis that preserves trace shape, and the decision counts each optimizer
-flag reports are pinned on small programs.  The lattice tests prove the
-flags in combination.  Which body a fused chain runs is no axis -- the
-executor picks it from the task set's size -- so the harness moves the
-threshold instead: every registry program with every chain compiled
-against the interpreter as the reference.
+each axis, a rigged result fails each axis, and the decision counts the
+optimizer flag reports are pinned on small programs.  Which body a
+fused chain runs and which shuffles are elided are no axis -- the
+executor makes both choices by itself -- so the harness moves a seam
+instead (the compile threshold, the elision planner): every registry
+program, making each choice, against a reference run that makes it
+nowhere.
 """
 
 import pathlib
@@ -20,13 +20,10 @@ from repro.analysis.equivalence import (
     AXES,
     EquivalenceError,
     axes_table,
-    lattice_configs,
     library_programs,
     main,
-    preserved,
     results_equivalent,
     verify,
-    verify_lattice,
     verify_library,
 )
 from repro.engine import (
@@ -116,7 +113,7 @@ def test_registry_covers_every_task_module():
 
 
 def test_axes_name_real_fields_and_invariants():
-    config = lattice_configs(laptop_config())[0]
+    config = laptop_config()
     for axis in AXES.values():
         assert hasattr(config, axis.field)
         assert set(axis.preserves) <= set(INVARIANTS)
@@ -176,25 +173,24 @@ def test_axis_rejects_a_rigged_result(axis):
         verify(rigged, axis, name="rigged-result")
 
 
-@pytest.mark.parametrize(
-    "axis",
-    [
-        name for name in IN_PROCESS_AXES
-        if {"signature", "stage_kinds"} & set(AXES[name].preserves)
-    ],
-)
-def test_axis_rejects_a_rigged_trace(axis):
-    spec = AXES[axis]
-
+@pytest.mark.parametrize("invariant", ["signature", "stage_kinds"])
+def test_trace_invariants_reject_a_rigged_trace(invariant):
     def rigged(ctx):
         bag = ctx.bag_of(range(12)).map(lambda x: (x % 2, x))
         result = sorted(bag.reduce_by_key(lambda a, b: a + b).collect())
-        if getattr(ctx.config, spec.field) == spec.variant:
+        if ctx.config.optimize_caching:
             bag.count()  # an extra job only the variant runs
         return result
 
+    base, variant = run_configs(
+        rigged, [laptop_config(), laptop_config(optimize_caching=True)],
+        "rigged-trace",
+    )
     with pytest.raises(EquivalenceError, match="signature|stage kinds"):
-        verify(rigged, axis, name="rigged-trace")
+        check_runs(
+            base, variant, [invariant], EquivalenceError,
+            results_equivalent,
+        )
 
 
 def test_caching_rejects_a_slower_variant():
@@ -248,103 +244,80 @@ def test_decision_counts(axis, program, decision, expected):
     assert base.decisions[decision] == 0
 
 
-def test_elision_decisions_and_savings():
-    (base, variant), = verify_library("elision", only=["bounce-rate-flat"])
-    assert sum(
-        count for decision, count in variant.decisions.items()
-        if decision.startswith("shuffle-elision/")
-    ) >= 1
-    assert variant.totals["shuffle_records_saved"] > 0
-    assert (
-        variant.totals["shuffle_records"] < base.totals["shuffle_records"]
-    )
-    (base, variant), = verify_library("elision", only=["matrix-row-norms"])
-    assert not variant.decisions
-    assert (
-        variant.totals["shuffle_records"] == base.totals["shuffle_records"]
-    )
-
-
 # ---------------------------------------------------------------------------
-# The lattice: flags in combination
+# The choices the executor makes by itself, against their references
 # ---------------------------------------------------------------------------
-
-
-def test_lattice_points():
-    configs = lattice_configs(laptop_config())
-    flags = [AXES[name] for name in equivalence.LATTICE_FLAGS]
-    assert len(configs) == len(flags) + 2 == 4
-    assert len(set(configs)) == len(configs)
-    all_off, all_on = configs[0], configs[-1]
-    for axis in flags:
-        assert getattr(all_off, axis.field) == axis.base
-        assert getattr(all_on, axis.field) == axis.variant
-    # A pair one axis apart gets that axis's check; all-off vs all-on
-    # differ on everything and still must agree on results.
-    assert preserved(all_off, all_off) == list(INVARIANTS)
-    assert preserved(all_off, all_on) == ["results"]
-    elision_alone, caching_alone = configs[1], configs[2]
-    assert preserved(elision_alone, caching_alone) == ["results"]
-    assert preserved(all_off, caching_alone) == list(
-        AXES["caching"].preserves
-    )
-
-
-@pytest.mark.parametrize(
-    "name, program", library_programs(),
-    ids=[name for name, _program in library_programs()],
-)
-def test_lattice_over_the_library(name, program):
-    runs = verify_lattice(program, name=name)
-    assert len(runs) == 4
 
 
 #: Registry programs none of whose chains passes the compile gate.
 NOTHING_COMPILES = ("kmeans-parallel",)
 
+#: Registry programs with a shuffle the elision planner elides.
+ELIDING = (
+    "bounce-rate-flat", "pagerank-parallel", "connected-components",
+    "avg-distances-nested", "avg-distances-inner", "kmeans-nested-grouped",
+)
+
+#: ``choice -> (decision prefix, invariants kept against the reference)``.
+#: The generated loop must be the interpreter down to the trace.  An
+#: elided shuffle still opens its (zero-volume) stage, but an adopted
+#: layout moves records between tasks: kinds, not counts.
+CHOICES = {
+    "chain-body": (
+        "compiled-pipeline/", ("results", "signature", "sim_equal"),
+    ),
+    "elision": (
+        "shuffle-elision/", ("results", "stage_kinds", "shuffle_not_more"),
+    ),
+}
+
 
 @pytest.mark.parametrize(
     "name, program", library_programs(),
     ids=[name for name, _program in library_programs()],
 )
-def test_compiled_chains_match_the_interpreter(monkeypatch, name, program):
-    runs = []
-    for threshold in (0, sys.maxsize):
-        monkeypatch.setattr(codegen, "COMPILE_MIN_RECORD_STEPS", threshold)
-        runs += run_configs(program, [laptop_config()], name)
-    compiled, interpreted = runs
+@pytest.mark.parametrize("choice", list(CHOICES))
+def test_executor_choices_match_their_reference(
+    monkeypatch, without_elision, choice, name, program
+):
+    prefix, preserves = CHOICES[choice]
+    if choice == "chain-body":
+        monkeypatch.setattr(codegen, "COMPILE_MIN_RECORD_STEPS", 0)
+    (chosen,) = run_configs(program, [laptop_config()], name)
+    if choice == "chain-body":
+        monkeypatch.setattr(codegen, "COMPILE_MIN_RECORD_STEPS", sys.maxsize)
+    else:
+        without_elision()
+    (reference,) = run_configs(program, [laptop_config()], name)
     check_runs(
-        interpreted, compiled, ("results", "signature", "sim_equal"),
-        EquivalenceError, results_equivalent,
+        reference, chosen, preserves, EquivalenceError, results_equivalent,
     )
-    # Not vacuous: the first run planned its chains and, in all programs
-    # but the listed ones, compiled some; the second planned nothing.
-    assert _chain_decisions(compiled) and not _chain_decisions(interpreted)
-    assert ("compiled-pipeline/compile" in _chain_decisions(compiled)) == (
-        name not in NOTHING_COMPILES
-    )
+    # Not vacuous: the reference made the choice nowhere, and the
+    # chosen run made it where the program offers it.
+    made = _decisions(chosen, prefix)
+    assert not _decisions(reference, prefix)
+    if choice == "chain-body":
+        # Every chain was planned, and in all programs but the listed
+        # ones some compiled.
+        assert made
+        assert ("compiled-pipeline/compile" in made) == (
+            name not in NOTHING_COMPILES
+        )
+        return
+    eliding = name in ELIDING
+    assert bool(made) == eliding
+    assert (chosen.totals["shuffle_records_saved"] > 0) == eliding
+    assert (
+        chosen.totals["shuffle_records"]
+        < reference.totals["shuffle_records"]
+    ) == eliding
 
 
-def _chain_decisions(run):
+def _decisions(run, prefix):
     return {
         decision for decision in run.decisions
-        if decision.startswith("compiled-pipeline/")
+        if decision.startswith(prefix)
     }
-
-
-def test_lattice_catches_what_no_single_axis_can():
-    # A bug that needs two flags at once: every pairwise comparison
-    # holds one of them at its default, so only the lattice sees it.
-    def joint(ctx):
-        return [
-            ctx.config.optimize_caching
-            and not ctx.config.optimize_shuffles
-        ]
-
-    for axis in IN_PROCESS_AXES:
-        verify(joint, axis, name="joint")
-    with pytest.raises(EquivalenceError, match="different results"):
-        verify_lattice(joint, name="joint")
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +328,13 @@ def test_lattice_catches_what_no_single_axis_can():
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda program: verify(program, "elision"),
-        verify_lattice,
+        lambda program: verify(program, "caching"),
+        lambda program: run_configs(program, [laptop_config()]),
         lambda program: assert_backend_parity(
             program, backends=("serial",)
         ),
     ],
-    ids=["verify", "verify_lattice", "backend_parity"],
+    ids=["verify", "run_configs", "backend_parity"],
 )
 def test_a_raising_program_still_closes_its_context(monkeypatch, entry):
     opened, closed = [], []
@@ -397,7 +370,7 @@ def test_cli(capsys, axis):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2
     assert out[0].startswith("ok   matrix-row-norms")
-    assert "1 program(s) verified over %s" % (axis or "the lattice") in out[1]
+    assert "1 program(s) verified over %s" % (axis or "caching") in out[1]
     assert "0 failure(s)" in out[1]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis import analyze_bag, analyze_plan
 from repro.engine import EngineContext, laptop_config
-from repro.errors import AnalysisError, PlanError
+from repro.errors import AnalysisError, PlanError, SimulatedOutOfMemory
 
 
 def codes(diags):
@@ -126,6 +126,34 @@ def test_npl303_covers_cross_broadcast():
     right = ctx.bag_of(list(range(2000)))
     crossed = left.cross(right)
     assert "NPL303" in codes(analyze_bag(crossed))
+
+
+@pytest.mark.parametrize("operator", ["join", "cross"])
+@pytest.mark.parametrize(
+    "meta, records",
+    [(False, 60), (False, 61), (True, 23), (True, 24), (True, 60)],
+)
+def test_npl303_fires_exactly_when_execution_runs_out_of_memory(
+    tight_ctx, operator, meta, records
+):
+    build = tight_ctx.bag_of(list(range(records))).map(lambda x: (x, -x))
+    if meta:
+        build = build.as_meta()
+    stream = tight_ctx.bag_of([(0, 0), (1, 1)])
+    if operator == "join":
+        plan = stream.join(build, strategy="broadcast")
+    else:
+        plan = stream.cross(build)
+    predicted = "NPL303" in codes(analyze_bag(plan))
+    try:
+        plan.count()
+        raised = False
+    except SimulatedOutOfMemory:
+        raised = True
+    assert predicted == raised
+    # Not vacuous: the bound is 6000 bytes, which 60 data-scale records
+    # (100 bytes each) fit and only 23 meta-scale ones (256 bytes).
+    assert raised == (records > (23 if meta else 60))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.engine import ClusterConfig, EngineContext, codegen, laptop_config
+from repro.engine import (
+    ClusterConfig,
+    EngineContext,
+    codegen,
+    executor,
+    laptop_config,
+)
 
 
 def pytest_addoption(parser):
@@ -22,6 +28,20 @@ def compile_all(request):
         if request.config.getoption("--compile-all"):
             patch.setattr(codegen, "COMPILE_MIN_RECORD_STEPS", 0)
         yield
+
+
+@pytest.fixture
+def without_elision(monkeypatch):
+    """Call it and every later job plans no shuffle elision: the
+    reference run the always-on optimizer is checked against.  Elision
+    is no setting, so this moves the planner seam the executor calls."""
+
+    def disable():
+        monkeypatch.setattr(
+            executor, "plan_shuffle_elisions", lambda root: {}
+        )
+
+    return disable
 
 
 @pytest.fixture

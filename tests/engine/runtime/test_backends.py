@@ -1,6 +1,10 @@
 """The execution backends: serial, process pool, and their contract."""
 
 import os
+import pathlib
+import signal
+import subprocess
+import sys
 import types
 
 import pytest
@@ -13,6 +17,7 @@ from repro.engine.runtime import (
     make_backend,
     serde,
 )
+import repro
 from repro.engine.runtime.task import Invocation, MapPartitionsTask
 from repro.errors import SerializationError
 
@@ -142,31 +147,24 @@ class TestProcessPoolBackend:
         assert backend.num_workers == (os.cpu_count() or 1)
 
 
-class RecordingPool:
-    """Stands in for the shared pool; notes what crosses it."""
-
-    def __init__(self, pool):
-        self.pool = pool
-        self.submissions = []
-
-    def map(self, fn, payloads, chunksize):
-        self.submissions.append(
-            [len(serde.loads(payload)) for payload in payloads]
-        )
-        return self.pool.map(fn, payloads, chunksize=chunksize)
-
-
 class TestChunkedShipping:
     WORKERS = 2
     TASKS = 2000
 
     @pytest.fixture
-    def pool(self, monkeypatch):
-        recording = RecordingPool(backends._shared_pool(self.WORKERS))
-        monkeypatch.setattr(
-            backends, "_shared_pool", lambda num_workers: recording
-        )
-        return recording
+    def submissions(self, monkeypatch):
+        """Per dispatch, the task count of each payload shipped."""
+        submissions = []
+        run_payloads = backends._run_payloads
+
+        def recording(num_workers, payloads):
+            submissions.append(
+                [len(serde.loads(payload)) for payload in payloads]
+            )
+            return run_payloads(num_workers, payloads)
+
+        monkeypatch.setattr(backends, "_run_payloads", recording)
+        return submissions
 
     def ctx(self):
         return EngineContext(
@@ -177,10 +175,10 @@ class TestChunkedShipping:
         bag = ctx.range_bag(self.TASKS, num_partitions=self.TASKS)
         return bag.map(lambda x: x + 1).collect()
 
-    def test_a_large_set_crosses_the_pool_in_a_few_payloads(self, pool):
+    def test_a_large_set_crosses_the_pool_in_a_few_payloads(self, submissions):
         ctx = self.ctx()
         assert sorted(self.job(ctx)) == list(range(1, self.TASKS + 1))
-        (sizes,) = pool.submissions
+        (sizes,) = submissions
         assert sum(sizes) == self.TASKS
         assert len(sizes) <= 8 * self.WORKERS
         assert len(sizes) == backends.CHUNKS_PER_WORKER * self.WORKERS
@@ -189,11 +187,11 @@ class TestChunkedShipping:
         assert len(stage.task_seconds) == self.TASKS
         assert all(seconds > 0 for seconds in stage.task_seconds)
 
-    def test_a_failure_inside_a_chunk_is_retried_alone(self, pool):
+    def test_a_failure_inside_a_chunk_is_retried_alone(self, submissions):
         ctx = self.ctx()
         ctx.fault_injector.kill_task(task_index=1234, stage=0)
         assert sorted(self.job(ctx)) == list(range(1, self.TASKS + 1))
-        first, retry = pool.submissions
+        first, retry = submissions
         assert sum(first) == self.TASKS
         assert retry == [1]
         assert ctx.runtime.tasks_launched == self.TASKS + 1
@@ -202,13 +200,82 @@ class TestChunkedShipping:
         assert stage.task_retries == 1
         assert stage.failed_attempt_seconds > 0
 
-    def test_small_sets_still_ship_one_task_per_payload(self, pool):
+    def test_small_sets_still_ship_one_task_per_payload(self, submissions):
         backend = ProcessPoolBackend(num_workers=self.WORKERS)
         task = MapPartitionsTask(_double_partition, "Map[x2]")
         backend.run_invocations(
             invocations_for(task, PARTS, with_index=True)
         )
-        assert pool.submissions == [[1, 1, 1, 1]]
+        assert submissions == [[1, 1, 1, 1]]
+
+
+#: Run in a child interpreter: a regression here hangs instead of
+#: failing, and the child's timeout turns the hang into a failure.  The
+#: child leads its own session, so a timeout also ends the pool workers
+#: it forked.
+WORKER_DEATH = """
+import os, sys
+from repro.engine import EngineContext, laptop_config
+from repro.errors import TaskFailedError, WorkerLostError
+
+def dies_once(marker):
+    def udf(x):
+        if x == 17 and not os.path.exists(marker):
+            open(marker, "w").close()
+            os._exit(1)
+        return x + 1
+    return udf
+
+def always_dies(x):
+    if x == 17:
+        os._exit(1)
+    return x + 1
+
+expected = list(range(1, 65))
+with EngineContext(laptop_config(backend="process", num_workers=2)) as ctx:
+    # A lost task is retried on a fresh pool and the job completes.
+    job = ctx.bag_of(range(64)).map(dies_once(sys.argv[1] + ".1"))
+    assert sorted(job.collect()) == expected
+    assert ctx.runtime.tasks_retried >= 1
+    # Two jobs gathered over the shared pool: the innocent one's tasks
+    # in flight are lost with it too, and both finish on its successor.
+    jobs = [ctx.bag_of(range(64)).map(dies_once(sys.argv[1] + ".2")),
+            ctx.bag_of(range(64)).map(lambda x: x + 1)]
+    results = ctx.gather(*(lambda bag=bag: sorted(bag.collect())
+                           for bag in jobs))
+    assert results == [expected, expected]
+    # A task that kills every worker it meets spends its budget.
+    try:
+        ctx.bag_of(range(64)).map(always_dies).collect()
+    except TaskFailedError as error:
+        assert isinstance(error.last_error, WorkerLostError), error
+        assert error.attempts == ctx.config.max_task_attempts
+    else:
+        raise AssertionError("the job outlived its workers")
+    # The context's next job is unaffected.
+    assert sorted(ctx.bag_of(range(8)).map(abs).collect()) == list(range(8))
+print("ok")
+"""
+
+
+def test_a_dead_worker_fails_its_tasks_not_the_context(tmp_path):
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]),
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", WORKER_DEATH, str(tmp_path / "died")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+    assert child.returncode == 0, err
+    assert out.split() == ["ok"]
 
 
 class TestMakeBackend:

@@ -18,11 +18,12 @@ from repro.observe.events import KIND_FAULT, KIND_STAGE
 
 def branching_program(ctx, fused=True):
     """A cogroup of two shuffled arms.  The left arm reduces twice by
-    the same key: with ``optimize_shuffles`` the second reduce adopts
-    the first one's layout and dispatches one task set instead of the
-    two it reserved.  The first reduce sits on a map and plans as one
-    unit with it, unless the map is cached (``fused=False``): then the
-    same three ordinals are a chain's and a two-sided reduce's."""
+    the same key: the second reduce adopts the first one's layout and
+    dispatches one task set instead of the two it reserved (unless the
+    elision planner is taken out).  The first reduce sits on a map and
+    plans as one unit with it, unless the map is cached
+    (``fused=False``): then the same three ordinals are a chain's and a
+    two-sided reduce's."""
     keyed = ctx.bag_of(range(24)).map(lambda x: (x % 3, x))
     if not fused:
         keyed = keyed.cache()
@@ -39,15 +40,14 @@ def branching_program(ctx, fused=True):
     return sorted(left.cogroup(right).collect())
 
 
-def run_with_kill(optimize_shuffles, ordinal, fused=True):
+def run_with_kill(ordinal, fused=True):
     """Run the program killing ``(ordinal, task 0)`` once.
 
     Returns ``(result, hit)``: ``hit`` is ``None`` when no dispatch drew
     the ordinal, else ``(operator, (job, origin))`` -- the operator
     whose task set was killed and the stage its retry was credited to.
     """
-    config = laptop_config(optimize_shuffles=optimize_shuffles)
-    with EngineContext(config, trace=True) as ctx:
+    with EngineContext(laptop_config(), trace=True) as ctx:
         ctx.fault_injector.kill_task(task_index=0, stage=ordinal)
         result = branching_program(ctx, fused)
         faults = [
@@ -69,14 +69,13 @@ def run_with_kill(optimize_shuffles, ordinal, fused=True):
         return result, (operator, stage)
 
 
-def test_ordinals_are_fixed_by_the_plan():
+def test_ordinals_are_fixed_by_the_plan(without_elision):
     with EngineContext(laptop_config()) as ctx:
         expected = branching_program(ctx)
         budget = ctx.runtime.dispatch_count
-    plain, elided = (
-        [run_with_kill(optimize_shuffles, ordinal) for ordinal in range(budget)]
-        for optimize_shuffles in (False, True)
-    )
+    elided = [run_with_kill(ordinal) for ordinal in range(budget)]
+    without_elision()
+    plain = [run_with_kill(ordinal) for ordinal in range(budget)]
     assert all(result == expected for result, _hit in plain + elided)
     plain = [hit for _result, hit in plain]
     elided = [hit for _result, hit in elided]
@@ -104,12 +103,13 @@ def test_ordinals_are_fixed_by_the_plan():
     assert elided[gap + 1:] == plain[gap + 1:] != []
 
 
-def test_a_fused_reduce_leaves_a_gap_not_a_shift():
+def test_a_fused_reduce_leaves_a_gap_not_a_shift(without_elision):
+    without_elision()
     with EngineContext(laptop_config()) as ctx:
         expected = branching_program(ctx)
         budget = ctx.runtime.dispatch_count
     fused, unfused = (
-        [run_with_kill(False, ordinal, fused=choice)
+        [run_with_kill(ordinal, fused=choice)
          for ordinal in range(budget)]
         for choice in (True, False)
     )

@@ -57,17 +57,15 @@ class TestClusterConfig:
             config.machines = 3
 
     def test_the_on_off_flags_are_exactly_these(self):
-        # Each flag doubles the configurations the lattice has to cover
-        # (repro.analysis.equivalence), so the next one is a deliberate
-        # edit here.  How a fused chain runs is not one: the executor
-        # decides it from the task set's size.
+        # Each flag is one more axis the differential verifier has to
+        # cover (repro.analysis.equivalence), so the next one is a
+        # deliberate edit here.  How a fused chain runs and which
+        # shuffles are elided are not flags: the executor decides them.
         flags = [
             field.name for field in dataclasses.fields(ClusterConfig)
             if field.type is bool
         ]
-        assert flags == [
-            "validate_traces", "optimize_shuffles", "optimize_caching",
-        ]
+        assert flags == ["optimize_caching"]
 
 
 class TestTaskMemory:

@@ -60,6 +60,17 @@ class TestTraversal:
         join = p.CoGroup(source, source, num_partitions=1)
         assert p.count_nodes(join) == 2
 
+    def test_consumer_counts_count_parent_edges(self):
+        # A diamond whose one side reads the shared node twice: three
+        # edges into it, one into each side, none into the root.
+        source = p.Parallelize([("a", 1)], 1)
+        mapped = p.Map(source, lambda kv: kv)
+        both = p.CoGroup(source, source, num_partitions=1)
+        root = p.CoGroup(mapped, both, num_partitions=1)
+        assert p.consumer_counts(root) == {
+            id(source): 3, id(mapped): 1, id(both): 1,
+        }
+
     def test_explain_indents(self):
         _s, _m, reduced = small_plan()
         lines = reduced.explain().splitlines()

@@ -159,8 +159,7 @@ class TestFoldFusion:
         ]
 
     def test_a_planned_elision_keeps_the_reduce_unfused(self):
-        config = laptop_config(optimize_shuffles=True)
-        ctx = EngineContext(config)
+        ctx = EngineContext(laptop_config())
 
         def add(a, b):
             return a + b
@@ -169,7 +168,7 @@ class TestFoldFusion:
             self.keyed(ctx).reduce_by_key(add)
             .filter(lambda kv: kv[1] > 3).reduce_by_key(add)
         )
-        elisions = plan_shuffle_elisions(twice.node, config)
+        elisions = plan_shuffle_elisions(twice.node)
         assert list(elisions) == [id(twice.node)]
         # One combine pass on the stage the operator opens: there is no
         # map-side half to ride in the filter's task.

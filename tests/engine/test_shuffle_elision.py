@@ -1,6 +1,10 @@
-"""Runtime shuffle elision: the optimizer pass inside the executor."""
+"""Runtime shuffle elision: the optimizer pass inside the executor.
 
-import dataclasses
+Every job plans elisions; the plain runs these compare against take the
+planner seam out (the ``without_elision`` fixture).
+"""
+
+import os
 import warnings
 
 import pytest
@@ -16,13 +20,6 @@ def _add(a, b):
 
 def _keyed(ctx, n=60, k=5):
     return ctx.bag_of(list(range(n))).map(lambda x: (x % k, x))
-
-
-def _pair(optimized=True):
-    config = dataclasses.replace(
-        laptop_config(), optimize_shuffles=optimized
-    )
-    return EngineContext(config)
 
 
 def _total_shuffle(ctx):
@@ -43,22 +40,24 @@ def _shuffle_decisions(ctx):
     ]
 
 
-def _run_both(program):
+def _run_both(program, without_elision):
     """(optimized ctx, plain ctx, optimized result, plain result)."""
-    opt_ctx, plain_ctx = _pair(True), _pair(False)
+    opt_ctx = EngineContext(laptop_config())
     opt = program(opt_ctx)
+    without_elision()
+    plain_ctx = EngineContext(laptop_config())
     plain = program(plain_ctx)
     validate_trace(opt_ctx.trace)
     validate_trace(plain_ctx.trace)
     return opt_ctx, plain_ctx, opt, plain
 
 
-def test_full_elision_same_results_lower_shuffle():
+def test_full_elision_same_results_lower_shuffle(without_elision):
     def program(ctx):
         bag = _keyed(ctx).reduce_by_key(_add, 4).group_by_key(4)
         return sorted((k, sorted(v)) for k, v in bag.collect())
 
-    opt_ctx, plain_ctx, opt, plain = _run_both(program)
+    opt_ctx, plain_ctx, opt, plain = _run_both(program, without_elision)
     assert opt == plain
     assert _total_shuffle(opt_ctx) < _total_shuffle(plain_ctx)
     decisions = _shuffle_decisions(opt_ctx)
@@ -68,7 +67,7 @@ def test_full_elision_same_results_lower_shuffle():
 
 
 def test_elided_stage_claims_savings_not_volume():
-    ctx = _pair(True)
+    ctx = EngineContext(laptop_config())
     _keyed(ctx).reduce_by_key(_add, 4).group_by_key(4).collect()
     elided = ctx.trace.jobs[-1].stages[-1]
     assert elided.kind == "shuffle"
@@ -76,13 +75,13 @@ def test_elided_stage_claims_savings_not_volume():
     assert elided.shuffle_records_saved > 0
 
 
-def test_cogroup_adoption_shuffles_only_one_side():
+def test_cogroup_adoption_shuffles_only_one_side(without_elision):
     def program(ctx):
         rbk = _keyed(ctx).reduce_by_key(_add, 4)
         joined = rbk.join(_keyed(ctx, n=40), num_partitions=4)
         return sorted(joined.collect())
 
-    opt_ctx, plain_ctx, opt, plain = _run_both(program)
+    opt_ctx, plain_ctx, opt, plain = _run_both(program, without_elision)
     assert opt == plain
     assert _total_shuffle(opt_ctx) < _total_shuffle(plain_ctx)
     assert [d.choice for d in _shuffle_decisions(opt_ctx)] == [
@@ -91,7 +90,7 @@ def test_cogroup_adoption_shuffles_only_one_side():
 
 
 def test_cached_bag_adopts_across_jobs():
-    ctx = _pair(True)
+    ctx = EngineContext(laptop_config())
     grouped = _keyed(ctx).group_by_key(4).cache()
     grouped.count()  # job 1 materializes the layout
     sizes = grouped.join(
@@ -107,19 +106,19 @@ def test_cached_bag_adopts_across_jobs():
     ]
 
 
-def test_partition_count_mismatch_is_not_elided():
+def test_partition_count_mismatch_is_not_elided(without_elision):
     def program(ctx):
         bag = _keyed(ctx).reduce_by_key(_add, 4).group_by_key(8)
         return sorted((k, sorted(v)) for k, v in bag.collect())
 
-    opt_ctx, plain_ctx, opt, plain = _run_both(program)
+    opt_ctx, plain_ctx, opt, plain = _run_both(program, without_elision)
     assert opt == plain
     assert not _shuffle_decisions(opt_ctx)
     assert _total_shuffle(opt_ctx) == _total_shuffle(plain_ctx)
 
 
 def test_key_rewriting_map_blocks_elision():
-    ctx = _pair(True)
+    ctx = EngineContext(laptop_config())
     bag = (
         _keyed(ctx)
         .reduce_by_key(_add, 4)
@@ -134,7 +133,7 @@ def test_preserves_partitioning_hint_enables_elision():
     def opaque(kv):
         return (kv[0], kv[1] + 1)
 
-    ctx = _pair(True)
+    ctx = EngineContext(laptop_config())
     bag = (
         _keyed(ctx)
         .reduce_by_key(_add, 4)
@@ -149,15 +148,29 @@ def test_preserves_partitioning_hint_enables_elision():
     assert [d.choice for d in _shuffle_decisions(ctx)] == ["elide"]
 
 
-def test_optimize_shuffles_off_by_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_OPTIMIZE_SHUFFLES", "0")
-    assert laptop_config().optimize_shuffles is False
-    monkeypatch.setenv("REPRO_OPTIMIZE_SHUFFLES", "1")
-    assert laptop_config().optimize_shuffles is True
+class _OffEverywhere(dict):
+    """An environment answering ``0`` for every ``REPRO_`` variable but
+    the two ``ClusterConfig`` reads -- the one that used to switch
+    elision off among them."""
+
+    def get(self, name, default=None):
+        if name.startswith("REPRO_") and name not in (
+            "REPRO_BACKEND", "REPRO_NUM_WORKERS",
+        ):
+            return "0"
+        return super().get(name, default)
+
+
+def test_no_environment_variable_switches_elision_off(monkeypatch):
+    monkeypatch.setattr(os, "environ", _OffEverywhere(os.environ))
+    ctx = EngineContext(laptop_config())
+    _keyed(ctx).reduce_by_key(_add, 4).group_by_key(4).collect()
+    assert [d.choice for d in _shuffle_decisions(ctx)] == ["elide"]
+    assert ctx.trace.jobs[-1].stages[-1].shuffle_records_saved > 0
 
 
 def test_decision_detail_names_both_nodes():
-    ctx = _pair(True)
+    ctx = EngineContext(laptop_config())
     _keyed(ctx).reduce_by_key(_add, 4).group_by_key(4).collect()
     (decision,) = _shuffle_decisions(ctx)
     assert "GroupByKey" in decision.detail

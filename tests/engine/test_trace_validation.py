@@ -162,21 +162,29 @@ class TestValidationWiring:
         validate_trace(ctx.trace)
         ctx.validate_trace()
 
-    def test_executor_validates_eagerly(self, config):
-        from dataclasses import replace
+    def test_executor_validates_every_job_eagerly(self, ctx, monkeypatch):
+        from repro.engine import executor
 
-        from repro.engine import EngineContext
+        checked = []
 
-        checked = EngineContext(config)
-        assert checked.config.validate_traces
-        checked.bag_of(keyed(10)).reduce_by_key(
-            lambda a, b: a + b
-        ).collect()
-        unchecked = EngineContext(
-            replace(config, validate_traces=False)
-        )
-        unchecked.bag_of(keyed(10)).reduce_by_key(
-            lambda a, b: a + b
-        ).collect()
-        # Both produce valid traces; the flag only controls eager checks.
-        validate_trace(unchecked.trace)
+        def recording(job):
+            checked.append(job)
+            return validate_job(job)
+
+        monkeypatch.setattr(executor, "validate_job", recording)
+        bag = ctx.bag_of(keyed(10))
+        bag.reduce_by_key(lambda a, b: a + b).collect()
+        bag.count()
+        bag.map(lambda kv: kv[1]).reduce(lambda a, b: a + b)
+        assert checked == ctx.trace.jobs and len(checked) == 3
+
+    def test_an_invalid_job_fails_its_action(self, ctx, monkeypatch):
+        from repro.engine import executor
+
+        def corrupting(job):
+            job.stages[0].shuffle_read_records = 1  # on an input stage
+            return validate_job(job)
+
+        monkeypatch.setattr(executor, "validate_job", corrupting)
+        with pytest.raises(TraceInvariantError, match="narrow"):
+            ctx.bag_of(range(4)).count()
