@@ -94,25 +94,23 @@ __all__ = [
 #: Record-steps (chain length x records entering the chain, over the
 #: whole task set) from which the executor plans a chain for
 #: compilation; below it the chain is interpreted with no analysis at
-#: all.  Measured with lowering on (``benchmarks/wall``'s chain, 262,144
-#: record-steps): the generated loop saves about 0.10 us per record-step
-#: where every step lowers (0.06 where the calls stay), and about 1.7 us
-#: per task whatever it holds (2.3 -> 0.6 us on a one-record partition
-#: of a 2-step chain) -- the interpreter's vector machinery has a fixed
-#: cost per call that the flattened programs' 1200-partition task sets
-#: pay 1200 times.  Planning costs about 38 us per chain on a
-#: warm cache, about 200 us per step whose closure captures a fresh
-#: callable (lifted UDFs are rebuilt per op), and about 1.3 ms once per
-#: distinct chain and process to generate and compile; so a 3-step chain
-#: of fresh closures breaks even at 6k-10k record-steps on the record
-#: term alone, and far earlier when spread over many partitions.  Swept
-#: at 4096 / 16384 / 65536, 10 alternating pairs: the flattened
-#: ``nested_serial`` op plans 8 / 0 / 0 of its chains (8 of exactly
-#: 2 steps x 2048 records over 1200 partitions; 6 compile) and reads
-#: ``op_wall_s_p50`` 0.0900 / 0.0975 / (same instructions as 16384) --
-#: 4096 is 7.6 % faster, 10/10, so the constant moved down from 16384;
-#: the 262,144-record-step chain compiles at all three and
-#: ``serve_closed_loop`` plans nothing at any (tables in
+#: all.  Measured with lowering on: the generated loop saves about
+#: 0.10 us per record-step where every step lowers (0.148 -> 0.045 us on
+#: a 4096-record partition of a 2-step chain), and about 0.8 us per
+#: task whatever it holds (1.24 -> 0.43 us per one-record partition of
+#: that chain in a batch of 128; both bodies take a batch of
+#: partitions per call, so the per-call cost is paid per batch).
+#: Planning costs about 38 us per chain on a warm cache, about 200 us
+#: per step whose closure captures a fresh callable (lifted UDFs are
+#: rebuilt per op), and about 1.3 ms once per distinct chain and
+#: process to generate and compile; so a 3-step chain of fresh closures
+#: breaks even at 6k-10k record-steps on the record term alone, and
+#: earlier when spread over many partitions.  Swept on the batched
+#: tree at 4096 / 2048 / 1024 / 512, 10 alternating rounds of the
+#: flattened ``nested_serial`` op: 6 / 8 / 9 / 9 of its chains compile
+#: and ``op_wall_s_p50`` reads 0.0628 / 0.0646 / 0.0645 / 0.0590 s;
+#: 512 against 4096 again, 20 rounds, 0.0625 vs 0.0654 s, faster in
+#: only 14 -- unresolved, so the constant stays (tables in
 #: ``docs/architecture.md``, "Flag decisions").
 COMPILE_MIN_RECORD_STEPS = 4096
 
@@ -487,7 +485,9 @@ def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
 
     ``lowerings[i]`` is step ``i``'s :class:`Lowering` or ``None``
     (also when ``lowerings`` is shorter than ``kinds``).  The function
-    takes ``(_part, _udfs, _env)`` and returns ``(_out, counts)`` with
+    takes ``(_parts, _udfs, _env)`` -- a batch of partitions, which it
+    loops over itself, so a batch is one Python call -- and returns one
+    ``(_out, counts)`` per partition, the counters reset for each, with
     exactly the per-operator counts the interpreter reports: every
     operator is counted once per record *entering* it, so one counter
     per filter/flat_map boundary suffices.
@@ -533,8 +533,8 @@ def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
     ]
     env = []
     scalarised = []
-    lines = ["    for _v0 in _part:"]
-    indent = 2
+    lines = ["        for _v0 in _part:"]
+    indent = 3
     value = _Value("_v0")
     count_exprs = []
     current = "_n"
@@ -616,7 +616,7 @@ def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
         else:
             output = "(%s,)" % ", ".join(value.fields)
         lines.append("%s_append(%s)" % (pad, output))
-        lines.append("    return _out, [%s]" % ", ".join(count_exprs))
+        lines.append("        _push((_out, [%s]))" % ", ".join(count_exprs))
     else:
         if value.fields is not None and len(value.fields) == 2:
             key, item = value.fields
@@ -660,8 +660,10 @@ def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
             "%s    %s = %s" % (pad, slot, reduction),
             "%selse:" % pad,
             "%s    %s = %s" % (pad, slot, item),
-            "    return list(_acc.items()), [%s]" % ", ".join(count_exprs),
+            "        _push((list(_acc.items()), [%s]))"
+            % ", ".join(count_exprs),
         ])
+    lines.append("    return _results")
     head = [
         "_ENV = %r" % (tuple(env),),
         "_FIELDS = %r" % (tuple(scalarised),),
@@ -669,7 +671,7 @@ def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
             None if fold is None
             else "called" if fold is True else "lowered",
         ),
-        "def %s(_part, _udfs, _env):" % name,
+        "def %s(_parts, _udfs, _env):" % name,
     ]
     head.extend(
         "    _f%d = _udfs[%d]" % (i, i)
@@ -681,12 +683,17 @@ def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
         head.append("    %s = _env" % "".join(
             "_g%d_%s, " % pair for pair in env
         ))
+    head.extend([
+        "    _results = []",
+        "    _push = _results.append",
+        "    for _part in _parts:",
+    ])
     if fold is None:
-        head.extend(["    _out = []", "    _append = _out.append"])
+        head.extend(["        _out = []", "        _append = _out.append"])
     else:
-        head.append("    _acc = {}")
-    head.append("    _n = len(_part)")
-    head.extend("    _c%d = 0" % i for i in counted)
+        head.append("        _acc = {}")
+    head.append("        _n = len(_part)")
+    head.extend("        _c%d = 0" % i for i in counted)
     return "\n".join(head + lines) + "\n"
 
 

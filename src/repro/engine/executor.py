@@ -87,6 +87,9 @@ from .validate import validate_job
 
 
 _KEY = operator.itemgetter(0)
+_VALUE = operator.itemgetter(1)
+_WORKS = operator.itemgetter(2)
+_FOLD_WORK = operator.itemgetter(3)
 
 
 _origin = p.origin
@@ -439,31 +442,26 @@ class Executor:
             )
             task = compiled or task
             self._record_compile_decision(task, reason)
-        results = self.scheduler.run_stage(
-            task,
-            [(part,) for part in child.partitions],
-            stage=stage,
-            ordinal=ordinals.take(),
+        values = self.scheduler.run_stage(
+            task, child.partitions, stage=stage, ordinal=ordinals.take()
         )
         # Fold each task's credit first -- its per-step record counts
         # plus any UDF-internal sequential work, which runs
         # record-at-a-time and is charged at the configured slowdown
         # over the bulk rate, truncated per step (and per partition's
         # reductions) -- then credit the whole set at once.
-        records, counts, works, *fold_works = (
-            zip(*results) if results else ((), (), ())
-        )
-        credits = list(map(sum, counts))
-        if any(map(any, works)):
-            for index, task_works in enumerate(works):
+        credits = list(map(sum, map(_VALUE, values)))
+        if any(map(any, map(_WORKS, values))) or (
+            fold is not None and any(map(_FOLD_WORK, values))
+        ):
+            for index, (_records, _counts, works, *fold_work) in enumerate(
+                values
+            ):
                 credits[index] += sum(
-                    int(work * factor) for work in task_works
+                    int(work * factor) for work in works + fold_work
                 )
-        if fold_works and any(fold_works[0]):
-            for index, work in enumerate(fold_works[0]):
-                credits[index] += int(work * factor)
         stage.credit_task_records(credits)
-        return _Result(list(records), stage)
+        return _Result(list(map(_KEY, values)), stage)
 
     def _record_compile_decision(self, task, reason):
         """Log one ``compiled-pipeline`` decision for a planned chain:
@@ -677,17 +675,16 @@ class Executor:
         the same stage (and task index) the reductions ran on, at the
         sequential-work slowdown, like every other UDF's work.
         """
-        results = self.scheduler.run_stage(
-            task, [(part,) for part in parts], stage=stage,
-            ordinal=ordinal,
+        values = self.scheduler.run_stage(
+            task, parts, stage=stage, ordinal=ordinal
         )
-        records, works = zip(*results) if results else ((), ())
+        works = list(map(_VALUE, values))
         if any(works):
             factor = self.config.sequential_work_factor
             stage.credit_task_records(
                 [int(work * factor) for work in works]
             )
-        return list(records)
+        return list(map(_KEY, values))
 
     def _eval_reduce_by_key(self, node, job, child, elisions, ordinals,
                             chain=None):
@@ -759,7 +756,7 @@ class Executor:
                 _origin(node),
             )
             out = self.scheduler.run_stage(
-                task, [(part,) for part in child.partitions], stage=stage,
+                task, child.partitions, stage=stage,
                 ordinal=ordinals.take(),
             )
             self._account_spill(stage)
@@ -774,8 +771,7 @@ class Executor:
             keyed=True,
         )
         out = self.scheduler.run_stage(
-            task, [(bucket,) for bucket in buckets], stage=stage,
-            ordinal=ordinals.take(),
+            task, buckets, stage=stage, ordinal=ordinals.take()
         )
         self._account_spill(stage)
         return _Result(out, stage)
@@ -926,10 +922,7 @@ class Executor:
         )
         out = self.scheduler.run_stage(
             task,
-            [
-                (left_buckets[i], right_buckets[i])
-                for i in range(node.num_partitions)
-            ],
+            list(zip(left_buckets, right_buckets)),
             stage=stage,
             ordinal=ordinals.take(),
         )
@@ -964,15 +957,11 @@ class Executor:
         stage = self._scale_corrected(left.stage, node, job)
         task = BroadcastJoinProbeTask(table, _origin(node))
         out = self.scheduler.run_stage(
-            task,
-            [(part,) for part in left.partitions],
-            stage=stage,
-            ordinal=ordinals.take(),
+            task, left.partitions, stage=stage, ordinal=ordinals.take()
         )
-        stage.credit_task_records([
-            len(part) + len(produced)
-            for part, produced in zip(left.partitions, out)
-        ])
+        stage.credit_task_records(list(map(
+            operator.add, map(len, left.partitions), map(len, out)
+        )))
         return _Result(out, stage)
 
     def _eval_cross_broadcast(self, node, job, left, right, ordinals):
@@ -1003,12 +992,9 @@ class Executor:
             payload, node.broadcast_side, _origin(node)
         )
         out = self.scheduler.run_stage(
-            task,
-            [(part,) for part in stream.partitions],
-            stage=stage,
-            ordinal=ordinals.take(),
+            task, stream.partitions, stage=stage, ordinal=ordinals.take()
         )
-        stage.credit_task_records([len(produced) for produced in out])
+        stage.credit_task_records(list(map(len, out)))
         return _Result(out, stage)
 
     # ------------------------------------------------------------------

@@ -23,6 +23,9 @@ from dataclasses import dataclass, field
 
 def _credit(totals, amounts, zero):
     """``totals[i] += amounts[i]``, growing ``totals`` with ``zero``."""
+    if not totals:
+        totals.extend(amounts)  # a stage's first credit: nothing to add
+        return
     missing = len(amounts) - len(totals)
     if missing > 0:
         totals.extend([zero] * missing)

@@ -38,11 +38,12 @@ from . import serde
 from .task import TaskOutcome, execute_invocation
 
 #: Payloads a task set is shipped in, per pool worker.  One payload
-#: carries a run of consecutive invocations, so the task closure they
-#: share is pickled once per payload and one round-trip serves many
-#: tiny tasks; several payloads per worker keep the workers evenly
-#: loaded when task times are skewed.  A set of at most this many tasks
-#: per worker still ships one task per payload.
+#: carries a run of consecutive invocations -- batches of tasks, see
+#: :mod:`repro.engine.runtime.task` -- so the task closure they share is
+#: pickled once per payload and one round-trip serves many tiny
+#: batches; several payloads per worker keep the workers evenly loaded
+#: when batch times are skewed.  A set of at most this many batches per
+#: worker still ships one batch per payload.
 CHUNKS_PER_WORKER = 4
 
 
@@ -54,6 +55,11 @@ class SerialBackend:
     #: emits nothing itself (the scheduler anchors task spans from the
     #: outcomes), so this exists for interface symmetry.
     tracer = NULL_TRACER
+
+    def batch_budget(self, budget, sizes):
+        """The records at which a set's batches close: the task's own
+        budget."""
+        return budget
 
     def run_invocations(self, invocations):
         return [execute_invocation(invocation) for invocation in invocations]
@@ -78,6 +84,17 @@ class ProcessPoolBackend:
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0")
         self.num_workers = num_workers or (os.cpu_count() or 1)
+
+    def batch_budget(self, budget, sizes):
+        """The task's ``budget``, lowered so that a set whose inputs hold
+        ``sizes`` records makes about :data:`CHUNKS_PER_WORKER` batches
+        per worker.  A batch is one invocation, so it runs on one
+        worker: a set of a few heavy records -- one K-means group each,
+        say -- must still spread over the pool as it did when each
+        partition was an invocation of its own."""
+        return min(
+            budget, sum(sizes) // (CHUNKS_PER_WORKER * self.num_workers)
+        )
 
     def run_invocations(self, invocations):
         """Serialize the set, run it on the shared pool, and
@@ -185,7 +202,7 @@ def _worker_run(payload):
             (
                 "serde:load-task", KIND_SERDE,
                 -load_seconds, load_seconds,
-                {"task": traced.task_index, "tasks": len(invocations)},
+                {"task": traced.indices[0], "tasks": len(invocations)},
             ),
         )
     try:
@@ -200,13 +217,13 @@ def _worker_run(payload):
 def _lost(invocation):
     """The failed outcome of an invocation a dead worker took with it."""
     return TaskOutcome(
-        task_index=invocation.task_index,
+        indices=invocation.indices,
         ok=False,
         error=WorkerLostError(
-            "a worker process died while task %d (attempt %d) of "
-            "operator %r was in flight on its pool"
-            % (invocation.task_index, invocation.attempt,
-               invocation.operator)
+            "a worker process died while tasks %d-%d (attempt %d) of "
+            "operator %r were in flight on its pool"
+            % (invocation.indices[0], invocation.indices[-1],
+               invocation.attempt, invocation.operator)
         ),
         attempt=invocation.attempt,
     )
@@ -219,7 +236,7 @@ def _shippable(invocation, outcome):
         return outcome
     except Exception as exc:
         return TaskOutcome(
-            task_index=outcome.task_index,
+            indices=outcome.indices,
             ok=False,
             error=SerializationError(
                 "result of operator %r cannot be serialized back to "

@@ -5,6 +5,9 @@ context's fault injector; the scheduler consults the plans as it builds
 each dispatch and marks the doomed attempts, which then die inside the
 worker with :class:`~repro.errors.InjectedFault` -- the same path a
 preempted or crashed worker would take, minus the nondeterminism.
+While a plan is pending the scheduler dispatches every task as a batch
+of its own (see :mod:`repro.engine.runtime.scheduler`), so a plan kills
+exactly the task it names.
 
 Stages are addressed by **dispatch ordinal**: the executor numbers the
 task sets a job *can* dispatch 0, 1, 2, ... in plan order at planning

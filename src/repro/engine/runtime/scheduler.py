@@ -16,13 +16,33 @@ share the one value their task class declares for them (asked once per
 set; partitions are read-only, so one object serves them all) and are
 never dispatched, on either backend -- and credits measured seconds to the
 stage as one dense list per set (per retry wave), one lock acquisition
-each.
+each.  Nothing runs per empty partition above C level.
 
-Measured-time accounting: only the *successful* attempt of a task is
-credited to ``stage.task_seconds`` -- a retried task is never counted
-twice -- and a task that was not dispatched reads ``0.0``.  Time burned
-in failed attempts accrues separately to
-``stage.failed_attempt_seconds``.
+The batch, not the task, is the unit of execution: the live tasks run
+as batches -- runs of consecutive live partitions, each closed once its
+inputs hold the task class's ``budget`` of records,
+:data:`~repro.engine.runtime.task.VECTOR` by default -- and a
+batch is one call of the task's body, one invocation on the process
+backend, one clock pair and one ``task`` span.  Everything else stays
+per task.  A pending fault plan and a task class whose records do not
+measure its cost (``budget`` 0: ``map_partitions``, a plain callable)
+make every task a batch of its own, and the process backend lowers the
+budget until a set has batches enough for every worker (see
+:meth:`~repro.engine.runtime.backends.ProcessPoolBackend.batch_budget`).
+A retryable failure of a batch sends its tasks out again one by one,
+so a retry, a failure count and a
+:class:`~repro.errors.TaskFailedError` always name a task.
+
+Measured-time accounting: a batch's clock pair is spread over its tasks
+by the records each held (plus one, so each reads more than nothing); a
+task that holds a batch's budget alone is timed alone.  A slow record
+in a batch of small partitions therefore raises its batch's shares, not
+its own partition's; a ``straggler`` instant names the batch it was
+judged in.  Only the
+*successful* attempt of a task is credited to ``stage.task_seconds`` --
+a retried task is never counted twice -- and a task that was not
+dispatched reads ``0.0``.  Time burned in failed attempts accrues
+separately to ``stage.failed_attempt_seconds``.
 
 Retry policy: only *transient* failures are retried -- injected faults
 (:class:`~repro.engine.runtime.faults.FaultInjector`) and any error
@@ -46,10 +66,10 @@ add time.
 
 Tracing (:mod:`repro.observe`): when the context traces, every
 dispatch emits a ``stage`` span wrapping one ``task_set`` span per
-retry wave, ``task`` spans re-anchored from worker outcomes onto the
-driver timeline, and ``fault`` / ``task_retry`` / ``straggler``
-instants.  All hooks are guarded by ``tracer.enabled``; with tracing
-off the only cost is one attribute read per dispatch.
+retry wave, ``task`` spans -- one per batch -- re-anchored from worker
+outcomes onto the driver timeline, and ``fault`` / ``task_retry`` /
+``straggler`` instants.  All hooks are guarded by ``tracer.enabled``;
+with tracing off the only cost is one attribute read per dispatch.
 
 Concurrency: jobs gathered over one context (``ctx.gather``, the serve
 daemon's slots) drive ``run_stage`` from one thread each, so the
@@ -63,6 +83,7 @@ set, so a slow stage of a concurrently running job can never skew
 another stage's baseline.
 """
 
+import bisect
 import itertools
 import os
 import statistics
@@ -85,7 +106,7 @@ from ...observe.events import (
 )
 from .backends import SerialBackend, make_backend
 from .faults import FaultInjector
-from .task import Invocation
+from .task import CallTask, Invocation
 
 
 class TaskScheduler:
@@ -145,14 +166,18 @@ class TaskScheduler:
 
     # ------------------------------------------------------------------
 
-    def run_stage(self, task, args_list, stage=None, ordinal=None):
-        """Run ``task(*args)`` for every args tuple; return the values.
+    def run_stage(self, task, parts, stage=None, ordinal=None):
+        """Run ``task`` over every partition's input; return the values.
 
         Args:
-            task: A picklable callable (see
-                :mod:`repro.engine.runtime.task`), shared by the set.
-            args_list: One argument tuple per task; task ``i`` is
-                partition ``i`` of the stage.
+            task: A picklable task, shared by the set: an engine task
+                class (see :mod:`repro.engine.runtime.task`), whose
+                ``run`` takes a batch of inputs, or a plain callable,
+                run through :class:`~repro.engine.runtime.task.CallTask`.
+            parts: One input per task; task ``i`` is partition ``i`` of
+                the stage.  An engine task's input is what its ``run``
+                takes per partition; a plain callable's is its argument
+                tuple.
             stage: Optional :class:`~repro.engine.metrics.StageMetrics`
                 to credit measured seconds / retries / stragglers to.
             ordinal: Pre-reserved dispatch ordinal (see
@@ -160,7 +185,7 @@ class TaskScheduler:
                 omitted.
 
         Returns:
-            The task return values, in task order.  Tasks that were not
+            The task values, in task order.  Tasks that were not
             dispatched (see :meth:`_split_empties`) all hold the set's
             one ``empty_result()`` object: read it, never mutate it.
 
@@ -171,25 +196,32 @@ class TaskScheduler:
         """
         if ordinal is None:
             ordinal = self.reserve_ordinals(1)
+        if not hasattr(task, "run"):
+            task = CallTask(task)
         tracer = self.tracer
-        live, values = self._split_empties(task, args_list)
-        if (
-            not tracer.enabled
-            and not self.fault_injector.pending
-            and isinstance(self.backend, SerialBackend)
+        pending = self.fault_injector.pending
+        values, sizes, live = self._split_empties(task, parts, pending)
+        # A fault plan addresses tasks: it runs them as batches of one.
+        batches = self._batches(
+            live, sizes,
+            0 if pending else self.backend.batch_budget(task.budget, sizes),
+        )
+        if not tracer.enabled and not pending and isinstance(
+            self.backend, SerialBackend
         ):
-            # Hot path: a paper-scale stage dispatches >1000 tasks and
-            # the serial backend runs them right here, so skip the
-            # invocation/outcome machinery -- real failures are
+            # Hot path: a paper-scale stage dispatches hundreds of
+            # batches and the serial backend runs them right here, so
+            # skip the invocation/outcome machinery -- real failures are
             # non-retryable under the retry policy anyway, and raising
             # in place preserves the original traceback exactly.
             return self._run_serial_fast(
-                task, args_list, stage, live, values
+                task, parts, stage, values, sizes, live, batches
             )
         operator = getattr(task, "operator", type(task).__name__)
         if not tracer.enabled:
             return self._run_outcomes(
-                task, args_list, stage, ordinal, operator, live, values
+                task, parts, stage, ordinal, operator, values, sizes, live,
+                batches,
             )
         stage_id = stage.stage_id if stage is not None else ordinal
         with tracer.span(
@@ -198,12 +230,13 @@ class TaskScheduler:
             lane=self.dispatch_lane(),
             dispatch=ordinal,
             operator=operator,
-            tasks=len(args_list),
+            tasks=len(parts),
             backend=self.backend.name,
         ) as span_args:
             before = stage.measured_seconds if stage is not None else 0.0
             values = self._run_outcomes(
-                task, args_list, stage, ordinal, operator, live, values
+                task, parts, stage, ordinal, operator, values, sizes, live,
+                batches,
             )
             if stage is not None:
                 # Task spans are capped per stage, so the span carries
@@ -214,13 +247,14 @@ class TaskScheduler:
                 )
             return values
 
-    def _split_empties(self, task, args_list):
-        """Split a task set once: ``(live, values)``.
+    def _split_empties(self, task, parts, pending):
+        """Split a task set once: ``(values, sizes, live)``.
 
-        ``live`` lists the task indices to dispatch; ``values`` is the
-        set's result list with every other entry already filled in.  A
-        task whose arguments (its input partitions) are all empty is
-        not dispatched when the task class declares what such a call
+        ``sizes`` holds each input's record count (the task's
+        ``size``), ``live`` the task indices to dispatch, and
+        ``values`` is the set's result list with every other entry
+        already filled in.  A task whose input is empty is not
+        dispatched when the task class declares what such a call
         returns (``empty_result()``, see
         :mod:`repro.engine.runtime.task`): it gets that value, ``0.0``
         measured seconds, and is never launched on either backend.
@@ -234,55 +268,86 @@ class TaskScheduler:
         A pending fault injector dispatches everything: a fault
         addressed at an empty partition's task must still fire.
         """
+        sizes = list(map(task.size, parts))
         empty_result = getattr(task, "empty_result", None)
-        if empty_result is None or self.fault_injector.pending:
-            return range(len(args_list)), [None] * len(args_list)
-        nonempty = list(map(any, args_list))
+        if empty_result is None or pending:
+            return [None] * len(parts), sizes, list(range(len(parts)))
         return (
-            list(itertools.compress(range(len(args_list)), nonempty)),
-            [empty_result()] * len(args_list),
+            [empty_result()] * len(parts),
+            sizes,
+            list(itertools.compress(range(len(parts)), sizes)),
         )
 
-    def _run_outcomes(self, task, args_list, stage, ordinal, operator,
-                      live, values):
+    @staticmethod
+    def _batches(live, sizes, budget):
+        """The task indices ``live`` as batches: runs of consecutive
+        live tasks, each closed once its inputs hold ``budget`` records.
+        An input that holds the budget alone is a batch of its own, so
+        a budget of ``0`` makes every task one."""
+        if not budget:
+            return [[index] for index in live]
+        held = list(map(sizes.__getitem__, live))
+        # before[k]: the records of the live inputs ahead of the k-th.
+        before = list(itertools.accumulate(held, initial=0))
+        batches = []
+        start = 0
+        while start < len(live):
+            stop = min(
+                len(live),
+                bisect.bisect_left(before, before[start] + budget, start + 1),
+            )
+            # Only the input that reached the budget can hold it alone.
+            if stop - start > 1 and held[stop - 1] >= budget:
+                stop -= 1
+            batches.append(live[start:stop])
+            start = stop
+        return batches
+
+    def _run_outcomes(self, task, parts, stage, ordinal, operator, values,
+                      sizes, live, batches):
         """The outcome-mediated dispatch loop (retries, tracing)."""
         tracer = self.tracer
         collect = tracer.enabled
         span_cap = tracer.max_task_spans
 
         lane = self.dispatch_lane()
-        num_tasks = len(args_list)
-        # The successful outcome of every dispatched task, by index.
-        final = [None] * num_tasks
+        num_tasks = len(parts)
+        # The measured seconds of every task's successful attempt.
+        seconds = [0.0] * num_tasks
+        # The successful outcomes, for the batches stragglers name.
+        done = []
         pending = [
-            self._invocation(task, args_list[i], ordinal, operator, i, 1)
-            for i in live
+            self._invocation(task, parts, batch, ordinal, operator, 1, number)
+            for number, batch in enumerate(batches)
         ]
         wave = 0
         while pending:
             window_start = tracer.now()
             outcomes = self.backend.run_invocations(pending)
             window_end = tracer.now()
+            launched = sum(len(invocation.indices) for invocation in pending)
             if collect:
                 tracer.emit_anchored(
                     "taskset#%d.%d:%s" % (ordinal, wave, operator),
                     KIND_TASK_SET, window_start, 0.0,
                     window_end - window_start, lane,
-                    dispatch=ordinal, wave=wave, tasks=len(pending),
+                    dispatch=ordinal, wave=wave, tasks=launched,
+                    batches=len(pending),
                 )
             with self._counter_lock:
-                self.tasks_launched += len(pending)
+                self.tasks_launched += launched
             wave += 1
             pending = []
             # This wave's successes, credited as one dense list (also
             # when a permanent failure below ends the dispatch).
             wave_seconds = [0.0] * num_tasks
             try:
-                for outcome in outcomes:
-                    # Per-task spans are capped per stage (failures and
-                    # retries always emit); see Tracer.max_task_spans.
+                for number, outcome in enumerate(outcomes):
+                    # Task spans are capped per stage, counted in
+                    # batches (failures and retries always emit); see
+                    # Tracer.max_task_spans.
                     if collect and (
-                        outcome.task_index < span_cap
+                        number < span_cap
                         or not outcome.ok
                         or outcome.attempt > 1
                     ):
@@ -291,22 +356,27 @@ class TaskScheduler:
                             window_end,
                         )
                     if outcome.ok:
-                        wave_seconds[outcome.task_index] = outcome.seconds
-                        final[outcome.task_index] = outcome
+                        if collect:
+                            done.append(outcome)
+                        _apportion(
+                            wave_seconds, outcome.indices, sizes,
+                            outcome.seconds,
+                        )
+                        for index, value in zip(
+                            outcome.indices, outcome.values
+                        ):
+                            values[index] = value
+                            seconds[index] = wave_seconds[index]
                     else:
-                        pending.append(
-                            self._retry_invocation(
-                                task, args_list, stage, ordinal, operator,
+                        pending.extend(
+                            self._retry_invocations(
+                                task, parts, stage, ordinal, operator,
                                 outcome, lane,
                             )
                         )
             finally:
                 if stage is not None:
                     stage.credit_task_seconds(wave_seconds)
-        seconds = [0.0] * num_tasks
-        for index in live:
-            values[index] = final[index].value
-            seconds[index] = final[index].seconds
         # Straggler baseline: only this dispatch's own per-task
         # attributed seconds.  Concurrent sibling stages never enter
         # the median, so an unbalanced co-scheduled stage cannot mask
@@ -316,37 +386,49 @@ class TaskScheduler:
             stage.add_straggler_tasks(len(stragglers))
         if collect:
             for index in stragglers:
+                # Its seconds are a share of this batch's clock pair.
+                batch = next(
+                    outcome for outcome in done
+                    if outcome.indices[0] <= index <= outcome.indices[-1]
+                )
                 tracer.instant(
                     "straggler:%s#%d" % (operator, index),
                     KIND_STRAGGLER,
                     lane=lane,
                     dispatch=ordinal,
                     partition=index,
-                    seconds=final[index].seconds,
+                    seconds=seconds[index],
+                    task=batch.indices[0],
+                    last=batch.indices[-1],
+                    batch_seconds=batch.seconds,
                 )
         return values
 
-    def _retry_invocation(self, task, args_list, stage, ordinal, operator,
-                          outcome, lane):
-        """Account one failed attempt; return its retry or raise.
+    def _retry_invocations(self, task, parts, stage, ordinal, operator,
+                           outcome, lane):
+        """Account one failed attempt; return its retries or raise.
 
-        A failed attempt never counts toward the stage's
-        ``task_seconds`` (retried work must not be double-billed); it
-        is tracked separately.
+        A failed batch counts one failure per task it held, and a
+        retryable one is dispatched again as batches of one, so every
+        count, retry and error still names a task.  A failed attempt
+        never counts toward the stage's ``task_seconds`` (retried work
+        must not be double-billed); it is tracked separately.
         """
         tracer = self.tracer
         collect = tracer.enabled
+        indices = outcome.indices
         if stage is not None:
             stage.add_failed_attempt_seconds(outcome.seconds)
         with self._counter_lock:
-            self.tasks_failed += 1
+            self.tasks_failed += len(indices)
         if collect:
             tracer.instant(
-                "fault:%s#%d" % (operator, outcome.task_index),
+                "fault:%s#%d" % (operator, indices[0]),
                 KIND_FAULT,
                 lane=lane,
                 dispatch=ordinal,
-                task=outcome.task_index,
+                task=indices[0],
+                tasks=len(indices),
                 attempt=outcome.attempt,
                 error=type(outcome.error).__name__,
             )
@@ -355,40 +437,41 @@ class TaskScheduler:
         if outcome.attempt >= self.config.max_task_attempts:
             raise TaskFailedError(
                 ordinal,
-                outcome.task_index,
+                indices[0],
                 outcome.attempt,
                 outcome.error,
             )
         with self._counter_lock:
-            self.tasks_retried += 1
+            self.tasks_retried += len(indices)
         if stage is not None:
-            stage.add_task_retries(1)
+            stage.add_task_retries(len(indices))
         # No silent retry of a provably nondeterministic task: the
         # re-run may legitimately produce a different result, so make
         # the hazard observable before it runs.
         report = self._task_effects(task)
-        if report is not None and report.deterministic is False:
-            self._note_nondeterministic_retry(
-                operator, ordinal, outcome.task_index, lane
+        retries = []
+        for index in indices:
+            if report is not None and report.deterministic is False:
+                self._note_nondeterministic_retry(
+                    operator, ordinal, index, lane
+                )
+            if collect:
+                tracer.instant(
+                    "retry:%s#%d" % (operator, index),
+                    KIND_TASK_RETRY,
+                    lane=lane,
+                    dispatch=ordinal,
+                    task=index,
+                    next_attempt=outcome.attempt + 1,
+                    error=type(outcome.error).__name__,
+                )
+            retries.append(
+                self._invocation(
+                    task, parts, [index], ordinal, operator,
+                    outcome.attempt + 1, 0,
+                )
             )
-        if collect:
-            tracer.instant(
-                "retry:%s#%d" % (operator, outcome.task_index),
-                KIND_TASK_RETRY,
-                lane=lane,
-                dispatch=ordinal,
-                task=outcome.task_index,
-                next_attempt=outcome.attempt + 1,
-                error=type(outcome.error).__name__,
-            )
-        return self._invocation(
-            task,
-            args_list[outcome.task_index],
-            ordinal,
-            operator,
-            outcome.task_index,
-            outcome.attempt + 1,
-        )
+        return retries
 
     # ------------------------------------------------------------------
     # Effect gating: nondeterministic retries
@@ -471,10 +554,12 @@ class TaskScheduler:
             else worker_lane(outcome.worker_pid)
         )
         tracer.emit_anchored(
-            "task:%s#%d" % (operator, outcome.task_index),
+            "task:%s#%d" % (operator, outcome.indices[0]),
             KIND_TASK, anchor, 0.0, outcome.seconds, lane,
             dispatch=ordinal,
-            task=outcome.task_index,
+            task=outcome.indices[0],
+            last=outcome.indices[-1],
+            tasks=len(outcome.indices),
             attempt=outcome.attempt,
             ok=outcome.ok,
             pid=outcome.worker_pid,
@@ -486,14 +571,19 @@ class TaskScheduler:
 
     # ------------------------------------------------------------------
 
-    def _run_serial_fast(self, task, args_list, stage, live, values):
-        """Inline execution with per-task timing but no retry plumbing."""
+    def _run_serial_fast(self, task, parts, stage, values, sizes, live,
+                         batches):
+        """Inline execution, one clock pair per batch, no retry
+        plumbing."""
         perf_counter = time.perf_counter
-        seconds = [0.0] * len(args_list)
-        for index in live:
+        seconds = [0.0] * len(parts)
+        for batch in batches:
             start = perf_counter()
-            values[index] = task(*args_list[index])
-            seconds[index] = perf_counter() - start
+            results = task.run(list(map(parts.__getitem__, batch)))
+            elapsed = perf_counter() - start
+            for index, value in zip(batch, results):
+                values[index] = value
+            _apportion(seconds, batch, sizes, elapsed)
         with self._counter_lock:
             self.tasks_launched += len(live)
         if stage is not None:
@@ -503,15 +593,20 @@ class TaskScheduler:
             )
         return values
 
-    def _invocation(self, task, args, ordinal, operator, index, attempt):
-        inject = self.fault_injector.should_fail(ordinal, operator, index)
+    def _invocation(self, task, parts, batch, ordinal, operator, attempt,
+                    number):
+        """Attempt ``attempt`` of ``batch``, the set's ``number``-th."""
+        inject = any(
+            self.fault_injector.should_fail(ordinal, operator, index)
+            for index in batch
+        )
         collect = self.tracer.enabled and (
-            index < self.tracer.max_task_spans or attempt > 1
+            number < self.tracer.max_task_spans or attempt > 1
         )
         return Invocation(
             task=task,
-            args=tuple(args),
-            task_index=index,
+            parts=[parts[index] for index in batch],
+            indices=batch,
             attempt=attempt,
             inject_fault=inject,
             collect_events=collect,
@@ -549,3 +644,16 @@ class TaskScheduler:
 
     def close(self):
         self.backend.close()
+
+
+def _apportion(seconds, batch, sizes, elapsed):
+    """Spread one batch's clock pair, ``elapsed``, over its tasks in
+    ``seconds``: in proportion to the records each input held, plus one,
+    so every task reads more than nothing and the shares sum to the
+    pair.  A batch of one reads the pair itself."""
+    if len(batch) == 1:
+        seconds[batch[0]] = elapsed
+        return
+    share = elapsed / (len(batch) + sum([sizes[index] for index in batch]))
+    for index in batch:
+        seconds[index] = (sizes[index] + 1) * share

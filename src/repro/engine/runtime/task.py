@@ -1,30 +1,45 @@
 """Task payloads: the self-contained unit of work a backend executes.
 
-A *task* is one partition's worth of a stage's work, packaged so it can
-run anywhere: in the driver process (:class:`SerialBackend`) or in a
-forked worker (:class:`ProcessPoolBackend`).  Tasks therefore hold only
+A *task* is a stage's work on one partition, packaged so it can run
+anywhere: in the driver process (:class:`SerialBackend`) or in a forked
+worker (:class:`ProcessPoolBackend`).  Tasks therefore hold only
 picklable state -- UDFs, operator names, scalar config values -- never
 plan nodes, contexts, or metrics objects.  All metrics accounting stays
 on the driver: a task returns its outputs (plus the per-operator record
 counts the cost model needs), and the executor credits the trace.
 
+Logical partitions, physical batches: the partition stays the unit the
+trace, the cost model, the fault injector and the retry policy see, but
+it is not the unit of execution.  Every task class's body is
+``run(parts)``: it takes a *batch* -- the inputs of a run of
+consecutive live partitions, which the scheduler closes once they hold
+the class's ``budget`` of records, :data:`VECTOR` unless records do
+not measure its cost -- and returns one value per partition, in order,
+each what that partition alone would have produced.  Calling a task,
+``task(*args)``, is a batch of one.  A flattened program at
+laptop scale holds one or two records per partition, so a call per
+partition, not per-record work, is what the body used to cost.
+
 :mod:`repro.engine.executor` decides *what* runs where, these classes
-decide *how* one partition is processed.  The bodies work a vector at a
-time wherever the operator allows it: a fused chain maps each UDF over
-up to :data:`VECTOR` records in C before the next operator sees them
-(see :class:`FusedPipelineTask` for the one thing a UDF can notice),
-and the keyed bodies run no Python frame of the engine's per record --
-checks are inline, UDF errors are caught where the UDF is called.
-:func:`call_udf` is for the bodies that call their UDF once per
-partition.
+decide *how* a batch is processed.  The bodies work a vector at a time
+wherever the operator allows it: a fused chain maps each UDF over up to
+:data:`VECTOR` records in C before the next operator sees them, and a
+vector spans the batch's partitions (see :class:`FusedPipelineTask` for
+what a UDF can notice), and the keyed bodies run no Python frame of the
+engine's per record -- checks are inline, UDF errors are caught where
+the UDF is called.  :func:`call_udf` is for the bodies that call their
+UDF once per partition.  What one input is -- the partition, or a tuple
+of a cogroup's two buckets or of a ``map_partitions`` partition and its
+index -- is the class's; ``size(input)`` says how many records it holds,
+``0`` for an empty one.
 
 Empty inputs: a flattened program at laptop scale leaves most of its
 paper-default 1200 partitions empty, so every task class whose result
 on all-empty inputs is fixed states it once, as ``empty_result()``, and
 the scheduler fills those partitions in without dispatching anything
 (see :meth:`~repro.engine.runtime.scheduler.TaskScheduler.run_stage`).
-``empty_result()`` must equal what ``__call__`` returns when every
-argument is empty.  It is asked once per task set; the value is shared
+``empty_result()`` must equal what a call returns when every argument
+is empty.  It is asked once per task set; the value is shared
 by all of the set's undispatched tasks and by whatever partitions are
 built from it, and is never mutated -- a partition, once produced, is a
 read-only value: the executor and every task body here only ever build
@@ -40,7 +55,9 @@ import os
 import threading
 import time
 import traceback
-from itertools import chain, compress, islice, product
+from bisect import bisect_right
+from itertools import chain, compress, islice, product, repeat, tee
+from operator import itemgetter
 
 from ...errors import (
     InjectedFault,
@@ -56,15 +73,21 @@ STEP_MAP = 0
 STEP_FILTER = 1
 STEP_FLATMAP = 2
 
-#: Records a fused chain pushes through one operator at a time.  Sized
-#: so that a step's input and output vectors of boxed records (about
-#: 110 bytes each) stay in a 48 KB L1d and a vector's intermediates die
-#: before the collector's 700-allocation threshold ever sees them.
-#: Swept on ``benchmarks/wall``'s ``chain_default`` (4096-record
-#: partitions): 64 to 1024 run within 2 % of each other and a whole
-#: partition per vector a fifth slower, but from 512 up the op's time
-#: follows the host's cache state and runs spread twice as widely.
+#: Records a fused chain pushes through one operator at a time, and the
+#: records at which the scheduler closes a batch.  Sized so that a
+#: step's input and output vectors of boxed records (about 110 bytes
+#: each) stay in a 48 KB L1d and a vector's intermediates die before the
+#: collector's 700-allocation threshold ever sees them.  Swept on
+#: ``benchmarks/wall``'s ``chain_default`` (4096-record partitions): 64
+#: to 1024 run within 2 % of each other and a whole partition per vector
+#: a fifth slower, but from 512 up the op's time follows the host's
+#: cache state and runs spread twice as widely.  As a batch budget it
+#: was swept on ``nested_serial`` (tables in ``docs/architecture.md``,
+#: "Flag decisions").
 VECTOR = 128
+
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
 
 
 def call_udf(operator, fn, *args):
@@ -118,35 +141,63 @@ def fold_pairs(acc, records, fn, operator, unchecked=True):
     return work
 
 
-class FusedPipelineTask:
-    """Push one partition through a fused map/filter/flat_map chain.
+class BatchTask:
+    """Base of the engine's task classes: a call is a batch of one.
+
+    A subclass implements ``run(parts)`` -- one value per input, in
+    order (see the module docstring) -- and, where one input is not one
+    partition, ``size``.
+    """
+
+    __slots__ = ()
+
+    #: The records one input holds; ``0`` marks an empty input.
+    size = len
+    #: The records at which the scheduler closes a batch of this class's
+    #: inputs; ``0`` makes each input a batch of its own.
+    budget = VECTOR
+
+    def __call__(self, *args):
+        return self.run([args if len(args) > 1 else args[0]])[0]
+
+
+class FusedPipelineTask(BatchTask):
+    """Push a batch of partitions through a fused map/filter/flat_map
+    chain.
 
     ``steps`` is the chain bottom-up: ``(kind, fn, operator)`` triples.
-    Returns ``(records, counts, works)`` where ``counts[i]`` is the
-    number of records operator ``i`` processed and ``works[i]`` the
-    extra :class:`~repro.engine.work.Weighted` work it reported.
+    Per partition the value is ``(records, counts, works)`` where
+    ``counts[i]`` is the number of records operator ``i`` processed and
+    ``works[i]`` the extra :class:`~repro.engine.work.Weighted` work it
+    reported.
 
     With a ``fold=(fn, operator)`` tail -- the chain feeds a
     ``reduce_by_key`` -- the task is the map-side combine too: each
-    output vector is folded into one dict (:func:`fold_pairs`) instead
-    of being appended, and the task returns ``(list(acc.items()),
-    counts, works, fold_work)``: the records, in the order, that a
-    :class:`CombineTask` over the chain's output would return.  The
-    fold is the chain's last step under the rule below: within a vector
-    an earlier step's error wins over the fold's.
+    output vector is folded into its partition's dict
+    (:func:`fold_pairs`) instead of being appended, and the value is
+    ``(list(acc.items()), counts, works, fold_work)``: the records, in
+    the order, that a :class:`CombineTask` over the chain's output would
+    return.  The fold is the chain's last step under the rule below:
+    within a vector an earlier step's error wins over the fold's.
 
-    The unit is a vector of up to :data:`VECTOR` records, not a record:
-    each step maps its UDF over the whole vector in C (one ``try`` per
-    vector and step, no Python frame of the engine's per record) before
-    the next step sees any of it.  Records, their order and the
-    per-step counts and works are those of record-at-a-time
-    evaluation.  What a UDF can observe is the call order: within a
-    vector every record passes step *i*, in order, before any passes
-    step *i + 1*, so when two records of one vector fail at different
-    steps the earlier step's error is the one raised.  A flat_map's
-    expansions are consumed in vectors of their own before its next
-    input vector is pulled, which keeps the output in depth-first order
-    and holds one vector per in-flight level.
+    The unit is a vector of up to :data:`VECTOR` records, not a record
+    and not a partition: the batch's records are laid end to end, each
+    tagged with its partition's position in the batch, and each step
+    maps its UDF over a whole vector in C (one ``try`` per vector and
+    step, no Python frame of the engine's per record) before the next
+    step sees any of it.  A filter compresses the tags with the records
+    and a flat_map repeats each record's tag over its expansion; the
+    per-step counts, ``Weighted`` work and folds are credited to the
+    partition that owns the records.  Records, their order and the
+    per-step counts and works are those of record-at-a-time evaluation
+    of each partition alone.  What a UDF can observe is the call order:
+    within a vector every record passes step *i*, in order, before any
+    passes step *i + 1*, so when two records of one vector fail at
+    different steps the earlier step's error is the one raised -- also
+    when the earlier step's record belongs to a later partition of the
+    batch.  A flat_map's expansions are consumed in vectors of their own
+    before its next input vector is pulled, which keeps the output in
+    depth-first order and holds one vector per in-flight level.
     """
 
     __slots__ = ("steps", "fold")
@@ -172,30 +223,53 @@ class FusedPipelineTask:
             return [], zeros, zeros
         return [], zeros, zeros, 0
 
-    def __call__(self, part):
+    def run(self, parts):
         steps = self.steps
         fold = self.fold
         num = len(steps)
-        counts = [0] * num
-        works = [0] * num
-        out = []
-        acc = {}
-        fold_work = 0
+        counts = [[0] * num for _ in parts]
+        works = None  # one list per partition once a Weighted shows
+        if fold is None:
+            outs = [[] for _ in parts]
+        else:
+            accs = [{} for _ in parts]
+            fold_works = [0] * len(parts)
         # An explicit iterator stack (one level per in-flight flat_map
         # expansion) keeps evaluation depth independent of chain length
-        # and memory bounded by one vector per level.
-        stack = [(0, iter(part))]
+        # and memory bounded by one vector per level.  A level's
+        # ``owner`` is the batch position of the partition all of its
+        # records belong to or, where the level spans partitions, an
+        # iterator of positions in step with its records.  A vector's
+        # ``owner`` is likewise one position, or one per record, never
+        # descending, whose runs are ``runs``.
+        if len(parts) == 1:
+            stack = [(0, iter(parts[0]), 0)]
+        else:
+            stack = [(0, chain.from_iterable(parts), chain.from_iterable(
+                map(repeat, range(len(parts)), map(len, parts))
+            ))]
         while stack:
-            i, iterator = stack[-1]
+            i, iterator, owner = stack[-1]
             items = list(islice(iterator, VECTOR))
             if len(items) < VECTOR:
                 # A short vector is the level's last.
                 stack.pop()
                 if not items:
                     continue
+            runs = None
+            if owner.__class__ is not int:
+                owner = list(islice(owner, len(items)))
+                if owner[0] == owner[-1]:
+                    owner = owner[0]
+                else:
+                    runs = _runs(owner)
             while i < num:
                 kind, fn, operator = steps[i]
-                counts[i] += len(items)
+                if runs is None:
+                    counts[owner][i] += len(items)
+                else:
+                    for position, start, stop in runs:
+                        counts[position][i] += stop - start
                 try:
                     produced = list(map(fn, items))
                 except (SimulatedOutOfMemory, UdfError):
@@ -203,8 +277,16 @@ class FusedPipelineTask:
                 except Exception as exc:
                     raise UdfError(operator, exc) from exc
                 if Weighted in map(type, produced):
+                    if works is None:
+                        works = [[0] * num for _ in parts]
+                    if runs is not None:
+                        for position, start, stop in runs:
+                            works[position][i] += unwrap_all(
+                                produced[start:stop]
+                            )[1]
                     produced, work = unwrap_all(produced)
-                    works[i] += work
+                    if runs is None:
+                        works[owner][i] += work
                 i += 1
                 if kind == STEP_MAP:
                     items = produced
@@ -212,17 +294,54 @@ class FusedPipelineTask:
                     items = list(compress(items, produced))
                     if not items:
                         break
+                    if runs is not None:
+                        owner = list(compress(owner, produced))
+                        if owner[0] == owner[-1]:
+                            owner = owner[0]
+                            runs = None
+                        else:
+                            runs = _runs(owner)
+                elif runs is None:
+                    stack.append((i, chain.from_iterable(produced), owner))
+                    break
                 else:
-                    stack.append((i, chain.from_iterable(produced)))
+                    # Each expanded record keeps its source's tag.
+                    tagged, tags = tee(chain.from_iterable(
+                        map(zip, map(repeat, owner), produced)
+                    ))
+                    stack.append(
+                        (i, map(_SECOND, tagged), map(_FIRST, tags))
+                    )
                     break
             else:
-                if fold is None:
-                    out.extend(items)
-                else:
-                    fold_work += fold_pairs(acc, items, *fold)
+                for position, start, stop in runs or (
+                    (owner, 0, len(items)),
+                ):
+                    if fold is None:
+                        outs[position] += items[start:stop]
+                    else:
+                        fold_works[position] += fold_pairs(
+                            accs[position], items[start:stop], *fold
+                        )
+        if works is None:
+            works = repeat([0] * num)  # values are read-only: one serves
         if fold is None:
-            return out, counts, works
-        return list(acc.items()), counts, works, fold_work
+            return list(zip(outs, counts, works))
+        return list(zip(
+            [list(acc.items()) for acc in accs], counts, works, fold_works
+        ))
+
+
+def _runs(owners):
+    """``(position, start, stop)`` per run of one tag in ``owners``."""
+    runs = []
+    start = 0
+    while start < len(owners):
+        position = owners[start]
+        stop = bisect_right(owners, position, start)
+        runs.append((position, start, stop))
+        start = stop
+    return runs
 
 
 def _chain_udfs(steps, fold):
@@ -230,17 +349,18 @@ def _chain_udfs(steps, fold):
     return udfs if fold is None else udfs + (fold[0],)
 
 
-class CompiledPipelineTask:
+class CompiledPipelineTask(BatchTask):
     """A fused chain specialized into one generated loop function.
 
     Built by :mod:`repro.engine.codegen` for chains whose UDFs are
     proven pure and Weighted-free; observationally identical to
     :class:`FusedPipelineTask` (same records, same per-operator
     counts, ``works`` all zero -- which the compile gate guarantees the
-    interpreter would also report).
+    interpreter would also report).  The generated function loops over
+    the batch's partitions itself, so a batch is one Python call.
 
     Carries only picklable state: the steps (for operator names, UDFs,
-    and the interpreter a failing partition is re-run through, so both
+    and the interpreter a failing batch is re-run through, so both
     bodies raise the same :class:`~repro.errors.UdfError`), the
     generated source text, and the chain's cache key.  The code object
     itself is compiled lazily -- at most once per key per process -- so
@@ -297,10 +417,10 @@ class CompiledPipelineTask:
         self._fn = compiled.fn
         return compiled.fn
 
-    def _interpret(self, part):
-        return FusedPipelineTask(self.steps, self.fold)(part)
+    def _interpret(self, parts):
+        return FusedPipelineTask(self.steps, self.fold).run(parts)
 
-    def __call__(self, part):
+    def run(self, parts):
         fn = self._fn
         if fn is None:
             try:
@@ -308,9 +428,9 @@ class CompiledPipelineTask:
             except NameError:
                 # A lowered body's name no longer resolves: the call
                 # would raise it per record, so let the interpreter.
-                return self._interpret(part)
+                return self._interpret(parts)
         try:
-            out, counts = fn(part, self.udfs, self._env)
+            results = fn(parts, self.udfs, self._env)
         except (SimulatedOutOfMemory, UdfError):
             raise
         except Exception:
@@ -318,25 +438,30 @@ class CompiledPipelineTask:
             # takes a record through the whole chain where the
             # interpreter takes a vector through a step.  The gate
             # proved the UDFs pure (a reducer folded inside the loop
-            # included), so running the partition again is
-            # unobservable: the interpreter raises, with its step and
-            # its first-failing-step rule.
-            return self._interpret(part)
+            # included), so running the batch again is unobservable:
+            # the interpreter raises, with its step and its
+            # first-failing-step rule.
+            return self._interpret(parts)
+        # Values are read-only: one list of zero works serves the batch.
         works = [0] * len(self.steps)
         if self.fold is None:
-            return out, counts, works
+            return [(out, counts, works) for out, counts in results]
         if self._folds:
-            return out, counts, works, 0
-        acc = {}
-        work = fold_pairs(acc, out, *self.fold)
-        return list(acc.items()), counts, works, work
+            return [(out, counts, works, 0) for out, counts in results]
+        values = []
+        for out, counts in results:
+            acc = {}
+            work = fold_pairs(acc, out, *self.fold)
+            values.append((list(acc.items()), counts, works, work))
+        return values
 
 
-class MapPartitionsTask:
-    """Apply ``fn(items, partition_index)`` to one whole partition.
+class MapPartitionsTask(BatchTask):
+    """Apply ``fn(items, partition_index)`` to whole partitions.
 
-    Returns ``(records, work)``: a UDF that processes the partition
-    record-at-a-time internally may wrap its result in
+    An input is ``(partition, index)``.  The value is ``(records,
+    work)``: a UDF that processes the partition record-at-a-time
+    internally may wrap its result in
     :class:`~repro.engine.work.Weighted`, and the declared work is
     credited to the stage exactly as the fused elementwise steps
     credit theirs.
@@ -352,23 +477,36 @@ class MapPartitionsTask:
     def udfs(self):
         return (self.fn,)
 
-    def __call__(self, part, index):
-        work = [0]
-        result = unwrap(
-            call_udf(self.operator, self.fn, part, index), work
-        )
-        return list(result), work[0]
+    @staticmethod
+    def size(args):
+        return len(args[0])
+
+    #: The UDF is one opaque call per partition: its records say nothing
+    #: of its cost and there is no per-record call to save, so each
+    #: partition is a batch of its own -- timed alone, and spread over
+    #: the process backend's workers one partition at a time.
+    budget = 0
+
+    def run(self, parts):
+        values = []
+        for part, index in parts:
+            work = [0]
+            result = unwrap(
+                call_udf(self.operator, self.fn, part, index), work
+            )
+            values.append((list(result), work[0]))
+        return values
 
 
-class CombineTask:
+class CombineTask(BatchTask):
     """Per-partition combine for ``reduce_by_key`` (map or reduce side).
 
     Folds ``(key, value)`` records into one record per key with the
-    user's reduce function; used on both sides of the shuffle.  Returns
-    ``(records, work)``: each reduction's result is unwrapped like
-    every other UDF result, so a ``Weighted``-returning reducer credits
-    its declared work instead of leaking wrapper objects into the
-    shuffle.
+    user's reduce function; used on both sides of the shuffle.  The
+    value is ``(records, work)``: each reduction's result is unwrapped
+    like every other UDF result, so a ``Weighted``-returning reducer
+    credits its declared work instead of leaking wrapper objects into
+    the shuffle.
 
     ``keyed`` says the input already went through a shuffle, whose
     assignment pass checked every record (the reduce side); without it
@@ -390,16 +528,19 @@ class CombineTask:
     def empty_result(self):
         return [], 0
 
-    def __call__(self, records):
-        acc = {}
-        work = fold_pairs(
-            acc, records, self.fn, self.operator, not self.keyed
-        )
-        return list(acc.items()), work
+    def run(self, parts):
+        values = []
+        for records in parts:
+            acc = {}
+            work = fold_pairs(
+                acc, records, self.fn, self.operator, not self.keyed
+            )
+            values.append((list(acc.items()), work))
+        return values
 
 
-class GroupBucketTask:
-    """Materialize one reduce bucket's groups for ``group_by_key``.
+class GroupBucketTask(BatchTask):
+    """Materialize reduce buckets' groups for ``group_by_key``.
 
     Carries the scalar memory-model constants it needs (per-record
     rate, overhead factor, per-task limit) so the memory check runs
@@ -425,39 +566,50 @@ class GroupBucketTask:
     def empty_result(self):
         return []
 
-    def __call__(self, bucket):
-        groups = {}
+    def run(self, parts):
         keyed = self.keyed
-        for record in bucket:
-            if not keyed:
-                require_keyed(record)
-            key, value = record
-            groups.setdefault(key, []).append(value)
-        for key, values in groups.items():
-            self._check_group("materializing group %r", key, len(values))
-        return list(groups.items())
+        values = []
+        for bucket in parts:
+            groups = {}
+            for record in bucket:
+                if not keyed:
+                    require_keyed(record)
+                key, value = record
+                groups.setdefault(key, []).append(value)
+            for key, grouped in groups.items():
+                self._check_group("materializing group %r", key, len(grouped))
+            values.append(list(groups.items()))
+        return values
 
 
 class CoGroupBucketTask(GroupBucketTask):
-    """Materialize one reduce bucket of a cogroup (two input sides)."""
+    """Materialize reduce buckets of a cogroup (two input sides); an
+    input is ``(left_bucket, right_bucket)``."""
 
     __slots__ = ()
 
-    def __call__(self, left_bucket, right_bucket):
-        groups = {}
-        for key, value in left_bucket:
-            groups.setdefault(key, ([], []))[0].append(value)
-        for key, value in right_bucket:
-            groups.setdefault(key, ([], []))[1].append(value)
-        for key, (lvals, rvals) in groups.items():
-            self._check_group(
-                "cogrouping key %r", key, len(lvals) + len(rvals)
-            )
-        return list(groups.items())
+    @staticmethod
+    def size(buckets):
+        return len(buckets[0]) + len(buckets[1])
+
+    def run(self, parts):
+        values = []
+        for left_bucket, right_bucket in parts:
+            groups = {}
+            for key, value in left_bucket:
+                groups.setdefault(key, ([], []))[0].append(value)
+            for key, value in right_bucket:
+                groups.setdefault(key, ([], []))[1].append(value)
+            for key, (lvals, rvals) in groups.items():
+                self._check_group(
+                    "cogrouping key %r", key, len(lvals) + len(rvals)
+                )
+            values.append(list(groups.items()))
+        return values
 
 
-class BroadcastJoinProbeTask:
-    """Probe one stream partition against a broadcast hash table."""
+class BroadcastJoinProbeTask(BatchTask):
+    """Probe stream partitions against a broadcast hash table."""
 
     __slots__ = ("table", "operator")
 
@@ -468,18 +620,23 @@ class BroadcastJoinProbeTask:
     def empty_result(self):
         return []
 
-    def __call__(self, part):
-        produced = []
-        for record in part:
-            require_keyed(record)
-            key, value = record
-            for other in self.table.get(key, ()):
-                produced.append((key, (value, other)))
-        return produced
+    def run(self, parts):
+        table = self.table
+        values = []
+        for part in parts:
+            produced = []
+            for record in part:
+                if record.__class__ is not tuple or len(record) != 2:
+                    require_keyed(record)  # tuple subclasses still pass
+                key, value = record
+                for other in table.get(key, ()):
+                    produced.append((key, (value, other)))
+            values.append(produced)
+        return values
 
 
-class CrossBroadcastTask:
-    """Pair one stream partition with a broadcast payload."""
+class CrossBroadcastTask(BatchTask):
+    """Pair stream partitions with a broadcast payload."""
 
     __slots__ = ("payload", "broadcast_side", "operator")
 
@@ -491,11 +648,14 @@ class CrossBroadcastTask:
     def empty_result(self):
         return []
 
-    def __call__(self, part):
-        pairs = product(part, self.payload)
+    def run(self, parts):
+        payload = self.payload
         if self.broadcast_side == "right":
-            return list(pairs)
-        return [(other, item) for item, other in pairs]
+            return [list(product(part, payload)) for part in parts]
+        return [
+            [(other, item) for item, other in product(part, payload)]
+            for part in parts
+        ]
 
 
 def require_keyed(record):
@@ -515,16 +675,40 @@ def require_hashable(key):
         ) from None
 
 
+class CallTask(BatchTask):
+    """A plain callable as a task, for ad-hoc tasks without ``run``: an
+    input is the callable's argument tuple, non-empty if any argument
+    is, and each input is a batch of its own.  ``operator``, ``udfs``
+    and ``empty_result`` are the callable's, where it has them."""
+
+    __slots__ = ("fn", "operator", "udfs", "empty_result")
+
+    size = any
+    budget = 0
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.operator = getattr(fn, "operator", type(fn).__name__)
+        self.udfs = getattr(fn, "udfs", ())
+        self.empty_result = getattr(fn, "empty_result", None)
+
+    def run(self, parts):
+        return [self.fn(*args) for args in parts]
+
+
 # ----------------------------------------------------------------------
 # Invocation and outcome: what actually crosses the backend boundary
 # ----------------------------------------------------------------------
 
 
 class Invocation:
-    """One attempt of one task: the unit a backend runs.
+    """One attempt of one batch: the unit a backend runs.
+
+    ``parts`` are the batch's inputs and ``indices`` their partitions'
+    task indices, in order; a batch of one is a single task.
 
     ``inject_fault`` is set by the scheduler when the fault injector
-    planned a failure for this (stage, task, attempt); the task then
+    planned a failure for this (stage, task, attempt); the batch then
     dies with :class:`~repro.errors.InjectedFault` exactly where a
     killed worker would.
 
@@ -534,17 +718,17 @@ class Invocation:
     onto the driver timeline by the scheduler.
 
     Plain ``__slots__`` classes, not dataclasses: a paper-scale stage
-    dispatches over a thousand of these, so construction is hot.
+    dispatches hundreds of these, so construction is hot.
     """
 
-    __slots__ = ("task", "args", "task_index", "attempt", "inject_fault",
+    __slots__ = ("task", "parts", "indices", "attempt", "inject_fault",
                  "collect_events")
 
-    def __init__(self, task, args, task_index, attempt=1,
+    def __init__(self, task, parts, indices, attempt=1,
                  inject_fault=False, collect_events=False):
         self.task = task
-        self.args = args
-        self.task_index = task_index
+        self.parts = parts
+        self.indices = indices
         self.attempt = attempt
         self.inject_fault = inject_fault
         self.collect_events = collect_events
@@ -556,13 +740,16 @@ class Invocation:
     def __reduce__(self):
         return (
             Invocation,
-            (self.task, self.args, self.task_index, self.attempt,
+            (self.task, self.parts, self.indices, self.attempt,
              self.inject_fault, self.collect_events),
         )
 
 
 class TaskOutcome:
     """What came back from running one invocation.
+
+    ``values`` holds one value per index of ``indices`` when ``ok``;
+    ``seconds`` is the whole batch's clock pair.
 
     ``start_epoch`` is the attempt's start on the machine's shared
     wall clock (``time.time()``); ``events`` are worker-side trace
@@ -574,16 +761,16 @@ class TaskOutcome:
     unless the invocation asked for collection.
     """
 
-    __slots__ = ("task_index", "ok", "value", "error", "error_traceback",
+    __slots__ = ("indices", "ok", "values", "error", "error_traceback",
                  "seconds", "worker_pid", "attempt", "start_epoch",
                  "events")
 
-    def __init__(self, task_index, ok, value=None, error=None,
+    def __init__(self, indices, ok, values=None, error=None,
                  error_traceback="", seconds=0.0, worker_pid=0, attempt=1,
                  start_epoch=0.0, events=None):
-        self.task_index = task_index
+        self.indices = indices
         self.ok = ok
-        self.value = value
+        self.values = values
         self.error = error
         self.error_traceback = error_traceback
         self.seconds = seconds
@@ -602,7 +789,7 @@ class TaskOutcome:
     def __reduce__(self):
         return (
             TaskOutcome,
-            (self.task_index, self.ok, self.value, self.error,
+            (self.indices, self.ok, self.values, self.error,
              self.error_traceback, self.seconds, self.worker_pid,
              self.attempt, self.start_epoch, self.events),
         )
@@ -656,12 +843,12 @@ def execute_invocation(invocation):
         if invocation.inject_fault:
             raise InjectedFault(
                 "injected fault: task %d attempt %d"
-                % (invocation.task_index, invocation.attempt)
+                % (invocation.indices[0], invocation.attempt)
             )
-        value = invocation.task(*invocation.args)
+        values = invocation.task.run(invocation.parts)
     except Exception as exc:
         return TaskOutcome(
-            task_index=invocation.task_index,
+            indices=invocation.indices,
             ok=False,
             error=exc,
             error_traceback=traceback.format_exc(),
@@ -675,9 +862,9 @@ def execute_invocation(invocation):
         if events is not None:
             _worker_state.events = None
     return TaskOutcome(
-        task_index=invocation.task_index,
+        indices=invocation.indices,
         ok=True,
-        value=value,
+        values=values,
         seconds=time.perf_counter() - start,
         worker_pid=os.getpid(),
         attempt=invocation.attempt,

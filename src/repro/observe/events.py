@@ -25,12 +25,12 @@ KIND_DRIVER = "driver"          # one action call on the driver
 KIND_JOB = "job"                # one scheduled job (collect/count/...)
 KIND_STAGE = "stage"            # one dispatched stage (task set + retries)
 KIND_TASK_SET = "task_set"      # one wave of attempts sent to the backend
-KIND_TASK = "task"              # one task attempt (worker- or driver-run)
+KIND_TASK = "task"              # one attempt of one batch of tasks
 KIND_SHUFFLE = "shuffle"        # a completed hash shuffle (instant)
 KIND_BROADCAST = "broadcast"    # a broadcast payload shipped (instant)
 KIND_SERDE = "serde"            # closure/outcome (de)serialization span
 KIND_TASK_RETRY = "task_retry"  # scheduler re-launched a failed attempt
-KIND_FAULT = "fault"            # a task attempt failed (instant)
+KIND_FAULT = "fault"            # a batch's attempt failed (instant)
 KIND_STRAGGLER = "straggler"    # a task ran far beyond its set's median
 #: A retry touched a task whose UDFs the effect analysis refuted as
 #: deterministic -- the repeated run may legitimately observe a

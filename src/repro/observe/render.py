@@ -104,7 +104,7 @@ def summarize_events(events, top=10, width=64):
         + ", ".join(
             "%s=%d" % (kind, kinds[kind]) for kind in sorted(kinds)
         ),
-        "task attempts: %d spanning %s"
+        "task batch attempts: %d spanning %s"
         % (len(task_spans), _fmt_s(task_total)),
     ]
     incidents = []

@@ -18,7 +18,11 @@ from repro.engine.runtime import (
     serde,
 )
 import repro
-from repro.engine.runtime.task import Invocation, MapPartitionsTask
+from repro.engine.runtime.task import (
+    CallTask,
+    Invocation,
+    MapPartitionsTask,
+)
 from repro.errors import SerializationError
 
 
@@ -36,8 +40,13 @@ class GeneratorResultTask:
 
 
 def invocations_for(task, parts, with_index=False):
+    """One batch of one per partition: ``MapPartitionsTask``'s input
+    is ``(part, index)``, a plain callable's its argument tuple (run
+    through ``CallTask``, as the scheduler runs it)."""
+    if not hasattr(task, "run"):
+        task = CallTask(task)
     return [
-        Invocation(task, (part, i) if with_index else (part,), i)
+        Invocation(task, [(part, i) if with_index else (part,)], [i])
         for i, part in enumerate(parts)
     ]
 
@@ -52,9 +61,9 @@ class TestSerialBackend:
         outcomes = backend.run_invocations(
             invocations_for(task, PARTS, with_index=True)
         )
-        assert [o.task_index for o in outcomes] == [0, 1, 2, 3]
+        assert [o.indices for o in outcomes] == [[0], [1], [2], [3]]
         assert all(o.ok for o in outcomes)
-        assert [o.value for o in outcomes] == [
+        assert [o.values[0] for o in outcomes] == [
             ([2, 4], 0), ([6], 0), ([], 0), ([8, 10, 12], 0)
         ]
         assert all(o.worker_pid == os.getpid() for o in outcomes)
@@ -86,7 +95,19 @@ class TestProcessPoolBackend:
             invocations_for(task, PARTS, with_index=True)
         )
         assert all(o.ok for o in outcomes)
-        assert [o.value for o in outcomes] == [
+        assert [o.values[0] for o in outcomes] == [
+            ([2, 4], 0), ([6], 0), ([], 0), ([8, 10, 12], 0)
+        ]
+
+    def test_a_batch_runs_in_one_invocation(self):
+        backend = ProcessPoolBackend(num_workers=2)
+        task = MapPartitionsTask(_double_partition, "Map[x2]")
+        (outcome,) = backend.run_invocations([
+            Invocation(task, [(part, i) for i, part in enumerate(PARTS)],
+                       [0, 1, 2, 3])
+        ])
+        assert outcome.ok and outcome.indices == [0, 1, 2, 3]
+        assert outcome.values == [
             ([2, 4], 0), ([6], 0), ([], 0), ([8, 10, 12], 0)
         ]
 
@@ -133,10 +154,10 @@ class TestProcessPoolBackend:
         outcomes = backend.run_invocations(
             invocations_for(GeneratorForThrees(), [[i] for i in range(18)])
         )
-        assert [o.task_index for o in outcomes] == list(range(18))
+        assert [o.indices for o in outcomes] == [[i] for i in range(18)]
         assert [o.ok for o in outcomes] == [i != 3 for i in range(18)]
         assert isinstance(outcomes[3].error, SerializationError)
-        assert outcomes[4].value == [4]
+        assert outcomes[4].values == [[4]]
 
     def test_rejects_negative_worker_count(self):
         with pytest.raises(ValueError):
@@ -158,9 +179,10 @@ class TestChunkedShipping:
         run_payloads = backends._run_payloads
 
         def recording(num_workers, payloads):
-            submissions.append(
-                [len(serde.loads(payload)) for payload in payloads]
-            )
+            submissions.append([
+                sum(len(batch.indices) for batch in serde.loads(payload))
+                for payload in payloads
+            ])
             return run_payloads(num_workers, payloads)
 
         monkeypatch.setattr(backends, "_run_payloads", recording)
@@ -176,6 +198,8 @@ class TestChunkedShipping:
         return bag.map(lambda x: x + 1).collect()
 
     def test_a_large_set_crosses_the_pool_in_a_few_payloads(self, submissions):
+        # One-record partitions: batches of VECTOR tasks, a few batches
+        # to a payload.
         ctx = self.ctx()
         assert sorted(self.job(ctx)) == list(range(1, self.TASKS + 1))
         (sizes,) = submissions

@@ -13,7 +13,8 @@ their stages interleave.
 import threading
 
 from repro.engine import EngineContext, laptop_config
-from repro.observe.events import KIND_FAULT, KIND_STAGE
+from repro.engine.runtime.task import VECTOR
+from repro.observe.events import KIND_FAULT, KIND_STAGE, KIND_TASK_SET
 
 
 def branching_program(ctx, fused=True):
@@ -179,3 +180,47 @@ def test_gathered_jobs_draw_contiguous_ordinal_ranges():
     for base, ordinals in zip((0, budget), ranges):
         assert ordinals == sorted(ordinals)
         assert base <= ordinals[0] and ordinals[-1] < base + budget
+
+
+def test_a_kill_in_the_middle_of_a_batch_hits_its_partition_alone():
+    # 64 one-record partitions are one batch (on the serial backend;
+    # the process backend cuts a set into enough batches for its
+    # workers) -- unless a kill plan is pending: then the set runs as
+    # batches of one, and the plan hits partition 30 and nothing else.
+    def run(kill):
+        with EngineContext(laptop_config(), trace=True) as ctx:
+            if kill:
+                ctx.fault_injector.kill_task(task_index=30, stage=0)
+            result = sorted(
+                ctx.bag_of(range(64), num_partitions=64)
+                .map(lambda x: x * 3).collect()
+            )
+            (stage,) = ctx.trace.jobs[-1].stages
+            faults = [
+                event.args for event in ctx.tracer.events()
+                if event.kind == KIND_FAULT
+            ]
+            batches = [
+                (event.args["tasks"], event.args["batches"])
+                for event in ctx.tracer.events()
+                if event.kind == KIND_TASK_SET
+            ]
+            runtime = ctx.runtime
+            budget = runtime.backend.batch_budget(VECTOR, [1] * 64)
+            return (
+                result, list(stage.task_records), stage.task_retries,
+                faults, batches,
+                (runtime.tasks_launched, runtime.tasks_failed,
+                 runtime.tasks_retried),
+                -(-64 // budget),
+            )
+
+    result, records, retries, faults, sets, counts, _ = run(kill=True)
+    clean = run(kill=False)
+    assert (result, records) == clean[:2]
+    assert retries == 1 and clean[2] == 0
+    ((fault,),) = [faults]
+    assert (fault["task"], fault["tasks"]) == (30, 1)
+    assert sets == [(64, 64), (1, 1)]  # batches of one, then the retry
+    assert counts == (65, 1, 1)
+    assert clean[4] == [(64, clean[6])] and clean[5] == (64, 0, 0)

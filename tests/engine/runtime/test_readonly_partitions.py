@@ -213,3 +213,72 @@ def test_paper_default_parallelism_never_writes_through_a_partition(
     assert undispatched > 20000
     assert 30 < len(calls) <= len(sets) < 100
     assert results_equivalent(frozen, run(flattened_pair, config))
+
+
+def _tag_each(items, index):
+    return [(index, item) for item in items]
+
+
+def test_batched_bodies_never_write_through_their_inputs():
+    # Every body over one batch of frozen partitions -- the one frozen
+    # empty among them several times, as a pending fault plan would
+    # dispatch it -- reads them and writes only lists of its own.
+    from repro.engine.codegen import plan_compiled_task
+    from repro.engine.runtime.task import (
+        STEP_FILTER, STEP_FLATMAP, STEP_MAP,
+        BroadcastJoinProbeTask, CoGroupBucketTask, CombineTask,
+        CrossBroadcastTask, FusedPipelineTask, GroupBucketTask,
+        MapPartitionsTask,
+    )
+
+    empty = FrozenList()
+    pairs = [freeze([(x % 3, x) for x in range(start, start + 5)])
+             for start in (0, 5)]
+    batch = [pairs[0], empty, pairs[1], empty]
+    steps = [(STEP_MAP, _swap, "swap"), (STEP_FILTER, _even, "keep"),
+             (STEP_FLATMAP, _twice, "twice"), (STEP_MAP, _swap, "back")]
+    compiled, reason = plan_compiled_task(steps, fold=(_add, "add"))
+    assert reason is None, reason
+    bodies = [
+        (FusedPipelineTask(steps), batch),
+        (FusedPipelineTask(steps, (_add, "add")), batch),
+        (compiled, batch),
+        (CombineTask(_add, "c"), batch),
+        (GroupBucketTask(1.0, 1.0, 10 ** 6, "g"), batch),
+        (CoGroupBucketTask(1.0, 1.0, 10 ** 6, "cg"),
+         list(zip(batch, reversed(batch)))),
+        (BroadcastJoinProbeTask({0: ["a"]}, "j"), batch),
+        (CrossBroadcastTask(freeze([1, 2]), "left", "x"), batch),
+        (MapPartitionsTask(_tag_each, "mp"),
+         [(part, index) for index, part in enumerate(batch)]),
+    ]
+    del fired[:]
+    for task, inputs in bodies:
+        values = task.run(inputs)
+        assert len(values) == len(inputs)
+        assert values == task.run(_thaw(inputs)), type(task).__name__
+    assert fired == []
+
+
+def _thaw(value):
+    if isinstance(value, list):
+        return list(map(_thaw, value))
+    if isinstance(value, tuple):
+        return tuple(map(_thaw, value))
+    return value
+
+
+def _even(pair):
+    return pair[0] % 2 == 0
+
+
+def _swap(pair):
+    return (pair[1], pair[0])
+
+
+def _twice(pair):
+    return (pair, pair)
+
+
+def _add(a, b):
+    return a + b

@@ -98,14 +98,16 @@ class TestRoundtrips:
         task = FusedPipelineTask(
             [(STEP_MAP, lambda x: x + offset, "Map[c]")]
         )
-        invocation = Invocation(task, ([1, 2],), 7, attempt=2,
+        invocation = Invocation(task, [[1, 2], [3]], [7, 8], attempt=2,
                                 inject_fault=True)
         rebuilt = roundtrip(invocation, force_fallback)
-        assert rebuilt.task_index == 7
+        assert rebuilt.indices == [7, 8]
         assert rebuilt.attempt == 2
         assert rebuilt.inject_fault is True
-        out, _counts, _works = rebuilt.task(*rebuilt.args)
-        assert out == [101, 102]
+        (out, _counts, _works), (more, _, _) = rebuilt.task.run(
+            rebuilt.parts
+        )
+        assert (out, more) == ([101, 102], [103])
 
 
 class TestEnsureSerializable:

@@ -23,6 +23,8 @@ from repro.engine import (
 )
 from repro.engine.codegen import plan_compiled_task
 from repro.engine.metrics import ExecutionTrace
+from repro.engine.runtime import backends, serde
+from repro.engine.runtime import scheduler as scheduler_module
 from repro.engine.runtime.task import (
     STEP_FILTER,
     STEP_MAP,
@@ -35,6 +37,7 @@ from repro.engine.runtime.task import (
     GroupBucketTask,
     MapPartitionsTask,
 )
+from repro.errors import TaskFailedError, UdfError, WorkerLostError
 
 PARTITIONS = 64
 
@@ -398,3 +401,115 @@ class TestWeightedWorkMidChain:
         (stage,) = ctx.trace.jobs[-1].stages
         # input record + three step counts + two truncated works
         assert stage.task_records == [6, 6, 0, 0]
+
+
+class TestBatches:
+    """Live partitions run in batches; everything else stays per
+    partition."""
+
+    def test_one_clock_pair_per_batch_apportioned_by_records(
+        self, monkeypatch
+    ):
+        # A clock that advances one second per read: each batch's pair
+        # is exactly 1.0, spread over its partitions by records + 1.
+        ticks = iter(range(10 ** 6))
+        monkeypatch.setattr(
+            scheduler_module.time, "perf_counter", lambda: next(ticks)
+        )
+        scheduler = TaskScheduler(laptop_config(backend="serial"))
+        stage = ExecutionTrace().new_job("collect").new_stage("input")
+        parts = [[] for _ in range(PARTITIONS)]
+        parts[1], parts[2], parts[5] = [1], [2, 3, 4], [5] * 200
+        task = FusedPipelineTask([(STEP_MAP, abs, "m")])
+        values = scheduler.run_stage(task, parts, stage=stage)
+        assert [value[0] for value in values] == [
+            list(map(abs, part)) for part in parts
+        ]
+        seconds = stage.task_seconds
+        # Partitions 1 and 2 are one batch (2 + 4 shares of 1.0); 5
+        # holds a budget's worth of records alone and is timed alone.
+        assert seconds[1] == pytest.approx(2 / 6)
+        assert seconds[2] == pytest.approx(4 / 6)
+        assert seconds[5] == 1.0
+        assert sum(seconds) == pytest.approx(2.0)
+        assert [i for i, s in enumerate(seconds) if s] == [1, 2, 5]
+        assert scheduler.tasks_launched == 3
+
+    def test_a_non_retryable_error_raises_in_place(self):
+        def picky(x):
+            if x == 2:
+                raise ValueError("no twos")
+            return x
+
+        calls = []
+
+        def seen(x):
+            calls.append(x)
+            return x
+
+        ctx = serial_ctx()
+        bag = ctx.range_bag(8, num_partitions=PARTITIONS).map(seen).map(
+            picky
+        )
+        with pytest.raises(UdfError) as err:
+            bag.collect()
+        assert isinstance(err.value.original, ValueError)
+        # One batch, run once: no partition was re-run to find the
+        # culprit.
+        assert sorted(calls) == list(range(8))
+
+    @pytest.fixture
+    def lose_first_payload(self, monkeypatch):
+        """The first dispatch loses its first payload, as a pool a
+        worker died in would; returns the task count of every batch
+        shipped, per dispatch."""
+        shipped = []
+        run_payloads = backends._run_payloads
+
+        def losing(num_workers, payloads):
+            shipped.append([
+                len(batch.indices)
+                for payload in payloads
+                for batch in serde.loads(payload)
+            ])
+            results = run_payloads(num_workers, payloads)
+            if len(shipped) == 1:
+                results[0] = None
+            return results
+
+        monkeypatch.setattr(backends, "_run_payloads", losing)
+        return shipped
+
+    def test_a_lost_batch_is_retried_partition_by_partition(
+        self, lose_first_payload
+    ):
+        with EngineContext(
+            laptop_config(backend="process", num_workers=2)
+        ) as ctx:
+            bag = ctx.range_bag(1024, num_partitions=PARTITIONS)
+            assert sorted(bag.map(abs).collect()) == list(range(1024))
+            first, retry = lose_first_payload
+            # 16-record partitions: batches of 8, one to a payload; the
+            # lost payload's 8 partitions come back as batches of one
+            # at attempt 2.
+            assert first == [8] * 8
+            assert retry == [1] * 8
+            runtime = ctx.runtime
+            assert (runtime.tasks_failed, runtime.tasks_retried) == (8, 8)
+            assert runtime.tasks_launched == PARTITIONS + 8
+            (stage,) = ctx.trace.jobs[-1].stages
+            assert stage.task_retries == 8
+            assert stage.failed_attempt_seconds == 0.0  # lost, not timed
+            assert all(seconds > 0 for seconds in stage.task_seconds)
+
+    def test_a_lost_batch_out_of_attempts_names_its_first_partition(
+        self, lose_first_payload
+    ):
+        with EngineContext(laptop_config(
+            backend="process", num_workers=2, max_task_attempts=1
+        )) as ctx:
+            bag = ctx.range_bag(1024, num_partitions=PARTITIONS)
+            with pytest.raises(TaskFailedError) as err:
+                bag.map(abs).collect()
+        assert err.value.task_index == 0
+        assert isinstance(err.value.last_error, WorkerLostError)

@@ -25,6 +25,7 @@ replaced: ``CombineTask`` over ``FusedPipelineTask``'s output.
 """
 
 import collections
+import copy
 import hashlib
 import sys
 
@@ -44,10 +45,14 @@ from repro.engine.runtime.task import (
     STEP_FLATMAP,
     STEP_MAP,
     VECTOR,
+    BroadcastJoinProbeTask,
+    CoGroupBucketTask,
     CombineTask,
     CompiledPipelineTask,
     CrossBroadcastTask,
     FusedPipelineTask,
+    GroupBucketTask,
+    MapPartitionsTask,
     require_keyed,
 )
 from repro.engine.work import Weighted, unwrap_all
@@ -316,14 +321,16 @@ def build_lowered_steps(specs):
 
 
 def _outcome(body, part):
-    """``("ok", result)``, ``("error", operator, error type)`` or
-    ``("plan-error", message)``."""
+    """``("ok", result)``, ``("error", operator, error type)``,
+    ``("plan-error", message)`` or ``("oom", message)``."""
     try:
         return ("ok", body(part))
     except UdfError as err:
         return ("error", err.operator, type(err.original))
     except PlanError as err:
         return ("plan-error", str(err))
+    except SimulatedOutOfMemory as err:
+        return ("oom", str(err))
 
 
 @pytest.mark.parametrize("length", [0, 1, VECTOR + 1])
@@ -752,9 +759,15 @@ def test_engine_calls_are_per_vector_not_per_record():
     task = FusedPipelineTask(steps)
     part = list(range(4096))
     # The UDFs live in this file, so what is counted is the engine's
-    # own frames: 4096 records x 4 steps under a per-record wrapper.
+    # own frames: 4096 records x 4 steps under a per-record wrapper, a
+    # handful without one.
     calls = _engine_calls(lambda: task(part))
     assert 0 < sum(calls.values()) < 100, calls
+    # A batch of one-record partitions finds its vectors' tag runs: a
+    # few frames per vector (measured: 4 per input vector), none per
+    # record or partition.
+    calls = _engine_calls(lambda: task.run([[x] for x in part]))
+    assert 0 < sum(calls.values()) < 5 * (len(part) // VECTOR), calls
 
     keyed = [(x % 64, 1.0) for x in range(4096)]
     combine = CombineTask(lambda a, b: a + b, "sum")
@@ -867,3 +880,220 @@ def test_cross_broadcast_pairs_in_stream_major_order(side):
     task = CrossBroadcastTask(payload, side, "cross")
     assert task(part) == want
     assert task([]) == task.empty_result() == []
+
+
+# ----------------------------------------------------------------------
+# Batches: a run of partitions through one body call
+# ----------------------------------------------------------------------
+
+
+#: Partition lengths a batch is drawn from: empties, a record or two
+#: (the flattened programs' partitions), and both sides of a vector.
+batch_lengths = st.lists(
+    st.sampled_from([0, 1, 2, 3, VECTOR - 1, VECTOR + 1]),
+    min_size=1, max_size=6,
+)
+
+
+def batch_of(lengths):
+    """Consecutive ints cut into partitions of ``lengths``."""
+    parts, start = [], 0
+    for length in lengths:
+        parts.append(list(range(start, start + length)))
+        start += length
+    return parts
+
+
+def assert_batch_is_its_calls(task, parts, raisers=1):
+    """``task.run(parts)`` is ``[task(p) for p in parts]``: values,
+    counts, works and fold work, or the same error.  With more than one
+    UDF that can raise, which one reports may differ -- within a vector
+    the earlier step's error wins, also across the batch's partitions
+    -- but both raise.  An input that is a tuple is the call's
+    arguments."""
+    before = copy.deepcopy(parts)
+    batched = _outcome(task.run, parts)
+    alone = _outcome(
+        lambda ps: [
+            task(*part) if isinstance(part, tuple) else task(part)
+            for part in ps
+        ],
+        parts,
+    )
+    if alone[0] == "ok" or raisers <= 1:
+        assert batched == alone
+    else:
+        assert batched[0] != "ok"
+    assert parts == before
+
+
+def _failing_step(bad, kind):
+    check = _fail_at(bad)
+    if kind == STEP_MAP:
+        return check
+    if kind == STEP_FILTER:
+        return lambda x: check(x) % 2
+    return lambda x: (check(x), x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    specs=chains,
+    lengths=batch_lengths,
+    raiser=st.one_of(
+        st.none(),
+        st.tuples(
+            st.integers(0, 4),
+            st.sampled_from([STEP_MAP, STEP_FILTER, STEP_FLATMAP]),
+            st.integers(0, 2 * VECTOR + 8),
+        ),
+    ),
+)
+def test_a_batch_of_chains_is_the_calls_it_replaces(specs, lengths, raiser):
+    steps = build_steps(specs)
+    if raiser is not None:
+        at, kind, bad = raiser
+        steps.insert(
+            min(at, len(steps)), (kind, _failing_step(bad, kind), "raiser")
+        )
+    parts = batch_of(lengths)
+    assert_batch_is_its_calls(FusedPipelineTask(steps), parts)
+    if not any("weighted" in operator for _kind, _fn, operator in steps):
+        # Every step called from the generated loop.
+        assert_batch_is_its_calls(compiled_task(steps), parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=lowered_specs, lengths=batch_lengths)
+def test_a_batch_of_lowered_chains_is_the_calls_it_replaces(specs, lengths):
+    # ``ratio`` and ``pair_past`` raise on some records: two of them in
+    # a chain may report either.
+    steps = build_lowered_steps(specs)
+    assume(steps)
+    task, reason = plan_compiled_task(steps)
+    assert reason is None, reason
+    raisers = sum(
+        operator.split("#")[0] in ("ratio", "pair_past")
+        for _kind, _fn, operator in steps
+    )
+    parts = batch_of(lengths)
+    assert_batch_is_its_calls(task, parts, raisers)
+    assert_batch_is_its_calls(FusedPipelineTask(steps), parts, raisers)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    specs=st.lists(
+        step_specs.filter(lambda spec: "weighted" not in spec[0]),
+        max_size=3,
+    ),
+    tail=st.sampled_from(sorted(TAILS)),
+    modulus=st.integers(min_value=1, max_value=5),
+    reducer=st.sampled_from(sorted(REDUCERS)),
+    lengths=batch_lengths,
+)
+def test_a_batch_of_folding_chains_is_the_calls_it_replaces(
+    specs, tail, modulus, reducer, lengths
+):
+    steps = build_steps(specs)
+    if TAILS[tail] is not None:
+        kind, factory = TAILS[tail]
+        steps.append((kind, factory(modulus), "%s#%d" % (tail, len(steps))))
+    assume(steps)
+    fn, in_loop = REDUCERS[reducer]
+    fold = (fn, "%s#%d" % (reducer, len(steps)))
+    parts = batch_of(lengths)
+    # The reducer may raise, and so may the fold on a record that is no
+    # pair (``unpaired``, ``list``): one UDF at most ahead of the fold.
+    for name, body in fold_bodies(steps, fold, in_loop).items():
+        assert_batch_is_its_calls(body, parts)
+
+
+def _keyed_batch(lengths, bad=None):
+    """Partitions of ``(key, value)`` pairs with repeated keys, and
+    ``bad`` -- a record that is no pair -- at the end of the last."""
+    parts = [[(x % 5, x) for x in part] for part in batch_of(lengths)]
+    if bad is not None:
+        parts[-1] = parts[-1] + [bad]
+    return parts
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lengths=batch_lengths,
+    reducer=st.sampled_from(sorted(REDUCERS)),
+    keyed=st.booleans(),
+    bad=st.sampled_from([None, 7, (1, 2, 3)]),
+)
+def test_a_batch_of_combines_is_the_calls_it_replaces(
+    lengths, reducer, keyed, bad
+):
+    # ``keyed`` combines trust their input: a non-pair only reaches one
+    # that checks.
+    parts = _keyed_batch(lengths, None if keyed else bad)
+    task = CombineTask(REDUCERS[reducer][0], reducer, keyed=keyed)
+    assert_batch_is_its_calls(task, parts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths=batch_lengths, bad=st.sampled_from([None, 7, "ab"]))
+def test_a_batch_of_keyed_bodies_is_the_calls_it_replaces(lengths, bad):
+    parts = _keyed_batch(lengths, bad)
+    table = {0: ["a"], 2: ["b", "c"]}
+    for task in (
+        GroupBucketTask(1.0, 1.0, 10 ** 6, "g"),
+        GroupBucketTask(1.0, 1.0, 3, "g-small"),  # simulated OOM
+        BroadcastJoinProbeTask(table, "j"),
+    ):
+        assert_batch_is_its_calls(task, parts)
+    if bad is None:
+        pairs = list(zip(parts, reversed(parts)))
+        for limit in (10 ** 6, 3):
+            assert_batch_is_its_calls(
+                CoGroupBucketTask(1.0, 1.0, limit, "c"), pairs
+            )
+    for side in ("left", "right"):
+        assert_batch_is_its_calls(CrossBroadcastTask([1, 2], side, "x"), parts)
+
+
+def _tag_partition(items, index):
+    if index == 3:
+        raise KeyError(index)
+    return Weighted([(index, len(items))] + items, len(items))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths=batch_lengths)
+def test_a_batch_of_map_partitions_is_the_calls_it_replaces(lengths):
+    task = MapPartitionsTask(_tag_partition, "mp")
+    parts = [(part, index) for index, part in enumerate(batch_of(lengths))]
+    assert_batch_is_its_calls(task, parts)
+
+
+def test_a_later_partitions_earlier_step_wins_within_a_batch():
+    # Partition 0's record fails at step 1, partition 1's at step 0, and
+    # both sit in one vector: step 0 sees both records before step 1
+    # sees any, so the batch reports step 0 where the calls report
+    # step 1.  The generated loop re-runs the batch through the
+    # interpreter and agrees.
+    steps = [
+        (STEP_MAP, _fail_at(1), "step-0"),
+        (STEP_MAP, _fail_at(0), "step-1"),
+    ]
+    for body in (FusedPipelineTask(steps), compiled_task(steps)):
+        with pytest.raises(UdfError) as err:
+            body([0])
+        assert err.value.operator == "step-1"
+        with pytest.raises(UdfError) as err:
+            body.run([[0], [1]])
+        assert err.value.operator == "step-0"
+
+
+def test_weighted_work_is_credited_to_its_partition():
+    steps = [(STEP_MAP, lambda x: Weighted(x, x), "w"),
+             (STEP_FLATMAP, lambda x: Weighted([x] * (x % 3), 1), "f")]
+    (first, _c, first_works), (second, _d, second_works) = (
+        FusedPipelineTask(steps).run([[1, 2], [3, 4, 5]])
+    )
+    assert (first, second) == ([1, 2, 2], [4, 5, 5])
+    assert first_works == [3, 2] and second_works == [12, 3]

@@ -155,14 +155,15 @@ class TestGeneratedSource:
 
     def test_source_is_one_loop(self):
         source = generate_source([STEP_MAP, STEP_FILTER, STEP_MAP])
-        # One record loop, no per-step dispatch machinery.
-        assert source.count("for ") == 1
+        # One loop over the batch's partitions, one record loop, no
+        # per-step dispatch machinery.
+        assert source.count("for ") == 2
         assert "call_udf" not in source
         assert "unwrap" not in source
 
     def test_flatmap_nests_loops(self):
         source = generate_source([STEP_FLATMAP, STEP_FLATMAP])
-        assert source.count("for ") == 3
+        assert source.count("for ") == 4
 
 
 # UDFs for TestLowering.  Every name a generated loop uses for itself
@@ -439,12 +440,12 @@ class TestCompiledTask:
         backend = ProcessPoolBackend(num_workers=2)
         try:
             outcomes = backend.run_invocations([
-                Invocation(task, ([index, 10],), index)
+                Invocation(task, [[index, 10]], [index])
                 for index in range(2)
             ])
         finally:
             backend.close()
-        assert [o.value[0] for o in outcomes] == [[8, 18], [9, 18]]
+        assert [o.values[0][0] for o in outcomes] == [[8, 18], [9, 18]]
         assert os.getpid() not in [o.worker_pid for o in outcomes]
 
     def test_cache_reused_across_instances(self):

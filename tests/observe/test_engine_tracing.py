@@ -6,12 +6,18 @@ tree has the same *shape* whether tasks run inline or in worker
 processes.
 """
 
+import collections
 import os
 import threading
 
 import pytest
 
 from repro.engine import EngineContext, laptop_config
+from repro.engine.runtime.task import (
+    STEP_MAP,
+    VECTOR,
+    FusedPipelineTask,
+)
 from repro.observe import MemorySink, Tracer
 from repro.observe.events import (
     DRIVER_LANE,
@@ -174,18 +180,25 @@ class TestBackendParity:
     def test_span_tree_shape_matches_across_backends(self):
         """Serial and process runs of the same program must emit the
         same span tree -- same names, same kinds, same nesting counts --
-        differing only in timings, lanes, and backend-specific serde
-        events."""
+        differing only in timings, lanes, backend-specific serde events,
+        and how a set's tasks were cut into batches: the process backend
+        cuts smaller ones to keep its workers busy, so task spans are
+        compared by the tasks each set ran."""
         results = {}
         shapes = {}
         for backend in ("serial", "process"):
             ctx = traced_ctx(backend)
             results[backend] = sorted(shuffle_job(ctx))
+            events = ctx.tracer.events()
+            ran = collections.Counter()
+            for e in events:
+                if e.kind == KIND_TASK:
+                    ran[e.args["dispatch"]] += e.args["tasks"]
             shapes[backend] = sorted(
                 (e.kind, e.name)
-                for e in ctx.tracer.events()
-                if e.kind in SPAN_KINDS
-            )
+                for e in events
+                if e.kind in SPAN_KINDS and e.kind != KIND_TASK
+            ), ran
             ctx.close()
         assert results["serial"] == results["process"]
         assert shapes["serial"] == shapes["process"]
@@ -266,13 +279,43 @@ class TestRetriesAndStragglers:
         assert stragglers[0].args["partition"] == 2
         assert stragglers[0].args["seconds"] >= 0.05
 
+    def test_a_straggler_names_the_batch_it_was_judged_in(self):
+        import time
+
+        def slow_on(target):
+            def step(x):
+                if x == target:
+                    time.sleep(0.05)
+                return x
+            return step
+
+        # Partitions 0-5 hold a batch's budget each and are timed
+        # alone; the three 2-record partitions behind them are one
+        # batch, which holds the slow record: its clock pair is spread
+        # over that batch's partitions, which are all flagged.
+        ctx = traced_ctx(straggler_min_task_seconds=0.01)
+        parts = [list(range(VECTOR))] * 6 + [
+            [VECTOR + i, VECTOR + i + 1] for i in (0, 2, 4)
+        ]
+        task = FusedPipelineTask([(STEP_MAP, slow_on(VECTOR + 3), "m")])
+        ctx.runtime.run_stage(task, parts)
+        stragglers = [
+            e for e in ctx.tracer.events() if e.kind == KIND_STRAGGLER
+        ]
+        assert sorted(e.args["partition"] for e in stragglers) == [6, 7, 8]
+        for event in stragglers:
+            assert (event.args["task"], event.args["last"]) == (6, 8)
+            assert event.args["batch_seconds"] >= 0.05
+            assert event.args["seconds"] < event.args["batch_seconds"]
+
 
 class TestOverheadStructure:
     def test_event_count_independent_of_record_count(self):
-        """The granularity contract: events scale with tasks and
-        stages, never with records."""
+        """The granularity contract: events scale with batches and
+        stages, never with records.  (Partitions of a batch's budget or
+        more are a batch each, however many records they hold.)"""
         counts = {}
-        for n in (40, 400):
+        for n in (4 * VECTOR, 24 * VECTOR):
             ctx = EngineContext(
                 laptop_config(), trace=Tracer(MemorySink())
             )
@@ -283,12 +326,13 @@ class TestOverheadStructure:
                 .collect()
             )
             counts[n] = len(ctx.tracer.events())
-        assert counts[40] == counts[400]
+        assert counts[4 * VECTOR] == counts[24 * VECTOR]
 
     def test_task_span_cap_bounds_events_per_stage(self):
+        # The cap counts batches: here every partition is one.
         tracer = Tracer(MemorySink(), max_task_spans=4)
         ctx = EngineContext(laptop_config(), trace=tracer)
-        ctx.bag_of(range(64), num_partitions=16).map(
+        ctx.bag_of(range(16 * VECTOR), num_partitions=16).map(
             lambda x: x
         ).collect()
         tasks = [
@@ -301,6 +345,18 @@ class TestOverheadStructure:
             e for e in ctx.tracer.events() if e.kind == KIND_STAGE
         ]
         assert stage.args["tasks"] == 16
+
+    def test_a_task_span_is_one_batch(self):
+        ctx = traced_ctx()
+        ctx.bag_of(range(64), num_partitions=16).map(lambda x: x).collect()
+        (task,) = [e for e in ctx.tracer.events() if e.kind == KIND_TASK]
+        assert task.name.endswith("#0")
+        assert (task.args["task"], task.args["last"]) == (0, 15)
+        assert task.args["tasks"] == 16
+        (task_set,) = [
+            e for e in ctx.tracer.events() if e.kind == KIND_TASK_SET
+        ]
+        assert (task_set.args["tasks"], task_set.args["batches"]) == (16, 1)
 
     def test_untraced_context_emits_nothing(self):
         ctx = EngineContext(laptop_config())

@@ -112,9 +112,9 @@ class TestDriftClamp:
             laptop_config(backend="serial"), tracer=tracer
         )
         outcome = TaskOutcome(
-            task_index=0,
+            indices=[0],
             ok=True,
-            value=None,
+            values=[None],
             seconds=0.1,
             worker_pid=12345,
             attempt=1,
