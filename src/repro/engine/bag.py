@@ -9,6 +9,7 @@ Keyed operators (``reduce_by_key``, ``join``, ``group_by_key`` ...) expect
 elements to be ``(key, value)`` tuples, as in Spark's pair RDDs.
 """
 
+import operator
 from dataclasses import dataclass
 
 from ..errors import PlanError
@@ -530,7 +531,7 @@ class Bag:
         return self.context.executor.fold(self.node, zero, fn, label)
 
     def sum(self, label=""):
-        return self.fold(0, lambda acc, x: acc + x, label)
+        return self.fold(0, operator.add, label)
 
     def take(self, n, label=""):
         """Up to ``n`` elements.

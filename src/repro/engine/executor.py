@@ -44,6 +44,7 @@ lock-guarded or commutative.
 
 import collections
 import contextlib
+import functools
 import itertools
 import operator
 import threading
@@ -93,6 +94,15 @@ _FOLD_WORK = operator.itemgetter(3)
 
 
 _origin = p.origin
+
+
+def _scatter(length, indices, values):
+    """A dense list of ``length`` zeros with ``values[k]`` at
+    ``indices[k]``: a task set's credits from its live tasks'."""
+    dense = [0] * length
+    for index, value in zip(indices, values):
+        dense[index] = value
+    return dense
 
 
 class _Result:
@@ -229,7 +239,7 @@ class Executor:
         """Run a job and return all elements as a list."""
         with self._job_scope("collect", label) as job:
             partitions = self._run(node, job)
-            result = [item for part in partitions for item in part]
+            result = list(itertools.chain.from_iterable(partitions))
             self._check_driver_memory(len(result))
             job.collected_records += len(result)
             validate_job(job)
@@ -283,10 +293,10 @@ class Executor:
     def fold(self, node, zero, fn, label=""):
         with self._job_scope("fold", label) as job:
             partitions = self._run(node, job)
-            acc = zero
-            for part in partitions:
-                for item in part:
-                    acc = fn(acc, item)
+            # The left fold over every partition in order, in C.
+            acc = functools.reduce(
+                fn, itertools.chain.from_iterable(partitions), zero
+            )
             job.collected_records += len(partitions)
             validate_job(job)
         return acc
@@ -394,7 +404,7 @@ class Executor:
     def _eval_parallelize(self, node, job):
         partitions = node.build_partitions()
         stage = job.new_stage("input", meta=node.meta, origin=_origin(node))
-        stage.task_records = [len(part) for part in partitions]
+        stage.task_records = list(map(len, partitions))
         return _Result(partitions, stage)
 
     # -- fused narrow elementwise chains -------------------------------
@@ -442,25 +452,27 @@ class Executor:
             )
             task = compiled or task
             self._record_compile_decision(task, reason)
-        values = self.scheduler.run_stage(
+        values, live = self.scheduler.run_stage(
             task, child.partitions, stage=stage, ordinal=ordinals.take()
         )
-        # Fold each task's credit first -- its per-step record counts
-        # plus any UDF-internal sequential work, which runs
+        # Fold each live task's credit first -- its per-step record
+        # counts plus any UDF-internal sequential work, which runs
         # record-at-a-time and is charged at the configured slowdown
         # over the bulk rate, truncated per step (and per partition's
-        # reductions) -- then credit the whole set at once.
-        credits = list(map(sum, map(_VALUE, values)))
-        if any(map(any, map(_WORKS, values))) or (
-            fold is not None and any(map(_FOLD_WORK, values))
+        # reductions) -- then credit the whole set at once.  A task
+        # that was not dispatched processed nothing.
+        ran = list(map(values.__getitem__, live))
+        sums = list(map(sum, map(_VALUE, ran)))
+        if any(map(any, map(_WORKS, ran))) or (
+            fold is not None and any(map(_FOLD_WORK, ran))
         ):
-            for index, (_records, _counts, works, *fold_work) in enumerate(
-                values
+            for position, (_records, _counts, works, *fold_work) in enumerate(
+                ran
             ):
-                credits[index] += sum(
+                sums[position] += sum(
                     int(work * factor) for work in works + fold_work
                 )
-        stage.credit_task_records(credits)
+        stage.credit_task_records(_scatter(len(values), live, sums))
         return _Result(list(map(_KEY, values)), stage)
 
     def _record_compile_decision(self, task, reason):
@@ -492,7 +504,7 @@ class Executor:
 
     def _eval_map_partitions(self, node, child, ordinals):
         task = MapPartitionsTask(node.fn, _origin(node))
-        results = self.scheduler.run_stage(
+        results, _live = self.scheduler.run_stage(
             task,
             # Partitions are read-only and a task set's empties are one
             # shared list; the UDF may mutate its input, so an empty
@@ -550,7 +562,10 @@ class Executor:
         records were checked when ``assignment`` was built
         (:meth:`_key_assignment`), once per shuffle.
         """
-        buckets = [[] for _ in range(num_partitions)]
+        # Only the buckets the assignment names get a list of their own.
+        buckets = [p.EMPTY_PARTITION] * num_partitions
+        for index in set(assignment.values()):
+            buckets[index] = []
         for part in result.partitions:
             for record in part:
                 buckets[assignment[record[0]]].append(record)
@@ -560,7 +575,7 @@ class Executor:
     def _credit_shuffle_write(result):
         """Charge every partition of ``result`` to its producing stage;
         returns the total (the records the shuffle moves)."""
-        written = [len(part) for part in result.partitions]
+        written = list(map(len, result.partitions))
         result.stage.credit_task_records(written)
         return sum(written)
 
@@ -584,7 +599,7 @@ class Executor:
         stage = job.new_stage("shuffle", meta=node.meta, origin=origin)
         stage.shuffle_read_records = moved
         stage.shuffle_write_records = moved
-        stage.task_records = [len(bucket) for bucket in buckets]
+        stage.task_records = list(map(len, buckets))
         self._trace_shuffle(stage, origin)
         with self._state_lock:
             self._assignments[id(node)] = (weakref.ref(node), assignment)
@@ -675,15 +690,15 @@ class Executor:
         the same stage (and task index) the reductions ran on, at the
         sequential-work slowdown, like every other UDF's work.
         """
-        values = self.scheduler.run_stage(
+        values, live = self.scheduler.run_stage(
             task, parts, stage=stage, ordinal=ordinal
         )
-        works = list(map(_VALUE, values))
+        works = [values[index][1] for index in live]
         if any(works):
             factor = self.config.sequential_work_factor
-            stage.credit_task_records(
-                [int(work * factor) for work in works]
-            )
+            stage.credit_task_records(_scatter(
+                len(values), live, [int(work * factor) for work in works]
+            ))
         return list(map(_KEY, values))
 
     def _eval_reduce_by_key(self, node, job, child, elisions, ordinals,
@@ -707,7 +722,7 @@ class Executor:
             out = self._combine_pass(
                 task, child.partitions, stage, ordinals.take()
             )
-            produced = [len(bucket) for bucket in out]
+            produced = list(map(len, out))
             stage.credit_task_records(produced)
             stage.shuffle_records_saved = sum(produced)
             self._account_spill(stage)
@@ -747,15 +762,15 @@ class Executor:
             stage = job.new_stage(
                 "shuffle", meta=node.meta, origin=_origin(node)
             )
-            stage.task_records = [len(part) for part in child.partitions]
+            stage.task_records = list(map(len, child.partitions))
             stage.shuffle_records_saved = sum(stage.task_records)
             task = GroupBucketTask(
                 self._stage_rate(stage),
                 self.config.memory_overhead_factor,
-                self._task_limit(child.partitions),
+                self._task_limit(stage.task_records),
                 _origin(node),
             )
-            out = self.scheduler.run_stage(
+            out, _live = self.scheduler.run_stage(
                 task, child.partitions, stage=stage,
                 ordinal=ordinals.take(),
             )
@@ -766,19 +781,20 @@ class Executor:
         task = GroupBucketTask(
             self._stage_rate(stage),
             self.config.memory_overhead_factor,
-            self._task_limit(buckets),
+            self._task_limit(stage.task_records),
             _origin(node),
             keyed=True,
         )
-        out = self.scheduler.run_stage(
+        out, _live = self.scheduler.run_stage(
             task, buckets, stage=stage, ordinal=ordinals.take()
         )
         self._account_spill(stage)
         return _Result(out, stage)
 
-    def _task_limit(self, buckets):
-        """Per-task memory budget given how many tasks run concurrently."""
-        nonempty = sum(1 for bucket in buckets if bucket)
+    def _task_limit(self, task_records):
+        """Per-task memory budget given how many tasks run concurrently:
+        those with records in ``task_records``."""
+        nonempty = len(task_records) - task_records.count(0)
         per_machine = -(-max(1, nonempty) // self.config.machines)
         return self.config.task_memory_limit_bytes(per_machine)
 
@@ -807,10 +823,9 @@ class Executor:
                               origin=_origin(node))
         stage.shuffle_read_records = left_moved + right_moved
         stage.shuffle_write_records = left_moved + right_moved
-        stage.task_records = [
-            len(left) + len(right)
-            for left, right in zip(left_buckets, right_buckets)
-        ]
+        stage.task_records = list(map(
+            operator.add, map(len, left_buckets), map(len, right_buckets)
+        ))
         self._trace_shuffle(stage, _origin(node))
         return self._run_cogroup_buckets(
             node, stage, left_buckets, right_buckets, ordinals
@@ -842,8 +857,8 @@ class Executor:
             left_buckets = left.partitions
             right_buckets = right.partitions
             moved = 0
-            saved = sum(len(part) for part in left.partitions) + sum(
-                len(part) for part in right.partitions
+            saved = sum(map(len, left.partitions)) + sum(
+                map(len, right.partitions)
             )
         else:
             if elision.choice == "adopt-left":
@@ -864,16 +879,15 @@ class Executor:
             else:
                 left_buckets = other_buckets
                 right_buckets = adopted.partitions
-            saved = sum(len(part) for part in adopted.partitions)
+            saved = sum(map(len, adopted.partitions))
         stage = job.new_stage("shuffle", meta=node.meta,
                               origin=_origin(node))
         stage.shuffle_read_records = moved
         stage.shuffle_write_records = moved
         stage.shuffle_records_saved = saved
-        stage.task_records = [
-            len(left) + len(right)
-            for left, right in zip(left_buckets, right_buckets)
-        ]
+        stage.task_records = list(map(
+            operator.add, map(len, left_buckets), map(len, right_buckets)
+        ))
         if moved:
             self._trace_shuffle(stage, _origin(node))
         if layout is not None:
@@ -892,39 +906,43 @@ class Executor:
 
         Extends ``layout`` in place with hash-placed buckets for keys
         the origin shuffle never saw; charges the map-side write to the
-        producing stage like :meth:`_bucketize`.
+        producing stage like :meth:`_bucketize`.  Only a bucket that
+        receives a record gets a list of its own.
         """
-        buckets = [[] for _ in range(num_partitions)]
+        empty = p.EMPTY_PARTITION
+        buckets = [empty] * num_partitions
         for part in result.partitions:
             for record in part:
                 require_keyed(record)
                 key = record[0]
-                bucket = layout.get(key)
-                if bucket is None:
-                    bucket = stable_hash(key) % num_partitions
-                    layout[key] = bucket
-                buckets[bucket].append(record)
+                index = layout.get(key)
+                if index is None:
+                    index = stable_hash(key) % num_partitions
+                    layout[key] = index
+                bucket = buckets[index]
+                if bucket is empty:
+                    bucket = buckets[index] = []
+                bucket.append(record)
         return buckets, self._credit_shuffle_write(result)
 
     def _run_cogroup_buckets(self, node, stage, left_buckets,
                              right_buckets, ordinals):
-        limit = self._task_limit(
-            [
-                left_buckets[i] + right_buckets[i]
-                for i in range(node.num_partitions)
-            ]
-        )
+        """``stage.task_records`` holds each bucket pair's records."""
+        records = stage.task_records
         task = CoGroupBucketTask(
             self._stage_rate(stage),
             self.config.memory_overhead_factor,
-            limit,
+            self._task_limit(records),
             _origin(node),
         )
-        out = self.scheduler.run_stage(
-            task,
-            list(zip(left_buckets, right_buckets)),
-            stage=stage,
-            ordinal=ordinals.take(),
+        # Only a pair that holds records is a tuple of its own.
+        empty = p.EMPTY_PARTITION
+        pairs = [(empty, empty)] * len(records)
+        for index in itertools.compress(range(len(records)), records):
+            pairs[index] = (left_buckets[index], right_buckets[index])
+        out, _live = self.scheduler.run_stage(
+            task, pairs, stage=stage, ordinal=ordinals.take(),
+            sizes=records,
         )
         self._account_spill(stage)
         return _Result(out, stage)
@@ -934,9 +952,7 @@ class Executor:
     def _eval_broadcast_join(self, node, job, left, right, ordinals):
         table = {}
         count = 0
-        right.stage.credit_task_records(
-            [len(part) for part in right.partitions]
-        )
+        right.stage.credit_task_records(list(map(len, right.partitions)))
         for part in right.partitions:
             for record in part:
                 require_keyed(record)
@@ -956,7 +972,7 @@ class Executor:
         )
         stage = self._scale_corrected(left.stage, node, job)
         task = BroadcastJoinProbeTask(table, _origin(node))
-        out = self.scheduler.run_stage(
+        out, _live = self.scheduler.run_stage(
             task, left.partitions, stage=stage, ordinal=ordinals.take()
         )
         stage.credit_task_records(list(map(
@@ -972,9 +988,7 @@ class Executor:
             stream_node, stream = node.right, right
             small_node, small = node.left, left
         payload = [item for part in small.partitions for item in part]
-        small.stage.credit_task_records(
-            [len(part) for part in small.partitions]
-        )
+        small.stage.credit_task_records(list(map(len, small.partitions)))
         check_broadcast_fits(
             len(payload), self.config, "cross-product broadcast side",
             meta=small_node.meta,
@@ -991,7 +1005,7 @@ class Executor:
         task = CrossBroadcastTask(
             payload, node.broadcast_side, _origin(node)
         )
-        out = self.scheduler.run_stage(
+        out, _live = self.scheduler.run_stage(
             task, stream.partitions, stage=stage, ordinal=ordinals.take()
         )
         stage.credit_task_records(list(map(len, out)))
@@ -1041,9 +1055,7 @@ class Executor:
         rate = self._stage_rate(stage)
         # Per-task spill: a reduce task whose working set exceeds its
         # memory share sorts/aggregates on disk.
-        nonempty = sum(1 for records in stage.task_records if records)
-        per_machine = -(-max(1, nonempty) // cfg.machines)
-        task_limit = cfg.task_memory_limit_bytes(per_machine)
+        task_limit = self._task_limit(stage.task_records)
         # The footprint grows with the records, so when the largest
         # task fits, all do.
         largest = max(stage.task_records, default=0)

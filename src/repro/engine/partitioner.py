@@ -18,13 +18,16 @@ _UNSTABLE_KEY_TYPES_SEEN = set()
 
 def stable_hash(key):
     """A deterministic, process-stable hash of ``key``."""
-    # The two key types shuffles mostly see, by exact class, ahead of
-    # the ``isinstance`` ladder: the same bytes it would render.
+    # The key classes shuffles mostly see, by exact class, ahead of
+    # the ``isinstance`` ladder: the same bytes it renders (a subclass,
+    # ``bool`` included, takes the ladder).
     cls = key.__class__
     if cls is int:
         return zlib.crc32(b"i:%d" % key)
     if cls is str:
         return zlib.crc32(b"s:" + key.encode("utf-8"))
+    if cls is tuple:
+        return zlib.crc32(_tuple_bytes(key))
     return zlib.crc32(_canonical_bytes(key))
 
 
@@ -54,6 +57,23 @@ def unstable_key_reason(key):
         "type %s hashes via its repr(), which is not guaranteed "
         "process-stable" % type(key).__name__
     )
+
+
+def _tuple_bytes(key):
+    """:func:`_canonical_bytes` of a tuple: its ``int``, ``str`` and
+    ``tuple`` parts by exact class, the rest through the ladder."""
+    parts = []
+    for part in key:
+        cls = part.__class__
+        if cls is int:
+            parts.append(b"i:%d" % part)
+        elif cls is str:
+            parts.append(b"s:" + part.encode("utf-8"))
+        elif cls is tuple:
+            parts.append(_tuple_bytes(part))
+        else:
+            parts.append(_canonical_bytes(part))
+    return b"t:(" + b",".join(parts) + b")"
 
 
 def _canonical_bytes(key):
@@ -100,20 +120,32 @@ def build_balanced_assignment(key_counts, num_partitions):
     """
     if num_partitions < 1:
         raise ValueError("num_partitions must be >= 1")
-    assignment = {}
     ordered = sorted(
         key_counts.items(),
         key=lambda item: (-item[1], stable_hash(item[0])),
     )
-    # A heap of (load, bucket_index) gives the least-loaded bucket in
-    # O(log P) per key; ties break on the lower bucket index, exactly
-    # like the linear scan this replaces (paper-scale shuffles assign
-    # hundreds of thousands of keys over ~1200 buckets).
-    heap = [(0, index) for index in range(num_partitions)]
-    for key, count in ordered:
-        load, index = heap[0]
-        assignment[key] = index
-        heapq.heapreplace(heap, (load + count, index))
+    # LPT over a heap of (load, bucket_index) takes the least-loaded
+    # bucket, ties on the lower index.  Every load starts at 0, so while
+    # counts are >= 1 the first keys take buckets 0, 1, ... in order --
+    # assigned here without the heap, which a paper-default shuffle of a
+    # few keys over 1200 buckets would build for nothing.  Counts sort
+    # descending, so the head ends at the first count below 1 (or at
+    # the bucket count).
+    head = min(num_partitions, len(ordered))
+    while head and ordered[head - 1][1] < 1:
+        head -= 1
+    assignment = {key: index for index, (key, _count)
+                  in enumerate(ordered[:head])}
+    if head < len(ordered):
+        # The rest go through the heap, in the state the head left it.
+        heap = [(count, index) for index, (_key, count)
+                in enumerate(ordered[:head])]
+        heap += [(0, index) for index in range(head, num_partitions)]
+        heapq.heapify(heap)
+        for key, count in ordered[head:]:
+            load, index = heap[0]
+            assignment[key] = index
+            heapq.heapreplace(heap, (load + count, index))
     return assignment
 
 

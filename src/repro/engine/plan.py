@@ -15,6 +15,14 @@ shuffle and start a new stage.
 
 import itertools
 
+#: The one empty partition every empty slot the driver builds holds
+#: (parallelize slices, shuffle buckets).  Partitions are read-only
+#: values (see :mod:`repro.engine.runtime.task`), so the empties of a
+#: stage -- and of every stage -- may be one object: an empty partition
+#: costs the driver neither an allocation nor a collector-tracked
+#: container.  Never mutate it.
+EMPTY_PARTITION = []
+
 
 class PlanNode:
     """Base class for all plan nodes."""
@@ -88,9 +96,13 @@ class Parallelize(PlanNode):
         self.num_partitions = num_partitions
 
     def build_partitions(self):
-        """Split the driver-side data into ``num_partitions`` slices."""
+        """Split the driver-side data into ``num_partitions`` slices;
+        the slices past the data's length are :data:`EMPTY_PARTITION`."""
         n = self.num_partitions
-        return [self.data[i::n] for i in range(n)]
+        live = min(n, len(self.data))
+        return [self.data[i::n] for i in range(live)] + (
+            [EMPTY_PARTITION] * (n - live)
+        )
 
 
 class UnaryNode(PlanNode):

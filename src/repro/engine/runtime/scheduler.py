@@ -16,7 +16,9 @@ share the one value their task class declares for them (asked once per
 set; partitions are read-only, so one object serves them all) and are
 never dispatched, on either backend -- and credits measured seconds to the
 stage as one dense list per set (per retry wave), one lock acquisition
-each.  Nothing runs per empty partition above C level.
+each.  It returns the indices it dispatched next to the values, so the
+executor's bookkeeping, too, runs over the live tasks alone.  Nothing
+runs per empty partition above C level.
 
 The batch, not the task, is the unit of execution: the live tasks run
 as batches -- runs of consecutive live partitions, each closed once its
@@ -166,8 +168,8 @@ class TaskScheduler:
 
     # ------------------------------------------------------------------
 
-    def run_stage(self, task, parts, stage=None, ordinal=None):
-        """Run ``task`` over every partition's input; return the values.
+    def run_stage(self, task, parts, stage=None, ordinal=None, sizes=None):
+        """Run ``task`` over every partition's input.
 
         Args:
             task: A picklable task, shared by the set: an engine task
@@ -183,11 +185,16 @@ class TaskScheduler:
             ordinal: Pre-reserved dispatch ordinal (see
                 :meth:`reserve_ordinals`); drawn from the counter when
                 omitted.
+            sizes: Each input's record count (the task's ``size``),
+                when the caller already has them; measured when
+                omitted.
 
         Returns:
-            The task values, in task order.  Tasks that were not
-            dispatched (see :meth:`_split_empties`) all hold the set's
-            one ``empty_result()`` object: read it, never mutate it.
+            ``(values, live)``: the task values, in task order, and the
+            ascending indices of the tasks that were dispatched.  Tasks
+            that were not (see :meth:`_split_empties`) all hold the
+            set's one ``empty_result()`` object: read it, never mutate
+            it.  A caller's bookkeeping runs over ``live`` alone.
 
         Raises:
             The reconstructed task error after a non-retryable failure,
@@ -200,7 +207,9 @@ class TaskScheduler:
             task = CallTask(task)
         tracer = self.tracer
         pending = self.fault_injector.pending
-        values, sizes, live = self._split_empties(task, parts, pending)
+        values, sizes, live = self._split_empties(
+            task, parts, pending, sizes
+        )
         # A fault plan addresses tasks: it runs them as batches of one.
         batches = self._batches(
             live, sizes,
@@ -214,15 +223,17 @@ class TaskScheduler:
             # skip the invocation/outcome machinery -- real failures are
             # non-retryable under the retry policy anyway, and raising
             # in place preserves the original traceback exactly.
-            return self._run_serial_fast(
+            self._run_serial_fast(
                 task, parts, stage, values, sizes, live, batches
             )
+            return values, live
         operator = getattr(task, "operator", type(task).__name__)
         if not tracer.enabled:
-            return self._run_outcomes(
+            self._run_outcomes(
                 task, parts, stage, ordinal, operator, values, sizes, live,
                 batches,
             )
+            return values, live
         stage_id = stage.stage_id if stage is not None else ordinal
         with tracer.span(
             "stage#%s:%s" % (stage_id, operator),
@@ -234,7 +245,7 @@ class TaskScheduler:
             backend=self.backend.name,
         ) as span_args:
             before = stage.measured_seconds if stage is not None else 0.0
-            values = self._run_outcomes(
+            self._run_outcomes(
                 task, parts, stage, ordinal, operator, values, sizes, live,
                 batches,
             )
@@ -245,13 +256,14 @@ class TaskScheduler:
                 span_args["task_seconds"] = (
                     stage.measured_seconds - before
                 )
-            return values
+        return values, live
 
-    def _split_empties(self, task, parts, pending):
+    def _split_empties(self, task, parts, pending, sizes=None):
         """Split a task set once: ``(values, sizes, live)``.
 
         ``sizes`` holds each input's record count (the task's
-        ``size``), ``live`` the task indices to dispatch, and
+        ``size``, asked here unless the caller passed them), ``live``
+        the task indices to dispatch, and
         ``values`` is the set's result list with every other entry
         already filled in.  A task whose input is empty is not
         dispatched when the task class declares what such a call
@@ -268,7 +280,8 @@ class TaskScheduler:
         A pending fault injector dispatches everything: a fault
         addressed at an empty partition's task must still fire.
         """
-        sizes = list(map(task.size, parts))
+        if sizes is None:
+            sizes = list(map(task.size, parts))
         empty_result = getattr(task, "empty_result", None)
         if empty_result is None or pending:
             return [None] * len(parts), sizes, list(range(len(parts)))
@@ -305,7 +318,8 @@ class TaskScheduler:
 
     def _run_outcomes(self, task, parts, stage, ordinal, operator, values,
                       sizes, live, batches):
-        """The outcome-mediated dispatch loop (retries, tracing)."""
+        """The outcome-mediated dispatch loop (retries, tracing); fills
+        in ``values``."""
         tracer = self.tracer
         collect = tracer.enabled
         span_cap = tracer.max_task_spans
@@ -402,7 +416,6 @@ class TaskScheduler:
                     last=batch.indices[-1],
                     batch_seconds=batch.seconds,
                 )
-        return values
 
     def _retry_invocations(self, task, parts, stage, ordinal, operator,
                            outcome, lane):
@@ -574,7 +587,7 @@ class TaskScheduler:
     def _run_serial_fast(self, task, parts, stage, values, sizes, live,
                          batches):
         """Inline execution, one clock pair per batch, no retry
-        plumbing."""
+        plumbing; fills in ``values``."""
         perf_counter = time.perf_counter
         seconds = [0.0] * len(parts)
         for batch in batches:
@@ -591,7 +604,6 @@ class TaskScheduler:
             stage.add_straggler_tasks(
                 len(self._straggler_indices(seconds, live))
             )
-        return values
 
     def _invocation(self, task, parts, batch, ordinal, operator, attempt,
                     number):

@@ -41,7 +41,7 @@ class CacheEntry:
     """One cached artifact and its bookkeeping."""
 
     __slots__ = ("key", "kind", "value", "bytes", "pins", "hits",
-                 "node_id", "fingerprint")
+                 "node_id", "fingerprint", "measured")
 
     def __init__(self, key, kind, value, fingerprint=None):
         self.key = key
@@ -61,6 +61,11 @@ class CacheEntry:
         # fingerprint matches, so an artifact name cannot serve stale
         # data after its builder's code changed.
         self.fingerprint = fingerprint
+        # ``(object, bytes)``: the last object :meth:`ArtifactCache.charge`
+        # measured for this entry and its estimate.  Partitions and
+        # payloads are read-only values, so while the artifact is still
+        # that object the estimate stands.
+        self.measured = None
 
     def __repr__(self):
         return (
@@ -142,7 +147,7 @@ class ArtifactCache:
                 entry = CacheEntry(key, kind, value,
                                    fingerprint=fingerprint)
                 if kind == KIND_BROADCAST:
-                    entry.bytes = estimate_size(value.value)
+                    entry.bytes = self._estimate(entry)
                 self._entries[key] = entry
                 self._lru.append(key)
                 self._rebalance()
@@ -175,7 +180,9 @@ class ArtifactCache:
         partitions exist only once a job materialized them, so its
         cost is unknown at build time.  ``nbytes=None`` estimates from
         the artifact itself (materialized partitions for bags, the
-        payload for broadcasts).
+        payload for broadcasts), once per object: an artifact that is
+        still the object last measured keeps its estimate, and a bag
+        materialized anew is measured again.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -189,11 +196,15 @@ class ArtifactCache:
 
     def _estimate(self, entry):
         if entry.kind == KIND_BROADCAST:
-            return estimate_size(entry.value.value)
-        materialized = entry.value.node.materialized
-        if materialized is None:
-            return 0
-        return estimate_size(materialized)
+            target = entry.value.value
+        else:
+            target = entry.value.node.materialized
+            if target is None:
+                entry.measured = None
+                return 0
+        if entry.measured is None or entry.measured[0] is not target:
+            entry.measured = (target, estimate_size(target))
+        return entry.measured[1]
 
     # -- eviction ------------------------------------------------------
 

@@ -2,11 +2,14 @@
 
 ``TaskScheduler.run_stage`` fills every undispatched task of a set with
 *one* ``empty_result()`` object, so that object -- and every partition
-built from it -- is shared by up to a whole stage.  That is sound only
-while the executor and the task bodies build new lists from the
-partitions they are given and never write through one.  Here every
-``empty_result`` returns lists whose mutators raise, and the whole task
-library runs on top of them.
+built from it -- is shared by up to a whole stage; and the driver fills
+every empty slot it builds itself (parallelize slices, shuffle buckets)
+with the one ``plan.EMPTY_PARTITION``, shared by every stage.  That is
+sound only while the executor and the task bodies build new lists from
+the partitions they are given and never write through one.  Here every
+``empty_result`` returns lists whose mutators raise, the shared empty
+partition is such a list too, and the whole task library runs on top of
+them.
 """
 
 import contextlib
@@ -21,6 +24,7 @@ from repro.engine import (
     TaskScheduler,
     laptop_config,
 )
+from repro.engine import plan
 from repro.engine.runtime import task as task_module
 from repro.tasks import bounce_rate, kmeans
 
@@ -79,11 +83,13 @@ def freeze(value):
 
 @contextlib.contextmanager
 def frozen_empties():
-    """Freeze every declared empty result; yields the calls seen.  No
-    mutator may have fired by the time the block ends."""
+    """Freeze every declared empty result and the shared empty
+    partition; yields the ``empty_result`` calls seen.  No mutator may
+    have fired by the time the block ends."""
     calls = []
     del fired[:]
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(plan, "EMPTY_PARTITION", FrozenList())
         for cls in DECLARING:
 
             def empty_result(self, _original=vars(cls)["empty_result"]):
@@ -131,6 +137,35 @@ def test_the_frozen_value_is_what_the_partitions_hold():
     assert len({id(part) for part in empties}) == 1
 
 
+def test_the_driver_fills_empty_slots_with_the_frozen_partition(
+    monkeypatch
+):
+    # Parallelize slices and shuffle buckets: every empty slot is the
+    # one patched object, and the task library's reads of it pass.
+    inputs = []
+    run_stage = TaskScheduler.run_stage
+
+    def recording_run_stage(self, task, args_list, **kwargs):
+        inputs.append((type(task).__name__, args_list))
+        return run_stage(self, task, args_list, **kwargs)
+
+    monkeypatch.setattr(TaskScheduler, "run_stage", recording_run_stage)
+    with frozen_empties():
+        with EngineContext(laptop_config(backend="serial")) as ctx:
+            source = ctx.range_bag(3, num_partitions=64).cache()
+            grouped = source.map(lambda x: (x % 2, x)).group_by_key()
+            assert sorted(grouped.map_values(sorted).collect()) == [
+                (0, [0, 2]), (1, [1]),
+            ]
+            slices = source.node.materialized
+            shared = plan.EMPTY_PARTITION
+    assert isinstance(shared, FrozenList)
+    assert [part is shared for part in slices] == [False] * 3 + [True] * 61
+    (buckets,) = [args for name, args in inputs if name == "GroupBucketTask"]
+    assert sorted(map(len, buckets))[-2:] == [1, 2]
+    assert sum(bucket is shared for bucket in buckets) == len(buckets) - 2
+
+
 def test_a_chain_that_folds_shares_one_frozen_empty_too(monkeypatch):
     # The chain's task is the reduce's map-side combine as well: one
     # task set where there were two, its 61 empties one frozen value
@@ -140,8 +175,9 @@ def test_a_chain_that_folds_shares_one_frozen_empty_too(monkeypatch):
     run_stage = TaskScheduler.run_stage
 
     def recording_run_stage(self, task, args_list, **kwargs):
-        sets.append(run_stage(self, task, args_list, **kwargs))
-        return sets[-1]
+        values, live = run_stage(self, task, args_list, **kwargs)
+        sets.append(values)
+        return values, live
 
     monkeypatch.setattr(TaskScheduler, "run_stage", recording_run_stage)
     with frozen_empties() as calls:

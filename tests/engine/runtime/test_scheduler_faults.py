@@ -154,8 +154,9 @@ class TestMeasurement:
         trace = ExecutionTrace()
         stage = trace.new_job("collect").new_stage("input")
         args = [(0.0,)] * 5 + [(0.03,)]
-        values = scheduler.run_stage(SleepTask(), args, stage=stage)
+        values, live = scheduler.run_stage(SleepTask(), args, stage=stage)
         assert values == [0.0] * 5 + [0.03]
+        assert live == list(range(6))
         assert stage.straggler_tasks == 1
 
     def test_no_straggler_when_uniform(self):

@@ -15,6 +15,7 @@ import operator
 import pytest
 
 from repro.engine import (
+    ClusterConfig,
     EngineContext,
     TaskScheduler,
     Weighted,
@@ -154,9 +155,10 @@ class TestEmptyPartitionsAreNotLaunched:
         scheduler = TaskScheduler(laptop_config(backend="serial"))
         stage = ExecutionTrace().new_job("collect").new_stage("input")
         task = CountingTask()
-        values = scheduler.run_stage(
+        values, live = scheduler.run_stage(
             task, [(part,) for part in sparse_parts()], stage=stage
         )
+        assert live == [0, 7, 40]
         assert task.calls == [[1], [2, 3], [4]]
         assert scheduler.tasks_launched == 3
         expected = [[] for _ in range(PARTITIONS)]
@@ -280,9 +282,10 @@ class TestEmptyResultIsAskedOncePerTaskSet:
         task = CountingTask()
         with EngineContext(laptop_config(**overrides), trace=trace) as ctx:
             for sets in (1, 2, 3):
-                values = ctx.runtime.run_stage(
+                values, live = ctx.runtime.run_stage(
                     task, [(part,) for part in sparse_parts()]
                 )
+                assert live == [0, 7, 40]
                 assert task.empty_results == sets
                 assert values == expected
                 assert len({id(value) for value in values}) == 1 + 3
@@ -293,7 +296,8 @@ class TestEmptyResultIsAskedOncePerTaskSet:
         ctx.fault_injector.kill_task(task_index=40, stage=0)
         task = CountingTask()
         args_list = [(part,) for part in sparse_parts()]
-        values = ctx.runtime.run_stage(task, args_list)
+        values, live = ctx.runtime.run_stage(task, args_list)
+        assert live == list(range(PARTITIONS))
         # Everything was dispatched, the fault at an empty partition
         # fired, and every value is what its own call returned.
         assert task.empty_results == 0
@@ -385,6 +389,51 @@ class TestNothingDependsOnHowTheSetRan:
         assert ctx.runtime.tasks_launched < ctx.trace.num_tasks / 2
 
 
+class TestAnEmptyPartitionIsOneValue:
+    """At the paper's 1200 partitions the driver builds no empty
+    partition of its own: every empty slot is one shared object."""
+
+    def test_a_cached_bag_over_1200_partitions(self):
+        with EngineContext(ClusterConfig(backend="serial")) as ctx:
+            bag = ctx.range_bag(512, num_partitions=1200).cache()
+            assert bag.count() == 512
+            parts = bag.node.materialized
+        empties = [part for part in parts if not part]
+        assert len(parts) == 1200 and len(empties) == 1200 - 512
+        assert len({id(part) for part in empties}) == 1
+
+    @pytest.mark.parametrize("operator_name", ["reduce", "group"])
+    def test_the_buckets_of_a_four_key_shuffle(self, monkeypatch,
+                                               operator_name):
+        inputs = []
+        run_stage = TaskScheduler.run_stage
+
+        def recording_run_stage(self, task, parts, **kwargs):
+            inputs.append((task, parts))
+            return run_stage(self, task, parts, **kwargs)
+
+        monkeypatch.setattr(TaskScheduler, "run_stage", recording_run_stage)
+        with EngineContext(ClusterConfig(backend="serial")) as ctx:
+            pairs = ctx.range_bag(512, num_partitions=1200).map(
+                lambda x: (x % 4, 1)
+            )
+            if operator_name == "reduce":
+                result = pairs.reduce_by_key(operator.add).collect()
+            else:
+                result = pairs.group_by_key().map_values(len).collect()
+        assert sorted(result) == [(key, 128) for key in range(4)]
+        # The reduce side's input: the shuffle's buckets.
+        (buckets,) = [
+            parts for task, parts in inputs
+            if getattr(task, "keyed", False)
+        ]
+        assert len(buckets) == 1200
+        assert sorted(map(len, buckets))[-5:] == [0] + [128] * 4
+        empties = [bucket for bucket in buckets if not bucket]
+        assert len(empties) == 1196
+        assert len({id(bucket) for bucket in empties}) == 1
+
+
 class TestWeightedWorkMidChain:
     def test_work_is_truncated_per_step_not_over_the_sum(self):
         # Two steps each report one unit of work per record at a
@@ -421,7 +470,8 @@ class TestBatches:
         parts = [[] for _ in range(PARTITIONS)]
         parts[1], parts[2], parts[5] = [1], [2, 3, 4], [5] * 200
         task = FusedPipelineTask([(STEP_MAP, abs, "m")])
-        values = scheduler.run_stage(task, parts, stage=stage)
+        values, live = scheduler.run_stage(task, parts, stage=stage)
+        assert live == [1, 2, 5]
         assert [value[0] for value in values] == [
             list(map(abs, part)) for part in parts
         ]

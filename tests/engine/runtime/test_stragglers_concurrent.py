@@ -149,9 +149,10 @@ class TestSparseSetBaseline:
         stage = ExecutionTrace().new_job("collect").new_stage("input")
         parts = [[] for _ in range(64)]
         parts[3], parts[30], parts[60] = [0.03], [0.03], [0.03]
-        values = scheduler.run_stage(
+        values, live = scheduler.run_stage(
             SleepOverRecords(), [(part,) for part in parts], stage=stage
         )
+        assert live == [3, 30, 60]
         assert sum(values) == pytest.approx(0.09)
         assert scheduler.tasks_launched == 3
         assert stage.straggler_tasks == 0

@@ -1,10 +1,13 @@
 """Stable hashing and hash partitioning."""
 
+import heapq
 import subprocess
 import sys
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.partitioner import (
     HashPartitioner,
@@ -51,6 +54,23 @@ class TestStableHash:
             assert stable_hash(key) == zlib.crc32(b"i:%d" % key)
         assert stable_hash(True) != stable_hash(1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.one_of(
+            st.booleans(), st.integers(), st.floats(allow_nan=False),
+            st.none(), st.text(max_size=5), st.binary(max_size=5),
+            st.builds(type("Name", (str,), {}), st.text(max_size=3)),
+        ),
+        lambda parts: st.one_of(
+            st.lists(parts, max_size=4).map(tuple),
+            st.frozensets(parts, max_size=3),
+        ),
+        max_leaves=8,
+    ))
+    def test_tuple_parts_by_exact_class_render_the_ladders_bytes(self, key):
+        # The ladder alone, as every key class once took it.
+        assert stable_hash(key) == zlib.crc32(_ladder_bytes(key))
+
     def test_distinct_types_do_not_collide_trivially(self):
         assert stable_hash("1") != stable_hash(1)
         assert stable_hash(1.0) != stable_hash(1)
@@ -63,6 +83,24 @@ class TestStableHash:
     def test_handles_none_bool_bytes(self):
         for key in (None, True, False, b"xyz"):
             assert stable_hash(key) == stable_hash(key)
+
+
+def _ladder_bytes(key):
+    """The canonical rendering through ``isinstance`` checks only."""
+    if isinstance(key, bytes):
+        return b"b:" + key
+    if isinstance(key, str):
+        return b"s:" + key.encode("utf-8")
+    if isinstance(key, bool):
+        return b"B:%d" % int(key)
+    if isinstance(key, int):
+        return b"i:%d" % key
+    if isinstance(key, float):
+        return b"f:" + repr(key).encode("ascii")
+    if key is None:
+        return b"n"
+    assert isinstance(key, (tuple, frozenset))
+    return b"t:(" + b",".join(map(_ladder_bytes, key)) + b")"
 
 
 class TestHashPartitioner:
@@ -142,3 +180,48 @@ class TestBalancedAssignment:
         assert build_balanced_assignment(
             counts, num_partitions
         ) == assignment
+
+
+def heap_lpt(key_counts, num_partitions):
+    """The reference: LPT over a heap of every bucket's (load, index)."""
+    ordered = sorted(
+        key_counts.items(),
+        key=lambda item: (-item[1], stable_hash(item[0])),
+    )
+    heap = [(0, index) for index in range(num_partitions)]
+    assignment = {}
+    for key, count in ordered:
+        load, index = heap[0]
+        assignment[key] = index
+        heapq.heapreplace(heap, (load + count, index))
+    return assignment
+
+
+class TestAssignmentMatchesTheHeapLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(
+            st.one_of(st.integers(0, 60), st.text(max_size=2)),
+            st.integers(0, 9),
+            max_size=40,
+        ),
+        st.integers(1, 48),
+    )
+    def test_any_counts(self, counts, num_partitions):
+        # Keys fewer than, as many as and more than the buckets, zero
+        # counts among them.
+        assert build_balanced_assignment(
+            counts, num_partitions
+        ) == heap_lpt(counts, num_partitions)
+
+    @pytest.mark.parametrize("keys", [3, 8, 9, 30])
+    @pytest.mark.parametrize("zeros", [0, 1, 5])
+    def test_keys_around_the_bucket_count(self, keys, zeros):
+        counts = {"k%d" % i: i % 4 + 1 for i in range(keys)}
+        counts.update({"z%d" % i: 0 for i in range(zeros)})
+        assert build_balanced_assignment(counts, 8) == heap_lpt(counts, 8)
+
+    def test_few_keys_take_the_first_buckets_in_order(self):
+        counts = {"a": 1, "b": 5, "c": 2}
+        assignment = build_balanced_assignment(counts, 1200)
+        assert assignment == {"b": 0, "c": 1, "a": 2}

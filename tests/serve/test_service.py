@@ -9,6 +9,7 @@ import pytest
 from repro.engine import CostModel, laptop_config
 from repro.engine.metrics import JobMetrics, StageMetrics
 from repro.observe.report import RunReport, entry_from_jobs
+from repro.serve import artifacts as artifacts_module
 from repro.serve import service as service_module
 from repro.serve import (
     AdmissionRejected,
@@ -325,6 +326,37 @@ class TestArtifactLifecycle:
             assert svc.cache.stats()["evictions"] == 1
         finally:
             svc.shutdown(timeout=30)
+
+    def test_an_artifact_is_measured_once_per_materialization(
+        self, service, monkeypatch
+    ):
+        # Every job re-charges the artifacts it pinned; a bag whose
+        # partitions are still the ones measured keeps its estimate,
+        # and one materialized anew is measured again.
+        measured = []
+        estimate_size = artifacts_module.estimate_size
+
+        def counted(obj):
+            measured.append(obj)
+            return estimate_size(obj)
+
+        monkeypatch.setattr(artifacts_module, "estimate_size", counted)
+        key = "shared:50"
+        for handle in _serve_counts(service, 2):
+            assert handle.accounting is not None
+        assert len(measured) == 1
+        entry = service.cache.entry(key)
+        assert measured[0] is entry.value.node.materialized
+        warm_bytes = entry.bytes
+        assert warm_bytes > 0 and service.cache.charge(key) == warm_bytes
+        assert len(measured) == 1
+
+        assert service.cache.evict(key) is True
+        _serve_counts(service, 2)
+        assert len(measured) == 2
+        rebuilt = service.cache.entry(key).value.node.materialized
+        assert measured[1] is rebuilt and measured[1] is not measured[0]
+        assert service.cache.entry(key).bytes == warm_bytes
 
     def test_broadcast_artifacts_are_cached(self, service):
         def uses_broadcast(job):
