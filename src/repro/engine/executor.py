@@ -96,13 +96,14 @@ _FOLD_WORK = operator.itemgetter(3)
 _origin = p.origin
 
 
-def _scatter(length, indices, values):
-    """A dense list of ``length`` zeros with ``values[k]`` at
-    ``indices[k]``: a task set's credits from its live tasks'."""
-    dense = [0] * length
-    for index, value in zip(indices, values):
-        dense[index] = value
-    return dense
+def _credit_lengths(stage, partitions):
+    """Credit each partition's record count to its task of ``stage``;
+    returns the total.  One C-level truth scan finds the non-empty
+    partitions, and only those are measured and credited."""
+    live = list(itertools.compress(range(len(partitions)), partitions))
+    lengths = list(map(len, map(partitions.__getitem__, live)))
+    stage.credit_task_records(lengths, live, len(partitions))
+    return sum(lengths)
 
 
 class _Result:
@@ -472,7 +473,7 @@ class Executor:
                 sums[position] += sum(
                     int(work * factor) for work in works + fold_work
                 )
-        stage.credit_task_records(_scatter(len(values), live, sums))
+        stage.credit_task_records(sums, live, len(values))
         return _Result(list(map(_KEY, values)), stage)
 
     def _record_compile_decision(self, task, reason):
@@ -523,9 +524,7 @@ class Executor:
 
     def _eval_zip_with_unique_id(self, node, child):
         n = max(1, len(child.partitions))
-        child.stage.credit_task_records(
-            [len(part) for part in child.partitions]
-        )
+        _credit_lengths(child.stage, child.partitions)
         out = [
             [(item, index + i * n) for i, item in enumerate(part)]
             for index, part in enumerate(child.partitions)
@@ -569,15 +568,7 @@ class Executor:
         for part in result.partitions:
             for record in part:
                 buckets[assignment[record[0]]].append(record)
-        return buckets, self._credit_shuffle_write(result)
-
-    @staticmethod
-    def _credit_shuffle_write(result):
-        """Charge every partition of ``result`` to its producing stage;
-        returns the total (the records the shuffle moves)."""
-        written = list(map(len, result.partitions))
-        result.stage.credit_task_records(written)
-        return sum(written)
+        return buckets, _credit_lengths(result.stage, result.partitions)
 
     def _shuffle(self, result, node, job, combined=False):
         """Shuffle keyed partitions; returns (buckets, reduce_stage).
@@ -696,9 +687,9 @@ class Executor:
         works = [values[index][1] for index in live]
         if any(works):
             factor = self.config.sequential_work_factor
-            stage.credit_task_records(_scatter(
-                len(values), live, [int(work * factor) for work in works]
-            ))
+            stage.credit_task_records(
+                [int(work * factor) for work in works], live, len(values)
+            )
         return list(map(_KEY, values))
 
     def _eval_reduce_by_key(self, node, job, child, elisions, ordinals,
@@ -722,9 +713,7 @@ class Executor:
             out = self._combine_pass(
                 task, child.partitions, stage, ordinals.take()
             )
-            produced = list(map(len, out))
-            stage.credit_task_records(produced)
-            stage.shuffle_records_saved = sum(produced)
+            stage.shuffle_records_saved = _credit_lengths(stage, out)
             self._account_spill(stage)
             self._record_elision(node, elision)
             return _Result(out, stage)
@@ -923,7 +912,7 @@ class Executor:
                 if bucket is empty:
                     bucket = buckets[index] = []
                 bucket.append(record)
-        return buckets, self._credit_shuffle_write(result)
+        return buckets, _credit_lengths(result.stage, result.partitions)
 
     def _run_cogroup_buckets(self, node, stage, left_buckets,
                              right_buckets, ordinals):
@@ -952,7 +941,7 @@ class Executor:
     def _eval_broadcast_join(self, node, job, left, right, ordinals):
         table = {}
         count = 0
-        right.stage.credit_task_records(list(map(len, right.partitions)))
+        _credit_lengths(right.stage, right.partitions)
         for part in right.partitions:
             for record in part:
                 require_keyed(record)
@@ -975,9 +964,8 @@ class Executor:
         out, _live = self.scheduler.run_stage(
             task, left.partitions, stage=stage, ordinal=ordinals.take()
         )
-        stage.credit_task_records(list(map(
-            operator.add, map(len, left.partitions), map(len, out)
-        )))
+        _credit_lengths(stage, left.partitions)
+        _credit_lengths(stage, out)
         return _Result(out, stage)
 
     def _eval_cross_broadcast(self, node, job, left, right, ordinals):
@@ -988,7 +976,7 @@ class Executor:
             stream_node, stream = node.right, right
             small_node, small = node.left, left
         payload = [item for part in small.partitions for item in part]
-        small.stage.credit_task_records(list(map(len, small.partitions)))
+        _credit_lengths(small.stage, small.partitions)
         check_broadcast_fits(
             len(payload), self.config, "cross-product broadcast side",
             meta=small_node.meta,
@@ -1008,7 +996,7 @@ class Executor:
         out, _live = self.scheduler.run_stage(
             task, stream.partitions, stage=stage, ordinal=ordinals.take()
         )
-        stage.credit_task_records(list(map(len, out)))
+        _credit_lengths(stage, out)
         return _Result(out, stage)
 
     # ------------------------------------------------------------------

@@ -16,20 +16,23 @@ assignment on a freshly created stage (one not yet visible to other
 threads) needs no lock and is left alone.
 """
 
-import operator
 import threading
 from dataclasses import dataclass, field
 
 
-def _credit(totals, amounts, zero):
-    """``totals[i] += amounts[i]``, growing ``totals`` with ``zero``."""
-    if not totals:
-        totals.extend(amounts)  # a stage's first credit: nothing to add
-        return
-    missing = len(amounts) - len(totals)
+def _credit(totals, amounts, live, n, zero):
+    """``totals[live[k]] += amounts[k]``, first growing ``totals`` to
+    ``n`` entries with ``zero``: a task set's credits touch its live
+    tasks alone.  ``live=None`` credits a dense ``amounts``, one per
+    task."""
+    if live is None:
+        n = len(amounts)
+        live = range(n)
+    missing = n - len(totals)
     if missing > 0:
         totals.extend([zero] * missing)
-    totals[:len(amounts)] = map(operator.add, totals, amounts)
+    for index, amount in zip(live, amounts):
+        totals[index] += amount
 
 
 @dataclass
@@ -126,17 +129,20 @@ class StageMetrics:
         """
         return sum(self.task_seconds)
 
-    def credit_task_records(self, counts):
-        """Credit one task set's processed records: ``counts[i]`` to
-        task ``i``, the whole set under one lock acquisition."""
+    def credit_task_records(self, counts, live=None, n=None):
+        """Credit one task set's processed records under one lock
+        acquisition: ``counts[k]`` to task ``live[k]``, the stage
+        growing to ``n`` tasks.  ``live`` defaults to every task of a
+        dense ``counts``, ``n`` to ``len(counts)``."""
         with self._lock:
-            _credit(self.task_records, counts, 0)
+            _credit(self.task_records, counts, live, n, 0)
 
-    def credit_task_seconds(self, seconds):
-        """Credit one task set's measured wall-clock: ``seconds[i]`` to
-        task ``i`` (``0.0`` for a task that was not dispatched)."""
+    def credit_task_seconds(self, seconds, live=None, n=None):
+        """Credit one task set's measured wall-clock, as
+        :meth:`credit_task_records`; a task that was not dispatched is
+        not in ``live`` and reads ``0.0``."""
         with self._lock:
-            _credit(self.task_seconds, seconds, 0.0)
+            _credit(self.task_seconds, seconds, live, n, 0.0)
 
     def add_failed_attempt_seconds(self, seconds):
         """Credit wall-clock burned in a failed task attempt."""

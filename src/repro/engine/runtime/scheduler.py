@@ -15,10 +15,10 @@ therefore splits a set once -- partitions whose inputs are all empty
 share the one value their task class declares for them (asked once per
 set; partitions are read-only, so one object serves them all) and are
 never dispatched, on either backend -- and credits measured seconds to the
-stage as one dense list per set (per retry wave), one lock acquisition
-each.  It returns the indices it dispatched next to the values, so the
-executor's bookkeeping, too, runs over the live tasks alone.  Nothing
-runs per empty partition above C level.
+stage over the live tasks alone, once per set (per retry wave), one
+lock acquisition each.  It returns the indices it dispatched next to
+the values, so the executor's bookkeeping, too, runs over the live
+tasks alone.  Nothing runs per empty partition above C level.
 
 The batch, not the task, is the unit of execution: the live tasks run
 as batches -- runs of consecutive live partitions, each closed once its
@@ -279,17 +279,26 @@ class TaskScheduler:
 
         A pending fault injector dispatches everything: a fault
         addressed at an empty partition's task must still fire.
+
+        When the task's ``size`` is ``len`` (an input is its records)
+        one C-level truth scan finds the live inputs and only those
+        are measured; a class that measures its inputs otherwise is
+        asked about every one.
         """
-        if sizes is None:
-            sizes = list(map(task.size, parts))
+        n = len(parts)
+        if sizes is None and task.size is len:
+            live = list(itertools.compress(range(n), parts))
+            sizes = [0] * n
+            for index in live:
+                sizes[index] = len(parts[index])
+        else:
+            if sizes is None:
+                sizes = list(map(task.size, parts))
+            live = list(itertools.compress(range(n), sizes))
         empty_result = getattr(task, "empty_result", None)
         if empty_result is None or pending:
-            return [None] * len(parts), sizes, list(range(len(parts)))
-        return (
-            [empty_result()] * len(parts),
-            sizes,
-            list(itertools.compress(range(len(parts)), sizes)),
-        )
+            return [None] * n, sizes, list(range(n))
+        return [empty_result()] * n, sizes, live
 
     @staticmethod
     def _batches(live, sizes, budget):
@@ -352,9 +361,11 @@ class TaskScheduler:
                 self.tasks_launched += launched
             wave += 1
             pending = []
-            # This wave's successes, credited as one dense list (also
-            # when a permanent failure below ends the dispatch).
-            wave_seconds = [0.0] * num_tasks
+            # This wave's successes, credited as one list over the
+            # tasks that succeeded (also when a permanent failure below
+            # ends the dispatch).
+            wave_live = []
+            wave_seconds = []
             try:
                 for number, outcome in enumerate(outcomes):
                     # Task spans are capped per stage, counted in
@@ -372,15 +383,16 @@ class TaskScheduler:
                     if outcome.ok:
                         if collect:
                             done.append(outcome)
-                        _apportion(
-                            wave_seconds, outcome.indices, sizes,
-                            outcome.seconds,
+                        shares = _apportion(
+                            outcome.indices, sizes, outcome.seconds
                         )
-                        for index, value in zip(
-                            outcome.indices, outcome.values
+                        wave_live.extend(outcome.indices)
+                        wave_seconds.extend(shares)
+                        for index, value, share in zip(
+                            outcome.indices, outcome.values, shares
                         ):
                             values[index] = value
-                            seconds[index] = wave_seconds[index]
+                            seconds[index] = share
                     else:
                         pending.extend(
                             self._retry_invocations(
@@ -390,12 +402,16 @@ class TaskScheduler:
                         )
             finally:
                 if stage is not None:
-                    stage.credit_task_seconds(wave_seconds)
+                    stage.credit_task_seconds(
+                        wave_seconds, wave_live, num_tasks
+                    )
         # Straggler baseline: only this dispatch's own per-task
         # attributed seconds.  Concurrent sibling stages never enter
         # the median, so an unbalanced co-scheduled stage cannot mask
         # (or fabricate) a straggler here.
-        stragglers = self._straggler_indices(seconds, live)
+        stragglers = self._straggler_indices(
+            list(map(seconds.__getitem__, live)), live
+        )
         if stage is not None:
             stage.add_straggler_tasks(len(stragglers))
         if collect:
@@ -589,18 +605,20 @@ class TaskScheduler:
         """Inline execution, one clock pair per batch, no retry
         plumbing; fills in ``values``."""
         perf_counter = time.perf_counter
-        seconds = [0.0] * len(parts)
+        # The live tasks' seconds, in ``live`` order: batches are
+        # consecutive runs of ``live``.
+        seconds = []
         for batch in batches:
             start = perf_counter()
             results = task.run(list(map(parts.__getitem__, batch)))
             elapsed = perf_counter() - start
             for index, value in zip(batch, results):
                 values[index] = value
-            _apportion(seconds, batch, sizes, elapsed)
+            seconds.extend(_apportion(batch, sizes, elapsed))
         with self._counter_lock:
             self.tasks_launched += len(live)
         if stage is not None:
-            stage.credit_task_seconds(seconds)
+            stage.credit_task_seconds(seconds, live, len(parts))
             stage.add_straggler_tasks(
                 len(self._straggler_indices(seconds, live))
             )
@@ -635,37 +653,39 @@ class TaskScheduler:
     def _straggler_indices(self, seconds, ran):
         """Indices of tasks that took disproportionately long.
 
-        ``seconds`` is the set's dense per-task list and ``ran`` the
-        indices that were dispatched.  A task is a straggler when it
-        exceeds both the configured multiple of the median runtime of
-        the tasks that *ran* (``config.straggler_factor``; the zeros of
-        undispatched tasks would drag the median to nothing) and an
-        absolute floor (so microsecond-scale jitter never counts).
+        ``ran`` holds the indices of the tasks that were dispatched and
+        ``seconds`` their measured seconds, in the same order.  A task
+        is a straggler when it exceeds both the configured multiple of
+        the median runtime of the tasks that *ran*
+        (``config.straggler_factor``; the zeros of undispatched tasks
+        would drag the median to nothing) and an absolute floor (so
+        microsecond-scale jitter never counts).
         """
         if len(ran) < 2:
             return []
         floor = self.config.straggler_min_task_seconds
-        ran_seconds = [seconds[index] for index in ran]
-        if max(ran_seconds) <= floor:
+        if max(seconds) <= floor:
             return []  # nothing clears the floor: skip the sort
         threshold = max(
             floor,
-            self.config.straggler_factor * statistics.median(ran_seconds),
+            self.config.straggler_factor * statistics.median(seconds),
         )
-        return [index for index in ran if seconds[index] > threshold]
+        return [
+            index for index, took in zip(ran, seconds) if took > threshold
+        ]
 
     def close(self):
         self.backend.close()
 
 
-def _apportion(seconds, batch, sizes, elapsed):
-    """Spread one batch's clock pair, ``elapsed``, over its tasks in
-    ``seconds``: in proportion to the records each input held, plus one,
-    so every task reads more than nothing and the shares sum to the
-    pair.  A batch of one reads the pair itself."""
+def _apportion(batch, sizes, elapsed):
+    """One batch's clock pair, ``elapsed``, spread over its tasks: in
+    proportion to the records each input held, plus one, so every task
+    reads more than nothing and the shares sum to the pair.  Returns
+    the shares in ``batch`` order; a batch of one reads the pair
+    itself."""
     if len(batch) == 1:
-        seconds[batch[0]] = elapsed
-        return
-    share = elapsed / (len(batch) + sum([sizes[index] for index in batch]))
-    for index in batch:
-        seconds[index] = (sizes[index] + 1) * share
+        return [elapsed]
+    held = list(map(sizes.__getitem__, batch))
+    share = elapsed / (len(batch) + sum(held))
+    return [(records + 1) * share for records in held]

@@ -217,8 +217,13 @@ def test_collect_lint_true_means_error():
 def test_collect_lint_warn_runs_and_warns(ctx):
     reduced = _keyed(ctx).reduce_by_key(lambda a, b: a + b)
     merged = reduced.filter(_value_positive).union(reduced.keys())
-    with pytest.warns(UserWarning, match="NPL301"):
+    with pytest.warns(UserWarning) as record:
         result = merged.collect(lint="warn")
+    # The plan lint's NPL301 and the schema pass's union-shape NPL602.
+    messages = [str(warning.message) for warning in record]
+    assert len(messages) == 2
+    assert any("NPL301" in message for message in messages)
+    assert any("NPL602" in message for message in messages)
     assert result
 
 

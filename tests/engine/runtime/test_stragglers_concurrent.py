@@ -122,17 +122,13 @@ class TestSparseSetBaseline:
 
     def test_uniform_slow_tasks_among_empties_are_not_stragglers(self):
         ran = list(range(0, 1200, 24))
-        seconds = [0.0] * 1200
-        for index in ran:
-            seconds[index] = 0.04
+        seconds = [0.04] * len(ran)
         assert self.scheduler()._straggler_indices(seconds, ran) == []
 
     def test_outlier_among_empties_is_flagged_under_its_own_index(self):
         ran = list(range(0, 1200, 24))
-        seconds = [0.0] * 1200
-        for index in ran:
-            seconds[index] = 0.04
-        seconds[480] = 0.2
+        seconds = [0.04] * len(ran)
+        seconds[ran.index(480)] = 0.2
         assert self.scheduler()._straggler_indices(seconds, ran) == [480]
 
     def test_sparse_dispatch_end_to_end(self):
