@@ -79,6 +79,7 @@ from .runtime.task import (
 from .work import Weighted
 
 __all__ = [
+    "COMPILED_CAPACITY",
     "COMPILE_MIN_RECORD_STEPS",
     "chain_compilability",
     "chain_fingerprint",
@@ -114,10 +115,18 @@ __all__ = [
 #: ``docs/architecture.md``, "Flag decisions").
 COMPILE_MIN_RECORD_STEPS = 4096
 
-#: Per-process cache of compiled pipelines, ``{chain key:
-#: Compiled}``.  The driver fills it while planning; a worker process
-#: fills its own from the source a task carries.
-_COMPILED = {}
+#: Distinct chains the per-process cache holds: past this, the chain
+#: used least recently is dropped, and compiled again if it returns.
+#: A long-lived process (the serve daemon) meets ever new chains; no
+#: workload of ``benchmarks/wall`` runs more distinct chains than this.
+COMPILED_CAPACITY = 256
+
+#: Per-process cache of compiled pipelines, ``{chain key: Compiled}``
+#: in least- to most-recently-used order, at most
+#: :data:`COMPILED_CAPACITY` of them.  The driver fills it while
+#: planning; a worker process fills its own from the source a task
+#: carries.  Guarded by ``_COMPILED_LOCK``: a hit reorders it.
+_COMPILED = collections.OrderedDict()
 _COMPILED_LOCK = threading.Lock()
 
 _STEP_NAMES = {
@@ -702,9 +711,19 @@ def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
 Compiled = collections.namedtuple("Compiled", "fn source env fields fold")
 
 
+def _cached_pipeline(key):
+    """The cached :class:`Compiled` entry for ``key``, now the most
+    recently used, or ``None``."""
+    with _COMPILED_LOCK:
+        entry = _COMPILED.get(key)
+        if entry is not None:
+            _COMPILED.move_to_end(key)
+        return entry
+
+
 def compiled_pipeline(key, source, name="_pipeline"):
     """The :class:`Compiled` entry for ``source``, cached per process."""
-    entry = _COMPILED.get(key)
+    entry = _cached_pipeline(key)
     if entry is None:
         with _COMPILED_LOCK:
             entry = _COMPILED.get(key)
@@ -716,6 +735,8 @@ def compiled_pipeline(key, source, name="_pipeline"):
                     namespace[name], source, namespace["_ENV"],
                     namespace["_FIELDS"], namespace["_FOLD"],
                 )
+                if len(_COMPILED) > COMPILED_CAPACITY:
+                    _COMPILED.popitem(last=False)
     return entry
 
 
@@ -766,7 +787,7 @@ def plan_compiled_task(steps, tracer=None, fold=None):
     key, lowerings, tail, reason = _plan_chain(steps, fold)
     if key is None:
         return None, reason
-    entry = _COMPILED.get(key)
+    entry = _cached_pipeline(key)
     if entry is not None:
         return CompiledPipelineTask(steps, entry.source, key, fold), None
     kinds = [kind for kind, _fn, _operator in steps]

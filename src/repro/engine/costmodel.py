@@ -97,7 +97,7 @@ class CostModel:
             else cfg.bytes_per_record
         )
         cost.compute_s += (
-            _makespan(stage.task_records, slots)
+            _makespan(stage.task_records.amounts, slots)
             * record_bytes
             / cfg.cpu_bytes_per_s
         )
@@ -165,6 +165,11 @@ class CostModel:
 
 def _makespan(task_records, slots):
     """Makespan (in records) of scheduling tasks onto ``slots`` cores.
+
+    ``task_records`` are the live tasks' amounts (a stage's
+    :class:`~repro.engine.metrics.Ledger`): a task with no records
+    never reaches the slots, so the tasks no credit reached need not be
+    read.
 
     Uses the longest-processing-time greedy rule, which is how a dataflow
     engine's slot scheduler behaves to first order.  This is the term that

@@ -71,7 +71,7 @@ def validate_stage(job, stage, upstream_records):
     the job's earlier stages."""
     if stage.kind not in VALID_STAGE_KINDS:
         _fail(job, stage, "unknown stage kind %r" % stage.kind)
-    lowest = min(stage.task_records, default=0)
+    lowest = min(stage.task_records.amounts, default=0)
     if lowest < 0:
         _fail(job, stage, "negative task record count %d" % lowest)
     if stage.shuffle_read_records < 0:
@@ -82,7 +82,7 @@ def validate_stage(job, stage, upstream_records):
         _fail(job, stage, "negative spill volume")
     if stage.shuffle_records_saved < 0:
         _fail(job, stage, "negative elided-shuffle volume")
-    if min(stage.task_seconds, default=0.0) < 0:
+    if min(stage.task_seconds.amounts, default=0.0) < 0:
         _fail(job, stage, "negative measured task seconds")
     if stage.task_retries < 0:
         _fail(job, stage, "negative task retry count")
@@ -162,13 +162,24 @@ class BackendParityError(PlanError):
     """Two task-runtime backends disagreed on the same program."""
 
 
+def _nonzero(ledger):
+    return ledger.n, tuple(
+        (index, amount)
+        for index, amount in zip(ledger.live, ledger.amounts)
+        if amount
+    )
+
+
 def trace_signature(trace):
     """The backend-independent shape of a trace.
 
     Everything the cost model consumes -- stage kinds, per-task record
     counts, shuffle/spill volumes, broadcast and action counters -- but
     none of the measured quantities (wall-clock, retries, stragglers),
-    which legitimately differ between backends and runs.
+    which legitimately differ between backends and runs.  A stage's
+    record counts read ``(num_tasks, ((task, records), ...))`` over its
+    tasks with records: a run under a fault plan, which dispatches --
+    and credits -- every task, empty or not, reads as a clean one.
     """
     signature = []
     for job in trace.jobs:
@@ -177,7 +188,7 @@ def trace_signature(trace):
                 stage.kind,
                 stage.meta,
                 stage.origin,
-                tuple(stage.task_records),
+                _nonzero(stage.task_records),
                 stage.shuffle_read_records,
                 stage.shuffle_write_records,
                 stage.shuffle_records_saved,

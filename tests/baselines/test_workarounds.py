@@ -66,7 +66,7 @@ class TestOuterParallel:
             if stage.kind == "shuffle"
         ]
         busy_tasks = sum(
-            1 for r in reduce_stages[-1].task_records if r > 0
+            1 for r in reduce_stages[-1].task_records.amounts if r > 0
         )
         assert busy_tasks <= 3
 

@@ -208,8 +208,9 @@ class TestChunkedShipping:
         assert len(sizes) == backends.CHUNKS_PER_WORKER * self.WORKERS
         assert ctx.runtime.tasks_launched == self.TASKS
         (stage,) = ctx.trace.jobs[-1].stages
-        assert len(stage.task_seconds) == self.TASKS
-        assert all(seconds > 0 for seconds in stage.task_seconds)
+        seconds = stage.task_seconds.dense()
+        assert len(seconds) == self.TASKS
+        assert all(share > 0 for share in seconds)
 
     def test_a_failure_inside_a_chunk_is_retried_alone(self, submissions):
         ctx = self.ctx()

@@ -141,7 +141,7 @@ def test_a_killed_chain_and_fold_task_is_credited_once():
             (job,) = ctx.trace.jobs
             return (
                 result,
-                [list(stage.task_records) for stage in job.stages],
+                [stage.task_records.dense() for stage in job.stages],
                 [stage.task_retries for stage in job.stages],
                 ctx.simulated_seconds(),
             )
@@ -208,7 +208,7 @@ def test_a_kill_in_the_middle_of_a_batch_hits_its_partition_alone():
             runtime = ctx.runtime
             budget = runtime.backend.batch_budget(VECTOR, [1] * 64)
             return (
-                result, list(stage.task_records), stage.task_retries,
+                result, stage.task_records.dense(), stage.task_retries,
                 faults, batches,
                 (runtime.tasks_launched, runtime.tasks_failed,
                  runtime.tasks_retried),

@@ -130,9 +130,9 @@ class TestMeasurement:
         assert ctx.measured_task_seconds() > 0
         for job in ctx.trace.jobs:
             for stage in job.stages:
-                if stage.task_records:
-                    assert len(stage.task_seconds) == len(
-                        stage.task_records
+                if stage.task_records.live:
+                    assert stage.task_seconds.live == (
+                        stage.task_records.live
                     )
 
     def test_measure_reports_simulated_and_measured(self):

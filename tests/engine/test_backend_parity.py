@@ -6,8 +6,11 @@ results and an identical trace shape whether its tasks run inline or on
 a pool of worker processes.
 """
 
+import random
+
 import pytest
 
+from repro.analysis.equivalence import library_programs, results_equivalent
 from repro.data import grouped_edges, visits_log
 from repro.engine import (
     BackendParityError,
@@ -113,6 +116,40 @@ class TestTraceSignature:
         ctx = EngineContext(laptop_config(backend="serial"))
         wordcount(ctx)
         before = trace_signature(ctx.trace)
-        ctx.trace.jobs[-1].stages[-1].credit_task_seconds([12.5])
+        ctx.trace.jobs[-1].stages[-1].credit_task_seconds([12.5], [0])
         ctx.trace.jobs[-1].stages[-1].task_retries += 1
         assert trace_signature(ctx.trace) == before
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"backend": "serial"}, {"backend": "process", "num_workers": 2}],
+        ids=["serial", "process"],
+    )
+    def test_a_fault_plan_leaves_the_signature_alone(self, overrides, seed):
+        # Until its kill fires, a pending plan dispatches -- and
+        # credits -- every task of every set, the empty ones as
+        # explicit zeros; the signature reads the tasks with records.
+        ((_name, program),) = library_programs(["bounce-rate-flat"])
+
+        def run(kill):
+            with EngineContext(laptop_config(**overrides)) as ctx:
+                if kill:
+                    ctx.fault_injector.kill_task(
+                        task_index=random.Random(seed).randrange(16),
+                        operator="FlatMap+Map",
+                    )
+                result = program(ctx)
+                assert ctx.fault_injector.pending == 0
+                assert ctx.trace.task_retries == int(kill)
+                return result, ctx.trace
+
+        result, faulty = run(kill=True)
+        clean_result, clean = run(kill=False)
+        assert results_equivalent(result, clean_result)
+        assert trace_signature(faulty) == trace_signature(clean)
+        zeros = [
+            stage for job in faulty.jobs for stage in job.stages
+            if 0 in stage.task_records.amounts
+        ]
+        assert zeros, "the plan credited no explicit zero"

@@ -458,6 +458,42 @@ class TestCompiledTask:
         task_b(list(range(4)))
         assert compiled_cache_size() == size
 
+    def test_the_cache_keeps_the_most_recently_used_chains(self):
+        clear_compiled_cache()
+        steps = _steps((STEP_MAP, _double), (STEP_FILTER, _odd))
+        task, _ = plan_compiled_task(steps)
+        part = list(range(10))
+        expected = task(part)
+        capacity = codegen.COMPILED_CAPACITY
+        assert capacity >= 256
+        # capacity + 10 distinct texts of the one loop, a key each.
+        texts = {
+            "%s-%d" % (task.key, number): "%s# text %d\n" % (
+                task.source, number,
+            )
+            for number in range(capacity + 10)
+        }
+        for key, text in texts.items():
+            compiled_pipeline(key, text)
+        assert compiled_cache_size() == capacity
+        keys = list(texts)
+        # The planned chain and the first 10 texts were dropped.
+        assert list(codegen._COMPILED) == keys[10:]
+        # A hit makes the least recent text the most recent, so the
+        # next miss drops the one after it.
+        compiled_pipeline(keys[10], texts[keys[10]])
+        compiled_pipeline(keys[0], texts[keys[0]])
+        assert compiled_cache_size() == capacity
+        assert keys[10] in codegen._COMPILED
+        assert keys[11] not in codegen._COMPILED
+        # Dropped keys compile again, to loops with the same results.
+        again = CompiledPipelineTask(steps, texts[keys[1]], keys[1])
+        assert again(part) == expected
+        replanned, reason = plan_compiled_task(steps)
+        assert reason is None and replanned.key == task.key
+        assert replanned(part) == expected
+        clear_compiled_cache()
+
 
 class TestEngineIntegration:
     @pytest.fixture(autouse=True)
@@ -656,9 +692,9 @@ class TestFoldTail:
             assert comp.simulated_seconds() == base.simulated_seconds()
             # Chain and map-side combine were one task set of 4, the
             # reduce side one more.
+            reduce_side = comp.trace.jobs[0].stages[1].task_records
             assert comp.runtime.tasks_launched == 4 + sum(
-                1 for count in comp.trace.jobs[0].stages[1].task_records
-                if count
+                1 for count in reduce_side.amounts if count
             )
 
     def test_explain_says_how_the_chain_folds(self):

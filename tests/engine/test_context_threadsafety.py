@@ -101,18 +101,19 @@ class TestLockedStructures:
     def test_stage_metrics_mutators_do_not_drop_updates(self):
         # Eight threads credit task sets over overlapping index ranges
         # of one shared stage.  The ranges have different lengths, so
-        # the credits also race on growing the dense lists.
-        trace = ExecutionTrace()
-        stage = trace.new_job("collect").new_stage("input")
+        # the credits also race on merging into the ledgers.
         workers = 8
         per_worker = 200
         widths = [4 + 3 * worker for worker in range(workers)]
+        trace = ExecutionTrace()
+        stage = trace.new_job("collect").new_stage("input", max(widths))
 
         def hammer(worker):
             width = widths[worker]
+            live = list(range(width))
             for i in range(per_worker):
-                stage.credit_task_records([1] * width)
-                stage.credit_task_seconds([0.001] * width)
+                stage.credit_task_records([1] * width, live)
+                stage.credit_task_seconds([0.001] * width, live)
                 stage.add_task_retries(1)
                 stage.add_straggler_tasks(1)
                 stage.add_failed_attempt_seconds(0.001)
@@ -137,8 +138,8 @@ class TestLockedStructures:
             per_worker * sum(1 for width in widths if width > index)
             for index in range(max(widths))
         ]
-        assert stage.task_records == expected
-        assert stage.task_seconds == pytest.approx(
+        assert stage.task_records.dense() == expected
+        assert stage.task_seconds.dense() == pytest.approx(
             [0.001 * count for count in expected]
         )
         assert stage.task_retries == total

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.engine import ClusterConfig, CostModel, EngineContext
 from repro.engine.costmodel import _makespan
-from repro.engine.metrics import ExecutionTrace
+from repro.engine.metrics import ExecutionTrace, Ledger
 
 
 def run_trace(config, records, num_groups):
@@ -219,7 +219,7 @@ def _reference_trace(config, data, specs, reduce_partitions):
     combined = [sorted({k for k, _v in part}) for part in parts]
     for index, keys in enumerate(combined):
         tasks[index] += len(keys)
-    stage.task_records.extend(tasks)
+    stage.task_records = Ledger.from_dense(tasks)
     moved = sum(len(keys) for keys in combined)
     counts = {}
     for keys in combined:
@@ -231,7 +231,7 @@ def _reference_trace(config, data, specs, reduce_partitions):
     for keys in combined:
         for key in keys:
             buckets[assignment[key]] += 1
-    reduce_stage.task_records.extend(buckets)
+    reduce_stage.task_records = Ledger.from_dense(buckets)
     reduce_stage.shuffle_read_records = moved
     reduce_stage.shuffle_write_records = moved
     job.collected_records += len(counts)
@@ -290,7 +290,7 @@ def test_cogroup_join_cost_strictly_below_double_charged(
     double_charged = copy.deepcopy(ctx.trace)
     job = double_charged.jobs[-1]
     duplicate = job.new_stage("shuffle", origin="CoGroup")
-    duplicate.task_records.append(right_n)
+    duplicate.task_records = Ledger.from_dense([right_n])
     duplicate.shuffle_read_records = right_n
     duplicate.shuffle_write_records = right_n
     assert fixed < model.simulated_seconds(double_charged)

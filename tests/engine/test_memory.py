@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import ClusterConfig, EngineContext
-from repro.engine.metrics import StageMetrics
+from repro.engine.metrics import Ledger, StageMetrics
 from repro.errors import SimulatedOutOfMemory
 
 
@@ -123,11 +123,12 @@ class TestSpillAccounting:
 def _spilled_by_loop(cfg, stage):
     """``Executor._account_spill`` asking about every task: the oracle."""
     rate = cfg.result_record_bytes if stage.meta else cfg.bytes_per_record
-    nonempty = sum(1 for records in stage.task_records if records)
+    task_records = stage.task_records.dense()
+    nonempty = sum(1 for records in task_records if records)
     per_machine = -(-max(1, nonempty) // cfg.machines)
     task_limit = cfg.task_memory_limit_bytes(per_machine)
     spilled = sum(
-        records for records in stage.task_records
+        records for records in task_records
         if cfg.materialized_bytes(records, rate) > task_limit
     )
     cluster_limit = cfg.executor_memory_limit_bytes * cfg.machines
@@ -161,7 +162,7 @@ class TestSpillShortCut:
         ctx = tiny_memory_context()
         stage = StageMetrics(
             stage_id=0, kind="shuffle", meta=meta,
-            task_records=list(task_records),
+            task_records=Ledger.from_dense(task_records),
         )
         ctx.executor._account_spill(stage)
         assert stage.spilled_records == _spilled_by_loop(ctx.config, stage)
@@ -170,7 +171,9 @@ class TestSpillShortCut:
         cfg = tiny_memory_context().config
         spilled = [
             _spilled_by_loop(
-                cfg, StageMetrics(0, "shuffle", task_records=records)
+                cfg, StageMetrics(
+                    0, "shuffle", task_records=Ledger.from_dense(records)
+                )
             )
             for records in ([3, 0, 5, 1], [3, 0, 21, 1], [10] * 12)
         ]
@@ -186,7 +189,9 @@ class TestSpillShortCut:
             return real(self, num_records, record_bytes)
 
         monkeypatch.setattr(ClusterConfig, "materialized_bytes", counting)
-        stage = StageMetrics(0, "shuffle", task_records=[1, 0, 2] * 400)
+        stage = StageMetrics(
+            0, "shuffle", task_records=Ledger.from_dense([1, 0, 2] * 400)
+        )
         ctx.executor._account_spill(stage)
         assert stage.spilled_records == 0
         # The largest task and the stage's total -- not 1200 tasks.

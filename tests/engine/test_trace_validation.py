@@ -15,6 +15,7 @@ from repro.engine import (
     validate_job,
     validate_trace,
 )
+from repro.engine.metrics import Ledger
 
 
 def keyed(n, tags=10, sign=1):
@@ -88,12 +89,16 @@ class TestCoalesceStageKind:
 
 
 class TestValidateModule:
+    #: Tasks a stage has: most of them empty, as in a flattened job.
+    TASKS = 1200
+
     def make_valid_job(self):
         job = JobMetrics(job_id=0, action="collect")
-        inp = job.new_stage("input", origin="Parallelize")
-        inp.task_records.extend([5, 5])
-        red = job.new_stage("shuffle", origin="ReduceByKey")
-        red.task_records.extend([4, 4])
+        inp = job.new_stage("input", self.TASKS, origin="Parallelize")
+        inp.credit_task_records([5, 5], [0, 7])
+        red = job.new_stage("shuffle", self.TASKS, origin="ReduceByKey")
+        red.credit_task_records([4, 4], [3, 900])
+        red.credit_task_seconds([0.5, 0.25], [3, 900])
         red.shuffle_read_records = 8
         red.shuffle_write_records = 8
         return job
@@ -108,9 +113,26 @@ class TestValidateModule:
             validate_job(job)
 
     def test_negative_counts_rejected(self):
+        # The negative count sits among the live entries of a sparse
+        # ledger, far from task 0.
         job = self.make_valid_job()
-        job.stages[1].task_records[0] = -1
-        with pytest.raises(TraceInvariantError):
+        job.stages[1].task_records.amounts[1] = -1
+        with pytest.raises(
+            TraceInvariantError,
+            match=r"^job 0, stage 1 \(shuffle\): "
+            r"negative task record count -1$",
+        ):
+            validate_job(job)
+
+    def test_negative_seconds_rejected(self):
+        job = self.make_valid_job()
+        job.stages[1].task_seconds.credit([-1.0], [900])
+        assert job.stages[1].task_seconds.amounts == [0.5, -0.75]
+        with pytest.raises(
+            TraceInvariantError,
+            match=r"^job 0, stage 1 \(shuffle\): "
+            r"negative measured task seconds$",
+        ):
             validate_job(job)
 
     def test_narrow_stage_with_shuffle_volume_rejected(self):
@@ -144,7 +166,7 @@ class TestValidateModule:
 
     def test_tasks_fewer_than_reads_rejected(self):
         job = self.make_valid_job()
-        job.stages[1].task_records = [1, 1]
+        job.stages[1].task_records = Ledger.from_dense([1, 1])
         with pytest.raises(TraceInvariantError):
             validate_job(job)
 
