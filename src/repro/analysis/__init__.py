@@ -42,7 +42,6 @@ from .effects import (
     effects_notes,
     fingerprint_function,
     plan_effects,
-    plan_fingerprint,
     runtime_resolver,
     scan_effects,
     static_resolver,
@@ -109,7 +108,6 @@ __all__ = [
     "partitioning_notes",
     "PlanSchemas",
     "plan_effects",
-    "plan_fingerprint",
     "render_github",
     "render_json",
     "render_text",

@@ -55,7 +55,6 @@ imports :mod:`repro.engine.plan` only; the engine reaches back lazily.
 
 import ast
 import builtins
-import hashlib
 import types
 
 from ..engine import plan as p
@@ -74,7 +73,6 @@ __all__ = [
     "effects_notes",
     "fingerprint_function",
     "plan_effects",
-    "plan_fingerprint",
     "runtime_resolver",
     "scan_effects",
     "static_resolver",
@@ -209,7 +207,12 @@ class EffectReport:
 
 
 def combine_reports(reports):
-    """Merge reports: any refuted wins, else any unknown, else proven."""
+    """Merge reports: any refuted wins, else any unknown, else proven.
+
+    Each reason object appears once, however many of ``reports`` carry
+    it: a subtree shared by many paths to a plan's root (a diamond)
+    would otherwise be copied once per path.
+    """
     values = {dim: True for dim in _DIMENSIONS}
     reasons = []
     for report in reports:
@@ -224,7 +227,7 @@ def combine_reports(reports):
         pure=values[PURITY],
         deterministic=values[DETERMINISM],
         io_free=values[IO],
-        reasons=reasons,
+        reasons=dict.fromkeys(reasons),
     )
 
 
@@ -1271,7 +1274,7 @@ def effect_diagnostics(report, filename="", udf_name="<udf>"):
 
 
 # ----------------------------------------------------------------------
-# Plan-level combination, explain notes, fingerprints
+# Plan-level combination and explain notes
 # ----------------------------------------------------------------------
 
 
@@ -1329,24 +1332,3 @@ def effects_notes(root):
             continue
         notes[id(node)] = task_effects(fns).summary()
     return notes
-
-
-def plan_fingerprint(root):
-    """Canonical fingerprint of a plan: structure + UDF ASTs.
-
-    Walks the plan in the same deterministic pre-order as
-    :func:`repro.engine.plan.assign_node_ids` and hashes each node's
-    operator type, partition count, and the AST fingerprints of its
-    UDFs.  Nodes whose UDF has no recoverable source contribute an
-    ``opaque`` marker, so two plans only share a fingerprint when
-    every UDF's code is provably identical.
-    """
-    parts = []
-    for node in p.iter_nodes_ordered(root):
-        fields = [type(node).__name__,
-                  str(getattr(node, "num_partitions", ""))]
-        for fn in _node_udfs(node):
-            fields.append(fingerprint_function(fn) or "opaque")
-        parts.append(":".join(fields))
-    digest = hashlib.sha256("|".join(parts).encode("utf-8"))
-    return digest.hexdigest()[:16]

@@ -53,6 +53,7 @@ import ast
 
 from ..engine import plan as p
 from ..engine.broadcast import broadcast_footprint
+from ..engine.optimize import plan_auto_caches
 from ..engine.partitioner import unstable_key_reason
 from .diagnostics import make_diagnostic
 from .properties import HASH, NONE, function_ast, infer_properties
@@ -80,18 +81,16 @@ def analyze_plan(root, config=None):
     has_wide = any(
         isinstance(node, _WIDE) for node in p.iter_nodes(root)
     )
-    effects = None
+    auto_cached = None
     if config is not None and config.optimize_caching:
-        from .effects import plan_effects
-
-        effects = plan_effects(root)
+        auto_cached = plan_auto_caches(root, config)
     diags = []
 
     def ref(node):
         return p.describe_node(node, ids, parts)
 
     for node in p.iter_nodes_ordered(root):
-        _check_uncached_reuse(node, consumers, effects, ref, diags)
+        _check_uncached_reuse(node, consumers, auto_cached, ref, diags)
         _check_filter_pushdown(node, ref, diags)
         if config is not None:
             _check_broadcast_size(node, config, ref, diags)
@@ -115,25 +114,19 @@ def analyze_bag(bag):
 # ---------------------------------------------------------------------------
 
 
-def _check_uncached_reuse(node, consumers, effects, ref, diags):
+def _check_uncached_reuse(node, consumers, auto_cached, ref, diags):
     uses = consumers.get(id(node), 0)
     if uses < 2 or node.cached:
         return
     if isinstance(node, p.Parallelize):
         # Driver-side data re-splits cheaply; no lineage recompute.
         return
-    if effects is not None and not isinstance(node, p.Union):
-        # optimize_caching is on: when the subtree is proven pure and
-        # deterministic the auto-cache rewrite inserts the cache()
-        # itself, so NPL301 would nag about a solved problem.  An
-        # unproven subtree keeps NPL301 (the waste is real) and gains
+    if auto_cached is not None and not isinstance(node, p.Union):
+        # optimize_caching is on: when the auto-cache rewrite inserts
+        # the cache() itself, NPL301 would nag about a solved problem.
+        # A node it declines keeps NPL301 (the waste is real) and gains
         # NPL504 explaining why the rewrite held back.
-        report = effects.get(id(node))
-        if (
-            report is not None
-            and report.pure is True
-            and report.deterministic is True
-        ):
+        if id(node) in auto_cached:
             return
         diags.append(
             make_diagnostic(

@@ -34,9 +34,7 @@ from .runtime import (
 )
 from .sizing import estimate_record_size, estimate_size
 from .validate import (
-    BackendParityError,
     TraceInvariantError,
-    assert_backend_parity,
     trace_signature,
     validate_job,
     validate_trace,
@@ -44,7 +42,6 @@ from .validate import (
 from .work import Weighted
 
 __all__ = [
-    "BackendParityError",
     "Bag",
     "Broadcast",
     "ClusterConfig",
@@ -65,7 +62,6 @@ __all__ = [
     "TaskScheduler",
     "TraceInvariantError",
     "Weighted",
-    "assert_backend_parity",
     "estimate_record_size",
     "estimate_size",
     "laptop_config",

@@ -27,23 +27,20 @@ Invariants checked per job:
 * **Runtime measurements are sane**: measured per-task seconds, retry
   counts, and straggler counts are non-negative.
 
-This module also hosts the differential runner every cross-config check
+This module also hosts the differential runner every cross-run check
 shares: :func:`run_configs` executes one program on a fresh context per
 config and returns a :class:`Run` record each, and :data:`INVARIANTS`
-names what :func:`check_runs` can require two runs to agree on.
-:mod:`repro.analysis.equivalence` drives it from its table of config
-axes; :func:`assert_backend_parity` here is its smallest user -- the
-serial and process-pool task runtimes must be observationally
-identical for any program.
+names what :func:`check_runs` can require two runs to agree on.  The
+test suite's table of execution choices (caching, backend, chain body,
+shuffle elision) drives it, one reference run against one chosen run.
 """
 
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter, eq, ge
 
 from ..errors import PlanError
 from ..observe.report import entry_from_context
-from .config import laptop_config
 
 #: Stage kinds the executor may emit.  ``input``/``shuffle`` stages are
 #: scheduled task sets; ``union``/``coalesce``/``cached`` are narrow
@@ -156,10 +153,6 @@ def validate_trace(trace):
 # ----------------------------------------------------------------------
 # Differential runs: one runner, one table of invariants
 # ----------------------------------------------------------------------
-
-
-class BackendParityError(PlanError):
-    """Two task-runtime backends disagreed on the same program."""
 
 
 def _nonzero(ledger):
@@ -331,53 +324,18 @@ def config_difference(base, variant):
     )
 
 
-def check_runs(base, variant, invariants, error, results_equal=eq):
-    """Raise ``error`` unless ``variant`` preserves each named invariant
-    of ``base``; ``results_equal`` decides when two results agree."""
+def check_runs(base, variant, invariants, results_equal=eq):
+    """Raise ``AssertionError`` unless ``variant`` preserves each named
+    invariant of ``base``; ``results_equal`` decides when two results
+    agree."""
     for name in invariants:
         what, view, holds = INVARIANTS[name]
         ours, theirs = view(base), view(variant)
         if not (holds or results_equal)(ours, theirs):
-            raise error(
+            raise AssertionError(
                 "%s [%s]: different %s:\n%r\nvs\n%r" % (
                     base.name,
                     config_difference(base.config, variant.config),
                     what, ours, theirs,
                 )
             )
-
-
-def assert_backend_parity(program, config=None, backends=("serial",
-                                                          "process"),
-                          num_workers=2):
-    """Run ``program(ctx)`` under each backend and demand identity.
-
-    The invariant: a plan's collected results and its trace's record
-    accounting are properties of the *plan*, not of where tasks run.
-    Any divergence between backends is a runtime bug.
-
-    Args:
-        program: Callable taking a fresh ``EngineContext`` and
-            returning the value to compare (typically collected
-            results).
-        config: Base :class:`~repro.engine.config.ClusterConfig`
-            (default: ``laptop_config()``); its ``backend`` field is
-            overridden per run.
-        backends: Backend names to compare.
-        num_workers: Worker count for process-pool runs.
-
-    Returns:
-        The result from the first backend, for further assertions.
-
-    Raises:
-        BackendParityError: On any mismatch in results or trace shape.
-    """
-    config = replace(config or laptop_config(), num_workers=num_workers)
-    runs = run_configs(
-        program, [replace(config, backend=backend) for backend in backends]
-    )
-    for run in runs[1:]:
-        check_runs(
-            runs[0], run, ("results", "signature"), BackendParityError
-        )
-    return runs[0].result

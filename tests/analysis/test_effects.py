@@ -321,6 +321,26 @@ def test_plan_effects_proven_for_clean_chain(ctx):
     assert subtree_effects(bag.node).proven
 
 
+def test_a_diamond_keeps_each_reason_once(ctx):
+    # ``b = b.cogroup(b).map(...)`` doubles the paths from the root to
+    # the source at every level: 2**16 of them here.  The root report
+    # holds each UDF reason once, not once per path.
+    udfs = (_rolls_dice, _unknown_callee)
+    bag = ctx.bag_of([(1, 2)]).map(_rolls_dice)
+    for _ in range(16):
+        bag = bag.cogroup(bag).map(_unknown_callee)
+    root = subtree_effects(bag.node)
+    distinct = {
+        id(reason) for fn in udfs for reason in analyze_effects(fn).reasons
+    }
+    assert 0 < len(root.reasons) <= len(distinct)
+    combined = task_effects(udfs)
+    assert (root.pure, root.deterministic, root.io_free) == (
+        combined.pure, combined.deterministic, combined.io_free
+    )
+    assert root.deterministic is False and root.pure is None
+
+
 def test_effects_notes_only_on_udf_nodes(ctx):
     bag = ctx.bag_of([1, 2, 3]).map(_clean)
     notes = effects_notes(bag.node)

@@ -16,7 +16,7 @@ import contextlib
 
 import pytest
 
-from repro.analysis.equivalence import library_programs, results_equivalent
+from tests.programs import library_programs, results_equivalent
 from repro.data import grouped_points, initial_centroids, visits_log
 from repro.engine import (
     ClusterConfig,

@@ -26,7 +26,7 @@ from repro.analysis import (
     fingerprint_function,
     infer_udf_schema,
 )
-from repro.analysis.equivalence import library_programs
+from tests.programs import library_programs
 from repro.analysis.schema import INT, STR
 from repro.engine import EngineContext, codegen, laptop_config
 from repro.engine.codegen import clear_compiled_cache
