@@ -6,9 +6,9 @@ from repro.engine import (
     ClusterConfig,
     EngineContext,
     codegen,
-    executor,
     laptop_config,
 )
+from tests.programs import disable_elision
 
 
 def pytest_addoption(parser):
@@ -32,16 +32,9 @@ def compile_all(request):
 
 @pytest.fixture
 def without_elision(monkeypatch):
-    """Call it and every later job plans no shuffle elision: the
-    reference run the always-on optimizer is checked against.  Elision
-    is no setting, so this moves the planner seam the executor calls."""
-
-    def disable():
-        monkeypatch.setattr(
-            executor, "plan_shuffle_elisions", lambda root: {}
-        )
-
-    return disable
+    """Call it and every later job plans no shuffle elision
+    (:func:`tests.programs.disable_elision`)."""
+    return lambda: disable_elision(monkeypatch)
 
 
 @pytest.fixture
