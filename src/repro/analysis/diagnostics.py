@@ -15,11 +15,10 @@ Code families:
   :mod:`repro.analysis.properties` (redundant or avoidable shuffles).
 * ``NPL5xx`` -- effect & determinism findings from
   :mod:`repro.analysis.effects` (impure, nondeterministic, or
-  I/O-performing UDFs, and auto-cache opportunities the optimizer had
-  to pass up).
+  I/O-performing UDFs).
 * ``NPL6xx`` -- record schema & shape findings from
   :mod:`repro.analysis.schema` (key-type mismatches, union arity
-  mismatches, unhashable shuffle keys, refuted-columnar chains).
+  mismatches, unhashable shuffle keys).
 """
 
 import json
@@ -72,8 +71,6 @@ CODES = {
     "NPL502": (WARNING, "UDF provably nondeterministic; retries and "
                         "recomputation may observe different results"),
     "NPL503": (WARNING, "UDF performs external I/O"),
-    "NPL504": (INFO, "auto-cache opportunity suppressed: subtree "
-                     "purity not proven"),
     # -- record schemas & shapes ------------------------------------------
     "NPL601": (WARNING, "join/cogroup key types provably mismatch"),
     "NPL602": (WARNING, "union branches have mismatched record shapes"),

@@ -42,9 +42,6 @@ Consumers:
   (I/O) diagnostics;
 * the task runtime gates silent retry on :func:`task_effects`
   verdicts (:mod:`repro.engine.runtime.scheduler`);
-* the optimizer's auto-cache rewrite requires a *proven* pure and
-  deterministic subtree (:func:`repro.engine.optimize.plan_auto_caches`
-  via :func:`plan_effects`);
 * the serve layer keys cross-job artifacts by
   :func:`fingerprint_function` and refuses reuse for refuted programs;
 * ``Bag.explain(effects=True)`` renders :func:`effects_notes`.
@@ -1239,9 +1236,7 @@ def effect_diagnostics(report, filename="", udf_name="<udf>"):
 
     Unknown dimensions produce no diagnostic here -- unknown is the
     analysis saying "no proof either way", which would be noise on
-    every non-trivial UDF; only definite effects are reported.  The
-    plan-level NPL504 (auto-cache suppressed by unknown purity) is
-    emitted by :mod:`repro.analysis.plan_lint` instead.
+    every non-trivial UDF; only definite effects are reported.
     """
     from .diagnostics import make_diagnostic
 
@@ -1292,8 +1287,8 @@ def plan_effects(root):
     A node's report combines its own UDFs' effects with all of its
     children's reports, so ``plan_effects(root)[id(node)]`` answers
     "is everything needed to (re)compute this node proven pure /
-    deterministic / io-free?" -- the question auto-caching and
-    artifact reuse ask.
+    deterministic / io-free?" -- the question a ``cache()`` on the node
+    must answer yes to before it may replace recomputation.
     """
     reports = {}
     stack = [(root, False)]

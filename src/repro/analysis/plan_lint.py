@@ -33,11 +33,6 @@ the waste *before* the job runs):
 * **NPL404** -- a shuffle input whose map could not be *proven*
   key-preserving; a ``preserves_partitioning=True`` hint (if truthful)
   would enable elision.
-* **NPL504** -- only with ``config.optimize_caching`` on: an uncached
-  reused subtree the auto-cache rewrite *declined* because its effect
-  verdicts (:mod:`repro.analysis.effects`) are not proven pure and
-  deterministic.  When the rewrite does fire, the NPL301 for that node
-  is suppressed -- the optimizer has already solved it.
 * **NPL6xx** -- record schema & shape findings from
   :mod:`repro.analysis.schema` (key-type mismatches, union shape
   mismatches, unhashable shuffle keys), plus an NPL001 notice for
@@ -53,7 +48,6 @@ import ast
 
 from ..engine import plan as p
 from ..engine.broadcast import broadcast_footprint
-from ..engine.optimize import plan_auto_caches
 from ..engine.partitioner import unstable_key_reason
 from .diagnostics import make_diagnostic
 from .properties import HASH, NONE, function_ast, infer_properties
@@ -81,16 +75,13 @@ def analyze_plan(root, config=None):
     has_wide = any(
         isinstance(node, _WIDE) for node in p.iter_nodes(root)
     )
-    auto_cached = None
-    if config is not None and config.optimize_caching:
-        auto_cached = plan_auto_caches(root, config)
     diags = []
 
     def ref(node):
         return p.describe_node(node, ids, parts)
 
     for node in p.iter_nodes_ordered(root):
-        _check_uncached_reuse(node, consumers, auto_cached, ref, diags)
+        _check_uncached_reuse(node, consumers, ref, diags)
         _check_filter_pushdown(node, ref, diags)
         if config is not None:
             _check_broadcast_size(node, config, ref, diags)
@@ -114,30 +105,13 @@ def analyze_bag(bag):
 # ---------------------------------------------------------------------------
 
 
-def _check_uncached_reuse(node, consumers, auto_cached, ref, diags):
+def _check_uncached_reuse(node, consumers, ref, diags):
     uses = consumers.get(id(node), 0)
     if uses < 2 or node.cached:
         return
     if isinstance(node, p.Parallelize):
         # Driver-side data re-splits cheaply; no lineage recompute.
         return
-    if auto_cached is not None and not isinstance(node, p.Union):
-        # optimize_caching is on: when the auto-cache rewrite inserts
-        # the cache() itself, NPL301 would nag about a solved problem.
-        # A node it declines keeps NPL301 (the waste is real) and gains
-        # NPL504 explaining why the rewrite held back.
-        if id(node) in auto_cached:
-            return
-        diags.append(
-            make_diagnostic(
-                "NPL504",
-                "%s is reused %d times and auto-caching is enabled, "
-                "but its subtree could not be proven pure and "
-                "deterministic, so the optimizer will not cache() it "
-                "for you" % (ref(node), uses),
-                node=ref(node),
-            )
-        )
     diags.append(
         make_diagnostic(
             "NPL301",

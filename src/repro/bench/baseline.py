@@ -4,10 +4,7 @@ A small, fast, fixed grid of (task, scale) cells -- K-means, PageRank,
 and Bounce Rate, each in the Matryoshka and inner-parallel formulations
 at two group counts, plus a service-mode pair (``serve-pagerank-cold`` /
 ``serve-pagerank-warm``) running repeated PageRank jobs through a
-long-lived :mod:`repro.serve` daemon, a reuse-heavy pair
-(``reuse-baseline`` / ``reuse-autocache``) where the only difference
-is ``optimize_caching``, so the row delta is the simulated seconds the
-verified auto-``cache()`` rewrite saves, and a ``pipeline`` cell (a
+long-lived :mod:`repro.serve` daemon, and a ``pipeline`` cell (a
 map/filter-heavy fused chain large enough that the executor compiles
 it).
 
@@ -38,7 +35,6 @@ PR::
 
 import json
 import math
-from dataclasses import replace
 from itertools import zip_longest
 
 from ..baselines.inner_parallel import group_locally
@@ -77,15 +73,6 @@ _SERVE_WARM_BYTES = 256 * 1024 * 1024
 #: compiles (7 steps x 32,768 records at 4 groups, against
 #: ``codegen.COMPILE_MIN_RECORD_STEPS``).
 _PIPELINE_RECORDS_PER_GROUP = 8192
-
-#: The reuse cell: how many identical jobs consume the same shared,
-#: deliberately *uncached* feature subtree.  With ``optimize_caching``
-#: off every job recomputes the subtree once per consumer; with it on
-#: the effect analysis proves the subtree pure and deterministic, the
-#: optimizer inserts the ``cache()`` itself, and jobs after the first
-#: short-circuit through the materialized partitions.
-_REUSE_JOBS = 3
-
 
 def _kmeans_cell(system, groups):
     config = _cluster(2.0, 512, overhead=2.0)
@@ -185,44 +172,6 @@ def _serve_pagerank_cell(system, groups):
     return run_measured(config, system, groups, program)
 
 
-def _reuse_scale(x):
-    return (x * 3 + 1) % 997
-
-
-def _reuse_shift(x):
-    return x - 500
-
-
-def _auto_cache_cell(system, groups):
-    """A reuse-heavy workload: ``_REUSE_JOBS`` jobs over one shared
-    uncached subtree with two consumers each.
-
-    The two rows differ only in ``optimize_caching``: the baseline row
-    recomputes the shared feature map twice per job, the autocache row
-    lets the verified rewrite materialize it once -- the simulated
-    delta is exactly what the auto-inserted ``cache()`` buys.  The
-    UDFs are module-level and provably pure/deterministic on purpose:
-    an unprovable subtree would (correctly) suppress the rewrite and
-    collapse the delta to zero.
-    """
-    config = replace(
-        _cluster(2.0, 512), optimize_caching=system == "reuse-autocache"
-    )
-
-    def program(ctx):
-        feats = ctx.bag_of(range(groups * 128)).map(_reuse_scale)
-        total = 0
-        for _ in range(_REUSE_JOBS):
-            total += (
-                feats.map(_reuse_shift)
-                .union(feats.map(_reuse_scale))
-                .sum()
-            )
-        return total
-
-    return run_measured(config, system, groups, program)
-
-
 def _pipe_scale(x):
     return x * 3 + 1
 
@@ -293,8 +242,6 @@ CELLS = {
     "bounce-inner": _bounce_rate_cell,
     "serve-pagerank-cold": _serve_pagerank_cell,
     "serve-pagerank-warm": _serve_pagerank_cell,
-    "reuse-baseline": _auto_cache_cell,
-    "reuse-autocache": _auto_cache_cell,
     "pipeline": _pipeline_cell,
 }
 

@@ -124,13 +124,6 @@ class ClusterConfig:
     #: ... and this absolute floor, so scheduling jitter on
     #: microsecond-scale tasks never registers.
     straggler_min_task_seconds: float = 0.01
-    #: Auto-insert ``cache()`` on plan subtrees that are reused by more
-    #: than one consumer when the effect analysis
-    #: (:mod:`repro.analysis.effects`) *proves* every UDF below pure
-    #: and deterministic -- an unproven subtree is left alone (see
-    #: :func:`repro.engine.optimize.plan_auto_caches`).  Off by
-    #: default.
-    optimize_caching: bool = False
 
     def __post_init__(self):
         if self.machines < 1:

@@ -90,18 +90,18 @@ def snapshot_plan_state(root):
     """One consistent read of every node's mutable planning inputs.
 
     ``cached`` and ``materialized`` are the only plan-node attributes
-    that change after construction: ``Bag.cache()``, the auto-cache
-    optimizer pass, and a concurrently gathered job materializing a
-    shared cached subtree all flip them while other jobs may be
-    planning over the same nodes.  The planning walk consults both
-    attributes several times per node (refcounts, fusion, the unit
-    emit), so reading them live would let one walk observe *different*
-    values for the same node -- making the unit graph, the stage
-    layout, and with them the plan's stable node ids depend on thread
-    interleaving.  Snapshotting once up front pins one consistent view
-    for the whole walk; whether a concurrent flip lands before or
-    after the snapshot, the resulting unit graph is one of the two
-    valid serial outcomes, never a hybrid.
+    that change after construction: ``Bag.cache()`` and a concurrently
+    gathered job materializing a shared cached subtree both flip them
+    while other jobs may be planning over the same nodes.  The
+    planning walk consults both attributes several times per node
+    (refcounts, fusion, the unit emit), so reading them live would let
+    one walk observe *different* values for the same node -- making
+    the unit graph, the stage layout, and with them the plan's stable
+    node ids depend on thread interleaving.  Snapshotting once up
+    front pins one consistent view for the whole walk; whether a
+    concurrent flip lands before or after the snapshot, the resulting
+    unit graph is one of the two valid serial outcomes, never a
+    hybrid.
 
     Returns ``{id(node): (cached, materialized)}``.
     """

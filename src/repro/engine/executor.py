@@ -66,7 +66,6 @@ from . import plan as p
 from .broadcast import check_broadcast_fits
 from .optimize import (
     Decision,
-    plan_auto_caches,
     plan_shuffle_elisions,
     release_layouts,
     sweep_layouts,
@@ -340,7 +339,6 @@ class Executor:
         trace stays inspectable.
         """
         elisions = plan_shuffle_elisions(root)
-        self._apply_auto_caches(root)
         units = dag.plan_units(root, unfused=elisions)
         ordinal_base = self.scheduler.reserve_ordinals(
             dag.total_ordinal_budget(units)
@@ -650,36 +648,6 @@ class Executor:
         if len(child_partitions) != node.num_partitions:
             return None
         return elision
-
-    def _apply_auto_caches(self, root):
-        """Flip ``cached`` on subtrees the auto-cache pass proved safe.
-
-        Runs before the plan is linearized into units, so the unit
-        graph already sees the node as cached and later jobs over the
-        same (now materialized) subtree short-circuit through
-        ``_cached_result``.  The flip happens under the state lock and
-        re-checks ``cached``: two jobs gathered concurrently over a
-        shared subtree must record the decision exactly once.
-        """
-        chosen = plan_auto_caches(root, self.config)
-        if not chosen:
-            return
-        with self._state_lock:
-            for node in chosen.values():
-                if node.cached:
-                    continue  # the other job got here first
-                node.cached = True
-                self.decisions.append(
-                    Decision(
-                        kind="auto-cache",
-                        choice="cache",
-                        # narrow nodes inherit their partition count at
-                        # evaluation time; 0 = not fixed by the node
-                        num_tags=getattr(node, "num_partitions", 0),
-                        detail="%s has multiple consumers and a proven "
-                        "pure, deterministic subtree" % _origin(node),
-                    )
-                )
 
     def _record_elision(self, node, elision):
         decision = Decision(

@@ -1,20 +1,15 @@
-"""The engine's static optimizer passes: shuffle elision, auto-caching.
+"""The engine's static optimizer pass: shuffle elision.
 
 The executor consults this once per job.  The heavy lifting -- proving
-which wide nodes re-shuffle data that is already laid out correctly,
-and which UDFs are pure and deterministic -- lives in
-:mod:`repro.analysis.properties` and :mod:`repro.analysis.effects`;
-this module is the thin engine-side entry point.  Elision always
-runs; auto-caching honors ``ClusterConfig.optimize_caching``.
+which wide nodes re-shuffle data that is already laid out correctly --
+lives in :mod:`repro.analysis.properties`; this module is the thin
+engine-side entry point.
 
 Soundness note: a static :class:`~repro.analysis.properties.Elision` is
 a *permission*, not a command.  The executor still checks the runtime
 preconditions (partition counts match, the origin shuffle's concrete
 assignment is registered) and falls back to a normal shuffle when they
-do not hold.  Auto-caching is held to a stricter bar: it only fires on
-subtrees whose every UDF is *proven* pure and deterministic, because a
-cache substitutes one recorded evaluation for repeated evaluations --
-only provable effect-freedom makes those interchangeable.
+do not hold.
 """
 
 from dataclasses import dataclass
@@ -41,33 +36,28 @@ class Decision:
     detail: str = ""
 
 
-def plan_auto_caches(root, config=None):
-    """Plan nodes the executor should auto-cache for this plan.
+def plan_auto_caches(root):
+    """Reused subtrees a ``cache()`` could be inserted on safely.
 
-    The NPL301 lint predicts the waste (an uncached node consumed by
-    two or more parents recomputes once per consumer); this pass is
-    the rewrite that removes it.  A node qualifies when:
+    Nothing in the engine calls this: it is kept only because the
+    wall-clock probes (``benchmarks/wall/probes.py``) time it, and it
+    goes when they stop (ROADMAP direction 1(d)).  A node qualifies when:
 
     * two or more parent edges consume it (``CoGroup(x, x)`` counts
-      twice, matching the lint),
+      twice, matching the NPL301 lint),
     * it is not already ``cache()``d,
     * it is not a :class:`~repro.engine.plan.Parallelize` (driver data
       re-splits for free) or a :class:`~repro.engine.plan.Union`
       (``flatten_union_inputs`` rewrites unions structurally at
-      bag-construction time, keyed on ``cached``; flipping the flag
-      later would make plan shape depend on optimizer timing), and
+      bag-construction time, keyed on ``cached``), and
     * every UDF in its subtree is **proven** pure and deterministic by
       :func:`repro.analysis.effects.plan_effects`.  Unknown does not
       qualify: caching trades re-evaluation for replay, which is only
       an equivalence when the subtree provably has no effects for the
       skipped evaluations to skip.
 
-    Returns ``{id(node): node}`` for the qualifying nodes.  The
-    executor flips ``node.cached`` and records an ``auto-cache``
-    :class:`Decision` per entry.
+    Returns ``{id(node): node}`` for the qualifying nodes.
     """
-    if config is not None and not config.optimize_caching:
-        return {}
     # Lazy import: repro.analysis imports repro.engine, so engine
     # modules must not import the analysis layer at module scope.
     from ..analysis.effects import plan_effects

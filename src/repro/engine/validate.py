@@ -31,8 +31,8 @@ This module also hosts the differential runner every cross-run check
 shares: :func:`run_configs` executes one program on a fresh context per
 config and returns a :class:`Run` record each, and :data:`INVARIANTS`
 names what :func:`check_runs` can require two runs to agree on.  The
-test suite's table of execution choices (caching, backend, chain body,
-shuffle elision) drives it, one reference run against one chosen run.
+test suite's table of execution choices (backend, chain body, shuffle
+elision) drives it, one reference run against one chosen run.
 """
 
 from collections import Counter
@@ -285,19 +285,13 @@ def deterministic_totals(totals):
 #: ``name -> (what, view, holds)``.  ``view(run)`` picks the quantity
 #: out of a :class:`Run`, ``holds(base, variant)`` says whether two such
 #: quantities agree (``None``: by the caller's notion of equal results),
-#: ``what`` names it in the error.  ``sim_not_slower`` and
-#: ``shuffle_not_more`` are directional: the variant is the optimized
-#: side.
+#: ``what`` names it in the error.  ``shuffle_not_more`` is
+#: directional: the variant is the optimized side.
 INVARIANTS = {
     "results": ("results", attrgetter("result"), None),
     "signature": ("trace signatures", attrgetter("signature"), eq),
     "sim_equal": (
         "simulated seconds", attrgetter("simulated_seconds"), eq,
-    ),
-    "sim_not_slower": (
-        "simulated seconds (the variant is slower)",
-        attrgetter("simulated_seconds"),
-        lambda base, variant: variant <= base + 1e-9,
     ),
     "stage_kinds": ("jobs or stage kinds", _stage_kinds, eq),
     "shuffle_not_more": (

@@ -1,9 +1,9 @@
 """The differential harness's tests: every row of
 :data:`tests.programs.CHOICES` passes the registry programs and small
 ones, and a rigged program fails it.  Each row pins the registry
-programs it applies to; the caching, chain-body and elision rows read
-that off the decisions and totals a run recorded, while the backend
-row, which applies everywhere, can only read back its configs.
+programs it applies to; the chain-body and elision rows read that off
+the decisions and totals a run recorded, while the backend row, which
+applies everywhere, can only read back its configs.
 """
 
 import pathlib
@@ -69,10 +69,6 @@ def reuse_program(ctx):
     return (
         feats.map(lambda x: x + 1).union(feats.map(lambda x: -x)).sum()
     )
-
-
-def linear_program(ctx):
-    return ctx.bag_of(range(30)).map(lambda x: x + 1).sum()
 
 
 def test_registry_covers_every_task_module():
@@ -148,7 +144,7 @@ def test_every_row_passes_on_a_small_program(monkeypatch, choice, program):
         )
 
 
-@pytest.mark.parametrize("choice", ["caching", "backend"])
+@pytest.mark.parametrize("choice", ["backend"])
 def test_a_setting_row_rejects_a_rigged_result(choice):
     def rigged(ctx):
         return [ctx.config]
@@ -162,11 +158,11 @@ def test_trace_invariants_reject_a_rigged_trace(invariant):
     def rigged(ctx):
         bag = ctx.bag_of(range(12)).map(lambda x: (x % 2, x))
         result = sorted(bag.reduce_by_key(lambda a, b: a + b).collect())
-        if ctx.config.optimize_caching:
+        if ctx.config.backend == "process":
             bag.count()  # an extra job only the chosen run runs
         return result
 
-    row = CHOICES["caching"]
+    row = CHOICES["backend"]
     reference, chosen = run_configs(
         rigged,
         [laptop_config(**row.reference), laptop_config(**row.chosen)],
@@ -174,17 +170,6 @@ def test_trace_invariants_reject_a_rigged_trace(invariant):
     )
     with pytest.raises(AssertionError, match="signature|stage kinds"):
         check_runs(reference, chosen, [invariant], results_equivalent)
-
-
-def test_caching_rejects_a_slower_variant():
-    def slower(ctx):
-        bag = ctx.bag_of(range(12))
-        if ctx.config.optimize_caching:
-            bag.count()  # same answer, one more job's worth of time
-        return bag.sum()
-
-    with pytest.raises(AssertionError, match="slower"):
-        run_choice("caching", slower, "slower")
 
 
 def test_backend_totals_tolerate_retry_wobble():
@@ -206,15 +191,6 @@ def test_backend_totals_tolerate_retry_wobble():
     assert chosen.totals["retries"] > reference.totals["retries"]
 
 
-@pytest.mark.parametrize(
-    "program, expected", [(reuse_program, 1), (linear_program, 0)],
-)
-def test_decision_counts(program, expected):
-    reference, chosen = run_choice("caching", program, program.__name__)
-    assert chosen.decisions["auto-cache/cache"] == expected
-    assert reference.decisions["auto-cache/cache"] == 0
-
-
 # ---------------------------------------------------------------------------
 # The shared runner closes what it opens
 # ---------------------------------------------------------------------------
@@ -223,11 +199,13 @@ def test_decision_counts(program, expected):
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda program: run_choice("caching", program),
-        lambda program: run_configs(program, [laptop_config()]),
-        lambda program: run_choice("backend", program),
+        lambda program, seams: run_choice(
+            "elision", program, monkeypatch=seams
+        ),
+        lambda program, seams: run_configs(program, [laptop_config()]),
+        lambda program, seams: run_choice("backend", program),
     ],
-    ids=["caching", "run_configs", "backend"],
+    ids=["elision", "run_configs", "backend"],
 )
 def test_a_raising_program_still_closes_its_context(monkeypatch, entry):
     opened, closed = [], []
@@ -245,5 +223,5 @@ def test_a_raising_program_still_closes_its_context(monkeypatch, entry):
         raise RuntimeError("mid-run")
 
     with pytest.raises(RuntimeError, match="mid-run"):
-        entry(raising)
+        entry(raising, monkeypatch)
     assert opened and closed == opened

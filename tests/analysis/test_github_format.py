@@ -58,7 +58,7 @@ def test_severity_levels_map_to_github_levels():
     diags = [
         make_diagnostic("NPL201", "e", file="a.py", line=1, col=1),
         make_diagnostic("NPL501", "w", file="a.py", line=2, col=1),
-        make_diagnostic("NPL504", "i", node="#2 Map"),
+        make_diagnostic("NPL404", "i", node="#2 Map"),
     ]
     lines = render_github(diags).splitlines()
     # plan-located findings have no file and sort first

@@ -131,7 +131,7 @@ class TestCommittedSnapshot:
             "%s@%s" % (system, groups)
             for system in CELLS for groups in _GROUP_COUNTS
         ]
-        assert len(cells) == 22
+        assert len(cells) == 18
 
     def test_is_what_save_writes(self, tmp_path):
         path = tmp_path / "again.json"

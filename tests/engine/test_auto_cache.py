@@ -1,17 +1,12 @@
-"""Verified auto-caching: the optimizer inserts ``cache()`` for reused
-subtrees only when the subtree is *proven* pure and deterministic.
+"""``plan_auto_caches``: which reused subtrees a ``cache()`` could be
+inserted on safely -- only those *proven* pure and deterministic.
 
-Gated behind ``config.optimize_caching`` (default off); every insertion
-is recorded as a ``Decision(kind="auto-cache")``.
+The engine never inserts one; the pass survives for the wall-clock
+probes that time it.
 """
 
-import dataclasses
 import random
 
-import pytest
-
-from repro.analysis import analyze_plan
-from repro.engine import EngineContext, laptop_config
 from repro.engine.optimize import plan_auto_caches
 
 
@@ -27,130 +22,23 @@ def _noisy(x):
     return x + random.random()
 
 
-def caching_ctx(**overrides):
-    overrides.setdefault("backend", "serial")
-    overrides.setdefault("optimize_caching", True)
-    trace = overrides.pop("trace", False)
-    return EngineContext(laptop_config(**overrides), trace=trace)
-
-
-def reuse_job(ctx, fn=_double):
-    feats = ctx.bag_of(range(20)).map(fn)
-    return (
-        feats.map(_double).union(feats.map(_negate)).sum()
-    ), feats
-
-
 class TestPlanAutoCaches:
     def test_proven_reused_subtree_is_chosen(self, ctx):
         feats = ctx.bag_of(range(20)).map(_double)
         merged = feats.map(_double).union(feats.map(_negate))
-        chosen = plan_auto_caches(merged.node, caching_ctx().config)
+        chosen = plan_auto_caches(merged.node)
         assert id(feats.node) in chosen
-
-    def test_disabled_config_chooses_nothing(self, ctx, config):
-        feats = ctx.bag_of(range(20)).map(_double)
-        merged = feats.map(_double).union(feats.map(_negate))
-        assert plan_auto_caches(merged.node, config) == {}
 
     def test_unproven_subtree_is_not_chosen(self, ctx):
         feats = ctx.bag_of(range(20)).map(_noisy)
         merged = feats.map(_double).union(feats.map(_negate))
-        assert plan_auto_caches(merged.node, caching_ctx().config) == {}
+        assert plan_auto_caches(merged.node) == {}
 
     def test_already_cached_subtree_is_not_rechosen(self, ctx):
         feats = ctx.bag_of(range(20)).map(_double).cache()
         merged = feats.map(_double).union(feats.map(_negate))
-        assert plan_auto_caches(merged.node, caching_ctx().config) == {}
+        assert plan_auto_caches(merged.node) == {}
 
     def test_single_consumer_is_not_chosen(self, ctx):
         feats = ctx.bag_of(range(20)).map(_double)
-        assert (
-            plan_auto_caches(
-                feats.map(_negate).node, caching_ctx().config
-            )
-            == {}
-        )
-
-
-class TestExecutorAutoCache:
-    def test_decision_recorded_and_node_cached(self):
-        ctx = caching_ctx()
-        expected = sum(x * 2 * 2 + -(x * 2) for x in range(20))
-        result, feats = reuse_job(ctx)
-        assert result == expected
-        assert feats.node.cached
-        assert feats.node.materialized is not None
-        decisions = [
-            d for d in ctx.optimizer_decisions if d.kind == "auto-cache"
-        ]
-        assert len(decisions) == 1
-        assert "proven" in decisions[0].detail
-
-    def test_off_by_default(self, ctx):
-        result, feats = reuse_job(ctx)
-        assert not feats.node.cached
-        assert not [
-            d for d in ctx.optimizer_decisions if d.kind == "auto-cache"
-        ]
-
-    def test_nondeterministic_subtree_never_cached(self):
-        ctx = caching_ctx()
-        _, feats = reuse_job(ctx, fn=_noisy)
-        assert not feats.node.cached
-        assert not [
-            d for d in ctx.optimizer_decisions if d.kind == "auto-cache"
-        ]
-
-    def test_second_job_reuses_materialized_partitions(self):
-        ctx = caching_ctx(trace=True)
-        expected = sum(x * 2 * 2 + -(x * 2) for x in range(20)) * 1
-        feats = ctx.bag_of(range(20)).map(_double)
-        merged = feats.map(_double).union(feats.map(_negate))
-        assert merged.sum() == expected
-        assert feats.node.cached
-        assert merged.count() == 40
-        kinds = [
-            stage.kind
-            for job in ctx.trace.jobs
-            for stage in job.stages
-        ]
-        assert "cached" in kinds
-
-    def test_results_identical_with_and_without(self):
-        plain = EngineContext(laptop_config(backend="serial"))
-        cached = caching_ctx()
-        assert reuse_job(plain)[0] == reuse_job(cached)[0]
-
-
-def caching_ctx_config():
-    return caching_ctx().config
-
-
-class TestNpl504:
-    def test_unproven_reuse_reports_npl504(self, ctx):
-        feats = ctx.bag_of(range(20)).map(_noisy)
-        merged = feats.map(_double).union(feats.map(_negate))
-        diags = analyze_plan(merged.node, config=caching_ctx_config())
-        found = [d.code for d in diags]
-        assert "NPL504" in found
-        assert "NPL301" in found  # the manual-cache hint still applies
-        note = diags[found.index("NPL504")]
-        assert note.severity == "info"
-        assert "auto-caching" in note.message
-
-    def test_proven_reuse_is_silent(self, ctx):
-        feats = ctx.bag_of(range(20)).map(_double)
-        merged = feats.map(_double).union(feats.map(_negate))
-        diags = analyze_plan(merged.node, config=caching_ctx_config())
-        found = [d.code for d in diags]
-        assert "NPL504" not in found
-        assert "NPL301" not in found  # optimizer will cache it
-
-    def test_no_npl504_when_caching_disabled(self, ctx, config):
-        feats = ctx.bag_of(range(20)).map(_noisy)
-        merged = feats.map(_double).union(feats.map(_negate))
-        diags = analyze_plan(merged.node, config=config)
-        found = [d.code for d in diags]
-        assert "NPL504" not in found
-        assert "NPL301" in found
+        assert plan_auto_caches(feats.map(_negate).node) == {}

@@ -65,7 +65,7 @@ class TestClusterConfig:
             field.name for field in dataclasses.fields(ClusterConfig)
             if field.type is bool
         ]
-        assert flags == ["optimize_caching"]
+        assert flags == []
 
 
 class TestTaskMemory:

@@ -113,7 +113,7 @@ class TestBenchGate:
 
         committed = Path(__file__).parents[2] / baseline.BASELINE_FILENAME
         stored = baseline.load(committed)
-        stored["cells"]["reuse-autocache@16"]["simulated_seconds"] /= 1.01
+        stored["cells"]["pipeline@16"]["simulated_seconds"] /= 1.01
         tampered = str(tmp_path / "tampered.json")
         baseline.save(stored, tampered)
         assert bench_main(
@@ -122,7 +122,7 @@ class TestBenchGate:
         found = capsys.readouterr().out.split("\n\n", 1)[1].splitlines()
         assert len(found) == 2 and found[1].startswith("verdict: 1 ")
         assert found[0].strip().startswith(
-            "reuse-autocache@16 simulated_seconds: "
+            "pipeline@16 simulated_seconds: "
         )
 
     def test_emit_baseline_round_trips(self, tmp_path, capsys, monkeypatch):
@@ -132,7 +132,7 @@ class TestBenchGate:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(baseline, "CELLS", {
             name: baseline.CELLS[name]
-            for name in ("reuse-baseline", "reuse-autocache")
+            for name in ("bounce-inner", "pipeline")
         })
         assert bench_main(["--emit-baseline"]) == 0
         first = Path(baseline.BASELINE_FILENAME).read_text()

@@ -7,11 +7,11 @@ program results up to partitioning artifacts.  Each row of
 :data:`CHOICES` makes one choice about how a program executes and names
 the invariants (:data:`repro.engine.validate.INVARIANTS`) the chosen run
 keeps against a reference run that makes it nowhere;
-:func:`run_choice` runs and checks one row.  Two rows are settings
-(caching, backend): the two runs' configs differ in them.  Two are
-choices the executor makes by itself (which body a fused chain runs,
-which shuffles it elides), so the reference run moves a seam instead --
-the compile threshold, the elision planner.
+:func:`run_choice` runs and checks one row.  One row is a setting
+(backend): the two runs' configs differ in it.  Two are choices the
+executor makes by itself (which body a fused chain runs, which
+shuffles it elides), so the reference run moves a seam instead -- the
+compile threshold, the elision planner.
 """
 
 import math
@@ -227,11 +227,6 @@ def _elision_planner(monkeypatch, chosen):
         disable_elision(monkeypatch)
 
 
-def _cached(reference, chosen):
-    assert not _decisions(reference, "auto-cache/")
-    return chosen.decisions["auto-cache/cache"] > 0
-
-
 def _pooled(reference, chosen):
     # A config check only: a run records nothing the process backend
     # alone sets, so this reads back the row's own overrides.
@@ -266,13 +261,6 @@ PROGRAMS = tuple(name for name, _program in _PROGRAMS)
 #: with the choice made and again with it made nowhere; see
 #: ``docs/analysis.md`` § "Differential verification".
 CHOICES = {
-    # Replacing recompute stages with a ``cached`` read *is* the
-    # rewrite, so stage shapes are free; it must only never cost time.
-    "caching": Choice(
-        {"optimize_caching": False}, {"optimize_caching": True}, None,
-        ("results", "sim_not_slower"), results_equivalent,
-        _cached, ("pagerank-nested", "kmeans-nested-grouped"),
-    ),
     # Where tasks run is invisible to values, strictly, to the trace
     # the cost model reads, and so to simulated seconds; "totals"
     # leaves out the measured retry/straggler counters.  The backend

@@ -15,7 +15,6 @@ import sys
 import threading
 import types
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -30,6 +29,7 @@ from tests.programs import library_programs
 from repro.analysis.schema import INT, STR
 from repro.engine import EngineContext, codegen, laptop_config
 from repro.engine.codegen import clear_compiled_cache
+from repro.engine.optimize import plan_auto_caches
 from repro.engine.validate import run_configs
 from repro.lang import nested_udf
 from repro.udf import (
@@ -201,27 +201,23 @@ def test_schema_follows_the_captured_helper(flip):
     assert (as_int, as_str) == (INT, STR)
 
 
-def _auto_cache_decisions(helper):
-    config = replace(laptop_config(), optimize_caching=True)
-    with EngineContext(config) as ctx:
+def _auto_cached(helper):
+    with EngineContext(laptop_config()) as ctx:
         shared = ctx.bag_of(list(range(32)), num_partitions=4).map(
             make(helper)
         )
-        shared.union(shared.map(pure_helper)).collect()
-        return [
-            d.choice for d in ctx.optimizer_decisions
-            if d.kind == "auto-cache"
-        ]
+        chosen = plan_auto_caches(shared.union(shared.map(pure_helper)).node)
+        return [node is shared.node for node in chosen.values()]
 
 
 @BOTH_ORDERS
 def test_auto_cache_never_trusts_an_earlier_plans_verdict(flip):
     pure, noisy = in_order(
         flip,
-        lambda: _auto_cache_decisions(pure_helper),
-        lambda: _auto_cache_decisions(noisy_helper),
+        lambda: _auto_cached(pure_helper),
+        lambda: _auto_cached(noisy_helper),
     )
-    assert pure == ["cache"]
+    assert pure == [True]
     assert noisy == []
 
 
@@ -464,7 +460,7 @@ def test_a_second_run_parses_nothing(monkeypatch):
     monkeypatch.setattr(udf.inspect, "getsourcelines", counting)
     program = dict(library_programs())["avg-distances-nested"]
     monkeypatch.setattr(codegen, "COMPILE_MIN_RECORD_STEPS", 0)
-    config = replace(laptop_config(), optimize_caching=True)
+    config = laptop_config()
     run_configs(program, [config])
     first = list(read)
     assert first and len(first) == len(set(map(id, first)))
