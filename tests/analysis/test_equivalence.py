@@ -71,6 +71,17 @@ def reuse_program(ctx):
     )
 
 
+def cached_program(ctx):
+    """An explicit ``cache()`` read back by a second job."""
+    feats = ctx.bag_of(range(40), num_partitions=4).map(_key).cache()
+    return sorted(feats.reduce_by_key(_add).collect()), feats.count()
+
+
+SMALL_PROGRAMS = [
+    chain_program, branching_program, reuse_program, cached_program,
+]
+
+
 def test_registry_covers_every_task_module():
     assert len(PROGRAMS) == len(set(PROGRAMS)) == 12
     for fragment in (
@@ -125,9 +136,7 @@ def test_executor_choices_match_their_reference(
 
 
 @pytest.mark.parametrize("choice", list(CHOICES))
-@pytest.mark.parametrize(
-    "program", [chain_program, branching_program, reuse_program]
-)
+@pytest.mark.parametrize("program", SMALL_PROGRAMS)
 def test_every_row_passes_on_a_small_program(monkeypatch, choice, program):
     reference, chosen = run_choice(
         choice, program, program.__name__, monkeypatch
@@ -189,6 +198,25 @@ def test_backend_totals_tolerate_retry_wobble():
     assert "totals" in CHOICES["backend"].preserves
     reference, chosen = run_choice("backend", program, "retry-wobble")
     assert chosen.totals["retries"] > reference.totals["retries"]
+
+
+@pytest.mark.parametrize(
+    "program, expected",
+    # Only the cogroup of two hash-partitioned shuffles is elidable.
+    list(zip(SMALL_PROGRAMS, [0, 1, 0, 0])),
+    ids=[program.__name__ for program in SMALL_PROGRAMS],
+)
+def test_decision_counts(monkeypatch, program, expected):
+    reference, chosen = run_choice(
+        "elision", program, program.__name__, monkeypatch
+    )
+    elided = sum(
+        count for decision, count in chosen.decisions.items()
+        if decision.startswith("shuffle-elision/")
+    )
+    assert elided == expected
+    assert (chosen.totals["shuffle_records_saved"] > 0) == bool(expected)
+    assert CHOICES["elision"].made(reference, chosen) == bool(expected)
 
 
 # ---------------------------------------------------------------------------

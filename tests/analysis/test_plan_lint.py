@@ -1,6 +1,7 @@
 """NPL3xx plan lint and the ``Bag.collect(lint=...)`` hook."""
 
 import dataclasses
+import random
 import warnings
 
 import pytest
@@ -39,6 +40,25 @@ def test_npl301_uncached_reuse(ctx):
     assert "ReduceByKey" in diags[0].node
     assert diags[0].node.startswith("#")
     assert diags[0].severity == "warning"
+
+
+def _double(x):
+    return x * 2
+
+
+def _noisy(x):
+    return x + random.random()
+
+
+@pytest.mark.parametrize("fn", [_double, _noisy], ids=["proven", "unproven"])
+def test_npl301_ignores_effect_verdicts(ctx, fn):
+    # The engine never caches a reused subtree by itself, so a proven
+    # pure one wastes a recompute as surely as an unproven one.
+    feats = ctx.bag_of(range(20)).map(fn)
+    merged = feats.map(_double).union(feats.map(lambda x: -x))
+    diags = analyze_bag(merged)
+    assert codes(diags) == ["NPL301"]
+    assert "Map" in diags[0].node
 
 
 def test_npl301_silent_when_cached(ctx):

@@ -58,3 +58,45 @@ def test_gathered_jobs_keep_node_ids_stable():
         # have moved them
         assert assign_node_ids(left.node) == ids_left
         assert assign_node_ids(right.node) == ids_right
+
+
+def test_gathered_jobs_leave_an_uncached_shared_subtree_alone():
+    for _ in range(3):
+        ctx = fresh_ctx()
+        shared = ctx.bag_of(range(40)).map(_double)
+        left = shared.map(_negate).union(shared.map(_double))
+        right = shared.filter(_even).union(shared.map(_negate))
+        results = ctx.gather(
+            lambda: left.sum(), lambda: right.count()
+        )
+        assert results == [
+            sum(-x * 2 + x * 4 for x in range(40)),
+            20 + 40,
+        ]
+        # both jobs recompute the reused subtree: the engine caches
+        # only what the program cache()s
+        assert snapshot_plan_state(shared.node)[id(shared.node)] == (
+            False, None,
+        )
+
+
+def test_gathered_jobs_materialize_an_explicit_cache():
+    for _ in range(3):
+        ctx = fresh_ctx()
+        shared = ctx.bag_of(range(40)).map(_double).cache()
+        left = shared.map(_negate).union(shared.map(_double))
+        right = shared.filter(_even).union(shared.map(_negate))
+        results = ctx.gather(
+            lambda: left.sum(), lambda: right.count()
+        )
+        assert results == [
+            sum(-x * 2 + x * 4 for x in range(40)),
+            20 + 40,
+        ]
+        cached, materialized = snapshot_plan_state(shared.node)[
+            id(shared.node)
+        ]
+        assert cached
+        assert sorted(
+            value for part in materialized for value in part
+        ) == [x * 2 for x in range(40)]
