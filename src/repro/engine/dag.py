@@ -51,15 +51,24 @@ class EvalUnit:
         ordinal_budget: Dispatch ordinals reserved (the unit's maximum
             possible task-set count; an elided shuffle may use fewer,
             leaving a deterministic gap).
+        reads: Ids of the nodes whose results the unit consumes, one
+            per read (``union(x, x)`` reads ``x`` twice); the executor
+            frees a result once its last reader has run.
     """
 
-    __slots__ = ("node", "chain", "cached", "ordinal_offset",
+    __slots__ = ("node", "chain", "cached", "reads", "ordinal_offset",
                  "ordinal_budget")
 
     def __init__(self, node, chain, cached):
         self.node = node
         self.chain = chain
         self.cached = cached
+        if cached:
+            self.reads = ()
+        elif chain is not None:
+            self.reads = (id(chain[0].child),)
+        else:
+            self.reads = tuple(map(id, node.children))
         self.ordinal_offset = 0
         self.ordinal_budget = 0
 

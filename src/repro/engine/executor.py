@@ -333,15 +333,19 @@ class Executor:
         chains evaluate without recursion-limit games), each unit's
         dispatch ordinals are reserved while planning, and the units
         then run one at a time in plan order.  ``results`` maps a plan
-        node's id to its completed :class:`_Result`; plan order puts
-        every unit after the units it consumes.  A unit that raises
-        leaves the stages opened so far in ``job``, so a failed job's
-        trace stays inspectable.
+        node's id to its completed :class:`_Result` until its last
+        reader (``EvalUnit.reads``) has run; plan order puts every unit
+        after the units it consumes.  A unit that raises leaves the
+        stages opened so far in ``job``, so a failed job's trace stays
+        inspectable.
         """
         elisions = plan_shuffle_elisions(root)
         units = dag.plan_units(root, unfused=elisions)
         ordinal_base = self.scheduler.reserve_ordinals(
             dag.total_ordinal_budget(units)
+        )
+        readers = collections.Counter(
+            key for unit in units for key in unit.reads
         )
         results = {}
         result = None
@@ -349,6 +353,10 @@ class Executor:
             ordinals = dag.OrdinalCursor(ordinal_base + unit.ordinal_offset)
             result = self._run_unit(unit, job, results, elisions, ordinals)
             results[id(unit.node)] = result
+            for key in unit.reads:
+                readers[key] -= 1
+                if not readers[key]:
+                    del results[key]
         return result
 
     def _run_unit(self, unit, job, results, elisions, ordinals):

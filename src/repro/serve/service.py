@@ -37,8 +37,10 @@ tenants.  The pieces:
 import collections
 import json
 import os
+import sys
 import threading
 import time
+import warnings
 
 from ..engine.broadcast import Broadcast
 from ..engine.context import EngineContext
@@ -65,11 +67,18 @@ class JobHandle:
     """Future for one submitted job.
 
     States: ``"pending"`` -> ``"running"`` -> ``"done"`` | ``"failed"``.
+
+    *Completion hand-off.*  The handle counts the threads blocked in
+    :meth:`result` (under a lock: ``+=`` on a slot can lose updates),
+    and the slot that completed the job lets one of them resume, for
+    at most ``sys.getswitchinterval()``, before it dequeues its next
+    job, instead of keeping the interpreter lock for that long.
     """
 
     __slots__ = ("tenant", "label", "state", "accounting",
                  "queue_wait_seconds", "wall_seconds", "_value",
-                 "_error", "_event")
+                 "_error", "_event", "_waiters", "_waiters_lock",
+                 "_resumed")
 
     def __init__(self, tenant, label=""):
         self.tenant = tenant
@@ -81,6 +90,9 @@ class JobHandle:
         self._value = None
         self._error = None
         self._event = threading.Event()
+        self._waiters = 0
+        self._waiters_lock = threading.Lock()
+        self._resumed = threading.Event()
 
     def done(self):
         return self._event.is_set()
@@ -91,11 +103,19 @@ class JobHandle:
         Re-raises the program's exception if it failed; raises
         :class:`TimeoutError` if the job has not finished in time.
         """
-        if not self._event.wait(timeout):
+        with self._waiters_lock:
+            self._waiters += 1
+        try:
+            finished = self._event.wait(timeout)
+        finally:
+            with self._waiters_lock:
+                self._waiters -= 1
+        if not finished:
             raise TimeoutError(
                 "job %r (tenant %r) not finished within %rs"
                 % (self.label, self.tenant, timeout)
             )
+        self._resumed.set()
         if self._error is not None:
             raise self._error
         return self._value
@@ -111,6 +131,11 @@ class JobHandle:
         self.wall_seconds = wall
         self.state = "failed" if error is not None else "done"
         self._event.set()
+
+    def _hand_off(self):
+        """After :meth:`_complete`: let a blocked waiter run first."""
+        if self._waiters:
+            self._resumed.wait(sys.getswitchinterval())
 
     def __repr__(self):
         return (
@@ -378,6 +403,7 @@ class JobService:
                 with self._lock:
                     self._inflight -= 1
                 self._queue.task_done()
+            job.future._hand_off()
 
     def _stopped(self):
         with self._lock:
@@ -390,18 +416,27 @@ class JobService:
         started = time.monotonic()
         jc = JobContext(self, job.tenant)
         window = self.ctx.begin_job()
-        value, error = None, None
+        value, error, accounting = None, None, None
         try:
             value = job.program(jc)
         except Exception as exc:  # noqa: BLE001 -- delivered via handle
             error = exc
-        finally:
-            accounting = self.ctx.end_job(
-                window, drain=not self.retain_trace
+        # Failed bookkeeping must not keep the outcome from the handle.
+        try:
+            try:
+                accounting = self.ctx.end_job(
+                    window, drain=not self.retain_trace
+                )
+            finally:
+                jc._release()
+            wall = time.monotonic() - started
+            self._record(job, accounting, queue_wait, wall, error)
+        except Exception as exc:  # noqa: BLE001 -- reported, not fatal
+            wall = time.monotonic() - started
+            warnings.warn(
+                "job %r of tenant %r: recording its outcome failed: %r"
+                % (job.label, job.tenant, exc), RuntimeWarning,
             )
-            jc._release()
-        wall = time.monotonic() - started
-        self._record(job, accounting, queue_wait, wall, error)
         handle._complete(value, error, accounting, queue_wait, wall)
 
     def _record(self, job, accounting, queue_wait, wall, error):

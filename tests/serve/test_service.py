@@ -3,6 +3,7 @@
 import gc
 import json
 import threading
+import warnings
 
 import pytest
 
@@ -390,6 +391,36 @@ class TestLifecycleAndReporting:
         assert service.drain(timeout=30)
         assert service.tenant_stats("alice").failed == 1
 
+    def test_a_failing_job_log_neither_hangs_a_client_nor_kills_the_slot(
+        self, tmp_path, monkeypatch
+    ):
+        def refuse(self, record):
+            raise OSError("job log refused")
+
+        monkeypatch.setattr(service_module._JsonlJobLog, "write", refuse)
+        svc = JobService(num_slots=1, seed=1, report_dir=str(tmp_path))
+        svc.add_tenant("alice")
+        svc.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                first = svc.submit("alice", _count_program("j0"),
+                                   label="j0")
+                assert first.result(timeout=30) == 50
+                second = svc.submit("alice", _count_program("j1"),
+                                    label="j1")
+                assert second.result(timeout=30) == 50
+            assert (first.state, second.state) == ("done", "done")
+            messages = [
+                str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)
+            ]
+            assert len(messages) == 2
+            assert "'j0'" in messages[0] and "'alice'" in messages[0]
+            assert "job log refused" in messages[0]
+        finally:
+            svc.shutdown(timeout=30)
+
     def test_drain_then_submit_rejected(self, service):
         handle = service.submit("alice", _count_program("a0"))
         assert service.drain(timeout=30)
@@ -541,3 +572,145 @@ class TestLifecycleAndReporting:
             assert RunReport.load(path).entries[0]["totals"]["jobs"] == 1
         finally:
             svc.shutdown(timeout=30)
+
+
+class _Announced(threading.Event):
+    """A handle's completion event that also says when a client has
+    blocked on it (``JobHandle.result`` counts the waiter first)."""
+
+    def __init__(self):
+        super().__init__()
+        self.waiting = threading.Event()
+
+    def wait(self, timeout=None):
+        self.waiting.set()
+        return super().wait(timeout)
+
+
+class _CountedWaits(threading.Event):
+    """A handle's hand-off event that counts the slot's waits on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.waits = 0
+
+    def wait(self, timeout=None):
+        self.waits += 1
+        return super().wait(timeout)
+
+
+class TestCompletionHandOff:
+    """The slot that completes a job lets one blocked client resume
+    before it dequeues the next.  Each test raises the hand-off's bound
+    (the interpreter's switch interval) far above any run time, so an
+    order the handshake does not enforce would show as a hang, not as
+    a flaky pass."""
+
+    @pytest.fixture(autouse=True)
+    def long_bound(self, monkeypatch):
+        monkeypatch.setattr(
+            service_module.sys, "getswitchinterval", lambda: 60.0
+        )
+
+    @pytest.fixture
+    def svc(self):
+        svc = JobService(num_slots=1, seed=1)
+        svc.add_tenant("alice", max_pending=64)
+        svc.start()
+        yield svc
+        svc.shutdown(drain=False, timeout=30)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_a_blocked_client_resumes_before_the_next_job(self, svc, fails):
+        gate = _Gate(svc)
+        handles = []
+
+        def program(i):
+            def run(job):
+                resumed_first = i == 0 or handles[i - 1]._resumed.is_set()
+                # Finish only once this job's client is blocked on it.
+                assert handles[i]._event.waiting.wait(30)
+                if fails:
+                    raise ValueError(resumed_first)
+                return resumed_first
+
+            return run
+
+        for i in range(24):
+            handle = svc.submit("alice", program(i), label="j%d" % i)
+            handle._event = _Announced()
+            handles.append(handle)
+        gate.open.set()
+        seen = []
+        for handle in handles:
+            if fails:
+                with pytest.raises(ValueError) as exc:
+                    handle.result(timeout=30)
+                seen.append(exc.value.args[0])
+            else:
+                seen.append(handle.result(timeout=30))
+            assert handle._waiters == 0
+        assert seen == [True] * 24
+
+    def test_fire_and_forget_jobs_never_wait(self, svc):
+        gate = _Gate(svc)
+        handles = []
+        for i in range(20):
+            handle = svc.submit("alice", _count_program("f%d" % i))
+            handle._resumed = _CountedWaits()
+            handles.append(handle)
+        gate.open.set()
+        assert svc.drain(timeout=30)
+        assert all(handle.done() for handle in handles)
+        assert sum(handle._resumed.waits for handle in handles) == 0
+
+    def test_an_expired_wait_leaves_no_waiter(self, svc):
+        gate = _Gate(svc)
+        handle = svc.submit("alice", _count_program("late"))
+        with pytest.raises(TimeoutError):
+            handle.result(timeout=0)
+        assert handle._waiters == 0
+        handle._resumed = _CountedWaits()
+        gate.open.set()
+        assert svc.drain(timeout=30)
+        # Nobody was blocked on it when it finished: no hand-off.
+        assert handle._resumed.waits == 0
+        assert handle.result(timeout=0) == 50
+        assert handle._waiters == 0
+
+    def test_shutdown_without_drain_ends_every_blocked_waiter(self, svc):
+        gate = _Gate(svc)
+        handles = [gate.handle] + [
+            svc.submit("alice", _count_program("q%d" % i))
+            for i in range(6)
+        ]
+        outcomes = {}
+
+        def client(index, handle):
+            try:
+                outcomes[index] = handle.result(timeout=30)
+            except Exception as exc:  # noqa: BLE001 -- the outcome
+                outcomes[index] = exc
+
+        for handle in handles:
+            handle._event = _Announced()
+        clients = [
+            threading.Thread(target=client, args=pair)
+            for pair in enumerate(handles)
+        ]
+        for thread in clients:
+            thread.start()
+        for handle in handles:
+            assert handle._event.waiting.wait(30)
+        gate.open.set()
+        svc.shutdown(drain=False, timeout=30)
+        for thread in clients:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in clients)
+        assert all(handle.done() for handle in handles)
+        assert outcomes[0] == "gate"
+        assert all(
+            outcomes[i] == 50 or isinstance(outcomes[i], AdmissionRejected)
+            for i in range(1, len(handles))
+        )
+        assert all(handle._waiters == 0 for handle in handles)
