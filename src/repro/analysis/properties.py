@@ -20,8 +20,8 @@ independent shuffles with the same partition count therefore do **not**
 co-partition identically; co-partitioning is only provable when two
 plan edges trace back to the *same* shuffle node.  A
 :class:`Partitioning` consequently carries the identity of its origin
-shuffle node, and the executor keeps a registry of the concrete
-assignments those origins produced at runtime.
+shuffle node; at runtime the executor carries the concrete assignment
+a run of that node produced with the partitions laid out by it.
 
 The inference powers three consumers:
 

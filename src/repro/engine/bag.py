@@ -337,20 +337,16 @@ class Bag:
         return self
 
     def uncache(self):
-        """Release this bag's cached partitions and adoptable layouts.
+        """Release this bag's cached partitions and their layout.
 
         Beyond un-flagging the node, this drops the materialized
-        partitions *and* every origin->layout registry entry the bag's
-        subtree registered with the executor (see
-        :meth:`repro.engine.executor.Executor.release_plan`) -- a
-        long-lived context would otherwise retain both forever, and a
-        later job could adopt a shuffle layout whose backing partitions
-        no longer exist.  Subsequent jobs recompute (and re-register)
+        partitions and the shuffle layout they were built with, so a
+        long-lived context retains neither.  Subsequent jobs recompute
         from lineage as usual.
         """
         self.node.cached = False
         self.node.materialized = None
-        self.context.executor.release_plan(self.node)
+        self.node.layout = None
         return self
 
     def as_meta(self):

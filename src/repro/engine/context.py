@@ -190,10 +190,6 @@ class EngineContext:
         jobs = self.trace.take_ticket_jobs(window.ticket, drain=drain)
         if drain:
             decisions = self.executor.drain_decisions()
-            # The window's plan graphs are garbage once the caller
-            # drops them; reclaim their layout-registry entries so the
-            # registry tracks only live (cached) subtrees.
-            self.executor.sweep_layouts()
         else:
             decisions = list(self.executor.decisions)
         return JobAccounting(jobs, self.cost_model, decisions)

@@ -99,9 +99,11 @@ def snapshot_plan_state(root):
     """One consistent read of every node's mutable planning inputs.
 
     ``cached`` and ``materialized`` are the only plan-node attributes
-    that change after construction: ``Bag.cache()`` and a concurrently
-    gathered job materializing a shared cached subtree both flip them
-    while other jobs may be planning over the same nodes.  The
+    planning reads that change after construction (``layout`` changes
+    with ``materialized``; only the executor reads it):
+    ``Bag.cache()`` and a concurrently gathered job materializing a
+    shared cached subtree both flip them while other jobs may be
+    planning over the same nodes.  The
     planning walk consults both attributes several times per node
     (refcounts, fusion, the unit emit), so reading them live would let
     one walk observe *different* values for the same node -- making

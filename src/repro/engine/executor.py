@@ -38,8 +38,14 @@ units up front -- reserving every unit's dispatch ordinals -- and runs
 them one at a time, in plan order, on the calling thread.  Jobs, not
 stages, are what overlaps (``ctx.gather``, the serve daemon's slots):
 anything the ``_eval_*`` methods below mutate outside their own job
-(the layout registry, the decision log, a shared cached subtree) is
-lock-guarded or commutative.
+(the decision log, a shared cached subtree) is lock-guarded or
+commutative.
+
+*Which* key assignment a shuffle built travels with its output: every
+:class:`_Result` carries the ``layout`` its partitions are laid out by,
+and a cached node keeps it next to its ``materialized`` partitions.  A
+planned shuffle elision (:mod:`repro.engine.optimize`) adopts a layout
+only from the partitions that were built with it.
 """
 
 import collections
@@ -48,7 +54,6 @@ import functools
 import itertools
 import operator
 import threading
-import weakref
 
 from ..errors import PlanError, SimulatedOutOfMemory
 from ..observe import NULL_TRACER
@@ -64,12 +69,7 @@ from . import codegen
 from . import dag
 from . import plan as p
 from .broadcast import check_broadcast_fits
-from .optimize import (
-    Decision,
-    plan_shuffle_elisions,
-    release_layouts,
-    sweep_layouts,
-)
+from .optimize import Decision, plan_shuffle_elisions
 from .metrics import nonzero, truthy_indices
 from .partitioner import build_balanced_assignment, stable_hash
 from .runtime.scheduler import TaskScheduler
@@ -119,14 +119,19 @@ class _Result:
     """Partitions of an evaluated node, the stage that produced them,
     and ``live``: the ascending indices of the partitions that may hold
     records.  Every other partition is empty, so a consumer reads,
-    measures and credits the ``live`` ones alone."""
+    measures and credits the ``live`` ones alone.
 
-    __slots__ = ("partitions", "stage", "live")
+    ``layout`` is ``(origin, assignment)`` when the partitions are laid
+    out by the key -> bucket ``assignment`` the shuffle node ``origin``
+    built, ``None`` when no shuffle's layout is known to hold."""
 
-    def __init__(self, partitions, stage, live):
+    __slots__ = ("partitions", "stage", "live", "layout")
+
+    def __init__(self, partitions, stage, live, layout=None):
         self.partitions = partitions
         self.stage = stage
         self.live = live
+        self.layout = layout
 
     def live_partitions(self):
         return list(map(self.partitions.__getitem__, self.live))
@@ -145,56 +150,14 @@ class Executor:
         #: Optimizer decisions taken so far (shuffle elisions), as
         #: :class:`repro.engine.optimize.Decision` records.
         self.decisions = []
-        # Concrete shuffle layouts by origin-node identity:
-        # ``{id(node): (weakref(node), {key: bucket})}``.  The weak
-        # reference keeps the registry from pinning dead plan graphs
-        # alive on a long-lived context: a cached bag holds its origin
-        # shuffle node strongly (so its entry survives for cross-job
-        # adoption), while a one-shot job's nodes are collected with
-        # the plan and their entries swept by ``sweep_layouts``.
-        # Because the key is a raw id(), readers must verify the weak
-        # reference still points at the node they asked about -- a
-        # recycled id on a not-yet-swept entry would otherwise serve a
-        # stale layout.
-        self._assignments = {}
-        # Guards executor-level shared state (the decision log and the
-        # layout registry) against concurrent jobs (``ctx.gather``, the
-        # serve daemon's slots).
+        # Guards executor-level shared state (the decision log, a
+        # cached node's partitions and layout) against concurrent jobs
+        # (``ctx.gather``, the serve daemon's slots).
         self._state_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Cross-job state management (long-lived contexts)
     # ------------------------------------------------------------------
-
-    def release_plan(self, root):
-        """Release the cross-job layouts registered under ``root``.
-
-        Called by :meth:`Bag.uncache` (and through it, artifact-cache
-        eviction in :mod:`repro.serve`): dropping a cached bag must
-        also drop the origin->layout entries its subtree registered,
-        both to free the pinned key assignments and so no later job can
-        adopt a layout whose materialized partitions are gone.  Returns
-        the number of registry entries released.
-        """
-        with self._state_lock:
-            return release_layouts(self._assignments, root)
-
-    def layout_registry_size(self):
-        """Number of origin->layout entries currently retained."""
-        with self._state_lock:
-            return len(self._assignments)
-
-    def sweep_layouts(self):
-        """Drop layout entries whose origin node has been collected.
-
-        Entries only hold their node weakly, so once a job's plan graph
-        is garbage (nothing cached it), its registered layouts are
-        unreachable by any future plan; ``ctx.end_job`` sweeps them so
-        a long-lived context's registry tracks only live (cached)
-        subtrees.  Returns the number of entries dropped.
-        """
-        with self._state_lock:
-            return sweep_layouts(self._assignments)
 
     def drain_decisions(self):
         """Return and clear the optimizer-decision log.
@@ -375,15 +338,21 @@ class Executor:
         else:
             result = self._eval_node(node, job, results, elisions, ordinals)
         if node.cached:
-            node.materialized = result.partitions
+            # The partitions and the layout they were built with are
+            # one value: concurrent jobs materializing the same node
+            # must not leave one job's partitions with another's layout.
+            with self._state_lock:
+                node.materialized = result.partitions
+                node.layout = result.layout
         return result
 
     def _cached_result(self, node, job):
-        parts = node.materialized
+        with self._state_lock:
+            parts, layout = node.materialized, node.layout
         stage = job.new_stage(
             "cached", len(parts), meta=node.meta, origin=_origin(node)
         )
-        return _Result(parts, stage, truthy_indices(parts))
+        return _Result(parts, stage, truthy_indices(parts), layout)
 
     def _eval_node(self, node, job, results, elisions, ordinals):
         if isinstance(node, p.Parallelize):
@@ -505,7 +474,8 @@ class Executor:
                 )
         stage.credit_task_records(sums, live)
         return _Result(
-            _scatter(len(values), live, map(_KEY, ran)), stage, live
+            _scatter(len(values), live, map(_KEY, ran)), stage, live,
+            child.layout,
         )
 
     def _record_compile_decision(self, task, reason):
@@ -557,7 +527,7 @@ class Executor:
         live, counts = nonzero(range(len(counts)), counts)
         child.stage.credit_task_records(counts, list(live))
         out = [records for records, _work in results]
-        return _Result(out, child.stage, truthy_indices(out))
+        return _Result(out, child.stage, truthy_indices(out), child.layout)
 
     def _eval_zip_with_unique_id(self, node, child):
         parts = child.partitions
@@ -623,11 +593,11 @@ class Executor:
         that ledger's.
 
         Keys are spread over reduce buckets with a balanced assignment
-        (see :func:`build_balanced_assignment`).  The concrete
-        assignment is registered under the shuffle node's identity so
-        later wide operators can *adopt* the layout instead of
-        re-shuffling (see :mod:`repro.engine.optimize`).  ``combined``
-        as for :meth:`_key_assignment`.
+        (see :func:`build_balanced_assignment`).  The result's
+        ``layout`` is ``(node, assignment)``, so later wide operators
+        can *adopt* the layout instead of re-shuffling (see
+        :mod:`repro.engine.optimize`).  ``combined`` as for
+        :meth:`_key_assignment`.
         """
         origin = _origin(node)
         assignment = self._key_assignment(
@@ -643,9 +613,9 @@ class Executor:
         stage.shuffle_write_records = moved
         _credit_records(stage, buckets, live)
         self._trace_shuffle(stage, origin)
-        with self._state_lock:
-            self._assignments[id(node)] = (weakref.ref(node), assignment)
-        return _Result(buckets, stage, stage.task_records.live)
+        return _Result(
+            buckets, stage, stage.task_records.live, (node, assignment)
+        )
 
     def _planned_elision(self, node, child_partitions, elisions):
         """The elision planned for ``node``, if its runtime precondition
@@ -718,7 +688,8 @@ class Executor:
                 [int(work * factor) for work in works], live
             )
         return _Result(
-            _scatter(len(values), live, map(_KEY, ran)), stage, live
+            _scatter(len(values), live, map(_KEY, ran)), stage, live,
+            source.layout,
         )
 
     def _eval_reduce_by_key(self, node, job, child, elisions, ordinals,
@@ -804,7 +775,7 @@ class Executor:
         self._account_spill(stage)
         if elision is not None:
             self._record_elision(node, elision)
-        return _Result(out, stage, live)
+        return _Result(out, stage, live, source.layout)
 
     def _task_limit(self, task_records):
         """Per-task memory budget given how many tasks run concurrently:
@@ -831,8 +802,6 @@ class Executor:
         right_buckets, right_live, right_moved = self._bucketize(
             right, node.num_partitions, assignment
         )
-        with self._state_lock:
-            self._assignments[id(node)] = (weakref.ref(node), assignment)
         # One reduce stage reads both sides' shuffle files (Spark
         # schedules a single reduce task set for a cogroup); each input
         # record is credited exactly once.
@@ -843,7 +812,7 @@ class Executor:
         self._trace_shuffle(stage, _origin(node))
         return self._run_cogroup_buckets(
             node, stage, (left_buckets, left_live),
-            (right_buckets, right_live), ordinals,
+            (right_buckets, right_live), ordinals, (node, assignment),
         )
 
     def _eval_cogroup_elided(self, node, job, left, right, elisions,
@@ -856,8 +825,10 @@ class Executor:
         side is bucketized into the adopted layout (its map-side write
         is still charged); keys the origin never saw are placed by
         hash.  Falls back to a full shuffle when a runtime
-        precondition fails (partition-count mismatch, or the origin's
-        concrete assignment was never registered by this executor).
+        precondition fails: a partition-count mismatch, an adopted
+        side not laid out by the origin's shuffle, or two sides laid
+        out by different runs of it (a cached side built before the
+        origin was recomputed).
         """
         elision = elisions.get(id(node))
         if elision is None or elision.choice not in (
@@ -865,10 +836,16 @@ class Executor:
         ):
             return None
         n = node.num_partitions
-        layout = None
         if elision.choice == "elide-both":
             if len(left.partitions) != n or len(right.partitions) != n:
                 return None
+            assignment = left.layout[1]
+            if not (
+                assignment is right.layout[1]
+                or assignment == right.layout[1]
+            ):
+                return None
+            layout = left.layout
             left_buckets = (left.partitions, left.live)
             right_buckets = (right.partitions, right.live)
             moved = 0
@@ -882,12 +859,15 @@ class Executor:
                 adopted, other = right, left
             if len(adopted.partitions) != n:
                 return None
-            with self._state_lock:
-                entry = self._assignments.get(id(elision.origin))
-            if entry is None or entry[0]() is not elision.origin:
+            if adopted.layout[0] is not elision.origin:
                 return None
-            layout = dict(entry[1])
-            buckets, live, moved = self._adopt_bucketize(other, n, layout)
+            # The output is laid out by the adopted assignment extended
+            # with the other side's new keys: stacked joins adopt it in
+            # turn.
+            layout = (node, dict(adopted.layout[1]))
+            buckets, live, moved = self._adopt_bucketize(
+                other, n, layout[1]
+            )
             if elision.choice == "adopt-left":
                 left_buckets = (adopted.partitions, adopted.live)
                 right_buckets = (buckets, live)
@@ -902,15 +882,9 @@ class Executor:
         stage.shuffle_records_saved = saved
         if moved:
             self._trace_shuffle(stage, _origin(node))
-        if layout is not None:
-            # The output layout is the (extended) adopted layout;
-            # register it under this node so stacked joins can adopt
-            # it in turn.
-            with self._state_lock:
-                self._assignments[id(node)] = (weakref.ref(node), layout)
         self._record_elision(node, elision)
         return self._run_cogroup_buckets(
-            node, stage, left_buckets, right_buckets, ordinals
+            node, stage, left_buckets, right_buckets, ordinals, layout
         )
 
     def _adopt_bucketize(self, result, num_partitions, layout):
@@ -942,10 +916,12 @@ class Executor:
         moved = _credit_records(result.stage, result.partitions, result.live)
         return buckets, live, moved
 
-    def _run_cogroup_buckets(self, node, stage, left, right, ordinals):
+    def _run_cogroup_buckets(self, node, stage, left, right, ordinals,
+                             layout):
         """Run the reduce set of a cogroup whose two sides are ``left``
-        and ``right``, each a ``(buckets, live)`` pair; credits each
-        bucket pair's records to ``stage`` first."""
+        and ``right``, each a ``(buckets, live)`` pair laid out by
+        ``layout``; credits each bucket pair's records to ``stage``
+        first."""
         left_buckets, left_live = left
         right_buckets, right_live = right
         candidates = sorted(set(left_live).union(right_live))
@@ -970,7 +946,7 @@ class Executor:
             sizes=sizes, live=live,
         )
         self._account_spill(stage)
-        return _Result(out, stage, live)
+        return _Result(out, stage, live, layout)
 
     # -- broadcast operators (narrow) ----------------------------------
 
@@ -1003,7 +979,7 @@ class Executor:
         )
         _credit_records(stage, left.partitions, live)
         _credit_records(stage, out, live)
-        return _Result(out, stage, live)
+        return _Result(out, stage, live, left.layout)
 
     def _eval_cross_broadcast(self, node, job, left, right, ordinals):
         if node.broadcast_side == "right":

@@ -7,8 +7,8 @@ engine-side entry point.
 
 Soundness note: a static :class:`~repro.analysis.properties.Elision` is
 a *permission*, not a command.  The executor still checks the runtime
-preconditions (partition counts match, the origin shuffle's concrete
-assignment is registered) and falls back to a normal shuffle when they
+preconditions (partition counts match, the input partitions carry the
+origin shuffle's layout) and falls back to a normal shuffle when they
 do not hold.
 """
 
@@ -18,8 +18,6 @@ __all__ = [
     "Decision",
     "plan_auto_caches",
     "plan_shuffle_elisions",
-    "release_layouts",
-    "sweep_layouts",
 ]
 
 
@@ -96,54 +94,3 @@ def plan_shuffle_elisions(root):
     from ..analysis.properties import infer_properties
 
     return infer_properties(root).elisions
-
-
-def release_layouts(assignments, root):
-    """Drop every origin->layout registry entry under ``root``'s subtree.
-
-    ``assignments`` is the executor's cross-job layout registry
-    (``{id(node): (weakref(node), {key: bucket})}``).  Entries keep a
-    subtree's concrete key assignments available so later jobs can
-    adopt the layout; once the artifact built on that subtree is
-    released (``Bag.uncache``, artifact-cache eviction), the entries
-    are dead weight -- and leaving them behind would let a later plan
-    adopt a layout whose backing partitions no longer exist.  The walk
-    is iterative (stack, visited set), so loop-unrolled lineages of any
-    depth release without recursion.
-
-    The caller holds whatever lock guards ``assignments``.  Returns the
-    number of entries removed.
-    """
-    removed = 0
-    stack = [root]
-    seen = set()
-    while stack:
-        node = stack.pop()
-        key = id(node)
-        if key in seen:
-            continue
-        seen.add(key)
-        if key in assignments:
-            del assignments[key]
-            removed += 1
-        stack.extend(node.children)
-    return removed
-
-
-def sweep_layouts(assignments):
-    """Drop registry entries whose origin node has been collected.
-
-    Registry values hold their node only weakly (see
-    :class:`~repro.engine.executor.Executor`), so once a one-shot job's
-    plan graph is garbage its layouts can never be adopted again; this
-    reclaims their entries.  Cached bags keep their subtrees alive, so
-    their entries survive the sweep.  The caller holds whatever lock
-    guards ``assignments``.  Returns the number of entries dropped.
-    """
-    dead = [
-        key for key, (ref, _layout) in assignments.items()
-        if ref() is None
-    ]
-    for key in dead:
-        del assignments[key]
-    return len(dead)

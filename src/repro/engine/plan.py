@@ -38,6 +38,9 @@ class PlanNode:
     def __init__(self):
         self.cached = False
         self.materialized = None
+        # ``(origin, assignment)`` the materialized partitions are laid
+        # out by, or None (see ``repro.engine.executor._Result``).
+        self.layout = None
         # A short human-readable label, settable via Bag.with_label().
         self.label = ""
         # Record scale for cost accounting: False = data-scale records

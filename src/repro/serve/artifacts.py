@@ -11,20 +11,17 @@ holds two artifact kinds:
   materialized partitions live on the context.  The cache is charged
   the partitions' estimated in-memory size
   (:func:`repro.engine.sizing.estimate_size`) after each job; eviction
-  calls :meth:`Bag.uncache`, which releases the partitions *and* the
-  subtree's origin->layout registry entries -- the cache therefore
-  subsumes the cross-job layout registry: an evicted artifact's layout
-  can no longer be adopted by later plans.
+  calls :meth:`Bag.uncache`, which releases the partitions together
+  with the shuffle layout they were built with, so a later plan
+  rebuilds both from lineage.
 * **broadcasts** -- a :class:`~repro.engine.broadcast.Broadcast`
   payload, charged its estimated size on insert.
 
-Entries are keyed by name; each entry also records the identity of the
-plan node it caches (``node_id``), which is the key the executor's
-layout registry uses.  Eviction is strict LRU over *unpinned* entries:
-worker slots pin every artifact a job resolves for the job's duration,
-so memory pressure can never evict partitions out from under a running
-job.  If every entry is pinned the cache may transiently exceed its
-budget; it re-evicts at the next unpin.
+Entries are keyed by name.  Eviction is strict LRU over *unpinned*
+entries: worker slots pin every artifact a job resolves for the job's
+duration, so memory pressure can never evict partitions out from under
+a running job.  If every entry is pinned the cache may transiently
+exceed its budget; it re-evicts at the next unpin.
 """
 
 import threading
@@ -41,7 +38,7 @@ class CacheEntry:
     """One cached artifact and its bookkeeping."""
 
     __slots__ = ("key", "kind", "value", "bytes", "pins", "hits",
-                 "node_id", "fingerprint", "measured")
+                 "fingerprint", "measured")
 
     def __init__(self, key, kind, value, fingerprint=None):
         self.key = key
@@ -50,11 +47,6 @@ class CacheEntry:
         self.bytes = 0
         self.pins = 0
         self.hits = 0
-        # Identity of the cached plan node (bags only): the same key
-        # the executor's origin->layout registry is indexed by.
-        self.node_id = (
-            id(value.node) if kind == KIND_BAG else None
-        )
         # Canonical program fingerprint (see
         # :func:`repro.udf.fingerprint_function`): reuse
         # under the same key is only offered when the caller's

@@ -521,11 +521,11 @@ class JobService:
         return digest if digest is not None else "opaque"
 
     def _on_evict(self, entry):
-        """Cache eviction hook: release executor-side state too.
+        """Cache eviction hook: release the evicted bag's partitions.
 
-        ``Bag.uncache`` drops the materialized partitions *and* the
-        subtree's origin->layout registry entries, so no later plan can
-        adopt a layout whose backing partitions were just evicted.
+        ``Bag.uncache`` drops the materialized partitions together with
+        the shuffle layout they were built with, so a later plan
+        rebuilds both from lineage.
         """
         if entry.kind == KIND_BAG:
             entry.value.uncache()

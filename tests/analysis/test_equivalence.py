@@ -14,6 +14,7 @@ from repro.engine import EngineContext, laptop_config
 from repro.engine.validate import INVARIANTS, check_runs, run_configs
 from tests.programs import (
     CHOICES, PROGRAMS, library_programs, results_equivalent, run_choice,
+    stale_layout_adopt_program, stale_layout_elide_both_program,
 )
 
 
@@ -79,6 +80,7 @@ def cached_program(ctx):
 
 SMALL_PROGRAMS = [
     chain_program, branching_program, reuse_program, cached_program,
+    stale_layout_adopt_program, stale_layout_elide_both_program,
 ]
 
 
@@ -202,8 +204,10 @@ def test_backend_totals_tolerate_retry_wobble():
 
 @pytest.mark.parametrize(
     "program, expected",
-    # Only the cogroup of two hash-partitioned shuffles is elidable.
-    list(zip(SMALL_PROGRAMS, [0, 1, 0, 0])),
+    # The cogroup of two hash-partitioned shuffles is elidable, and a
+    # join may adopt the layout a cached side was built with; a join
+    # of two sides laid out by different runs of one shuffle is not.
+    list(zip(SMALL_PROGRAMS, [0, 1, 0, 0, 1, 0])),
     ids=[program.__name__ for program in SMALL_PROGRAMS],
 )
 def test_decision_counts(monkeypatch, program, expected):

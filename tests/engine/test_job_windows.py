@@ -2,13 +2,15 @@
 
 ``ctx.begin_job()``/``ctx.end_job()`` let one context serve an
 unbounded stream of jobs: each window's engine jobs are drained out of
-the trace into an eagerly-computed ``JobAccounting``, the decision log
-is emptied per window, and dead plans' layout-registry entries are
-swept -- so nothing retained grows with the number of jobs served.
+the trace into an eagerly-computed ``JobAccounting`` and the decision
+log is emptied per window; a shuffle's layout lives on its result (and
+on a cached node), so the executor pins no plan -- nothing retained
+grows with the number of jobs served.
 """
 
 import gc
 import threading
+import weakref
 
 import pytest
 
@@ -133,9 +135,8 @@ class TestBoundedLongLivedContext:
         total_simulated = 0.0
         for i in range(100):
             window = ctx.begin_job()
-            # Each job shuffles (registers a layout) and caches
-            # nothing, so without draining + sweeping every piece of
-            # cross-job state would grow by ~1 entry per job.
+            # Each job shuffles and caches nothing, so without draining
+            # every piece of cross-job state would grow per job.
             grouped = ctx.bag_of(
                 [(j % 5, j) for j in range(50)]
             ).group_by_key(5)
@@ -143,16 +144,17 @@ class TestBoundedLongLivedContext:
             accounting = ctx.end_job(window)
             total_simulated += accounting.simulated_seconds
             assert accounting.num_jobs == 1
-        # Our own local is the only thing keeping the last plan alive.
+        # Our own local is the only thing keeping the last plan alive:
+        # once it goes, the context holds no shuffle node of any job.
+        shuffle_node = weakref.ref(grouped.node)
         grouped = None  # noqa: F841
         gc.collect()
-        ctx.executor.sweep_layouts()
+        assert shuffle_node() is None
         assert ctx.trace.num_jobs == 0
         assert ctx.executor.decisions == []
-        assert ctx.executor.layout_registry_size() == 0
         assert total_simulated > 0
 
-    def test_cached_bag_survives_sweep(self, ctx):
+    def test_cached_bag_adopts_across_windows(self, ctx):
         kept = ctx.bag_of(
             [(i % 4, i) for i in range(40)]
         ).group_by_key(4).cache()
@@ -160,11 +162,9 @@ class TestBoundedLongLivedContext:
         assert kept.count() == 4
         ctx.end_job(window)
         gc.collect()
-        ctx.executor.sweep_layouts()
-        # The cached bag pins its subtree, so its layout entry must
-        # survive for cross-job adoption...
-        assert ctx.executor.layout_registry_size() == 1
-        # ...and later windows can still adopt it.
+        # The cached node keeps the layout its own shuffle built...
+        assert kept.node.layout[0] is kept.node
+        # ...so later windows can still adopt it.
         window = ctx.begin_job()
         joined = kept.join(
             ctx.bag_of([(k, k) for k in range(4)]), num_partitions=4
@@ -177,16 +177,16 @@ class TestBoundedLongLivedContext:
 
 
 class TestUncacheReleasesState:
-    def test_uncache_drops_layout_registry_entries(self, ctx):
+    def test_uncache_clears_materialized_and_layout(self, ctx):
         bag = ctx.bag_of(
             [(i % 4, i) for i in range(40)]
         ).group_by_key(4).cache()
         assert bag.count() == 4
-        assert ctx.executor.layout_registry_size() >= 1
         assert bag.node.materialized is not None
+        assert bag.node.layout is not None
         bag.uncache()
         assert bag.node.materialized is None
-        assert ctx.executor.layout_registry_size() == 0
+        assert bag.node.layout is None
 
     def test_post_uncache_join_reshuffles_correctly(self, ctx):
         bag = ctx.bag_of(
@@ -201,18 +201,12 @@ class TestUncacheReleasesState:
         warm_decisions = len(ctx.optimizer_decisions)
         assert warm_decisions >= 1
         bag.uncache()
-        # No registered layout: the join must fall back to a real
-        # shuffle -- and still produce identical results.
+        # Nothing cached: the join's job re-shuffles the group-by and
+        # then adopts the layout that fresh shuffle built -- with
+        # identical results.
         cold = sorted(
             (k, len(g), v)
             for k, (g, v) in bag.join(other, num_partitions=4).collect()
         )
         assert cold == warm
-
-    def test_release_plan_returns_entry_count(self, ctx):
-        bag = ctx.bag_of(
-            [(i % 4, i) for i in range(40)]
-        ).group_by_key(4).cache()
-        bag.count()
-        assert ctx.executor.release_plan(bag.node) == 1
-        assert ctx.executor.release_plan(bag.node) == 0
+        assert ctx.trace.jobs[-1].total_shuffle_records > 0

@@ -12,6 +12,9 @@ import pytest
 from repro.engine import EngineContext, laptop_config
 from repro.engine.partitioner import reset_unstable_key_warnings
 from repro.engine.validate import validate_trace
+from tests.programs import (
+    stale_layout_adopt_program, stale_layout_elide_both_program,
+)
 
 
 def _add(a, b):
@@ -104,6 +107,32 @@ def test_cached_bag_adopts_across_jobs():
     assert "adopt-left" in [
         d.choice for d in _shuffle_decisions(ctx)
     ]
+
+
+def test_adoption_uses_the_layout_a_cached_bag_was_built_with(
+    without_elision,
+):
+    # The cached side keeps the assignment of the run of its origin
+    # that built it; a later rerun of the origin must not replace it.
+    opt_ctx, plain_ctx, opt, plain = _run_both(
+        stale_layout_adopt_program, without_elision
+    )
+    assert len(opt) == 16
+    assert opt == plain
+    assert [d.choice for d in _shuffle_decisions(opt_ctx)] == [
+        "adopt-left"
+    ]
+
+
+def test_sides_laid_out_by_two_runs_of_one_shuffle_reshuffle(
+    without_elision,
+):
+    opt_ctx, plain_ctx, opt, plain = _run_both(
+        stale_layout_elide_both_program, without_elision
+    )
+    assert len(opt) == 12
+    assert opt == plain
+    assert not _shuffle_decisions(opt_ctx)
 
 
 def test_partition_count_mismatch_is_not_elided(without_elision):

@@ -125,6 +125,47 @@ def library_programs(only=None):
 
 
 # ----------------------------------------------------------------------
+# A cached bag laid out by an earlier run of its origin shuffle
+# ----------------------------------------------------------------------
+
+
+def _phased_groups(ctx):
+    """``(S, Y)``: ``S`` groups 400 records by ``x % 16`` into 4
+    partitions, and ``Y = S.map_values(len)`` is cached from a first
+    job that keeps every record.  Then the phase flips: from there on
+    ``S``'s filter drops keys 0-3, so a rerun of ``S`` balances 12 keys
+    over the buckets where ``Y``'s partitions were laid out by 16."""
+    phase = [0]
+    groups = (
+        ctx.bag_of(range(400))
+        .filter(lambda x: phase[0] == 0 or x % 16 >= 4)
+        .map(lambda x: (x % 16, x))
+        .group_by_key(4)
+    )
+    sizes = groups.map_values(len).cache()
+    sizes.collect()
+    phase[0] = 1
+    return groups, sizes
+
+
+def stale_layout_adopt_program(ctx):
+    """``S`` recomputed, then a join adopting the cached ``Y``'s
+    layout: the other side goes to the buckets ``Y`` was built with."""
+    groups, sizes = _phased_groups(ctx)
+    groups.collect()
+    other = ctx.bag_of([(k, -k) for k in range(16)])
+    return sorted(sizes.join(other, num_partitions=4).collect())
+
+
+def stale_layout_elide_both_program(ctx):
+    """A join of the cached ``Y`` with this job's rerun of ``S``: both
+    sides trace back to ``S``, but were laid out by two of its runs."""
+    groups, sizes = _phased_groups(ctx)
+    negated = groups.map_values(lambda v: -len(v))
+    return sorted(sizes.join(negated, num_partitions=4).collect())
+
+
+# ----------------------------------------------------------------------
 # Result comparison
 # ----------------------------------------------------------------------
 

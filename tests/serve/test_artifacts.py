@@ -180,7 +180,6 @@ class TestCharging:
         (entry,) = seen
         assert entry.kind == KIND_BAG
         assert entry.value is bag
-        assert entry.node_id == id(bag.node)
 
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):

@@ -274,12 +274,9 @@ class TestArtifactLifecycle:
             svc.shutdown(timeout=30)
 
     def test_eviction_invalidates_adopted_layout(self):
-        """The acceptance-criterion test: evicting a cached artifact
-        must drop its origin->layout registry entries, so a later job
-        re-shuffles instead of adopting a layout whose partitions are
-        gone.  If a stale layout survived eviction, the warm and
-        post-eviction joins would show the same elision decisions and
-        the post-eviction join would read from released partitions."""
+        """Evicting a cached artifact drops its partitions and the
+        layout they were built with, so a later job rebuilds the
+        artifact with a full shuffle instead of reading either."""
         svc = JobService(num_slots=1, seed=1,
                          cache_limit_bytes=1 << 20)
         svc.add_tenant("alice")
@@ -304,18 +301,17 @@ class TestArtifactLifecycle:
             expected = warm_up.result(timeout=30)
             warm = svc.submit("alice", join_job, label="warm")
             assert warm.result(timeout=30) == expected
-            # Warm: the artifact's registered layout is adopted.
+            # Warm: the artifact's cached layout is adopted.
             assert "adopt-left" in [
                 d.choice for d in warm.accounting.decisions
             ]
             assert warm.accounting.shuffle_records_saved > 0
-            registry_before = svc.ctx.executor.layout_registry_size()
-            assert registry_before > 0
+            node = svc.cache.entry("grouped").value.node
+            assert node.layout is not None
 
             assert svc.cache.evict("grouped") is True
-            assert svc.ctx.executor.layout_registry_size() < (
-                registry_before
-            )
+            assert node.materialized is None
+            assert node.layout is None
 
             cold = svc.submit("alice", join_job, label="cold")
             assert cold.result(timeout=30) == expected
@@ -499,12 +495,10 @@ class TestLifecycleAndReporting:
         svc.start()
         try:
             handles = _serve_counts(svc, 30)
-            # The shared context's trace was drained per job and the
-            # layout registry tracks only the one cached artifact's
-            # subtree.
+            # The shared context's trace and decision log were
+            # drained per job.
             assert svc.ctx.trace.num_jobs == 0
             assert len(svc.ctx.executor.decisions) == 0
-            assert svc.ctx.executor.layout_registry_size() <= 2
             assert svc.tenant_stats("alice").completed == 30
             # What the report window keeps of a job is sized by its
             # stages: no metrics object, no per-task list (16 tasks a
