@@ -1,17 +1,13 @@
-"""Plan-property inference: partitioning, key preservation, cardinality.
+"""Plan-property inference: partitioning and key preservation.
 
 This module is an abstract interpretation over :mod:`repro.engine.plan`
-DAGs.  For every node it infers:
-
-* **Partitioning** -- whether the node's output is provably
-  hash-partitioned on the record key (first tuple slot) into a known
-  number of partitions, and *which shuffle produced that layout*.
-* **Key preservation** -- whether a ``Map``/``FlatMap``/``MapPartitions``
-  UDF provably never rewrites the key slot (an AST proof, see
-  :func:`udf_preserves_key`).
-* **Record bounds** -- static cardinality bounds extending
-  :func:`repro.engine.plan.static_record_count` with upper bounds
-  through filters, shuffles and joins.
+DAGs.  For every node it infers **partitioning**: whether the node's
+output is provably hash-partitioned on the record key (first tuple
+slot) into a known number of partitions, and *which shuffle produced
+that layout*.  Whether a narrow node keeps its input's layout is the
+engine's own per-node rule (:func:`repro.engine.optimize.keeps_layout`,
+with the AST proof :func:`udf_preserves_key`), so the prediction here
+and what the executor does at runtime cannot drift apart.
 
 The engine's shuffles place keys with a *balanced* assignment built from
 runtime key counts (:func:`repro.engine.partitioner
@@ -21,31 +17,29 @@ co-partition identically; co-partitioning is only provable when two
 plan edges trace back to the *same* shuffle node.  A
 :class:`Partitioning` consequently carries the identity of its origin
 shuffle node; at runtime the executor carries the concrete assignment
-a run of that node produced with the partitions laid out by it.
+a run of that node produced with the partitions laid out by it, and
+decides each elision from that (:func:`repro.engine.optimize
+.choose_elision`).  The elisions inferred here are the engine's
+decisions predicted from the plan alone, for two consumers:
 
-The inference powers three consumers:
-
-* the executor's shuffle-elision pass (:mod:`repro.engine.optimize`),
 * the NPL4xx plan diagnostics (:mod:`repro.analysis.plan_lint`),
 * ``Bag.explain(properties=True)`` annotations
   (:func:`partitioning_notes`).
 
-Import direction: this module imports :mod:`repro.engine.plan` only.
-The engine reaches back into it lazily (from inside functions) to avoid
-an import cycle.
+Import direction: this module imports the engine's plan and optimizer
+modules; the engine reaches back into it only lazily, for
+:func:`repro.engine.optimize.plan_shuffle_elisions`.
 """
 
-import ast
-
 from ..engine import plan as p
-from ..udf import facts_for, function_ast
+from ..engine.optimize import keeps_layout, udf_preserves_key
+from ..udf import function_ast
 
 __all__ = [
     "HASH",
     "NONE",
     "Partitioning",
     "Elision",
-    "RecordBound",
     "PlanProperties",
     "infer_properties",
     "partitioning_notes",
@@ -107,7 +101,8 @@ class Partitioning:
 
 
 class Elision:
-    """A shuffle the executor may elide (or partially elide).
+    """A shuffle elision the engine is predicted to make
+    (:func:`repro.engine.optimize.choose_elision`).
 
     Attributes:
         node: The wide node (ReduceByKey/GroupByKey/CoGroup).
@@ -131,248 +126,33 @@ class Elision:
         return "Elision(%s, %s)" % (type(self.node).__name__, self.choice)
 
 
-class RecordBound:
-    """Static cardinality bounds for one node's output.
-
-    Attributes:
-        exact: Exact record count, or ``None`` when unknown.
-        upper: Upper bound on the record count, or ``None``.
-    """
-
-    __slots__ = ("exact", "upper")
-
-    def __init__(self, exact=None, upper=None):
-        self.exact = exact
-        self.upper = upper
-
-    def __repr__(self):
-        return "RecordBound(exact=%r, upper=%r)" % (self.exact, self.upper)
-
-
 class PlanProperties:
     """Inference results for a whole plan, keyed by node identity."""
 
-    __slots__ = ("root", "partitioning", "elisions", "bounds")
+    __slots__ = ("root", "partitioning", "elisions")
 
-    def __init__(self, root, partitioning, elisions, bounds):
+    def __init__(self, root, partitioning, elisions):
         self.root = root
         self.partitioning = partitioning
         self.elisions = elisions
-        self.bounds = bounds
 
     def partitioning_of(self, node):
         return self.partitioning[id(node)]
 
-    def bound_of(self, node):
-        return self.bounds[id(node)]
-
 
 # ----------------------------------------------------------------------
-# UDF key-preservation proof
-# ----------------------------------------------------------------------
-
-def udf_preserves_key(fn, flat=False):
-    """Prove whether ``fn`` preserves the key slot of keyed records.
-
-    The engine's keyed records are 2-tuples ``(key, value)``.  A map UDF
-    preserves partitioning when every record it emits carries the same
-    key as its input record.  This is a conservative AST proof:
-
-    Returns:
-        ``True`` when every emitted record provably keeps the input
-        key, ``False`` when some emitted record provably rewrites it,
-        and ``None`` when no proof either way is possible (treated as
-        not preserving).
-    """
-    facts = facts_for(fn)
-    if facts is None:
-        return None
-    flat = bool(flat)
-    return facts.derive(
-        ("preserves_key", flat),
-        lambda facts: _prove_preserves_key(facts, flat),
-    )
-
-
-def _prove_preserves_key(facts, flat):
-    if facts.code.co_argcount != 1:
-        return None
-    node = facts.node
-    if node is None:
-        return None
-    if isinstance(node, ast.Lambda):
-        args = node.args
-        param = args.args[0].arg if args.args else None
-        bodies = [node.body]
-    else:
-        args = node.args
-        if (args.vararg or args.kwarg or args.kwonlyargs
-                or getattr(args, "posonlyargs", [])):
-            return None
-        if len(args.args) != 1:
-            return None
-        param = args.args[0].arg
-        returns = [n for n in ast.walk(node) if isinstance(n, ast.Return)]
-        if not returns or any(r.value is None for r in returns):
-            return None
-        bodies = [r.value for r in returns]
-    if param is None or (not isinstance(node, ast.Lambda)
-                         and _rebinds_name(node, param)):
-        return None
-    if isinstance(node, ast.Lambda) and (
-            args.vararg or args.kwarg or args.kwonlyargs
-            or getattr(args, "posonlyargs", []) or len(args.args) != 1):
-        return None
-    aliases = set() if isinstance(node, ast.Lambda) else _key_aliases(
-        node, param
-    )
-    classify = _classify_flat if flat else _classify_map
-    return _combine(classify(body, param, aliases) for body in bodies)
-
-
-def _rebinds_name(fndef, name):
-    """True when ``name`` is assigned anywhere in the function body."""
-    for n in ast.walk(fndef):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
-            if n.id == name:
-                return True
-    return False
-
-
-def _key_aliases(fndef, param):
-    """Names provably bound (exactly once) to the input record's key.
-
-    Recognizes ``k = kv[0]`` and tuple unpacking ``k, v = kv``.  A name
-    bound more than once anywhere in the body is not trusted.
-    """
-    bound_counts = {}
-    for n in ast.walk(fndef):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
-            bound_counts[n.id] = bound_counts.get(n.id, 0) + 1
-    aliases = set()
-    for n in ast.walk(fndef):
-        if not isinstance(n, ast.Assign) or len(n.targets) != 1:
-            continue
-        target = n.targets[0]
-        if (isinstance(target, ast.Name)
-                and _is_key_expr(n.value, param, set())
-                and bound_counts.get(target.id) == 1):
-            aliases.add(target.id)
-        elif (isinstance(target, ast.Tuple) and len(target.elts) == 2
-              and isinstance(target.elts[0], ast.Name)
-              and isinstance(n.value, ast.Name) and n.value.id == param
-              and bound_counts.get(target.elts[0].id) == 1):
-            aliases.add(target.elts[0].id)
-    return aliases
-
-
-def _is_key_expr(expr, param, aliases):
-    """``kv[0]`` or a trusted alias of it."""
-    if isinstance(expr, ast.Name):
-        return expr.id in aliases
-    return (
-        isinstance(expr, ast.Subscript)
-        and isinstance(expr.value, ast.Name)
-        and expr.value.id == param
-        and isinstance(expr.slice, ast.Constant)
-        and expr.slice.value == 0
-    )
-
-
-def _references(expr, names):
-    for n in ast.walk(expr):
-        if isinstance(n, ast.Name) and n.id in names:
-            return True
-    return False
-
-
-def _combine(verdicts):
-    """All True -> True; any False -> False; else None."""
-    result = True
-    for verdict in verdicts:
-        if verdict is False:
-            return False
-        if verdict is None:
-            result = None
-    return result
-
-
-def _classify_map(expr, param, aliases):
-    """Does a map expression emit a record with the input record's key?"""
-    if isinstance(expr, ast.IfExp):
-        return _combine((
-            _classify_map(expr.body, param, aliases),
-            _classify_map(expr.orelse, param, aliases),
-        ))
-    if isinstance(expr, ast.Name):
-        if expr.id == param:
-            return True  # identity: the record itself
-        return None
-    if _is_key_expr(expr, param, aliases):
-        return False  # emits the bare key (a keys() rewrite)
-    if (isinstance(expr, ast.Subscript)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == param
-            and isinstance(expr.slice, ast.Constant)):
-        return False  # emits a non-key slot (a values() rewrite)
-    if isinstance(expr, ast.Tuple) and len(expr.elts) == 2:
-        if any(isinstance(e, ast.Starred) for e in expr.elts):
-            return None
-        first = expr.elts[0]
-        if _is_key_expr(first, param, aliases):
-            return True
-        if (isinstance(first, ast.Subscript)
-                and isinstance(first.value, ast.Name)
-                and first.value.id == param
-                and isinstance(first.slice, ast.Constant)
-                and first.slice.value != 0):
-            return False  # key rebuilt from a non-key slot
-        if _references(first, {param} | aliases):
-            return None  # e.g. f(kv[0]), kv[0] + 0, the whole record
-        return False  # key built from something unrelated to the input
-    return None
-
-
-def _classify_flat(expr, param, aliases):
-    """Does a flat-map expression emit only input-keyed records?"""
-    if isinstance(expr, ast.IfExp):
-        return _combine((
-            _classify_flat(expr.body, param, aliases),
-            _classify_flat(expr.orelse, param, aliases),
-        ))
-    if isinstance(expr, (ast.List, ast.Tuple, ast.Set)):
-        if any(isinstance(e, ast.Starred) for e in expr.elts):
-            return None
-        if not expr.elts:
-            return True  # emits nothing
-        return _combine(
-            _classify_map(e, param, aliases) for e in expr.elts
-        )
-    if isinstance(expr, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
-        shadowed = {param} | aliases
-        for comp in expr.generators:
-            for n in ast.walk(comp.target):
-                if isinstance(n, ast.Name) and n.id in shadowed:
-                    return None  # comprehension shadows the record
-        return _classify_map(expr.elt, param, aliases)
-    return None
-
-
-# ----------------------------------------------------------------------
-# Partitioning and bound inference
+# Partitioning inference
 # ----------------------------------------------------------------------
 
 def infer_properties(root):
     """Run the abstract interpretation over the plan rooted at ``root``.
 
     Returns:
-        A :class:`PlanProperties` with per-node partitioning,
-        shuffle-elision opportunities, and record bounds (all keyed by
-        ``id(node)``).
+        A :class:`PlanProperties` with per-node partitioning and
+        shuffle-elision opportunities (both keyed by ``id(node)``).
     """
     parts = {}
     elisions = {}
-    bounds = {}
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -389,45 +169,17 @@ def infer_properties(root):
         parts[key] = partitioning
         if elision is not None:
             elisions[key] = elision
-        bounds[key] = _node_bound(node, bounds)
-    return PlanProperties(root, parts, elisions, bounds)
+    return PlanProperties(root, parts, elisions)
 
 
 def _node_partitioning(node, parts):
     """(Partitioning, Elision-or-None) for one node, children solved."""
-    if isinstance(node, p.Filter):
-        return parts[id(node.child)], None
-    if isinstance(node, (p.Map, p.FlatMap)):
+    if isinstance(node, (p.Filter, p.Map, p.FlatMap, p.MapPartitions,
+                         p.ZipWithUniqueId, p.Coalesce)):
         child = parts[id(node.child)]
-        if child.kind != HASH:
+        if child.kind != HASH or keeps_layout(node):
             return child, None
-        if getattr(node, "preserves_partitioning", False):
-            return child, None
-        verdict = udf_preserves_key(node.fn, flat=isinstance(node, p.FlatMap))
-        if verdict is True:
-            return child, None
-        reason = "rewrites-key" if verdict is False else "unproven"
-        return Partitioning.unknown(blame=node, reason=reason,
-                                    lost=child), None
-    if isinstance(node, p.MapPartitions):
-        child = parts[id(node.child)]
-        if child.kind != HASH:
-            return child, None
-        if getattr(node, "preserves_partitioning", False):
-            return child, None
-        return Partitioning.unknown(blame=node, reason="unproven",
-                                    lost=child), None
-    if isinstance(node, p.ZipWithUniqueId):
-        child = parts[id(node.child)]
-        if child.kind != HASH:
-            return child, None
-        return Partitioning.unknown(blame=node, reason="rewrites-key",
-                                    lost=child), None
-    if isinstance(node, p.Coalesce):
-        child = parts[id(node.child)]
-        if child.kind != HASH:
-            return child, None
-        return Partitioning.unknown(blame=node, reason="coalesce",
+        return Partitioning.unknown(blame=node, reason=_drop_reason(node),
                                     lost=child), None
     if isinstance(node, p.Union):
         lost = None
@@ -470,65 +222,18 @@ def _node_partitioning(node, parts):
     return Partitioning.unknown(reason="source"), None
 
 
-#: Bounds beyond this are useless for sizing decisions and, because
-#: join bounds multiply, can otherwise snowball into astronomically
-#: large bignums on deep lifted-loop plans; cap to "unknown".
-_BOUND_CAP = 10 ** 15
-
-
-def _capped(value):
-    return value if value is None or value <= _BOUND_CAP else None
-
-
-def _node_bound(node, bounds):
-    """Static record bounds for one node, children already solved."""
-    if isinstance(node, p.Parallelize):
-        n = len(node.data)
-        return RecordBound(exact=n, upper=n)
-    if isinstance(node, (p.Map, p.ZipWithUniqueId, p.Coalesce)):
-        child = bounds[id(node.child)]
-        return RecordBound(exact=child.exact, upper=child.upper)
-    if isinstance(node, p.Filter):
-        return RecordBound(upper=bounds[id(node.child)].upper)
-    if isinstance(node, p.Union):
-        exacts = [bounds[id(c)].exact for c in node.children]
-        uppers = [bounds[id(c)].upper for c in node.children]
-        return RecordBound(
-            exact=_capped(
-                sum(exacts) if all(e is not None for e in exacts)
-                else None
-            ),
-            upper=_capped(
-                sum(uppers) if all(u is not None for u in uppers)
-                else None
-            ),
-        )
-    if isinstance(node, (p.ReduceByKey, p.GroupByKey)):
-        # At most one output record per distinct key.
-        return RecordBound(upper=bounds[id(node.child)].upper)
-    if isinstance(node, p.CoGroup):
-        left = bounds[id(node.left)].upper
-        right = bounds[id(node.right)].upper
-        if left is not None and right is not None:
-            return RecordBound(upper=_capped(left + right))
-        return RecordBound()
-    if isinstance(node, p.BroadcastJoin):
-        left = bounds[id(node.left)].upper
-        right = bounds[id(node.right)].upper
-        if left is not None and right is not None:
-            return RecordBound(upper=_capped(left * right))
-        return RecordBound()
-    if isinstance(node, p.CrossBroadcast):
-        left = bounds[id(node.left)]
-        right = bounds[id(node.right)]
-        exact = (left.exact * right.exact
-                 if left.exact is not None and right.exact is not None
-                 else None)
-        upper = (left.upper * right.upper
-                 if left.upper is not None and right.upper is not None
-                 else None)
-        return RecordBound(exact=_capped(exact), upper=_capped(upper))
-    return RecordBound()
+def _drop_reason(node):
+    """Why a narrow node that does not keep the key loses its input's
+    partitioning."""
+    if isinstance(node, p.Coalesce):
+        return "coalesce"
+    if isinstance(node, p.MapPartitions):
+        return "unproven"
+    if isinstance(node, (p.Map, p.FlatMap)) and udf_preserves_key(
+        node.fn, flat=isinstance(node, p.FlatMap)
+    ) is None:
+        return "unproven"
+    return "rewrites-key"
 
 
 def partitioning_notes(root, props=None):

@@ -114,12 +114,23 @@ def snapshot_plan_state(root):
     unit graph is one of the two valid serial outcomes, never a
     hybrid.
 
-    Returns ``{id(node): (cached, materialized)}``.
+    The walk stops at a node it reads as materialized, as evaluation
+    does: a job over a lifted loop's cached iterate reads none of the
+    iterations below it.
+
+    Returns ``{id(node): (cached, materialized)}`` for every node the
+    job may evaluate or read.
     """
-    return {
-        id(node): (node.cached, node.materialized)
-        for node in p.iter_nodes(root)
-    }
+    state = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in state:
+            continue
+        state[id(node)] = entry = (node.cached, node.materialized)
+        if entry[1] is None:
+            stack.extend(node.children)
+    return state
 
 
 def compute_refcounts(root, state):
@@ -161,7 +172,7 @@ def dep_order(node):
     return tuple(node.children)
 
 
-def fused_chain(node, refcounts, state, unfused=()):
+def fused_chain(node, refcounts, state):
     """The maximal fusable elementwise chain ending at ``node``.
 
     Returns the chain bottom-up (``chain[0]`` closest to the data)
@@ -173,13 +184,14 @@ def fused_chain(node, refcounts, state, unfused=()):
 
     A ``ReduceByKey`` ends a chain under the same rule: when its child
     may be fused into, the chain returned is the one ending at the
-    child, and the unit folds its output map-side in the same task.
-    Not when its id is in ``unfused`` (its shuffle is planned away:
-    there is one combine pass, on the stage the operator opens).
+    child, and the unit folds its output map-side in the same task --
+    or, when the chain's output fits the reduce's shuffle
+    (:func:`repro.engine.optimize.choose_elision`), runs the chain and
+    then the reduce's one combine pass.
     """
     if node.fusable:
         chain = [node]
-    elif isinstance(node, p.ReduceByKey) and id(node) not in unfused:
+    elif isinstance(node, p.ReduceByKey):
         chain = []
     else:
         return None
@@ -209,7 +221,9 @@ def _dispatch_budget(unit):
     with the chain below it, the unit reserves the chain's ordinal and
     then those same two, in that order: the chain-and-fold task set
     draws the chain's, the map-side combine's is the gap, and every
-    later address is what it would be unfused.
+    later address is what it would be unfused.  Elided, the chain
+    draws its own, the one combine pass the next, and the last is
+    the gap.
     """
     if unit.cached or unit.chain is None and isinstance(
         unit.node,
@@ -221,14 +235,13 @@ def _dispatch_budget(unit):
     return 1
 
 
-def plan_units(root, unfused=()):
+def plan_units(root):
     """Linearize ``root``'s lineage into units, in plan order.
 
     Children before parents, broadcast build sides before stream
     sides, fused chains collapsed into their top node -- or into the
-    ``ReduceByKey`` above it, unless its id is in ``unfused`` (the
-    executor passes its planned shuffle elisions): ``units[i]`` is
-    the ``i``-th step the executor runs.  Dispatch ordinals are
+    ``ReduceByKey`` above it: ``units[i]`` is the ``i``-th step the
+    executor runs.  Dispatch ordinals are
     reserved cumulatively over that order.
     """
     state = snapshot_plan_state(root)
@@ -247,7 +260,7 @@ def plan_units(root, unfused=()):
             done.add(key)
             stack.pop()
             continue
-        chain = fused_chain(node, refcounts, state, unfused)
+        chain = fused_chain(node, refcounts, state)
         if chain is not None:
             deps = (chain[0].child,)
         else:

@@ -43,9 +43,13 @@ commutative.
 
 *Which* key assignment a shuffle built travels with its output: every
 :class:`_Result` carries the ``layout`` its partitions are laid out by,
-and a cached node keeps it next to its ``materialized`` partitions.  A
-planned shuffle elision (:mod:`repro.engine.optimize`) adopts a layout
-only from the partitions that were built with it.
+a narrow step passes it on only when it keeps every record's key
+(:func:`~repro.engine.optimize.keeps_layout`), and a cached node keeps
+it next to its ``materialized`` partitions.  Each wide node decides its
+shuffle elision from the layouts its inputs carry
+(:func:`~repro.engine.optimize.choose_elision`), so a layout is adopted
+only from the partitions that were built with it, and no pass over the
+whole plan runs per job.
 """
 
 import collections
@@ -69,7 +73,7 @@ from . import codegen
 from . import dag
 from . import plan as p
 from .broadcast import check_broadcast_fits
-from .optimize import Decision, plan_shuffle_elisions
+from .optimize import Decision, choose_elision, keeps_layout
 from .metrics import nonzero, truthy_indices
 from .partitioner import build_balanced_assignment, stable_hash
 from .runtime.scheduler import TaskScheduler
@@ -94,6 +98,14 @@ _FOLD_WORK = operator.itemgetter(3)
 
 
 _origin = p.origin
+
+
+def _chain_layout(chain, child):
+    """The layout a fused chain's output carries: its input's, when
+    every step keeps the key."""
+    if child.layout is not None and all(map(keeps_layout, chain)):
+        return child.layout
+    return None
 
 
 def _credit_records(stage, partitions, live):
@@ -302,8 +314,7 @@ class Executor:
         stages opened so far in ``job``, so a failed job's trace stays
         inspectable.
         """
-        elisions = plan_shuffle_elisions(root)
-        units = dag.plan_units(root, unfused=elisions)
+        units = dag.plan_units(root)
         ordinal_base = self.scheduler.reserve_ordinals(
             dag.total_ordinal_budget(units)
         )
@@ -314,7 +325,7 @@ class Executor:
         result = None
         for unit in units:
             ordinals = dag.OrdinalCursor(ordinal_base + unit.ordinal_offset)
-            result = self._run_unit(unit, job, results, elisions, ordinals)
+            result = self._run_unit(unit, job, results, ordinals)
             results[id(unit.node)] = result
             for key in unit.reads:
                 readers[key] -= 1
@@ -322,7 +333,7 @@ class Executor:
                     del results[key]
         return result
 
-    def _run_unit(self, unit, job, results, elisions, ordinals):
+    def _run_unit(self, unit, job, results, ordinals):
         """Evaluate one unit; new stages open on ``job``."""
         node = unit.node
         if unit.cached:
@@ -333,10 +344,10 @@ class Executor:
                 result = self._eval_fused(unit.chain, child, ordinals)
             else:
                 result = self._eval_reduce_by_key(
-                    node, job, child, elisions, ordinals, unit.chain
+                    node, job, child, ordinals, unit.chain
                 )
         else:
-            result = self._eval_node(node, job, results, elisions, ordinals)
+            result = self._eval_node(node, job, results, ordinals)
         if node.cached:
             # The partitions and the layout they were built with are
             # one value: concurrent jobs materializing the same node
@@ -354,7 +365,7 @@ class Executor:
         )
         return _Result(parts, stage, truthy_indices(parts), layout)
 
-    def _eval_node(self, node, job, results, elisions, ordinals):
+    def _eval_node(self, node, job, results, ordinals):
         if isinstance(node, p.Parallelize):
             return self._eval_parallelize(node, job)
         if isinstance(node, p.MapPartitions):
@@ -373,16 +384,16 @@ class Executor:
             return self._eval_coalesce(node, job, results[id(node.child)])
         if isinstance(node, p.ReduceByKey):
             return self._eval_reduce_by_key(
-                node, job, results[id(node.child)], elisions, ordinals
+                node, job, results[id(node.child)], ordinals
             )
         if isinstance(node, p.GroupByKey):
             return self._eval_group_by_key(
-                node, job, results[id(node.child)], elisions, ordinals
+                node, job, results[id(node.child)], ordinals
             )
         if isinstance(node, p.CoGroup):
             return self._eval_cogroup(
                 node, job, results[id(node.left)],
-                results[id(node.right)], elisions, ordinals,
+                results[id(node.right)], ordinals,
             )
         if isinstance(node, p.BroadcastJoin):
             return self._eval_broadcast_join(
@@ -475,7 +486,7 @@ class Executor:
         stage.credit_task_records(sums, live)
         return _Result(
             _scatter(len(values), live, map(_KEY, ran)), stage, live,
-            child.layout,
+            _chain_layout(chain, child),
         )
 
     def _record_compile_decision(self, task, reason):
@@ -527,7 +538,8 @@ class Executor:
         live, counts = nonzero(range(len(counts)), counts)
         child.stage.credit_task_records(counts, list(live))
         out = [records for records, _work in results]
-        return _Result(out, child.stage, truthy_indices(out), child.layout)
+        layout = child.layout if keeps_layout(node) else None
+        return _Result(out, child.stage, truthy_indices(out), layout)
 
     def _eval_zip_with_unique_id(self, node, child):
         parts = child.partitions
@@ -617,23 +629,13 @@ class Executor:
             buckets, stage, stage.task_records.live, (node, assignment)
         )
 
-    def _planned_elision(self, node, child_partitions, elisions):
-        """The elision planned for ``node``, if its runtime precondition
-        (the input actually has the predicted partition count) holds."""
-        elision = elisions.get(id(node))
-        if elision is None:
-            return None
-        if len(child_partitions) != node.num_partitions:
-            return None
-        return elision
-
     def _record_elision(self, node, elision):
         decision = Decision(
             kind="shuffle-elision",
-            choice=elision.choice,
+            choice=elision[0],
             num_tags=node.num_partitions,
             detail="%s reuses the partitioning of %s"
-            % (_origin(node), _origin(elision.origin)),
+            % (_origin(node), _origin(elision[1])),
         )
         with self._state_lock:
             self.decisions.append(decision)
@@ -692,14 +694,21 @@ class Executor:
             source.layout,
         )
 
-    def _eval_reduce_by_key(self, node, job, child, elisions, ordinals,
-                            chain=None):
+    def _eval_reduce_by_key(self, node, job, child, ordinals, chain=None):
         """``chain`` is the fused chain between ``child`` and ``node``
-        when the plan made them one unit (:func:`dag.plan_units`, which
-        never does for a planned elision)."""
+        when the plan made them one unit (:func:`dag.plan_units`): the
+        elision is decided on the chain's output, which then runs on
+        its own ahead of the one combine pass, on the chain's ordinal
+        and the combine's (the reduce's is the gap)."""
         task = CombineTask(node.fn, _origin(node))
-        elision = self._planned_elision(node, child.partitions, elisions)
+        output = child if chain is None else _Result(
+            child.partitions, child.stage, child.live,
+            _chain_layout(chain, child),
+        )
+        elision = choose_elision(node, output)
         if elision is not None:
+            if chain is not None:
+                child = self._eval_fused(chain, child, ordinals)
             # The input is provably laid out exactly as this shuffle
             # would lay it out: every key is confined to the partition
             # it would be sent to, so a single combine pass per
@@ -741,8 +750,8 @@ class Executor:
         self._account_spill(stage)
         return out
 
-    def _eval_group_by_key(self, node, job, child, elisions, ordinals):
-        elision = self._planned_elision(node, child.partitions, elisions)
+    def _eval_group_by_key(self, node, job, child, ordinals):
+        elision = choose_elision(node, child)
         if elision is not None:
             # Keys are already confined to their target partitions:
             # group each partition in place, no shuffle traffic.
@@ -785,10 +794,8 @@ class Executor:
         per_machine = -(-max(1, nonempty) // self.config.machines)
         return self.config.task_memory_limit_bytes(per_machine)
 
-    def _eval_cogroup(self, node, job, left, right, elisions, ordinals):
-        elided = self._eval_cogroup_elided(
-            node, job, left, right, elisions, ordinals
-        )
+    def _eval_cogroup(self, node, job, left, right, ordinals):
+        elided = self._eval_cogroup_elided(node, job, left, right, ordinals)
         if elided is not None:
             return elided
         # Both sides co-partition: one key assignment over both inputs.
@@ -815,8 +822,7 @@ class Executor:
             (right_buckets, right_live), ordinals, (node, assignment),
         )
 
-    def _eval_cogroup_elided(self, node, job, left, right, elisions,
-                             ordinals):
+    def _eval_cogroup_elided(self, node, job, left, right, ordinals):
         """A cogroup whose shuffle is (partially) elided, or ``None``.
 
         ``elide-both``: both sides already share the origin's layout --
@@ -824,27 +830,14 @@ class Executor:
         ``adopt-right``: one side stays in place and only the other
         side is bucketized into the adopted layout (its map-side write
         is still charged); keys the origin never saw are placed by
-        hash.  Falls back to a full shuffle when a runtime
-        precondition fails: a partition-count mismatch, an adopted
-        side not laid out by the origin's shuffle, or two sides laid
-        out by different runs of it (a cached side built before the
-        origin was recomputed).
+        hash.  ``None`` when :func:`choose_elision` elides nothing.
         """
-        elision = elisions.get(id(node))
-        if elision is None or elision.choice not in (
-            "elide-both", "adopt-left", "adopt-right",
-        ):
+        elision = choose_elision(node, left, right)
+        if elision is None:
             return None
+        choice = elision[0]
         n = node.num_partitions
-        if elision.choice == "elide-both":
-            if len(left.partitions) != n or len(right.partitions) != n:
-                return None
-            assignment = left.layout[1]
-            if not (
-                assignment is right.layout[1]
-                or assignment == right.layout[1]
-            ):
-                return None
+        if choice == "elide-both":
             layout = left.layout
             left_buckets = (left.partitions, left.live)
             right_buckets = (right.partitions, right.live)
@@ -853,14 +846,10 @@ class Executor:
                 map(len, right.live_partitions())
             )
         else:
-            if elision.choice == "adopt-left":
+            if choice == "adopt-left":
                 adopted, other = left, right
             else:
                 adopted, other = right, left
-            if len(adopted.partitions) != n:
-                return None
-            if adopted.layout[0] is not elision.origin:
-                return None
             # The output is laid out by the adopted assignment extended
             # with the other side's new keys: stacked joins adopt it in
             # turn.
@@ -868,7 +857,7 @@ class Executor:
             buckets, live, moved = self._adopt_bucketize(
                 other, n, layout[1]
             )
-            if elision.choice == "adopt-left":
+            if choice == "adopt-left":
                 left_buckets = (adopted.partitions, adopted.live)
                 right_buckets = (buckets, live)
             else:

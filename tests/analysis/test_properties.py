@@ -1,4 +1,6 @@
-"""Plan-property inference: partitioning, key preservation, bounds."""
+"""Plan-property inference: partitioning and key preservation."""
+
+import pytest
 
 from repro.analysis.properties import (
     HASH,
@@ -6,6 +8,13 @@ from repro.analysis.properties import (
     infer_properties,
     partitioning_notes,
     udf_preserves_key,
+)
+from repro.engine import EngineContext, dag, executor, laptop_config
+from repro.engine.plan import CoGroup, GroupByKey
+from tests.programs import (
+    PROGRAMS,
+    library_programs,
+    stale_layout_elide_both_program,
 )
 
 
@@ -186,32 +195,67 @@ def test_cogroup_adopts_one_partitioned_side(ctx):
 
 
 # ---------------------------------------------------------------------------
-# record bounds
+# the lint's prediction and the engine's decisions
 # ---------------------------------------------------------------------------
 
 
-def test_bounds_exact_through_maps_and_sums_through_union(ctx):
-    base = ctx.bag_of(list(range(30)))
-    props = infer_properties(base.node)
-    assert props.bound_of(base.node).exact == 30
+def _decisions_per_job(monkeypatch, program):
+    """Run ``program``; per job, the ``(node, predicted, made)`` triple
+    of every wide node the job evaluates: ``infer_properties``'s
+    elision and the engine's ``choose_elision``, each ``(choice,
+    origin)`` or ``None``."""
+    jobs = []
+    plan_units = dag.plan_units
+    choose = executor.choose_elision
 
-    mapped = base.map(lambda x: (x % 3, x))
-    assert infer_properties(mapped.node).bound_of(mapped.node).exact == 30
+    def planned(root):
+        jobs.append((infer_properties(root).elisions, []))
+        return plan_units(root)
 
-    merged = mapped.union(ctx.bag_of(list(range(12))))
-    assert infer_properties(merged.node).bound_of(merged.node).exact == 42
+    def choosing(node, left, right=None):
+        made = choose(node, left, right)
+        predicted, seen = jobs[-1]
+        elision = predicted.get(id(node))
+        if elision is not None:
+            elision = (elision.choice, elision.origin)
+        seen.append((node, elision, made))
+        return made
+
+    monkeypatch.setattr(dag, "plan_units", planned)
+    monkeypatch.setattr(executor, "choose_elision", choosing)
+    with EngineContext(laptop_config()) as ctx:
+        program(ctx)
+    return [seen for _predicted, seen in jobs]
 
 
-def test_bounds_filter_and_shuffle_keep_only_upper(ctx):
-    filtered = ctx.bag_of(list(range(30))).filter(lambda x: x > 10)
-    bound = infer_properties(filtered.node).bound_of(filtered.node)
-    assert bound.exact is None
-    assert bound.upper == 30
+@pytest.mark.parametrize("name, program", library_programs(), ids=PROGRAMS)
+def test_every_predicted_elision_is_the_one_the_engine_makes(
+        monkeypatch, name, program):
+    # Every NPL401 the lint reports is a saving that happens, and the
+    # engine elides nothing the lint does not predict.
+    jobs = _decisions_per_job(monkeypatch, program)
+    decided = [triple for seen in jobs for triple in seen]
+    assert decided
+    assert [
+        (node.name, predicted, made)
+        for node, predicted, made in decided if predicted != made
+    ] == []
 
-    reduced = _keyed(ctx, n=50).reduce_by_key(_add, 4)
-    bound = infer_properties(reduced.node).bound_of(reduced.node)
-    assert bound.exact is None
-    assert bound.upper == 50
+
+def test_two_runs_of_one_origin_are_the_one_refusal_the_plan_cannot_show(
+        monkeypatch):
+    jobs = _decisions_per_job(monkeypatch, stale_layout_elide_both_program)
+    differing = [
+        (node, predicted, made)
+        for seen in jobs for node, predicted, made in seen
+        if predicted != made
+    ]
+    # The cached side was laid out by an earlier run of the shuffle the
+    # other side reran: the plan shows one origin, the engine sees two
+    # assignments and reshuffles.
+    [(node, (choice, origin), made)] = differing
+    assert isinstance(node, CoGroup) and isinstance(origin, GroupByKey)
+    assert (choice, made) == ("elide-both", None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.engine import EngineContext, executor, laptop_config
+from repro.engine import EngineContext, dag, laptop_config
 from repro.engine.optimize import plan_auto_caches
 from tests.programs import PROGRAMS, library_programs
 
@@ -119,14 +119,14 @@ _REUSE = {"pagerank-nested": 30, "kmeans-nested-grouped": 27}
 
 @pytest.mark.parametrize("name, program", library_programs(), ids=PROGRAMS)
 def test_registry_reuse_is_found_and_left_alone(monkeypatch, name, program):
-    planned = executor.plan_shuffle_elisions
+    planned = dag.plan_units
     chosen = {}
 
     def planning(root):
         chosen.update(plan_auto_caches(root))
         return planned(root)
 
-    monkeypatch.setattr(executor, "plan_shuffle_elisions", planning)
+    monkeypatch.setattr(dag, "plan_units", planning)
     with EngineContext(laptop_config()) as ctx:
         program(ctx)
         decisions = {decision.kind for decision in ctx.optimizer_decisions}

@@ -11,8 +11,8 @@ import pytest
 
 from repro.engine import EngineContext, laptop_config
 from repro.engine.dag import OrdinalCursor, plan_units, total_ordinal_budget
-from repro.engine.optimize import plan_shuffle_elisions
 from repro.errors import UdfError
+from repro.observe.events import KIND_TASK_SET
 
 
 class TestPlanOrderExecution:
@@ -158,34 +158,48 @@ class TestFoldFusion:
             ("ReduceByKey", ["Filter"], 3),
         ]
 
-    def test_a_planned_elision_keeps_the_reduce_unfused(self):
-        ctx = EngineContext(laptop_config())
-
+    def test_an_elided_reduce_runs_its_chain_then_one_combine(
+            self, without_elision):
         def add(a, b):
             return a + b
 
-        twice = (
-            self.keyed(ctx).reduce_by_key(add)
-            .filter(lambda kv: kv[1] > 3).reduce_by_key(add)
-        )
-        elisions = plan_shuffle_elisions(twice.node)
-        assert list(elisions) == [id(twice.node)]
-        # One combine pass on the stage the operator opens: there is no
-        # map-side half to ride in the filter's task.
-        assert _shape(plan_units(twice.node, unfused=elisions)) == [
-            ("Parallelize", None, 0), ("ReduceByKey", ["Map"], 3),
-            ("Filter", ["Filter"], 1), ("ReduceByKey", None, 2),
+        def run():
+            with EngineContext(laptop_config(), trace=True) as ctx:
+                twice = (
+                    self.keyed(ctx).reduce_by_key(add)
+                    .filter(lambda kv: kv[1] > 3).reduce_by_key(add)
+                )
+                # The second reduce and the filter below it are one
+                # unit, whether or not its shuffle is elided.
+                assert _shape(plan_units(twice.node)) == [
+                    ("Parallelize", None, 0), ("ReduceByKey", ["Map"], 3),
+                    ("ReduceByKey", ["Filter"], 3),
+                ]
+                result = sorted(twice.collect())
+                kinds = [d.kind for d in ctx.optimizer_decisions]
+                dispatched = [
+                    (event.args["dispatch"], event.name.split(":", 1)[1])
+                    for event in ctx.tracer.events()
+                    if event.kind == KIND_TASK_SET
+                ]
+            return result, kinds.count("shuffle-elision"), dispatched
+
+        result, elided, dispatched = run()
+        assert result == [(0, 18), (1, 22), (2, 26)]
+        assert elided == 1
+        # The filter runs alone on the unit's first ordinal and the one
+        # combine pass on the next; the last is the gap.  These are the
+        # ordinals the filter and the reduce drew as two units.
+        assert dispatched == [
+            (0, "Map+ReduceByKey"), (2, "ReduceByKey"), (3, "Filter"),
+            (4, "ReduceByKey"),
         ]
-        assert _shape(plan_units(twice.node))[2:] == [
-            ("ReduceByKey", ["Filter"], 3),
+        without_elision()
+        reference, elided, dispatched = run()
+        assert (reference, elided) == (result, 0)
+        assert dispatched[2:] == [
+            (3, "Filter+ReduceByKey"), (5, "ReduceByKey"),
         ]
-        assert sorted(twice.collect()) == [(0, 18), (1, 22), (2, 26)]
-        kinds = [d.kind for d in ctx.optimizer_decisions]
-        assert kinds.count("shuffle-elision") == 1
-        # Same budget either way: later addresses do not depend on it.
-        assert total_ordinal_budget(plan_units(twice.node)) == (
-            total_ordinal_budget(plan_units(twice.node, unfused=elisions))
-        )
 
 
 class TestGather:

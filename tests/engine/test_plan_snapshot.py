@@ -41,6 +41,32 @@ def test_snapshot_records_cached_and_materialized(ctx):
     assert materialized is not None
 
 
+class _Unread:
+    """A plan node no walk may touch: any attribute read fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError("read %s of a node below a materialized one"
+                             % name)
+
+
+def test_a_job_over_a_materialized_node_reads_nothing_below_it(ctx):
+    keyed = ctx.bag_of(range(40)).map(lambda x: (x % 4, x))
+    shared = keyed.reduce_by_key(lambda a, b: a + b, 4).cache()
+    assert shared.count() == 4
+    # Cut the lineage below the cached node: a later job, its snapshot
+    # and the shuffle elision its group-by makes still work.
+    shared.node.child = _Unread()
+    grouped = shared.filter(lambda kv: kv[0] > 0).group_by_key(4)
+    assert len(snapshot_plan_state(grouped.node)) == 3
+    assert sorted(grouped.map_values(sorted).collect()) == [
+        (k, [sum(range(k, 40, 4))]) for k in range(1, 4)
+    ]
+    assert [
+        d.choice for d in ctx.optimizer_decisions
+        if d.kind == "shuffle-elision"
+    ] == ["elide"]
+
+
 def test_gathered_jobs_keep_node_ids_stable():
     for _ in range(3):
         ctx = fresh_ctx()

@@ -44,8 +44,8 @@ def _watch(monkeypatch):
     plan_units = dag.plan_units
     run_unit = Executor._run_unit
 
-    def planned(root, unfused=()):
-        units = plan_units(root, unfused)
+    def planned(root):
+        units = plan_units(root)
         jobs.append({"units": units, "held": []})
         return units
 

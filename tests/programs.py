@@ -244,10 +244,12 @@ class Choice(NamedTuple):
 
 
 def disable_elision(monkeypatch):
-    """Every later job plans no shuffle elision: the reference run the
+    """Every later job elides no shuffle: the reference run the
     always-on optimizer is checked against.  Elision is no setting, so
-    this moves the planner seam the executor calls."""
-    monkeypatch.setattr(executor, "plan_shuffle_elisions", lambda root: {})
+    this moves the rule the executor calls at each wide node."""
+    monkeypatch.setattr(
+        executor, "choose_elision", lambda node, left, right=None: None
+    )
 
 
 def _decisions(run, prefix):
