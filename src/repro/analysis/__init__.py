@@ -41,7 +41,6 @@ from .effects import (
     effects_notes,
     fingerprint_function,
     plan_effects,
-    runtime_resolver,
     scan_effects,
     static_resolver,
     subtree_effects,
@@ -148,14 +147,8 @@ def analyze_udf(fn, closure=True):
             facts.node, facts.filename, facts.line_offset,
             facts.col_offset,
         ))
-        report = scan_effects(
-            facts.node,
-            resolver=runtime_resolver(fn),
-            line_offset=facts.line_offset,
-            col_offset=facts.col_offset,
-        )
         diags.extend(effect_diagnostics(
-            report, filename=facts.filename, udf_name=name
+            analyze_effects(fn), filename=facts.filename, udf_name=name
         ))
     if closure:
         diags.extend(analyze_closure(fn))

@@ -70,7 +70,6 @@ __all__ = [
     "effects_notes",
     "fingerprint_function",
     "plan_effects",
-    "runtime_resolver",
     "scan_effects",
     "static_resolver",
     "subtree_effects",
@@ -447,7 +446,7 @@ class _Scanner:
 
     # -- taint fixpoint ------------------------------------------------
 
-    def _compute_taint(self):
+    def _compute_taint(self, assignments):
         """Two tiers of names that may alias externally-visible state.
 
         *direct*: parameters, captured/global reads, and simple alias
@@ -473,7 +472,6 @@ class _Scanner:
             ) and node.id not in self.bound:
                 direct.add(node.id)
         maybe = set(direct)
-        assignments = self._assignments()
         changed = True
         while changed:
             changed = False
@@ -494,7 +492,7 @@ class _Scanner:
         return direct, maybe
 
     def _assignments(self):
-        """``(target_names, value_expr)`` pairs for taint propagation."""
+        """``(target_names, value_expr)`` pairs for the fixpoints."""
         pairs = []
         for node in ast.walk(self.fndef):
             if isinstance(node, ast.Assign):
@@ -546,25 +544,23 @@ class _Scanner:
             return isinstance(expr.slice, ast.Slice)
         return False
 
-    def _compute_set_valued(self):
-        """Names that may hold a ``set``/``frozenset``."""
-        set_valued = set()
-        assignments = self._assignments()
+    @staticmethod
+    def _fixpoint(assignments, holds):
+        """The least set of names that holds every target of an
+        assignment whose value ``holds(value, names)``."""
+        names = set()
         changed = True
         while changed:
             changed = False
             for targets, value in assignments:
-                if value is None:
-                    continue
-                if not self._expr_set_valued(value, set_valued):
-                    continue
-                for name in targets:
-                    if name not in set_valued:
-                        set_valued.add(name)
-                        changed = True
-        return set_valued
+                if (value is not None and not targets <= names
+                        and holds(value, names)):
+                    names |= targets
+                    changed = True
+        return names
 
     def _expr_set_valued(self, expr, set_valued):
+        """May ``expr`` be a ``set``/``frozenset``?"""
         if isinstance(expr, (ast.Set, ast.SetComp)):
             return True
         if isinstance(expr, ast.Call):
@@ -580,24 +576,8 @@ class _Scanner:
                     or self._expr_set_valued(expr.right, set_valued))
         return False
 
-    def _compute_seeded_rngs(self):
-        """Local names holding an explicitly seeded ``random.Random``."""
-        seeded = set()
-        changed = True
-        while changed:
-            changed = False
-            for targets, value in self._assignments():
-                if value is None:
-                    continue
-                if not self._expr_seeded_rng(value, seeded):
-                    continue
-                for name in targets:
-                    if name not in seeded:
-                        seeded.add(name)
-                        changed = True
-        return seeded
-
     def _expr_seeded_rng(self, expr, seeded):
+        """Is ``expr`` an explicitly seeded ``random.Random``?"""
         if isinstance(expr, ast.Name):
             return expr.id in seeded
         if isinstance(expr, ast.Call) and expr.args:
@@ -643,9 +623,12 @@ class _Scanner:
     # -- main pass -----------------------------------------------------
 
     def run(self):
-        self.tainted, self.maybe_tainted = self._compute_taint()
-        self.set_valued = self._compute_set_valued()
-        self.seeded_rngs = self._compute_seeded_rngs()
+        assignments = self._assignments()
+        self.tainted, self.maybe_tainted = self._compute_taint(assignments)
+        self.set_valued = self._fixpoint(assignments, self._expr_set_valued)
+        self.seeded_rngs = self._fixpoint(
+            assignments, self._expr_seeded_rng
+        )
         for node in ast.walk(self.fndef):
             self._visit(node)
         return EffectReport(
@@ -1131,6 +1114,8 @@ def _analyze_function(fn, self_fresh=False):
         return scan_effects(
             facts.node,
             resolver=_RuntimeResolver(facts),
+            line_offset=facts.line_offset,
+            col_offset=facts.col_offset,
             self_fresh=self_fresh,
         )
 
@@ -1145,7 +1130,8 @@ def analyze_effects(fn):
     Accepts plain functions, lambdas, ``@nested_udf``-decorated
     functions (the pre-rewrite original is analyzed),
     ``functools.partial`` objects, and bound methods.  Functions whose
-    source is unavailable get an all-unknown report.
+    source is unavailable get an all-unknown report.  Reason positions
+    are the defining file's.
     """
     report = _analyze_value(fn)
     if report is None:
@@ -1214,16 +1200,6 @@ class _StaticResolver:
 def static_resolver(module_tree):
     """A resolver over a parsed module for :func:`scan_effects`."""
     return _StaticResolver(module_tree)
-
-
-def runtime_resolver(fn):
-    """A resolver over a live function's closure cells and globals for
-    :func:`scan_effects` -- lets callers scan a located AST (with
-    file-absolute offsets) while still resolving helpers at runtime."""
-    facts = facts_for(fn)
-    if facts is None:
-        raise TypeError("%r is not a Python function" % (fn,))
-    return _RuntimeResolver(facts)
 
 
 # ----------------------------------------------------------------------

@@ -26,12 +26,12 @@ keeps ``_vN = _fN(_v)``.  A profile of a compiled chain therefore shows
 no frame for a lowered UDF: its time is the loop's own.
 
 The generated function must be *observationally identical* to the
-interpreter, including the cost model's inputs: it returns the same
-``(records, counts, works)`` triple, where ``counts[i]`` is the number
-of records operator ``i`` processed.  Counts are maintained with one
-counter per cardinality-changing step (filters and flat_maps) instead
-of one increment per record per operator -- operators between two such
-boundaries share the boundary's count.
+interpreter, including the cost model's inputs: its task returns the
+same ``(records, count, works)`` triple, where ``count`` is the records
+the chain's operators processed together.  The count is one counter
+per partition, moved only where cardinality changes (filters and
+flat_maps) -- by every operator up to the next such boundary -- instead
+of once per record per operator.
 
 Fallback rules (the chain stays on the interpreter, with the reason
 recorded in an ``Optimizer.Decision``):
@@ -496,10 +496,11 @@ def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
     (also when ``lowerings`` is shorter than ``kinds``).  The function
     takes ``(_parts, _udfs, _env)`` -- a batch of partitions, which it
     loops over itself, so a batch is one Python call -- and returns one
-    ``(_out, counts)`` per partition, the counters reset for each, with
-    exactly the per-operator counts the interpreter reports: every
-    operator is counted once per record *entering* it, so one counter
-    per filter/flat_map boundary suffices.
+    ``(_out, _c)`` per partition, with exactly the count the interpreter
+    reports: every operator is counted once per record *entering* it,
+    so ``_c`` starts at ``len(_part)`` times the operators that see the
+    whole partition and grows at each filter/flat_map boundary a later
+    operator sees, by the operators up to the next one.
 
     A step without a lowering calls its UDF, ``_udfs[i]``.  A lowered
     step's expression stands in the loop with every name rewritten
@@ -533,20 +534,20 @@ def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
     if num == 0:
         raise ValueError("cannot generate a pipeline with no steps")
     lowerings = list(lowerings) + [None] * (num - len(lowerings))
-    # A counter only exists where cardinality changes *and* a later
-    # operator consumes the changed count.
+    # The count moves where cardinality changes *and* a later operator
+    # sees the change: by the operators up to the next such boundary.
     counted = [
         i
         for i, kind in enumerate(kinds[:-1])
         if kind in (STEP_FILTER, STEP_FLATMAP)
     ]
+    bounds = counted + [num - 1]
+    seen_by = dict(zip(counted, map(int.__sub__, bounds[1:], counted)))
     env = []
     scalarised = []
     lines = ["        for _v0 in _part:"]
     indent = 3
     value = _Value("_v0")
-    count_exprs = []
-    current = "_n"
 
     def whole():
         """The local holding the whole current value, built first if
@@ -570,7 +571,6 @@ def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
     for i, kind in enumerate(kinds):
         if kind not in _STEP_NAMES:
             raise ValueError("unknown step kind %r" % (kind,))
-        count_exprs.append(current)
         lowering = lowerings[i]
         result = "_v%d" % (i + 1)
         if lowering is None:
@@ -615,9 +615,8 @@ def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
             lines.append("%sfor %s in %s:" % (pad, result, text))
             indent += 1
             value = _Value(result)
-        if i in counted:
-            lines.append("%s_c%d += 1" % ("    " * indent, i))
-            current = "_c%d" % i
+        if i in seen_by:
+            lines.append("%s_c += %d" % ("    " * indent, seen_by[i]))
     pad = "    " * indent
     if fold is None:
         if value.whole:
@@ -625,7 +624,7 @@ def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
         else:
             output = "(%s,)" % ", ".join(value.fields)
         lines.append("%s_append(%s)" % (pad, output))
-        lines.append("        _push((_out, [%s]))" % ", ".join(count_exprs))
+        lines.append("        _push((_out, _c))")
     else:
         if value.fields is not None and len(value.fields) == 2:
             key, item = value.fields
@@ -669,8 +668,7 @@ def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
             "%s    %s = %s" % (pad, slot, reduction),
             "%selse:" % pad,
             "%s    %s = %s" % (pad, slot, item),
-            "        _push((list(_acc.items()), [%s]))"
-            % ", ".join(count_exprs),
+            "        _push((list(_acc.items()), _c))",
         ])
     lines.append("    return _results")
     head = [
@@ -701,8 +699,9 @@ def generate_source(kinds, lowerings=(), name="_pipeline", fold=None):
         head.extend(["        _out = []", "        _append = _out.append"])
     else:
         head.append("        _acc = {}")
-    head.append("        _n = len(_part)")
-    head.extend("        _c%d = 0" % i for i in counted)
+    head.append("        _c = len(_part)%s" % (
+        " * %d" % (bounds[0] + 1) if bounds[0] else ""
+    ))
     return "\n".join(head + lines) + "\n"
 
 

@@ -94,7 +94,6 @@ from .validate import validate_job
 _KEY = operator.itemgetter(0)
 _VALUE = operator.itemgetter(1)
 _WORKS = operator.itemgetter(2)
-_FOLD_WORK = operator.itemgetter(3)
 
 
 _origin = p.origin
@@ -426,9 +425,10 @@ class Executor:
         boundary; between operators only a vector of records exists.
         The vector-at-a-time loop lives in
         :class:`~repro.engine.runtime.task.FusedPipelineTask` and runs
-        wherever the backend puts it; each operator is then credited
-        its input record count (plus reported UDF work) on the input's
-        stage, exactly as unfused evaluation would.
+        wherever the backend puts it and reports one record count per
+        partition -- each operator's input records, summed -- plus the
+        UDF work its steps reported, which the input's stage is then
+        credited exactly as unfused evaluation would credit it.
 
         A chain whose task set is large enough -- steps x input
         records reaches :data:`codegen.COMPILE_MIN_RECORD_STEPS` -- is
@@ -466,24 +466,21 @@ class Executor:
             task, child.partitions, stage=stage, ordinal=ordinals.take(),
             live=child.live,
         )
-        # Fold each live task's credit first -- its per-step record
-        # counts plus any UDF-internal sequential work, which runs
-        # record-at-a-time and is charged at the configured slowdown
-        # over the bulk rate, truncated per step (and per partition's
-        # reductions) -- then credit the whole set at once.  A task
-        # that was not dispatched processed nothing.
+        # Fold each live task's credit first -- its record count plus
+        # any UDF-internal sequential work, which runs record-at-a-time
+        # and is charged at the configured slowdown over the bulk rate,
+        # truncated per step (and per partition's reductions) -- then
+        # credit the whole set at once.  A task that was not dispatched
+        # processed nothing.
         ran = list(map(values.__getitem__, live))
-        sums = list(map(sum, map(_VALUE, ran)))
-        if any(map(any, map(_WORKS, ran))) or (
-            fold is not None and any(map(_FOLD_WORK, ran))
-        ):
-            for position, (_records, _counts, works, *fold_work) in enumerate(
-                ran
-            ):
-                sums[position] += sum(
-                    int(work * factor) for work in works + fold_work
-                )
-        stage.credit_task_records(sums, live)
+        counts = list(map(_VALUE, ran))
+        if any(map(_WORKS, ran)):
+            for position, (_records, _count, works) in enumerate(ran):
+                if works is not None:
+                    counts[position] += sum(
+                        int(work * factor) for work in works
+                    )
+        stage.credit_task_records(counts, live)
         return _Result(
             _scatter(len(values), live, map(_KEY, ran)), stage, live,
             _chain_layout(chain, child),

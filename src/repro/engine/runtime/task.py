@@ -5,8 +5,8 @@ anywhere: in the driver process (:class:`SerialBackend`) or in a forked
 worker (:class:`ProcessPoolBackend`).  Tasks therefore hold only
 picklable state -- UDFs, operator names, scalar config values -- never
 plan nodes, contexts, or metrics objects.  All metrics accounting stays
-on the driver: a task returns its outputs (plus the per-operator record
-counts the cost model needs), and the executor credits the trace.
+on the driver: a task returns its outputs (plus the record counts the
+cost model needs), and the executor credits the trace.
 
 Logical partitions, physical batches: the partition stays the unit the
 trace, the cost model, the fault injector and the retry policy see, but
@@ -166,19 +166,21 @@ class FusedPipelineTask(BatchTask):
     chain.
 
     ``steps`` is the chain bottom-up: ``(kind, fn, operator)`` triples.
-    Per partition the value is ``(records, counts, works)`` where
-    ``counts[i]`` is the number of records operator ``i`` processed and
-    ``works[i]`` the extra :class:`~repro.engine.work.Weighted` work it
-    reported.
+    Per partition the value is ``(records, count, works)``: ``count`` is
+    the records the chain's operators processed together, each counted
+    once per record that enters it, and ``works`` is ``None`` unless a
+    step declared :class:`~repro.engine.work.Weighted` work, else the
+    amounts, one per step -- the executor truncates each on its own.
 
     With a ``fold=(fn, operator)`` tail -- the chain feeds a
     ``reduce_by_key`` -- the task is the map-side combine too: each
     output vector is folded into its partition's dict
-    (:func:`fold_pairs`) instead of being appended, and the value is
-    ``(list(acc.items()), counts, works, fold_work)``: the records, in
-    the order, that a :class:`CombineTask` over the chain's output would
-    return.  The fold is the chain's last step under the rule below:
-    within a vector an earlier step's error wins over the fold's.
+    (:func:`fold_pairs`) instead of being appended, ``records`` are
+    ``list(acc.items())`` -- the records, in the order, that a
+    :class:`CombineTask` over the chain's output would return -- and
+    ``works`` has one amount more, the reductions', last.  The fold is
+    the chain's last step under the rule below: within a vector an
+    earlier step's error wins over the fold's.
 
     The unit is a vector of up to :data:`VECTOR` records, not a record
     and not a partition: the batch's records are laid end to end, each
@@ -186,18 +188,18 @@ class FusedPipelineTask(BatchTask):
     maps its UDF over a whole vector in C (one ``try`` per vector and
     step, no Python frame of the engine's per record) before the next
     step sees any of it.  A filter compresses the tags with the records
-    and a flat_map repeats each record's tag over its expansion; the
-    per-step counts, ``Weighted`` work and folds are credited to the
-    partition that owns the records.  Records, their order and the
-    per-step counts and works are those of record-at-a-time evaluation
-    of each partition alone.  What a UDF can observe is the call order:
-    within a vector every record passes step *i*, in order, before any
-    passes step *i + 1*, so when two records of one vector fail at
-    different steps the earlier step's error is the one raised -- also
-    when the earlier step's record belongs to a later partition of the
-    batch.  A flat_map's expansions are consumed in vectors of their own
-    before its next input vector is pulled, which keeps the output in
-    depth-first order and holds one vector per in-flight level.
+    and a flat_map repeats each record's tag over its expansion; counts,
+    ``Weighted`` work and folds are credited to the partition that owns
+    the records.  Records, their order, the count and the works are
+    those of record-at-a-time evaluation of each partition alone.  What
+    a UDF can observe is the call order: within a vector every record
+    passes step *i*, in order, before any passes step *i + 1*, so when
+    two records of one vector fail at different steps the earlier
+    step's error is the one raised -- also when the earlier step's
+    record belongs to a later partition of the batch.  A flat_map's
+    expansions are consumed in vectors of their own before its next
+    input vector is pulled, which keeps the output in depth-first order
+    and holds one vector per in-flight level.
     """
 
     __slots__ = ("steps", "fold")
@@ -218,22 +220,19 @@ class FusedPipelineTask(BatchTask):
         return _chain_udfs(self.steps, self.fold)
 
     def empty_result(self):
-        zeros = [0] * len(self.steps)
-        if self.fold is None:
-            return [], zeros, zeros
-        return [], zeros, zeros, 0
+        return [], 0, None
 
     def run(self, parts):
         steps = self.steps
         fold = self.fold
         num = len(steps)
-        counts = [[0] * num for _ in parts]
-        works = None  # one list per partition once a Weighted shows
+        width = num + (fold is not None)  # the steps' work, the fold's
+        counts = [0] * len(parts)
+        works = [None] * len(parts)  # a list once a partition's work shows
         if fold is None:
             outs = [[] for _ in parts]
         else:
             accs = [{} for _ in parts]
-            fold_works = [0] * len(parts)
         # An explicit iterator stack (one level per in-flight flat_map
         # expansion) keeps evaluation depth independent of chain length
         # and memory bounded by one vector per level.  A level's
@@ -266,10 +265,10 @@ class FusedPipelineTask(BatchTask):
             while i < num:
                 kind, fn, operator = steps[i]
                 if runs is None:
-                    counts[owner][i] += len(items)
+                    counts[owner] += len(items)
                 else:
                     for position, start, stop in runs:
-                        counts[position][i] += stop - start
+                        counts[position] += stop - start
                 try:
                     produced = list(map(fn, items))
                 except (SimulatedOutOfMemory, UdfError):
@@ -277,16 +276,13 @@ class FusedPipelineTask(BatchTask):
                 except Exception as exc:
                     raise UdfError(operator, exc) from exc
                 if Weighted in map(type, produced):
-                    if works is None:
-                        works = [[0] * num for _ in parts]
                     if runs is not None:
                         for position, start, stop in runs:
-                            works[position][i] += unwrap_all(
-                                produced[start:stop]
-                            )[1]
+                            _credit_work(works, position, i, width,
+                                         unwrap_all(produced[start:stop])[1])
                     produced, work = unwrap_all(produced)
                     if runs is None:
-                        works[owner][i] += work
+                        _credit_work(works, owner, i, width, work)
                 i += 1
                 if kind == STEP_MAP:
                     items = produced
@@ -320,16 +316,22 @@ class FusedPipelineTask(BatchTask):
                     if fold is None:
                         outs[position] += items[start:stop]
                     else:
-                        fold_works[position] += fold_pairs(
+                        work = fold_pairs(
                             accs[position], items[start:stop], *fold
                         )
-        if works is None:
-            works = repeat([0] * num)  # values are read-only: one serves
-        if fold is None:
-            return list(zip(outs, counts, works))
-        return list(zip(
-            [list(acc.items()) for acc in accs], counts, works, fold_works
-        ))
+                        _credit_work(works, position, num, width, work)
+        if fold is not None:
+            outs = [list(acc.items()) for acc in accs]
+        return list(zip(outs, counts, works))
+
+
+def _credit_work(works, position, step, width, work):
+    """Add ``work`` to ``works[position][step]``, making the partition's
+    list of ``width`` amounts at its first."""
+    if work:
+        if works[position] is None:
+            works[position] = [0] * width
+        works[position][step] += work
 
 
 def _runs(owners):
@@ -354,10 +356,10 @@ class CompiledPipelineTask(BatchTask):
 
     Built by :mod:`repro.engine.codegen` for chains whose UDFs are
     proven pure and Weighted-free; observationally identical to
-    :class:`FusedPipelineTask` (same records, same per-operator
-    counts, ``works`` all zero -- which the compile gate guarantees the
-    interpreter would also report).  The generated function loops over
-    the batch's partitions itself, so a batch is one Python call.
+    :class:`FusedPipelineTask` (same records, same count, ``works``
+    ``None`` -- which the compile gate guarantees the interpreter would
+    also report).  The generated function loops over the batch's
+    partitions itself, so a batch is one Python call.
 
     Carries only picklable state: the steps (for operator names, UDFs,
     and the interpreter a failing batch is re-run through, so both
@@ -442,17 +444,16 @@ class CompiledPipelineTask(BatchTask):
             # the interpreter raises, with its step and its
             # first-failing-step rule.
             return self._interpret(parts)
-        # Values are read-only: one list of zero works serves the batch.
-        works = [0] * len(self.steps)
-        if self.fold is None:
-            return [(out, counts, works) for out, counts in results]
-        if self._folds:
-            return [(out, counts, works, 0) for out, counts in results]
+        if self.fold is None or self._folds:
+            return [(out, count, None) for out, count in results]
         values = []
-        for out, counts in results:
+        for out, count in results:
             acc = {}
             work = fold_pairs(acc, out, *self.fold)
-            values.append((list(acc.items()), counts, works, work))
+            values.append((
+                list(acc.items()), count,
+                [0] * len(self.steps) + [work] if work else None,
+            ))
         return values
 
 

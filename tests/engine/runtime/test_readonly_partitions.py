@@ -169,7 +169,7 @@ def test_the_driver_fills_empty_slots_with_the_frozen_partition(
 def test_a_chain_that_folds_shares_one_frozen_empty_too(monkeypatch):
     # The chain's task is the reduce's map-side combine as well: one
     # task set where there were two, its 61 empties one frozen value
-    # (combined partition, counts and works) that the shuffle only
+    # (combined partition, count and works) that the shuffle only
     # reads.
     sets = []
     run_stage = TaskScheduler.run_stage
@@ -194,9 +194,9 @@ def test_a_chain_that_folds_shares_one_frozen_empty_too(monkeypatch):
     folded, _reduced = sets
     empties = [value for value in folded if not value[0]]
     assert len(empties) == 61 and len({id(value) for value in empties}) == 1
-    records, counts, works, fold_work = empties[0]
-    assert {type(records), type(counts), type(works)} == {FrozenList}
-    assert (records, counts, works, fold_work) == ([], [0], [0], 0)
+    records, count, works = empties[0]
+    assert type(records) is FrozenList
+    assert (records, count, works) == ([], 0, None)
 
 
 @pytest.mark.parametrize("overrides", BACKENDS)

@@ -3,8 +3,8 @@
 ``FusedPipelineTask`` pushes vectors of ``VECTOR`` records through one
 operator at a time.  The loop it replaced -- one record through the
 whole chain at a time -- is kept here, and only here, as the oracle:
-records, their order, per-step counts and works must be equal on every
-generated chain.  What *is* allowed to differ, the order UDFs are
+records, their order, the per-step counts summed and the works must be
+equal on every generated chain.  What *is* allowed to differ, the order UDFs are
 called in and which of two failing steps reports, is pinned below, and
 a call-count guard fails if a per-record Python wrapper of the engine's
 comes back.
@@ -101,6 +101,13 @@ def record_at_a_time(steps, part):
     return out, counts, works
 
 
+def task_value(out, counts, works):
+    """What a chain task returns for the oracle's ``(out, counts,
+    works)``: the per-step counts summed, and ``works`` ``None`` where
+    no step declared any."""
+    return out, sum(counts), works if any(works) else None
+
+
 # ----------------------------------------------------------------------
 # Generated chains over int records (every composition is well-typed)
 # ----------------------------------------------------------------------
@@ -176,13 +183,15 @@ def compiled_task(steps, fold=None, tail=None):
 def assert_matches_oracle(steps, part):
     before = list(part)
     task = FusedPipelineTask(steps)
-    out, counts, works = task(part)
-    assert (out, counts, works) == record_at_a_time(steps, before)
+    out, count, works = task(part)
+    assert (out, count, works) == task_value(
+        *record_at_a_time(steps, before)
+    )
     assert out is not part
     assert list(part) == before
     if not any("weighted" in operator for _kind, _fn, operator in steps):
         # What the compile gate lets through: no Weighted results.
-        assert compiled_task(steps)(part) == (out, counts, works)
+        assert compiled_task(steps)(part) == (out, count, works)
         assert list(part) == before
 
 
@@ -345,10 +354,12 @@ def test_lowered_chains_match_the_interpreter_and_plain_python(length, specs):
     assert "_udfs[" not in task.source  # every body lowered, no call
     compiled = _outcome(task, part)
     assert compiled == _outcome(FusedPipelineTask(steps), part)
-    plain = _outcome(lambda p: record_at_a_time(steps, p), part)
+    plain = _outcome(
+        lambda p: task_value(*record_at_a_time(steps, p)), part
+    )
     assert plain[0] == compiled[0]
     if compiled[0] == "ok":
-        # Records, per-operator counts and the all-zero works.  Which
+        # Records, the summed per-operator counts and no works.  Which
         # of two failing steps reports is the interpreter's rule.
         assert plain == compiled
     assert part == list(range(length))
@@ -432,11 +443,13 @@ TAILS = {
 
 
 def unfused(steps, fold):
-    """The two task sets a chain with a fold tail replaces."""
+    """The two task sets a chain with a fold tail replaces, the
+    combine's work appended to the chain's works."""
     def body(part):
-        out, counts, works = FusedPipelineTask(steps)(part)
+        out, count, works = FusedPipelineTask(steps)(part)
         records, work = CombineTask(*fold)(out)
-        return records, counts, works, work
+        works = (works or [0] * len(steps)) + [work]
+        return records, count, works if any(works) else None
 
     return body
 
@@ -481,7 +494,7 @@ def test_a_fold_tail_matches_the_two_task_sets_it_replaces(
     fn, in_loop = REDUCERS[reducer]
     fold = (fn, "%s#%d" % (reducer, len(steps)))
     part = list(range(length))
-    # Records *in order*, per-step counts and works, the reductions'
+    # Records *in order*, the count, per-step works and the reductions'
     # work; or the reducer's UdfError (its operator, the first failing
     # reduction's error), or the PlanError of the first non-pair.
     reference = _outcome(unfused(steps, fold), part)
@@ -583,7 +596,7 @@ def test_nested_expansions_stay_depth_first():
 def test_empty_result_is_the_call_on_nothing(specs, fold):
     task = FusedPipelineTask(build_steps(specs), fold)
     assert task.empty_result() == task([])
-    assert len(task.empty_result()) == (3 if fold is None else 4)
+    assert task.empty_result() == ([], 0, None)
 
 
 def test_unwrap_all_sums_work_and_keeps_order():
@@ -682,7 +695,7 @@ def test_call_order_is_step_major_within_a_vector():
         (STEP_MAP, recording("k", lambda x: x), "k"),
     ]
     part = list(range(VECTOR + 2))
-    out, _counts, _works = FusedPipelineTask(steps)(part)
+    out, _count, _works = FusedPipelineTask(steps)(part)
     first, second = part[:VECTOR], part[VECTOR:]
     kept = [x for x in first if x != 1]
     assert calls == (
@@ -906,7 +919,7 @@ def batch_of(lengths):
 
 def assert_batch_is_its_calls(task, parts, raisers=1):
     """``task.run(parts)`` is ``[task(p) for p in parts]``: values,
-    counts, works and fold work, or the same error.  With more than one
+    counts and works, the fold's included, or the same error.  With more than one
     UDF that can raise, which one reports may differ -- within a vector
     the earlier step's error wins, also across the batch's partitions
     -- but both raise.  An input that is a tuple is the call's
@@ -1092,8 +1105,10 @@ def test_a_later_partitions_earlier_step_wins_within_a_batch():
 def test_weighted_work_is_credited_to_its_partition():
     steps = [(STEP_MAP, lambda x: Weighted(x, x), "w"),
              (STEP_FLATMAP, lambda x: Weighted([x] * (x % 3), 1), "f")]
-    (first, _c, first_works), (second, _d, second_works) = (
+    (first, first_count, first_works), (second, second_count,
+                                        second_works) = (
         FusedPipelineTask(steps).run([[1, 2], [3, 4, 5]])
     )
     assert (first, second) == ([1, 2, 2], [4, 5, 5])
+    assert (first_count, second_count) == (2 + 2, 3 + 3)
     assert first_works == [3, 2] and second_works == [12, 3]

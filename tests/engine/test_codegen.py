@@ -77,7 +77,7 @@ def _steps(*pairs):
 
 class TestParity:
     """Compiled output must match the interpreter exactly: records,
-    per-operator counts, and (trivially) zero weighted works."""
+    the summed per-operator count, and (trivially) no weighted works."""
 
     CHAINS = [
         _steps((STEP_MAP, _double)),
@@ -102,12 +102,12 @@ class TestParity:
     def test_matches_interpreter(self, steps, part):
         task, reason = plan_compiled_task(steps)
         assert reason is None, reason
-        out_i, counts_i, works_i = FusedPipelineTask(steps)(list(part))
-        out_c, counts_c, works_c = task(list(part))
+        out_i, count_i, works_i = FusedPipelineTask(steps)(list(part))
+        out_c, count_c, works_c = task(list(part))
         assert out_c == out_i
-        assert counts_c == counts_i
+        assert count_c == count_i
         assert works_c == works_i
-        assert all(w == 0 for w in works_c)
+        assert works_c is None
 
 
 class TestGating:
@@ -170,12 +170,12 @@ class TestGeneratedSource:
 # appears below as a parameter or a captured name.
 
 
-def _shadowing_steps(_out, _n, _c3, _append):
+def _shadowing_steps(_out, _c, _push, _append):
     def add(_v0):
         return _v0 + _out
 
     def keep(_v1):
-        return _v1 % _n != _c3
+        return _v1 % _c != _push
 
     def pair(_v0):
         return (_v0, _append)
@@ -288,7 +288,7 @@ class TestLowering:
         task, reason = plan_compiled_task(steps)
         assert reason is None
         assert "_udfs[" not in task.source
-        for name in ("_out", "_n", "_c3", "_append"):
+        for name in ("_out", "_c", "_push", "_append"):
             assert "__%s" % name.lstrip("_") in task.source  # renamed
         part = list(range(50))
         assert task(part) == FusedPipelineTask(steps)(part)

@@ -8,7 +8,11 @@ materializing a shared cached subtree mid-walk can never produce a
 hybrid unit graph.
 """
 
-from repro.engine import EngineContext, laptop_config
+import threading
+
+import pytest
+
+from repro.engine import EngineContext, dag, laptop_config
 from repro.engine.dag import snapshot_plan_state
 from repro.engine.plan import assign_node_ids
 
@@ -126,3 +130,81 @@ def test_gathered_jobs_materialize_an_explicit_cache():
         assert sorted(
             value for part in materialized for value in part
         ) == [x * 2 for x in range(40)]
+
+
+def _units_signature(units):
+    """A unit graph by shape: each unit's node class, whether it reads
+    cached partitions, and the classes of its fused chain."""
+    return [
+        (type(unit.node).__name__, unit.cached,
+         [type(node).__name__ for node in unit.chain or ()])
+        for unit in units
+    ]
+
+
+@pytest.mark.parametrize("flip", ["before", "after"])
+def test_a_cached_node_materialized_mid_plan_gives_a_serial_outcome(
+    monkeypatch, flip
+):
+    # Job A's planning walk is held at its snapshot while job B, gathered
+    # with it, materializes the cached node A reads.  Whether B's flip
+    # lands before A's snapshot or after it, A plans exactly as it would
+    # have with B run wholly after it or wholly before it, and returns
+    # what a serial run returns.
+    planned = []
+    plan_units = dag.plan_units
+
+    def recording_plan_units(root):
+        units = plan_units(root)
+        planned.append((threading.get_ident(), _units_signature(units)))
+        return units
+
+    monkeypatch.setattr(dag, "plan_units", recording_plan_units)
+
+    def program(ctx):
+        shared = ctx.bag_of(range(40), num_partitions=4).map(_double).cache()
+        return shared, shared.map(_negate)
+
+    serial = {}
+    for first in ("A", "B"):
+        ctx = fresh_ctx()
+        shared, left = program(ctx)
+        if first == "B":
+            assert shared.count() == 40
+        del planned[:]
+        assert left.sum() == sum(-x * 2 for x in range(40))
+        (serial[first],) = [units for _thread, units in planned]
+    assert serial["A"] != serial["B"]  # the flip is visible to planning
+
+    snapshot = dag.snapshot_plan_state
+    paused, resume = threading.Event(), threading.Event()
+    walker = []
+
+    def pausing_snapshot(root):
+        if threading.get_ident() not in walker or paused.is_set():
+            return snapshot(root)
+        state = snapshot(root) if flip == "after" else None
+        paused.set()
+        assert resume.wait(10), "job B never materialized the node"
+        return state if state is not None else snapshot(root)
+
+    monkeypatch.setattr(dag, "snapshot_plan_state", pausing_snapshot)
+    ctx = fresh_ctx()
+    shared, left = program(ctx)
+
+    def job_a():
+        walker.append(threading.get_ident())
+        return left.sum()
+
+    def job_b():
+        assert paused.wait(10), "job A's walk never reached its snapshot"
+        try:
+            return shared.count()
+        finally:
+            resume.set()
+
+    del planned[:]
+    assert ctx.gather(job_a, job_b) == [sum(-x * 2 for x in range(40)), 40]
+    (units,) = [units for thread, units in planned if thread in walker]
+    assert units in serial.values()
+    assert units == serial["A" if flip == "after" else "B"]
