@@ -1266,23 +1266,13 @@ def plan_effects(root):
     deterministic / io-free?" -- the question a ``cache()`` on the node
     must answer yes to before it may replace recomputation.
     """
-    reports = {}
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        key = id(node)
-        if key in reports:
-            continue
-        if not expanded:
-            stack.append((node, True))
-            for child in node.children:
-                if id(child) not in reports:
-                    stack.append((child, False))
-            continue
-        own = [analyze_effects(fn) for fn in _node_udfs(node)]
-        child_reports = [reports[id(child)] for child in node.children]
-        reports[key] = combine_reports(own + child_reports)
-    return reports
+    return p.fold_plan(root, _node_effects)
+
+
+def _node_effects(node, reports):
+    own = [analyze_effects(fn) for fn in _node_udfs(node)]
+    child_reports = [reports[id(child)] for child in node.children]
+    return combine_reports(own + child_reports)
 
 
 def subtree_effects(root):
@@ -1297,7 +1287,7 @@ def effects_notes(root):
     nodes would all read ``pure det io-free`` and drown the signal).
     """
     notes = {}
-    for node in p.iter_nodes(root):
+    for node in p.iter_nodes_ordered(root):
         fns = _node_udfs(node)
         if not fns:
             continue

@@ -73,7 +73,7 @@ def analyze_plan(root, config=None):
     consumers = p.consumer_counts(root)
     props = infer_properties(root)
     has_wide = any(
-        isinstance(node, _WIDE) for node in p.iter_nodes(root)
+        isinstance(node, _WIDE) for node in p.iter_nodes_ordered(root)
     )
     diags = []
 

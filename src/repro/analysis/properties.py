@@ -19,8 +19,10 @@ plan edges trace back to the *same* shuffle node.  A
 shuffle node; at runtime the executor carries the concrete assignment
 a run of that node produced with the partitions laid out by it, and
 decides each elision from that (:func:`repro.engine.optimize
-.choose_elision`).  The elisions inferred here are the engine's
-decisions predicted from the plan alone, for two consumers:
+.choose_elision`).  The elisions inferred here are that same function
+called on the inputs' predicted partitionings, whose origin stands in
+for the assignment: the engine's decisions predicted from the plan
+alone, for two consumers:
 
 * the NPL4xx plan diagnostics (:mod:`repro.analysis.plan_lint`),
 * ``Bag.explain(properties=True)`` annotations
@@ -32,7 +34,7 @@ modules; the engine reaches back into it only lazily, for
 """
 
 from ..engine import plan as p
-from ..engine.optimize import keeps_layout, udf_preserves_key
+from ..engine.optimize import choose_elision, keeps_layout, udf_preserves_key
 from ..udf import function_ast
 
 __all__ = [
@@ -91,6 +93,17 @@ class Partitioning:
     @classmethod
     def unknown(cls, blame=None, reason="", lost=None):
         return cls(NONE, blame=blame, reason=reason, lost=lost)
+
+    @property
+    def layout(self):
+        """What :func:`choose_elision` reads of a side: ``(origin,
+        assignment)`` when HASH, the origin standing in for the one
+        assignment a plan can show it building; else ``None``."""
+        return (self.origin, self.origin) if self.kind == HASH else None
+
+    @property
+    def partitions(self):
+        return range(self.num_partitions)
 
     def __repr__(self):
         if self.kind == HASH:
@@ -151,25 +164,15 @@ def infer_properties(root):
         A :class:`PlanProperties` with per-node partitioning and
         shuffle-elision opportunities (both keyed by ``id(node)``).
     """
-    parts = {}
     elisions = {}
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        key = id(node)
-        if key in parts:
-            continue
-        if not expanded:
-            stack.append((node, True))
-            for child in node.children:
-                if id(child) not in parts:
-                    stack.append((child, False))
-            continue
+
+    def visit(node, parts):
         partitioning, elision = _node_partitioning(node, parts)
-        parts[key] = partitioning
         if elision is not None:
-            elisions[key] = elision
-    return PlanProperties(root, parts, elisions)
+            elisions[id(node)] = elision
+        return partitioning
+
+    return PlanProperties(root, p.fold_plan(root, visit), elisions)
 
 
 def _node_partitioning(node, parts):
@@ -182,38 +185,23 @@ def _node_partitioning(node, parts):
         return Partitioning.unknown(blame=node, reason=_drop_reason(node),
                                     lost=child), None
     if isinstance(node, p.Union):
-        lost = None
-        for inp in node.children:
-            if parts[id(inp)].kind == HASH:
-                lost = parts[id(inp)]
-                break
+        lost = next((parts[id(inp)] for inp in node.children
+                     if parts[id(inp)].kind == HASH), None)
         blame = node if lost is not None else None
         return Partitioning.unknown(blame=blame, reason="union",
                                     lost=lost), None
-    if isinstance(node, (p.ReduceByKey, p.GroupByKey)):
-        child = parts[id(node.child)]
+    if isinstance(node, (p.ReduceByKey, p.GroupByKey, p.CoGroup)):
         n = node.num_partitions
-        if child.kind == HASH and child.num_partitions == n:
-            # Every key is already confined to the partition this
-            # shuffle would send it to: the shuffle is a no-op.
-            return child, Elision(node, "elide", child.origin)
-        return Partitioning.hashed(n, node), None
-    if isinstance(node, p.CoGroup):
-        left = parts[id(node.left)]
-        right = parts[id(node.right)]
-        n = node.num_partitions
-        left_fits = left.kind == HASH and left.num_partitions == n
-        right_fits = right.kind == HASH and right.num_partitions == n
-        if left_fits and right_fits and left.origin is right.origin:
-            return (Partitioning.hashed(n, left.origin),
-                    Elision(node, "elide-both", left.origin))
-        if left_fits:
-            return (Partitioning.hashed(n, node),
-                    Elision(node, "adopt-left", left.origin))
-        if right_fits:
-            return (Partitioning.hashed(n, node),
-                    Elision(node, "adopt-right", right.origin))
-        return Partitioning.hashed(n, node), None
+        chosen = choose_elision(
+            node, *(parts[id(child)] for child in node.children)
+        )
+        if chosen is None:
+            return Partitioning.hashed(n, node), None
+        choice, origin = chosen
+        # An elided shuffle's output keeps the reused layout; an adopted
+        # cogroup's builds its own.
+        kept = origin if choice in ("elide", "elide-both") else node
+        return Partitioning.hashed(n, kept), Elision(node, choice, origin)
     if isinstance(node, p.BroadcastJoin):
         # Probe-side records (k, v) become (k, (v, w)) in place: the
         # output keeps the left (probe) side's layout and key set.
@@ -249,18 +237,14 @@ def partitioning_notes(root, props=None):
         props = infer_properties(root)
     ids = p.assign_node_ids(root)
     notes = {}
-    for node in p.iter_nodes(root):
+    for node in p.iter_nodes_ordered(root):
         partitioning = props.partitioning[id(node)]
         if partitioning.kind == HASH:
-            origin = partitioning.origin
-            if origin is node:
+            origin_id = ids.get(id(partitioning.origin))
+            if partitioning.origin is node or origin_id is None:
                 notes[id(node)] = "hash(k0)"
             else:
-                origin_id = ids.get(id(origin))
-                if origin_id is None:
-                    notes[id(node)] = "hash(k0)"
-                else:
-                    notes[id(node)] = "hash(k0) via #%d" % origin_id
+                notes[id(node)] = "hash(k0) via #%d" % origin_id
         elif partitioning.blame is node:
             notes[id(node)] = "drops hash(k0)"
     return notes

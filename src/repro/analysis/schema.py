@@ -616,24 +616,13 @@ class PlanSchemas:
 def infer_schemas(root):
     """Bottom-up schema inference over the plan reachable from ``root``.
 
-    Iterative post-order (children before parents), so arbitrarily deep
-    plans do not overflow the Python stack -- the same discipline as
-    the executor and the property/effect passes.
+    One :func:`~repro.engine.plan.fold_plan` (children before parents),
+    so arbitrarily deep plans do not overflow the Python stack.
     """
-    schemas = {}
     skips = []
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            schemas[id(node)] = _node_schema(node, schemas, skips)
-            continue
-        if id(node) in schemas:
-            continue
-        stack.append((node, True))
-        for child in node.children:
-            if id(child) not in schemas:
-                stack.append((child, False))
+    schemas = p.fold_plan(
+        root, lambda node, schemas: _node_schema(node, schemas, skips)
+    )
     return PlanSchemas(schemas, skips)
 
 

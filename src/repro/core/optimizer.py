@@ -13,6 +13,7 @@ off that:
   broadcast (Sec. 8.3).
 """
 
+import weakref
 from dataclasses import dataclass
 
 from ..engine import plan as engine_plan
@@ -67,7 +68,9 @@ class Optimizer:
         self.engine = engine
         self.lowering = lowering if lowering is not None else LoweringConfig()
         self.decisions = []
-        self._count_cache = {}
+        # Keyed by the node itself, held weakly: a freed node's entry
+        # goes with it, so no later node can read its count.
+        self._count_cache = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     # Sec. 8.1: partition counts from InnerScalar sizes
@@ -198,14 +201,14 @@ class Optimizer:
         and memoized (the count job is charged to the trace -- estimating
         a distributed dataset's size is not free in reality either).
         """
-        key = id(bag.node)
-        if key in self._count_cache:
-            return self._count_cache[key]
-        if isinstance(bag.node, engine_plan.Parallelize):
-            count = len(bag.node.data)
+        node = bag.node
+        if node in self._count_cache:
+            return self._count_cache[node]
+        if isinstance(node, engine_plan.Parallelize):
+            count = len(node.data)
         else:
             count = bag.count(label="optimizer size estimate")
-        self._count_cache[key] = count
+        self._count_cache[node] = count
         return count
 
     def decisions_of_kind(self, kind):

@@ -289,7 +289,7 @@ class Bag:
         """Estimated size of one join side, or None when unknown."""
         records = hinted_records
         if records is None:
-            records = _known_count(side.node)
+            records = p.static_record_count(side.node)
         if records is None:
             return None
         rate = (
@@ -578,16 +578,6 @@ class Bag:
 
 def _identity(x):
     return x
-
-
-def _known_count(node):
-    """Record count of a plan node when statically known, else None.
-
-    Driver-provided data has an exact count; size-preserving narrow
-    chains propagate it.  Shared with the plan lint's broadcast-size
-    prediction (:func:`repro.engine.plan.static_record_count`).
-    """
-    return p.static_record_count(node)
 
 
 def _swap_pair(vw):

@@ -937,26 +937,16 @@ class Executor:
     # -- broadcast operators (narrow) ----------------------------------
 
     def _eval_broadcast_join(self, node, job, left, right, ordinals):
+        self._ship_broadcast(
+            node, job, node.right, right, "broadcast join build side",
+            "join build side",
+        )
         table = {}
-        count = 0
-        _credit_records(right.stage, right.partitions, right.live)
         for part in right.live_partitions():
             for record in part:
                 require_keyed(record)
                 key, value = record
                 table.setdefault(key, []).append(value)
-                count += 1
-        check_broadcast_fits(
-            count, self.config, "broadcast join build side",
-            meta=node.right.meta,
-        )
-        if node.right.meta:
-            job.broadcast_meta_records += count
-        else:
-            job.broadcast_records += count
-        self._trace_broadcast(
-            "join build side", _origin(node), count, node.right.meta
-        )
         stage = self._scale_corrected(left.stage, node, job)
         task = BroadcastJoinProbeTask(table, _origin(node))
         out, live = self.scheduler.run_stage(
@@ -969,27 +959,16 @@ class Executor:
 
     def _eval_cross_broadcast(self, node, job, left, right, ordinals):
         if node.broadcast_side == "right":
-            stream_node, stream = node.left, left
-            small_node, small = node.right, right
+            stream, small_node, small = left, node.right, right
         else:
-            stream_node, stream = node.right, right
-            small_node, small = node.left, left
+            stream, small_node, small = right, node.left, left
+        self._ship_broadcast(
+            node, job, small_node, small, "cross-product broadcast side",
+            "cross-product side",
+        )
         payload = list(itertools.chain.from_iterable(
             small.live_partitions()
         ))
-        _credit_records(small.stage, small.partitions, small.live)
-        check_broadcast_fits(
-            len(payload), self.config, "cross-product broadcast side",
-            meta=small_node.meta,
-        )
-        if small_node.meta:
-            job.broadcast_meta_records += len(payload)
-        else:
-            job.broadcast_records += len(payload)
-        self._trace_broadcast(
-            "cross-product side", _origin(node), len(payload),
-            small_node.meta,
-        )
         stage = self._scale_corrected(stream.stage, node, job)
         task = CrossBroadcastTask(
             payload, node.broadcast_side, _origin(node)
@@ -1021,8 +1000,18 @@ class Executor:
             origin=origin,
         )
 
-    def _trace_broadcast(self, what, origin, num_records, meta):
-        """Emit a ``broadcast`` instant for a shipped payload."""
+    def _ship_broadcast(self, node, job, small_node, small, side, what):
+        """Ship ``small``, the result of ``node``'s broadcast input
+        ``small_node``: credit its records to its stage, check they fit
+        (``side`` names them in the error), count them on ``job`` and
+        emit a ``broadcast`` instant (``what`` names them in it)."""
+        count = _credit_records(small.stage, small.partitions, small.live)
+        meta = small_node.meta
+        check_broadcast_fits(count, self.config, side, meta=meta)
+        if meta:
+            job.broadcast_meta_records += count
+        else:
+            job.broadcast_records += count
         if not self.tracer.enabled:
             return
         rate = (
@@ -1030,13 +1019,14 @@ class Executor:
             if meta
             else self.config.bytes_per_record
         )
+        origin = _origin(node)
         self.tracer.instant(
             "broadcast:%s" % origin,
             KIND_BROADCAST,
             lane=self.scheduler.dispatch_lane(),
             what=what,
-            records=num_records,
-            bytes=int(num_records * rate),
+            records=count,
+            bytes=int(count * rate),
             origin=origin,
         )
 

@@ -269,27 +269,14 @@ class CrossBroadcast(PlanNode):
         return (self.left, self.right)
 
 
-def iter_nodes(root):
-    """Yield every node in the plan reachable from ``root`` (pre-order)."""
-    seen = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        yield node
-        stack.extend(node.children)
-
-
 def iter_nodes_ordered(root):
-    """Depth-first pre-order traversal visiting children left-to-right.
+    """Yield every node reachable from ``root`` once, depth-first
+    pre-order with children left-to-right.
 
-    Unlike :func:`iter_nodes` (whose stack order is an implementation
-    detail), this order is the one a reader sees in ``explain()`` --
-    node ids are assigned along it.  Iterative, so arbitrarily deep
-    plans (the reason the executor itself is iterative) do not overflow
-    the Python stack.
+    This order is the one a reader sees in ``explain()`` -- node ids
+    are assigned along it.  Iterative, so arbitrarily deep plans (the
+    reason the executor itself is iterative) do not overflow the Python
+    stack.
     """
     seen = set()
     stack = [root]
@@ -307,7 +294,7 @@ def consumer_counts(root):
     (``CoGroup(x, x)`` counts twice; the root and unreferenced nodes
     are absent)."""
     counts = {}
-    for node in iter_nodes(root):
+    for node in iter_nodes_ordered(root):
         for child in node.children:
             counts[id(child)] = counts.get(id(child), 0) + 1
     return counts
@@ -327,6 +314,31 @@ def assign_node_ids(root):
     }
 
 
+def fold_plan(root, visit):
+    """Fold ``visit`` over the plan bottom-up: ``{id(node): value}``.
+
+    ``visit(node, values)`` computes one node's value once every child's
+    is in ``values``; each node reachable from ``root`` is visited once,
+    however many parents share it.  Iterative post-order, so arbitrarily
+    deep plans do not overflow the Python stack.  The one walk behind
+    :func:`partition_counts` and the property, schema and effect
+    analyses (:mod:`repro.analysis`).
+    """
+    values = {}
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            values[id(node)] = visit(node, values)
+        elif id(node) not in values:
+            stack.append((node, True))
+            stack.extend(
+                (child, False) for child in node.children
+                if id(child) not in values
+            )
+    return values
+
+
 def partition_counts(root):
     """Per-node output partition counts: ``{id(node): int}``.
 
@@ -334,21 +346,7 @@ def partition_counts(root):
     shuffles fix their own count, unions add their inputs, narrow nodes
     inherit from the (streamed) child.
     """
-    counts = {}
-    # Iterative post-order: children resolved before parents.
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            counts[id(node)] = _own_partitions(node, counts)
-            continue
-        if id(node) in counts:
-            continue
-        stack.append((node, True))
-        for child in node.children:
-            if id(child) not in counts:
-                stack.append((child, False))
-    return counts
+    return fold_plan(root, _own_partitions)
 
 
 def _own_partitions(node, counts):
@@ -454,7 +452,7 @@ def static_record_count(node):
 
 
 def count_nodes(root):
-    return sum(1 for _ in iter_nodes(root))
+    return sum(1 for _ in iter_nodes_ordered(root))
 
 
 def flatten_union_inputs(inputs):

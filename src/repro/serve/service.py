@@ -45,7 +45,7 @@ import warnings
 from ..engine.broadcast import Broadcast
 from ..engine.context import EngineContext
 from ..observe.report import RunReport, entry_from_job_entries
-from ..udf import fingerprint_function
+from ..udf import closure_bindings, fingerprint_function, unwrap
 from .artifacts import KIND_BAG, KIND_BROADCAST, ArtifactCache
 from .queue import (
     REJECT_SHUTDOWN,
@@ -242,7 +242,8 @@ class JobService:
         )
         self._lock = threading.Lock()
         # Monotonic source of never-matching fingerprints for builders
-        # whose determinism the effect analysis refuted: each of their
+        # whose determinism the effect analysis refuted or whose
+        # captured values cannot be compared: each of their
         # jobs gets a fresh fingerprint, so the cache never serves a
         # value one nondeterministic build produced to another.
         self._volatile_fingerprints = 0
@@ -501,24 +502,37 @@ class JobService:
         built the same value, which requires (a) the same builder code
         -- captured by the canonical AST fingerprint
         (:func:`repro.udf.fingerprint_function`), which
-        also covers the module-level helpers the builder calls -- and
-        (b) a builder that produces the same value every run.  When
-        the effect analysis *refutes* determinism, (b) provably fails:
+        also covers the module-level helpers the builder calls -- (b)
+        equal captured values: the builder's closure cells and its
+        ``partial`` / bound-method bindings (:func:`repro.udf.unwrap`),
+        compared with ``==``, so ``make_builder(3)`` and
+        ``make_builder(5)`` never share -- and (c) a builder that
+        produces the same value every run.  When the effect analysis
+        *refutes* determinism, (c) provably fails, and when a captured
+        value's comparison raises, (b) cannot be checked: either way
         the builder gets a fresh, never-matching fingerprint per job,
         so cross-job reuse is never offered for it.  A builder whose
-        source is unavailable keeps a stable opaque fingerprint
+        source is unavailable keeps a stable opaque code fingerprint
         (matching the pre-fingerprint behavior for artifacts the
         analysis cannot see into).
         """
         # Lazy import: the effect scanner lives above the engine.
         from ..analysis.effects import analyze_effects
 
-        if analyze_effects(build).deterministic is False:
+        volatile = analyze_effects(build).deterministic is False
+        inner, bindings = unwrap(build)
+        captured = tuple(bindings) + tuple(closure_bindings(inner).items())
+        try:
+            for _name, value in captured:
+                bool(value == value)
+        except Exception:  # noqa: BLE001 -- no usable ==, no provable reuse
+            volatile = True
+        if volatile:
             with self._lock:
                 self._volatile_fingerprints += 1
                 return "volatile:%d" % self._volatile_fingerprints
         digest = fingerprint_function(build)
-        return digest if digest is not None else "opaque"
+        return (digest if digest is not None else "opaque"), captured
 
     def _on_evict(self, entry):
         """Cache eviction hook: release the evicted bag's partitions.

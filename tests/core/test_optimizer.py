@@ -162,3 +162,13 @@ class TestEstimateCount:
         assert optimizer.estimate_count(bag) == 10
         assert optimizer.estimate_count(bag) == 10
         assert ctx.trace.num_jobs == before + 1
+
+    def test_a_node_never_reads_another_nodes_count(self, ctx):
+        # Each bag is dropped before the next is built, so a new node
+        # may be allocated where a freed one lived: its count must be
+        # its own, not the one memoized for the freed node.
+        optimizer = Optimizer(ctx)
+        for n in range(1, 33):
+            bag = ctx.bag_of(range(n)).map(lambda x: x)
+            assert optimizer.estimate_count(bag) == n
+            del bag

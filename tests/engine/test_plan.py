@@ -52,7 +52,7 @@ class TestNodeBasics:
 class TestTraversal:
     def test_iter_nodes_visits_all(self):
         source, mapped, reduced = small_plan()
-        names = {node.name for node in p.iter_nodes(reduced)}
+        names = {node.name for node in p.iter_nodes_ordered(reduced)}
         assert names == {"Parallelize", "Map", "ReduceByKey"}
 
     def test_count_nodes_handles_diamonds(self):
@@ -70,6 +70,41 @@ class TestTraversal:
         assert p.consumer_counts(root) == {
             id(source): 3, id(mapped): 1, id(both): 1,
         }
+
+    @pytest.mark.parametrize("shared", [
+        lambda x: p.CoGroup(x, x, num_partitions=2),
+        lambda x: p.Union([x, x]),
+    ], ids=["cogroup", "union"])
+    def test_fold_plan_visits_a_shared_node_once(self, shared):
+        source = p.Parallelize([("a", 1)], 1)
+        mapped = p.Map(source, lambda kv: kv)
+        root = shared(mapped)
+        visits = []
+
+        def visit(node, values):
+            assert all(id(child) in values for child in node.children)
+            visits.append(node)
+            return len(visits)
+
+        values = p.fold_plan(root, visit)
+        assert visits == [source, mapped, root]
+        assert values == {id(source): 1, id(mapped): 2, id(root): 3}
+
+    def test_every_fold_survives_a_20000_node_lineage(self):
+        from repro.analysis.effects import plan_effects
+        from repro.analysis.properties import infer_properties
+        from repro.analysis.schema import infer_schemas
+
+        node = p.Parallelize([("a", 1), ("b", 2)], 2)
+        for step in range(20000):
+            if step % 1000 == 999:
+                node = p.ReduceByKey(node, lambda a, b: a + b, 2)
+            else:
+                node = p.Map(node, lambda kv: (kv[0], kv[1] + 1))
+        assert p.partition_counts(node)[id(node)] == 2
+        assert infer_properties(node).partitioning_of(node).kind == "hash"
+        assert repr(infer_schemas(node).schema_of(node)) == "(str, int)"
+        assert plan_effects(node)[id(node)].pure is True
 
     def test_explain_indents(self):
         _s, _m, reduced = small_plan()

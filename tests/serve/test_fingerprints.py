@@ -1,13 +1,16 @@
 """Artifact fingerprinting: cross-job reuse only for provably
-deterministic builders whose code has not changed.
+deterministic builders whose code and captured values have not changed.
 
 The service keys every artifact with a canonical AST fingerprint of
-its builder (:func:`repro.udf.fingerprint_function`).  A
-re-registered program with a different body can never be served the
+its builder (:func:`repro.udf.fingerprint_function`) plus the values
+the builder captures.  A re-registered program with a different body,
+or the same body over other captured values, can never be served the
 old program's artifact, and a builder whose determinism is *refuted*
-gets a fresh fingerprint per job -- its artifacts are never reused.
+(or whose captured values cannot be compared) gets a fresh fingerprint
+per job -- its artifacts are never reused.
 """
 
+import functools
 import random
 
 import pytest
@@ -80,6 +83,53 @@ class TestServiceFingerprints:
         stats = service.cache.stats()
         assert stats["misses"] == 2
         assert stats["hits"] == 0
+
+
+    def test_builders_over_other_captured_values_never_share(self, service):
+        def make_builder(n):
+            return lambda ctx: ctx.bag_of(range(n))
+
+        def make_program(n):
+            return lambda job: job.dataset("numbers", make_builder(n)).count()
+
+        counts = [_submit(service, make_program(n)) for n in (3, 5)]
+        assert counts == [3, 5]
+        assert _submit(service, make_program(5)) == 5
+        stats = service.cache.stats()
+        assert (stats["misses"], stats["hits"]) == (2, 1)
+
+    def test_partial_bindings_are_captured_values(self, service):
+        def build(n, ctx):
+            return ctx.bag_of(range(n))
+
+        def make_program(n):
+            builder = functools.partial(build, n)
+            return lambda job: job.dataset("numbers", builder).count()
+
+        counts = [_submit(service, make_program(n)) for n in (4, 6, 6)]
+        assert counts == [4, 6, 6]
+        stats = service.cache.stats()
+        assert (stats["misses"], stats["hits"]) == (2, 1)
+
+    def test_incomparable_captured_value_is_never_reused(self, service):
+        class Opaque:
+            def __eq__(self, other):
+                raise TypeError("no equality")
+
+            __hash__ = object.__hash__
+
+        token = Opaque()
+
+        def program(job):
+            data = job.dataset(
+                "nums", lambda ctx: ctx.bag_of(range(7)) if token else None
+            )
+            return data.count()
+
+        assert _submit(service, program) == 7
+        assert _submit(service, program) == 7
+        stats = service.cache.stats()
+        assert (stats["misses"], stats["hits"]) == (2, 0)
 
 
 class TestCacheFingerprints:
