@@ -107,9 +107,9 @@ class ArtifactCache:
         program that produces this artifact (see
         :func:`repro.udf.fingerprint_function`).  A hit
         is only served when it matches the stored entry's fingerprint;
-        a mismatch means the builder's code changed (or is not
-        provably deterministic, in which case the service hands in a
-        fresh fingerprint per job), so the stale entry is evicted and
+        a mismatch means the builder's code or captured values changed
+        (or reuse is not provably safe, in which case the service hands
+        in a fresh fingerprint per job), so the stale entry is evicted and
         the artifact rebuilt.  If the stale entry is still pinned by a
         running job it stays untouched and the fresh value is built
         *outside* the cache; a later call replaces the slot once the
