@@ -91,7 +91,7 @@ def analyze_plan(root, config=None):
             _check_unstable_keys(node, ref, diags)
     from .schema import schema_diagnostics
 
-    diags.extend(schema_diagnostics(root))
+    diags.extend(schema_diagnostics(root, ids, parts))
     return diags
 
 

@@ -742,11 +742,15 @@ def schema_notes(root):
     }
 
 
-def schema_diagnostics(root):
-    """NPL6xx findings (plus NPL001 skip notices) for one plan."""
+def schema_diagnostics(root, ids=None, parts=None):
+    """NPL6xx findings (plus NPL001 skip notices) for one plan; ``ids``
+    and ``parts`` are the plan's node ids and partition counts, when
+    the caller has them (:func:`repro.analysis.analyze_plan` does)."""
     inferred = infer_schemas(root)
-    ids = p.assign_node_ids(root)
-    parts = p.partition_counts(root)
+    if ids is None:
+        ids = p.assign_node_ids(root)
+    if parts is None:
+        parts = p.partition_counts(root)
 
     def ref(node):
         return p.describe_node(node, ids, parts)

@@ -35,7 +35,6 @@ from .runtime import (
 from .sizing import estimate_record_size, estimate_size
 from .validate import (
     TraceInvariantError,
-    trace_signature,
     validate_job,
     validate_trace,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "large_cluster_config",
     "paper_cluster_config",
     "stable_hash",
-    "trace_signature",
     "validate_job",
     "validate_trace",
 ]

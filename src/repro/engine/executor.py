@@ -98,6 +98,17 @@ _WORKS = operator.itemgetter(2)
 
 _origin = p.origin
 
+#: The input sides a wide node's shuffle elision keeps in place, by its
+#: choice (:func:`~repro.engine.optimize.choose_elision`): ``None``, no
+#: elision, keeps none and the exchange moves every side.
+_KEPT = {
+    None: (),
+    "elide": (0,),
+    "elide-both": (0, 1),
+    "adopt-left": (0,),
+    "adopt-right": (1,),
+}
+
 
 def _chain_layout(chain, child):
     """The layout a fused chain's output carries: its input's, when
@@ -574,19 +585,103 @@ class Executor:
 
     # -- wide (shuffling) operators ------------------------------------
 
-    def _bucketize(self, result, num_partitions, assignment):
-        """Hash-partition keyed records into reduce buckets.
+    def _exchange(self, node, job, sides, elision, combined=False):
+        """Open the shuffle stage of the wide ``node`` and place its
+        input ``sides`` (:class:`_Result`\\ s) in it.
+
+        The ``elision`` (:func:`choose_elision`) only picks the sides
+        that stay in place (:data:`_KEPT`).  Every other side is
+        bucketized (:meth:`_bucketize`) by one key assignment: a fresh
+        balanced one over the moving sides, or the kept side's, extended
+        by hash with the keys its origin never saw -- the output carries
+        it, so a later wide operator may adopt it in turn.
+
+        Returns ``(stage, placed, layout)``: ``placed`` each side's
+        partitions in ``stage``'s layout, ``layout`` the one they carry.
+        The stage's record ledger holds each partition's records over
+        every side; what moved is its shuffle volume, what stayed its
+        ``shuffle_records_saved``.  ``combined`` as for
+        :meth:`_key_counts`.
+        """
+        n = node.num_partitions
+        kept = _KEPT[elision and elision[0]]
+        counts = {
+            index: self._key_counts(side, combined)
+            for index, side in enumerate(sides) if index not in kept
+        }
+        if not kept:
+            assignment = build_balanced_assignment(
+                functools.reduce(operator.add, counts.values()), n
+            )
+        elif counts:
+            assignment = dict(sides[kept[0]].layout[1])
+            for keys in counts.values():
+                for key in keys:
+                    if key not in assignment:
+                        assignment[key] = stable_hash(key) % n
+        placed = []
+        moved = 0
+        for index, side in enumerate(sides):
+            if index in kept:
+                placed.append((side.partitions, side.live))
+            else:
+                buckets, live, count = self._bucketize(
+                    side, n, assignment, counts[index]
+                )
+                placed.append((buckets, live))
+                moved += count
+        origin = _origin(node)
+        stage = job.new_stage("shuffle", n, meta=node.meta, origin=origin)
+        stage.shuffle_read_records = moved
+        stage.shuffle_write_records = moved
+        stage.shuffle_records_saved = sum(
+            _credit_records(stage, parts, live) for parts, live in placed
+        ) - moved
+        if elision is None or moved:
+            self._trace_shuffle(stage, origin)
+        if elision is not None:
+            self._record_elision(node, elision)
+        layout = (node, assignment) if counts else sides[0].layout
+        return stage, [parts for parts, _live in placed], layout
+
+    def _key_counts(self, result, combined=False):
+        """Records per key over the live partitions of ``result``.
+
+        This pass is also where a shuffle checks the records it moves,
+        once: bucketing and the reduce-side tasks (``keyed=True``) rely
+        on it.  Not when the partitions are ``combined`` -- each a
+        map-side combine's ``list(acc.items())``, pairs of hashable
+        keys by construction.
+        """
+        parts = result.live_partitions()
+        flat = itertools.chain.from_iterable
+        # Plain pairs pass two C-level scans; anything else is checked
+        # record by record, so the first offender is the one reported.
+        if not combined and (
+            set(map(type, flat(parts))) - {tuple}
+            or set(map(len, flat(parts))) - {2}
+        ):
+            for record in flat(parts):
+                require_keyed(record)
+        try:
+            return collections.Counter(map(_KEY, flat(parts)))
+        except TypeError:
+            for record in flat(parts):
+                require_hashable(record[0])
+            raise
+
+    def _bucketize(self, result, num_partitions, assignment, keys):
+        """Hash-partition the keyed records of ``result`` into reduce
+        buckets by ``assignment``; ``keys`` are the keys they hold.
 
         Charges the map-side shuffle write to the producing stage and
         returns ``(buckets, live, moved)``: ``live`` the buckets that
-        received records, ascending, and ``moved`` the number of
-        records written to (and later read from) the shuffle.  The
-        records were checked when ``assignment`` was built
-        (:meth:`_key_assignment`), once per shuffle.
+        received records, ascending -- only those get a list of their
+        own -- and ``moved`` the number of records written to (and
+        later read from) the shuffle.
         """
-        # Only the buckets the assignment names get a list of their own.
         buckets = [p.EMPTY_PARTITION] * num_partitions
-        live = sorted(set(assignment.values()))
+        live = sorted(set(map(assignment.__getitem__, keys)))
         for index in live:
             buckets[index] = []
         for part in result.live_partitions():
@@ -594,37 +689,6 @@ class Executor:
                 buckets[assignment[record[0]]].append(record)
         moved = _credit_records(result.stage, result.partitions, result.live)
         return buckets, live, moved
-
-    def _shuffle(self, result, node, job, combined=False):
-        """Shuffle keyed partitions into a new reduce stage; returns
-        the buckets as a :class:`_Result` of that stage, whose record
-        ledger holds each live bucket's records and whose ``live`` is
-        that ledger's.
-
-        Keys are spread over reduce buckets with a balanced assignment
-        (see :func:`build_balanced_assignment`).  The result's
-        ``layout`` is ``(node, assignment)``, so later wide operators
-        can *adopt* the layout instead of re-shuffling (see
-        :mod:`repro.engine.optimize`).  ``combined`` as for
-        :meth:`_key_assignment`.
-        """
-        origin = _origin(node)
-        assignment = self._key_assignment(
-            result.live_partitions(), node.num_partitions, combined
-        )
-        buckets, live, moved = self._bucketize(
-            result, node.num_partitions, assignment
-        )
-        stage = job.new_stage(
-            "shuffle", len(buckets), meta=node.meta, origin=origin
-        )
-        stage.shuffle_read_records = moved
-        stage.shuffle_write_records = moved
-        _credit_records(stage, buckets, live)
-        self._trace_shuffle(stage, origin)
-        return _Result(
-            buckets, stage, stage.task_records.live, (node, assignment)
-        )
 
     def _record_elision(self, node, elision):
         decision = Decision(
@@ -636,32 +700,6 @@ class Executor:
         )
         with self._state_lock:
             self.decisions.append(decision)
-
-    def _key_assignment(self, parts, num_partitions, combined=False):
-        """Balanced key -> bucket assignment over the given partitions.
-
-        This pass is also where a shuffle checks its records, once:
-        bucketing and the reduce-side tasks (``keyed=True``) rely on it.
-        Not when the partitions are ``combined`` -- each a map-side
-        combine's ``list(acc.items())``, pairs of hashable keys by
-        construction.
-        """
-        flat = itertools.chain.from_iterable
-        # Plain pairs pass two C-level scans; anything else is checked
-        # record by record, so the first offender is the one reported.
-        if not combined and (
-            set(map(type, flat(parts))) - {tuple}
-            or set(map(len, flat(parts))) - {2}
-        ):
-            for record in flat(parts):
-                require_keyed(record)
-        try:
-            counts = collections.Counter(map(_KEY, flat(parts)))
-        except TypeError:
-            for record in flat(parts):
-                require_hashable(record[0])
-            raise
-        return build_balanced_assignment(counts, num_partitions)
 
     def _combine_pass(self, task, source, stage, ordinal, sizes=None):
         """Run one combine task set over the partitions of ``source``
@@ -711,7 +749,8 @@ class Executor:
             # it would be sent to, so a single combine pass per
             # partition produces the final result and nothing crosses
             # the network.  The stage stays a (zero-volume) shuffle
-            # stage so trace shapes match the unoptimized plan.
+            # stage so trace shapes match the unoptimized plan; unlike
+            # the exchange's, its ledger holds the combined output.
             stage = job.new_stage(
                 "shuffle", len(child.partitions), meta=node.meta,
                 origin=_origin(node),
@@ -738,36 +777,51 @@ class Executor:
             combined = self._combine_pass(
                 task, child, child.stage, ordinals.take()
             )
-        buckets = self._shuffle(combined, node, job, combined=True)
-        stage = buckets.stage
+        stage, (buckets,), layout = self._exchange(
+            node, job, [combined], None, combined=True
+        )
+        records = stage.task_records
         out = self._combine_pass(
-            CombineTask(node.fn, _origin(node), keyed=True), buckets,
-            stage, ordinals.take(), sizes=stage.task_records.amounts,
+            CombineTask(node.fn, _origin(node), keyed=True),
+            _Result(buckets, stage, records.live, layout),
+            stage, ordinals.take(), sizes=records.amounts,
         )
         self._account_spill(stage)
         return out
 
     def _eval_group_by_key(self, node, job, child, ordinals):
         elision = choose_elision(node, child)
-        if elision is not None:
-            # Keys are already confined to their target partitions:
-            # group each partition in place, no shuffle traffic.
-            stage = job.new_stage(
-                "shuffle", len(child.partitions), meta=node.meta,
-                origin=_origin(node),
-            )
-            stage.shuffle_records_saved = _credit_records(
-                stage, child.partitions, child.live
-            )
-            source = child
-            keyed = False
-        else:
-            source = self._shuffle(child, node, job)
-            stage = source.stage
-            keyed = True
-        # The stage's record ledger holds each input's records.
+        stage, (parts,), layout = self._exchange(node, job, [child], elision)
+        # Records left in place were never checked by a shuffle.
+        return self._run_groups(
+            GroupBucketTask, node, stage, parts, ordinals, layout,
+            keyed=elision is None,
+        )
+
+    def _eval_cogroup(self, node, job, left, right, ordinals):
+        # One reduce stage reads both sides (Spark schedules a single
+        # reduce task set for a cogroup); each input record is credited
+        # exactly once.
+        stage, (lefts, rights), layout = self._exchange(
+            node, job, [left, right], choose_elision(node, left, right)
+        )
+        # Only a pair that holds records is a tuple of its own.
+        empty = p.EMPTY_PARTITION
+        pairs = [(empty, empty)] * stage.num_tasks
+        for index in stage.task_records.live:
+            pairs[index] = (lefts[index], rights[index])
+        return self._run_groups(
+            CoGroupBucketTask, node, stage, pairs, ordinals, layout
+        )
+
+    def _run_groups(self, task_class, node, stage, inputs, ordinals,
+                    layout, keyed=False):
+        """Run the reduce set of a group (``task_class`` a
+        :class:`GroupBucketTask`) over the exchange's ``stage``, whose
+        record ledger says which ``inputs`` hold records; the output
+        carries ``layout``."""
         records = stage.task_records
-        task = GroupBucketTask(
+        task = task_class(
             self._stage_rate(stage),
             self.config.memory_overhead_factor,
             self._task_limit(records),
@@ -775,13 +829,11 @@ class Executor:
             keyed=keyed,
         )
         out, live = self.scheduler.run_stage(
-            task, source.partitions, stage=stage, ordinal=ordinals.take(),
+            task, inputs, stage=stage, ordinal=ordinals.take(),
             sizes=records.amounts, live=records.live,
         )
         self._account_spill(stage)
-        if elision is not None:
-            self._record_elision(node, elision)
-        return _Result(out, stage, live, source.layout)
+        return _Result(out, stage, live, layout)
 
     def _task_limit(self, task_records):
         """Per-task memory budget given how many tasks run concurrently:
@@ -791,149 +843,6 @@ class Executor:
         per_machine = -(-max(1, nonempty) // self.config.machines)
         return self.config.task_memory_limit_bytes(per_machine)
 
-    def _eval_cogroup(self, node, job, left, right, ordinals):
-        elided = self._eval_cogroup_elided(node, job, left, right, ordinals)
-        if elided is not None:
-            return elided
-        # Both sides co-partition: one key assignment over both inputs.
-        assignment = self._key_assignment(
-            left.live_partitions() + right.live_partitions(),
-            node.num_partitions,
-        )
-        left_buckets, left_live, left_moved = self._bucketize(
-            left, node.num_partitions, assignment
-        )
-        right_buckets, right_live, right_moved = self._bucketize(
-            right, node.num_partitions, assignment
-        )
-        # One reduce stage reads both sides' shuffle files (Spark
-        # schedules a single reduce task set for a cogroup); each input
-        # record is credited exactly once.
-        stage = job.new_stage("shuffle", node.num_partitions,
-                              meta=node.meta, origin=_origin(node))
-        stage.shuffle_read_records = left_moved + right_moved
-        stage.shuffle_write_records = left_moved + right_moved
-        self._trace_shuffle(stage, _origin(node))
-        return self._run_cogroup_buckets(
-            node, stage, (left_buckets, left_live),
-            (right_buckets, right_live), ordinals, (node, assignment),
-        )
-
-    def _eval_cogroup_elided(self, node, job, left, right, ordinals):
-        """A cogroup whose shuffle is (partially) elided, or ``None``.
-
-        ``elide-both``: both sides already share the origin's layout --
-        zip their partitions directly, nothing moves.  ``adopt-left`` /
-        ``adopt-right``: one side stays in place and only the other
-        side is bucketized into the adopted layout (its map-side write
-        is still charged); keys the origin never saw are placed by
-        hash.  ``None`` when :func:`choose_elision` elides nothing.
-        """
-        elision = choose_elision(node, left, right)
-        if elision is None:
-            return None
-        choice = elision[0]
-        n = node.num_partitions
-        if choice == "elide-both":
-            layout = left.layout
-            left_buckets = (left.partitions, left.live)
-            right_buckets = (right.partitions, right.live)
-            moved = 0
-            saved = sum(map(len, left.live_partitions())) + sum(
-                map(len, right.live_partitions())
-            )
-        else:
-            if choice == "adopt-left":
-                adopted, other = left, right
-            else:
-                adopted, other = right, left
-            # The output is laid out by the adopted assignment extended
-            # with the other side's new keys: stacked joins adopt it in
-            # turn.
-            layout = (node, dict(adopted.layout[1]))
-            buckets, live, moved = self._adopt_bucketize(
-                other, n, layout[1]
-            )
-            if choice == "adopt-left":
-                left_buckets = (adopted.partitions, adopted.live)
-                right_buckets = (buckets, live)
-            else:
-                left_buckets = (buckets, live)
-                right_buckets = (adopted.partitions, adopted.live)
-            saved = sum(map(len, adopted.live_partitions()))
-        stage = job.new_stage("shuffle", n, meta=node.meta,
-                              origin=_origin(node))
-        stage.shuffle_read_records = moved
-        stage.shuffle_write_records = moved
-        stage.shuffle_records_saved = saved
-        if moved:
-            self._trace_shuffle(stage, _origin(node))
-        self._record_elision(node, elision)
-        return self._run_cogroup_buckets(
-            node, stage, left_buckets, right_buckets, ordinals, layout
-        )
-
-    def _adopt_bucketize(self, result, num_partitions, layout):
-        """Bucketize one cogroup side into an adopted shuffle layout.
-
-        Extends ``layout`` in place with hash-placed buckets for keys
-        the origin shuffle never saw; charges the map-side write to the
-        producing stage like :meth:`_bucketize`.  Only a bucket that
-        receives a record gets a list of its own.  Returns
-        ``(buckets, live, moved)`` like :meth:`_bucketize`.
-        """
-        empty = p.EMPTY_PARTITION
-        buckets = [empty] * num_partitions
-        live = []
-        for part in result.live_partitions():
-            for record in part:
-                require_keyed(record)
-                key = record[0]
-                index = layout.get(key)
-                if index is None:
-                    index = stable_hash(key) % num_partitions
-                    layout[key] = index
-                bucket = buckets[index]
-                if bucket is empty:
-                    bucket = buckets[index] = []
-                    live.append(index)
-                bucket.append(record)
-        live.sort()
-        moved = _credit_records(result.stage, result.partitions, result.live)
-        return buckets, live, moved
-
-    def _run_cogroup_buckets(self, node, stage, left, right, ordinals,
-                             layout):
-        """Run the reduce set of a cogroup whose two sides are ``left``
-        and ``right``, each a ``(buckets, live)`` pair laid out by
-        ``layout``; credits each bucket pair's records to ``stage``
-        first."""
-        left_buckets, left_live = left
-        right_buckets, right_live = right
-        candidates = sorted(set(left_live).union(right_live))
-        live, sizes = nonzero(candidates, [
-            len(left_buckets[index]) + len(right_buckets[index])
-            for index in candidates
-        ])
-        stage.credit_task_records(sizes, live)
-        # Only a pair that holds records is a tuple of its own.
-        empty = p.EMPTY_PARTITION
-        pairs = [(empty, empty)] * stage.num_tasks
-        for index in live:
-            pairs[index] = (left_buckets[index], right_buckets[index])
-        task = CoGroupBucketTask(
-            self._stage_rate(stage),
-            self.config.memory_overhead_factor,
-            self._task_limit(stage.task_records),
-            _origin(node),
-        )
-        out, live = self.scheduler.run_stage(
-            task, pairs, stage=stage, ordinal=ordinals.take(),
-            sizes=sizes, live=live,
-        )
-        self._account_spill(stage)
-        return _Result(out, stage, live, layout)
-
     # -- broadcast operators (narrow) ----------------------------------
 
     def _eval_broadcast_join(self, node, job, left, right, ordinals):
@@ -942,11 +851,17 @@ class Executor:
             "join build side",
         )
         table = {}
-        for part in right.live_partitions():
-            for record in part:
-                require_keyed(record)
-                key, value = record
-                table.setdefault(key, []).append(value)
+        build = right.live_partitions()
+        try:
+            for part in build:
+                for record in part:
+                    require_keyed(record)
+                    key, value = record
+                    table.setdefault(key, []).append(value)
+        except TypeError:
+            for record in itertools.chain.from_iterable(build):
+                require_hashable(record[0])
+            raise
         stage = self._scale_corrected(left.stage, node, job)
         task = BroadcastJoinProbeTask(table, _origin(node))
         out, live = self.scheduler.run_stage(

@@ -451,10 +451,6 @@ def static_record_count(node):
         return None
 
 
-def count_nodes(root):
-    return sum(1 for _ in iter_nodes_ordered(root))
-
-
 def flatten_union_inputs(inputs):
     """Collapse nested unions into a single input list."""
     flat = []

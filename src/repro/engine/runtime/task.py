@@ -624,15 +624,22 @@ class BroadcastJoinProbeTask(BatchTask):
     def run(self, parts):
         table = self.table
         values = []
-        for part in parts:
-            produced = []
-            for record in part:
-                if record.__class__ is not tuple or len(record) != 2:
-                    require_keyed(record)  # tuple subclasses still pass
-                key, value = record
-                for other in table.get(key, ()):
-                    produced.append((key, (value, other)))
-            values.append(produced)
+        try:
+            for part in parts:
+                produced = []
+                for record in part:
+                    if record.__class__ is not tuple or len(record) != 2:
+                        require_keyed(record)  # tuple subclasses still pass
+                    key, value = record
+                    for other in table.get(key, ()):
+                        produced.append((key, (value, other)))
+                values.append(produced)
+        except TypeError:
+            # An unhashable key: report it as a shuffle would.
+            for part in parts:
+                for record in part:
+                    require_hashable(record[0])
+            raise
         return values
 
 

@@ -27,20 +27,11 @@ Invariants checked per job:
 * **Runtime measurements are sane**: measured per-task seconds, retry
   counts, and straggler counts are non-negative.
 
-This module also hosts the differential runner every cross-run check
-shares: :func:`run_configs` executes one program on a fresh context per
-config and returns a :class:`Run` record each, and :data:`INVARIANTS`
-names what :func:`check_runs` can require two runs to agree on.  The
-test suite's table of execution choices (backend, chain body, shuffle
-elision) drives it, one reference run against one chosen run.
+:func:`deterministic_totals` is the part of a run report two runs of
+one program must agree on, whatever the host measured.
 """
 
-from collections import Counter
-from dataclasses import dataclass, fields
-from operator import attrgetter, eq, ge
-
 from ..errors import PlanError
-from ..observe.report import entry_from_context
 
 #: Stage kinds the executor may emit.  ``input``/``shuffle`` stages are
 #: scheduled task sets; ``union``/``coalesce``/``cached`` are narrow
@@ -150,126 +141,6 @@ def validate_trace(trace):
     return trace
 
 
-# ----------------------------------------------------------------------
-# Differential runs: one runner, one table of invariants
-# ----------------------------------------------------------------------
-
-
-def _nonzero(ledger):
-    return ledger.n, tuple(
-        (index, amount)
-        for index, amount in zip(ledger.live, ledger.amounts)
-        if amount
-    )
-
-
-def trace_signature(trace):
-    """The backend-independent shape of a trace.
-
-    Everything the cost model consumes -- stage kinds, per-task record
-    counts, shuffle/spill volumes, broadcast and action counters -- but
-    none of the measured quantities (wall-clock, retries, stragglers),
-    which legitimately differ between backends and runs.  A stage's
-    record counts read ``(num_tasks, ((task, records), ...))`` over its
-    tasks with records: a run under a fault plan, which dispatches --
-    and credits -- every task, empty or not, reads as a clean one.
-    """
-    signature = []
-    for job in trace.jobs:
-        stages = tuple(
-            (
-                stage.kind,
-                stage.meta,
-                stage.origin,
-                _nonzero(stage.task_records),
-                stage.shuffle_read_records,
-                stage.shuffle_write_records,
-                stage.shuffle_records_saved,
-                stage.spilled_records,
-            )
-            for stage in job.stages
-        )
-        signature.append(
-            (
-                job.action,
-                job.label,
-                stages,
-                job.broadcast_records,
-                job.broadcast_meta_records,
-                job.collected_records,
-                job.saved_records,
-                job.saved_meta_records,
-            )
-        )
-    return tuple(signature)
-
-
-@dataclass(frozen=True)
-class Run:
-    """Everything observable about one execution of ``name`` under
-    ``config``: what the program returned, its :func:`trace_signature`,
-    the cost model's simulated seconds, the run-report totals, and a
-    ``Counter`` of optimizer decisions keyed ``"kind/choice"``."""
-
-    name: str
-    config: object
-    result: object
-    signature: tuple
-    simulated_seconds: float
-    totals: dict
-    decisions: Counter
-
-
-def run_configs(program, configs, name="<program>"):
-    """Run ``program`` on a fresh context per config; one :class:`Run` each.
-
-    The single place differential checks execute programs: every run's
-    trace is validated, and every context is closed -- tracer sinks
-    flushed, runtimes released -- even when the program or the
-    validation raises.
-    """
-    from .context import EngineContext
-
-    runs = []
-    for config in configs:
-        ctx = EngineContext(config)
-        try:
-            result = program(ctx)
-            validate_trace(ctx.trace)
-            entry = entry_from_context(ctx, "differential", name)
-            runs.append(
-                Run(
-                    name=name,
-                    config=config,
-                    result=result,
-                    signature=trace_signature(ctx.trace),
-                    simulated_seconds=entry["simulated_seconds"],
-                    totals=entry["totals"],
-                    decisions=Counter(
-                        "%s/%s" % (decision.kind, decision.choice)
-                        for decision in ctx.optimizer_decisions
-                    ),
-                )
-            )
-        finally:
-            ctx.close()
-    return runs
-
-
-def _stage_kinds(run):
-    return [
-        (action, label, [stage[0] for stage in stages])
-        for action, label, stages, *_counters in run.signature
-    ]
-
-
-def _job_shuffles(run):
-    return [
-        sum(stage[4] for stage in stages)
-        for _action, _label, stages, *_counters in run.signature
-    ]
-
-
 def deterministic_totals(totals):
     """A report entry's ``totals`` without the keys read off measured
     wall-clock (retry and straggler detection), which legitimately vary
@@ -279,57 +150,3 @@ def deterministic_totals(totals):
         key: value for key, value in totals.items()
         if key not in measured
     }
-
-
-#: The named invariants a config change may be required to preserve:
-#: ``name -> (what, view, holds)``.  ``view(run)`` picks the quantity
-#: out of a :class:`Run`, ``holds(base, variant)`` says whether two such
-#: quantities agree (``None``: by the caller's notion of equal results),
-#: ``what`` names it in the error.  ``shuffle_not_more`` is
-#: directional: the variant is the optimized side.
-INVARIANTS = {
-    "results": ("results", attrgetter("result"), None),
-    "signature": ("trace signatures", attrgetter("signature"), eq),
-    "sim_equal": (
-        "simulated seconds", attrgetter("simulated_seconds"), eq,
-    ),
-    "stage_kinds": ("jobs or stage kinds", _stage_kinds, eq),
-    "shuffle_not_more": (
-        "per-job shuffle volumes (the variant shuffles more)",
-        _job_shuffles,
-        lambda base, variant: all(map(ge, base, variant)),
-    ),
-    "totals": (
-        "deterministic totals",
-        lambda run: deterministic_totals(run.totals),
-        eq,
-    ),
-}
-
-
-def config_difference(base, variant):
-    """``"field=a -> b, ..."`` over the config fields that differ."""
-    return ", ".join(
-        "%s=%r -> %r" % (
-            f.name, getattr(base, f.name), getattr(variant, f.name),
-        )
-        for f in fields(base)
-        if getattr(base, f.name) != getattr(variant, f.name)
-    )
-
-
-def check_runs(base, variant, invariants, results_equal=eq):
-    """Raise ``AssertionError`` unless ``variant`` preserves each named
-    invariant of ``base``; ``results_equal`` decides when two results
-    agree."""
-    for name in invariants:
-        what, view, holds = INVARIANTS[name]
-        ours, theirs = view(base), view(variant)
-        if not (holds or results_equal)(ours, theirs):
-            raise AssertionError(
-                "%s [%s]: different %s:\n%r\nvs\n%r" % (
-                    base.name,
-                    config_difference(base.config, variant.config),
-                    what, ours, theirs,
-                )
-            )

@@ -11,9 +11,9 @@ import pathlib
 import pytest
 
 from repro.engine import EngineContext, laptop_config
-from repro.engine.validate import INVARIANTS, check_runs, run_configs
 from tests.programs import (
-    CHOICES, PROGRAMS, library_programs, results_equivalent, run_choice,
+    CHOICES, INVARIANTS, PROGRAMS, check_runs, library_programs,
+    results_equivalent, run_choice, run_configs,
     stale_layout_adopt_program, stale_layout_elide_both_program,
 )
 

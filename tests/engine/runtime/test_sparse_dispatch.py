@@ -21,7 +21,6 @@ from repro.engine import (
     TaskScheduler,
     Weighted,
     laptop_config,
-    trace_signature,
 )
 from repro.engine.codegen import plan_compiled_task
 from repro.engine.metrics import ExecutionTrace
@@ -40,6 +39,7 @@ from repro.engine.runtime.task import (
     MapPartitionsTask,
 )
 from repro.errors import TaskFailedError, UdfError, WorkerLostError
+from tests.programs import trace_signature
 
 PARTITIONS = 64
 

@@ -12,10 +12,12 @@ import random
 import pytest
 
 from repro.data import grouped_edges, visits_log
-from repro.engine import EngineContext, laptop_config, trace_signature
+from repro.engine import EngineContext, laptop_config
 from repro.tasks import bounce_rate as br
 from repro.tasks import pagerank as pr
-from tests.programs import library_programs, results_equivalent, run_choice
+from tests.programs import (
+    library_programs, results_equivalent, run_choice, trace_signature,
+)
 
 
 def wordcount(ctx):

@@ -30,11 +30,11 @@ from repro.engine.runtime.task import (
     CompiledPipelineTask,
     FusedPipelineTask,
 )
-from repro.engine.validate import trace_signature
 from repro.engine.work import Weighted
 from repro.errors import UdfError
 from repro.lang import nested_udf
 from tests.engine.runtime.test_vector_pipeline import compiled_task
+from tests.programs import trace_signature
 
 
 # Module-level UDFs: provably pure, with recoverable source.

@@ -19,6 +19,11 @@ def reference_join(left, right):
 
 LEFT = [("a", 1), ("a", 2), ("b", 3), ("d", 9)]
 RIGHT = [("a", "x"), ("b", "y"), ("b", "z"), ("c", "w")]
+UNHASHABLE = r"hashable keys, got \[0\]"
+
+
+def _add(a, b):
+    return a + b
 
 
 class TestRepartitionJoin:
@@ -64,6 +69,55 @@ class TestBroadcastJoin:
     def test_unknown_strategy_rejected(self, ctx):
         with pytest.raises(PlanError):
             ctx.bag_of(LEFT).join(ctx.bag_of(RIGHT), strategy="magic")
+
+
+class TestUnhashableKeys:
+    """A key no shuffle or hash table can place raises ``PlanError``
+    on every join path, as the repartition join's shuffle does."""
+
+    GOOD = [((0,), 1), ((1,), 2)]
+    BAD = [([0], "x")]
+
+    @pytest.mark.parametrize("strategy", ["broadcast", "broadcast_left"])
+    def test_broadcast_build_side(self, ctx, strategy):
+        good, bad = ctx.bag_of(self.GOOD), ctx.bag_of(self.BAD)
+        # The build side is the bag the strategy ships.
+        stream, build = (good, bad) if strategy == "broadcast" else (
+            bad, good
+        )
+        with pytest.raises(PlanError, match=UNHASHABLE):
+            stream.join(build, strategy=strategy).collect()
+
+    @pytest.mark.parametrize("strategy", ["broadcast", "broadcast_left"])
+    def test_broadcast_probe_side(self, ctx, strategy):
+        good, bad = ctx.bag_of(self.GOOD), ctx.bag_of(self.BAD)
+        stream, build = (bad, good) if strategy == "broadcast" else (
+            good, bad
+        )
+        with pytest.raises(PlanError, match=UNHASHABLE):
+            stream.join(build, strategy=strategy).collect()
+
+    def test_adopt_left_cogroup_side(self, ctx):
+        # The reduce's output fits the join: it stays in place and the
+        # bad side is the one the exchange moves.
+        laid_out = ctx.bag_of(LEFT).reduce_by_key(_add, 4)
+        with pytest.raises(PlanError, match=UNHASHABLE):
+            laid_out.join(ctx.bag_of(self.BAD), num_partitions=4).collect()
+
+    def test_adopt_right_cogroup_side(self, ctx):
+        laid_out = ctx.bag_of(LEFT).reduce_by_key(_add, 4)
+        with pytest.raises(PlanError, match=UNHASHABLE):
+            ctx.bag_of(self.BAD).join(laid_out, num_partitions=4).collect()
+
+    def test_the_sides_adopt_when_every_key_is_hashable(self, ctx):
+        laid_out = ctx.bag_of(LEFT).reduce_by_key(_add, 4)
+        other = ctx.bag_of(RIGHT)
+        laid_out.join(other, num_partitions=4).collect()
+        other.join(laid_out, num_partitions=4).collect()
+        assert [
+            d.choice for d in ctx.optimizer_decisions
+            if d.kind == "shuffle-elision"
+        ] == ["adopt-left", "adopt-right"]
 
 
 class TestCross:

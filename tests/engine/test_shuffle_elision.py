@@ -92,6 +92,50 @@ def test_cogroup_adoption_shuffles_only_one_side(without_elision):
     ]
 
 
+
+def _volumes(ctx):
+    """Per job, each stage's kind, origin and the records its shuffle
+    moved or kept in place: what the stage would read unelided."""
+    return [
+        [
+            (stage.kind, stage.origin,
+             stage.shuffle_read_records + stage.shuffle_records_saved)
+            for stage in job.stages
+        ]
+        for job in ctx.trace.jobs
+    ]
+
+
+def test_stacked_cogroups_adopt_the_extended_layout(without_elision):
+    # The reduce lays out keys 0..4.  ``other`` brings 5..8, which the
+    # first cogroup places by hash; ``third`` brings 6 and 8 (placed
+    # only by that extension) and 10 and 12 (placed by none): the
+    # second cogroup adopts the first's layout and extends it again.
+    third_records = [(k, k * 10) for k in range(0, 14, 2)]
+
+    def program(ctx):
+        base = _keyed(ctx).reduce_by_key(_add, 4)
+        other = ctx.bag_of([(k, -k) for k in range(3, 9)])
+        first = base.cogroup(other, 4).map_values(
+            lambda groups: (sorted(groups[0]), sorted(groups[1]))
+        )
+        second = first.cogroup(ctx.bag_of(third_records), 4)
+        return sorted(
+            (k, ([tuple(map(tuple, v)) for v in left], sorted(right)))
+            for k, (left, right) in second.collect()
+        )
+
+    opt_ctx, plain_ctx, opt, plain = _run_both(program, without_elision)
+    assert opt == plain
+    assert [k for k, _groups in opt] == list(range(9)) + [10, 12]
+    assert _volumes(opt_ctx) == _volumes(plain_ctx)
+    decisions = _shuffle_decisions(opt_ctx)
+    assert [d.choice for d in decisions] == ["adopt-left", "adopt-left"]
+    assert "reuses the partitioning of CoGroup" in decisions[1].detail
+    second_stage = opt_ctx.trace.jobs[-1].stages[-1]
+    assert second_stage.shuffle_read_records == len(third_records)
+
+
 def test_cached_bag_adopts_across_jobs():
     ctx = EngineContext(laptop_config())
     grouped = _keyed(ctx).group_by_key(4).cache()

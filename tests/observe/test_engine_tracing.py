@@ -121,6 +121,32 @@ class TestSpanTree:
         assert broadcasts
         assert broadcasts[-1].args["records"] == 3
 
+    def test_shuffle_instant_per_exchange(self):
+        # A fresh exchange emits one, even with nothing to move; an
+        # elided one only when a side moved records.
+        ctx = traced_ctx()
+        reduced = (
+            ctx.bag_of(range(40))
+            .map(lambda x: (x % 4, x))
+            .reduce_by_key(lambda a, b: a + b, 4)
+        )
+        grouped = reduced.group_by_key(4)  # elide
+        grouped.cogroup(ctx.bag_of([(9, "new")]), 4).collect()  # adopt
+        ctx.bag_of([]).group_by_key(4).collect()
+        shuffles = [
+            (e.args["origin"], e.args["records"])
+            for e in ctx.tracer.events() if e.kind == KIND_SHUFFLE
+        ]
+        assert [origin for origin, _records in shuffles] == [
+            "ReduceByKey", "CoGroup", "GroupByKey",
+        ]
+        assert shuffles[0][1] > 0
+        assert [records for _origin, records in shuffles[1:]] == [1, 0]
+        assert [
+            d.choice for d in ctx.optimizer_decisions
+            if d.kind == "shuffle-elision"
+        ] == ["elide", "adopt-left"]
+
     def test_stage_span_carries_full_measured_task_seconds(self):
         ctx = traced_ctx()
         shuffle_job(ctx)

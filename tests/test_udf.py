@@ -25,12 +25,11 @@ from repro.analysis import (
     fingerprint_function,
     infer_udf_schema,
 )
-from tests.programs import library_programs
+from tests.programs import library_programs, run_configs
 from repro.analysis.schema import INT, STR
 from repro.engine import EngineContext, codegen, laptop_config
 from repro.engine.codegen import clear_compiled_cache
 from repro.engine.optimize import plan_auto_caches
-from repro.engine.validate import run_configs
 from repro.lang import nested_udf
 from repro.udf import (
     CAPACITY,
